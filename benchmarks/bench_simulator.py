@@ -54,6 +54,7 @@ from repro.simulator import (
     build_scenario_tasks,
     build_tasks,
     fold_scenario,
+    folded_slots,
     run_folded,
 )
 from repro.workloads import BERT
@@ -375,7 +376,7 @@ def main(argv=None):
             # end to end from the scenario spec (fold + folded run) —
             # the fair comparison, since the event core's timed region
             # also starts from a prebuilt graph.
-            slots = 1 if mode == "serial" else scenario.slots
+            slots = folded_slots(scenario)
             stats = {}
             vector_s, vector = _best_of(
                 lambda: run_folded(fold_scenario(scenario), slots=slots,
@@ -407,7 +408,7 @@ def main(argv=None):
         # is the point: lowering cost is per *class*, not per instance.
         scenario = scenario_from_model(BERT, 4096, batch=384, heads=16,
                                        dram_bw=CLOUD_DRAM_BW)
-        slots = 1 if scenario.binding == "tile-serial" else scenario.slots
+        slots = folded_slots(scenario)
         stats = {}
         start = time.perf_counter()
         folded = fold_scenario(scenario)
@@ -497,7 +498,7 @@ def test_bench_vector_contended_scenario_64x16(benchmark):
                       engine="event").run(
         sum(t.duration for t in tasks) + 1
     )
-    slots = 1 if mode == "serial" else scenario.slots
+    slots = folded_slots(scenario)
     result = benchmark(
         lambda: run_folded(fold_scenario(scenario), slots=slots)
     )

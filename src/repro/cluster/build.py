@@ -59,6 +59,7 @@ from ..simulator.pipeline import (
     PipelineConfig,
     build_decode_tasks,
     build_tasks,
+    folded_slots,
     instance_config,
 )
 from ..simulator.vector import FoldedScenario, fold_templates, run_folded
@@ -297,25 +298,29 @@ def schedule_cluster_tasks(
     scenario: Scenario,
     spec: ClusterSpec,
     sharding: str,
-    tasks: List[Task],
+    tasks: Optional[List[Task]] = None,
     engine: str = "event",
 ) -> SimResult:
-    """Schedule an already-built sharded merged graph.
+    """Schedule ``scenario`` sharded over ``spec`` on ``engine``.
 
     Mirrors :func:`~repro.simulator.pipeline.schedule_scenario_tasks`:
-    ``engine="vector"`` re-derives the template classes (cheap) and
-    takes the folded path; the other engines schedule ``tasks``
-    directly under the scenario's binding discipline with the same
-    total-duration cycle budget."""
-    serial = scenario.binding == "tile-serial"
+    ``engine="vector"`` folds the template classes (:func:`fold_cluster`)
+    and never builds the merged list, so it takes no ``tasks``; the
+    other engines schedule ``tasks``, the graph
+    :func:`build_cluster_tasks` returns, under the scenario's binding
+    discipline with the same total-duration cycle budget."""
+    if (engine == "vector") != (tasks is None):
+        raise ValueError(
+            "engine='vector' schedules the folded cluster and takes no task "
+            "list; the other engines schedule a built one"
+        )
     if engine == "vector":
         return run_folded(
-            fold_cluster(scenario, spec, sharding),
-            slots=1 if serial else scenario.slots,
+            fold_cluster(scenario, spec, sharding), slots=folded_slots(scenario)
         )
     sim = Simulator(
         tasks,
-        mode="serial" if serial else "interleaved",
+        mode="serial" if scenario.binding == "tile-serial" else "interleaved",
         slots=scenario.slots,
         engine=engine,
     )
@@ -329,6 +334,10 @@ def cluster_sim(
     sharding: str = "head",
     engine: str = "event",
 ) -> Tuple[List[Task], SimResult]:
-    """Build and schedule ``scenario`` sharded over ``spec``."""
+    """Build and schedule ``scenario`` sharded over ``spec``; returns
+    (tasks, result).  The vector engine schedules the fold, not the
+    returned list."""
     tasks = build_cluster_tasks(scenario, spec, sharding)
-    return tasks, schedule_cluster_tasks(scenario, spec, sharding, tasks, engine=engine)
+    return tasks, schedule_cluster_tasks(
+        scenario, spec, sharding, None if engine == "vector" else tasks, engine=engine
+    )

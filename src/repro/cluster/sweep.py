@@ -32,7 +32,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..simulator.sweep import _rows_csv, _rows_table
 from ..workloads.scenario import Scenario
-from .build import cluster_sim
+from . import build
 from .spec import LINK_RESOURCE, SHARDINGS, ClusterSpec
 
 __all__ = [
@@ -203,7 +203,16 @@ def evaluate_cluster_point(
     """Schedule one sharded cluster graph and measure utilizations —
     the worker function behind the runtime's ``"cluster"`` task kind."""
     scenario, spec = point.scenario, point.spec
-    tasks, result = cluster_sim(scenario, spec, point.sharding, engine=engine)
+    # As for scenario points: the vector engine folds and builds no
+    # merged list, and calls go through the build module so wrappers
+    # installed there (a traced run's span hooks) see them.
+    tasks = (
+        None if engine == "vector"
+        else build.build_cluster_tasks(scenario, spec, point.sharding)
+    )
+    result = build.schedule_cluster_tasks(
+        scenario, spec, point.sharding, tasks, engine=engine
+    )
     busy = result.busy_cycles
 
     def total(base: str) -> int:
@@ -233,7 +242,7 @@ def evaluate_cluster_point(
         embedding=scenario.embedding,
         slots=scenario.slots,
         seq_len=scenario.seq_len,
-        n_tasks=len(tasks),
+        n_tasks=len(result.finish_times),
         makespan=makespan,
         busy_2d=busy_2d,
         busy_1d=busy_1d,

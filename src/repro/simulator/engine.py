@@ -34,9 +34,10 @@ Three interchangeable cores execute the schedule:
   :mod:`.events`, which jumps straight from completion to completion in
   O(tasks) steps; this is what makes long-sequence sweeps tractable.
 - ``engine="vector"`` — the int-lowered event core in :mod:`.vector`;
-  through :func:`~repro.simulator.pipeline.scenario_sim` it adds
-  symmetry folding, which replays recurring windows of a merged
-  scenario's schedule arithmetically instead of simulating them.
+  through :func:`~repro.simulator.pipeline.schedule_scenario_tasks` it
+  adds symmetry folding, which schedules a scenario's counted instance
+  classes without building its merged graph and replays recurring
+  windows of the schedule arithmetically instead of simulating them.
 - ``engine="cycle"`` — the original cycle-by-cycle loop below, kept as
   the differential oracle: all cores produce bit-identical
   :class:`SimResult` values on every task graph.

@@ -64,6 +64,7 @@ __all__ = [
     "chunk_work",
     "compare_bindings",
     "fold_scenario",
+    "folded_slots",
     "instance_spill_bytes",
     "scenario_dram_cycles",
     "scenario_sim",
@@ -648,30 +649,50 @@ def binding_sim(
     return tasks, _run(tasks, serial, slots=2, engine=engine)
 
 
-def schedule_scenario_tasks(
-    scenario: Scenario, tasks: List[Task], engine: str = "event"
-) -> SimResult:
-    """Schedule an already-built merged graph of ``scenario``.
+def folded_slots(scenario: Scenario) -> int:
+    """Issue slots :func:`~repro.simulator.vector.run_folded` schedules
+    ``scenario``'s classes with: one under tile-serial (the
+    :class:`Simulator`'s serial mode), the scenario's slots otherwise."""
+    return 1 if scenario.binding == "tile-serial" else scenario.slots
 
-    ``engine="vector"`` takes the folded path: the instance classes are
-    re-derived from the scenario (cheap — one template per phase) and
-    scheduled by :func:`~repro.simulator.vector.run_folded`, whose
-    default cycle budget is the same total-duration bound
-    :func:`_run` computes from the task list.  The other engines
-    schedule ``tasks`` directly.
+
+def schedule_scenario_tasks(
+    scenario: Scenario,
+    tasks: Optional[List[Task]] = None,
+    engine: str = "event",
+) -> SimResult:
+    """Schedule ``scenario`` on ``engine``.
+
+    ``engine="vector"`` takes the folded path and never builds the
+    merged task list: :func:`fold_scenario` derives one template per
+    phase and :func:`~repro.simulator.vector.run_folded` schedules the
+    counted classes under the same total-duration cycle budget
+    :func:`_run` computes from a task list.  It takes no ``tasks``.
+    The other engines schedule ``tasks``, the merged graph
+    :func:`build_scenario_tasks` returns.
     """
-    serial = scenario.binding == "tile-serial"
+    if (engine == "vector") != (tasks is None):
+        raise ValueError(
+            "engine='vector' schedules the folded scenario and takes no task "
+            "list; the other engines schedule a built one"
+        )
     if engine == "vector":
-        return run_folded(fold_scenario(scenario), slots=1 if serial else scenario.slots)
+        return run_folded(fold_scenario(scenario), slots=folded_slots(scenario))
+    serial = scenario.binding == "tile-serial"
     return _run(tasks, serial, slots=scenario.slots, engine=engine)
 
 
 def scenario_sim(
     scenario: Scenario, engine: str = "event"
 ) -> Tuple[List[Task], SimResult]:
-    """Build and run ``scenario``'s merged graph; returns (tasks, result)."""
+    """Build ``scenario``'s merged graph and schedule it; returns
+    (tasks, result).  The vector engine schedules the fold, not the
+    returned list — callers that need only the result use
+    :func:`schedule_scenario_tasks`, which then builds nothing."""
     tasks = build_scenario_tasks(scenario)
-    return tasks, schedule_scenario_tasks(scenario, tasks, engine=engine)
+    return tasks, schedule_scenario_tasks(
+        scenario, None if engine == "vector" else tasks, engine=engine
+    )
 
 
 def simulate_binding(

@@ -35,14 +35,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from time import perf_counter
 
 from ..workloads.scenario import Scenario
+from . import pipeline
 from .pipeline import (
     BINDINGS,
     PipelineConfig,
     binding_sim,
-    build_scenario_tasks,
-    scenario_sim,
     scenario_spill_bytes,
-    schedule_scenario_tasks,
 )
 
 #: Chunk counts (M1) of the default sweep: 16 → 8192 in powers of two,
@@ -275,8 +273,10 @@ def scenario_fields_for(results: Sequence[ScenarioResult]) -> Tuple[str, ...]:
     return fields_
 
 
-def _scenario_row(scenario: Scenario, n_tasks: int, result) -> ScenarioResult:
-    """Fold one schedule into the :class:`ScenarioResult` row shape."""
+def _scenario_row(scenario: Scenario, result) -> ScenarioResult:
+    """Fold one schedule into the :class:`ScenarioResult` row shape.
+    Every engine names each task of the merged graph in
+    ``finish_times``, so its length is the task count."""
     return ScenarioResult(
         scenario=scenario.name,
         binding=scenario.binding,
@@ -286,7 +286,7 @@ def _scenario_row(scenario: Scenario, n_tasks: int, result) -> ScenarioResult:
         embedding=scenario.embedding,
         slots=scenario.slots,
         seq_len=scenario.seq_len,
-        n_tasks=n_tasks,
+        n_tasks=len(result.finish_times),
         makespan=result.makespan,
         busy_2d=result.busy_cycles.get("2d", 0),
         busy_1d=result.busy_cycles.get("1d", 0),
@@ -304,28 +304,54 @@ def _scenario_row(scenario: Scenario, n_tasks: int, result) -> ScenarioResult:
 def evaluate_scenario_point(
     scenario: Scenario, engine: str = "event"
 ) -> ScenarioResult:
-    """Schedule one scenario's merged graph and measure utilizations."""
-    tasks, result = scenario_sim(scenario, engine=engine)
-    return _scenario_row(scenario, len(tasks), result)
+    """Schedule one scenario's merged graph and measure utilizations.
+
+    The vector engine schedules the fold and never builds the merged
+    task list.  Pipeline functions are looked up on the module at call
+    time, so wrappers installed there (a traced run's span hooks) see
+    these calls."""
+    tasks = None if engine == "vector" else pipeline.build_scenario_tasks(scenario)
+    return _scenario_row(
+        scenario, pipeline.schedule_scenario_tasks(scenario, tasks, engine=engine)
+    )
 
 
 @dataclass(frozen=True)
 class ScenarioProfile:
     """Wall-time breakdown of one scenario evaluation (``--profile``):
     graph construction vs scheduling, so an engine regression is
-    attributable from CI artifacts rather than inferred from totals."""
+    attributable from CI artifacts rather than inferred from totals.
+
+    On the vector engine the build stage is the fold, and ``events`` /
+    ``replayed`` carry :func:`~repro.simulator.vector.run_folded`'s
+    counters: concrete events simulated and completions replayed
+    arithmetically, out of ``n_tasks``.  Other engines leave them None.
+    """
 
     scenario: str
     engine: str
     n_tasks: int
     build_s: float
     schedule_s: float
+    events: Optional[int] = None
+    replayed: Optional[int] = None
+
+    @property
+    def replay_frac(self) -> float:
+        """Share of the ``n_tasks`` completions the fold replayed."""
+        return self.replayed / self.n_tasks if self.replayed and self.n_tasks else 0.0
 
     def describe(self) -> str:
-        return (
+        text = (
             f"profile {self.scenario}: engine={self.engine} tasks={self.n_tasks}"
             f" build={self.build_s:.3f}s schedule={self.schedule_s:.3f}s"
         )
+        if self.events is not None:
+            text += (
+                f" events={self.events} replayed={self.replayed}"
+                f" replay_frac={self.replay_frac:.3f}"
+            )
+        return text
 
 
 def profile_scenario_point(
@@ -334,20 +360,33 @@ def profile_scenario_point(
     """Evaluate one scenario with per-stage wall timing.
 
     Same result as :func:`evaluate_scenario_point` — the stages are the
-    same calls, separately clocked — plus the breakdown."""
+    same calls, separately clocked — plus the breakdown.  The vector
+    engine's build stage is :func:`~repro.simulator.pipeline
+    .fold_scenario`; its schedule stage reports the fold counters."""
+    stats: Dict[str, int] = {}
     t0 = perf_counter()
-    tasks = build_scenario_tasks(scenario)
-    t1 = perf_counter()
-    result = schedule_scenario_tasks(scenario, tasks, engine=engine)
+    if engine == "vector":
+        folded = pipeline.fold_scenario(scenario)
+        t1 = perf_counter()
+        result = pipeline.run_folded(
+            folded, slots=pipeline.folded_slots(scenario), stats=stats
+        )
+    else:
+        tasks = pipeline.build_scenario_tasks(scenario)
+        t1 = perf_counter()
+        result = pipeline.schedule_scenario_tasks(scenario, tasks, engine=engine)
     t2 = perf_counter()
+    row = _scenario_row(scenario, result)
     profile = ScenarioProfile(
         scenario=scenario.name,
         engine=engine,
-        n_tasks=len(tasks),
+        n_tasks=row.n_tasks,
         build_s=t1 - t0,
         schedule_s=t2 - t1,
+        events=stats.get("events"),
+        replayed=stats.get("replayed"),
     )
-    return _scenario_row(scenario, len(tasks), result), profile
+    return row, profile
 
 
 # --------------------------------------------------------------------------

@@ -56,10 +56,11 @@ what the cycle engine accumulates.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -288,11 +289,50 @@ class FoldedScenario:
     busy_totals: List[int]  #: per resource id: Σ durations (exact busy)
 
 
+class FoldedFinishTimes(Mapping):
+    """The finish times of a folded schedule, keyed ``i<k>:<task>`` in
+    program order — the names the merged graph would carry.
+
+    Holds only the class templates and the flat per-task finish array;
+    the (hundreds of thousands of) instance-prefixed names are built on
+    the first lookup or iteration, so callers that read only the
+    makespan and busy cycles never pay for them.  Compares equal to the
+    other engines' plain ``finish_times`` dicts."""
+
+    def __init__(self, classes: Sequence[FoldedClass], ft: np.ndarray) -> None:
+        self._classes = classes
+        self._ft = ft
+        self._named: Optional[Dict[str, int]] = None
+
+    def _table(self) -> Dict[str, int]:
+        if self._named is None:
+            names = (
+                f"i{cls.ginst_base + local}:{name}"
+                for cls in self._classes
+                for local in range(cls.count)
+                for name in cls.names
+            )
+            self._named = dict(zip(names, self._ft.tolist()))
+        return self._named
+
+    def __getitem__(self, name: str) -> int:
+        return self._table()[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._table())
+
+    def __len__(self) -> int:
+        return len(self._ft)
+
+
 def fold_templates(templates: Sequence[Tuple[Sequence[Task], int]]) -> FoldedScenario:
     """Lower ``(template_tasks, instance_count)`` pairs — one per
     scenario phase, in program order, already dram-lowered — into a
-    :class:`FoldedScenario`.  Template deps must stay inside the
-    template (instance prefixing guarantees this for scenario graphs)."""
+    :class:`FoldedScenario`.  Template task names must be unique (as
+    :class:`~repro.simulator.engine.Simulator` requires of a merged
+    graph; a double-lowered template repeats its ``@dram`` names) and
+    deps must stay inside the template (instance prefixing guarantees
+    this for scenario graphs)."""
     resources = sorted({t.resource for tasks, _ in templates for t in tasks})
     res_index = {r: i for i, r in enumerate(resources)}
     n_res = len(resources)
@@ -305,6 +345,8 @@ def fold_templates(templates: Sequence[Tuple[Sequence[Task], int]]) -> FoldedSce
     for tasks, count in templates:
         size = len(tasks)
         index = {t.name: i for i, t in enumerate(tasks)}
+        if len(index) != size:
+            raise ValueError("duplicate task names in a fold template")
         durations = [t.duration for t in tasks]
         res = [res_index[t.resource] for t in tasks]
         outstanding0 = [0] * size
@@ -373,9 +415,11 @@ def run_folded(
 ) -> SimResult:
     """Schedule a folded scenario; bit-identical to running the fully
     materialized graph through any engine.  ``max_cycles`` defaults to
-    the graph's makespan bound (total duration + 1) — the same budget
-    :func:`~repro.simulator.pipeline.scenario_sim` derives from the task
-    list.  ``stats``, when given, receives ``events`` (concrete events
+    the graph's makespan bound (total duration + 1), computed from the
+    fold's own duration total — the budget the other engines derive
+    from the merged task list.  The result's ``finish_times`` is a
+    :class:`FoldedFinishTimes`: it names tasks only when read.
+    ``stats``, when given, receives ``events`` (concrete events
     simulated), ``replayed`` (completions expanded arithmetically) and
     ``jumps`` counters — the fold's effectiveness, for tests and the
     ``--profile`` breakdown."""
@@ -667,17 +711,11 @@ def run_folded(
             for repeat in range(1, repeats + 1):
                 ft[seg_orders + repeat * seg_shift] = seg_t + repeat * d_time
 
-    finish_names: List[str] = []
-    for cls in classes:
-        template = cls.names
-        for local in range(cls.count):
-            prefix = f"i{cls.ginst_base + local}:"
-            finish_names.extend([prefix + name for name in template])
     busy_map = {
         resources[r]: folded.busy_totals[r] for r in range(n_res) if folded.busy_totals[r] > 0
     }
     return SimResult(
         makespan=int(ft.max()) if folded.n_tasks else 0,
         busy_cycles=busy_map,
-        finish_times=dict(zip(finish_names, ft.tolist())),
+        finish_times=FoldedFinishTimes(classes, ft),
     )

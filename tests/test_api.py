@@ -598,10 +598,34 @@ class TestSession:
         assert plain.provenance.profiles is None
         profiles = result.provenance.profiles
         assert profiles is not None and len(profiles) == len(result.payload)
-        for prof in profiles:
+        for prof, row in zip(profiles, result.payload.values()):
             assert prof.engine == "vector"
             assert prof.build_s >= 0 and prof.schedule_s >= 0
             assert "schedule=" in prof.describe()
+            # The fold counters ride along, over the row's task count.
+            assert prof.n_tasks == row.n_tasks
+            assert 0 < prof.events <= prof.n_tasks
+            assert 0 <= prof.replayed < prof.n_tasks
+            assert prof.replay_frac == prof.replayed / prof.n_tasks
+            assert f"events={prof.events} replayed={prof.replayed}" in prof.describe()
+            assert "replay_frac=" in prof.describe()
+        # Engines without a fold report no fold counters.
+        event = Session(cache=False).run(dataclasses.replace(request, engine="event"))
+        assert event.payload == plain.payload
+        for prof in event.provenance.profiles:
+            assert prof.events is None and prof.replayed is None
+            assert prof.replay_frac == 0.0
+            assert "events=" not in prof.describe()
+
+    def test_profile_reports_replay_on_contended_fold(self):
+        """A DRAM-bound scenario replays most of its completions, and
+        --profile makes that visible."""
+        request = ScenarioRequest(instances=16, chunks=4, array_dim=32,
+                                  dram_bw=4.0, binding="interleaved",
+                                  profile=True, engine="vector")
+        (prof,) = Session(cache=False).run(request).provenance.profiles
+        assert prof.replayed > prof.events
+        assert prof.replay_frac > 0.5
 
     def test_provenance_cache_and_registry(self, tmp_path):
         session = Session(

@@ -101,6 +101,18 @@ class TestBandwidthIdentity:
         with pytest.raises(ValueError, match="duplicate"):
             Simulator(lowered, dram_bw=TIGHT)
 
+    def test_double_lowering_rejected_by_fold(self):
+        """The folded path checks templates the way Simulator checks
+        merged graphs: a twice-lowered template repeats its ``@dram``
+        names and must not collapse silently in the fold's index."""
+        from repro.simulator.vector import fold_templates
+
+        template = build_tasks(PipelineConfig(chunks=4, array_dim=64), serial=False)
+        twice = lower_dram(lower_dram(template, TIGHT), TIGHT)
+        with pytest.raises(ValueError, match="duplicate"):
+            fold_templates([(twice, 2)])
+        fold_templates([(lower_dram(template, TIGHT), 2)])  # once is fine
+
     def test_engines_bit_identical_under_contention(self):
         for scenario in (contended(TIGHT), contended(TIGHT, binding="tile-serial")):
             _, event = scenario_sim(scenario, engine="event")

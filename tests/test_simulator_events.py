@@ -15,10 +15,12 @@ import pytest
 from conftest import fuzz_seeds
 
 from repro.cluster import (
+    ClusterPoint,
     ClusterSpec,
     build_cluster_tasks,
     cluster_link_cycles,
     cluster_sim,
+    evaluate_cluster_point,
 )
 from repro.model.scenario import analytical_scenario
 from repro.runtime import (
@@ -58,6 +60,7 @@ from repro.workloads.scenario import (
     Phase,
     Scenario,
     attention_scenario,
+    mixed_model_scenario,
     scenario_from_model,
 )
 
@@ -672,6 +675,93 @@ class TestSymmetryFolding:
         ]
         with pytest.raises(RuntimeError, match="max_cycles"):
             run_folded(fold_templates([(template, 3)]), slots=2, max_cycles=50)
+
+
+#: Scenario shapes the fold-only evaluation must cover: decode phases,
+#: mixed models, DRAM contention, capacity spills with QoS, and both
+#: bindings.
+FOLD_ONLY_SCENARIOS = (
+    attention_scenario(3, 4, array_dim=32, decode_instances=2, decode_chunks=6),
+    mixed_model_scenario(("BERT", "XLM"), 3, heads=2, array_dim=32),
+    attention_scenario(6, 4, array_dim=32, dram_bw=8.0, binding="tile-serial"),
+    attention_scenario(
+        2, 4, array_dim=64, decode_instances=2, decode_chunks=16,
+        dram_bw=32.0, buffer_bytes=24576.0, qos="decode-first",
+    ),
+)
+
+
+class TestFoldOnlyEvaluation:
+    """``engine="vector"`` evaluates scenario and cluster points from
+    the fold alone: the merged task list is never built, and the row —
+    ``n_tasks`` included — equals the event engine's."""
+
+    @pytest.fixture
+    def no_merged_graphs(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the vector engine built a merged task list")
+
+        monkeypatch.setattr("repro.simulator.pipeline.build_scenario_tasks", forbidden)
+        monkeypatch.setattr("repro.cluster.build.build_cluster_tasks", forbidden)
+
+    @pytest.mark.parametrize("scenario", FOLD_ONLY_SCENARIOS, ids=lambda s: s.name)
+    def test_scenario_point_never_builds_merged_list(self, scenario, request):
+        event = evaluate_scenario_point(scenario, engine="event")
+        assert event.n_tasks == len(build_scenario_tasks(scenario))
+        request.getfixturevalue("no_merged_graphs")
+        assert evaluate_scenario_point(scenario, engine="vector") == event
+
+    @pytest.mark.parametrize("sharding", ("head", "tensor"))
+    @pytest.mark.parametrize("scenario", FOLD_ONLY_SCENARIOS, ids=lambda s: s.name)
+    def test_cluster_point_never_builds_merged_list(self, scenario, sharding, request):
+        point = ClusterPoint(
+            scenario, ClusterSpec(n_chips=2, link_bw=64.0, link_latency=4), sharding
+        )
+        event = evaluate_cluster_point(point, engine="event")
+        assert event.n_tasks == len(build_cluster_tasks(scenario, point.spec, sharding))
+        request.getfixturevalue("no_merged_graphs")
+        assert evaluate_cluster_point(point, engine="vector") == event
+
+    def test_finish_times_named_lazily_and_equal_to_event_dict(self):
+        from repro.simulator.pipeline import schedule_scenario_tasks
+        from repro.simulator.vector import FoldedFinishTimes
+
+        scenario = FOLD_ONLY_SCENARIOS[0]
+        tasks, event = scenario_sim(scenario, engine="event")
+        unfolded = Simulator(tasks, slots=scenario.slots, engine="vector").run(
+            max_cycles=sum(t.duration for t in tasks) + 1
+        )
+        lazy = schedule_scenario_tasks(scenario, engine="vector").finish_times
+        assert isinstance(lazy, FoldedFinishTimes)
+        assert len(lazy) == len(event.finish_times) == len(tasks)
+        assert lazy._named is None  # len() names nothing
+        assert lazy == event.finish_times
+        assert event.finish_times == lazy
+        assert lazy == unfolded.finish_times
+        # Program order, like the unfolded vector engine's dict; the
+        # event engine lists the same names in completion order.
+        assert list(lazy) == [t.name for t in tasks] == list(unfolded.finish_times)
+        assert sorted(lazy) == sorted(event.finish_times)
+        assert lazy[tasks[-1].name] == event.finish_times[tasks[-1].name]
+        assert "i0:nope" not in lazy
+
+    def test_schedule_rejects_task_list_mismatched_to_engine(self):
+        from repro.cluster import schedule_cluster_tasks
+        from repro.simulator.pipeline import schedule_scenario_tasks
+
+        scenario = attention_scenario(2, 2, array_dim=32)
+        tasks = build_scenario_tasks(scenario)
+        with pytest.raises(ValueError, match="takes no task list"):
+            schedule_scenario_tasks(scenario, tasks, engine="vector")
+        with pytest.raises(ValueError, match="schedule a built one"):
+            schedule_scenario_tasks(scenario, engine="event")
+        spec = ClusterSpec(n_chips=2)
+        with pytest.raises(ValueError, match="takes no task list"):
+            schedule_cluster_tasks(
+                scenario, spec, "head", build_cluster_tasks(scenario, spec), engine="vector"
+            )
+        with pytest.raises(ValueError, match="schedule a built one"):
+            schedule_cluster_tasks(scenario, spec, "head", engine="cycle")
 
 
 class TestScenarioCrossValidation:
