@@ -121,14 +121,16 @@ def lower_dram(
     the unbounded lowering exactly.
 
     ``dram_bw=None`` returns the tasks unchanged; so does any bandwidth
-    at which no task's transfer costs a cycle (``math.inf``).  The input
-    must not already be lowered (duplicate transfer names are rejected
-    by the :class:`Simulator` constructor).
+    at which no task's transfer costs a cycle (``math.inf``).  Any other
+    bandwidth rejects input that already has a task on the ``dram``
+    resource: lowering twice would charge every transfer again.
     """
     if dram_bw is None:
         return list(tasks)
     if not dram_bw > 0:
         raise ValueError(f"dram_bw must be > 0, got {dram_bw}")
+    if any(task.resource == DRAM_RESOURCE for task in tasks):
+        raise ValueError("task graph is already dram-lowered")
     if buffer_bytes is not None and not buffer_bytes > 0:
         raise ValueError(f"buffer_bytes must be > 0, got {buffer_bytes}")
     bounded = buffer_bytes is not None and buffer_bytes != float("inf")

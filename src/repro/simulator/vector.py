@@ -48,6 +48,44 @@ clamped to that, and the drain tail is simulated concretely.  Exhausted
 classes cannot carry stragglers through a match: a draining live set
 that is also a shift of itself must be empty.
 
+Source resources and release times
+----------------------------------
+
+A *source resource* is one none of whose tasks waits on a
+positive-duration dep: ``dram`` (and each chip's ``c<k>:dram``) under
+an unbounded buffer, since transfers stream ahead freely.  Nothing that
+happens elsewhere reaches it, so its schedule depends on program order
+alone: every one of its tasks is pending from t=0, and refill pops
+them in order.  :func:`run_folded` therefore schedules each source
+resource first, as its own single-resource fold (a lone in-order stream
+recurs almost at once), and the main fold drops the source tasks.  A
+task's source deps become one *release* time, the latest of their
+finish times in its own instance.  A task is pushed at ``max(release,
+ready)``, where ``ready`` is when its other deps are met, which is
+exactly when the merged graph's engine would push it.  A task ready
+before its release waits in a timed queue.  A class whose instances
+start with release-gated tasks materializes each instance no later
+than the earliest release from that instance onward (a suffix minimum
+over instances, so out-of-order releases are safe).
+
+This matters when the source front runs ahead of the bottleneck.
+Scheduled inside the main fold, it would materialize every instance it
+streams, and a live window that wide never recurs.
+
+Releases are inputs to the main fold, not state, so a snapshot match
+alone no longer proves a window repeats.  The key adds what the state
+holds of them: the timed queue and each started class's next
+materialization timer, both relative to *now*.  The jump then checks
+the inputs the window read.  For every release consumed in the window,
+repeat ``k`` must consume, in the instance ``k·dA`` later, a release
+whose ``max(release, ready + k·dt)`` equals the recorded
+``max(release, ready) + k·dt``.  Every materialization timer the window
+visited must also shift by exactly ``k·dt``, and a not-yet-started
+class's timer must stay beyond the replayed span.  ``m`` is clamped to
+the leading repeats that pass, one numpy comparison per block of
+repeats.  With those inputs shifted, the induction above goes through
+unchanged.
+
 Busy cycles need no simulation at all: every issued cycle serves
 exactly one task-cycle and every task completes, so a resource's busy
 count is the plain sum of its tasks' durations — which is also exactly
@@ -57,7 +95,7 @@ what the cycle engine accumulates.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from heapq import heapify, heappop, heappush
 from math import lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -77,8 +115,10 @@ _WIDE = 32
 #: for the run.  Detection failure costs speed, never correctness.
 _SNAP_CAP = 512
 
-#: Live-instance windows wider than this skip snapshotting: a window
-#: that keeps growing (an uncontended bottleneck backlog) never recurs,
+#: Live-instance windows wider than this skip snapshotting.  A window
+#: grows when some resource's front runs ahead of the bottleneck and
+#: keeps admitting instances the bottleneck has not reached (the 2D
+#: array ahead of a 1D-bound front, say).  Such a window never recurs,
 #: and hashing its state would cost more than it could save.
 _LIVE_CAP = 128
 
@@ -325,6 +365,13 @@ class FoldedFinishTimes(Mapping):
         return len(self._ft)
 
 
+def _min_ready(ready0: Sequence[int], res: Sequence[int], n_res: int) -> List[int]:
+    min_ready = [-1] * n_res
+    for tid in reversed(ready0):  # ascending scan reversed: min wins
+        min_ready[res[tid]] = tid
+    return min_ready
+
+
 def fold_templates(templates: Sequence[Tuple[Sequence[Task], int]]) -> FoldedScenario:
     """Lower ``(template_tasks, instance_count)`` pairs — one per
     scenario phase, in program order, already dram-lowered — into a
@@ -370,9 +417,6 @@ def fold_templates(templates: Sequence[Tuple[Sequence[Task], int]]) -> FoldedSce
             indices.extend(outs)
             indptr[i + 1] = len(indices)
         ready0 = [i for i in range(size) if durations[i] > 0 and outstanding0[i] == 0]
-        min_ready = [-1] * n_res
-        for tid in reversed(ready0):  # ascending scan reversed: min wins
-            min_ready[res[tid]] = tid
         for i in range(size):
             busy_totals[res[i]] += durations[i] * count
         per_instance = sum(durations)
@@ -390,7 +434,7 @@ def fold_templates(templates: Sequence[Tuple[Sequence[Task], int]]) -> FoldedSce
                 outstanding0=outstanding0,
                 ready0=ready0,
                 nonzero=sum(1 for d in durations if d > 0),
-                min_ready=min_ready,
+                min_ready=_min_ready(ready0, res, n_res),
             )
         )
         order_base += count * size
@@ -407,6 +451,134 @@ def fold_templates(templates: Sequence[Tuple[Sequence[Task], int]]) -> FoldedSce
     )
 
 
+#: "Ready time" logged for a task gated by releases alone: its push
+#: time is its release, so a jump needs that release to shift exactly.
+_NEVER = -(1 << 62)
+
+
+@dataclass
+class _Gates:
+    """Release gating of one class in the main fold: which template
+    tasks wait on source-resource deps, and where their releases live
+    in the flat release array."""
+
+    slot: List[int]  #: per tid: column of its release, or -1 (ungated)
+    start: List[Tuple[int, int]]  #: (tid, column) gated by releases alone
+    base: int  #: flat offset of instance 0's release row
+    width: int  #: release columns per instance
+    suffix: List[int]  #: per instance: min start release from it onward
+
+
+def _source_resources(folded: FoldedScenario) -> List[int]:
+    """Resources none of whose positive-duration tasks has a
+    positive-duration dep (``dram`` and each chip's ``c<k>:dram`` under
+    an unbounded buffer) — empty when no other resource has work, since
+    then there is nothing to split them from."""
+    n_res = len(folded.resources)
+    used = [False] * n_res
+    source = [True] * n_res
+    for cls in folded.classes:
+        for tid, duration in enumerate(cls.durations):
+            if duration > 0:
+                used[cls.res[tid]] = True
+                if cls.outstanding0[tid]:
+                    source[cls.res[tid]] = False
+    sources = [r for r in range(n_res) if used[r] and source[r]]
+    return sources if len(sources) < sum(used) else []
+
+
+def _source_class(cls: FoldedClass, resource: int, n_res: int) -> FoldedClass:
+    """``cls`` restricted to its tasks on one source resource: all of
+    them ready at t=0, none with dependents.  Program order and task
+    ids are the full template's, so arbitration is unchanged and finish
+    times land at their global positions."""
+    ready0 = [
+        tid for tid in range(cls.size)
+        if cls.res[tid] == resource and cls.durations[tid] > 0
+    ]
+    return replace(
+        cls,
+        indptr=[0] * (cls.size + 1),
+        indices=[],
+        outstanding0=[],
+        ready0=ready0,
+        nonzero=len(ready0),
+        min_ready=_min_ready(ready0, cls.res, n_res),
+    )
+
+
+def _gated_classes(
+    classes: Sequence[FoldedClass], sources: Sequence[int], n_res: int, ft: np.ndarray
+) -> Tuple[List[FoldedClass], List[_Gates], np.ndarray]:
+    """The main fold's classes once the source resources are scheduled
+    (their finish times already in ``ft``): source tasks drop out, and
+    each source dep becomes a release time, the latest finish among a
+    task's source deps in its own instance."""
+    is_source = [False] * n_res
+    for r in sources:
+        is_source[r] = True
+    main: List[FoldedClass] = []
+    gates: List[_Gates] = []
+    parts: List[np.ndarray] = []
+    base = 0
+    for cls in classes:
+        size = cls.size
+        src_deps: List[List[int]] = [[] for _ in range(size)]
+        own: List[int] = []
+        for tid in range(size):
+            if cls.durations[tid] == 0:
+                continue
+            if not is_source[cls.res[tid]]:
+                own.append(tid)
+                continue
+            for j in range(cls.indptr[tid], cls.indptr[tid + 1]):
+                src_deps[cls.indices[j]].append(tid)
+        gated = [tid for tid in range(size) if src_deps[tid]]
+        slot = [-1] * size
+        for column, tid in enumerate(gated):
+            slot[tid] = column
+        outstanding0 = [cls.outstanding0[tid] - len(src_deps[tid]) for tid in range(size)]
+        ready0 = [tid for tid in own if outstanding0[tid] == 0 and not src_deps[tid]]
+        start = [(tid, slot[tid]) for tid in own if outstanding0[tid] == 0 and src_deps[tid]]
+        main.append(
+            replace(
+                cls,
+                outstanding0=outstanding0,
+                ready0=ready0,
+                nonzero=len(own),
+                min_ready=_min_ready(ready0, cls.res, n_res),
+            )
+        )
+        view = ft[cls.order_base : cls.order_base + cls.count * size].reshape(cls.count, size)
+        release = np.empty((cls.count, len(gated)), dtype=np.int64)
+        for column, tid in enumerate(gated):
+            release[:, column] = view[:, src_deps[tid]].max(axis=1)
+        suffix: List[int] = []
+        if start:
+            first = release[:, [column for _, column in start]].min(axis=1)
+            suffix = np.minimum.accumulate(first[::-1])[::-1].tolist()
+        gates.append(_Gates(slot, start, base, len(gated), suffix))
+        parts.append(release.ravel())
+        base += release.size
+    return main, gates, np.concatenate(parts)
+
+
+def _shift_fit(holds, repeats: int) -> int:
+    """The leading run of repeats ``k = 1..repeats`` for which
+    ``holds(k)`` (a column of ks in, a bool matrix out) is all true,
+    checked in doubling blocks so a mismatch found early costs little."""
+    done = 0
+    block = 4
+    while done < repeats:
+        ks = np.arange(done + 1, min(repeats, done + block) + 1, dtype=np.int64)[:, None]
+        ok = holds(ks).all(axis=1)
+        if not ok.all():
+            return done + int(np.argmin(ok))
+        done += len(ks)
+        block *= 2
+    return done
+
+
 def run_folded(
     folded: FoldedScenario,
     slots: int,
@@ -421,20 +593,64 @@ def run_folded(
     :class:`FoldedFinishTimes`: it names tasks only when read.
     ``stats``, when given, receives ``events`` (concrete events
     simulated), ``replayed`` (completions expanded arithmetically) and
-    ``jumps`` counters — the fold's effectiveness, for tests and the
-    ``--profile`` breakdown."""
+    ``jumps`` counters, summed over the source sub-folds and the main
+    fold — the fold's effectiveness, for tests and the ``--profile``
+    breakdown."""
     if max_cycles is None:
         max_cycles = folded.total_duration + 1
-    classes = folded.classes
+    n_res = len(folded.resources)
+    counters = {"events": 0, "replayed": 0, "jumps": 0}
+    ft = np.zeros(folded.n_tasks, dtype=np.int64)
+    sources = _source_resources(folded)
+    if not sources:
+        _fold_loop(folded.classes, folded.resources, slots, max_cycles, ft, counters)
+    else:
+        for resource in sources:
+            restricted = [_source_class(cls, resource, n_res) for cls in folded.classes]
+            _fold_loop(restricted, folded.resources, slots, max_cycles, ft, counters)
+        main, gates, release = _gated_classes(folded.classes, sources, n_res, ft)
+        _fold_loop(main, folded.resources, slots, max_cycles, ft, counters, gates, release)
+    if stats is not None:
+        stats.update(counters)
+    busy_map = {
+        folded.resources[r]: folded.busy_totals[r]
+        for r in range(n_res)
+        if folded.busy_totals[r] > 0
+    }
+    return SimResult(
+        makespan=int(ft.max()) if folded.n_tasks else 0,
+        busy_cycles=busy_map,
+        finish_times=FoldedFinishTimes(folded.classes, ft),
+    )
+
+
+def _fold_loop(
+    classes: Sequence[FoldedClass],
+    resources: Sequence[str],
+    slots: int,
+    max_cycles: int,
+    ft: np.ndarray,
+    counters: Dict[str, int],
+    gates: Optional[Sequence[_Gates]] = None,
+    release: Optional[np.ndarray] = None,
+) -> None:
+    """One fold: schedule ``classes`` with lazy materialization and
+    recurrence replay, write every finish time it produces into ``ft``
+    at the task's global program order, and add to ``counters``.
+
+    With ``gates``, tasks also wait for their release (see the module
+    docstring): a task whose other deps are met sits in a timed queue
+    until then, and a class whose instances start with release-gated
+    tasks materializes its next instance no later than the earliest
+    release from that instance onward."""
     n_classes = len(classes)
-    resources = folded.resources
     n_res = len(resources)
     counts = [c.count for c in classes]
     sizes = [c.size for c in classes]
     order_bases = [c.order_base for c in classes]
     ginst_bases = [c.ginst_base for c in classes]
-    #: per resource: (class id, min ready tid, that tid's resource-local
-    #: head order offset) for classes with any t=0-ready work there.
+    #: per resource: (class id, min ready tid) for classes with any
+    #: t=0-ready work there.
     classes_on: List[List[Tuple[int, int]]] = [[] for _ in range(n_res)]
     for c, cls in enumerate(classes):
         for r in range(n_res):
@@ -457,6 +673,29 @@ def run_folded(
     materialized = 0
     rr_mod = lcm(*range(1, slots + 1))
 
+    gated = gates is not None
+    #: per class: next start-release materialization time, or -1.
+    timer = [-1] * n_classes
+    #: timed queue of released-later tasks: (release, order, instance, tid).
+    waiting: List[Tuple[int, int, int, int]] = []
+    #: every release read since the last snapshot reset: flat index into
+    #: ``release`` and the time the task's other deps were met.
+    rel_log: List[int] = []
+    ready_log: List[int] = []
+    if gated:
+        rel_l = release.tolist()
+        slot_of = [g.slot for g in gates]
+        starts = [g.start for g in gates]
+        rel_base = [g.base for g in gates]
+        rel_width = [g.width for g in gates]
+        suffix = [g.suffix for g in gates]
+        suffix_a = [np.asarray(s, dtype=np.int64) for s in suffix]
+        bases_a = np.asarray(rel_base, dtype=np.int64)
+        widths_a = np.asarray(rel_width, dtype=np.int64)
+        for c in range(n_classes):
+            if starts[c] and counts[c]:
+                timer[c] = suffix[c][0]
+
     def materialize(c: int) -> None:
         nonlocal materialized
         cls = classes[c]
@@ -467,6 +706,13 @@ def run_folded(
         live[gi] = [c, cls.outstanding0.copy(), cls.nonzero]
         for tid in cls.ready0:
             heappush(pending[cls.res[tid]], (ob + tid, gi, tid))
+        if gated and starts[c]:
+            row = rel_base[c] + local * rel_width[c]
+            for tid, column in starts[c]:
+                rel_log.append(row + column)
+                ready_log.append(_NEVER)
+                heappush(waiting, (rel_l[row + column], ob + tid, gi, tid))
+            timer[c] = suffix[c][local + 1] if local + 1 < counts[c] else -1
         materialized += 1
 
     def refill(resource: int) -> None:
@@ -541,14 +787,17 @@ def run_folded(
         return best
 
     def state_key(anchor: int, now: int):
-        """Everything the transition function reads, instance-relative."""
+        """Everything the transition function reads, instance-relative.
+        An idle resource's ``sync`` is never read (the next advance just
+        resets it), so it is left out."""
         res_state = []
         for r in range(n_res):
             acts = tuple((e[0] - anchor, live[e[0]][0], e[1], e[2]) for e in active[r])
             heap = tuple(sorted((gi - anchor, live[gi][0], tid) for _, gi, tid in pending[r]))
             nd = next_done[r]
             res_state.append(
-                (acts, heap, rr[r] % rr_mod, sync[r] - now, -1 if nd is None else nd - now)
+                (acts, heap, rr[r] % rr_mod, sync[r] - now if acts else 0,
+                 -1 if nd is None else nd - now)
             )
         inst_state = tuple(
             sorted((gi - anchor, st[0], tuple(st[1]), st[2]) for gi, st in live.items())
@@ -559,13 +808,48 @@ def run_folded(
         # order is always below a later class's order base), so an
         # unstarted class can never win refill arbitration during a
         # replayed window and its distance from the anchor is inert.
+        # (Its start-release timer is not inert: the jump clamps it.)
         cursors = tuple(
             "unstarted"
             if cursor[c] == 0
-            else (ginst_bases[c] + cursor[c] - anchor) if cursor[c] < counts[c] else "done"
+            else (ginst_bases[c] + cursor[c] - anchor, timer[c] - now if timer[c] >= 0 else -1)
+            if cursor[c] < counts[c]
+            else "done"
             for c in range(n_classes)
         )
-        return (tuple(res_state), inst_state, cursors)
+        releases = tuple(
+            sorted((gi - anchor, live[gi][0], tid, when - now) for when, _, gi, tid in waiting)
+        )
+        return (tuple(res_state), inst_state, cursors, releases)
+
+    def release_fit(repeats: int, d_inst: int, d_time: int, log_pos: int, now: int) -> int:
+        """Clamp a jump to the repeats over which every release the
+        window read moves by exactly the repeat's time shift: each
+        consumed ``max(release, ready)`` and each materialization timer
+        visited.  An unstarted class's timer must stay beyond the
+        replayed span instead."""
+        for c in range(n_classes):
+            if not starts[c] or cursor[c] >= counts[c] or repeats <= 0:
+                continue
+            if cursor[c] == 0:
+                repeats = min(repeats, (timer[c] - now - 1) // d_time)
+                continue
+            cur = np.arange(cursor[c] - d_inst, cursor[c] + 1)
+            sfx = suffix_a[c]
+            repeats = _shift_fit(
+                lambda k: sfx[cur + k * d_inst] == sfx[cur] + k * d_time, repeats
+            )
+        if repeats > 0 and log_pos < len(rel_log):
+            idx = np.asarray(rel_log[log_pos:], dtype=np.int64)
+            ready = np.asarray(ready_log[log_pos:], dtype=np.int64)
+            stride = widths_a[np.searchsorted(bases_a, idx, side="right") - 1] * d_inst
+            pushed = np.maximum(release[idx], ready)
+            repeats = _shift_fit(
+                lambda k: np.maximum(release[idx + k * stride], ready + k * d_time)
+                == pushed + k * d_time,
+                repeats,
+            )
+        return repeats
 
     total_nonzero = sum(counts[c] * classes[c].nonzero for c in range(n_classes))
     for resource in range(n_res):
@@ -584,6 +868,12 @@ def run_folded(
         for when in next_done:
             if when is not None and (now < 0 or when < now):
                 now = when
+        if gated:
+            if waiting and (now < 0 or waiting[0][0] < now):
+                now = waiting[0][0]
+            for when in timer:
+                if when >= 0 and (now < 0 or when < now):
+                    now = when
         if now < 0 or now > max_cycles:
             raise RuntimeError(_DEADLOCK)
         events += 1
@@ -601,13 +891,24 @@ def run_folded(
         completed_count += len(finished)
         for gi, tid in finished:
             st = live[gi]
-            cls = classes[st[0]]
+            c = st[0]
+            cls = classes[c]
             outstanding = st[1]
-            ob = cls.order_base + (gi - cls.ginst_base) * cls.size
+            local = gi - cls.ginst_base
+            ob = cls.order_base + local * cls.size
             for j in range(cls.indptr[tid], cls.indptr[tid + 1]):
                 dependent = cls.indices[j]
                 outstanding[dependent] -= 1
                 if outstanding[dependent] == 0:
+                    if gated:
+                        column = slot_of[c][dependent]
+                        if column >= 0:
+                            at = rel_base[c] + local * rel_width[c] + column
+                            rel_log.append(at)
+                            ready_log.append(now)
+                            if rel_l[at] > now:
+                                heappush(waiting, (rel_l[at], ob + dependent, gi, dependent))
+                                continue
                     resource2 = cls.res[dependent]
                     heappush(pending[resource2], (ob + dependent, gi, dependent))
                     touched.add(resource2)
@@ -615,6 +916,15 @@ def run_folded(
             if st[2] == 0:
                 del live[gi]
         grew = materialized
+        if gated:
+            for c in range(n_classes):
+                while timer[c] == now:
+                    materialize(c)
+            while waiting and waiting[0][0] <= now:
+                _, order, gi, tid = heappop(waiting)
+                resource2 = classes[live[gi][0]].res[tid]
+                heappush(pending[resource2], (order, gi, tid))
+                touched.add(resource2)
         for resource in touched:
             leak = advance(resource, now)
             if leak is not None:  # pragma: no cover - violated math
@@ -633,9 +943,9 @@ def run_folded(
                 folding = False
                 snapshots.clear()
             else:
-                snapshots[key] = (anchor, now, len(t_log), completed_count)
+                snapshots[key] = (anchor, now, len(t_log), completed_count, len(rel_log))
             continue
-        prev_anchor, prev_now, prev_log, prev_completed = prev
+        prev_anchor, prev_now, prev_log, prev_completed, prev_rel = prev
         d_inst = anchor - prev_anchor
         d_time = now - prev_now
         if d_inst <= 0 or d_time <= 0:
@@ -650,6 +960,8 @@ def run_folded(
                 fit = (counts[c] - 1 - cursor[c]) // d_inst
                 if repeats is None or fit < repeats:
                     repeats = fit
+        if repeats and gated:
+            repeats = release_fit(repeats, d_inst, d_time, prev_rel, now)
         if not repeats or repeats <= 0:
             continue
         # Apply the jump: record the window for arithmetic expansion,
@@ -675,32 +987,40 @@ def run_folded(
                     for order, gi, tid in pending[r]
                 ]
                 heapify(pending[r])
+        if waiting:
+            waiting = [
+                (when + shift_t, order + shift_i * sizes[live[gi][0]], gi + shift_i, tid)
+                for when, order, gi, tid in waiting
+            ]
+            heapify(waiting)
         live = {gi + shift_i: st for gi, st in live.items()}
         for c in range(n_classes):
             if 0 < cursor[c] < counts[c]:
                 cursor[c] += shift_i
+                if timer[c] >= 0:
+                    timer[c] = suffix[c][cursor[c]]
         # Windows spanning a jump cannot be replayed from the log.
         snapshots.clear()
+        rel_log.clear()
+        ready_log.clear()
 
-    if stats is not None:
-        stats["events"] = events
-        stats["replayed"] = replayed
-        stats["jumps"] = jumps
+    counters["events"] += events
+    counters["replayed"] += replayed
+    counters["jumps"] += jumps
 
     # Expansion: global program order is a dense 0..n_tasks-1 index, so
     # finish times land in one flat array — concrete completions first,
     # then each recorded window shifted arithmetically per repeat.
-    ft = np.zeros(folded.n_tasks, dtype=np.int64)
     if inst_log:
         inst_a = np.asarray(inst_log, dtype=np.int64)
         tid_a = np.asarray(tid_log, dtype=np.int64)
         t_a = np.asarray(t_log, dtype=np.int64)
-        starts = np.asarray(ginst_bases, dtype=np.int64)
-        cls_a = np.searchsorted(starts, inst_a, side="right") - 1
+        starts_a = np.asarray(ginst_bases, dtype=np.int64)
+        cls_a = np.searchsorted(starts_a, inst_a, side="right") - 1
         sizes_a = np.asarray(sizes, dtype=np.int64)
         orders = (
             np.asarray(order_bases, dtype=np.int64)[cls_a]
-            + (inst_a - starts[cls_a]) * sizes_a[cls_a]
+            + (inst_a - starts_a[cls_a]) * sizes_a[cls_a]
             + tid_a
         )
         ft[orders] = t_a
@@ -710,12 +1030,3 @@ def run_folded(
             seg_t = t_a[log_start:log_end]
             for repeat in range(1, repeats + 1):
                 ft[seg_orders + repeat * seg_shift] = seg_t + repeat * d_time
-
-    busy_map = {
-        resources[r]: folded.busy_totals[r] for r in range(n_res) if folded.busy_totals[r] > 0
-    }
-    return SimResult(
-        makespan=int(ft.max()) if folded.n_tasks else 0,
-        busy_cycles=busy_map,
-        finish_times=FoldedFinishTimes(classes, ft),
-    )

@@ -15,6 +15,7 @@ FUZZ_SEED_RANGES = {
     "scenario-bandwidth": range(150, 174),
     "cluster": range(174, 198),
     "buffer-qos": range(198, 234),
+    "fold-sources": range(234, 265),
 }
 
 

@@ -627,6 +627,20 @@ class TestSession:
         assert prof.replayed > prof.events
         assert prof.replay_frac > 0.5
 
+    def test_profile_reports_replay_on_tile_serial_fold(self):
+        """Tile-serial with DRAM: the DRAM stream is scheduled as its
+        own sub-fold, the compute front replays, and the counters
+        --profile prints cover both folds without exceeding the tasks."""
+        request = ScenarioRequest(instances=128, chunks=4, array_dim=256,
+                                  dram_bw=425.0, binding="tile-serial",
+                                  profile=True, engine="vector")
+        result = Session(cache=False).run(request)
+        (prof,) = result.provenance.profiles
+        assert prof.replayed > prof.events
+        assert 0.9 <= prof.replay_frac <= 1.0
+        event = Session(cache=False).run(dataclasses.replace(request, engine="event"))
+        assert result.payload == event.payload
+
     def test_provenance_cache_and_registry(self, tmp_path):
         session = Session(
             cache=ResultCache(), registry=tmp_path / "runs",

@@ -98,20 +98,25 @@ class TestBandwidthIdentity:
 
     def test_double_lowering_rejected(self):
         lowered = build_scenario_tasks(contended(TIGHT))
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match="already dram-lowered"):
             Simulator(lowered, dram_bw=TIGHT)
+        with pytest.raises(ValueError, match="already dram-lowered"):
+            lower_dram(lowered, math.inf)
+        assert lower_dram(lowered, None) == lowered  # None never lowers
 
     def test_double_lowering_rejected_by_fold(self):
-        """The folded path checks templates the way Simulator checks
-        merged graphs: a twice-lowered template repeats its ``@dram``
-        names and must not collapse silently in the fold's index."""
+        """A fold template can no longer be lowered twice: the second
+        lowering fails on the first one's ``dram`` tasks.  The fold
+        still rejects a template that repeats a name some other way."""
         from repro.simulator.vector import fold_templates
 
         template = build_tasks(PipelineConfig(chunks=4, array_dim=64), serial=False)
-        twice = lower_dram(lower_dram(template, TIGHT), TIGHT)
+        once = lower_dram(template, TIGHT)
+        with pytest.raises(ValueError, match="already dram-lowered"):
+            lower_dram(once, TIGHT)
         with pytest.raises(ValueError, match="duplicate"):
-            fold_templates([(twice, 2)])
-        fold_templates([(lower_dram(template, TIGHT), 2)])  # once is fine
+            fold_templates([(once + once[:1], 2)])
+        fold_templates([(once, 2)])  # once is fine
 
     def test_engines_bit_identical_under_contention(self):
         for scenario in (contended(TIGHT), contended(TIGHT, binding="tile-serial")):

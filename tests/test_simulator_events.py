@@ -9,6 +9,7 @@ graphs, and through the binding-sweep runtime path.
 
 import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -652,6 +653,20 @@ class TestSymmetryFolding:
         }
         assert any(len(set(offsets.values())) > 1 for offsets in gaps.values())
 
+    def test_dram_ahead_tile_serial_replays(self):
+        """The DRAM stream runs ahead of the io-bound tile-serial front.
+        Scheduled inside the main fold, it kept every instance it had
+        streamed live, so no snapshot recurred; as its own source fold
+        it becomes release times, and the compute front replays."""
+        scenario = attention_scenario(
+            64, 8, array_dim=128, dram_bw=1024.0, binding="tile-serial"
+        )
+        stats = {}
+        folded = self._assert_folded_exact(scenario, stats)
+        assert stats["jumps"] >= 2  # the DRAM sub-fold's and the main fold's
+        assert stats["replayed"] > stats["events"]
+        assert stats["replayed"] <= len(folded.finish_times)
+
     def test_uncontended_scenario_still_exact_without_jumps(self):
         """No recurrence is a speed miss, never a correctness miss."""
         scenario = attention_scenario(6, 4, array_dim=32)
@@ -675,6 +690,119 @@ class TestSymmetryFolding:
         ]
         with pytest.raises(RuntimeError, match="max_cycles"):
             run_folded(fold_templates([(template, 3)]), slots=2, max_cycles=50)
+
+
+def _expand_templates(templates):
+    """The merged graph a list of fold templates stands for."""
+    tasks, index = [], 0
+    for template, count in templates:
+        for _ in range(count):
+            prefix = f"i{index}:"
+            tasks.extend(
+                Task(prefix + t.name, t.resource, t.duration,
+                     tuple(prefix + dep for dep in t.deps))
+                for t in template
+            )
+            index += 1
+    return tasks
+
+
+def _source_templates(rng):
+    """Random fold templates over a dependency-free ``dma`` resource
+    (a source) and two compute resources whose tasks may wait on it."""
+    templates = []
+    for _ in range(rng.randint(1, 3)):
+        tasks = []
+        for i in range(rng.randint(2, 12)):
+            resource = rng.choice(("dma", "a", "b"))
+            deps = ()
+            if resource != "dma" and i:
+                deps = tuple(
+                    f"t{rng.randint(0, i - 1)}" for _ in range(rng.randint(0, min(3, i)))
+                )
+            # Every fifth task may take zero cycles (done at t=0).
+            duration = rng.randint(0 if i % 5 == 4 else 1, 9)
+            tasks.append(Task(f"t{i}", resource, duration, deps))
+        tasks.append(Task("head", "dma", rng.randint(1, 9)))
+        tasks.append(Task("tail", "a", rng.randint(1, 9), ("head",)))
+        templates.append((tasks, rng.randint(1, 24)))
+    return templates
+
+
+class TestFoldSources:
+    """Source resources (``dram`` under an unbounded buffer: no task on
+    it waits on anything) are scheduled by their own sub-folds and enter
+    the main fold as release times.  Every case must equal the event
+    engine on the merged graph: same result, or the same error."""
+
+    @staticmethod
+    def _assert_matches_event(templates, slots, max_cycles=None):
+        from repro.simulator.events import run_event_driven
+        from repro.simulator.vector import fold_templates, run_folded
+
+        merged = _expand_templates(templates)
+        budget = sum(t.duration for t in merged) + 1 if max_cycles is None else max_cycles
+        try:
+            expected = run_event_driven(merged, slots, budget)
+        except RuntimeError as error:
+            with pytest.raises(RuntimeError, match=re.escape(str(error))):
+                run_folded(fold_templates(templates), slots, max_cycles)
+            return None
+        stats = {}
+        folded = run_folded(fold_templates(templates), slots, max_cycles, stats=stats)
+        assert folded == expected
+        assert dict(folded.finish_times) == dict(expected.finish_times)
+        assert stats["replayed"] <= len(merged)
+        return expected
+
+    @pytest.mark.parametrize("seed", fuzz_seeds("fold-sources"))
+    def test_fold_sources_match_event_engine(self, seed):
+        from repro.simulator.engine import lower_dram
+        from repro.simulator.pipeline import _instance_tasks
+
+        rng = random.Random(seed)
+        if seed % 3 == 2:
+            templates = _source_templates(rng)
+            slots = rng.randint(1, 3)
+            if seed % 9 == 2:  # a cycle among compute tasks: deadlock
+                templates[0][0].extend(
+                    [Task("x", "a", 1, ("y", "head")), Task("y", "b", 1, ("x",))]
+                )
+            max_cycles = None
+            if seed % 9 == 5:  # a budget the source stream overruns
+                merged = _expand_templates(templates)
+                full = self._assert_matches_event(templates, slots)
+                last = max(full.finish_times[t.name] for t in merged if t.resource == "dma")
+                max_cycles = last - 1
+            self._assert_matches_event(templates, slots, max_cycles)
+            return
+        scenario = random_scenario(rng, dram_bw=(8.0, 65536.0)[(seed // 2) % 2])
+        scenario = replace(
+            scenario,
+            binding=("tile-serial", "interleaved")[seed % 2],
+            slots=1 + seed % 3,
+            buffer_bytes=(None, None, 600.0, 1e12)[seed % 4],
+        )
+        templates = [
+            (lower_dram(_instance_tasks(scenario, phase), scenario.dram_bw,
+                        scenario.buffer_bytes), phase.instances)
+            for phase in scenario.emission_phases
+        ]
+        slots = 1 if scenario.binding == "tile-serial" else scenario.slots
+        self._assert_matches_event(templates, slots)
+
+    def test_source_counters_fold_into_stats(self):
+        """A scenario whose main fold never recurs still reports the
+        DRAM sub-fold's replay, and the total stays within the tasks."""
+        from repro.simulator import fold_scenario, run_folded
+
+        scenario = attention_scenario(24, 4, array_dim=32, dram_bw=1e4)
+        folded = fold_scenario(scenario)
+        stats = {}
+        result = run_folded(folded, slots=scenario.slots, stats=stats)
+        assert stats["jumps"] >= 1
+        assert 0 < stats["replayed"] <= folded.n_tasks
+        assert result == scenario_sim(scenario, engine="event")[1]
 
 
 #: Scenario shapes the fold-only evaluation must cover: decode phases,
