@@ -214,6 +214,8 @@ class BindingSweepRequest(Request):
     (one :class:`~repro.simulator.sweep.BindingResult` row per distinct
     point); a single-point request with ``engine="cycle"`` is the
     differential one-shot the CLI's ``repro simulate`` comparison runs.
+    Points run on the vector engine's chunk fold unless ``engine`` asks
+    for the event core or the cycle oracle.
     """
 
     KIND = "binding"
@@ -223,7 +225,7 @@ class BindingSweepRequest(Request):
     array_dims: Tuple[int, ...] = DEFAULT_SWEEP_ARRAY_DIMS
     embeddings: Tuple[int, ...] = (64,)
     pe_1d_dims: Tuple[Optional[int], ...] = (None,)
-    engine: str = "event"
+    engine: str = "vector"
 
     def rule_violations(self) -> List[str]:
         errors: List[str] = []

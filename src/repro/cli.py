@@ -494,6 +494,12 @@ def _simulate_flag_errors(args):
     return errors
 
 
+def _engine_arg(args):
+    """``--engine`` as a request keyword: none when the flag is absent,
+    so each mode runs its request's default engine."""
+    return {} if args.engine is None else {"engine": args.engine}
+
+
 def _cmd_simulate(args) -> int:
     errors = _simulate_flag_errors(args)
     if errors:
@@ -507,7 +513,7 @@ def _cmd_simulate(args) -> int:
     chunks = 32 if args.chunks is None else args.chunks
     array_dim = 256 if args.array_dim is None else args.array_dim
     result = _run_validated(_session(args), BindingSweepRequest(
-        chunks=(chunks,), array_dims=(array_dim,), engine=args.engine,
+        chunks=(chunks,), array_dims=(array_dim,), **_engine_arg(args),
     ))
     if result is None:
         return 2
@@ -520,9 +526,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_simulate_sweep(args) -> int:
     """The long-sequence binding sweep through the parallel runtime."""
     if args.engine == "cycle":
-        print("--sweep runs the event-driven core (or --engine vector); "
-              "the cycle oracle cannot reach the long-sequence points",
-              file=sys.stderr)
+        print("--sweep runs the folded vector core (default) or the "
+              "event-driven core; the cycle oracle cannot reach the "
+              "long-sequence points", file=sys.stderr)
         return 2
     axes = {}
     for field, flag, text in (
@@ -537,7 +543,7 @@ def _cmd_simulate_sweep(args) -> int:
                 return 2
             axes[field] = values
     result = _run_validated(_session(args),
-                            BindingSweepRequest(engine=args.engine, **axes))
+                            BindingSweepRequest(**_engine_arg(args), **axes))
     if result is None:
         return 2
     render = {"table": sweep_table, "csv": sweep_csv, "json": sweep_json}
@@ -581,7 +587,7 @@ def _cmd_simulate_scenario(args) -> int:
         decode_chunks=args.decode_chunks, dram_bw=args.dram_bw,
         buffer_bytes=args.buffer_bytes,
         qos="uniform" if args.qos is None else args.qos,
-        binding=args.binding, engine=args.engine, profile=args.profile,
+        binding=args.binding, profile=args.profile, **_engine_arg(args),
     ))
     if result is None:
         return 2
@@ -849,10 +855,13 @@ def main(argv=None) -> int:
         help="PE-array dimension (1D array sized to match; default 256)",
     )
     simulate.add_argument(
-        "--engine", choices=("event", "cycle", "vector"), default="event",
-        help="scheduler core: event-driven (default), the cycle-accurate "
+        "--engine", choices=("event", "cycle", "vector"), default=None,
+        help="scheduler core: the event-driven core, the cycle-accurate "
              "oracle, or the vectorized folding core — results are "
-             "identical (--sweep accepts event and vector)",
+             "identical.  Default: vector for the one-shot comparison "
+             "and --sweep (which fold each binding graph along its "
+             "chunk axis), event for --scenario.  --sweep accepts "
+             "event and vector",
     )
     simulate.add_argument(
         "--sweep", action="store_true",

@@ -661,7 +661,7 @@ def binding_grid(
     array_dims: Sequence[int] = DEFAULT_SWEEP_ARRAY_DIMS,
     embeddings: Sequence[int] = (64,),
     pe_1d_dims: Sequence[Optional[int]] = (None,),
-    engine: str = "event",
+    engine: str = "vector",
 ) -> List[EvalTask]:
     """The (array dim, 1D lanes, embedding, binding, chunk count)
     simulation grid, in presentation order: utilization-vs-length curves
@@ -712,14 +712,16 @@ def sweep_bindings(
     retry: Optional[RetryPolicy] = None,
     on_error: str = "raise",
     faults: Optional[FaultPlan] = None,
-    engine: str = "event",
+    engine: str = "vector",
 ) -> Dict[Tuple[str, int, int, int, int], Any]:
     """Binding-simulation results over the long-sequence grid, keyed by
     ``(binding, chunks, array_dim, pe_1d, embedding)``.
 
-    Each point runs the event-driven scheduler on the Fig. 4/5 task
-    graph at its chunk count; points fan out over processes and reuse
-    the content-addressed cache exactly like the figure grids.  The
+    Each point schedules the Fig. 4/5 task graph at its chunk count,
+    by default on the vector engine's chunk fold
+    (:func:`~repro.simulator.pipeline.schedule_binding`); points fan out
+    over processes and reuse the content-addressed cache exactly like
+    the figure grids.  The
     ``array_dims``, ``pe_1d_dims``, and ``embeddings`` axes sweep
     independently.
     """

@@ -38,6 +38,8 @@ Three interchangeable cores execute the schedule:
   adds symmetry folding, which schedules a scenario's counted instance
   classes without building its merged graph and replays recurring
   windows of the schedule arithmetically instead of simulating them.
+  :func:`~repro.simulator.pipeline.schedule_binding` folds a binding
+  graph the same way along its chunk axis.
 - ``engine="cycle"`` — the original cycle-by-cycle loop below, kept as
   the differential oracle: all cores produce bit-identical
   :class:`SimResult` values on every task graph.

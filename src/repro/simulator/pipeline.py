@@ -44,7 +44,7 @@ from ..arch.spec import EXP_AS_MACCS
 from ..workloads.scenario import BINDINGS, Phase, Scenario
 from .engine import SimResult, Simulator, Task, lower_dram, transfer_cycles
 from .systolic import bqk_tile_timing
-from .vector import FoldedScenario, fold_templates, run_folded
+from .vector import FoldedScenario, fold_chain, fold_templates, run_folded
 
 __all__ = [
     "BINDINGS",
@@ -63,12 +63,14 @@ __all__ = [
     "chunk_traffic",
     "chunk_work",
     "compare_bindings",
+    "fold_binding",
     "fold_scenario",
     "folded_slots",
     "instance_spill_bytes",
     "scenario_dram_cycles",
     "scenario_sim",
     "scenario_spill_bytes",
+    "schedule_binding",
     "schedule_scenario_tasks",
     "simulate_binding",
     "spill_bytes_per_chunk",
@@ -638,14 +640,48 @@ def _run(tasks: List[Task], scenario_like_serial: bool, slots: int,
     return sim.run(max_cycles=budget)
 
 
+def _binding_serial(binding: str) -> bool:
+    if binding not in BINDINGS:
+        raise ValueError(f"unknown binding {binding!r}")
+    return binding == "tile-serial"
+
+
+def fold_binding(config: PipelineConfig, binding: str) -> FoldedScenario:
+    """Fold one binding's graph along its chunk axis: chunk ``k`` is an
+    instance of one template whose only outside deps reach chunk
+    ``k-1``, so :func:`~repro.simulator.vector.fold_chain` lowers the
+    two-chunk graph to a chained class of ``config.chunks`` instances.
+    The finish times it yields carry :func:`build_tasks`' names."""
+    serial = _binding_serial(binding)
+    return fold_chain(build_tasks(replace(config, chunks=2), serial=serial), config.chunks)
+
+
+def schedule_binding(
+    config: PipelineConfig, binding: str, engine: str = "event"
+) -> SimResult:
+    """Schedule one binding's graph on ``engine``.
+
+    ``engine="vector"`` schedules the chunk fold (:func:`fold_binding`)
+    and never builds the ``config.chunks``-chunk task list.  The other
+    engines build it and run it under :func:`_run`'s cycle budget; the
+    fold derives the same budget from its own duration total."""
+    serial = _binding_serial(binding)
+    if engine == "vector":
+        return run_folded(fold_binding(config, binding), slots=1 if serial else 2)
+    return _run(build_tasks(config, serial=serial), serial, slots=2, engine=engine)
+
+
 def binding_sim(
     config: PipelineConfig, binding: str, engine: str = "event"
 ) -> Tuple[List[Task], SimResult]:
-    """Build and run one binding's task graph; returns (tasks, result)."""
-    if binding not in BINDINGS:
-        raise ValueError(f"unknown binding {binding!r}")
-    serial = binding == "tile-serial"
+    """Build and run one binding's task graph; returns (tasks, result).
+    The vector engine schedules the chunk fold, not the returned list
+    (which the waterfall renders); callers that need only the result use
+    :func:`schedule_binding`."""
+    serial = _binding_serial(binding)
     tasks = build_tasks(config, serial=serial)
+    if engine == "vector":
+        return tasks, schedule_binding(config, binding, engine="vector")
     return tasks, _run(tasks, serial, slots=2, engine=engine)
 
 

@@ -2,11 +2,15 @@
 
 The paper's pipelining argument is about *steady state*: the interleaved
 binding amortizes fill/drain over an ever-longer stream of M1 chunks,
-while tile-serial pays it per tile.  With the event-driven scheduler one
-simulation costs O(tasks), so the chunk axis opens up to the hundreds of
-thousands of tokens the paper targets (chunks ∈ {16 … 8192} at M0 = 256
-columns is M up to ~2M).  This module defines the sweep's grid points
-and result rows; the parallel/cached execution lives in
+while tile-serial pays it per tile.  Each point is scheduled by the
+vector engine's chunk fold (:func:`~repro.simulator.pipeline
+.schedule_binding`): chunk ``k`` is one instance of a two-chunk
+template chained to chunk ``k-1``, so only the template is built, and a
+tile-serial steady state is replayed instead of simulated.  That opens
+the chunk axis up to the hundreds of thousands of tokens the paper
+targets (chunks ∈ {16 … 8192} at M0 = 256 columns is M up to ~2M); the
+event-driven core gives the same rows.  This module defines the sweep's
+grid points and result rows; the parallel/cached execution lives in
 :func:`repro.runtime.executor.sweep_bindings`, and
 ``repro simulate --sweep`` drives it from the CLI.
 
@@ -39,7 +43,6 @@ from . import pipeline
 from .pipeline import (
     BINDINGS,
     PipelineConfig,
-    binding_sim,
     scenario_spill_bytes,
 )
 
@@ -85,8 +88,10 @@ class BindingPoint:
     def __post_init__(self) -> None:
         if self.binding not in BINDINGS:
             raise ValueError(f"unknown binding {self.binding!r}")
-        if self.chunks < 1:
-            raise ValueError(f"chunks must be >= 1, got {self.chunks}")
+        for axis in ("chunks", "array_dim", "embedding", "pe_1d"):
+            value = getattr(self, axis)
+            if value is not None and value < 1:
+                raise ValueError(f"{axis} must be >= 1, got {value}")
 
     @property
     def name(self) -> str:
@@ -140,12 +145,14 @@ assert SWEEP_FIELDS == tuple(f.name for f in fields(BindingResult))
 
 
 def evaluate_binding_point(
-    point: BindingPoint, engine: str = "event"
+    point: BindingPoint, engine: str = "vector"
 ) -> BindingResult:
-    """Simulate one grid point (event-driven core unless a differential
-    run explicitly asks for the cycle oracle)."""
+    """Simulate one grid point: the vector engine's chunk fold unless a
+    differential run asks for the event core or the cycle oracle.  Only
+    the fold's two-chunk template is built.  The schedule is looked up
+    on the pipeline module at call time, like the scenario path's."""
     config = point.config()
-    _, result = binding_sim(config, point.binding, engine=engine)
+    result = pipeline.schedule_binding(config, point.binding, engine=engine)
     makespan = result.makespan
     return BindingResult(
         binding=point.binding,

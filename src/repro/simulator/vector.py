@@ -86,6 +86,41 @@ the leading repeats that pass, one numpy comparison per block of
 repeats.  With those inputs shifted, the induction above goes through
 unchanged.
 
+Chained instances
+-----------------
+
+A binding graph is one instance per M1 chunk, and chunk ``k`` waits on
+chunk ``k-1`` (the running max, denominator and output; under
+tile-serial also the next tile's fill).  :func:`fold_chain` lowers such
+a graph to one *chained* class: the template is instance 1 of a
+two-instance graph, its deps into instance 0 become a lag-dependents
+CSR (template task -> the next instance's template tasks that wait on
+it), and instance 0, the template minus those lag deps, keeps its own
+outstanding counts and ready list.
+
+:func:`_fold_loop` materializes instance 0 of a chained class before
+the first refill.  Instance ``k+1`` enters when refill would pop one of
+its t=0-ready tasks, as before, or when a task of instance ``k`` with
+lag dependents completes, whichever comes first; the successor's counts
+are then decremented like an in-instance dependent's.  Entering early
+is exact for the same reason lazy entry is: the merged graph has those
+ready tasks pending from t=0, pending membership has no side effects,
+and a resource with a free slot would already have popped them through
+its virtual head.
+
+The replay argument needs nothing new.  The only extra thing the
+transition function reads is whether instance ``k+1`` is live, which
+is ``cursor == k+1``, an instance-relative comparison the key already
+holds.  Every instance but 0 starts from the same counts, and instance
+0 is live before the first snapshot and never materialized again, so
+each repeat materializes the recorded instances' state shifted by
+``dA``.  No lag completion in a window lacks a successor: the class is
+unexhausted at both ends of the window, every completing instance lies
+below the cursor, and the clamp ``counts-1-cursor`` keeps the shifted
+successors in range.  Chained classes skip the source-resource split:
+no binding graph has a source resource, and a source task could feed
+the next instance.
+
 Busy cycles need no simulation at all: every issued cycle serves
 exactly one task-cycle and every task completes, so a resource's busy
 count is the plain sum of its tasks' durations — which is also exactly
@@ -306,7 +341,8 @@ class FoldedClass:
     ginst_base: int  #: global instance index of the class's first instance
     order_base: int  #: global program order of instance 0's first task
     size: int  #: template length (tasks per instance, post-lowering)
-    names: Tuple[str, ...]  #: template task names (unprefixed)
+    #: template task names (unprefixed); a chained class's name stems
+    names: Tuple[str, ...]
     durations: List[int]
     res: List[int]  #: template resource ids into FoldedScenario.resources
     indptr: List[int]  #: template-local dependents CSR
@@ -315,6 +351,25 @@ class FoldedClass:
     ready0: List[int]  #: ascending tids ready at t=0 (positive duration)
     nonzero: int  #: positive-duration templates per instance
     min_ready: List[int] = field(default_factory=list)  #: per resource: min ready0 tid or -1
+    #: Chained classes only: dependents CSR into the *next* instance.
+    lag_indptr: List[int] = field(default_factory=list)
+    lag_indices: List[int] = field(default_factory=list)
+    #: Chained classes only: instance 0's counts and ready tids (it has
+    #: no predecessor to wait on).
+    outstanding_first: List[int] = field(default_factory=list)
+    ready_first: List[int] = field(default_factory=list)
+
+    @property
+    def chained(self) -> bool:
+        return bool(self.lag_indptr)
+
+    def instance_names(self, local: int) -> Iterator[str]:
+        """Task names of instance ``local``, as the merged graph spells
+        them: ``<stem>[<local>]`` in a chain, ``i<k>:<name>`` otherwise."""
+        if self.chained:
+            return (f"{stem}[{local}]" for stem in self.names)
+        prefix = f"i{self.ginst_base + local}:"
+        return (prefix + name for name in self.names)
 
 
 @dataclass
@@ -330,8 +385,9 @@ class FoldedScenario:
 
 
 class FoldedFinishTimes(Mapping):
-    """The finish times of a folded schedule, keyed ``i<k>:<task>`` in
-    program order — the names the merged graph would carry.
+    """The finish times of a folded schedule, keyed ``i<k>:<task>`` (or
+    ``<stem>[<k>]`` in a chain) in program order — the names the merged
+    graph would carry.
 
     Holds only the class templates and the flat per-task finish array;
     the (hundreds of thousands of) instance-prefixed names are built on
@@ -347,10 +403,10 @@ class FoldedFinishTimes(Mapping):
     def _table(self) -> Dict[str, int]:
         if self._named is None:
             names = (
-                f"i{cls.ginst_base + local}:{name}"
+                name
                 for cls in self._classes
                 for local in range(cls.count)
-                for name in cls.names
+                for name in cls.instance_names(local)
             )
             self._named = dict(zip(names, self._ft.tolist()))
         return self._named
@@ -372,6 +428,92 @@ def _min_ready(ready0: Sequence[int], res: Sequence[int], n_res: int) -> List[in
     return min_ready
 
 
+def _dependents(
+    durations: Sequence[int], deps: Sequence[Sequence[int]]
+) -> Tuple[List[int], List[int], List[int]]:
+    """Each positive-duration task's count of unique positive-duration
+    deps (``deps[i]`` lists template ids), and the dependents CSR
+    ``(counts, indptr, indices)`` over those edges."""
+    size = len(durations)
+    counts = [0] * size
+    edges: List[List[int]] = [[] for _ in range(size)]
+    for i in range(size):
+        if durations[i] == 0:
+            continue
+        waiting = {j for j in deps[i] if durations[j] != 0}
+        counts[i] = len(waiting)
+        for j in waiting:
+            edges[j].append(i)
+    indptr = [0] * (size + 1)
+    indices: List[int] = []
+    for i, outs in enumerate(edges):
+        indices.extend(outs)
+        indptr[i + 1] = len(indices)
+    return counts, indptr, indices
+
+
+def _ready(durations: Sequence[int], counts: Sequence[int]) -> List[int]:
+    return [i for i, d in enumerate(durations) if d > 0 and counts[i] == 0]
+
+
+def _unique_names(tasks: Sequence[Task], what: str) -> Dict[str, int]:
+    index = {t.name: i for i, t in enumerate(tasks)}
+    if len(index) != len(tasks):
+        raise ValueError(f"duplicate task names in {what}")
+    return index
+
+
+def _template_class(
+    count: int, names: Sequence[str], tasks: Sequence[Task],
+    deps: Sequence[Sequence[int]], res_index: Dict[str, int],
+) -> FoldedClass:
+    """One class of ``count`` instances of ``tasks`` (template-local
+    ``deps``), placed at program order 0 until :func:`_assemble`."""
+    durations = [t.duration for t in tasks]
+    res = [res_index[t.resource] for t in tasks]
+    outstanding0, indptr, indices = _dependents(durations, deps)
+    ready0 = _ready(durations, outstanding0)
+    return FoldedClass(
+        count=count,
+        ginst_base=0,
+        order_base=0,
+        size=len(tasks),
+        names=tuple(names),
+        durations=durations,
+        res=res,
+        indptr=indptr,
+        indices=indices,
+        outstanding0=outstanding0,
+        ready0=ready0,
+        nonzero=sum(1 for d in durations if d > 0),
+        min_ready=_min_ready(ready0, res, len(res_index)),
+    )
+
+
+def _assemble(classes: List[FoldedClass], resources: List[str]) -> FoldedScenario:
+    """Lay ``classes`` out in program order and total their work."""
+    order_base = 0
+    ginst_base = 0
+    total_duration = 0
+    busy_totals = [0] * len(resources)
+    for cls in classes:
+        cls.order_base = order_base
+        cls.ginst_base = ginst_base
+        for tid, duration in enumerate(cls.durations):
+            busy_totals[cls.res[tid]] += duration * cls.count
+        total_duration += sum(cls.durations) * cls.count
+        order_base += cls.count * cls.size
+        ginst_base += cls.count
+    return FoldedScenario(
+        classes=classes,
+        resources=resources,
+        n_tasks=order_base,
+        n_instances=ginst_base,
+        total_duration=total_duration,
+        busy_totals=busy_totals,
+    )
+
+
 def fold_templates(templates: Sequence[Tuple[Sequence[Task], int]]) -> FoldedScenario:
     """Lower ``(template_tasks, instance_count)`` pairs — one per
     scenario phase, in program order, already dram-lowered — into a
@@ -382,73 +524,78 @@ def fold_templates(templates: Sequence[Tuple[Sequence[Task], int]]) -> FoldedSce
     this for scenario graphs)."""
     resources = sorted({t.resource for tasks, _ in templates for t in tasks})
     res_index = {r: i for i, r in enumerate(resources)}
-    n_res = len(resources)
     classes: List[FoldedClass] = []
-    order_base = 0
-    ginst_base = 0
-    n_tasks = 0
-    total_duration = 0
-    busy_totals = [0] * n_res
     for tasks, count in templates:
-        size = len(tasks)
-        index = {t.name: i for i, t in enumerate(tasks)}
-        if len(index) != size:
-            raise ValueError("duplicate task names in a fold template")
-        durations = [t.duration for t in tasks]
-        res = [res_index[t.resource] for t in tasks]
-        outstanding0 = [0] * size
-        edges: List[List[int]] = [[] for _ in range(size)]
-        for i, task in enumerate(tasks):
-            if durations[i] == 0:
-                continue
-            waiting = set()
-            for dep in task.deps:
-                j = index.get(dep)
-                if j is None:
-                    raise ValueError(f"template task {task.name}: dep {dep!r} leaves the instance")
-                if durations[j] != 0:
-                    waiting.add(j)
-            outstanding0[i] = len(waiting)
-            for j in waiting:
-                edges[j].append(i)
-        indptr = [0] * (size + 1)
-        indices: List[int] = []
-        for i, outs in enumerate(edges):
-            indices.extend(outs)
-            indptr[i + 1] = len(indices)
-        ready0 = [i for i in range(size) if durations[i] > 0 and outstanding0[i] == 0]
-        for i in range(size):
-            busy_totals[res[i]] += durations[i] * count
-        per_instance = sum(durations)
+        index = _unique_names(tasks, "a fold template")
+        deps: List[List[int]] = []
+        for task in tasks:
+            outside = [dep for dep in task.deps if dep not in index]
+            if outside and task.duration:
+                raise ValueError(
+                    f"template task {task.name}: dep {outside[0]!r} leaves the instance"
+                )
+            deps.append([index[dep] for dep in task.deps if dep in index])
         classes.append(
-            FoldedClass(
-                count=count,
-                ginst_base=ginst_base,
-                order_base=order_base,
-                size=size,
-                names=tuple(t.name for t in tasks),
-                durations=durations,
-                res=res,
-                indptr=indptr,
-                indices=indices,
-                outstanding0=outstanding0,
-                ready0=ready0,
-                nonzero=sum(1 for d in durations if d > 0),
-                min_ready=_min_ready(ready0, res, n_res),
-            )
+            _template_class(count, [t.name for t in tasks], tasks, deps, res_index)
         )
-        order_base += count * size
-        ginst_base += count
-        n_tasks += count * size
-        total_duration += per_instance * count
-    return FoldedScenario(
-        classes=classes,
-        resources=resources,
-        n_tasks=n_tasks,
-        n_instances=ginst_base,
-        total_duration=total_duration,
-        busy_totals=busy_totals,
+    return _assemble(classes, resources)
+
+
+def fold_chain(tasks: Sequence[Task], count: int) -> FoldedScenario:
+    """Lower a two-instance chain — instance 0's tasks named
+    ``<stem>[0]``, then instance 1's named ``<stem>[1]`` — into one
+    chained class of ``count`` instances, ``<stem>[<k>]`` each (see
+    "Chained instances" above).
+
+    Instance 1 is the template; its deps into instance 0 are the lag
+    deps every instance ``k >= 1`` has on instance ``k-1``.  Raises
+    ``ValueError`` unless names are unique, instance 0 equals instance 1
+    minus its lag deps (same stems, durations, resources and order), and
+    no dep reaches back further than one instance."""
+    if count < 1:
+        raise ValueError(f"a chain needs at least one instance, got {count}")
+    _unique_names(tasks, "a chain template")
+    size, odd = divmod(len(tasks), 2)
+    first, second = tasks[:size], tasks[size:]
+    mismatch = "chain instance 0 must equal instance 1 minus its lag deps"
+    if odd or any(
+        not a.name.endswith("[0]")
+        or b.name != a.name[:-3] + "[1]"
+        or (a.duration, a.resource) != (b.duration, b.resource)
+        for a, b in zip(first, second)
+    ):
+        raise ValueError(mismatch)
+    index0 = {t.name: i for i, t in enumerate(first)}
+    index1 = {t.name: i for i, t in enumerate(second)}
+    own: List[List[int]] = []
+    lag: List[List[int]] = []
+    for a, b in zip(first, second):
+        for dep in b.deps:
+            if dep not in index0 and dep not in index1:
+                raise ValueError(
+                    f"chained task {b.name}: dep {dep!r} reaches back more than one instance"
+                )
+        own.append([index1[dep] for dep in b.deps if dep in index1])
+        lag.append([index0[dep] for dep in b.deps if dep in index0])
+        if [index0.get(dep, -1) for dep in a.deps] != own[-1]:
+            raise ValueError(mismatch)
+    resources = sorted({t.resource for t in second})
+    res_index = {r: i for i, r in enumerate(resources)}
+    first_only = _template_class(count, [t.name[:-3] for t in second], second, own, res_index)
+    lag_counts, lag_indptr, lag_indices = _dependents(first_only.durations, lag)
+    outstanding0 = [a + b for a, b in zip(first_only.outstanding0, lag_counts)]
+    ready0 = _ready(first_only.durations, outstanding0)
+    chained = replace(
+        first_only,
+        outstanding0=outstanding0,
+        ready0=ready0,
+        min_ready=_min_ready(ready0, first_only.res, len(resources)),
+        lag_indptr=lag_indptr,
+        lag_indices=lag_indices,
+        outstanding_first=first_only.outstanding0,
+        ready_first=first_only.ready0,
     )
+    return _assemble([chained], resources)
 
 
 #: "Ready time" logged for a task gated by releases alone: its push
@@ -473,7 +620,10 @@ def _source_resources(folded: FoldedScenario) -> List[int]:
     """Resources none of whose positive-duration tasks has a
     positive-duration dep (``dram`` and each chip's ``c<k>:dram`` under
     an unbounded buffer) — empty when no other resource has work, since
-    then there is nothing to split them from."""
+    then there is nothing to split them from, and for chained classes
+    (see "Chained instances")."""
+    if any(cls.chained for cls in folded.classes):
+        return []
     n_res = len(folded.resources)
     used = [False] * n_res
     source = [True] * n_res
@@ -703,8 +853,10 @@ def _fold_loop(
         cursor[c] = local + 1
         gi = cls.ginst_base + local
         ob = cls.order_base + local * cls.size
-        live[gi] = [c, cls.outstanding0.copy(), cls.nonzero]
-        for tid in cls.ready0:
+        first = cls.chained and local == 0
+        live[gi] = [c, (cls.outstanding_first if first else cls.outstanding0).copy(),
+                    cls.nonzero]
+        for tid in cls.ready_first if first else cls.ready0:
             heappush(pending[cls.res[tid]], (ob + tid, gi, tid))
         if gated and starts[c]:
             row = rel_base[c] + local * rel_width[c]
@@ -852,6 +1004,9 @@ def _fold_loop(
         return repeats
 
     total_nonzero = sum(counts[c] * classes[c].nonzero for c in range(n_classes))
+    for c, cls in enumerate(classes):
+        if cls.chained and counts[c]:
+            materialize(c)
     for resource in range(n_res):
         refill(resource)
         next_done[resource] = completion_time(resource)
@@ -889,6 +1044,7 @@ def _fold_loop(
             t_log.append(now)
             finished.append(done)
         completed_count += len(finished)
+        grew = materialized
         for gi, tid in finished:
             st = live[gi]
             c = st[0]
@@ -912,10 +1068,26 @@ def _fold_loop(
                     resource2 = cls.res[dependent]
                     heappush(pending[resource2], (ob + dependent, gi, dependent))
                     touched.add(resource2)
+            if cls.chained and local + 1 < cls.count:
+                lo, hi = cls.lag_indptr[tid], cls.lag_indptr[tid + 1]
+                if lo < hi:
+                    # Lag edges into the next instance: enter it first.
+                    if cursor[c] == local + 1:
+                        materialize(c)
+                    successor = live[gi + 1][1]
+                    for j in range(lo, hi):
+                        dependent = cls.lag_indices[j]
+                        successor[dependent] -= 1
+                        if successor[dependent] == 0:
+                            resource2 = cls.res[dependent]
+                            heappush(
+                                pending[resource2],
+                                (ob + cls.size + dependent, gi + 1, dependent),
+                            )
+                            touched.add(resource2)
             st[2] -= 1
             if st[2] == 0:
                 del live[gi]
-        grew = materialized
         if gated:
             for c in range(n_classes):
                 while timer[c] == now:

@@ -16,6 +16,7 @@ FUZZ_SEED_RANGES = {
     "cluster": range(174, 198),
     "buffer-qos": range(198, 234),
     "fold-sources": range(234, 265),
+    "chain-fold": range(265, 295),
 }
 
 

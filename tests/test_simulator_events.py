@@ -275,6 +275,14 @@ class TestBindingSweep:
         with pytest.raises(ValueError, match="chunks"):
             BindingPoint("interleaved", 0)
 
+    @pytest.mark.parametrize("axis", ("array_dim", "embedding", "pe_1d"))
+    @pytest.mark.parametrize("value", (0, -8))
+    def test_nonpositive_shape_axis_rejected(self, axis, value):
+        """Zero lanes or a zero-wide array used to die dividing by zero,
+        and a zero embedding 'simulated' a fixed 48-cycle makespan."""
+        with pytest.raises(ValueError, match=f"{axis} must be >= 1"):
+            BindingPoint("interleaved", 4, **{axis: value})
+
     def test_sweep_keys_and_monotone_utilization(self):
         results = sweep_bindings(**self.GRID, cache=False)
         assert set(results) == {
@@ -892,6 +900,157 @@ class TestFoldOnlyEvaluation:
             schedule_cluster_tasks(scenario, spec, "head", engine="cycle")
 
 
+def _chain(stems_deps, count):
+    """The ``count``-instance graph of a synthetic chain: ``stems_deps``
+    lists ``(stem, resource, duration, deps, lag_deps)``, deps naming
+    stems in the same instance and lag deps stems one instance back."""
+    return [
+        Task(
+            f"{stem}[{k}]", resource, duration,
+            tuple(f"{d}[{k}]" for d in deps)
+            + (tuple(f"{d}[{k - 1}]" for d in lag_deps) if k else ()),
+        )
+        for k in range(count)
+        for stem, resource, duration, deps, lag_deps in stems_deps
+    ]
+
+
+#: A small chain with a cross-resource lag edge, a zero-duration task
+#: and a t=0-ready head in every instance.
+CHAIN = (
+    ("a", "r", 3, (), ()),
+    ("z", "s", 0, ("a",), ()),
+    ("b", "s", 2, ("a", "z"), ("b",)),
+    ("c", "r", 1, ("b",), ("c", "b")),
+)
+
+#: Chunk counts the chain fold must reproduce: a lone chunk (no lag
+#: edge), the two-chunk template itself, one past it, and odd counts,
+#: which no whole number of replayed windows covers.
+CHAIN_CHUNKS = (1, 2, 3, 7, 33)
+
+
+class TestChainFold:
+    """Binding graphs fold along their chunk axis: chunk ``k`` is one
+    instance of a two-chunk template chained to chunk ``k-1``.  The
+    folded schedule must equal the event engine's on the built graph,
+    finish-time mapping included."""
+
+    @pytest.mark.parametrize("seed", fuzz_seeds("chain-fold"))
+    def test_chain_fold_matches_event_engine(self, seed):
+        rng = random.Random(seed)
+        binding = ("tile-serial", "interleaved")[seed % 2]
+        chunks = CHAIN_CHUNKS[(seed // 2) % len(CHAIN_CHUNKS)]
+        array_dim = rng.choice((16, 64, 128, 256))
+        config = PipelineConfig(
+            chunks=chunks,
+            embedding=rng.choice((16, 64, 128)),
+            array_dim=array_dim,
+            pe_1d=rng.choice((array_dim, 8, 64, 512)),
+        )
+        tasks, event = binding_sim(config, binding, engine="event")
+        built, vector = binding_sim(config, binding, engine="vector")
+        assert built == tasks
+        assert vector == event
+        assert dict(vector.finish_times) == dict(event.finish_times)
+        assert dict(vector.busy_cycles) == dict(event.busy_cycles)
+        assert vector.makespan == event.makespan
+        if chunks <= 8:
+            _, cycle = binding_sim(config, binding, engine="cycle")
+            assert vector == cycle
+
+    @pytest.mark.parametrize("chunks", (1, 2, 5, 64))
+    @pytest.mark.parametrize("slots", (1, 2, 3))
+    def test_synthetic_chain_matches_event_engine(self, chunks, slots):
+        from repro.simulator.events import run_event_driven
+        from repro.simulator.vector import fold_chain, run_folded
+
+        merged = _chain(CHAIN, chunks)
+        expected = run_event_driven(merged, slots, sum(t.duration for t in merged) + 1)
+        folded = run_folded(fold_chain(_chain(CHAIN, 2), chunks), slots)
+        assert folded == expected
+        assert list(folded.finish_times) == [t.name for t in merged]
+
+    def test_tile_serial_long_chain_replays(self):
+        """Tile-serial chunks run one after another, so the two-chunk
+        live window recurs almost at once and the rest is replayed."""
+        from repro.simulator import fold_binding, run_folded, schedule_binding
+
+        config = PipelineConfig(chunks=8192)
+        folded = fold_binding(config, "tile-serial")
+        stats = {}
+        result = run_folded(folded, slots=1, stats=stats)
+        assert stats["events"] <= 64
+        assert stats["replayed"] / folded.n_tasks >= 0.99
+        assert result == schedule_binding(config, "tile-serial", engine="event")
+
+    def test_interleaved_long_chain_exact_without_replay(self):
+        """The 2D front runs ahead of the 1D-bound one, so the live
+        window never recurs: nothing is replayed, and it stays exact."""
+        from repro.simulator import fold_binding, run_folded, schedule_binding
+
+        config = PipelineConfig(chunks=8192)
+        stats = {}
+        result = run_folded(fold_binding(config, "interleaved"), slots=2, stats=stats)
+        assert stats["replayed"] == 0
+        assert result == schedule_binding(config, "interleaved", engine="event")
+
+    def test_binding_point_builds_only_the_template(self, monkeypatch):
+        from repro.simulator import pipeline
+
+        real = pipeline.build_tasks
+
+        def template_only(config, serial, prefix=""):
+            assert config.chunks == 2, "the vector engine built the whole chain"
+            return real(config, serial, prefix)
+
+        point = BindingPoint("tile-serial", 64, array_dim=64)
+        event = evaluate_binding_point(point, engine="event")
+        monkeypatch.setattr(pipeline, "build_tasks", template_only)
+        assert evaluate_binding_point(point) == event
+
+    @pytest.mark.parametrize(
+        "case, match",
+        (
+            ("duplicate", "duplicate task names"),
+            ("odd", "instance 0 must equal instance 1"),
+            ("duration", "instance 0 must equal instance 1"),
+            ("resource", "instance 0 must equal instance 1"),
+            ("order", "instance 0 must equal instance 1"),
+            ("extra-dep", "instance 0 must equal instance 1"),
+            ("forward-dep", "instance 0 must equal instance 1"),
+            ("two-back", "reaches back more than one instance"),
+            ("count", "at least one instance"),
+        ),
+    )
+    def test_chain_lowering_rejects_invalid_templates(self, case, match):
+        from repro.simulator.vector import fold_chain
+
+        tasks = _chain(CHAIN, 2)
+        size = len(CHAIN)
+        count = 4
+        if case == "duplicate":
+            tasks[1] = replace(tasks[1], name="a[0]")
+        elif case == "odd":
+            tasks = tasks[:-1]
+        elif case == "duration":
+            tasks[0] = replace(tasks[0], duration=4)
+        elif case == "resource":
+            tasks[size] = replace(tasks[size], resource="s")
+        elif case == "order":
+            tasks[:size] = [tasks[1], tasks[0]] + tasks[2:size]
+        elif case == "extra-dep":
+            tasks[3] = replace(tasks[3], deps=tasks[3].deps + ("a[0]",))
+        elif case == "forward-dep":
+            tasks[0] = replace(tasks[0], deps=("a[1]",))
+        elif case == "two-back":
+            tasks[size] = replace(tasks[size], deps=("c[-1]",))
+        else:
+            count = 0
+        with pytest.raises(ValueError, match=re.escape(match)):
+            fold_chain(tasks, count)
+
+
 class TestScenarioCrossValidation:
     """Simulated schedules vs the analytical utilization estimates."""
 
@@ -1059,6 +1218,14 @@ class TestSweepCLI:
         event_out = capsys.readouterr().out
         assert main(["simulate", "--chunks", "6", "--engine", "cycle"]) == 0
         assert capsys.readouterr().out == event_out
+        assert main(["simulate", "--chunks", "6"]) == 0  # the chunk fold
+        assert capsys.readouterr().out == event_out
+
+    def test_binding_requests_default_to_the_chunk_fold(self):
+        from repro.api import BindingSweepRequest, ScenarioRequest
+
+        assert BindingSweepRequest().engine == "vector"
+        assert ScenarioRequest().engine == "event"
 
     def test_simulate_sweep_csv(self, capsys):
         from repro.cli import main
