@@ -10,8 +10,8 @@ or through pytest-benchmark like the other bench modules:
 
 Three things are gated:
 
-- **parity** — the event core and the folded vector engine produce an
-  identical :class:`~repro.cluster.ClusterResult` on a sharded
+- **parity** — the event core on the built graph and the folded
+  vector engine produce an identical schedule on a sharded
   64-instance x 16-chunk BERT point (collectives are ordinary task
   structure, so the engine-equivalence guarantee must extend to cluster
   graphs unchanged), and the shared link's busy cycles equal the
@@ -35,10 +35,13 @@ import time
 from repro.cluster import (
     ClusterPoint,
     ClusterSpec,
+    build_cluster_tasks,
     cluster_link_cycles,
     evaluate_cluster_point,
+    schedule_cluster_tasks,
 )
 from repro.model.cluster import analytical_cluster
+from repro.simulator import folded_slots, run_event_driven
 from repro.workloads import BERT
 from repro.workloads.scenario import attention_scenario, scenario_from_model
 
@@ -51,16 +54,28 @@ PRICED_BW = 64.0
 DEFAULT_CHIPS = (1, 2, 4, 8)
 
 
-def _bert_point(n_chips, link_bw, sharding="head", engine="event"):
+def _bert_scenario():
     """The parity-gate workload: BERT at B4 x H16, 16 chunks per
-    instance — 64 instances sharded over ``n_chips``."""
-    scenario = scenario_from_model(BERT, 4096, batch=4, heads=16)
+    instance — 64 instances to shard."""
+    return scenario_from_model(BERT, 4096, batch=4, heads=16)
+
+
+def _bert_point(n_chips, link_bw, sharding="head"):
+    """The parity-gate workload sharded over ``n_chips``."""
     point = ClusterPoint(
-        scenario=scenario,
+        scenario=_bert_scenario(),
         spec=ClusterSpec(n_chips=n_chips, link_bw=link_bw),
         sharding=sharding,
     )
-    return evaluate_cluster_point(point, engine=engine)
+    return evaluate_cluster_point(point)
+
+
+def _bert_event_schedule(spec, sharding="head"):
+    """The parity reference: the built sharded graph on the event core."""
+    scenario = _bert_scenario()
+    tasks = build_cluster_tasks(scenario, spec, sharding)
+    budget = sum(t.duration for t in tasks) + 1
+    return run_event_driven(tasks, folded_slots(scenario), budget)
 
 
 def _timed(fn):
@@ -96,24 +111,25 @@ def main(argv=None):
     args = parser.parse_args(argv)
     chips = tuple(int(item) for item in args.chips.split(","))
 
-    # Parity: event == vector on the sharded BERT point, for both
-    # sharding policies, and the link accounting is exact.
+    # Parity: the event core on the built graph == the folded vector
+    # schedule on the sharded BERT point, for both sharding policies,
+    # and the link accounting is exact.
+    scenario = _bert_scenario()
+    spec = ClusterSpec(n_chips=4, link_bw=PRICED_BW)
     for sharding in ("head", "tensor"):
         event, event_s = _timed(
-            lambda s=sharding: _bert_point(4, PRICED_BW, s, engine="event")
+            lambda s=sharding: _bert_event_schedule(spec, s)
         )
         vector, vector_s = _timed(
-            lambda s=sharding: _bert_point(4, PRICED_BW, s, engine="vector")
+            lambda s=sharding: schedule_cluster_tasks(scenario, spec, s)
         )
         assert event == vector, f"{sharding}: event != vector"
-        scenario = scenario_from_model(BERT, 4096, batch=4, heads=16)
-        expected = cluster_link_cycles(
-            scenario, ClusterSpec(n_chips=4, link_bw=PRICED_BW), sharding
-        )
-        assert event.busy_link == expected, f"{sharding}: link accounting"
+        busy_link = event.busy_cycles.get("link", 0)
+        expected = cluster_link_cycles(scenario, spec, sharding)
+        assert busy_link == expected, f"{sharding}: link accounting"
         print(
-            f"parity[{sharding}]: {event.n_tasks:,} tasks  "
-            f"makespan={event.makespan:,}  busy_link={event.busy_link:,}  "
+            f"parity[{sharding}]: {len(event.finish_times):,} tasks  "
+            f"makespan={event.makespan:,}  busy_link={busy_link:,}  "
             f"event {event_s:.2f}s == vector {vector_s:.2f}s ok"
         )
 
@@ -121,7 +137,7 @@ def main(argv=None):
     points = []
     for n in chips:
         result, took = _timed(
-            lambda n=n: _bert_point(n, AMPLE_BW, engine="vector")
+            lambda n=n: _bert_point(n, AMPLE_BW)
         )
         points.append((n, result, took))
         print(
@@ -141,7 +157,7 @@ def main(argv=None):
         f"got {estimate.kind}"
     )
     priced, priced_s = _timed(
-        lambda: _bert_point(max(chips), PRICED_BW, engine="vector")
+        lambda: _bert_point(max(chips), PRICED_BW)
     )
     assert priced.makespan >= estimate.latency_cycles
     assert priced.makespan > points[-1][1].makespan, (
@@ -160,7 +176,6 @@ def main(argv=None):
                 scenario=attention_scenario(512, 16, array_dim=64),
                 spec=ClusterSpec(n_chips=8, link_bw=PRICED_BW),
             ),
-            engine="vector",
         )
     )
     print(
@@ -215,8 +230,9 @@ def main(argv=None):
 
 def test_bench_cluster_event_point(benchmark):
     """The sharded BERT point through the event core."""
-    result = benchmark(lambda: _bert_point(4, PRICED_BW, engine="event"))
-    assert result.busy_link > 0
+    spec = ClusterSpec(n_chips=4, link_bw=PRICED_BW)
+    result = benchmark(lambda: _bert_event_schedule(spec))
+    assert result.busy_cycles["link"] > 0
 
 
 def test_bench_cluster_folded_sweep(benchmark):
@@ -225,7 +241,7 @@ def test_bench_cluster_folded_sweep(benchmark):
         scenario=attention_scenario(512, 16, array_dim=64),
         spec=ClusterSpec(n_chips=8, link_bw=PRICED_BW),
     )
-    result = benchmark(lambda: evaluate_cluster_point(point, engine="vector"))
+    result = benchmark(lambda: evaluate_cluster_point(point))
     assert result.n_chips == 8
 
 

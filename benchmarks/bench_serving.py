@@ -117,7 +117,7 @@ def main(argv=None):
     assert first == second, "seeded serving rerun diverged"
     from repro.serving import serving_sim
 
-    *_, event = serving_sim(small, engine="event")
+    *_, event = serving_sim(small)  # the event core on the built graph
     *_, cycle = serving_sim(small, engine="cycle")
     assert event == cycle, "serving graph: engines diverged"
     print(

@@ -10,7 +10,8 @@ or through pytest-benchmark like the other bench modules:
 
 Three cores are compared on the Fig. 4/5 task graphs at ``--chunks``:
 
-- ``event`` — the event-driven scheduler (the default core);
+- ``event`` — the event-driven scheduler, which the default
+  ``Simulator`` engine runs on a flat task list;
 - ``cycle`` — today's cycle-accurate oracle (frontier-based refill),
   whose results must be bit-identical to ``event``;
 - ``baseline`` — an exact replica of the pre-frontier seed engine
@@ -244,7 +245,7 @@ def main(argv=None):
         binding = "tile-serial" if serial else "interleaved"
 
         event_s, event = _best_of(
-            lambda: Simulator(tasks, mode=mode, engine="event").run(budget)
+            lambda: Simulator(tasks, mode=mode).run(budget)
         )
         cycle_s, cycle = _best_of(
             lambda: Simulator(tasks, mode=mode, engine="cycle").run(budget),
@@ -288,7 +289,7 @@ def main(argv=None):
     for binding, serial in (("interleaved", False), ("tile-serial", True)):
         tasks, mode, budget = _graph(args.long_chunks, 256, serial)
         start = time.perf_counter()
-        result = Simulator(tasks, mode=mode, engine="event").run(budget)
+        result = Simulator(tasks, mode=mode).run(budget)
         took = time.perf_counter() - start
         print(f"  {binding:12s} makespan={result.makespan:>10,}  "
               f"{took:5.2f} s  util2d={result.utilization('2d'):.3f}")
@@ -313,21 +314,16 @@ def main(argv=None):
         mode = rng.choice(("serial", "interleaved"))
         slots = rng.randint(2, 4)
         budget = sum(t.duration for t in tasks) + 1
-        event = Simulator(tasks, mode=mode, slots=slots,
-                          engine="event").run(budget)
+        event = Simulator(tasks, mode=mode, slots=slots).run(budget)
         cycle = Simulator(tasks, mode=mode, slots=slots,
                           engine="cycle").run(budget)
-        vector = Simulator(tasks, mode=mode, slots=slots,
-                           engine="vector").run(budget)
         assert event == cycle, f"graph {index}: engines diverged"
-        assert vector == cycle, f"graph {index}: vector core diverged"
-    print(f"  {args.random_graphs} graphs: event == cycle == vector ok")
+    print(f"  {args.random_graphs} graphs: event == cycle ok")
 
     if args.scenario_budget:
         scenario, tasks, mode, budget = _scenario_graph()
         start = time.perf_counter()
-        result = Simulator(tasks, mode=mode, slots=scenario.slots,
-                           engine="event").run(budget)
+        result = Simulator(tasks, mode=mode, slots=scenario.slots).run(budget)
         took = time.perf_counter() - start
         print(f"\nmerged scenario {scenario.name}: {len(tasks):,} tasks, "
               f"makespan={result.makespan:,}, "
@@ -346,8 +342,7 @@ def main(argv=None):
     if args.contended_budget or args.vector_min_speedup:
         scenario, tasks, mode, budget = _scenario_graph(dram_bw=CLOUD_DRAM_BW)
         start = time.perf_counter()
-        result = Simulator(tasks, mode=mode, slots=scenario.slots,
-                           engine="event").run(budget)
+        result = Simulator(tasks, mode=mode, slots=scenario.slots).run(budget)
         took = time.perf_counter() - start
         util_dram = result.busy_cycles["dram"] / result.makespan
         print(f"\ncontended scenario {scenario.name} "
@@ -391,7 +386,7 @@ def main(argv=None):
                     expected = Simulator(
                         point_tasks,
                         mode="serial" if binding == "tile-serial" else "interleaved",
-                        slots=point.slots, engine="event",
+                        slots=point.slots,
                     ).run(sum(t.duration for t in point_tasks) + 1)
                     event_s = time.perf_counter() - start
                     del point_tasks
@@ -464,7 +459,7 @@ def main(argv=None):
 def test_bench_event_interleaved_1024(benchmark):
     tasks, mode, budget = _graph(1024, 1024, serial=False)
     result = benchmark(
-        lambda: Simulator(tasks, mode=mode, engine="event").run(budget)
+        lambda: Simulator(tasks, mode=mode).run(budget)
     )
     assert result.utilization("2d") > 0.9
 
@@ -472,7 +467,7 @@ def test_bench_event_interleaved_1024(benchmark):
 def test_bench_event_tile_serial_1024(benchmark):
     tasks, mode, budget = _graph(1024, 1024, serial=True)
     result = benchmark(
-        lambda: Simulator(tasks, mode=mode, engine="event").run(budget)
+        lambda: Simulator(tasks, mode=mode).run(budget)
     )
     assert result.makespan > 1_000_000
 
@@ -480,7 +475,7 @@ def test_bench_event_tile_serial_1024(benchmark):
 def test_bench_cycle_oracle_128(benchmark):
     """The oracle stays in benchmarks at a size it can afford."""
     tasks, mode, budget = _graph(128, 256, serial=False)
-    event = Simulator(tasks, mode=mode, engine="event").run(budget)
+    event = Simulator(tasks, mode=mode).run(budget)
     result = benchmark(
         lambda: Simulator(tasks, mode=mode, engine="cycle").run(budget)
     )
@@ -492,7 +487,7 @@ def test_bench_merged_scenario_64x16(benchmark):
     scenario, tasks, mode, budget = _scenario_graph()
     result = benchmark(
         lambda: Simulator(
-            tasks, mode=mode, slots=scenario.slots, engine="event"
+            tasks, mode=mode, slots=scenario.slots
         ).run(budget)
     )
     assert result.utilization("2d") > 0.9
@@ -503,7 +498,7 @@ def test_bench_contended_scenario_64x16(benchmark):
     scenario, tasks, mode, budget = _scenario_graph(dram_bw=CLOUD_DRAM_BW)
     result = benchmark(
         lambda: Simulator(
-            tasks, mode=mode, slots=scenario.slots, engine="event"
+            tasks, mode=mode, slots=scenario.slots
         ).run(budget)
     )
     assert result.utilization("dram") > 0.9
@@ -513,8 +508,7 @@ def test_bench_vector_contended_scenario_64x16(benchmark):
     """The tentpole gate's workload on the vector core: fold + folded
     run from the scenario spec, steady state replayed, not simulated."""
     scenario, tasks, mode, _ = _scenario_graph(dram_bw=CLOUD_DRAM_BW)
-    event = Simulator(tasks, mode=mode, slots=scenario.slots,
-                      engine="event").run(
+    event = Simulator(tasks, mode=mode, slots=scenario.slots).run(
         sum(t.duration for t in tasks) + 1
     )
     slots = folded_slots(scenario)
@@ -529,8 +523,7 @@ def test_bench_seeded_random_graph_event(benchmark):
     tasks = random_graph(random.Random(DEFAULT_SEED))
     budget = sum(t.duration for t in tasks) + 1
     result = benchmark(
-        lambda: Simulator(tasks, mode="interleaved", slots=3,
-                          engine="event").run(budget)
+        lambda: Simulator(tasks, mode="interleaved", slots=3).run(budget)
     )
     assert result.makespan > 0
 

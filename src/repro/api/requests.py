@@ -35,6 +35,7 @@ from ..cluster import (
     shard_config,
 )
 from ..serving import Arrival, ServingSpec, check_sorted, poisson_arrivals
+from ..simulator.engine import ENGINES
 from ..simulator.sweep import (
     DEFAULT_SWEEP_ARRAY_DIMS,
     DEFAULT_SWEEP_CHUNKS,
@@ -49,12 +50,6 @@ from ..workloads.scenario import (
     mixed_model_scenario,
     scenario_from_model,
 )
-
-#: Engines a simulation request may name.  ``"cycle"`` selects the
-#: cycle-accurate oracle — always serial and uncached, so a cached event
-#: result can never masquerade as a differential run.  ``"vector"`` is
-#: the vectorized core with symmetry folding, bit-identical to both.
-ENGINES: Tuple[str, ...] = ("event", "cycle", "vector")
 
 #: Figure/table experiments a :class:`ExperimentRequest` can name, plus
 #: the two composite names: ``report`` (everything) and ``sweep`` (one
@@ -93,6 +88,12 @@ class RequestValidationError(ValueError):
 def _positive(errors: List[str], name: str, value: Optional[int]) -> None:
     if value is not None and value < 1:
         errors.append(f"{name} must be >= 1, got {value}")
+
+
+def _known_engine(errors: List[str], engine: Optional[str]) -> None:
+    """``None``, every request's default, runs the vector engine."""
+    if engine is not None and engine not in ENGINES:
+        errors.append(f"unknown engine {engine!r}; have {ENGINES}")
 
 
 def _positive_bandwidth(errors: List[str], value: Optional[float]) -> None:
@@ -214,8 +215,8 @@ class BindingSweepRequest(Request):
     (one :class:`~repro.simulator.sweep.BindingResult` row per distinct
     point); a single-point request with ``engine="cycle"`` is the
     differential one-shot the CLI's ``repro simulate`` comparison runs.
-    Points run on the vector engine's chunk fold unless ``engine`` asks
-    for the event core or the cycle oracle.
+    Points run on the vector engine's chunk fold (``engine=None``, the
+    default, or ``"vector"``) unless ``engine`` asks for the cycle oracle.
     """
 
     KIND = "binding"
@@ -225,7 +226,7 @@ class BindingSweepRequest(Request):
     array_dims: Tuple[int, ...] = DEFAULT_SWEEP_ARRAY_DIMS
     embeddings: Tuple[int, ...] = (64,)
     pe_1d_dims: Tuple[Optional[int], ...] = (None,)
-    engine: str = "vector"
+    engine: Optional[str] = None
 
     def rule_violations(self) -> List[str]:
         errors: List[str] = []
@@ -240,8 +241,7 @@ class BindingSweepRequest(Request):
             for binding in self.bindings
             if binding not in BINDINGS
         )
-        if self.engine not in ENGINES:
-            errors.append(f"unknown engine {self.engine!r}; have {ENGINES}")
+        _known_engine(errors, self.engine)
         return errors
 
 
@@ -279,7 +279,7 @@ class ScenarioRequest(Request):
     buffer_bytes: Optional[float] = None
     qos: str = "uniform"
     binding: str = "both"
-    engine: str = "event"
+    engine: Optional[str] = None
     profile: bool = False
     scenarios: Optional[Tuple[Scenario, ...]] = None
 
@@ -345,8 +345,7 @@ class ScenarioRequest(Request):
             # The serial discipline issues one task per resource; slots
             # only parameterize the interleaved round-robin.
             errors.append("slots applies to the interleaved binding only")
-        if self.engine not in ENGINES:
-            errors.append(f"unknown engine {self.engine!r}; have {ENGINES}")
+        _known_engine(errors, self.engine)
         for name in (
             "batch",
             "heads",
@@ -585,7 +584,7 @@ class ServeRequest(Request):
     chips: Optional[int] = None
     link_bw: Optional[float] = None
     link_latency: Optional[int] = None
-    engine: str = "event"
+    engine: Optional[str] = None
 
     def rule_violations(self) -> List[str]:
         errors: List[str] = []
@@ -594,9 +593,8 @@ class ServeRequest(Request):
         if self.engine == "cycle":
             # Serving batches re-simulate per admission window; the
             # serial oracle is a differential tool, not a serving core.
-            errors.append("serve supports engines ('event', 'vector')")
-        elif self.engine not in ENGINES:
-            errors.append(f"unknown engine {self.engine!r}; have {ENGINES}")
+            errors.append("serve runs on the vector engine only")
+        _known_engine(errors, self.engine)
         if self.rate is not None and not self.rate > 0:
             errors.append(f"rate must be > 0, got {self.rate}")
         if self.trace is not None:
@@ -694,6 +692,7 @@ class ClusterRequest(Request):
     :class:`~repro.cluster.ClusterPoint` per combination.  A ``None``
     link bandwidth leaves the interconnect unmodeled — collectives cost
     nothing, the degenerate baseline every sweep should include.
+    ``engine=None`` (the default) runs the vector engine.
     """
 
     KIND = "cluster"
@@ -715,7 +714,7 @@ class ClusterRequest(Request):
     link_bws: Tuple[Optional[float], ...] = (None,)
     link_latency: int = 0
     topology: str = "all-to-all"
-    engine: str = "event"
+    engine: Optional[str] = None
 
     def rule_violations(self) -> List[str]:
         errors: List[str] = []
@@ -740,8 +739,7 @@ class ClusterRequest(Request):
             errors.append(f"unknown binding {self.binding!r}; have {BINDINGS}")
         if self.binding == "tile-serial" and self.slots is not None:
             errors.append("slots applies to the interleaved binding only")
-        if self.engine not in ENGINES:
-            errors.append(f"unknown engine {self.engine!r}; have {ENGINES}")
+        _known_engine(errors, self.engine)
         _positive_axis(errors, "chips", self.chips)
         if not self.shardings:
             errors.append("shardings must name at least one policy")

@@ -97,15 +97,14 @@ class Result:
 
 def _binding_tasks(request: BindingSweepRequest) -> List[Any]:
     """The runtime tasks of one binding sweep — always derived through
-    :func:`repro.runtime.executor.binding_grid` so every path (event,
-    cycle oracle, pooled gather) shares one grid order and dedup."""
+    :func:`repro.runtime.executor.binding_grid` so every path (pooled
+    run or gather, cycle oracle) shares one grid order and dedup."""
     return _runtime.binding_grid(
         request.chunks,
         request.bindings,
         request.array_dims,
         request.embeddings,
         request.pe_1d_dims,
-        engine=request.engine,
     )
 
 
@@ -384,26 +383,16 @@ class Session:
         return buffer.getvalue()
 
     def _run_binding_sweep(self, request: BindingSweepRequest) -> Dict:
-        if request.engine == "cycle":
-            # Differential oracle runs stay serial and uncached, so a
-            # cached event result can never masquerade as a cycle run.
-            return {
-                _point_key(task.config): evaluate_binding_point(task.config, engine="cycle")
-                for task in _binding_tasks(request)
-            }
-        return _runtime.sweep_bindings(
-            request.chunks,
-            request.bindings,
-            request.array_dims,
-            embeddings=request.embeddings,
-            pe_1d_dims=request.pe_1d_dims,
-            jobs=self.jobs,
-            cache=self._cache_arg(),
-            registry=self.registry,
-            engine=request.engine,
-        )
+        # Only cycle-oracle runs get here (the rest lower): they stay
+        # serial and uncached, so a cached result can never masquerade
+        # as a cycle run.
+        return {
+            _point_key(task.config): evaluate_binding_point(task.config, engine="cycle")
+            for task in _binding_tasks(request)
+        }
 
     def _run_scenario(self, request: ScenarioRequest) -> Dict:
+        # Only profiled and cycle-oracle runs get here (the rest lower).
         scenarios = request.build_scenarios()
         if request.profile:
             # Profiling is a measurement of *this* process doing the
@@ -412,20 +401,14 @@ class Session:
             payload: Dict = {}
             profiles = []
             for scenario in scenarios:
-                result, prof = profile_scenario_point(scenario, engine=request.engine)
+                result, prof = profile_scenario_point(
+                    scenario, engine=request.engine or "vector"
+                )
                 payload[scenario] = result
                 profiles.append(prof)
             self._last_profiles = tuple(profiles)
             return payload
-        if request.engine == "cycle":
-            return {s: evaluate_scenario_point(s, engine="cycle") for s in scenarios}
-        return _runtime.sweep_scenarios(
-            scenarios,
-            jobs=self.jobs,
-            cache=self._cache_arg(),
-            registry=self.registry,
-            engine=request.engine,
-        )
+        return {s: evaluate_scenario_point(s, engine="cycle") for s in scenarios}
 
     # -- batched heterogeneous execution -----------------------------------
 
@@ -452,7 +435,7 @@ class Session:
             and not request.profile
         ):
             scenarios = request.build_scenarios()
-            tasks = _runtime.scenario_grid(scenarios, engine=request.engine)
+            tasks = _runtime.scenario_grid(scenarios)
 
             def assemble_scenarios(results: List[Any]) -> Dict:
                 return dict(zip(scenarios, results))
@@ -461,11 +444,9 @@ class Session:
         if isinstance(request, ScenarioGridRequest):
             return _runtime.scenario_grid_tasks(request.cells()), list
         if isinstance(request, ClusterRequest) and request.engine != "cycle":
-            return _runtime.cluster_grid(
-                request.build_points(), engine=request.engine
-            ), list
+            return _runtime.cluster_grid(request.build_points()), list
         if isinstance(request, ServeRequest):
-            tasks = _runtime.serving_grid([request.build_spec()], engine=request.engine)
+            tasks = _runtime.serving_grid([request.build_spec()])
 
             def assemble_serving(results: List[Any]) -> Any:
                 return results[0]

@@ -18,7 +18,7 @@ Commands:
   (``3pass``, ``3pass-divopt``, ``2pass``, ``1pass``, ``causal``,
   ``sigmoid``).
 - ``simulate``          — run the binding pipeline simulation
-  (``--engine event|cycle|vector``), ``--sweep`` to scan chunk counts ×
+  (``--engine vector|cycle``), ``--sweep`` to scan chunk counts ×
   bindings × array dims × 1D lanes × embeddings and emit utilization
   vs sequence length (``--format table|csv|json``), or ``--scenario``
   to schedule N (batch, head) instances contending for the shared
@@ -68,6 +68,7 @@ from . import __version__
 from .analysis import count_passes, live_footprints
 from .analysis.taxonomy import attention_rank_family, build_taxonomy
 from .api import (
+    ENGINES,
     GRID_EXPERIMENTS,
     GRID_KINDS,
     BindingSweepRequest,
@@ -494,12 +495,6 @@ def _simulate_flag_errors(args):
     return errors
 
 
-def _engine_arg(args):
-    """``--engine`` as a request keyword: none when the flag is absent,
-    so each mode runs its request's default engine."""
-    return {} if args.engine is None else {"engine": args.engine}
-
-
 def _cmd_simulate(args) -> int:
     errors = _simulate_flag_errors(args)
     if errors:
@@ -513,7 +508,7 @@ def _cmd_simulate(args) -> int:
     chunks = 32 if args.chunks is None else args.chunks
     array_dim = 256 if args.array_dim is None else args.array_dim
     result = _run_validated(_session(args), BindingSweepRequest(
-        chunks=(chunks,), array_dims=(array_dim,), **_engine_arg(args),
+        chunks=(chunks,), array_dims=(array_dim,), engine=args.engine,
     ))
     if result is None:
         return 2
@@ -526,9 +521,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_simulate_sweep(args) -> int:
     """The long-sequence binding sweep through the parallel runtime."""
     if args.engine == "cycle":
-        print("--sweep runs the folded vector core (default) or the "
-              "event-driven core; the cycle oracle cannot reach the "
-              "long-sequence points", file=sys.stderr)
+        print("--sweep runs the folded vector core; the cycle oracle "
+              "cannot reach the long-sequence points", file=sys.stderr)
         return 2
     axes = {}
     for field, flag, text in (
@@ -543,7 +537,7 @@ def _cmd_simulate_sweep(args) -> int:
                 return 2
             axes[field] = values
     result = _run_validated(_session(args),
-                            BindingSweepRequest(**_engine_arg(args), **axes))
+                            BindingSweepRequest(engine=args.engine, **axes))
     if result is None:
         return 2
     render = {"table": sweep_table, "csv": sweep_csv, "json": sweep_json}
@@ -587,7 +581,7 @@ def _cmd_simulate_scenario(args) -> int:
         decode_chunks=args.decode_chunks, dram_bw=args.dram_bw,
         buffer_bytes=args.buffer_bytes,
         qos="uniform" if args.qos is None else args.qos,
-        binding=args.binding, profile=args.profile, **_engine_arg(args),
+        binding=args.binding, profile=args.profile, engine=args.engine,
     ))
     if result is None:
         return 2
@@ -633,7 +627,7 @@ def _cmd_serve(args) -> int:
         dram_bw=args.dram_bw, buffer_bytes=args.buffer_bytes,
         qos="uniform" if args.qos is None else args.qos,
         chips=args.chips, link_bw=args.link_bw,
-        link_latency=args.link_latency, engine=args.engine,
+        link_latency=args.link_latency,
     )
     if args.trace is not None:
         try:
@@ -855,13 +849,12 @@ def main(argv=None) -> int:
         help="PE-array dimension (1D array sized to match; default 256)",
     )
     simulate.add_argument(
-        "--engine", choices=("event", "cycle", "vector"), default=None,
-        help="scheduler core: the event-driven core, the cycle-accurate "
-             "oracle, or the vectorized folding core — results are "
-             "identical.  Default: vector for the one-shot comparison "
-             "and --sweep (which fold each binding graph along its "
-             "chunk axis), event for --scenario.  --sweep accepts "
-             "event and vector",
+        "--engine", choices=ENGINES, default="vector",
+        help="scheduler core: vector (default) folds each binding graph "
+             "along its chunk axis and each scenario into counted "
+             "instance classes; cycle is the cycle-accurate oracle, "
+             "serial and uncached, with identical results (not with "
+             "--sweep)",
     )
     simulate.add_argument(
         "--sweep", action="store_true",
@@ -1059,11 +1052,6 @@ def main(argv=None) -> int:
         help="per-gather hop latency in cycles (default 0)",
     )
     serve.add_argument(
-        "--engine", choices=("event", "vector"), default="event",
-        help="scheduler core for each admission window (results are "
-             "identical; vector folds symmetric in-flight requests)",
-    )
-    serve.add_argument(
         "--format", choices=("table", "csv", "json"), default=None,
         help="output format (default: table)",
     )
@@ -1154,9 +1142,10 @@ def main(argv=None) -> int:
         help="interconnect topology (default: all-to-all)",
     )
     cluster.add_argument(
-        "--engine", choices=("event", "cycle", "vector"), default="event",
-        help="scheduler core (results are identical; the cycle oracle "
-             "runs serial and uncached)",
+        "--engine", choices=ENGINES, default="vector",
+        help="scheduler core: vector (default) folds each sharded "
+             "scenario; cycle is the cycle-accurate oracle, serial and "
+             "uncached, with identical results",
     )
     cluster.add_argument(
         "--format", choices=("table", "csv", "json"), default=None,

@@ -4,7 +4,7 @@ The third shared-resource tier (array slots → ``dram`` → ``link``): a
 frozen :class:`ClusterSpec` plus a sharding policy lower a
 :class:`~repro.workloads.scenario.Scenario` to per-chip task graphs
 whose cross-chip output exchanges become collective tasks arbitrating
-one shared ``link`` resource — ordinary graph structure, so all three
+one shared ``link`` resource — ordinary graph structure, so both
 scheduling engines run cluster graphs bit-identically with zero engine
 changes, and a 1-chip cluster degenerates byte-for-byte to the
 unsharded scenario.

@@ -9,7 +9,7 @@ work, its resources renamed ``c<k>:2d`` / ``c<k>:1d`` / ``c<k>:io`` /
 — and the cross-chip output exchange becomes an explicit *collective*
 task (``AG``, an all-gather) on the one shared ``link`` resource,
 emitted exactly the way :func:`~repro.simulator.engine.lower_dram`
-emits transfers: as ordinary graph structure, so all three engines run
+emits transfers: as ordinary graph structure, so both engines run
 cluster graphs bit-identically with zero engine changes.
 
 Sharding (:data:`~repro.cluster.spec.SHARDINGS`) decides how a phase's
@@ -299,20 +299,20 @@ def schedule_cluster_tasks(
     spec: ClusterSpec,
     sharding: str,
     tasks: Optional[List[Task]] = None,
-    engine: str = "event",
+    engine: str = "vector",
 ) -> SimResult:
     """Schedule ``scenario`` sharded over ``spec`` on ``engine``.
 
     Mirrors :func:`~repro.simulator.pipeline.schedule_scenario_tasks`:
     ``engine="vector"`` folds the template classes (:func:`fold_cluster`)
     and never builds the merged list, so it takes no ``tasks``; the
-    other engines schedule ``tasks``, the graph
+    cycle oracle schedules ``tasks``, the graph
     :func:`build_cluster_tasks` returns, under the scenario's binding
     discipline with the same total-duration cycle budget."""
     if (engine == "vector") != (tasks is None):
         raise ValueError(
             "engine='vector' schedules the folded cluster and takes no task "
-            "list; the other engines schedule a built one"
+            "list; the cycle oracle schedules a built one"
         )
     if engine == "vector":
         return run_folded(
@@ -332,7 +332,7 @@ def cluster_sim(
     scenario: Scenario,
     spec: ClusterSpec,
     sharding: str = "head",
-    engine: str = "event",
+    engine: str = "vector",
 ) -> Tuple[List[Task], SimResult]:
     """Build and schedule ``scenario`` sharded over ``spec``; returns
     (tasks, result).  The vector engine schedules the fold, not the

@@ -198,7 +198,7 @@ def cluster_fields_for(results: Sequence[ClusterResult]) -> Tuple[str, ...]:
 
 
 def evaluate_cluster_point(
-    point: ClusterPoint, engine: str = "event"
+    point: ClusterPoint, engine: str = "vector"
 ) -> ClusterResult:
     """Schedule one sharded cluster graph and measure utilizations —
     the worker function behind the runtime's ``"cluster"`` task kind."""

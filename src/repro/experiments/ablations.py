@@ -81,11 +81,11 @@ def buffer_capacity(
 
 
 def interleaving(
-    chunks: int = 32, engine: str = "event"
+    chunks: int = 32, engine: str = "vector"
 ) -> Dict[str, Tuple[float, float]]:
     """(util_2d, util_1d) per binding from the binding simulator.
 
-    Runs on the event-driven core by default; ``engine="cycle"`` replays
+    Runs on the vector engine's chunk fold by default; ``engine="cycle"`` replays
     the same schedule on the cycle-accurate oracle (identical numbers).
     """
     reports = compare_bindings(PipelineConfig(chunks=chunks), engine=engine)

@@ -182,7 +182,7 @@ def analytical_scenario(scenario: Scenario) -> ScenarioEstimate:
     )
 
 
-def evaluate_grid_cell(cell: "ScenarioGridCell", engine: str = "event") -> "ScenarioGridResult":
+def evaluate_grid_cell(cell: "ScenarioGridCell") -> "ScenarioGridResult":
     """Evaluate one scenario-grid cell: simulate the merged schedule and
     join the closed-form analytical estimate of the same scenario.
 
@@ -194,7 +194,7 @@ def evaluate_grid_cell(cell: "ScenarioGridCell", engine: str = "event") -> "Scen
     """
     from ..simulator.sweep import ScenarioGridResult, evaluate_scenario_point
 
-    sim = evaluate_scenario_point(cell.scenario, engine=engine)
+    sim = evaluate_scenario_point(cell.scenario)
     estimate = analytical_scenario(cell.scenario)
     return ScenarioGridResult(
         model=cell.model,

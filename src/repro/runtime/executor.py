@@ -102,18 +102,9 @@ class EvalTask:
     model: Optional[ModelConfig]
     seq_len: int
     batch: int = BATCH_SIZE
-    #: Scheduling core for simulation-backed kinds.  Deliberately NOT
-    #: part of :meth:`fingerprint`: all engines are bit-identical, so a
-    #: result cached under one engine is the result of every engine —
-    #: cache keys and registry digests stay engine-agnostic.
-    engine: str = "event"
 
     def fingerprint(self, memo: Optional[Dict[int, Any]] = None) -> Dict[str, Any]:
         """The cache-key fields identifying this evaluation.
-
-        ``engine`` is intentionally absent — the cores are bit-identical
-        (differentially enforced), so the engine choice is an execution
-        detail, not part of the result's identity.
 
         ``memo`` (keyed by object id) lets a sweep canonicalize each of
         its shared config/model objects once instead of per grid point;
@@ -145,15 +136,15 @@ def evaluate_task(task: EvalTask) -> Any:
     if task.kind == "pareto":
         return design_point(task.model, task.config, task.seq_len, task.batch)
     if task.kind == "binding":
-        return evaluate_binding_point(task.config, engine=task.engine)
+        return evaluate_binding_point(task.config)
     if task.kind == "scenario":
-        return evaluate_scenario_point(task.config, engine=task.engine)
+        return evaluate_scenario_point(task.config)
     if task.kind == "scenario_grid":
-        return evaluate_grid_cell(task.config, engine=task.engine)
+        return evaluate_grid_cell(task.config)
     if task.kind == "serve":
-        return simulate_serving(task.config, engine=task.engine)
+        return simulate_serving(task.config)
     if task.kind == "cluster":
-        return evaluate_cluster_point(task.config, engine=task.engine)
+        return evaluate_cluster_point(task.config)
     raise ValueError(f"unknown task kind {task.kind!r}; have {KINDS}")
 
 
@@ -661,7 +652,6 @@ def binding_grid(
     array_dims: Sequence[int] = DEFAULT_SWEEP_ARRAY_DIMS,
     embeddings: Sequence[int] = (64,),
     pe_1d_dims: Sequence[Optional[int]] = (None,),
-    engine: str = "vector",
 ) -> List[EvalTask]:
     """The (array dim, 1D lanes, embedding, binding, chunk count)
     simulation grid, in presentation order: utilization-vs-length curves
@@ -688,9 +678,7 @@ def binding_grid(
                         if key in seen:
                             continue
                         seen.add(key)
-                        tasks.append(
-                            EvalTask("binding", point, None, point.chunks * dim, engine=engine)
-                        )
+                        tasks.append(EvalTask("binding", point, None, point.chunks * dim))
     return tasks
 
 
@@ -712,35 +700,29 @@ def sweep_bindings(
     retry: Optional[RetryPolicy] = None,
     on_error: str = "raise",
     faults: Optional[FaultPlan] = None,
-    engine: str = "vector",
 ) -> Dict[Tuple[str, int, int, int, int], Any]:
     """Binding-simulation results over the long-sequence grid, keyed by
     ``(binding, chunks, array_dim, pe_1d, embedding)``.
 
-    Each point schedules the Fig. 4/5 task graph at its chunk count,
-    by default on the vector engine's chunk fold
+    Each point schedules the Fig. 4/5 task graph at its chunk count on
+    the vector engine's chunk fold
     (:func:`~repro.simulator.pipeline.schedule_binding`); points fan out
     over processes and reuse the content-addressed cache exactly like
     the figure grids.  The
     ``array_dims``, ``pe_1d_dims``, and ``embeddings`` axes sweep
     independently.
     """
-    tasks = binding_grid(chunks, bindings, array_dims, embeddings, pe_1d_dims, engine=engine)
+    tasks = binding_grid(chunks, bindings, array_dims, embeddings, pe_1d_dims)
     results = _sweep(tasks, "binding", jobs, cache, registry, retry, on_error, faults)
     return {_binding_key(task.config): result for task, result in zip(tasks, results)}
 
 
-def scenario_grid(scenarios: Sequence[Scenario], engine: str = "event") -> List[EvalTask]:
+def scenario_grid(scenarios: Sequence[Scenario]) -> List[EvalTask]:
     """One runtime task per scenario (kind ``"scenario"``).
 
     The whole :class:`Scenario` rides in ``config``, so the cache key
-    covers every field — instances, phase mix, binding, array dims.
-    ``engine`` picks the scheduling core but never enters the cache key
-    (engines are bit-identical)."""
-    return [
-        EvalTask("scenario", scenario, None, scenario.seq_len, engine=engine)
-        for scenario in scenarios
-    ]
+    covers every field — instances, phase mix, binding, array dims."""
+    return [EvalTask("scenario", scenario, None, scenario.seq_len) for scenario in scenarios]
 
 
 def sweep_scenarios(
@@ -752,7 +734,6 @@ def sweep_scenarios(
     retry: Optional[RetryPolicy] = None,
     on_error: str = "raise",
     faults: Optional[FaultPlan] = None,
-    engine: str = "event",
 ) -> Dict[Scenario, Any]:
     """Merged-schedule simulation of each scenario, keyed by the
     :class:`Scenario` itself.
@@ -762,27 +743,22 @@ def sweep_scenarios(
     alike may still differ in array dims, slots, or phase mix — keying
     on the object means no computed result can ever be silently
     shadowed.  Each point schedules one scenario's full multi-(batch,
-    head) task graph on the event-driven core; points fan out over
+    head) task graph on the vector engine's fold; points fan out over
     processes and content-address into the cache like every other
     grid."""
-    tasks = scenario_grid(scenarios, engine=engine)
+    tasks = scenario_grid(scenarios)
     results = _sweep(tasks, "scenario", jobs, cache, registry, retry, on_error, faults)
     return {task.config: result for task, result in zip(tasks, results)}
 
 
-def scenario_grid_tasks(
-    cells: Sequence[ScenarioGridCell], engine: str = "event"
-) -> List[EvalTask]:
+def scenario_grid_tasks(cells: Sequence[ScenarioGridCell]) -> List[EvalTask]:
     """One runtime task per grid cell (kind ``"scenario_grid"``).
 
     The whole :class:`ScenarioGridCell` rides in ``config``, so the
     cache key covers the scenario *and* its grid coordinates: two cells
     that schedule the same scenario under different coordinates stay
     distinct cache entries, and a relabel can never shadow a row."""
-    return [
-        EvalTask("scenario_grid", cell, None, cell.scenario.seq_len, engine=engine)
-        for cell in cells
-    ]
+    return [EvalTask("scenario_grid", cell, None, cell.scenario.seq_len) for cell in cells]
 
 
 def sweep_scenario_grid(
@@ -794,28 +770,28 @@ def sweep_scenario_grid(
     retry: Optional[RetryPolicy] = None,
     on_error: str = "raise",
     faults: Optional[FaultPlan] = None,
-    engine: str = "event",
 ) -> List[Any]:
     """Evaluate a scenario grid cell-by-cell through the runtime.
 
     Returns :class:`~repro.simulator.sweep.ScenarioGridResult` rows
     index-aligned with ``cells`` (the cell itself is the identity, so no
-    keyed merge can shadow a row).  Each cell schedules its merged
-    multi-instance graph on the event core and joins the analytical
-    estimate; cells fan out over processes and content-address into the
-    cache under the ``"scenario_grid"`` task kind."""
-    tasks = scenario_grid_tasks(cells, engine=engine)
+    keyed merge can shadow a row).  Each cell schedules its
+    multi-instance scenario on the vector engine's fold and joins the
+    analytical estimate; cells fan out over processes and
+    content-address into the cache under the ``"scenario_grid"`` task
+    kind."""
+    tasks = scenario_grid_tasks(cells)
     return _sweep(tasks, "scenario_grid", jobs, cache, registry, retry, on_error, faults)
 
 
-def serving_grid(specs: Sequence[ServingSpec], engine: str = "event") -> List[EvalTask]:
+def serving_grid(specs: Sequence[ServingSpec]) -> List[EvalTask]:
     """One runtime task per serving workload (kind ``"serve"``).
 
     The whole :class:`~repro.serving.ServingSpec` rides in ``config``,
     so the cache key covers the full arrival trace alongside the array
     configuration, window, and deadline — replaying a seeded trace hits
     the cache, changing any arrival misses it."""
-    return [EvalTask("serve", spec, None, spec.seq_len, engine=engine) for spec in specs]
+    return [EvalTask("serve", spec, None, spec.seq_len) for spec in specs]
 
 
 def sweep_serving(
@@ -827,7 +803,6 @@ def sweep_serving(
     retry: Optional[RetryPolicy] = None,
     on_error: str = "raise",
     faults: Optional[FaultPlan] = None,
-    engine: str = "event",
 ) -> List[Any]:
     """Open-loop serving simulation of each spec, index-aligned.
 
@@ -836,11 +811,11 @@ def sweep_serving(
     latency-vs-load curve.  Points fan out over processes and
     content-address into the cache under the ``"serve"`` task kind, so
     rerunning a seeded sweep is a pure cache read."""
-    tasks = serving_grid(specs, engine=engine)
+    tasks = serving_grid(specs)
     return _sweep(tasks, "serve", jobs, cache, registry, retry, on_error, faults)
 
 
-def cluster_grid(points: Sequence[ClusterPoint], engine: str = "event") -> List[EvalTask]:
+def cluster_grid(points: Sequence[ClusterPoint]) -> List[EvalTask]:
     """One runtime task per cluster point (kind ``"cluster"``).
 
     The whole :class:`~repro.cluster.ClusterPoint` — scenario, frozen
@@ -848,10 +823,7 @@ def cluster_grid(points: Sequence[ClusterPoint], engine: str = "event") -> List[
     ``config``, so the cache key covers every axis a cluster sweep
     varies: chip count, link bandwidth and latency, topology, sharding,
     and the full workload underneath."""
-    return [
-        EvalTask("cluster", point, None, point.scenario.seq_len, engine=engine)
-        for point in points
-    ]
+    return [EvalTask("cluster", point, None, point.scenario.seq_len) for point in points]
 
 
 def sweep_cluster(
@@ -863,7 +835,6 @@ def sweep_cluster(
     retry: Optional[RetryPolicy] = None,
     on_error: str = "raise",
     faults: Optional[FaultPlan] = None,
-    engine: str = "event",
 ) -> List[Any]:
     """Sharded cluster simulation of each point, index-aligned.
 
@@ -873,7 +844,7 @@ def sweep_cluster(
     curves.  Points fan out over processes and content-address into the
     cache under the ``"cluster"`` task kind, so rerunning a sweep is a
     pure cache read."""
-    tasks = cluster_grid(points, engine=engine)
+    tasks = cluster_grid(points)
     return _sweep(tasks, "cluster", jobs, cache, registry, retry, on_error, faults)
 
 

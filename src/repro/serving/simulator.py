@@ -26,7 +26,7 @@ structure:
   request equals lowering the merged graph).
 
 Everything else — array-slot contention, issue disciplines, DRAM
-bandwidth arbitration, the event/cycle engine equivalence — applies to
+bandwidth arbitration, the vector/cycle engine equivalence — applies to
 the dynamic population unchanged, because the population *is* a static
 graph once the clock chain encodes time.
 
@@ -402,7 +402,7 @@ def build_serving_tasks(spec: ServingSpec) -> Tuple[List[Task], List[RequestPlan
 
 
 def serving_sim(
-    spec: ServingSpec, engine: str = "event"
+    spec: ServingSpec, engine: str = "vector"
 ) -> Tuple[List[Task], List[RequestPlan], SimResult]:
     """Build and schedule ``spec``'s serving graph."""
     tasks, plans = build_serving_tasks(spec)
@@ -420,7 +420,7 @@ def serving_sim(
     return tasks, plans, sim.run(max_cycles=budget)
 
 
-def simulate_serving(spec: ServingSpec, engine: str = "event") -> ServingResult:
+def simulate_serving(spec: ServingSpec, engine: str = "vector") -> ServingResult:
     """Schedule one serving workload and reduce it to SLO metrics."""
     if spec.arrivals:
         tasks, plans, result = serving_sim(spec, engine=engine)

@@ -28,21 +28,21 @@ aggregate traffic exceeds the link.  ``dram_bw=None`` leaves the graph
 untouched (bit-identical to pre-bandwidth schedules), and ``math.inf``
 lowers every transfer to zero cycles — also the untouched graph.
 
-Three interchangeable cores execute the schedule:
+Two engines execute the schedule, and both produce bit-identical
+:class:`SimResult` values on every task graph:
 
-- ``engine="event"`` (default) — the event-driven scheduler in
-  :mod:`.events`, which jumps straight from completion to completion in
-  O(tasks) steps; this is what makes long-sequence sweeps tractable.
-- ``engine="vector"`` — the int-lowered event core in :mod:`.vector`;
-  through :func:`~repro.simulator.pipeline.schedule_scenario_tasks` it
-  adds symmetry folding, which schedules a scenario's counted instance
-  classes without building its merged graph and replays recurring
-  windows of the schedule arithmetically instead of simulating them.
-  :func:`~repro.simulator.pipeline.schedule_binding` folds a binding
-  graph the same way along its chunk axis.
+- ``engine="vector"`` (default) — the production scheduler.  A flat
+  task list (a serving graph, a plain ``Simulator``) runs on the
+  closed-form event core in :mod:`.events`, which jumps straight from
+  completion to completion in O(tasks) steps.  Scenario, cluster and
+  binding points never build a flat list: through
+  :func:`~repro.simulator.pipeline.schedule_scenario_tasks` and
+  :func:`~repro.simulator.pipeline.schedule_binding` they are folded
+  into counted instance classes and scheduled by
+  :func:`~repro.simulator.vector.run_folded`, which replays recurring
+  windows of the same closed form arithmetically.
 - ``engine="cycle"`` — the original cycle-by-cycle loop below, kept as
-  the differential oracle: all cores produce bit-identical
-  :class:`SimResult` values on every task graph.
+  the differential oracle.
 """
 
 from __future__ import annotations
@@ -57,6 +57,16 @@ DRAM_RESOURCE = "dram"
 
 #: Name suffix of the transfer task that gates a traffic-carrying task.
 _DRAM_SUFFIX = "@dram"
+
+#: Scheduling cores a :class:`Simulator` (and every request) may name:
+#: the production scheduler, then the cycle-accurate oracle.  Requests
+#: run the oracle serially and uncached, so a cached result can never
+#: masquerade as a differential run.
+ENGINES: Tuple[str, ...] = ("vector", "cycle")
+
+#: Error text every core raises on deadlock or an exceeded budget, so
+#: callers can match any of them.
+DEADLOCK = "simulation exceeded max_cycles (deadlock?)"
 
 
 @dataclass
@@ -117,8 +127,8 @@ def lower_dram(
     window gains dependencies on the *oldest* residents' consumers — it
     cannot start until their buffer space frees — and evicts them from
     the window.  The bound is thus ordinary graph structure: every dep
-    points backward in program order (acyclic, deadlock-free) and all
-    three engines schedule it with zero changes.  ``buffer_bytes=None``
+    points backward in program order (acyclic, deadlock-free) and both
+    engines schedule it with zero changes.  ``buffer_bytes=None``
     and ``math.inf`` leave every transfer dependency-free, reproducing
     the unbounded lowering exactly.
 
@@ -156,6 +166,20 @@ def lower_dram(
         lowered.append(Task(transfer, DRAM_RESOURCE, cycles, evicted))
         lowered.append(replace(task, deps=task.deps + (transfer,)))
     return lowered
+
+
+def task_index(tasks: Sequence[Task], what: str = "the task graph") -> Dict[str, int]:
+    """Each task's position in program order, by name.
+
+    The one duplicate-name check every scheduling entry point shares
+    (:class:`Simulator`, and the fold lowerings in :mod:`.vector`):
+    names are the only handle deps have on tasks, so a repeated name
+    would silently alias two tasks.
+    """
+    index = {t.name: i for i, t in enumerate(tasks)}
+    if len(index) != len(tasks):
+        raise ValueError(f"duplicate task names in {what}")
+    return index
 
 
 @dataclass(frozen=True)
@@ -204,21 +228,21 @@ def _dependency_frontier(tasks: Sequence[Task], resources: Sequence[str]):
 
 
 class Simulator:
-    """Executes a task graph on one of the two interchangeable cores."""
+    """Executes a task graph on the event core or the cycle oracle."""
 
     def __init__(
         self,
         tasks: Sequence[Task],
         mode: str = "interleaved",
         slots: int = 2,
-        engine: str = "event",
+        engine: str = "vector",
         dram_bw: Optional[float] = None,
         buffer_bytes: Optional[float] = None,
     ) -> None:
         if mode not in ("serial", "interleaved"):
             raise ValueError(f"unknown issue mode {mode!r}")
-        if engine not in ("event", "cycle", "vector"):
-            raise ValueError(f"unknown engine {engine!r}")
+        if engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r}; have {ENGINES}")
         if slots < 1:
             raise ValueError(f"slots must be >= 1, got {slots}")
         # A finite dram_bw makes each task's bytes_moved occupy the
@@ -226,13 +250,10 @@ class Simulator:
         # like the PE arrays (the lowering happens before either runs).
         # A finite buffer_bytes additionally bounds prefetch depth.
         tasks = lower_dram(tasks, dram_bw, buffer_bytes)
-        names = [t.name for t in tasks]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate task names")
-        by_name = {t.name: t for t in tasks}
+        index = task_index(tasks)
         for task in tasks:
             for dep in task.deps:
-                if dep not in by_name:
+                if dep not in index:
                     raise ValueError(f"task {task.name}: unknown dep {dep!r}")
         self.tasks = list(tasks)
         self.mode = mode
@@ -243,15 +264,11 @@ class Simulator:
 
     def run(self, max_cycles: int = 10_000_000) -> SimResult:
         """Simulate to completion; returns makespan and busy counts."""
-        if self.engine == "event":
-            from .events import run_event_driven
+        if self.engine == "cycle":
+            return self._run_cycles(max_cycles)
+        from .events import run_event_driven
 
-            return run_event_driven(self.tasks, self.slots, max_cycles)
-        if self.engine == "vector":
-            from .vector import run_vectorized
-
-            return run_vectorized(self.tasks, self.slots, max_cycles)
-        return self._run_cycles(max_cycles)
+        return run_event_driven(self.tasks, self.slots, max_cycles)
 
     def _run_cycles(self, max_cycles: int) -> SimResult:
         """The cycle-accurate oracle: one Python iteration per cycle.
@@ -277,7 +294,7 @@ class Simulator:
         cycle = 0
         while len(done) < len(self.tasks):
             if cycle >= max_cycles:
-                raise RuntimeError("simulation exceeded max_cycles (deadlock?)")
+                raise RuntimeError(DEADLOCK)
             completed_this_cycle: List[str] = []
             progressed = False
             for resource in resources:
@@ -302,7 +319,7 @@ class Simulator:
             if not progressed:
                 # Nothing active and nothing ready anywhere: unfinished
                 # tasks wait on deps that can never complete.
-                raise RuntimeError("simulation exceeded max_cycles (deadlock?)")
+                raise RuntimeError(DEADLOCK)
             # Completions become visible to dependents on the next cycle:
             # no same-cycle forwarding across resources.
             for name in completed_this_cycle:

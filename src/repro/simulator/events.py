@@ -5,6 +5,10 @@ iterations per run — fine for the default 32-chunk Fig. 4/5 graph,
 hopeless for long-sequence regimes where M1 reaches the thousands and
 makespans the millions.  This module computes the *same schedule* in
 O(tasks) events by advancing time directly to the next task completion.
+It is what ``engine="vector"`` runs on a flat task list (a serving
+graph, a plain :class:`~repro.simulator.engine.Simulator`);
+:func:`~repro.simulator.vector.run_folded` evaluates the same closed
+form over folded instance classes.
 
 Why a closed form exists
 ------------------------
@@ -56,10 +60,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence
 
-from .engine import SimResult, Task, _dependency_frontier
-
-#: Error text shared with the cycle engine so callers can match either.
-_DEADLOCK = "simulation exceeded max_cycles (deadlock?)"
+from .engine import DEADLOCK, SimResult, Task, _dependency_frontier
 
 
 def run_event_driven(tasks: Sequence[Task], slots: int, max_cycles: int) -> SimResult:
@@ -153,7 +154,7 @@ def run_event_driven(tasks: Sequence[Task], slots: int, max_cycles: int) -> SimR
             if when is not None and (now < 0 or when < now):
                 now = when
         if now < 0 or now > max_cycles:
-            raise RuntimeError(_DEADLOCK)
+            raise RuntimeError(DEADLOCK)
         touched = {r for r in resources if next_done[r] == now}
         finished: List[str] = []
         for resource in touched:

@@ -444,8 +444,8 @@ def apply_buffer_spills(
     Each chunk past the first re-fetches the spilled slice of the
     resident stream; the bytes ride on the chunk's leading 2D task
     (``BQK``/``DQK`` — the tile that consumes the refetched operands),
-    so the inflated traffic flows through :func:`lower_dram` and all
-    three engines identically, and total ``bytes_moved`` is exactly
+    so the inflated traffic flows through :func:`lower_dram` and both
+    engines identically, and total ``bytes_moved`` is exactly
     baseline + :func:`instance_spill_bytes` by construction.  A
     spill-free buffer returns the tasks untouched (the None/inf
     byte-identity contract).
@@ -499,7 +499,7 @@ def _instance_tasks(
     bytes ride on the chunk's leading 2D task (``BQK``/``DQK`` — the
     tile that consumes the refetched operands), so the inflated traffic
     flows through :func:`lower_dram`, :func:`scenario_dram_cycles`, and
-    all three engines identically, and total ``bytes_moved`` is exactly
+    both engines identically, and total ``bytes_moved`` is exactly
     baseline + :func:`instance_spill_bytes` by construction.
     """
     config = instance_config(scenario, phase)
@@ -657,13 +657,13 @@ def fold_binding(config: PipelineConfig, binding: str) -> FoldedScenario:
 
 
 def schedule_binding(
-    config: PipelineConfig, binding: str, engine: str = "event"
+    config: PipelineConfig, binding: str, engine: str = "vector"
 ) -> SimResult:
     """Schedule one binding's graph on ``engine``.
 
     ``engine="vector"`` schedules the chunk fold (:func:`fold_binding`)
-    and never builds the ``config.chunks``-chunk task list.  The other
-    engines build it and run it under :func:`_run`'s cycle budget; the
+    and never builds the ``config.chunks``-chunk task list.  The cycle
+    oracle builds it and runs it under :func:`_run`'s cycle budget; the
     fold derives the same budget from its own duration total."""
     serial = _binding_serial(binding)
     if engine == "vector":
@@ -672,7 +672,7 @@ def schedule_binding(
 
 
 def binding_sim(
-    config: PipelineConfig, binding: str, engine: str = "event"
+    config: PipelineConfig, binding: str, engine: str = "vector"
 ) -> Tuple[List[Task], SimResult]:
     """Build and run one binding's task graph; returns (tasks, result).
     The vector engine schedules the chunk fold, not the returned list
@@ -695,7 +695,7 @@ def folded_slots(scenario: Scenario) -> int:
 def schedule_scenario_tasks(
     scenario: Scenario,
     tasks: Optional[List[Task]] = None,
-    engine: str = "event",
+    engine: str = "vector",
 ) -> SimResult:
     """Schedule ``scenario`` on ``engine``.
 
@@ -704,13 +704,13 @@ def schedule_scenario_tasks(
     phase and :func:`~repro.simulator.vector.run_folded` schedules the
     counted classes under the same total-duration cycle budget
     :func:`_run` computes from a task list.  It takes no ``tasks``.
-    The other engines schedule ``tasks``, the merged graph
+    The cycle oracle schedules ``tasks``, the merged graph
     :func:`build_scenario_tasks` returns.
     """
     if (engine == "vector") != (tasks is None):
         raise ValueError(
             "engine='vector' schedules the folded scenario and takes no task "
-            "list; the other engines schedule a built one"
+            "list; the cycle oracle schedules a built one"
         )
     if engine == "vector":
         return run_folded(fold_scenario(scenario), slots=folded_slots(scenario))
@@ -719,7 +719,7 @@ def schedule_scenario_tasks(
 
 
 def scenario_sim(
-    scenario: Scenario, engine: str = "event"
+    scenario: Scenario, engine: str = "vector"
 ) -> Tuple[List[Task], SimResult]:
     """Build ``scenario``'s merged graph and schedule it; returns
     (tasks, result).  The vector engine schedules the fold, not the
@@ -732,10 +732,10 @@ def scenario_sim(
 
 
 def simulate_binding(
-    config: PipelineConfig, binding: str, engine: str = "event"
+    config: PipelineConfig, binding: str, engine: str = "vector"
 ) -> PipelineReport:
     """Simulate one binding (``"tile-serial"`` or ``"interleaved"``)."""
-    _, result = binding_sim(config, binding, engine=engine)
+    result = schedule_binding(config, binding, engine=engine)
     return PipelineReport(
         binding=binding,
         makespan=result.makespan,
@@ -745,7 +745,7 @@ def simulate_binding(
 
 
 def compare_bindings(
-    config: PipelineConfig = PipelineConfig(), engine: str = "event"
+    config: PipelineConfig = PipelineConfig(), engine: str = "vector"
 ) -> Dict[str, PipelineReport]:
     """Fig. 4/5's claim in one call: serial stalls, interleaving saturates."""
     return {

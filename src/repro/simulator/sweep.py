@@ -9,7 +9,7 @@ template chained to chunk ``k-1``, so only the template is built, and a
 tile-serial steady state is replayed instead of simulated.  That opens
 the chunk axis up to the hundreds of thousands of tokens the paper
 targets (chunks ∈ {16 … 8192} at M0 = 256 columns is M up to ~2M); the
-event-driven core gives the same rows.  This module defines the sweep's
+rows equal the event core's on the built graphs.  This module defines the sweep's
 grid points and result rows; the parallel/cached execution lives in
 :func:`repro.runtime.executor.sweep_bindings`, and
 ``repro simulate --sweep`` drives it from the CLI.
@@ -148,9 +148,9 @@ def evaluate_binding_point(
     point: BindingPoint, engine: str = "vector"
 ) -> BindingResult:
     """Simulate one grid point: the vector engine's chunk fold unless a
-    differential run asks for the event core or the cycle oracle.  Only
-    the fold's two-chunk template is built.  The schedule is looked up
-    on the pipeline module at call time, like the scenario path's."""
+    differential run asks for the cycle oracle.  Only the fold's
+    two-chunk template is built.  The schedule is looked up on the
+    pipeline module at call time, like the scenario path's."""
     config = point.config()
     result = pipeline.schedule_binding(config, point.binding, engine=engine)
     makespan = result.makespan
@@ -309,7 +309,7 @@ def _scenario_row(scenario: Scenario, result) -> ScenarioResult:
 
 
 def evaluate_scenario_point(
-    scenario: Scenario, engine: str = "event"
+    scenario: Scenario, engine: str = "vector"
 ) -> ScenarioResult:
     """Schedule one scenario's merged graph and measure utilizations.
 
@@ -332,7 +332,8 @@ class ScenarioProfile:
     On the vector engine the build stage is the fold, and ``events`` /
     ``replayed`` carry :func:`~repro.simulator.vector.run_folded`'s
     counters: concrete events simulated and completions replayed
-    arithmetically, out of ``n_tasks``.  Other engines leave them None.
+    arithmetically, out of ``n_tasks``.  The cycle oracle leaves them
+    None.
     """
 
     scenario: str
@@ -362,7 +363,7 @@ class ScenarioProfile:
 
 
 def profile_scenario_point(
-    scenario: Scenario, engine: str = "event"
+    scenario: Scenario, engine: str = "vector"
 ) -> Tuple[ScenarioResult, ScenarioProfile]:
     """Evaluate one scenario with per-stage wall timing.
 

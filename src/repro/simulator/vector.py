@@ -1,18 +1,10 @@
-"""Vectorized event core with symmetry folding.
+"""Symmetry folding: the ``engine="vector"`` scheduler for scenario,
+cluster and binding points.
 
-Third engine (``engine="vector"``), bit-identical to the cycle oracle
-like :mod:`.events` is, built from two composing attacks:
-
-**Vectorization** (:func:`run_vectorized`) — the ``Task`` list is
-lowered once into numpy arrays (int task ids, durations, resource ids,
-a CSR dependency-adjacency built with ``argsort``/``bincount``/
-``cumsum``) so the per-event bookkeeping runs on machine integers
-instead of str-keyed dicts: pending heaps hold plain ints (program
-order *is* the task id), dependency fan-out walks CSR slices, and the
-closed-form round-robin from :mod:`.events` is evaluated over the whole
-active set at once — as numpy array ops when the set is wide
-(``>= _WIDE``), as an int loop below that, where array-call overhead
-would dominate.
+It evaluates the closed-form round-robin of :mod:`.events` (one event
+per task completion, bit-identical to the cycle oracle) over counted
+instance classes instead of a flat task list, on machine integers:
+program order is the task id, and dependency fan-out walks CSR slices.
 
 **Symmetry folding** (:func:`fold_templates` / :func:`run_folded`) —
 ``build_scenario_tasks`` emits N identical per-instance graphs whose
@@ -33,7 +25,7 @@ arbitration order makes classes diverge.
 Why the replay is exact
 -----------------------
 
-The event engine is deterministic, and every scheduling decision it
+The closed-form core is deterministic, and every scheduling decision it
 makes reduces to comparisons of ``(class, instance, template-task)``
 triples: classes occupy disjoint program-order ranges (so cross-class
 comparisons never flip), and within a class, order shifts uniformly
@@ -137,14 +129,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import SimResult, Task
-
-#: Error text shared with both other engines so callers can match any.
-_DEADLOCK = "simulation exceeded max_cycles (deadlock?)"
-
-#: Active sets at least this wide evaluate the closed-form round-robin
-#: as numpy array ops; below it, scalar ints win on call overhead.
-_WIDE = 32
+from .engine import DEADLOCK, SimResult, Task, task_index
 
 #: Unmatched relative-state snapshots kept before giving up on folding
 #: for the run.  Detection failure costs speed, never correctness.
@@ -156,181 +141,6 @@ _SNAP_CAP = 512
 #: array ahead of a 1D-bound front, say).  Such a window never recurs,
 #: and hashing its state would cost more than it could save.
 _LIVE_CAP = 128
-
-
-def _served_counts(k: int, base: int, quotient: int, extra: int) -> np.ndarray:
-    """Cycles served to each of ``k`` active positions over one window."""
-    served = np.full(k, quotient, dtype=np.int64)
-    served[(np.arange(k) - base) % k < extra] += 1
-    return served
-
-
-def run_vectorized(tasks: Sequence[Task], slots: int, max_cycles: int) -> SimResult:
-    """Event-driven schedule over an int-lowered graph; bit-identical to
-    both other engines on every task graph (same makespan, busy cycles,
-    finish times — same deadlock behaviour too)."""
-    n = len(tasks)
-    names = [t.name for t in tasks]
-    index = {name: i for i, name in enumerate(names)}
-    duration = np.fromiter((t.duration for t in tasks), dtype=np.int64, count=n)
-    resources = sorted({t.resource for t in tasks})
-    res_index = {r: i for i, r in enumerate(resources)}
-    res_of = np.fromiter((res_index[t.resource] for t in tasks), dtype=np.int64, count=n)
-
-    # Readiness semantics mirror _dependency_frontier verbatim on ids:
-    # zero-duration tasks are done at t=0; outstanding counts *unique*
-    # not-yet-done deps; unknown dep names block forever (deadlock).
-    outstanding = [0] * n
-    edges_src: List[int] = []
-    edges_dst: List[int] = []
-    for i, task in enumerate(tasks):
-        if duration[i] == 0:
-            continue
-        waiting = {d for d in task.deps if d not in index or duration[index[d]] != 0}
-        outstanding[i] = len(waiting)
-        for dep in waiting:
-            j = index.get(dep)
-            if j is not None:
-                edges_src.append(j)
-                edges_dst.append(i)
-    src = np.asarray(edges_src, dtype=np.int64)
-    dst = np.asarray(edges_dst, dtype=np.int64)
-    csr_indices = dst[np.argsort(src, kind="stable")]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-
-    # The hot loop runs on plain ints: numpy scalar indexing would cost
-    # more per event than it saves.
-    dur = duration.tolist()
-    res = res_of.tolist()
-    indptr_l = indptr.tolist()
-    indices_l = csr_indices.tolist()
-    total_nonzero = n - int(np.count_nonzero(duration == 0))
-
-    n_res = len(resources)
-    active: List[List[List[int]]] = [[] for _ in range(n_res)]
-    pending: List[List[int]] = [[] for _ in range(n_res)]
-    # Ascending appends form a valid min-heap: program order is the id.
-    for i in np.flatnonzero(duration > 0).tolist():
-        if outstanding[i] == 0:
-            pending[res[i]].append(i)
-    rr = [0] * n_res
-    sync = [0] * n_res
-    next_done: List[Optional[int]] = [None] * n_res
-    busy = [0] * n_res
-    ft = np.zeros(n, dtype=np.int64)
-
-    def advance(resource: int, now: int) -> int:
-        """Apply ``now - sync`` round-robin cycles; return completed id
-        or -1.  The closed form is applied to the whole active set at
-        once — with numpy once the set is wide enough to amortize it."""
-        acts = active[resource]
-        delta = now - sync[resource]
-        sync[resource] = now
-        if not acts or delta == 0:
-            return -1
-        rr[resource] += delta
-        busy[resource] += delta
-        k = len(acts)
-        if k == 1:  # fast path: serial mode / lone active task
-            entry = acts[0]
-            entry[1] -= delta
-            if entry[1] == 0:
-                return acts.pop()[0]
-            return -1
-        quotient, extra = divmod(delta, k)
-        base = rr[resource] - delta
-        completed = -1
-        if k >= _WIDE:
-            rem = np.fromiter((e[1] for e in acts), dtype=np.int64, count=k)
-            rem -= _served_counts(k, base, quotient, extra)
-            done = np.flatnonzero(rem == 0)
-            rem_l = rem.tolist()
-            for j, entry in enumerate(acts):
-                entry[1] = rem_l[j]
-            if done.size:
-                completed = int(done[0])
-        else:
-            for j, entry in enumerate(acts):
-                served = quotient + (1 if (j - base) % k < extra else 0)
-                if served:
-                    entry[1] -= served
-                    if entry[1] == 0:
-                        completed = j
-        if completed < 0:
-            return -1
-        return acts.pop(completed)[0]
-
-    def refill(resource: int) -> None:
-        heap = pending[resource]
-        acts = active[resource]
-        while len(acts) < slots and heap:
-            tid = heappop(heap)
-            acts.append([tid, dur[tid]])
-
-    def completion_time(resource: int) -> Optional[int]:
-        acts = active[resource]
-        if not acts:
-            return None
-        k = len(acts)
-        start = sync[resource]
-        if k == 1:
-            return start + acts[0][1]
-        base = rr[resource]
-        if k >= _WIDE:
-            rem = np.fromiter((e[1] for e in acts), dtype=np.int64, count=k)
-            when = start + (np.arange(k) - base) % k + (rem - 1) * k + 1
-            return int(when.min())
-        best: Optional[int] = None
-        for j, (_, remaining) in enumerate(acts):
-            when = start + (j - base) % k + (remaining - 1) * k + 1
-            if best is None or when < best:
-                best = when
-        return best
-
-    for resource in range(n_res):
-        refill(resource)
-        next_done[resource] = completion_time(resource)
-
-    now = 0
-    completed_count = 0
-    while completed_count < total_nonzero:
-        now = -1
-        for when in next_done:
-            if when is not None and (now < 0 or when < now):
-                now = when
-        if now < 0 or now > max_cycles:
-            raise RuntimeError(_DEADLOCK)
-        touched = {r for r in range(n_res) if next_done[r] == now}
-        finished: List[int] = []
-        for resource in touched:
-            tid = advance(resource, now)
-            if tid < 0:  # pragma: no cover - violated scheduling math
-                raise RuntimeError(f"lost completion on {resources[resource]} at {now}")
-            ft[tid] = now
-            finished.append(tid)
-        completed_count += len(finished)
-        for tid in finished:
-            for j in range(indptr_l[tid], indptr_l[tid + 1]):
-                dependent = indices_l[j]
-                outstanding[dependent] -= 1
-                if outstanding[dependent] == 0:
-                    resource = res[dependent]
-                    heappush(pending[resource], dependent)
-                    touched.add(resource)
-        for resource in touched:
-            leak = advance(resource, now)
-            if leak >= 0:  # pragma: no cover - violated math
-                raise RuntimeError(f"lost completion on {resources[resource]} at {now}")
-            refill(resource)
-            next_done[resource] = completion_time(resource)
-
-    busy_map = {resources[r]: busy[r] for r in range(n_res) if busy[r] > 0}
-    return SimResult(
-        makespan=now,
-        busy_cycles=busy_map,
-        finish_times=dict(zip(names, ft.tolist())),
-    )
 
 
 @dataclass
@@ -393,7 +203,7 @@ class FoldedFinishTimes(Mapping):
     the (hundreds of thousands of) instance-prefixed names are built on
     the first lookup or iteration, so callers that read only the
     makespan and busy cycles never pay for them.  Compares equal to the
-    other engines' plain ``finish_times`` dicts."""
+    plain ``finish_times`` dicts of a flat task list's schedule."""
 
     def __init__(self, classes: Sequence[FoldedClass], ft: np.ndarray) -> None:
         self._classes = classes
@@ -454,13 +264,6 @@ def _dependents(
 
 def _ready(durations: Sequence[int], counts: Sequence[int]) -> List[int]:
     return [i for i, d in enumerate(durations) if d > 0 and counts[i] == 0]
-
-
-def _unique_names(tasks: Sequence[Task], what: str) -> Dict[str, int]:
-    index = {t.name: i for i, t in enumerate(tasks)}
-    if len(index) != len(tasks):
-        raise ValueError(f"duplicate task names in {what}")
-    return index
 
 
 def _template_class(
@@ -526,7 +329,7 @@ def fold_templates(templates: Sequence[Tuple[Sequence[Task], int]]) -> FoldedSce
     res_index = {r: i for i, r in enumerate(resources)}
     classes: List[FoldedClass] = []
     for tasks, count in templates:
-        index = _unique_names(tasks, "a fold template")
+        index = task_index(tasks, "a fold template")
         deps: List[List[int]] = []
         for task in tasks:
             outside = [dep for dep in task.deps if dep not in index]
@@ -554,7 +357,7 @@ def fold_chain(tasks: Sequence[Task], count: int) -> FoldedScenario:
     no dep reaches back further than one instance."""
     if count < 1:
         raise ValueError(f"a chain needs at least one instance, got {count}")
-    _unique_names(tasks, "a chain template")
+    task_index(tasks, "a chain template")
     size, odd = divmod(len(tasks), 2)
     first, second = tasks[:size], tasks[size:]
     mismatch = "chain instance 0 must equal instance 1 minus its lag deps"
@@ -738,7 +541,7 @@ def run_folded(
     """Schedule a folded scenario; bit-identical to running the fully
     materialized graph through any engine.  ``max_cycles`` defaults to
     the graph's makespan bound (total duration + 1), computed from the
-    fold's own duration total — the budget the other engines derive
+    fold's own duration total — the budget a flat schedule derives
     from the merged task list.  The result's ``finish_times`` is a
     :class:`FoldedFinishTimes`: it names tasks only when read.
     ``stats``, when given, receives ``events`` (concrete events
@@ -1030,7 +833,7 @@ def _fold_loop(
                 if when >= 0 and (now < 0 or when < now):
                     now = when
         if now < 0 or now > max_cycles:
-            raise RuntimeError(_DEADLOCK)
+            raise RuntimeError(DEADLOCK)
         events += 1
         touched = {r for r in range(n_res) if next_done[r] == now}
         finished: List[Tuple[int, int]] = []

@@ -76,7 +76,7 @@ def waterfall_text(
 
 
 def binding_waterfall(config, binding: str, width: int = 72,
-                      engine: str = "event") -> str:
+                      engine: str = "vector") -> str:
     """Simulate one binding and render its waterfall in one call."""
     from .pipeline import binding_sim
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.simulator import build_scenario_tasks, build_tasks, run_event_driven
+
 #: Differential-fuzz seed ranges, one disjoint block per generator
 #: family.  Every randomized engine-parity test draws its seeds here so
 #: a new family cannot silently re-run (or shadow) another family's
@@ -37,6 +39,27 @@ def _assert_disjoint(ranges) -> None:
 
 
 _assert_disjoint(FUZZ_SEED_RANGES)
+
+
+def event_schedule(tasks, serial=False, slots=2):
+    """The closed-form event core on a built task list, under the
+    pipeline's total-duration cycle budget: the large-graph reference
+    the folded schedules are checked against."""
+    budget = sum(t.duration for t in tasks) + 1
+    return run_event_driven(tasks, 1 if serial else slots, budget)
+
+
+def event_scenario(scenario):
+    """(tasks, result): ``scenario``'s merged graph on the event core."""
+    tasks = build_scenario_tasks(scenario)
+    return tasks, event_schedule(tasks, scenario.binding == "tile-serial", scenario.slots)
+
+
+def event_binding(config, binding):
+    """(tasks, result): one binding's built graph on the event core."""
+    serial = binding == "tile-serial"
+    tasks = build_tasks(config, serial=serial)
+    return tasks, event_schedule(tasks, serial)
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ Covers the three contracts of ``repro.api``:
 import dataclasses
 
 import pytest
+from conftest import event_scenario
 
 from repro import __version__
 from repro.api import (
@@ -75,6 +76,10 @@ class TestScenarioRequestValidation:
         assert any("unknown model 'GPT'" in e for e in errors)
         assert any("unknown binding 'spiral'" in e for e in errors)
         assert any("unknown engine 'magic'" in e for e in errors)
+        # "event" is no longer an engine name on any request.
+        for cls in (BindingSweepRequest, ScenarioRequest, ServeRequest, ClusterRequest):
+            errors = violations(cls(engine="event"))
+            assert any("unknown engine 'event'" in e for e in errors), cls
 
     def test_explicit_scenarios_exclusive_with_spec_fields(self):
         scenarios = (attention_scenario(2, 4),)
@@ -302,7 +307,7 @@ class TestOtherRequestValidation:
         errors = violations(ServeRequest(rate=1.0, engine="quantum"))
         assert any("unknown engine 'quantum'" in e for e in errors)
         errors = violations(ServeRequest(rate=1.0, engine="cycle"))
-        assert "serve supports engines ('event', 'vector')" in errors
+        assert "serve runs on the vector engine only" in errors
         ServeRequest(rate=1.0, engine="vector").validate()
 
     def test_serve_build_spec_defaults(self):
@@ -477,7 +482,7 @@ SIGNATURE_MUTATIONS = {
         "chips": 4,
         "link_bw": 128.0,
         "link_latency": 8,
-        "engine": "vector",
+        "engine": "cycle",
     },
     ClusterRequest: {
         "model": "BERT",
@@ -497,7 +502,7 @@ SIGNATURE_MUTATIONS = {
         "link_bws": (128.0,),
         "link_latency": 8,
         "topology": "ring",
-        "engine": "vector",
+        "engine": "cycle",
     },
     CrosscheckRequest: {
         "tolerance": 0.1,
@@ -609,10 +614,10 @@ class TestSession:
             assert prof.replay_frac == prof.replayed / prof.n_tasks
             assert f"events={prof.events} replayed={prof.replayed}" in prof.describe()
             assert "replay_frac=" in prof.describe()
-        # Engines without a fold report no fold counters.
-        event = Session(cache=False).run(dataclasses.replace(request, engine="event"))
-        assert event.payload == plain.payload
-        for prof in event.provenance.profiles:
+        # The cycle oracle has no fold, so it reports no fold counters.
+        cycle = Session(cache=False).run(dataclasses.replace(request, engine="cycle"))
+        assert cycle.payload == plain.payload
+        for prof in cycle.provenance.profiles:
             assert prof.events is None and prof.replayed is None
             assert prof.replay_frac == 0.0
             assert "events=" not in prof.describe()
@@ -638,8 +643,13 @@ class TestSession:
         (prof,) = result.provenance.profiles
         assert prof.replayed > prof.events
         assert 0.9 <= prof.replay_frac <= 1.0
-        event = Session(cache=False).run(dataclasses.replace(request, engine="event"))
-        assert result.payload == event.payload
+        (scenario,) = request.build_scenarios()
+        _, event = event_scenario(scenario)
+        row = result.payload[scenario]
+        assert (row.makespan, row.n_tasks) == (event.makespan, len(event.finish_times))
+        assert (row.busy_2d, row.busy_1d, row.busy_io, row.busy_dram) == tuple(
+            event.busy_cycles.get(r, 0) for r in ("2d", "1d", "io", "dram")
+        )
 
     def test_provenance_cache_and_registry(self, tmp_path):
         session = Session(

@@ -26,6 +26,7 @@ changes).  These tests pin the contracts down:
 import math
 
 import pytest
+from conftest import event_scenario
 
 from repro.experiments.crosscheck import capacity_scenarios, crosscheck
 from repro.model.scenario import analytical_scenario
@@ -102,7 +103,7 @@ class TestCapacityIdentity:
             scenario = capacitated(
                 TIGHT_BUF, qos="decode-first", binding=binding,
             )
-            _, event = scenario_sim(scenario, engine="event")
+            _, event = event_scenario(scenario)
             _, cycle = scenario_sim(scenario, engine="cycle")
             _, vector = scenario_sim(scenario, engine="vector")
             assert event == cycle

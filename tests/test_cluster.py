@@ -17,7 +17,7 @@ Five contracts:
   link columns gate independently per batch;
 - **serving bridge** — request-parallel serving degenerates to the
   single-array spec at one chip, spreads compute across chips without
-  changing total work, and keeps all three engines bit-identical.
+  changing total work, and keeps both engines bit-identical.
 """
 
 import json
@@ -416,9 +416,9 @@ class TestClusterRuntime:
         assert any("4 chips" in c for c in record.grid["configs"])
 
     def test_engine_parity_through_the_runtime(self):
-        event = sweep_cluster(self.POINTS, cache=False, engine="event")
-        vector = sweep_cluster(self.POINTS, cache=False, engine="vector")
-        assert event == vector
+        vector = sweep_cluster(self.POINTS, cache=False)
+        cycle = [evaluate_cluster_point(point, engine="cycle") for point in self.POINTS]
+        assert vector == cycle
 
 
 class TestServingBridge:
@@ -493,9 +493,8 @@ class TestServingBridge:
     def test_engines_identical_on_cluster_serving_graph(self):
         spec = self.spec(n_chips=4, link_bw=8.0, link_latency=2)
         _, _, cycle = serving_sim(spec, engine="cycle")
-        for engine in ("event", "vector"):
-            _, _, result = serving_sim(spec, engine=engine)
-            assert result == cycle
+        _, _, result = serving_sim(spec)
+        assert result == cycle
         assert cycle.busy_cycles.get("link", 0) > 0
 
     def test_metrics_count_the_gather(self):

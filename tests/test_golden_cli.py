@@ -32,6 +32,12 @@ CASES = [
      "simulate-sweep.json"),
     (["simulate", "--sweep", "--chunks-list", "16,32", "--arrays", "64"],
      "simulate-sweep.txt"),
+    # The binding-sweep engine gate: the chunk fold against rows the
+    # event core produced on the built graphs (1 chunk has no lag edge,
+    # 257 is odd, so no whole number of replayed windows covers it).
+    (["simulate", "--sweep", "--chunks-list", "1,16,257", "--arrays",
+      "64,128", "--pe1d-list", "8,64", "--format", "csv", "--no-cache"],
+     "simulate-sweep-engines.csv"),
     (["simulate", "--scenario", "--instances", "3", "--chunks", "8",
       "--array-dim", "64", "--format", "csv"], "simulate-scenario.csv"),
     (["simulate", "--scenario", "--instances", "2", "--chunks", "4",

@@ -29,7 +29,6 @@ from repro.runtime import (
     sweep_attention,
     sweep_inference,
     sweep_pareto,
-    sweep_scenarios,
     sweep_serving,
 )
 from repro.serving import Arrival, ServingSpec, poisson_arrivals
@@ -264,50 +263,14 @@ class TestServingCacheKey:
 
 
 class TestEngineAgnosticIdentity:
-    """The engine choice is an execution detail: bit-identical engines
-    must share cache entries and registry digests, or switching cores
-    would cold-start every cache and fork every provenance trail."""
-
-    SCENARIO = attention_scenario(3, 4, array_dim=32, dram_bw=8.0)
-
-    def test_engine_absent_from_fingerprint_and_cache_key(self):
-        keys = set()
-        for engine in ("event", "cycle", "vector"):
-            (task,) = scenario_grid([self.SCENARIO], engine=engine)
-            assert task.engine == engine
-            keys.add(cache_key(task.fingerprint(), version="pinned"))
-        assert len(keys) == 1
-
-    def test_vector_run_warms_the_event_cache(self, tmp_path):
-        cache = ResultCache(directory=tmp_path)
-        vector = sweep_scenarios([self.SCENARIO], cache=cache, engine="vector")
-        assert cache.stats.misses == 1 and cache.stats.puts == 1
-        event = sweep_scenarios([self.SCENARIO], cache=cache, engine="event")
-        assert cache.stats.memory_hits == 1  # cross-engine warm hit
-        assert event == vector
-
-    def test_registry_digests_identical_across_engines(self, tmp_path):
-        digests = set()
-        for engine in ("event", "vector"):
-            registry = RunRegistry(tmp_path / engine)
-            sweep_scenarios([self.SCENARIO], cache=False, registry=registry, engine=engine)
-            digests.add(registry.latest().result_digest)
-        assert len(digests) == 1
-
-    def test_serving_engines_identical_and_share_cache(self, tmp_path):
-        spec = serving_spec()
-        cache = ResultCache(directory=tmp_path)
-        vector = sweep_serving([spec], cache=cache, engine="vector")
-        event_cached = sweep_serving([spec], cache=cache, engine="event")
-        assert cache.stats.memory_hits == 1
-        assert event_cached == vector
-        assert vector == sweep_serving([spec], cache=False, engine="event")
+    """Scenario points on the vector engine's fold through the pooled
+    executor: injected faults cost attempts, never payloads."""
 
     def test_fault_plan_composes_with_vector_engine(self):
         scenarios = [attention_scenario(2 + i, 3, array_dim=32) for i in range(3)]
-        clean = execute_tasks(scenario_grid(scenarios, engine="event"), cache=False).results
+        clean = execute_tasks(scenario_grid(scenarios), cache=False).results
         outcome = execute_tasks(
-            scenario_grid(scenarios, engine="vector"),
+            scenario_grid(scenarios),
             jobs=2,
             cache=False,
             retry=RetryPolicy(max_attempts=3),

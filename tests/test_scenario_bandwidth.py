@@ -22,6 +22,7 @@ import json
 import math
 
 import pytest
+from conftest import event_scenario
 
 from repro.experiments.crosscheck import bandwidth_scenarios, crosscheck
 from repro.model.scenario import analytical_scenario, scenario_work
@@ -120,7 +121,7 @@ class TestBandwidthIdentity:
 
     def test_engines_bit_identical_under_contention(self):
         for scenario in (contended(TIGHT), contended(TIGHT, binding="tile-serial")):
-            _, event = scenario_sim(scenario, engine="event")
+            _, event = event_scenario(scenario)
             _, cycle = scenario_sim(scenario, engine="cycle")
             assert event == cycle
 
@@ -274,7 +275,7 @@ class TestMixedModelScenarios:
             ("BERT", "XLM"), 4, array_dim=32, dram_bw=TIGHT,
             decode_instances=2, decode_chunks=8,
         )
-        _, event = scenario_sim(scenario, engine="event")
+        _, event = event_scenario(scenario)
         _, cycle = scenario_sim(scenario, engine="cycle")
         assert event == cycle
         report = crosscheck([scenario], cache=False)
@@ -403,11 +404,11 @@ class TestBandwidthCLI:
         base = ["simulate", "--scenario", "--instances", "2", "--chunks",
                 "4", "--array-dim", "32", "--decode-instances", "2",
                 "--dram-bw", "16", "--no-cache"]
-        assert main(base + ["--engine", "event"]) == 0
-        event_out = capsys.readouterr().out
+        assert main(base) == 0
+        vector_out = capsys.readouterr().out
         assert main(base + ["--engine", "cycle"]) == 0
-        assert capsys.readouterr().out == event_out
-        assert "dram_bw" in event_out and "util_dram" in event_out
+        assert capsys.readouterr().out == vector_out
+        assert "dram_bw" in vector_out and "util_dram" in vector_out
 
     def test_crosscheck_bandwidth_strict(self, capsys):
         from repro.cli import main

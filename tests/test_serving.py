@@ -225,9 +225,7 @@ class TestDeterminismAndEngines:
             poisson_arrivals(1.0, 4096, seed=9, chunks=2, decode_tokens=1),
             dram_bw=64.0,
         )
-        assert simulate_serving(s, engine="event") == simulate_serving(
-            s, engine="cycle"
-        )
+        assert simulate_serving(s) == simulate_serving(s, engine="cycle")
 
     def test_empty_arrivals_short_circuit(self):
         result = simulate_serving(spec([]))

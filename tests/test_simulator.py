@@ -12,6 +12,7 @@ from repro.simulator import (
     exp_tile_timing,
     simulate_binding,
 )
+from repro.simulator.vector import fold_chain, fold_templates
 
 
 class TestEngine:
@@ -61,9 +62,18 @@ class TestEngine:
         with pytest.raises(ValueError, match="unknown dep"):
             Simulator([Task("a", "r", 1, deps=("ghost",))])
 
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            Simulator([Task("a", "r", 1), Task("a", "r", 1)])
+    @pytest.mark.parametrize(
+        "lower",
+        (
+            Simulator,
+            lambda tasks: fold_templates([(tasks, 2)]),
+            lambda tasks: fold_chain(tasks, 2),
+        ),
+        ids=("Simulator", "fold_templates", "fold_chain"),
+    )
+    def test_duplicate_names_rejected(self, lower):
+        with pytest.raises(ValueError, match="duplicate task names"):
+            lower([Task("a", "r", 1), Task("a", "r", 1)])
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):

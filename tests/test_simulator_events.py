@@ -13,7 +13,7 @@ import re
 from dataclasses import replace
 
 import pytest
-from conftest import fuzz_seeds
+from conftest import event_binding, event_scenario, fuzz_seeds
 
 from repro.cluster import (
     ClusterPoint,
@@ -102,17 +102,14 @@ def random_scenario(rng, dram_bw="maybe") -> Scenario:
 
 
 def both(tasks, mode="interleaved", slots=2, max_cycles=10_000_000):
-    """Run all three engines; assert equality; return the shared result."""
+    """Run both engines; assert equality; return the shared result."""
     cycle = Simulator(tasks, mode=mode, slots=slots, engine="cycle").run(
         max_cycles=max_cycles
     )
-    for engine in ("event", "vector"):
-        result = Simulator(tasks, mode=mode, slots=slots, engine=engine).run(
-            max_cycles=max_cycles
-        )
-        assert result == cycle
-        assert dict(result.busy_cycles) == dict(cycle.busy_cycles)
-        assert dict(result.finish_times) == dict(cycle.finish_times)
+    result = Simulator(tasks, mode=mode, slots=slots).run(max_cycles=max_cycles)
+    assert result == cycle
+    assert dict(result.busy_cycles) == dict(cycle.busy_cycles)
+    assert dict(result.finish_times) == dict(cycle.finish_times)
     return cycle
 
 
@@ -200,28 +197,29 @@ class TestDifferentialEdgeCases:
 
     def test_deadlock_raises_in_both_engines(self):
         tasks = [Task("a", "r", 1, deps=("b",)), Task("b", "r", 1, deps=("a",))]
-        for engine in ("event", "cycle", "vector"):
+        for engine in ("vector", "cycle"):
             sim = Simulator(tasks, engine=engine)
             with pytest.raises(RuntimeError, match="max_cycles"):
                 sim.run(max_cycles=100)
 
     def test_max_cycles_exceeded_raises_in_both_engines(self):
         tasks = [Task("a", "r", 50)]
-        for engine in ("event", "cycle", "vector"):
+        for engine in ("vector", "cycle"):
             sim = Simulator([*tasks], engine=engine)
             with pytest.raises(RuntimeError, match="max_cycles"):
                 sim.run(max_cycles=10)
 
     def test_makespan_exactly_at_max_cycles_succeeds(self):
-        for engine in ("event", "cycle", "vector"):
+        for engine in ("vector", "cycle"):
             result = Simulator([Task("a", "r", 10)], engine=engine).run(
                 max_cycles=10
             )
             assert result.makespan == 10
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            Simulator([Task("a", "r", 1)], engine="quantum")
+        for engine in ("quantum", "event"):
+            with pytest.raises(ValueError, match="engine"):
+                Simulator([Task("a", "r", 1)], engine=engine)
 
     def test_invalid_slots_rejected(self):
         with pytest.raises(ValueError, match="slots"):
@@ -233,23 +231,21 @@ class TestDifferentialPipeline:
     @pytest.mark.parametrize("binding", ("tile-serial", "interleaved"))
     def test_fig45_graphs_identical(self, chunks, binding):
         config = PipelineConfig(chunks=chunks)
-        event = simulate_binding(config, binding, engine="event")
+        vector = simulate_binding(config, binding)
         cycle = simulate_binding(config, binding, engine="cycle")
-        assert event == cycle
+        assert vector == cycle
 
     def test_small_array_identical(self):
         config = PipelineConfig(chunks=5, array_dim=32, pe_1d=32)
         for binding in ("tile-serial", "interleaved"):
-            tasks, event = binding_sim(config, binding, engine="event")
+            tasks, vector = binding_sim(config, binding)
             _, cycle = binding_sim(config, binding, engine="cycle")
-            assert event == cycle
-            assert len(event.finish_times) == len(tasks)
+            assert vector == cycle
+            assert len(vector.finish_times) == len(tasks)
 
     def test_compare_bindings_engine_parity(self):
         config = PipelineConfig(chunks=12)
-        assert compare_bindings(config, engine="event") == compare_bindings(
-            config, engine="cycle"
-        )
+        assert compare_bindings(config) == compare_bindings(config, engine="cycle")
 
     def test_long_sequence_point_runs(self):
         """The regime the cycle engine cannot reach: 2048 chunks."""
@@ -482,12 +478,12 @@ class TestScenarioGraphs:
 
     @pytest.mark.parametrize("seed", fuzz_seeds("buffer-qos"))
     def test_buffer_qos_graph_engines_identical(self, seed):
-        """Capacity + QoS coverage: the same three-way differential over
+        """Capacity + QoS coverage: the same differential over
         buffer_bytes in {None, tight, ample} crossed with the QoS
         discipline and an explicit per-phase dram_priority.  A tight
         buffer inflates traffic with spills and bounds prefetch depth; a
-        non-uniform priority reorders phase emission — both must leave
-        the three engines (and the folded replay) bit-identical."""
+        non-uniform priority reorders phase emission — either must leave
+        both engines (and the folded replay) bit-identical."""
         rng = random.Random(seed)
         scenario = random_scenario(rng, dram_bw=(None, 8.0, 65536.0)[seed % 3])
         # 600 bytes undercuts the smallest drawn working set (1 KiB), so
@@ -520,7 +516,7 @@ class TestScenarioGraphs:
 
     def test_scenario_sim_engine_parity(self):
         scenario = attention_scenario(3, 4, array_dim=32)
-        _, event = scenario_sim(scenario, engine="event")
+        _, event = event_scenario(scenario)
         _, cycle = scenario_sim(scenario, engine="cycle")
         _, vector = scenario_sim(scenario, engine="vector")
         assert event == cycle
@@ -601,14 +597,8 @@ class TestSymmetryFolding:
     def _assert_folded_exact(self, scenario, stats=None):
         from repro.simulator import fold_scenario, run_folded
 
-        tasks = build_scenario_tasks(scenario)
         serial = scenario.binding == "tile-serial"
-        expected = Simulator(
-            tasks,
-            mode="serial" if serial else "interleaved",
-            slots=scenario.slots,
-            engine="event",
-        ).run(max_cycles=sum(t.duration for t in tasks) + 1)
+        _, expected = event_scenario(scenario)
         folded = run_folded(
             fold_scenario(scenario),
             slots=1 if serial else scenario.slots,
@@ -810,7 +800,7 @@ class TestFoldSources:
         result = run_folded(folded, slots=scenario.slots, stats=stats)
         assert stats["jumps"] >= 1
         assert 0 < stats["replayed"] <= folded.n_tasks
-        assert result == scenario_sim(scenario, engine="event")[1]
+        assert result == event_scenario(scenario)[1]
 
 
 #: Scenario shapes the fold-only evaluation must cover: decode phases,
@@ -830,7 +820,7 @@ FOLD_ONLY_SCENARIOS = (
 class TestFoldOnlyEvaluation:
     """``engine="vector"`` evaluates scenario and cluster points from
     the fold alone: the merged task list is never built, and the row —
-    ``n_tasks`` included — equals the event engine's."""
+    ``n_tasks`` included — equals the cycle oracle's."""
 
     @pytest.fixture
     def no_merged_graphs(self, monkeypatch):
@@ -842,10 +832,10 @@ class TestFoldOnlyEvaluation:
 
     @pytest.mark.parametrize("scenario", FOLD_ONLY_SCENARIOS, ids=lambda s: s.name)
     def test_scenario_point_never_builds_merged_list(self, scenario, request):
-        event = evaluate_scenario_point(scenario, engine="event")
-        assert event.n_tasks == len(build_scenario_tasks(scenario))
+        cycle = evaluate_scenario_point(scenario, engine="cycle")
+        assert cycle.n_tasks == len(build_scenario_tasks(scenario))
         request.getfixturevalue("no_merged_graphs")
-        assert evaluate_scenario_point(scenario, engine="vector") == event
+        assert evaluate_scenario_point(scenario, engine="vector") == cycle
 
     @pytest.mark.parametrize("sharding", ("head", "tensor"))
     @pytest.mark.parametrize("scenario", FOLD_ONLY_SCENARIOS, ids=lambda s: s.name)
@@ -853,30 +843,26 @@ class TestFoldOnlyEvaluation:
         point = ClusterPoint(
             scenario, ClusterSpec(n_chips=2, link_bw=64.0, link_latency=4), sharding
         )
-        event = evaluate_cluster_point(point, engine="event")
-        assert event.n_tasks == len(build_cluster_tasks(scenario, point.spec, sharding))
+        cycle = evaluate_cluster_point(point, engine="cycle")
+        assert cycle.n_tasks == len(build_cluster_tasks(scenario, point.spec, sharding))
         request.getfixturevalue("no_merged_graphs")
-        assert evaluate_cluster_point(point, engine="vector") == event
+        assert evaluate_cluster_point(point, engine="vector") == cycle
 
     def test_finish_times_named_lazily_and_equal_to_event_dict(self):
         from repro.simulator.pipeline import schedule_scenario_tasks
         from repro.simulator.vector import FoldedFinishTimes
 
         scenario = FOLD_ONLY_SCENARIOS[0]
-        tasks, event = scenario_sim(scenario, engine="event")
-        unfolded = Simulator(tasks, slots=scenario.slots, engine="vector").run(
-            max_cycles=sum(t.duration for t in tasks) + 1
-        )
+        tasks, event = event_scenario(scenario)
         lazy = schedule_scenario_tasks(scenario, engine="vector").finish_times
         assert isinstance(lazy, FoldedFinishTimes)
         assert len(lazy) == len(event.finish_times) == len(tasks)
         assert lazy._named is None  # len() names nothing
         assert lazy == event.finish_times
         assert event.finish_times == lazy
-        assert lazy == unfolded.finish_times
-        # Program order, like the unfolded vector engine's dict; the
-        # event engine lists the same names in completion order.
-        assert list(lazy) == [t.name for t in tasks] == list(unfolded.finish_times)
+        # Program order; the event engine lists the same names in
+        # completion order.
+        assert list(lazy) == [t.name for t in tasks]
         assert sorted(lazy) == sorted(event.finish_times)
         assert lazy[tasks[-1].name] == event.finish_times[tasks[-1].name]
         assert "i0:nope" not in lazy
@@ -889,14 +875,14 @@ class TestFoldOnlyEvaluation:
         tasks = build_scenario_tasks(scenario)
         with pytest.raises(ValueError, match="takes no task list"):
             schedule_scenario_tasks(scenario, tasks, engine="vector")
-        with pytest.raises(ValueError, match="schedule a built one"):
-            schedule_scenario_tasks(scenario, engine="event")
+        with pytest.raises(ValueError, match="schedules a built one"):
+            schedule_scenario_tasks(scenario, engine="cycle")
         spec = ClusterSpec(n_chips=2)
         with pytest.raises(ValueError, match="takes no task list"):
             schedule_cluster_tasks(
                 scenario, spec, "head", build_cluster_tasks(scenario, spec), engine="vector"
             )
-        with pytest.raises(ValueError, match="schedule a built one"):
+        with pytest.raises(ValueError, match="schedules a built one"):
             schedule_cluster_tasks(scenario, spec, "head", engine="cycle")
 
 
@@ -948,7 +934,7 @@ class TestChainFold:
             array_dim=array_dim,
             pe_1d=rng.choice((array_dim, 8, 64, 512)),
         )
-        tasks, event = binding_sim(config, binding, engine="event")
+        tasks, event = event_binding(config, binding)
         built, vector = binding_sim(config, binding, engine="vector")
         assert built == tasks
         assert vector == event
@@ -974,7 +960,7 @@ class TestChainFold:
     def test_tile_serial_long_chain_replays(self):
         """Tile-serial chunks run one after another, so the two-chunk
         live window recurs almost at once and the rest is replayed."""
-        from repro.simulator import fold_binding, run_folded, schedule_binding
+        from repro.simulator import fold_binding, run_folded
 
         config = PipelineConfig(chunks=8192)
         folded = fold_binding(config, "tile-serial")
@@ -982,18 +968,18 @@ class TestChainFold:
         result = run_folded(folded, slots=1, stats=stats)
         assert stats["events"] <= 64
         assert stats["replayed"] / folded.n_tasks >= 0.99
-        assert result == schedule_binding(config, "tile-serial", engine="event")
+        assert result == event_binding(config, "tile-serial")[1]
 
     def test_interleaved_long_chain_exact_without_replay(self):
         """The 2D front runs ahead of the 1D-bound one, so the live
         window never recurs: nothing is replayed, and it stays exact."""
-        from repro.simulator import fold_binding, run_folded, schedule_binding
+        from repro.simulator import fold_binding, run_folded
 
         config = PipelineConfig(chunks=8192)
         stats = {}
         result = run_folded(fold_binding(config, "interleaved"), slots=2, stats=stats)
         assert stats["replayed"] == 0
-        assert result == schedule_binding(config, "interleaved", engine="event")
+        assert result == event_binding(config, "interleaved")[1]
 
     def test_binding_point_builds_only_the_template(self, monkeypatch):
         from repro.simulator import pipeline
@@ -1005,9 +991,9 @@ class TestChainFold:
             return real(config, serial, prefix)
 
         point = BindingPoint("tile-serial", 64, array_dim=64)
-        event = evaluate_binding_point(point, engine="event")
+        cycle = evaluate_binding_point(point, engine="cycle")
         monkeypatch.setattr(pipeline, "build_tasks", template_only)
-        assert evaluate_binding_point(point) == event
+        assert evaluate_binding_point(point) == cycle
 
     @pytest.mark.parametrize(
         "case, match",
@@ -1214,18 +1200,52 @@ class TestSweepCLI:
     def test_simulate_engines_print_identical_output(self, capsys):
         from repro.cli import main
 
-        assert main(["simulate", "--chunks", "6", "--engine", "event"]) == 0
-        event_out = capsys.readouterr().out
-        assert main(["simulate", "--chunks", "6", "--engine", "cycle"]) == 0
-        assert capsys.readouterr().out == event_out
         assert main(["simulate", "--chunks", "6"]) == 0  # the chunk fold
-        assert capsys.readouterr().out == event_out
+        vector_out = capsys.readouterr().out
+        assert main(["simulate", "--chunks", "6", "--engine", "cycle"]) == 0
+        assert capsys.readouterr().out == vector_out
+        # "event" is no longer an engine name, and serve has no --engine.
+        for argv, error in (
+            (["simulate", "--chunks", "6", "--engine", "event"], "invalid choice: 'event'"),
+            (["cluster", "--engine", "event"], "invalid choice: 'event'"),
+            (["serve", "--rate", "0.5", "--engine", "vector"], "unrecognized arguments"),
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert error in capsys.readouterr().err
 
     def test_binding_requests_default_to_the_chunk_fold(self):
-        from repro.api import BindingSweepRequest, ScenarioRequest
+        import inspect
 
-        assert BindingSweepRequest().engine == "vector"
-        assert ScenarioRequest().engine == "event"
+        from repro.api import (
+            BindingSweepRequest,
+            ClusterRequest,
+            ScenarioRequest,
+            ServeRequest,
+        )
+
+        from repro.api import Session
+
+        # ``None`` records that no engine was asked for; it runs vector:
+        # every default request lowers onto the runtime's vector tasks,
+        # and a profiled default scenario reports the vector engine.
+        session = Session(cache=False)
+        for request in (
+            BindingSweepRequest(chunks=(2,), array_dims=(64,)),
+            ScenarioRequest(instances=1, chunks=2, array_dim=64),
+            ServeRequest(rate=0.5),
+            ClusterRequest(instances=2, chunks=2, array_dim=64),
+        ):
+            assert request.engine is None
+            assert session._lower(request) is not None, request
+        profiled = session.run(
+            ScenarioRequest(instances=1, chunks=2, array_dim=64, profile=True)
+        )
+        assert {p.engine for p in profiled.provenance.profiles} == {"vector"}
+        engine = inspect.signature(Simulator).parameters["engine"]
+        assert engine.default == "vector"
+        assert Simulator([Task("a", "r", 1)]).engine == "vector"
 
     def test_simulate_sweep_csv(self, capsys):
         from repro.cli import main
@@ -1279,7 +1299,7 @@ class TestSweepCLI:
         code = main(["simulate", "--sweep", "--engine", "cycle",
                      "--chunks-list", "16"])
         assert code == 2
-        assert "event-driven core" in capsys.readouterr().err
+        assert "folded vector core" in capsys.readouterr().err
 
     def test_simulate_sweep_new_axes(self, capsys):
         from repro.cli import main
@@ -1299,11 +1319,11 @@ class TestSweepCLI:
 
         base = ["simulate", "--scenario", "--instances", "2",
                 "--chunks", "4", "--array-dim", "32", "--no-cache"]
-        assert main(base + ["--engine", "event"]) == 0
-        event_out = capsys.readouterr().out
+        assert main(base) == 0
+        vector_out = capsys.readouterr().out
         assert main(base + ["--engine", "cycle"]) == 0
-        assert capsys.readouterr().out == event_out
-        assert "interleaved" in event_out and "tile-serial" in event_out
+        assert capsys.readouterr().out == vector_out
+        assert "interleaved" in vector_out and "tile-serial" in vector_out
 
     def test_simulate_scenario_from_model(self, capsys):
         from repro.cli import main
