@@ -61,6 +61,7 @@ of aborting the sweep.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Dict
 
@@ -88,22 +89,12 @@ from .cascades import (
     causal_attention,
     sigmoid_attention,
 )
-from .cluster import SHARDINGS, TOPOLOGIES, cluster_csv, cluster_json, cluster_table
+from .cluster import SHARDINGS, TOPOLOGIES
 from .experiments import crosscheck as _crosscheck
 from .experiments.common import format_table
+from .rows import FORMATS, emit_rows
 from .runtime import ResultCache, RetryPolicy
-from .serving import parse_trace, serving_csv, serving_json, serving_table
-from .simulator import (
-    grid_csv,
-    grid_json,
-    grid_table,
-    scenario_csv,
-    scenario_json,
-    scenario_table,
-    sweep_csv,
-    sweep_json,
-    sweep_table,
-)
+from .serving import parse_trace
 from .workloads.models import BATCH_SIZE, seq_label
 from .workloads.scenario import BINDINGS, QOS_MODES
 
@@ -337,23 +328,10 @@ def _cmd_sweep_grid(args) -> int:
     if result is None:
         return 2
     cells = result.payload
-    render = {"table": grid_table, "csv": grid_csv, "json": grid_json}
-    fmt = args.format or "table"
-    payload = render[fmt](cells)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(payload)
-            if not payload.endswith("\n"):
-                handle.write("\n")
-        print(f"{len(cells)} grid cells -> {args.output} "
-              f"({fmt}, jobs={args.jobs})")
-    else:
-        print(payload, end="" if payload.endswith("\n") else "\n")
     summary = f"{len(cells)} grid cells (scenario_grid), jobs={args.jobs}"
     if result.provenance.cache_hits is not None:
         summary += f", cache hits {result.provenance.cache_hits}/{len(cells)}"
-    print(summary)
-    _report_recorded(result.provenance)
+    _emit_rows(args, cells, "grid cells", result.provenance, summary)
     return 0
 
 
@@ -412,19 +390,23 @@ def _report_recorded(provenance) -> None:
               f"{provenance.recorded_duration_s:.3f}s)")
 
 
-def _emit_rows(args, fmt: str, payload: str, count: int, noun: str,
-               provenance) -> None:
-    """Shared tail of the sweep/scenario commands: write or print the
-    rendered rows, then report the recorded run, if any."""
+def _emit_rows(args, rows, noun: str, provenance, summary=None) -> None:
+    """Shared tail of the row-emitting commands: render the rows in
+    ``--format``, write or print them, print ``summary`` if given, then
+    report the recorded run, if any."""
+    fmt = args.format or "table"
+    payload = emit_rows(rows, fmt)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(payload)
             if not payload.endswith("\n"):
                 handle.write("\n")
-        print(f"{count} {noun} -> {args.output} "
+        print(f"{len(rows)} {noun} -> {args.output} "
               f"({fmt}, jobs={args.jobs})")
     else:
         print(payload, end="" if payload.endswith("\n") else "\n")
+    if summary is not None:
+        print(summary)
     _report_recorded(provenance)
 
 
@@ -540,10 +522,7 @@ def _cmd_simulate_sweep(args) -> int:
                             BindingSweepRequest(engine=args.engine, **axes))
     if result is None:
         return 2
-    render = {"table": sweep_table, "csv": sweep_csv, "json": sweep_json}
-    fmt = args.format or "table"
-    _emit_rows(args, fmt, render[fmt](result.payload), len(result.payload),
-               "binding points", result.provenance)
+    _emit_rows(args, result.payload, "binding points", result.provenance)
     return 0
 
 
@@ -588,11 +567,7 @@ def _cmd_simulate_scenario(args) -> int:
     if result.provenance.profiles:
         for prof in result.provenance.profiles:
             print(prof.describe(), file=sys.stderr)
-    render = {"table": scenario_table, "csv": scenario_csv,
-              "json": scenario_json}
-    fmt = args.format or "table"
-    _emit_rows(args, fmt, render[fmt](result.payload), len(result.payload),
-               "scenario schedules", result.provenance)
+    _emit_rows(args, result.payload, "scenario schedules", result.provenance)
     return 0
 
 
@@ -658,11 +633,7 @@ def _cmd_serve(args) -> int:
         return 2
     results = session.gather()
     rows = [result.payload for result in results]
-    render = {"table": serving_table, "csv": serving_csv,
-              "json": serving_json}
-    fmt = args.format or "table"
-    _emit_rows(args, fmt, render[fmt](rows), len(rows), "serving points",
-               results[0].provenance)
+    _emit_rows(args, rows, "serving points", results[0].provenance)
     return 0
 
 
@@ -709,11 +680,7 @@ def _cmd_cluster(args) -> int:
     ))
     if result is None:
         return 2
-    render = {"table": cluster_table, "csv": cluster_csv,
-              "json": cluster_json}
-    fmt = args.format or "table"
-    _emit_rows(args, fmt, render[fmt](result.payload), len(result.payload),
-               "cluster points", result.provenance)
+    _emit_rows(args, result.payload, "cluster points", result.provenance)
     return 0
 
 
@@ -821,7 +788,7 @@ def main(argv=None) -> int:
         help="grid DRAM arbitration policy (default: uniform)",
     )
     sweep.add_argument(
-        "--format", choices=("table", "csv", "json"), default=None,
+        "--format", choices=FORMATS, default=None,
         help="grid output format (default: table)",
     )
     sweep.add_argument(
@@ -948,7 +915,7 @@ def main(argv=None) -> int:
         help="scenario binding(s) to schedule (default: both)",
     )
     simulate.add_argument(
-        "--format", choices=("table", "csv", "json"), default=None,
+        "--format", choices=FORMATS, default=None,
         help="sweep/scenario output format (default: table)",
     )
     simulate.add_argument(
@@ -1052,7 +1019,7 @@ def main(argv=None) -> int:
         help="per-gather hop latency in cycles (default 0)",
     )
     serve.add_argument(
-        "--format", choices=("table", "csv", "json"), default=None,
+        "--format", choices=FORMATS, default=None,
         help="output format (default: table)",
     )
     serve.add_argument(
@@ -1148,7 +1115,7 @@ def main(argv=None) -> int:
              "uncached, with identical results",
     )
     cluster.add_argument(
-        "--format", choices=("table", "csv", "json"), default=None,
+        "--format", choices=FORMATS, default=None,
         help="output format (default: table)",
     )
     cluster.add_argument(
@@ -1195,26 +1162,23 @@ def main(argv=None) -> int:
     if getattr(args, "cache_dir", None) and not getattr(args, "cache", True):
         parser.error("--cache-dir cannot be combined with --no-cache")
 
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command in _EXPERIMENTS:
-        return _cmd_experiment(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "taxonomy":
-        return _cmd_taxonomy(args)
-    if args.command == "passes":
-        return _cmd_passes(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "cluster":
-        return _cmd_cluster(args)
-    if args.command == "crosscheck":
-        return _cmd_crosscheck(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    handlers = {
+        "report": _cmd_report, "sweep": _cmd_sweep, "taxonomy": _cmd_taxonomy,
+        "passes": _cmd_passes, "simulate": _cmd_simulate, "serve": _cmd_serve,
+        "cluster": _cmd_cluster, "crosscheck": _cmd_crosscheck,
+        **{name: _cmd_experiment for name in _EXPERIMENTS},
+    }
+    try:
+        status = handlers[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (``repro ... | head``).  As
+        # Python's docs recommend, point stdout at devnull so the final
+        # flush at exit cannot raise again, and exit without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

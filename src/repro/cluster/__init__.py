@@ -24,25 +24,9 @@ from .build import (
     template_dram_cycles,
 )
 from .spec import LINK_RESOURCE, SHARDINGS, TOPOLOGIES, ClusterSpec
-from .sweep import (
-    CLUSTER_BW_FIELDS,
-    CLUSTER_FIELDS,
-    CLUSTER_LINK_FIELDS,
-    ClusterPoint,
-    ClusterResult,
-    cluster_csv,
-    cluster_fields_for,
-    cluster_json,
-    cluster_table,
-    decode_cluster_result,
-    encode_cluster_result,
-    evaluate_cluster_point,
-)
+from .sweep import ClusterPoint, ClusterResult, evaluate_cluster_point
 
 __all__ = [
-    "CLUSTER_BW_FIELDS",
-    "CLUSTER_FIELDS",
-    "CLUSTER_LINK_FIELDS",
     "LINK_RESOURCE",
     "SHARDINGS",
     "TOPOLOGIES",
@@ -51,16 +35,10 @@ __all__ = [
     "ClusterSpec",
     "build_cluster_tasks",
     "chip_instance_counts",
-    "cluster_csv",
-    "cluster_fields_for",
-    "cluster_json",
     "cluster_link_cycles",
     "cluster_sim",
-    "cluster_table",
     "cluster_templates",
     "collective_bytes",
-    "decode_cluster_result",
-    "encode_cluster_result",
     "evaluate_cluster_point",
     "fold_cluster",
     "instance_out_bytes",

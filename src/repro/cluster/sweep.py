@@ -1,4 +1,4 @@
-"""Cluster evaluation points, result rows, emitters, and cache codec.
+"""Cluster evaluation points and result rows.
 
 One :class:`ClusterPoint` pairs a workload (:class:`~repro.workloads
 .scenario.Scenario`) with a machine (:class:`~repro.cluster.spec
@@ -9,7 +9,7 @@ through the pooled runtime unchanged under task kind ``"cluster"``:
 fan out over processes, content-address into the cache, replay from a
 rerun.
 
-Column gating follows the scenario emitters exactly: the historical
+Column gating follows the scenario rows exactly: the historical
 columns always render; the DRAM columns join only when a row models
 memory bandwidth; the link columns (``link_bw`` / ``link_latency`` /
 ``busy_link`` / ``util_link``) join only when a row models the
@@ -26,64 +26,15 @@ makespan alone.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, fields
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import ClassVar, Optional, Tuple
 
-from ..simulator.sweep import _rows_csv, _rows_table
+from ..rows import Group
 from ..workloads.scenario import Scenario
 from . import build
 from .spec import LINK_RESOURCE, SHARDINGS, ClusterSpec
 
-__all__ = [
-    "CLUSTER_BW_FIELDS",
-    "CLUSTER_FIELDS",
-    "CLUSTER_LINK_FIELDS",
-    "ClusterPoint",
-    "ClusterResult",
-    "cluster_csv",
-    "cluster_fields_for",
-    "cluster_json",
-    "cluster_table",
-    "decode_cluster_result",
-    "encode_cluster_result",
-    "evaluate_cluster_point",
-]
-
-#: Keys of one cluster result, in CSV column order (always present).
-CLUSTER_FIELDS: Tuple[str, ...] = (
-    "scenario",
-    "binding",
-    "sharding",
-    "topology",
-    "n_chips",
-    "instances",
-    "array_dim",
-    "pe_1d",
-    "embedding",
-    "slots",
-    "seq_len",
-    "n_tasks",
-    "makespan",
-    "busy_2d",
-    "busy_1d",
-    "busy_io",
-    "util_2d",
-    "util_1d",
-)
-
-#: DRAM columns, appended when any row's scenario models memory
-#: bandwidth (same gating as the scenario emitters).
-CLUSTER_BW_FIELDS: Tuple[str, ...] = ("dram_bw", "busy_dram", "util_dram")
-
-#: Interconnect columns, appended when any row models the link (more
-#: than one chip and a finite-or-infinite ``link_bw``).
-CLUSTER_LINK_FIELDS: Tuple[str, ...] = (
-    "link_bw",
-    "link_latency",
-    "busy_link",
-    "util_link",
-)
+__all__ = ["ClusterPoint", "ClusterResult", "evaluate_cluster_point"]
 
 
 @dataclass(frozen=True)
@@ -121,6 +72,20 @@ class ClusterResult:
     ``link_bw`` is None — and the link columns stay gated off — when
     the interconnect is unmodeled (single chip or ``link_bw=None``).
     """
+
+    COLUMNS: ClassVar[Tuple[Group, ...]] = (
+        Group((
+            "scenario", "binding", "sharding", "topology", "n_chips",
+            "instances", "array_dim", "pe_1d", "embedding", "slots",
+            "seq_len", "n_tasks", "makespan", "busy_2d", "busy_1d",
+            "busy_io", "util_2d", "util_1d",
+        )),
+        Group(("dram_bw", "busy_dram", "util_dram"), blank="dram_bw"),
+        Group(
+            ("link_bw", "link_latency", "busy_link", "util_link"),
+            blank="link_bw",
+        ),
+    )
 
     scenario: str
     binding: str
@@ -171,30 +136,6 @@ class ClusterResult:
         if not self.makespan:
             return 0.0
         return busy[resource] / (self.makespan * self.n_chips)
-
-    def row(self, fields_: Sequence[str] = CLUSTER_FIELDS) -> Tuple:
-        """The result as a tuple in ``fields_`` order (default: the
-        always-present :data:`CLUSTER_FIELDS` columns)."""
-        return tuple(getattr(self, field) for field in fields_)
-
-
-assert CLUSTER_FIELDS + (
-    "dram_bw", "busy_dram", "link_bw", "link_latency", "busy_link"
-) == tuple(f.name for f in fields(ClusterResult))
-
-
-def cluster_fields_for(results: Sequence[ClusterResult]) -> Tuple[str, ...]:
-    """The column set of one result batch: historical columns, plus the
-    DRAM columns when any row models memory bandwidth, plus the link
-    columns when any row models the interconnect — each gate
-    independent, mirroring :func:`~repro.simulator.sweep
-    .scenario_fields_for`."""
-    fields_ = CLUSTER_FIELDS
-    if any(r.dram_bw is not None for r in results):
-        fields_ = fields_ + CLUSTER_BW_FIELDS
-    if any(r.link_bw is not None for r in results):
-        fields_ = fields_ + CLUSTER_LINK_FIELDS
-    return fields_
 
 
 def evaluate_cluster_point(
@@ -255,59 +196,3 @@ def evaluate_cluster_point(
         link_latency=spec.link_latency if linked else 0,
         busy_link=busy.get(LINK_RESOURCE, 0),
     )
-
-
-# --------------------------------------------------------------------------
-# Emitters: cluster rows as CSV / JSON / aligned text.
-# --------------------------------------------------------------------------
-
-ClusterResults = Sequence[ClusterResult]
-
-
-def _blanked_row(result: ClusterResult, fields_: Sequence[str]) -> Tuple:
-    """A result row for text emitters: DRAM / link columns a widened
-    batch includes but this row does not model render as ``-`` (JSON
-    keeps them as nulls), matching the scenario emitters."""
-    return tuple(
-        "-"
-        if (result.dram_bw is None and name in CLUSTER_BW_FIELDS)
-        or (result.link_bw is None and name in CLUSTER_LINK_FIELDS)
-        else value
-        for name, value in zip(fields_, result.row(fields_))
-    )
-
-
-def cluster_csv(results: ClusterResults) -> str:
-    """Cluster results as CSV (header widens with the DRAM / link
-    columns only when a row models them)."""
-    fields_ = cluster_fields_for(list(results))
-    return _rows_csv(fields_, [_blanked_row(r, fields_) for r in results])
-
-
-def cluster_json(results: ClusterResults) -> str:
-    """Cluster results as a JSON array of row objects (``link_bw`` is
-    null on rows that do not model the interconnect)."""
-    fields_ = cluster_fields_for(list(results))
-    return json.dumps(
-        [dict(zip(fields_, r.row(fields_))) for r in results], indent=2
-    )
-
-
-def cluster_table(results: ClusterResults) -> str:
-    """Cluster results as an aligned text table (the CLI default)."""
-    fields_ = cluster_fields_for(list(results))
-    return _rows_table(fields_, [_blanked_row(r, fields_) for r in results])
-
-
-#: Scalar dataclass fields, the exact set the codec round-trips.
-_RESULT_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(ClusterResult))
-
-
-def encode_cluster_result(result: ClusterResult) -> Dict:
-    """JSON-ready payload for the runtime's result cache."""
-    return {"__type__": "ClusterResult", **asdict(result)}
-
-
-def decode_cluster_result(payload: Mapping) -> ClusterResult:
-    """Inverse of :func:`encode_cluster_result`."""
-    return ClusterResult(**{field: payload[field] for field in _RESULT_FIELDS})

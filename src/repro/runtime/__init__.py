@@ -16,6 +16,7 @@ byte-deterministically.
 
 from .cache import (
     CACHE_DIR_ENV,
+    RESULT_TYPES,
     CacheStats,
     ResultCache,
     cache_key,
@@ -65,6 +66,7 @@ from .registry import RunRecord, RunRegistry, result_digest
 
 __all__ = [
     "CACHE_DIR_ENV",
+    "RESULT_TYPES",
     "FAULT_KINDS",
     "ON_ERROR_MODES",
     "CacheStats",

@@ -7,6 +7,13 @@ canonical JSON rendering of those inputs and stores the result twice —
 in an in-memory LRU for intra-process reuse (e.g. Figs. 6, 8, and 9 all
 share one attention sweep) and, optionally, as JSON files on disk so a
 rerun of the full sweep is nearly free.
+
+One codec serves every result type: :func:`encode_result` tags each
+dataclass of the closed set :data:`RESULT_TYPES` with its qualname and
+encodes its fields recursively, and :func:`decode_result` inverts it.
+A disk entry is ``{"key": ..., "result": {"__type__": ..., <fields>}}``.
+No payload written by other code can reach the decoder, because every
+cache key includes :func:`code_version`.
 """
 
 from __future__ import annotations
@@ -21,26 +28,12 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from ..arch.energy import EnergyBreakdown
-from ..cluster.sweep import (
-    ClusterResult,
-    decode_cluster_result,
-    encode_cluster_result,
-)
+from ..cluster.sweep import ClusterResult
 from ..model.metrics import AttentionResult, InferenceResult
 from .faults import TaskFailure
 from ..model.pareto import DesignPoint
-from ..serving import ServingResult, decode_serving_result, encode_serving_result
-from ..simulator.sweep import (
-    BindingResult,
-    ScenarioGridResult,
-    ScenarioResult,
-    decode_binding_result,
-    decode_scenario_grid_result,
-    decode_scenario_result,
-    encode_binding_result,
-    encode_scenario_grid_result,
-    encode_scenario_result,
-)
+from ..serving import RequestMetrics, ServingResult
+from ..simulator.sweep import BindingResult, ScenarioGridResult, ScenarioResult
 
 #: Environment variable that switches the default cache to a disk store.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -106,120 +99,75 @@ def cache_key(task_fields: Dict[str, Any], version: Optional[str] = None) -> str
 
 
 # --------------------------------------------------------------------------
-# Result codec: the three grid-point result types <-> JSON-ready dicts.
+# Result codec: the nine grid-point result types <-> JSON-ready dicts.
 # Floats survive the round trip exactly (json uses repr, which is
-# round-trip safe for Python floats), so cached results compare equal to
-# freshly computed ones.
+# round-trip safe for Python floats), and mappings keep their insertion
+# order (unlike canonical(), which sorts keys for cache addressing), so
+# cached results compare equal to freshly computed ones and iterate the
+# same way.
 # --------------------------------------------------------------------------
+
+#: The codec's closed set, by tag: the nine grid-point result types
+#: (``TaskFailure`` fills a skipped slot) and the dataclasses nested in
+#: their fields.
+RESULT_TYPES: Dict[str, type] = {
+    cls.__qualname__: cls
+    for cls in (
+        AttentionResult,
+        InferenceResult,
+        DesignPoint,
+        BindingResult,
+        ScenarioResult,
+        ScenarioGridResult,
+        ServingResult,
+        ClusterResult,
+        TaskFailure,
+        EnergyBreakdown,
+        RequestMetrics,
+    )
+}
+
+
+def _encode(value: Any) -> Any:
+    cls = type(value)
+    if RESULT_TYPES.get(cls.__qualname__) is cls:
+        encoded = {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+        return {"__type__": cls.__qualname__, **encoded}
+    if isinstance(value, (tuple, list)):
+        return [_encode(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _encode(item) for key, item in value.items()}
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    raise TypeError(f"cannot encode a {cls.__name__} in a result")
 
 
 def encode_result(result: Any) -> Dict[str, Any]:
-    """Encode a grid-point result as a JSON-ready tagged dict."""
-    if isinstance(result, AttentionResult):
-        return {
-            "__type__": "AttentionResult",
-            "config": result.config,
-            "model": result.model,
-            "seq_len": result.seq_len,
-            "latency_cycles": result.latency_cycles,
-            "busy_2d_cycles": result.busy_2d_cycles,
-            "busy_1d_cycles": result.busy_1d_cycles,
-            "dram_bytes": result.dram_bytes,
-            "glb_words": result.glb_words,
-            "energy": dict(result.energy.pj),
-            "per_einsum_2d_cycles": dict(result.per_einsum_2d_cycles),
-        }
-    if isinstance(result, InferenceResult):
-        return {
-            "__type__": "InferenceResult",
-            "config": result.config,
-            "model": result.model,
-            "seq_len": result.seq_len,
-            "attention": encode_result(result.attention),
-            "linear_latency_cycles": result.linear_latency_cycles,
-            "linear_energy": dict(result.linear_energy.pj),
-        }
-    if isinstance(result, DesignPoint):
-        return {
-            "__type__": "DesignPoint",
-            "model": result.model,
-            "array_dim": result.array_dim,
-            "area_cm2": result.area_cm2,
-            "latency_seconds": result.latency_seconds,
-        }
-    if isinstance(result, BindingResult):
-        return encode_binding_result(result)
-    if isinstance(result, ScenarioResult):
-        return encode_scenario_result(result)
-    if isinstance(result, ScenarioGridResult):
-        return encode_scenario_grid_result(result)
-    if isinstance(result, ServingResult):
-        return encode_serving_result(result)
-    if isinstance(result, ClusterResult):
-        return encode_cluster_result(result)
-    if isinstance(result, TaskFailure):
-        # Degraded slots from on_error="skip" sweeps digest and persist
-        # like any result, so partial runs stay comparable.
-        return {
-            "__type__": "TaskFailure",
-            "index": result.index,
-            "kind": result.kind,
-            "error": result.error,
-            "attempts": result.attempts,
-        }
-    raise TypeError(f"cannot encode result of type {type(result).__name__}")
+    """Encode a result of :data:`RESULT_TYPES` as a JSON-ready dict
+    tagged ``__type__``: fields encode recursively in order, nested
+    dataclasses are tagged too, tuples become arrays."""
+    if RESULT_TYPES.get(type(result).__qualname__) is not type(result):
+        raise TypeError(f"cannot encode result of type {type(result).__name__}")
+    return _encode(result)
 
 
-def decode_result(payload: Dict[str, Any]) -> Any:
-    """Inverse of :func:`encode_result`."""
-    kind = payload.get("__type__")
-    if kind == "AttentionResult":
-        return AttentionResult(
-            config=payload["config"],
-            model=payload["model"],
-            seq_len=payload["seq_len"],
-            latency_cycles=payload["latency_cycles"],
-            busy_2d_cycles=payload["busy_2d_cycles"],
-            busy_1d_cycles=payload["busy_1d_cycles"],
-            dram_bytes=payload["dram_bytes"],
-            glb_words=payload["glb_words"],
-            energy=EnergyBreakdown(dict(payload["energy"])),
-            per_einsum_2d_cycles=dict(payload["per_einsum_2d_cycles"]),
-        )
-    if kind == "InferenceResult":
-        return InferenceResult(
-            config=payload["config"],
-            model=payload["model"],
-            seq_len=payload["seq_len"],
-            attention=decode_result(payload["attention"]),
-            linear_latency_cycles=payload["linear_latency_cycles"],
-            linear_energy=EnergyBreakdown(dict(payload["linear_energy"])),
-        )
-    if kind == "DesignPoint":
-        return DesignPoint(
-            model=payload["model"],
-            array_dim=payload["array_dim"],
-            area_cm2=payload["area_cm2"],
-            latency_seconds=payload["latency_seconds"],
-        )
-    if kind == "BindingResult":
-        return decode_binding_result(payload)
-    if kind == "ScenarioResult":
-        return decode_scenario_result(payload)
-    if kind == "ScenarioGridResult":
-        return decode_scenario_grid_result(payload)
-    if kind == "ServingResult":
-        return decode_serving_result(payload)
-    if kind == "ClusterResult":
-        return decode_cluster_result(payload)
-    if kind == "TaskFailure":
-        return TaskFailure(
-            index=payload["index"],
-            kind=payload["kind"],
-            error=payload["error"],
-            attempts=payload["attempts"],
-        )
-    raise ValueError(f"cannot decode result payload tagged {kind!r}")
+def _decode(data: Any) -> Any:
+    if isinstance(data, list):
+        return tuple(_decode(item) for item in data)
+    if isinstance(data, dict) and "__type__" not in data:
+        return {key: _decode(item) for key, item in data.items()}
+    return decode_result(data) if isinstance(data, dict) else data
+
+
+def decode_result(payload: Any) -> Any:
+    """Inverse of :func:`encode_result` (arrays decode to tuples).  The
+    payload must carry a known tag and exactly its type's fields."""
+    tag = payload.get("__type__") if isinstance(payload, dict) else None
+    cls = RESULT_TYPES.get(tag)
+    names = [f.name for f in fields(cls)] if cls is not None else []
+    if cls is None or len(payload) != len(names) + 1:
+        raise ValueError(f"cannot decode result payload tagged {tag!r}")
+    return cls(**{name: _decode(payload[name]) for name in names})
 
 
 @dataclass

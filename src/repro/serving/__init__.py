@@ -9,17 +9,10 @@ TTFT, time between tokens, p50/p99 latency, goodput at a deadline.
 
 from .arrivals import Arrival, check_sorted, format_trace, parse_trace, poisson_arrivals
 from .metrics import (
-    SERVE_FIELDS,
-    SERVE_QOS_FIELDS,
     RequestMetrics,
     ServingResult,
-    decode_serving_result,
-    encode_serving_result,
     percentile,
-    serve_fields_for,
     serving_csv,
-    serving_json,
-    serving_table,
 )
 from .simulator import (
     CLOCK_RESOURCE,
@@ -32,8 +25,6 @@ from .simulator import (
 
 __all__ = [
     "CLOCK_RESOURCE",
-    "SERVE_FIELDS",
-    "SERVE_QOS_FIELDS",
     "Arrival",
     "RequestMetrics",
     "RequestPlan",
@@ -41,16 +32,11 @@ __all__ = [
     "ServingSpec",
     "build_serving_tasks",
     "check_sorted",
-    "decode_serving_result",
-    "encode_serving_result",
     "format_trace",
     "parse_trace",
     "percentile",
     "poisson_arrivals",
-    "serve_fields_for",
     "serving_csv",
-    "serving_json",
     "serving_sim",
-    "serving_table",
     "simulate_serving",
 ]

@@ -20,25 +20,17 @@ and every aggregate is hand-checkable from a mini-trace.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from math import ceil
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import ClassVar, Optional, Sequence, Tuple
+
+from ..rows import Group, emit_rows
 
 __all__ = [
-    "SERVE_FIELDS",
-    "SERVE_QOS_FIELDS",
     "RequestMetrics",
     "ServingResult",
-    "decode_serving_result",
-    "encode_serving_result",
     "percentile",
-    "serve_fields_for",
     "serving_csv",
-    "serving_json",
-    "serving_table",
 ]
 
 
@@ -95,63 +87,52 @@ class RequestMetrics:
         return deadline is None or self.latency <= deadline
 
 
-#: Keys of one serving result row, in CSV column order.
-SERVE_FIELDS: Tuple[str, ...] = (
-    "workload",
-    "binding",
-    "requests",
-    "rate",
-    "max_inflight",
-    "deadline",
-    "array_dim",
-    "pe_1d",
-    "embedding",
-    "slots",
-    "dram_bw",
-    "n_tasks",
-    "makespan",
-    "util_2d",
-    "util_1d",
-    "util_dram",
-    "ttft_p50",
-    "ttft_p99",
-    "tbt_mean",
-    "latency_p50",
-    "latency_p99",
-    "throughput",
-    "goodput",
-)
-
-#: Columns appended (after :data:`SERVE_FIELDS`) when any result models
-#: buffer capacity or non-uniform DRAM QoS — the decode-TBT percentiles
-#: are what a prefill burst moves, so they only surface with the knobs.
-SERVE_QOS_FIELDS: Tuple[str, ...] = (
-    "buffer_bytes",
-    "qos",
-    "spill_bytes",
-    "tbt_p50",
-    "tbt_p99",
-)
-
-
-def serve_fields_for(results: Sequence["ServingResult"]) -> Tuple[str, ...]:
-    """Column set for ``results``: the historical :data:`SERVE_FIELDS`
-    widen with :data:`SERVE_QOS_FIELDS` only when some row exercises the
-    buffer/QoS model, so existing outputs stay byte-identical."""
-    if any(r.buffer_bytes is not None or r.qos != "uniform" for r in results):
-        return SERVE_FIELDS + SERVE_QOS_FIELDS
-    return SERVE_FIELDS
-
-
 @dataclass(frozen=True)
 class ServingResult:
     """Measured outcome of one open-loop serving simulation.
 
     Carries the full per-request timeline (``requests``) plus the
-    schedule-level busy counts; every aggregate column in
-    :data:`SERVE_FIELDS` is derived, so cached results and fresh runs
-    can never disagree about a percentile.
+    schedule-level busy counts; every aggregate column is derived, so
+    cached results and fresh runs can never disagree about a percentile.
+    The buffer/QoS columns join when a row models buffer capacity or
+    non-uniform DRAM QoS: the decode-TBT percentiles are what a prefill
+    burst moves, so they only surface with those knobs.
     """
+
+    COLUMNS: ClassVar[Tuple[Group, ...]] = (
+        Group(
+            (
+                "workload",
+                "binding",
+                "requests",
+                "rate",
+                "max_inflight",
+                "deadline",
+                "array_dim",
+                "pe_1d",
+                "embedding",
+                "slots",
+                "dram_bw",
+                "n_tasks",
+                "makespan",
+                "util_2d",
+                "util_1d",
+                "util_dram",
+                "ttft_p50",
+                "ttft_p99",
+                "tbt_mean",
+                "latency_p50",
+                "latency_p99",
+                "throughput",
+                "goodput",
+            ),
+            aliases={"workload": "name", "requests": "n_requests"},
+        ),
+        Group(
+            ("buffer_bytes", "qos", "spill_bytes", "tbt_p50", "tbt_p99"),
+            when=lambda r: r.buffer_bytes is not None or r.qos != "uniform",
+        ),
+    )
 
     name: str
     binding: str
@@ -248,103 +229,7 @@ class ServingResult:
         met = sum(1 for r in self.requests if r.met(self.deadline))
         return met / self.n_requests
 
-    #: Column names whose value lives under a different attribute.
-    _ALIASES = {"workload": "name", "requests": "n_requests"}
-
-    def row(self, fields_: Tuple[str, ...] = SERVE_FIELDS) -> Tuple:
-        """The result as a tuple in ``fields_`` order (absent values
-        stay None; the text emitters render them as ``-``)."""
-        return tuple(
-            getattr(self, self._ALIASES.get(name, name)) for name in fields_
-        )
-
-
-#: Scalar fields of :class:`ServingResult` in declaration order — the
-#: codec walks exactly these, so a new field cannot silently escape it.
-_SCALAR_FIELDS: Tuple[str, ...] = tuple(
-    f.name for f in fields(ServingResult) if f.name != "requests"
-)
-
-
-def encode_serving_result(result: ServingResult) -> Dict:
-    """JSON-ready payload for the runtime's result cache."""
-    return {
-        "__type__": "ServingResult",
-        **{name: getattr(result, name) for name in _SCALAR_FIELDS},
-        "requests": [asdict(r) for r in result.requests],
-    }
-
-
-#: Defaults for scalar fields added after the cache format shipped, so
-#: pre-capacity cache entries still decode (they never modeled either).
-_SCALAR_DEFAULTS: Dict[str, object] = {
-    "buffer_bytes": None,
-    "qos": "uniform",
-    "spill_bytes": 0,
-}
-
-
-def decode_serving_result(payload: Mapping) -> ServingResult:
-    """Inverse of :func:`encode_serving_result` (strict on the
-    historical fields, defaulting for the capacity/QoS columns)."""
-    data = {
-        name: (
-            payload.get(name, _SCALAR_DEFAULTS[name])
-            if name in _SCALAR_DEFAULTS
-            else payload[name]
-        )
-        for name in _SCALAR_FIELDS
-    }
-    return ServingResult(
-        **data,
-        requests=tuple(RequestMetrics(**entry) for entry in payload["requests"]),
-    )
-
-
-# --------------------------------------------------------------------------
-# Emitters: serving rows as CSV / JSON / aligned text (one row per
-# simulated load point, so a rate sweep is a latency-vs-load curve).
-# --------------------------------------------------------------------------
-
-
-def _blanked(row: Tuple) -> Tuple:
-    """Text-emitter row with absent values rendered as ``-`` (matching
-    the scenario emitters' convention; JSON keeps them as nulls)."""
-    return tuple("-" if value is None else value for value in row)
-
 
 def serving_csv(results: Sequence[ServingResult]) -> str:
-    """Serving results as CSV with a :func:`serve_fields_for` header."""
-    fields_ = serve_fields_for(results)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(fields_)
-    for result in results:
-        writer.writerow(_blanked(result.row(fields_)))
-    return buffer.getvalue()
-
-
-def serving_json(results: Sequence[ServingResult]) -> str:
-    """Serving results as a JSON array of row objects (absent values
-    are nulls)."""
-    fields_ = serve_fields_for(results)
-    return json.dumps(
-        [dict(zip(fields_, r.row(fields_))) for r in results], indent=2
-    )
-
-
-def serving_table(results: Sequence[ServingResult]) -> str:
-    """Serving results as an aligned text table (the CLI default)."""
-    fields_ = serve_fields_for(results)
-    text_rows: List[Tuple[str, ...]] = [fields_]
-    for result in results:
-        text_rows.append(
-            tuple(
-                f"{value:.3f}" if isinstance(value, float) else str(value)
-                for value in _blanked(result.row(fields_))
-            )
-        )
-    widths = [max(len(row[i]) for row in text_rows) for i in range(len(fields_))]
-    return "\n".join(
-        "  ".join(cell.rjust(width) for cell, width in zip(row, widths)) for row in text_rows
-    )
+    """Serving results as CSV, one latency-vs-load row per load point."""
+    return emit_rows(results, "csv")

@@ -52,11 +52,6 @@ from .vector import FoldedScenario, run_folded
 from .sweep import (
     DEFAULT_SWEEP_ARRAY_DIMS,
     DEFAULT_SWEEP_CHUNKS,
-    SCENARIO_BW_FIELDS,
-    SCENARIO_CAP_FIELDS,
-    SCENARIO_FIELDS,
-    SCENARIO_GRID_FIELDS,
-    SWEEP_FIELDS,
     BindingPoint,
     BindingResult,
     ScenarioGridCell,
@@ -66,16 +61,8 @@ from .sweep import (
     evaluate_binding_point,
     evaluate_scenario_point,
     profile_scenario_point,
-    grid_csv,
-    grid_json,
-    grid_table,
     scenario_csv,
-    scenario_fields_for,
-    scenario_json,
-    scenario_table,
     sweep_csv,
-    sweep_json,
-    sweep_table,
 )
 from .systolic import TileTiming, bqk_tile_timing, exp_tile_timing
 from .waterfall import binding_waterfall, waterfall_text
@@ -93,11 +80,6 @@ __all__ = [
     "FoldedScenario",
     "PipelineConfig",
     "PipelineReport",
-    "SCENARIO_BW_FIELDS",
-    "SCENARIO_CAP_FIELDS",
-    "SCENARIO_FIELDS",
-    "SCENARIO_GRID_FIELDS",
-    "SWEEP_FIELDS",
     "WORD_BYTES",
     "ScenarioGridCell",
     "ScenarioGridResult",
@@ -122,9 +104,6 @@ __all__ = [
     "evaluate_binding_point",
     "evaluate_scenario_point",
     "exp_tile_timing",
-    "grid_csv",
-    "grid_json",
-    "grid_table",
     "profile_scenario_point",
     "expected_compute_cycles",
     "fold_binding",
@@ -136,11 +115,8 @@ __all__ = [
     "run_folded",
     "scenario_csv",
     "scenario_dram_cycles",
-    "scenario_fields_for",
-    "scenario_json",
     "scenario_sim",
     "scenario_spill_bytes",
-    "scenario_table",
     "schedule_binding",
     "schedule_scenario_tasks",
     "simulate_binding",
@@ -148,7 +124,5 @@ __all__ = [
     "spill_bytes_per_chunk",
     "transfer_cycles",
     "sweep_csv",
-    "sweep_json",
-    "sweep_table",
     "waterfall_text",
 ]

@@ -30,14 +30,12 @@ through the same machinery under task kind ``"scenario"``.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from dataclasses import asdict, dataclass, fields
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import ClassVar, Dict, Mapping, Optional, Tuple
 
 from time import perf_counter
 
+from ..rows import Group, emit_rows
 from ..workloads.scenario import Scenario
 from . import pipeline
 from .pipeline import (
@@ -54,21 +52,6 @@ DEFAULT_SWEEP_CHUNKS: Tuple[int, ...] = (
 
 #: PE-array dimensions of the default sweep.
 DEFAULT_SWEEP_ARRAY_DIMS: Tuple[int, ...] = (128, 256)
-
-#: Keys of one binding sweep result, in CSV column order.
-SWEEP_FIELDS: Tuple[str, ...] = (
-    "binding",
-    "chunks",
-    "array_dim",
-    "pe_1d",
-    "embedding",
-    "seq_len",
-    "makespan",
-    "busy_2d",
-    "busy_1d",
-    "util_2d",
-    "util_1d",
-)
 
 
 @dataclass(frozen=True)
@@ -124,6 +107,13 @@ class BindingPoint:
 class BindingResult:
     """Utilization-vs-length row measured by one binding simulation."""
 
+    COLUMNS: ClassVar[Tuple[Group, ...]] = (
+        Group((
+            "binding", "chunks", "array_dim", "pe_1d", "embedding", "seq_len",
+            "makespan", "busy_2d", "busy_1d", "util_2d", "util_1d",
+        )),
+    )
+
     binding: str
     chunks: int
     array_dim: int
@@ -135,13 +125,6 @@ class BindingResult:
     busy_1d: int
     util_2d: float
     util_1d: float
-
-    def row(self) -> Tuple:
-        """The result as a tuple in :data:`SWEEP_FIELDS` order."""
-        return tuple(getattr(self, field) for field in SWEEP_FIELDS)
-
-
-assert SWEEP_FIELDS == tuple(f.name for f in fields(BindingResult))
 
 
 def evaluate_binding_point(
@@ -173,39 +156,6 @@ def evaluate_binding_point(
 # Scenario evaluation: one merged multi-instance schedule per point.
 # --------------------------------------------------------------------------
 
-#: Keys of one scenario result, in CSV column order.  Every axis a
-#: scenario can vary on (array dims, lanes, embedding, slots) is a
-#: column, so rows from same-named scenarios stay attributable.
-SCENARIO_FIELDS: Tuple[str, ...] = (
-    "scenario",
-    "binding",
-    "instances",
-    "array_dim",
-    "pe_1d",
-    "embedding",
-    "slots",
-    "seq_len",
-    "n_tasks",
-    "makespan",
-    "busy_2d",
-    "busy_1d",
-    "busy_io",
-    "util_2d",
-    "util_1d",
-)
-
-#: Bandwidth columns appended to :data:`SCENARIO_FIELDS` when any row's
-#: scenario set a finite ``dram_bw``; results without one keep the
-#: historical column set byte-for-byte.
-SCENARIO_BW_FIELDS: Tuple[str, ...] = ("dram_bw", "busy_dram", "util_dram")
-
-#: Capacity/QoS columns appended after the bandwidth columns when any
-#: row's scenario models the on-chip buffer or a non-uniform QoS
-#: discipline; plain rows keep the historical column set byte-for-byte
-#: (the same gating contract as :data:`SCENARIO_BW_FIELDS`).
-SCENARIO_CAP_FIELDS: Tuple[str, ...] = ("buffer_bytes", "qos", "spill_bytes")
-
-
 @dataclass(frozen=True)
 class ScenarioResult:
     """Measured schedule of one scenario's merged multi-instance graph.
@@ -218,7 +168,26 @@ class ScenarioResult:
     ``spill_bytes`` is the refill traffic the scenario's finite
     ``buffer_bytes`` forced over the baseline (0 when the buffer is
     unmodeled or ample).
+
+    Every axis a scenario can vary on (array dims, lanes, embedding,
+    slots) is a column, so rows from same-named scenarios stay
+    attributable.  The bandwidth columns join when a row sets
+    ``dram_bw``, the capacity/QoS columns when a row models the buffer
+    or a non-uniform QoS discipline.
     """
+
+    COLUMNS: ClassVar[Tuple[Group, ...]] = (
+        Group((
+            "scenario", "binding", "instances", "array_dim", "pe_1d",
+            "embedding", "slots", "seq_len", "n_tasks", "makespan",
+            "busy_2d", "busy_1d", "busy_io", "util_2d", "util_1d",
+        )),
+        Group(("dram_bw", "busy_dram", "util_dram"), blank="dram_bw"),
+        Group(
+            ("buffer_bytes", "qos", "spill_bytes"),
+            when=lambda r: r.buffer_bytes is not None or r.qos != "uniform",
+        ),
+    )
 
     scenario: str
     binding: str
@@ -253,31 +222,6 @@ class ScenarioResult:
         busy = {"2d": self.busy_2d, "1d": self.busy_1d, "io": self.busy_io,
                 "dram": self.busy_dram}
         return busy[resource] / self.makespan if self.makespan else 0.0
-
-    def row(self, fields_: Sequence[str] = SCENARIO_FIELDS) -> Tuple:
-        """The result as a tuple in ``fields_`` order (default: the
-        historical :data:`SCENARIO_FIELDS` columns)."""
-        return tuple(getattr(self, field) for field in fields_)
-
-
-assert SCENARIO_FIELDS + ("dram_bw", "busy_dram") + SCENARIO_CAP_FIELDS == tuple(
-    f.name for f in fields(ScenarioResult)
-)
-
-
-def scenario_fields_for(results: Sequence[ScenarioResult]) -> Tuple[str, ...]:
-    """The column set of one scenario result batch: the historical
-    columns, plus the bandwidth columns when any row models DRAM, plus
-    the capacity/QoS columns when any row models the buffer or a
-    non-uniform discipline."""
-    fields_ = SCENARIO_FIELDS
-    if any(r.dram_bw is not None for r in results):
-        fields_ = fields_ + SCENARIO_BW_FIELDS
-    if any(
-        r.buffer_bytes is not None or r.qos != "uniform" for r in results
-    ):
-        fields_ = fields_ + SCENARIO_CAP_FIELDS
-    return fields_
 
 
 def _scenario_row(scenario: Scenario, result) -> ScenarioResult:
@@ -401,22 +345,11 @@ def profile_scenario_point(
 # Scenario grids: (model, batch, heads, decode) cells over the runtime.
 # --------------------------------------------------------------------------
 
-#: Grid coordinates identifying one cell, in CSV column order.  ``model``
+#: Grid coordinates identifying one cell, in column order.  ``model``
 #: is the workload-model axis (None for heterogeneous extra cells that
 #: carry their identity in the scenario name); ``heads`` is None when a
 #: cell uses the model's own head count.
 GRID_COORD_FIELDS: Tuple[str, ...] = ("model", "batch", "heads", "decode")
-
-#: Analytical columns joined onto every cell (the closed-form estimate of
-#: :func:`repro.model.scenario.analytical_scenario`), so a grid doubles
-#: as a crosscheck-at-scale.
-GRID_ESTIMATE_FIELDS: Tuple[str, ...] = ("estimate", "est_util_2d", "est_util_1d")
-
-#: Columns of one scenario-grid row: coordinates, then the full measured
-#: scenario row, then the analytical estimate.
-SCENARIO_GRID_FIELDS: Tuple[str, ...] = (
-    GRID_COORD_FIELDS + SCENARIO_FIELDS + GRID_ESTIMATE_FIELDS
-)
 
 
 @dataclass(frozen=True)
@@ -447,7 +380,18 @@ class ScenarioGridCell:
 @dataclass(frozen=True)
 class ScenarioGridResult:
     """One evaluated grid cell: the measured schedule joined with the
-    closed-form analytical estimate of the same scenario."""
+    closed-form analytical estimate of the same scenario.
+
+    Its columns are the coordinates, then the full measured scenario
+    row (widening as a scenario batch does), then the analytical
+    estimate (:func:`repro.model.scenario.analytical_scenario`), so a
+    grid doubles as a crosscheck-at-scale."""
+
+    COLUMNS: ClassVar[Tuple[Group, ...]] = (
+        Group(GRID_COORD_FIELDS),
+        *(replace(group, via="sim") for group in ScenarioResult.COLUMNS),
+        Group(("estimate", "est_util_2d", "est_util_1d")),
+    )
 
     model: Optional[str]
     batch: Optional[int]
@@ -458,212 +402,12 @@ class ScenarioGridResult:
     est_util_2d: float
     est_util_1d: float
 
-    def row(self, scenario_fields: Sequence[str] = SCENARIO_FIELDS) -> Tuple:
-        """The cell as a tuple in :data:`SCENARIO_GRID_FIELDS` order
-        (``scenario_fields`` widens the embedded scenario columns when a
-        grid models DRAM bandwidth)."""
-        coords = tuple(getattr(self, name) for name in GRID_COORD_FIELDS)
-        tail = tuple(getattr(self, name) for name in GRID_ESTIMATE_FIELDS)
-        return coords + self.sim.row(scenario_fields) + tail
 
-    def as_dict(self, scenario_fields: Sequence[str] = SCENARIO_FIELDS) -> Dict:
-        """JSON-ready row object (flat, in column order)."""
-        fields_ = (
-            GRID_COORD_FIELDS + tuple(scenario_fields) + GRID_ESTIMATE_FIELDS
-        )
-        return dict(zip(fields_, self.row(scenario_fields)))
+def sweep_csv(results: Mapping[Tuple, BindingResult]) -> str:
+    """The binding sweep as CSV."""
+    return emit_rows(results, "csv")
 
 
-# --------------------------------------------------------------------------
-# Emitters: sweep/scenario rows as CSV / JSON / aligned text.
-# --------------------------------------------------------------------------
-
-SweepResults = Mapping[Tuple, BindingResult]
-ScenarioResults = Mapping[Tuple, ScenarioResult]
-
-
-def _rows_csv(fields_: Sequence[str], rows: Sequence[Tuple]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(fields_)
-    for row in rows:
-        writer.writerow(row)
-    return buffer.getvalue()
-
-
-def _rows_table(fields_: Sequence[str], rows: Sequence[Tuple]) -> str:
-    text_rows: List[Tuple[str, ...]] = [tuple(fields_)] + [
-        tuple(
-            f"{v:.3f}" if isinstance(v, float) else str(v) for v in row
-        )
-        for row in rows
-    ]
-    widths = [max(len(row[i]) for row in text_rows) for i in range(len(fields_))]
-    return "\n".join(
-        "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
-        for row in text_rows
-    )
-
-
-def sweep_csv(results: SweepResults) -> str:
-    """The sweep as CSV with a :data:`SWEEP_FIELDS` header row."""
-    return _rows_csv(SWEEP_FIELDS, [r.row() for r in results.values()])
-
-
-def sweep_json(results: SweepResults) -> str:
-    """The sweep as a JSON array of row objects."""
-    return json.dumps([asdict(r) for r in results.values()], indent=2)
-
-
-def sweep_table(results: SweepResults) -> str:
-    """The sweep as an aligned text table (the CLI's default view)."""
-    return _rows_table(SWEEP_FIELDS, [r.row() for r in results.values()])
-
-
-def _bw_blanked_row(result: ScenarioResult, fields_: Sequence[str]) -> Tuple:
-    """A result row for text emitters: when this row does not model
-    DRAM (or the buffer) but the batch's widened columns include the
-    bandwidth (capacity) fields, render them as ``-`` (matching the
-    grid emitters' absent-value convention) instead of a literal
-    ``None`` and a misleading 0."""
-    return tuple(
-        "-" if (
-            (result.dram_bw is None and name in SCENARIO_BW_FIELDS)
-            or (result.buffer_bytes is None and name == "buffer_bytes")
-        )
-        else value
-        for name, value in zip(fields_, result.row(fields_))
-    )
-
-
-def scenario_csv(results: ScenarioResults) -> str:
-    """Scenario results as CSV (header widens with the bandwidth
-    columns only when a row models DRAM)."""
-    fields_ = scenario_fields_for(list(results.values()))
-    return _rows_csv(
-        fields_, [_bw_blanked_row(r, fields_) for r in results.values()]
-    )
-
-
-def scenario_json(results: ScenarioResults) -> str:
-    """Scenario results as a JSON array of row objects (``dram_bw`` is
-    null on rows that do not model DRAM)."""
-    fields_ = scenario_fields_for(list(results.values()))
-    return json.dumps(
-        [dict(zip(fields_, r.row(fields_))) for r in results.values()],
-        indent=2,
-    )
-
-
-def scenario_table(results: ScenarioResults) -> str:
-    """Scenario results as an aligned text table."""
-    fields_ = scenario_fields_for(list(results.values()))
-    return _rows_table(
-        fields_, [_bw_blanked_row(r, fields_) for r in results.values()]
-    )
-
-
-GridResults = Sequence[ScenarioGridResult]
-
-
-def _grid_scenario_fields(results: GridResults) -> Tuple[str, ...]:
-    return scenario_fields_for([r.sim for r in results])
-
-
-def _grid_rows(
-    results: GridResults, scenario_fields: Sequence[str]
-) -> List[Tuple]:
-    """Grid rows with absent coordinates — and the bandwidth columns of
-    cells that do not model DRAM — rendered as ``-`` (the JSON emitter
-    keeps them as nulls via :meth:`ScenarioGridResult.as_dict`)."""
-    rows = []
-    for r in results:
-        coords = tuple(getattr(r, name) for name in GRID_COORD_FIELDS)
-        tail = tuple(getattr(r, name) for name in GRID_ESTIMATE_FIELDS)
-        flat = coords + _bw_blanked_row(r.sim, scenario_fields) + tail
-        rows.append(tuple("-" if value is None else value for value in flat))
-    return rows
-
-
-def grid_csv(results: GridResults) -> str:
-    """The grid as CSV with a :data:`SCENARIO_GRID_FIELDS` header row."""
-    fields_ = _grid_scenario_fields(results)
-    return _rows_csv(
-        GRID_COORD_FIELDS + fields_ + GRID_ESTIMATE_FIELDS,
-        _grid_rows(results, fields_),
-    )
-
-
-def grid_json(results: GridResults) -> str:
-    """The grid as a JSON array of row objects."""
-    fields_ = _grid_scenario_fields(results)
-    return json.dumps([r.as_dict(fields_) for r in results], indent=2)
-
-
-def grid_table(results: GridResults) -> str:
-    """The grid as an aligned text table (the CLI's default view)."""
-    fields_ = _grid_scenario_fields(results)
-    return _rows_table(
-        GRID_COORD_FIELDS + fields_ + GRID_ESTIMATE_FIELDS,
-        _grid_rows(results, fields_),
-    )
-
-
-def encode_binding_result(result: BindingResult) -> Dict:
-    """JSON-ready payload for the runtime's result cache."""
-    return {"__type__": "BindingResult", **asdict(result)}
-
-
-def decode_binding_result(payload: Mapping) -> BindingResult:
-    """Inverse of :func:`encode_binding_result`."""
-    return BindingResult(
-        **{field: payload[field] for field in SWEEP_FIELDS}
-    )
-
-
-def encode_scenario_result(result: ScenarioResult) -> Dict:
-    """JSON-ready payload for the runtime's result cache."""
-    return {"__type__": "ScenarioResult", **asdict(result)}
-
-
-def decode_scenario_result(payload: Mapping) -> ScenarioResult:
-    """Inverse of :func:`encode_scenario_result`.  The capacity/QoS
-    fields default when absent, so cache entries written before the
-    buffer model decode unchanged."""
-    data = {
-        field: payload[field]
-        for field in SCENARIO_FIELDS + ("dram_bw", "busy_dram")
-    }
-    data["buffer_bytes"] = payload.get("buffer_bytes")
-    data["qos"] = payload.get("qos", "uniform")
-    data["spill_bytes"] = payload.get("spill_bytes", 0)
-    return ScenarioResult(**data)
-
-
-def encode_scenario_grid_result(result: ScenarioGridResult) -> Dict:
-    """JSON-ready payload for the runtime's result cache."""
-    return {
-        "__type__": "ScenarioGridResult",
-        "model": result.model,
-        "batch": result.batch,
-        "heads": result.heads,
-        "decode": result.decode,
-        "sim": encode_scenario_result(result.sim),
-        "estimate": result.estimate,
-        "est_util_2d": result.est_util_2d,
-        "est_util_1d": result.est_util_1d,
-    }
-
-
-def decode_scenario_grid_result(payload: Mapping) -> ScenarioGridResult:
-    """Inverse of :func:`encode_scenario_grid_result`."""
-    return ScenarioGridResult(
-        model=payload["model"],
-        batch=payload["batch"],
-        heads=payload["heads"],
-        decode=payload["decode"],
-        sim=decode_scenario_result(payload["sim"]),
-        estimate=payload["estimate"],
-        est_util_2d=payload["est_util_2d"],
-        est_util_1d=payload["est_util_1d"],
-    )
+def scenario_csv(results: Mapping[Tuple, ScenarioResult]) -> str:
+    """Scenario results as CSV."""
+    return emit_rows(results, "csv")

@@ -49,6 +49,31 @@ class TestCLI:
         assert excinfo.value.code == 0
         assert capsys.readouterr().out == f"repro {__version__}\n"
 
+    def test_closed_stdout_exits_quietly(self, monkeypatch, capsys, tmp_path):
+        """A reader that closes the pipe early (``repro ... | head``)
+        ends the run with status 1 and no traceback, and stdout's file
+        descriptor is pointed at devnull for the final flush."""
+        target = open(tmp_path / "stdout", "w")
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError
+
+            def flush(self):
+                raise BrokenPipeError
+
+            def fileno(self):
+                return target.fileno()
+
+        with target:
+            monkeypatch.setattr("sys.stdout", ClosedPipe())
+            assert main(["simulate", "--sweep", "--chunks-list", "16",
+                         "--arrays", "64", "--format", "json",
+                         "--no-cache"]) == 1
+            assert capsys.readouterr().err == ""
+            target.write("after")
+        assert (tmp_path / "stdout").read_text() == ""
+
 
 class TestSimulateModeErrors:
     """Flag-to-mode routing stays in the CLI (the typed requests make

@@ -26,27 +26,19 @@ import math
 import pytest
 
 from repro.cluster import (
-    CLUSTER_BW_FIELDS,
-    CLUSTER_FIELDS,
-    CLUSTER_LINK_FIELDS,
     ClusterPoint,
     ClusterResult,
     ClusterSpec,
     build_cluster_tasks,
     chip_instance_counts,
-    cluster_csv,
-    cluster_fields_for,
-    cluster_json,
     cluster_link_cycles,
     cluster_sim,
-    cluster_table,
     collective_bytes,
-    decode_cluster_result,
-    encode_cluster_result,
     evaluate_cluster_point,
     shard_config,
 )
 from repro.model.cluster import analytical_cluster, cluster_work
+from repro.rows import emit_rows
 from repro.runtime import (
     ResultCache,
     RunRegistry,
@@ -337,47 +329,46 @@ class TestClusterResultAndEmitters:
         plain, linked, both_ = [
             evaluate_cluster_point(p) for p in self.POINTS
         ]
-        assert cluster_fields_for([plain]) == CLUSTER_FIELDS
-        assert cluster_fields_for([linked]) == (
-            CLUSTER_FIELDS + CLUSTER_LINK_FIELDS
-        )
-        assert cluster_fields_for([both_]) == (
-            CLUSTER_FIELDS + CLUSTER_BW_FIELDS + CLUSTER_LINK_FIELDS
-        )
+        base, dram, link = (g.names for g in ClusterResult.COLUMNS)
+
+        def header(results):
+            return tuple(emit_rows(results, "csv").splitlines()[0].split(","))
+
+        assert header([plain]) == base
+        assert header([linked]) == base + link
+        assert header([both_]) == base + dram + link
         # A single-chip row in a linked batch reports its link unmodeled.
         assert plain.link_bw is None
         assert linked.link_bw == 64.0 and linked.link_latency == 3
 
     def test_emitters_blank_unmodeled_columns(self):
         results = [evaluate_cluster_point(p) for p in self.POINTS]
-        csv_text = cluster_csv(results)
-        header, *rows = csv_text.strip().splitlines()
-        assert header.startswith("scenario,binding,sharding,topology")
-        assert header.endswith("link_bw,link_latency,busy_link,util_link")
+        csv_text = emit_rows(results, "csv")
+        header_, *rows = csv_text.strip().splitlines()
+        assert header_.startswith("scenario,binding,sharding,topology")
+        assert header_.endswith("link_bw,link_latency,busy_link,util_link")
         # The unclustered row blanks every widened column.
         assert rows[0].endswith(",-,-,-,-,-,-,-")
-        payload = json.loads(cluster_json(results))
+        payload = json.loads(emit_rows(results, "json"))
         assert payload[0]["link_bw"] is None
         assert payload[1]["link_bw"] == 64.0
         assert payload[2]["dram_bw"] == 32.0
-        table = cluster_table(results)
+        table = emit_rows(results, "table")
         assert "util_link" in table.splitlines()[0]
         assert len(table.splitlines()) == 1 + len(results)
 
     def test_narrow_batch_keeps_historical_columns(self):
         results = [evaluate_cluster_point(self.POINTS[0])]
-        header = cluster_csv(results).splitlines()[0]
-        assert "link_bw" not in header and "dram_bw" not in header
-        assert header.split(",") == list(CLUSTER_FIELDS)
+        header_ = emit_rows(results, "csv").splitlines()[0]
+        assert "link_bw" not in header_ and "dram_bw" not in header_
+        assert tuple(header_.split(",")) == ClusterResult.COLUMNS[0].names
 
     def test_codec_round_trip(self):
         for point in self.POINTS:
             result = evaluate_cluster_point(point)
             assert isinstance(result, ClusterResult)
-            direct = json.loads(json.dumps(encode_cluster_result(result)))
-            assert decode_cluster_result(direct) == result
-            # And through the runtime's polymorphic codec.
             payload = json.loads(json.dumps(encode_result(result)))
+            assert payload["__type__"] == "ClusterResult"
             assert decode_result(payload) == result
 
 

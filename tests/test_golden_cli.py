@@ -96,6 +96,28 @@ CASES = [
     (["cluster", "--instances", "4", "--chunks", "8", "--array-dim", "64",
       "--chips", "2,4", "--shardings", "head,tensor", "--link-bws", "64",
       "--link-latency", "4", "--format", "csv"], "cluster-linked.csv"),
+    # The row emitter's gating and blanking, locked before it became one
+    # emitter: a DRAM grid whose scenario columns widen (table and
+    # JSON), a chip sweep mixing unlinked and linked rows (the `none`
+    # rows blank the link group), and a serving row with `-` cells and
+    # the buffer/QoS columns.
+    (["sweep", "--grid", "--models", "BERT", "--batches", "1",
+      "--heads-list", "2,4", "--chunks", "8", "--array-dim", "64",
+      "--decode-list", "0,2", "--dram-bw", "32", "--no-cache"],
+     "sweep-grid-dram.txt"),
+    (["sweep", "--grid", "--models", "BERT", "--batches", "1",
+      "--heads-list", "2,4", "--chunks", "8", "--array-dim", "64",
+      "--decode-list", "0,2", "--dram-bw", "32", "--no-cache",
+      "--format", "json"], "sweep-grid-dram.json"),
+    (["cluster", "--instances", "4", "--chunks", "8", "--array-dim", "64",
+      "--chips", "1,2", "--link-bws", "none,64", "--no-cache"],
+     "cluster-mixed-link.txt"),
+    (["cluster", "--instances", "4", "--chunks", "8", "--array-dim", "64",
+      "--chips", "1,2", "--link-bws", "none,64", "--no-cache",
+      "--format", "json"], "cluster-mixed-link.json"),
+    (["serve", "--rate", "0.5", "--duration", "8192", "--array-dim", "64",
+      "--decode-tokens", "2", "--dram-bw", "64", "--qos", "decode-first",
+      "--no-cache"], "serve-qos.txt"),
 ]
 
 

@@ -2,20 +2,26 @@
 
 import dataclasses
 import json
+import typing
 
 import pytest
 
 from repro.experiments.report import full_report
+from repro.cluster import ClusterPoint, ClusterSpec
 from repro.model import UnfusedModel, fusemax
 from repro.runtime import (
+    RESULT_TYPES,
     EvalTask,
     FaultPlan,
     FaultSpec,
     ResultCache,
     RetryPolicy,
     RunRegistry,
+    TaskFailure,
     attention_grid,
+    binding_grid,
     cache_key,
+    cluster_grid,
     decode_result,
     encode_result,
     evaluate_task,
@@ -25,6 +31,7 @@ from repro.runtime import (
     result_digest,
     run_tasks,
     scenario_grid,
+    scenario_grid_tasks,
     serving_grid,
     sweep_attention,
     sweep_inference,
@@ -32,6 +39,7 @@ from repro.runtime import (
     sweep_serving,
 )
 from repro.serving import Arrival, ServingSpec, poisson_arrivals
+from repro.simulator import ScenarioGridCell
 from repro.workloads import BERT, MODELS, SEQUENCE_LENGTHS, T5
 from repro.workloads.scenario import Phase, Scenario, attention_scenario
 
@@ -47,6 +55,36 @@ def serving_spec(**overrides):
     return ServingSpec(**defaults)
 
 SHORT = (1024, 65536)
+
+
+def evaluate_first(tasks):
+    return evaluate_task(tasks[0])
+
+
+#: One evaluated instance of every type in the codec's closed set.
+CODEC_SAMPLES = {
+    "AttentionResult": lambda: evaluate_task(EvalTask("attention", UnfusedModel(), BERT, 4096)),
+    "InferenceResult": lambda: evaluate_task(EvalTask("inference", fusemax(), BERT, 4096)),
+    "DesignPoint": lambda: evaluate_task(EvalTask("pareto", 64, BERT, 4096)),
+    "BindingResult": lambda: evaluate_first(binding_grid(chunks=(16,), array_dims=(64,))),
+    "ScenarioResult": lambda: evaluate_first(
+        scenario_grid([attention_scenario(2, 4, array_dim=64, dram_bw=32.0)])
+    ),
+    "ScenarioGridResult": lambda: evaluate_first(
+        scenario_grid_tasks(
+            [ScenarioGridCell(attention_scenario(2, 4, array_dim=64), model="BERT", batch=2)]
+        )
+    ),
+    "ServingResult": lambda: evaluate_first(serving_grid([serving_spec(deadline=4000)])),
+    "ClusterResult": lambda: evaluate_first(
+        cluster_grid(
+            [ClusterPoint(attention_scenario(4, 4, array_dim=64), ClusterSpec(2, link_bw=64.0))]
+        )
+    ),
+    "TaskFailure": lambda: TaskFailure(index=3, kind="binding", error="boom", attempts=2),
+    "EnergyBreakdown": lambda: CODEC_SAMPLES["AttentionResult"]().energy,
+    "RequestMetrics": lambda: CODEC_SAMPLES["ServingResult"]().requests[0],
+}
 
 
 class TestParallelEqualsSerial:
@@ -389,17 +427,57 @@ class TestCodec:
         payload = json.loads(json.dumps(encode_result(result)))
         assert decode_result(payload) == result
 
-    def test_pre_capacity_payloads_still_decode(self):
-        """Cache entries written before the buffer/QoS fields existed
-        decode to the explicit defaults (they never modeled either)."""
-        (task,) = serving_grid([serving_spec(dram_bw=64.0)])
-        result = evaluate_task(task)
-        payload = json.loads(json.dumps(encode_result(result)))
-        for legacy_field in ("buffer_bytes", "qos", "spill_bytes"):
-            payload.pop(legacy_field)
-        decoded = decode_result(payload)
-        assert decoded == result
-        assert decoded.buffer_bytes is None and decoded.qos == "uniform"
+    @pytest.mark.parametrize("tag", sorted(RESULT_TYPES))
+    def test_every_codec_type_round_trips(self, tag):
+        value = CODEC_SAMPLES[tag]()
+        assert type(value) is RESULT_TYPES[tag]
+        payload = json.loads(json.dumps(encode_result(value)))
+        assert payload["__type__"] == tag
+        assert decode_result(payload) == value
+
+    def test_closed_set_holds_every_nested_dataclass(self):
+        """A dataclass reachable from a result field is in the closed
+        set, so a new nested type cannot fall outside the codec."""
+
+        def reachable(hint):
+            yield hint
+            for arg in typing.get_args(hint):
+                yield from reachable(arg)
+
+        for cls in RESULT_TYPES.values():
+            hints = typing.get_type_hints(cls)
+            for field in dataclasses.fields(cls):
+                for hint in reachable(hints[field.name]):
+                    if dataclasses.is_dataclass(hint):
+                        assert RESULT_TYPES.get(hint.__qualname__) is hint
+
+    def test_disk_entries_keep_mapping_order(self, tmp_path):
+        result = CODEC_SAMPLES["AttentionResult"]()
+        assert list(result.energy.pj) != sorted(result.energy.pj)
+        assert list(result.per_einsum_2d_cycles) != sorted(result.per_einsum_2d_cycles)
+        ResultCache(directory=tmp_path).put("ab" * 32, result)
+        cached = ResultCache(directory=tmp_path).get("ab" * 32)
+        assert list(cached.energy.pj) == list(result.energy.pj)
+        assert list(cached.per_einsum_2d_cycles) == list(result.per_einsum_2d_cycles)
+
+    def test_payload_with_other_fields_rejected(self):
+        payload = encode_result(CODEC_SAMPLES["ServingResult"]())
+        missing = {k: v for k, v in payload.items() if k != "qos"}
+        with pytest.raises(ValueError):
+            decode_result(missing)
+        with pytest.raises(ValueError):
+            decode_result({**payload, "extra": 1})
+
+    def test_unknown_nested_tag_quarantined(self, tmp_path):
+        payload = encode_result(CODEC_SAMPLES["AttentionResult"]())
+        payload["energy"]["__type__"] = "Mystery"
+        cache = ResultCache(directory=tmp_path)
+        path = cache.entry_path("cd" * 32)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps({"key": "cd" * 32, "result": payload}))
+        assert cache.get("cd" * 32) is None
+        assert cache.stats.corrupt == 1
+        assert path.with_suffix(".corrupt").is_file()
 
     def test_unknown_payload_rejected(self):
         with pytest.raises(ValueError):

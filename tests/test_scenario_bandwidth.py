@@ -26,6 +26,7 @@ from conftest import event_scenario
 
 from repro.experiments.crosscheck import bandwidth_scenarios, crosscheck
 from repro.model.scenario import analytical_scenario, scenario_work
+from repro.rows import emit_rows
 from repro.runtime import decode_result, encode_result
 from repro.simulator import (
     PipelineConfig,
@@ -37,13 +38,10 @@ from repro.simulator import (
     build_tasks,
     chunk_traffic,
     evaluate_scenario_point,
-    grid_csv,
     lower_dram,
     scenario_csv,
     scenario_dram_cycles,
-    scenario_json,
     scenario_sim,
-    scenario_table,
     transfer_cycles,
 )
 from repro.workloads.scenario import (
@@ -312,14 +310,14 @@ class TestBandwidthEmitters:
     def test_legacy_rows_keep_legacy_columns(self):
         results = self.rows(contended(None))
         assert "dram_bw" not in scenario_csv(results)
-        assert "dram_bw" not in scenario_table(results)
-        assert "dram_bw" not in json.loads(scenario_json(results))[0]
+        assert "dram_bw" not in emit_rows(results, "table")
+        assert "dram_bw" not in json.loads(emit_rows(results, "json"))[0]
 
     def test_bandwidth_rows_gain_bandwidth_columns(self):
         results = self.rows(contended(TIGHT))
         header = scenario_csv(results).splitlines()[0]
         assert header.endswith("dram_bw,busy_dram,util_dram")
-        row = json.loads(scenario_json(results))[0]
+        row = json.loads(emit_rows(results, "json"))[0]
         assert row["dram_bw"] == TIGHT
         assert row["busy_dram"] > 0
         assert 0 < row["util_dram"] <= 1
@@ -331,7 +329,7 @@ class TestBandwidthEmitters:
             scenario=contended(TIGHT), model=None, batch=None, heads=None,
             decode=4,
         )
-        text = grid_csv([evaluate_grid_cell(cell)])
+        text = emit_rows([evaluate_grid_cell(cell)], "csv")
         header = text.splitlines()[0]
         assert "dram_bw" in header
         assert header.endswith("estimate,est_util_2d,est_util_1d")
@@ -356,9 +354,9 @@ class TestBandwidthEmitters:
         csv_lines = scenario_csv(results).splitlines()
         assert csv_lines[0].endswith("dram_bw,busy_dram,util_dram")
         assert csv_lines[2].endswith(",-,-,-")
-        table_rows = scenario_table(results).splitlines()
+        table_rows = emit_rows(results, "table").splitlines()
         assert table_rows[2].split()[-3:] == ["-", "-", "-"]
-        modeled, unmodeled = json.loads(scenario_json(results))
+        modeled, unmodeled = json.loads(emit_rows(results, "json"))
         assert modeled["dram_bw"] == TIGHT
         assert unmodeled["dram_bw"] is None
 

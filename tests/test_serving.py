@@ -18,6 +18,7 @@ Four contracts:
 
 import pytest
 
+from repro.rows import emit_rows
 from repro.serving import (
     Arrival,
     RequestMetrics,
@@ -29,9 +30,7 @@ from repro.serving import (
     percentile,
     poisson_arrivals,
     serving_csv,
-    serving_json,
     serving_sim,
-    serving_table,
     simulate_serving,
 )
 from repro.simulator import scenario_sim
@@ -180,8 +179,8 @@ class TestMetricsMath:
         header, row = csv_text.strip().split("\n")
         assert header.count(",") == row.count(",") == 22
         assert ",-," in row  # rate/deadline columns blank
-        assert '"rate": null' in serving_json([result])
-        assert serving_table([result]).splitlines()[0].lstrip().startswith(
+        assert '"rate": null' in emit_rows([result], "json")
+        assert emit_rows([result], "table").splitlines()[0].lstrip().startswith(
             "workload"
         )
 

@@ -24,6 +24,7 @@ from repro.cluster import (
     evaluate_cluster_point,
 )
 from repro.model.scenario import analytical_scenario
+from repro.rows import emit_rows
 from repro.runtime import (
     ResultCache,
     RunRegistry,
@@ -48,13 +49,9 @@ from repro.simulator import (
     evaluate_binding_point,
     evaluate_scenario_point,
     scenario_csv,
-    scenario_json,
     scenario_sim,
-    scenario_table,
     simulate_binding,
     sweep_csv,
-    sweep_json,
-    sweep_table,
 )
 from repro.workloads import BERT
 from repro.workloads.scenario import (
@@ -377,12 +374,12 @@ class TestBindingSweep:
             "binding,chunks,array_dim,pe_1d,embedding,seq_len"
         )
         assert len(lines) == 1 + len(results)
-        rows = json.loads(sweep_json(results))
+        rows = json.loads(emit_rows(results, "json"))
         assert len(rows) == len(results)
         assert {row["binding"] for row in rows} == {
             "tile-serial", "interleaved"
         }
-        table = sweep_table(results)
+        table = emit_rows(results, "table")
         assert "util_2d" in table.splitlines()[0]
 
     def test_binding_result_fields_consistent(self):
@@ -1189,11 +1186,11 @@ class TestScenarioSweep:
         lines = csv_text.strip().splitlines()
         assert lines[0].startswith("scenario,binding,instances")
         assert len(lines) == 1 + len(results)
-        rows = json.loads(scenario_json(results))
+        rows = json.loads(emit_rows(results, "json"))
         assert {row["binding"] for row in rows} == {
             "tile-serial", "interleaved"
         }
-        assert "util_2d" in scenario_table(results).splitlines()[0]
+        assert "util_2d" in emit_rows(results, "table").splitlines()[0]
 
 
 class TestSweepCLI:
