@@ -14,7 +14,9 @@ Three things are gated:
   :class:`~repro.serving.ServingResult` twice, and the event core agrees
   with the cycle-accurate oracle on a small serving graph (the clock
   chain and admission gating are ordinary task structure, so the
-  engine-equivalence guarantee must extend to them unchanged);
+  engine-equivalence guarantee must extend to them unchanged), both on
+  the built graph and on the stamped templates ``simulate_serving``
+  schedules;
 - **budget** — a saturated rate point (``--serve-budget`` seconds for
   build + schedule + metrics) keeps the serving path fast enough for CI;
 - **shape** — across ``--rates``, p50 latency is non-decreasing and
@@ -120,6 +122,10 @@ def main(argv=None):
     *_, event = serving_sim(small)  # the event core on the built graph
     *_, cycle = serving_sim(small, engine="cycle")
     assert event == cycle, "serving graph: engines diverged"
+    # The path that ships schedules stamped templates, not that graph.
+    assert first == simulate_serving(small, engine="cycle"), (
+        "serving: stamped templates diverged from the cycle oracle"
+    )
     print(
         f"determinism: {first.n_requests} requests, "
         f"makespan={first.makespan:,} — rerun identical, event == cycle ok"

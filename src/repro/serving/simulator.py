@@ -24,6 +24,34 @@ structure:
   :func:`~repro.simulator.engine.lower_dram` makes DRAM transfers
   arrive-gated too (the lowering is per-task-local, so lowering per
   request equals lowering the merged graph).
+- **Decode-first QoS** is a priority key.  Each decode step's DRAM
+  transfers are gated on the step (just in time) and rank ahead of
+  every other task in the ready heaps; each group keeps merged order
+  (:func:`_priority`).
+
+Stamped templates
+-----------------
+
+Requests of one shape — ``(chunks, decode_tokens, chip)`` — have the
+same graph up to their ``r{j}:`` name prefix.  So
+:func:`simulate_serving` builds :func:`_request_graph` once per shape,
+compiles it to a :class:`~repro.simulator.engine.FlatGraph`, and
+stamps each request at its offset in merged order: the clock chain
+first, then request 0, request 1, and so on.  A stamped request's
+dependency-free tasks wait on its :func:`_gate`.  The result runs on
+the integer event core (:func:`~repro.simulator.events.run_flat`); no
+merged ``Task`` list and no per-request name is ever made.
+
+Why this is exact: stamping produces the merged graph of
+:func:`build_serving_tasks` with every task renamed to its position in
+merged order.  Both layouts come from the same per-request helper, the
+same :func:`_gate` and the same :func:`_priority` ranks.  The named
+list is laid out in rank order (the stable partition that floats
+decode transfers ahead), while the stamped graph keeps merged order and
+carries the ranks as its priority key.  The engines consult order only
+to rank ready tasks, so both schedule identically.  The ``serving``
+fuzz family in ``tests/test_serving.py`` checks the stamped path
+against the cycle oracle on the named graph.
 
 Everything else — array-slot contention, issue disciplines, DRAM
 bandwidth arbitration, the vector/cycle engine equivalence — applies to
@@ -39,21 +67,25 @@ locks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
-
 import re
+from dataclasses import dataclass, replace
+from itertools import count
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..cluster.build import instance_out_bytes
 from ..cluster.spec import LINK_RESOURCE
 from ..simulator.engine import (
     DRAM_RESOURCE,
+    ENGINES,
+    FlatGraph,
     SimResult,
     Simulator,
     Task,
     lower_dram,
+    task_index,
     transfer_cycles,
 )
+from ..simulator.events import run_flat
 from ..simulator.pipeline import (
     PipelineConfig,
     apply_buffer_spills,
@@ -166,9 +198,7 @@ class ServingSpec:
         if self.rate is not None and not self.rate > 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
         if self.buffer_bytes is not None and not self.buffer_bytes > 0:
-            raise ValueError(
-                f"buffer_bytes must be > 0, got {self.buffer_bytes}"
-            )
+            raise ValueError(f"buffer_bytes must be > 0, got {self.buffer_bytes}")
         if self.qos not in QOS_MODES:
             raise ValueError(f"unknown qos {self.qos!r}; have {QOS_MODES}")
         if self.binding == "tile-serial":
@@ -258,153 +288,248 @@ def _sinks(tasks: Sequence[Task]) -> Tuple[str, ...]:
 _DECODE_STEP = re.compile(r":t(\d+):")
 
 
-def _is_decode_transfer(task: Task) -> bool:
-    """Whether ``task`` is a decode-step DRAM transfer (on any chip)."""
-    on_dram = task.resource == DRAM_RESOURCE or task.resource.endswith(
-        f":{DRAM_RESOURCE}"
-    )
-    return on_dram and _DECODE_STEP.search(task.name) is not None
-
-
 def _gated(tasks: Sequence[Task], gate: Tuple[str, ...]) -> List[Task]:
-    """Hang every dependency-free task on ``gate`` (arrival + window)."""
+    """Hang every dependency-free task on ``gate``."""
     return [replace(task, deps=gate) if not task.deps else task for task in tasks]
 
 
-def build_serving_tasks(spec: ServingSpec) -> Tuple[List[Task], List[RequestPlan]]:
-    """The full serving graph: clock chain + gated request graphs.
+def _config(spec: ServingSpec, arrival: Arrival) -> PipelineConfig:
+    return PipelineConfig(
+        chunks=arrival.chunks,
+        embedding=spec.embedding,
+        array_dim=spec.array_dim,
+        pe_1d=spec.resolved_pe_1d,
+    )
 
-    Returns the merged task list plus one :class:`RequestPlan` per
-    arrival, index-aligned with ``spec.arrivals``.
+
+def _clock_chain(arrivals: Sequence[Arrival]) -> Tuple[List[Task], Dict[int, int]]:
+    """The arrival clock chain, and each arrival time's position in it.
+
+    One clock task per *distinct* arrival time: a duration-0 segment in
+    the middle of the chain would be treated as done at t=0 by the
+    dependency frontier, so requests sharing a timestamp share a gate.
+    (The only zero-duration clock task is a first arrival at t=0, where
+    done-at-0 is exactly right.)  The chain heads both graph layouts, so
+    a position is also the clock task's id in the stamped graph.
     """
-    serial = spec.binding == "tile-serial"
-    tasks: List[Task] = []
-    # One clock task per *distinct* arrival time: a duration-0 segment in
-    # the middle of the chain would be treated as done at t=0 by the
-    # dependency frontier, so requests sharing a timestamp share a gate.
-    # (The only zero-duration clock task is a first arrival at t=0,
-    # where done-at-0 is exactly right.)
-    gate_of = {}
+    chain: List[Task] = []
+    position: Dict[int, int] = {}
     prev_time = 0
-    prev_name: Optional[str] = None
-    for g, time in enumerate(sorted({a.at for a in spec.arrivals})):
-        name = f"CLK[{g}]"
-        deps = () if prev_name is None else (prev_name,)
-        tasks.append(Task(name, CLOCK_RESOURCE, time - prev_time, deps))
-        gate_of[time] = name
-        prev_time, prev_name = time, name
+    for g, time in enumerate(sorted({a.at for a in arrivals})):
+        deps = (chain[-1].name,) if chain else ()
+        chain.append(Task(f"CLK[{g}]", CLOCK_RESOURCE, time - prev_time, deps))
+        position[time] = g
+        prev_time = time
+    return chain, position
 
-    plans: List[RequestPlan] = []
-    for index, arrival in enumerate(spec.arrivals):
-        prefix = f"r{index}:"
-        chip = index % spec.n_chips
-        config = PipelineConfig(
-            chunks=arrival.chunks,
-            embedding=spec.embedding,
-            array_dim=spec.array_dim,
-            pe_1d=spec.resolved_pe_1d,
-        )
-        graph = build_tasks(config, serial=serial, prefix=prefix)
-        graph = apply_buffer_spills(
-            graph, config, "prefill", spec.buffer_bytes, prefix
-        )
-        prefill_sinks = _sinks(graph)
-        prev_sinks = prefill_sinks
-        gather: Tuple[str, ...] = ()
-        if spec.models_link:
-            # Publish the prefill output (the request's KV shard) to the
-            # other chips before decode proceeds — the cross-chip
-            # dependency that makes the link a contended shared
-            # resource.  Same arithmetic as the cluster lowering's
-            # all-gather: (n_chips - 1) peer copies of one instance's
-            # output, priced by transfer_cycles plus the hop latency.
-            moved = instance_out_bytes(config, "prefill") * (spec.n_chips - 1)
-            cycles = transfer_cycles(moved, spec.link_bw) + spec.link_latency
-            if cycles > 0:
-                graph.append(Task(f"{prefix}AG", LINK_RESOURCE, cycles, prefill_sinks))
-                gather = (f"{prefix}AG",)
-                prev_sinks = gather
-        token_sinks: List[str] = []
-        step_gates: List[Tuple[str, ...]] = []
-        for step in range(arrival.decode_tokens):
-            step_prefix = f"{prefix}t{step}:"
-            step_tasks = build_decode_tasks(config, prefix=step_prefix)
-            step_tasks = apply_buffer_spills(
-                step_tasks, config, "decode", spec.buffer_bytes, step_prefix
-            )
-            # Chain: the step's dependency-free tasks wait on the
-            # previous step's accumulate (or the gather/prefill sinks).
-            step_gates.append(prev_sinks)
-            step_tasks = _gated(step_tasks, prev_sinks)
-            prev_sinks = _sinks(step_tasks)
-            token_sinks.extend(prev_sinks)
-            graph.extend(step_tasks)
-        # Lower DRAM traffic per request *before* gating, so the
-        # transfer tasks are arrive-gated too (the memory system cannot
-        # stream a request that has not arrived).  lower_dram inserts
-        # per task, so per-request lowering equals whole-graph lowering.
-        # A finite buffer_bytes bounds each request's prefetch window.
-        graph = lower_dram(graph, spec.dram_bw, spec.buffer_bytes)
-        if spec.qos == "decode-first":
-            # Decode streams issue just-in-time: each step's DRAM
-            # transfers wait on the step's own gate instead of
-            # prefetching at admission, so prioritizing them (the
-            # partition below) means "cut ahead of queued prefill bulk
-            # when a token needs data" rather than "stream the whole
-            # decode working set before the request's own prefill".
-            def jit(task: Task) -> Task:
-                if task.resource != DRAM_RESOURCE:
-                    return task
-                match = _DECODE_STEP.search(task.name)
-                if match is None:
-                    return task
-                gate_deps = step_gates[int(match.group(1))]
-                extra = tuple(d for d in gate_deps if d not in task.deps)
-                return replace(task, deps=task.deps + extra)
 
-            graph = [jit(task) for task in graph]
-        if spec.n_chips > 1:
-            # The request's compute and DRAM traffic live on its own
-            # chip's resources; only the link (and the clock) is shared.
-            graph = [
-                task if task.resource == LINK_RESOURCE
-                else replace(task, resource=f"c{chip}:{task.resource}")
-                for task in graph
-            ]
-        gate = (gate_of[arrival.at],)
-        if index >= spec.max_inflight:
-            gate = gate + plans[index - spec.max_inflight].finish_sinks
-        tasks.extend(_gated(graph, gate))
-        plans.append(
-            RequestPlan(
-                index=index,
-                arrival=arrival,
-                gate=gate,
-                prefill_sinks=prefill_sinks,
-                token_sinks=tuple(token_sinks),
-                chip=chip,
-                gather=gather,
-            )
+def _gate(clock, finish_sinks: Sequence[tuple], window: int) -> tuple:
+    """What admits the next request: its arrival's clock task, plus — the
+    FIFO admission window — the finish sinks of the request ``window``
+    places ahead.  ``finish_sinks`` holds every earlier request's, as
+    names or as ids; the gate comes back in the same terms."""
+    ahead = len(finish_sinks) - window
+    return (clock,) + (finish_sinks[ahead] if ahead >= 0 else ())
+
+
+def _priority(urgent: Sequence[bool]) -> List[int]:
+    """Each task's issue rank: the ``urgent`` ones (decode-first's
+    decode-step DRAM transfers) ahead of all others, each group in
+    merged order — a stable partition.  All-False ranks in merged
+    order, which is every ``"uniform"`` graph.
+
+    The engines consult the rank only to pick among ready tasks, so
+    this *is* the priority scheme: whenever a decode refill and a
+    prefill bulk transfer are both ready, the link issues the decode
+    one first — across requests, so an in-flight request's tokens beat
+    a newly arriving request's prefill burst."""
+    front = count()
+    rest = count(sum(urgent))
+    return [next(front) if u else next(rest) for u in urgent]
+
+
+def _request_graph(
+    spec: ServingSpec, index: int, arrival: Arrival
+) -> Tuple[List[Task], List[bool], RequestPlan]:
+    """Request ``index``'s graph, before its admission gate.
+
+    Every per-request encoding rule lives here: prefill graph and
+    buffer spills, the link gather, the decode-step chain, the
+    per-request DRAM lowering, decode-first's just-in-time transfers
+    and the chip prefix.  Returns the tasks (dependency-free ones still
+    ungated), which of them decode-first issues first, and the
+    request's plan with an empty ``gate``.
+    """
+    prefix = f"r{index}:"
+    chip = index % spec.n_chips
+    config = _config(spec, arrival)
+    graph = build_tasks(config, serial=spec.binding == "tile-serial", prefix=prefix)
+    graph = apply_buffer_spills(graph, config, "prefill", spec.buffer_bytes, prefix)
+    prefill_sinks = _sinks(graph)
+    prev_sinks = prefill_sinks
+    gather: Tuple[str, ...] = ()
+    if spec.models_link:
+        # Publish the prefill output (the request's KV shard) to the
+        # other chips before decode proceeds — the cross-chip
+        # dependency that makes the link a contended shared
+        # resource.  Same arithmetic as the cluster lowering's
+        # all-gather: (n_chips - 1) peer copies of one instance's
+        # output, priced by transfer_cycles plus the hop latency.
+        moved = instance_out_bytes(config, "prefill") * (spec.n_chips - 1)
+        cycles = transfer_cycles(moved, spec.link_bw) + spec.link_latency
+        if cycles > 0:
+            graph.append(Task(f"{prefix}AG", LINK_RESOURCE, cycles, prefill_sinks))
+            gather = (f"{prefix}AG",)
+            prev_sinks = gather
+    token_sinks: List[str] = []
+    step_gates: List[Tuple[str, ...]] = []
+    for step in range(arrival.decode_tokens):
+        step_prefix = f"{prefix}t{step}:"
+        step_tasks = build_decode_tasks(config, prefix=step_prefix)
+        step_tasks = apply_buffer_spills(
+            step_tasks, config, "decode", spec.buffer_bytes, step_prefix
         )
+        # Chain: the step's dependency-free tasks wait on the
+        # previous step's accumulate (or the gather/prefill sinks).
+        step_gates.append(prev_sinks)
+        step_tasks = _gated(step_tasks, prev_sinks)
+        prev_sinks = _sinks(step_tasks)
+        token_sinks.extend(prev_sinks)
+        graph.extend(step_tasks)
+    # Lower DRAM traffic per request *before* gating, so the transfer
+    # tasks are arrive-gated too (the memory system cannot stream a
+    # request that has not arrived).  lower_dram inserts per task, so
+    # per-request lowering equals whole-graph lowering.  A finite
+    # buffer_bytes bounds each request's prefetch window.
+    graph = lower_dram(graph, spec.dram_bw, spec.buffer_bytes)
+    urgent = [False] * len(graph)
     if spec.qos == "decode-first":
-        # Engines arbitrate ties by program order, so a stable partition
-        # that floats every decode-step DRAM transfer ahead of the rest
-        # *is* the priority scheme: whenever a decode refill and a
-        # prefill bulk transfer are both ready, the link issues the
-        # decode one first — across requests, so an in-flight request's
-        # tokens beat a newly arriving request's prefill burst.  Deps
-        # are name-based, so list position carries no semantics beyond
-        # tie-breaking and ``"uniform"`` stays byte-identical.
-        front = [task for task in tasks if _is_decode_transfer(task)]
-        rest = [task for task in tasks if not _is_decode_transfer(task)]
-        tasks = front + rest
-    return tasks, plans
+        # Decode streams issue just-in-time: each step's DRAM transfers
+        # wait on the step's own gate instead of prefetching at
+        # admission, so prioritizing them (:func:`_priority`) means
+        # "cut ahead of queued prefill bulk when a token needs data"
+        # rather than "stream the whole decode working set before the
+        # request's own prefill".
+        for i, task in enumerate(graph):
+            match = _DECODE_STEP.search(task.name)
+            if task.resource != DRAM_RESOURCE or match is None:
+                continue
+            urgent[i] = True
+            gate_deps = step_gates[int(match.group(1))]
+            extra = tuple(d for d in gate_deps if d not in task.deps)
+            graph[i] = replace(task, deps=task.deps + extra)
+    if spec.n_chips > 1:
+        # The request's compute and DRAM traffic live on its own
+        # chip's resources; only the link (and the clock) is shared.
+        graph = [
+            task
+            if task.resource == LINK_RESOURCE
+            else replace(task, resource=f"c{chip}:{task.resource}")
+            for task in graph
+        ]
+    plan = RequestPlan(
+        index=index,
+        arrival=arrival,
+        gate=(),
+        prefill_sinks=prefill_sinks,
+        token_sinks=tuple(token_sinks),
+        chip=chip,
+        gather=gather,
+    )
+    return graph, urgent, plan
+
+
+def build_serving_tasks(spec: ServingSpec) -> Tuple[List[Task], List[RequestPlan]]:
+    """The full serving graph, named: clock chain + gated request graphs.
+
+    Returns the merged task list, in issue-priority order, plus one
+    :class:`RequestPlan` per arrival, index-aligned with
+    ``spec.arrivals``.  :func:`simulate_serving` never builds this
+    list; it is the cycle oracle's input and the graph tests inspect.
+    """
+    clock, position = _clock_chain(spec.arrivals)
+    tasks = list(clock)
+    urgent = [False] * len(clock)
+    plans: List[RequestPlan] = []
+    finish_sinks: List[Tuple[str, ...]] = []
+    for index, arrival in enumerate(spec.arrivals):
+        graph, flags, plan = _request_graph(spec, index, arrival)
+        gate = _gate(clock[position[arrival.at]].name, finish_sinks, spec.max_inflight)
+        tasks.extend(_gated(graph, gate))
+        urgent.extend(flags)
+        plans.append(replace(plan, gate=gate))
+        finish_sinks.append(plan.finish_sinks)
+    # The engines issue ready tasks in program order, so the named list
+    # *is* laid out in priority order.
+    ordered: List[Task] = [None] * len(tasks)  # type: ignore[list-item]
+    for task, rank in zip(tasks, _priority(urgent)):
+        ordered[rank] = task
+    return ordered, plans
+
+
+def _stamped_graph(spec: ServingSpec) -> Tuple[FlatGraph, List[tuple]]:
+    """``spec``'s serving graph as integer ids, one template per shape.
+
+    Builds :func:`_request_graph` once per distinct ``(chunks,
+    decode_tokens, chip)``, compiles it, and stamps every request of
+    that shape at its offset in merged order; dependency-free tasks get
+    the request's :func:`_gate`.  Returns the graph and, per request,
+    ``(gate, prefill_sinks, finish_sinks)`` as task ids.
+    """
+    clock, position = _clock_chain(spec.arrivals)
+    keys = [(a.chunks, a.decode_tokens, i % spec.n_chips) for i, a in enumerate(spec.arrivals)]
+    templates: Dict[Tuple[int, int, int], tuple] = {}
+    for index, (arrival, key) in enumerate(zip(spec.arrivals, keys)):
+        if key not in templates:
+            graph, urgent, plan = _request_graph(spec, index, arrival)
+            local = task_index(graph)
+            templates[key] = (
+                FlatGraph.from_tasks(graph),
+                urgent,
+                tuple(local[name] for name in plan.prefill_sinks),
+                tuple(local[name] for name in plan.finish_sinks),
+            )
+    names = {CLOCK_RESOURCE}.union(*(t[0].resources for t in templates.values()))
+    resources = tuple(sorted(names))
+    resource_id = {name: i for i, name in enumerate(resources)}
+    # Each template's resource ids, in the stamped graph's numbering.
+    stamped_resource = {
+        key: [resource_id[graph.resources[r]] for r in graph.resource]
+        for key, (graph, *_) in templates.items()
+    }
+
+    clock_graph = FlatGraph.from_tasks(clock)
+    durations = list(clock_graph.durations)
+    resource = [resource_id[CLOCK_RESOURCE]] * len(clock)
+    deps = list(clock_graph.deps)
+    urgent = [False] * len(clock)
+    finish_sinks: List[Tuple[int, ...]] = []
+    milestones = []
+    for arrival, key in zip(spec.arrivals, keys):
+        graph, flags, prefill, sinks = templates[key]
+        offset = len(durations)
+        gate = _gate(position[arrival.at], finish_sinks, spec.max_inflight)
+        durations.extend(graph.durations)
+        resource.extend(stamped_resource[key])
+        deps.extend([tuple([d + offset for d in ds]) if ds else gate for ds in graph.deps])
+        urgent.extend(flags)
+        sinks = tuple(offset + i for i in sinks)
+        finish_sinks.append(sinks)
+        milestones.append((gate, tuple(offset + i for i in prefill), sinks))
+    flat = FlatGraph(
+        durations=tuple(durations),
+        resource=tuple(resource),
+        resources=resources,
+        deps=tuple(deps),
+        priority=tuple(_priority(urgent)),
+    )
+    return flat, milestones
 
 
 def serving_sim(
     spec: ServingSpec, engine: str = "vector"
 ) -> Tuple[List[Task], List[RequestPlan], SimResult]:
-    """Build and schedule ``spec``'s serving graph."""
+    """Build and schedule ``spec``'s named serving graph."""
     tasks, plans = build_serving_tasks(spec)
     sim = Simulator(
         tasks,
@@ -412,57 +537,73 @@ def serving_sim(
         slots=spec.slots,
         engine=engine,
     )
+    return tasks, plans, sim.run(max_cycles=_budget(t.duration for t in tasks))
+
+
+def _budget(durations: Iterable[int]) -> int:
     # Same budget argument as the closed scenarios: while work remains,
     # some resource issues every cycle — during arrival gaps that
     # resource is the clock chain itself — so the makespan can never
     # exceed the summed durations.
-    budget = sum(task.duration for task in tasks) + 1
-    return tasks, plans, sim.run(max_cycles=budget)
+    return sum(durations) + 1
 
 
 def simulate_serving(spec: ServingSpec, engine: str = "vector") -> ServingResult:
-    """Schedule one serving workload and reduce it to SLO metrics."""
-    if spec.arrivals:
-        tasks, plans, result = serving_sim(spec, engine=engine)
-        finish = result.finish_times
-        requests = tuple(
-            RequestMetrics(
-                index=plan.index,
-                arrival=plan.arrival.at,
-                chunks=plan.arrival.chunks,
-                decode_tokens=plan.arrival.decode_tokens,
-                admitted=max(finish[name] for name in plan.gate),
-                first_token=max(finish[name] for name in plan.prefill_sinks),
-                finish=max(finish[name] for name in plan.finish_sinks),
-            )
-            for plan in plans
-        )
-        n_tasks, makespan, busy = len(tasks), result.makespan, result.busy_cycles
-    else:
+    """Schedule one serving workload and reduce it to SLO metrics.
+
+    The production path (``"vector"``) schedules the stamped integer
+    graph on :func:`~repro.simulator.events.run_flat`; ``"cycle"`` runs
+    the oracle on the named graph of :func:`build_serving_tasks`.
+    """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; have {ENGINES}")
+    if not spec.arrivals:
         # An empty trace (e.g. a duration shorter than the first draw)
         # is a valid, trivially idle workload.
-        requests, n_tasks, makespan, busy = (), 0, 0, {}
+        milestones, finish, n_tasks, makespan, busy = [], [], 0, 0, {}
+    elif engine == "cycle":
+        tasks, plans, result = serving_sim(spec, engine=engine)
+        milestones = [(p.gate, p.prefill_sinks, p.finish_sinks) for p in plans]
+        finish, n_tasks = result.finish_times, len(tasks)
+        makespan, busy = result.makespan, result.busy_cycles
+    else:
+        graph, milestones = _stamped_graph(spec)
+        makespan, busy_ids, finish = run_flat(graph, spec.slots, _budget(graph.durations))
+        n_tasks, busy = len(graph.durations), dict(zip(graph.resources, busy_ids))
+    requests = tuple(
+        RequestMetrics(
+            index=index,
+            arrival=arrival.at,
+            chunks=arrival.chunks,
+            decode_tokens=arrival.decode_tokens,
+            admitted=max(finish[task] for task in gate),
+            first_token=max(finish[task] for task in prefill),
+            finish=max(finish[task] for task in done),
+        )
+        for index, (arrival, (gate, prefill, done)) in enumerate(
+            zip(spec.arrivals, milestones)
+        )
+    )
 
     def total(base: str) -> int:
         # Cluster-wide busy cycles: on a multi-chip spec each chip's
         # resources are ``c{k}:``-prefixed, so the report sums them.
         return busy.get(base, 0) + sum(
-            cycles for name, cycles in busy.items()
+            cycles
+            for name, cycles in busy.items()
             if name.endswith(f":{base}") and name != base
         )
 
-    spill = 0
+    # Spill traffic is a function of the request shape alone.
+    spill_of: Dict[Tuple[int, int], int] = {}
     for arrival in spec.arrivals:
-        config = PipelineConfig(
-            chunks=arrival.chunks,
-            embedding=spec.embedding,
-            array_dim=spec.array_dim,
-            pe_1d=spec.resolved_pe_1d,
-        )
-        spill += instance_spill_bytes(config, "prefill", spec.buffer_bytes)
-        spill += arrival.decode_tokens * instance_spill_bytes(
-            config, "decode", spec.buffer_bytes
-        )
+        shape = (arrival.chunks, arrival.decode_tokens)
+        if shape not in spill_of:
+            config = _config(spec, arrival)
+            prefill_spill = instance_spill_bytes(config, "prefill", spec.buffer_bytes)
+            decode_spill = instance_spill_bytes(config, "decode", spec.buffer_bytes)
+            spill_of[shape] = prefill_spill + arrival.decode_tokens * decode_spill
+    spill = sum(spill_of[(a.chunks, a.decode_tokens)] for a in spec.arrivals)
 
     return ServingResult(
         name=spec.name,

@@ -43,14 +43,24 @@ Two engines execute the schedule, and both produce bit-identical
   windows of the same closed form arithmetically.
 - ``engine="cycle"`` — the original cycle-by-cycle loop below, kept as
   the differential oracle.
+
+Both cores run on one compiled input, :class:`FlatGraph`: per-task
+durations, resource ids, dependency ids and a priority rank, all
+machine integers.  :meth:`FlatGraph.from_tasks` compiles a named task
+list and is where names are checked (duplicates, unknown deps); a
+caller that already holds integer ids (the serving simulator stamps
+one compiled template per request shape) builds the graph directly and
+still gets its ids validated.  :func:`_dependency_frontier` defines
+readiness on that graph, once, for both cores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
+from itertools import chain
 from math import ceil
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: Resource name of the shared memory link :func:`lower_dram` introduces.
 DRAM_RESOURCE = "dram"
@@ -196,7 +206,97 @@ class SimResult:
         return self.busy_cycles.get(resource, 0) / self.makespan
 
 
-def _dependency_frontier(tasks: Sequence[Task], resources: Sequence[str]):
+@dataclass(frozen=True)
+class FlatGraph:
+    """A task graph compiled to machine integers: what both cores run.
+
+    Task ``i`` lasts ``durations[i]`` cycles on resource
+    ``resources[resource[i]]`` and waits on the tasks ``deps[i]``.
+    ``priority`` is a permutation of the task ids: ``priority[i]`` is
+    task ``i``'s rank in its resource's ready heap, so the ready task
+    of lowest rank is issued first.  :meth:`from_tasks` ranks tasks in
+    program order, the order both cores always used; a caller that
+    lays tasks out in another order passes the ranks of the order it
+    means.  ``resources`` lists the resource names sorted.
+
+    The constructor checks everything integer ids can get wrong: equal
+    lengths, non-negative durations, resource and dep ids in range, and
+    a priority that ranks every task exactly once.
+    """
+
+    durations: Tuple[int, ...]
+    resource: Tuple[int, ...]
+    resources: Tuple[str, ...]
+    deps: Tuple[Tuple[int, ...], ...]
+    priority: Tuple[int, ...]
+    #: The inverse ranking: ``by_priority[rank]`` is the task a popped
+    #: heap rank stands for.  Derived, so not part of equality.
+    by_priority: List[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = len(self.durations)
+        if not len(self.resource) == len(self.deps) == len(self.priority) == n:
+            raise ValueError("flat graph: per-task fields differ in length")
+        if list(self.resources) != sorted(set(self.resources)):
+            raise ValueError("flat graph: resource names must be sorted and unique")
+        if min(self.durations, default=0) < 0:
+            raise ValueError("flat graph: negative duration")
+        if not set(self.resource) <= set(range(len(self.resources))):
+            raise ValueError("flat graph: resource id out of range")
+        ids = list(chain.from_iterable(self.deps))
+        if ids and (min(ids) < 0 or max(ids) >= n):
+            raise ValueError("flat graph: dep id out of range")
+        by_priority = [-1] * n
+        for task, rank in enumerate(self.priority):
+            if not 0 <= rank < n or by_priority[rank] >= 0:
+                raise ValueError("flat graph: priority must rank each task once")
+            by_priority[rank] = task
+        object.__setattr__(self, "by_priority", by_priority)
+
+    @classmethod
+    def from_tasks(cls, tasks: Sequence[Task]) -> "FlatGraph":
+        """Compile a named task list, ranked in program order.
+
+        Names are the only handle deps have on tasks, so this is where
+        they are checked: a repeated name or a dep naming no task raises
+        :class:`ValueError`.
+        """
+        index = task_index(tasks)
+        resources = tuple(sorted({t.resource for t in tasks}))
+        resource_id = {name: i for i, name in enumerate(resources)}
+        deps = []
+        for task in tasks:
+            try:
+                deps.append(tuple([index[dep] for dep in task.deps]))
+            except KeyError as missing:
+                dep = missing.args[0]
+                raise ValueError(f"task {task.name}: unknown dep {dep!r}") from None
+        return cls(
+            durations=tuple([t.duration for t in tasks]),
+            resource=tuple([resource_id[t.resource] for t in tasks]),
+            resources=resources,
+            deps=tuple(deps),
+            priority=tuple(range(len(tasks))),
+        )
+
+    def named(
+        self,
+        names: Sequence[str],
+        makespan: int,
+        busy: Sequence[int],
+        finish: Sequence[int],
+    ) -> SimResult:
+        """A core's integer outcome as a :class:`SimResult`: busy cycles
+        by resource name (resources that never issued are absent) and
+        finish times by ``names[i]``."""
+        return SimResult(
+            makespan=makespan,
+            busy_cycles={r: b for r, b in zip(self.resources, busy) if b},
+            finish_times=dict(zip(names, finish)),
+        )
+
+
+def _dependency_frontier(graph: FlatGraph):
     """The readiness state both scheduling cores start from.
 
     Both engines' bit-identical guarantee rests on these semantics, so
@@ -204,27 +304,32 @@ def _dependency_frontier(tasks: Sequence[Task], resources: Sequence[str]):
     t=0 unconditionally (finish 0); every positive-duration task gets an
     outstanding count of its *unique* not-yet-done deps plus a seat in
     the dependents fan-out of each, and — when already ready — a seat in
-    its resource's ready heap, keyed by program order (the original
-    full-list rescan's priority).
+    its resource's ready heap, keyed by its priority rank.
 
-    Returns ``(done, finish, order, dependents, outstanding, ready)``.
+    Returns ``(n_done, finish, dependents, outstanding, ready)``, each
+    indexed by task id except ``ready`` (one heap of ranks per resource
+    id); ``finish`` holds 0 for every task not yet finished.
     """
-    done: Set[str] = {t.name for t in tasks if t.duration == 0}
-    finish: Dict[str, int] = {name: 0 for name in done}
-    order: Dict[str, int] = {t.name: i for i, t in enumerate(tasks)}
-    dependents: Dict[str, List[str]] = {}
-    outstanding: Dict[str, int] = {}
-    ready: Dict[str, List[Tuple[int, str]]] = {r: [] for r in resources}
-    for task in tasks:
-        if task.duration == 0:
+    durations = graph.durations
+    resource = graph.resource
+    priority = graph.priority
+    n = len(durations)
+    finish = [0] * n
+    dependents: List[List[int]] = [[] for _ in range(n)]
+    outstanding = [0] * n
+    ready: List[List[int]] = [[] for _ in graph.resources]
+    n_done = 0
+    for task, deps in enumerate(graph.deps):
+        if durations[task] == 0:
+            n_done += 1
             continue
-        waiting = {d for d in task.deps if d not in done}
-        outstanding[task.name] = len(waiting)
+        waiting = {dep for dep in deps if durations[dep]}
+        outstanding[task] = len(waiting)
         for dep in waiting:
-            dependents.setdefault(dep, []).append(task.name)
+            dependents[dep].append(task)
         if not waiting:
-            heappush(ready[task.resource], (order[task.name], task.name))
-    return done, finish, order, dependents, outstanding, ready
+            heappush(ready[resource[task]], priority[task])
+    return n_done, finish, dependents, outstanding, ready
 
 
 class Simulator:
@@ -250,11 +355,7 @@ class Simulator:
         # like the PE arrays (the lowering happens before either runs).
         # A finite buffer_bytes additionally bounds prefetch depth.
         tasks = lower_dram(tasks, dram_bw, buffer_bytes)
-        index = task_index(tasks)
-        for task in tasks:
-            for dep in task.deps:
-                if dep not in index:
-                    raise ValueError(f"task {task.name}: unknown dep {dep!r}")
+        self.graph = FlatGraph.from_tasks(tasks)
         self.tasks = list(tasks)
         self.mode = mode
         self.slots = slots if mode == "interleaved" else 1
@@ -265,71 +366,71 @@ class Simulator:
     def run(self, max_cycles: int = 10_000_000) -> SimResult:
         """Simulate to completion; returns makespan and busy counts."""
         if self.engine == "cycle":
-            return self._run_cycles(max_cycles)
-        from .events import run_event_driven
+            core = _run_cycles
+        else:
+            from .events import run_flat as core
+        outcome = core(self.graph, self.slots, max_cycles)
+        return self.graph.named([t.name for t in self.tasks], *outcome)
 
-        return run_event_driven(self.tasks, self.slots, max_cycles)
 
-    def _run_cycles(self, max_cycles: int) -> SimResult:
-        """The cycle-accurate oracle: one Python iteration per cycle.
+def _run_cycles(graph: FlatGraph, slots: int, max_cycles: int):
+    """The cycle-accurate oracle: one Python iteration per cycle.
 
-        Slot refill is driven by a per-resource ready frontier (a heap of
-        tasks whose outstanding dependency count hit zero, keyed by
-        program order — the original full-list rescan's priority), so one
-        run costs O(makespan + tasks·log tasks) rather than
-        O(tasks·cycles).  Scheduling decisions are unchanged.
-        """
-        remaining: Dict[str, int] = {t.name: t.duration for t in self.tasks}
-        busy: Dict[str, int] = {}
-        resources = sorted({t.resource for t in self.tasks})
-        resource_of = {t.name: t.resource for t in self.tasks}
-        # Tasks enter their resource's ready heap exactly once, when
-        # their last outstanding dep completes.
-        done, finish, order, dependents, outstanding, ready = (
-            _dependency_frontier(self.tasks, resources)
-        )
+    Slot refill is driven by a per-resource ready frontier (a heap of
+    tasks whose outstanding dependency count hit zero, keyed by
+    priority rank — the original full-list rescan's order), so one run
+    costs O(makespan + tasks·log tasks) rather than O(tasks·cycles).
+    Returns ``(makespan, busy, finish)`` by resource and task id, the
+    same outcome as :func:`~repro.simulator.events.run_flat`.
+    """
+    remaining = list(graph.durations)
+    resource_of = graph.resource
+    priority = graph.priority
+    by_priority = graph.by_priority
+    n_resources = len(graph.resources)
+    busy = [0] * n_resources
+    # Tasks enter their resource's ready heap exactly once, when their
+    # last outstanding dep completes.
+    n_done, finish, dependents, outstanding, ready = _dependency_frontier(graph)
 
-        active: Dict[str, List[str]] = {r: [] for r in resources}
-        rr_offset: Dict[str, int] = {r: 0 for r in resources}
-        cycle = 0
-        while len(done) < len(self.tasks):
-            if cycle >= max_cycles:
-                raise RuntimeError(DEADLOCK)
-            completed_this_cycle: List[str] = []
-            progressed = False
-            for resource in resources:
-                # Refill the active set with ready tasks, in program order.
-                acts = active[resource]
-                heap = ready[resource]
-                while len(acts) < self.slots and heap:
-                    acts.append(heappop(heap)[1])
-                if not acts:
-                    continue
-                progressed = True
-                # Round-robin one issue slot per cycle among active tasks.
-                index = rr_offset[resource] % len(acts)
-                name = acts[index]
-                rr_offset[resource] += 1
-                remaining[name] -= 1
-                busy[resource] = busy.get(resource, 0) + 1
-                if remaining[name] == 0:
-                    acts.pop(index)
-                    completed_this_cycle.append(name)
-                    finish[name] = cycle + 1
-            if not progressed:
-                # Nothing active and nothing ready anywhere: unfinished
-                # tasks wait on deps that can never complete.
-                raise RuntimeError(DEADLOCK)
-            # Completions become visible to dependents on the next cycle:
-            # no same-cycle forwarding across resources.
-            for name in completed_this_cycle:
-                done.add(name)
-                for dependent in dependents.get(name, ()):
-                    outstanding[dependent] -= 1
-                    if outstanding[dependent] == 0:
-                        heappush(
-                            ready[resource_of[dependent]],
-                            (order[dependent], dependent),
-                        )
-            cycle += 1
-        return SimResult(makespan=cycle, busy_cycles=busy, finish_times=finish)
+    active: List[List[int]] = [[] for _ in range(n_resources)]
+    rr_offset = [0] * n_resources
+    cycle = 0
+    while n_done < len(remaining):
+        if cycle >= max_cycles:
+            raise RuntimeError(DEADLOCK)
+        completed_this_cycle: List[int] = []
+        progressed = False
+        for resource in range(n_resources):
+            # Refill the active set with ready tasks, in priority order.
+            acts = active[resource]
+            heap = ready[resource]
+            while len(acts) < slots and heap:
+                acts.append(by_priority[heappop(heap)])
+            if not acts:
+                continue
+            progressed = True
+            # Round-robin one issue slot per cycle among active tasks.
+            index = rr_offset[resource] % len(acts)
+            task = acts[index]
+            rr_offset[resource] += 1
+            remaining[task] -= 1
+            busy[resource] += 1
+            if remaining[task] == 0:
+                acts.pop(index)
+                completed_this_cycle.append(task)
+                finish[task] = cycle + 1
+        if not progressed:
+            # Nothing active and nothing ready anywhere: unfinished
+            # tasks wait on deps that can never complete.
+            raise RuntimeError(DEADLOCK)
+        # Completions become visible to dependents on the next cycle:
+        # no same-cycle forwarding across resources.
+        n_done += len(completed_this_cycle)
+        for task in completed_this_cycle:
+            for dependent in dependents[task]:
+                outstanding[dependent] -= 1
+                if outstanding[dependent] == 0:
+                    heappush(ready[resource_of[dependent]], priority[dependent])
+        cycle += 1
+    return cycle, busy, finish

@@ -53,41 +53,64 @@ inside the bit-identical guarantee rather than beside it.  Note the
 dependency-free transfers make the ``dram`` pending heap large at t=0
 (every instance's stream is admissible immediately); the heap is shared
 with the cycle engine's refill scan, so order stays in lockstep.
+
+Integer ids
+-----------
+
+The core, :func:`run_flat`, runs on a compiled
+:class:`~repro.simulator.engine.FlatGraph`: tasks and resources are
+list indices, the ready heaps hold priority ranks, and no name is
+looked up while scheduling.  :func:`run_event_driven` is the naming
+adapter for a plain task list: it compiles the list (which rejects a
+repeated name or a dep naming no task), runs the core, and names the
+busy cycles and finish times.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from .engine import DEADLOCK, SimResult, Task, _dependency_frontier
+from .engine import DEADLOCK, FlatGraph, SimResult, Task, _dependency_frontier
 
 
 def run_event_driven(tasks: Sequence[Task], slots: int, max_cycles: int) -> SimResult:
-    """Schedule ``tasks`` event by event; see the module docstring.
+    """Schedule a named task list event by event; see the module docstring.
 
     ``slots`` is the effective issue width (1 for the serial discipline).
-    Raises :class:`RuntimeError` exactly when the cycle engine would:
+    Raises :class:`ValueError` on a repeated task name or a dep naming no
+    task, and :class:`RuntimeError` exactly when the cycle engine would:
     on dependency deadlock, or when the makespan exceeds ``max_cycles``.
     """
-    resource_of: Dict[str, str] = {t.name: t.resource for t in tasks}
-    duration: Dict[str, int] = {t.name: t.duration for t in tasks}
-    resources = sorted({t.resource for t in tasks})
+    graph = FlatGraph.from_tasks(tasks)
+    return graph.named([t.name for t in tasks], *run_flat(graph, slots, max_cycles))
+
+
+def run_flat(graph: FlatGraph, slots: int, max_cycles: int) -> Tuple[int, List[int], List[int]]:
+    """Schedule a compiled graph; returns ``(makespan, busy, finish)``
+    with busy cycles per resource id and finish times per task id."""
+    durations = graph.durations
+    resource_of = graph.resource
+    priority = graph.priority
+    by_priority = graph.by_priority
+    n_resources = len(graph.resources)
+    resources = range(n_resources)
     # Readiness semantics are shared with the cycle engine verbatim —
     # the bit-identical guarantee starts here.
-    done, finish, order, dependents, outstanding, pending = _dependency_frontier(tasks, resources)
-    total_nonzero = len(tasks) - len(done)
+    n_done, finish, dependents, outstanding, pending = _dependency_frontier(graph)
 
-    # Per-resource schedule state.  ``active`` holds [name, remaining]
+    # Per-resource schedule state.  ``active`` holds [task, remaining]
     # pairs in the engine's list order; ``rr`` is the engine's rotation
-    # counter; ``sync`` the time up to which progress has been applied.
-    active: Dict[str, List[List]] = {r: [] for r in resources}
-    rr: Dict[str, int] = {r: 0 for r in resources}
-    sync: Dict[str, int] = {r: 0 for r in resources}
-    next_done: Dict[str, Optional[int]] = {r: None for r in resources}
-    busy: Dict[str, int] = {}
+    # counter; ``sync`` the time up to which progress has been applied;
+    # ``next_done`` the next completion (``idle`` when nothing is active).
+    idle = float("inf")
+    active: List[List[List[int]]] = [[] for _ in resources]
+    rr = [0] * n_resources
+    sync = [0] * n_resources
+    next_done = [idle] * n_resources
+    busy = [0] * n_resources
 
-    def advance(resource: str, now: int) -> Optional[str]:
+    def advance(resource: int, now: int) -> Optional[int]:
         """Apply ``now - sync`` round-robin cycles; return any completion."""
         acts = active[resource]
         delta = now - sync[resource]
@@ -95,7 +118,7 @@ def run_event_driven(tasks: Sequence[Task], slots: int, max_cycles: int) -> SimR
         if not acts or delta == 0:
             return None
         rr[resource] += delta
-        busy[resource] = busy.get(resource, 0) + delta
+        busy[resource] += delta
         k = len(acts)
         if k == 1:  # fast path: serial mode / lone active task
             entry = acts[0]
@@ -116,27 +139,27 @@ def run_event_driven(tasks: Sequence[Task], slots: int, max_cycles: int) -> SimR
             return None
         return acts.pop(completed)[0]
 
-    def refill(resource: str) -> None:
-        """Engine's refill scan: ready tasks join in program order."""
+    def refill(resource: int) -> None:
+        """Engine's refill scan: ready tasks join in priority order."""
         heap = pending[resource]
         acts = active[resource]
         while len(acts) < slots and heap:
-            _, name = heappop(heap)
-            acts.append([name, duration[name]])
+            task = by_priority[heappop(heap)]
+            acts.append([task, durations[task]])
 
-    def completion_time(resource: str) -> Optional[int]:
+    def completion_time(resource: int):
         acts = active[resource]
         if not acts:
-            return None
+            return idle
         k = len(acts)
         start = sync[resource]
         if k == 1:  # fast path: next completion is simply the remainder
             return start + acts[0][1]
         base = rr[resource]
-        best: Optional[int] = None
+        best = idle
         for j, (_, remaining) in enumerate(acts):
             when = start + (j - base) % k + (remaining - 1) * k + 1
-            if best is None or when < best:
+            if when < best:
                 best = when
         return best
 
@@ -145,34 +168,31 @@ def run_event_driven(tasks: Sequence[Task], slots: int, max_cycles: int) -> SimR
         next_done[resource] = completion_time(resource)
 
     now = 0
-    completed_count = 0
-    while completed_count < total_nonzero:
-        # One scan finds both the next event time and who completes at
-        # it; the handful of resources makes a heap counterproductive.
-        now = -1
-        for when in next_done.values():
-            if when is not None and (now < 0 or when < now):
-                now = when
-        if now < 0 or now > max_cycles:
+    total = len(durations)
+    while n_done < total:
+        # One scan finds the next event time; the handful of resources
+        # makes a heap counterproductive.
+        now = min(next_done)
+        if now > max_cycles:  # includes idle: nothing left can run
             raise RuntimeError(DEADLOCK)
         touched = {r for r in resources if next_done[r] == now}
-        finished: List[str] = []
+        finished: List[int] = []
         for resource in touched:
-            name = advance(resource, now)
-            if name is None:  # pragma: no cover - violated scheduling math
+            task = advance(resource, now)
+            if task is None:  # pragma: no cover - violated scheduling math
                 raise RuntimeError(f"lost completion on {resource} at {now}")
-            finish[name] = now
-            finished.append(name)
-        completed_count += len(finished)
+            finish[task] = now
+            finished.append(task)
+        n_done += len(finished)
         # All same-time completions become visible together, then newly
         # ready tasks enter their resource's pending heap (engine: the
         # end-of-cycle done.update followed by next cycle's refill).
-        for name in finished:
-            for dependent in dependents.get(name, ()):
+        for task in finished:
+            for dependent in dependents[task]:
                 outstanding[dependent] -= 1
                 if outstanding[dependent] == 0:
                     resource = resource_of[dependent]
-                    heappush(pending[resource], (order[dependent], dependent))
+                    heappush(pending[resource], priority[dependent])
                     touched.add(resource)
         for resource in touched:
             leak = advance(resource, now)  # arrival-only resources catch up
@@ -181,4 +201,4 @@ def run_event_driven(tasks: Sequence[Task], slots: int, max_cycles: int) -> SimR
             refill(resource)
             next_done[resource] = completion_time(resource)
 
-    return SimResult(makespan=now, busy_cycles=busy, finish_times=finish)
+    return now, busy, finish

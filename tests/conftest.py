@@ -19,6 +19,7 @@ FUZZ_SEED_RANGES = {
     "buffer-qos": range(198, 234),
     "fold-sources": range(234, 265),
     "chain-fold": range(265, 295),
+    "serving": range(295, 325),
 }
 
 

@@ -118,6 +118,12 @@ CASES = [
     (["serve", "--rate", "0.5", "--duration", "8192", "--array-dim", "64",
       "--decode-tokens", "2", "--dram-bw", "64", "--qos", "decode-first",
       "--no-cache"], "serve-qos.txt"),
+    # Multi-chip serving: per-chip templates, link gathers, buffer
+    # spills and the decode-first priority key in one table.
+    (["serve", "--chips", "2", "--link-bw", "64", "--link-latency", "3",
+      "--rate", "0.5", "--duration", "8192", "--array-dim", "64",
+      "--decode-tokens", "2", "--dram-bw", "64", "--buffer-bytes", "8192",
+      "--qos", "decode-first", "--no-cache"], "serve-chips-qos.txt"),
 ]
 
 

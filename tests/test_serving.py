@@ -14,7 +14,14 @@ Four contracts:
   bindings;
 - **load monotonicity** — with a fixed seed, scaling the offered rate
   up never decreases p50 latency and never increases goodput.
+
+The production path stamps one compiled template per request shape;
+``TestStampedTemplates`` checks it against the cycle oracle on the
+named graph over fuzzed heterogeneous traces, and that it builds only
+the templates.
 """
+
+import random
 
 import pytest
 
@@ -34,7 +41,9 @@ from repro.serving import (
     simulate_serving,
 )
 from repro.simulator import scenario_sim
-from repro.workloads.scenario import attention_scenario
+from repro.workloads.scenario import BINDINGS, QOS_MODES, attention_scenario
+
+from conftest import fuzz_seeds
 
 
 def spec(arrivals, **overrides):
@@ -322,3 +331,77 @@ class TestLoadMonotonicity:
         # The sweep spans both regimes, so the ordering is non-trivial.
         assert results[0].goodput == 1.0
         assert results[-1].goodput < 1.0
+
+
+def random_serving_spec(rng, qos):
+    """A small heterogeneous trace over every axis the stamped path
+    encodes: mixed request shapes, shared and t=0 timestamps, both
+    bindings, slots 1-3, windows 1-8, DRAM and buffer bounds, and 1-3
+    chips with and without a priced link.  A long prefill leads, so
+    later short requests can decode while it still streams: the
+    contention decode-first's priority key decides."""
+    long = (rng.randint(4, 8), rng.randint(0, 1))
+    short = [(rng.randint(1, 2), rng.randint(1, 3)) for _ in range(2)]
+    at, arrivals = 0, [Arrival(0, *long)]
+    for _ in range(rng.randint(2, 7)):
+        at += rng.choice((0, rng.randint(1, 100), rng.randint(1, 400)))
+        arrivals.append(Arrival(at, *rng.choice(short + [long])))
+    chips = rng.choice((1, 1, 2, 3))
+    return spec(
+        arrivals,
+        array_dim=16,
+        embedding=16,
+        binding=rng.choice(BINDINGS),
+        slots=rng.randint(1, 3),
+        max_inflight=rng.randint(1, 8),
+        dram_bw=rng.choice((None, 4.0, 8.0, 32.0)),
+        buffer_bytes=rng.choice((None, 1024.0, 1536.0)),
+        qos=qos,
+        n_chips=chips,
+        link_bw=rng.choice((None, 16.0)) if chips > 1 else None,
+        link_latency=rng.randint(0, 3),
+    )
+
+
+class TestStampedTemplates:
+    @pytest.mark.parametrize("seed", fuzz_seeds("serving"))
+    @pytest.mark.parametrize("qos", QOS_MODES)
+    def test_stamped_path_equals_cycle_oracle(self, seed, qos):
+        s = random_serving_spec(random.Random(seed), qos)
+        assert simulate_serving(s) == simulate_serving(s, engine="cycle")
+
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ValueError, match="unknown engine"):
+            simulate_serving(spec([Arrival(0, 2)]), engine="event")
+
+    @pytest.mark.parametrize("chips", (1, 2))
+    def test_production_path_builds_only_templates(self, monkeypatch, chips):
+        """64 requests of one shape build one template per chip, and the
+        merged ``Task`` list is never made."""
+        from repro.serving import simulator as serving
+
+        s = spec(
+            [Arrival(16 * j, 2, 2) for j in range(64)],
+            max_inflight=4,
+            dram_bw=64.0,
+            qos="decode-first",
+            n_chips=chips,
+        )
+        n_tasks = len(build_serving_tasks(s)[0])
+        calls = {"build_tasks": 0, "build_decode_tasks": 0}
+        for name in calls:
+
+            def counted(*args, _real=getattr(serving, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(serving, name, counted)
+
+        def merged(*args, **kwargs):
+            raise AssertionError("the production path built the merged graph")
+
+        monkeypatch.setattr(serving, "build_serving_tasks", merged)
+        monkeypatch.setattr(serving, "serving_sim", merged)
+        result = serving.simulate_serving(s)
+        assert result.n_requests == 64 and result.n_tasks == n_tasks
+        assert calls == {"build_tasks": chips, "build_decode_tasks": 2 * chips}

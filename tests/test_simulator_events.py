@@ -222,6 +222,56 @@ class TestDifferentialEdgeCases:
         with pytest.raises(ValueError, match="slots"):
             Simulator([Task("a", "r", 1)], slots=0)
 
+    def test_raw_core_rejects_names_that_do_not_resolve(self):
+        from repro.simulator.events import run_event_driven
+
+        with pytest.raises(ValueError, match="unknown dep 'ghost'"):
+            run_event_driven([Task("a", "r", 1, deps=("ghost",))], 1, 100)
+        with pytest.raises(ValueError, match="duplicate task names"):
+            run_event_driven([Task("a", "r", 1), Task("a", "r", 2)], 1, 100)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        (
+            ("deps", ((), (2,)), "dep id out of range"),
+            ("deps", ((), (-1,)), "dep id out of range"),
+            ("durations", (1, -1), "negative duration"),
+            ("durations", (1,), "differ in length"),
+            ("resource", (0, 1), "resource id out of range"),
+            ("resources", ("r", "r"), "sorted and unique"),
+            ("priority", (0, 0), "rank each task once"),
+        ),
+    )
+    def test_flat_graph_rejects_bad_ids(self, field, value, match):
+        from repro.simulator.engine import FlatGraph
+
+        fields = dict(
+            durations=(1, 2),
+            resource=(0, 0),
+            resources=("r",),
+            deps=((), (0,)),
+            priority=(0, 1),
+        )
+        FlatGraph(**fields)
+        with pytest.raises(ValueError, match=match):
+            FlatGraph(**{**fields, field: value})
+
+    def test_flat_graph_priority_orders_the_ready_heap(self):
+        """Both cores issue the ready task of lowest rank first, whatever
+        its id."""
+        from repro.simulator.engine import FlatGraph, _run_cycles
+        from repro.simulator.events import run_flat
+
+        graph = FlatGraph(
+            durations=(2, 1),
+            resource=(0, 0),
+            resources=("r",),
+            deps=((), ()),
+            priority=(1, 0),
+        )
+        for core in (run_flat, _run_cycles):
+            assert core(graph, 1, 10) == (3, [3], [3, 1])
+
 
 class TestDifferentialPipeline:
     @pytest.mark.parametrize("chunks", (1, 2, 7, 32))
