@@ -10,9 +10,14 @@ Requests are:
 - **declarative** — fields name workload axes, never execution knobs
   (``jobs``/``cache``/``registry`` belong to the
   :class:`~repro.api.session.Session` that runs the request);
+- **declared once** — every field is a :func:`~repro.api.knobs.knob`
+  holding its CLI flag, help text, range or choice rule and
+  ``None``-means build default; validation, :meth:`Request.resolved`
+  and the CLI's options all derive from that one declaration;
 - **validated** — :meth:`Request.validate` collects every rule
-  violation at once (the rules formerly sprawled across the CLI's
-  cross-flag checks) and raises :class:`RequestValidationError`;
+  violation at once (each field's own rule from its knob, plus the
+  cross-field rules a subclass adds) and raises
+  :class:`RequestValidationError`;
 - **content-addressed** — :meth:`Request.signature` digests every field
   through the runtime's canonical encoding, and a field-walk test
   asserts no field can silently escape it.
@@ -25,7 +30,7 @@ runtime directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..cluster import (
     SHARDINGS,
@@ -41,7 +46,7 @@ from ..simulator.sweep import (
     DEFAULT_SWEEP_CHUNKS,
     ScenarioGridCell,
 )
-from ..workloads.models import BATCH_SIZE, MODELS_BY_NAME
+from ..workloads.models import BATCH_SIZE, MODELS, MODELS_BY_NAME, SEQUENCE_LENGTHS
 from ..workloads.scenario import (
     BINDINGS,
     QOS_MODES,
@@ -50,6 +55,7 @@ from ..workloads.scenario import (
     mixed_model_scenario,
     scenario_from_model,
 )
+from .knobs import Above, AtLeast, Comma, OneOf, knob, knob_of
 
 #: Figure/table experiments a :class:`ExperimentRequest` can name, plus
 #: the two composite names: ``report`` (everything) and ``sweep`` (one
@@ -72,6 +78,20 @@ EXPERIMENT_NAMES: Tuple[str, ...] = (
 #: Evaluation-grid kinds of the ``sweep`` experiment.
 GRID_KINDS: Tuple[str, ...] = ("attention", "inference")
 
+#: Model names, checked by request validation (not by argparse) so an
+#: unknown name lists the known ones.
+_MODEL = OneOf(sorted(MODELS_BY_NAME), "model", cli=False)
+_ENGINE = OneOf(ENGINES, "engine")
+_SERIAL_SLOTS = "slots applies to the interleaved binding only"
+_BUFFER_NEEDS_DRAM = (
+    "buffer_bytes requires dram_bw (spill traffic is priced on the shared memory link)"
+)
+
+
+def binding_axis(binding: str) -> Tuple[str, ...]:
+    """The bindings a ``binding`` option names (``both`` is every one)."""
+    return BINDINGS if binding == "both" else (binding,)
+
 
 class RequestValidationError(ValueError):
     """One or more request fields break the request's rules.
@@ -85,52 +105,6 @@ class RequestValidationError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-def _positive(errors: List[str], name: str, value: Optional[int]) -> None:
-    if value is not None and value < 1:
-        errors.append(f"{name} must be >= 1, got {value}")
-
-
-def _known_engine(errors: List[str], engine: Optional[str]) -> None:
-    """``None``, every request's default, runs the vector engine."""
-    if engine is not None and engine not in ENGINES:
-        errors.append(f"unknown engine {engine!r}; have {ENGINES}")
-
-
-def _positive_bandwidth(errors: List[str], value: Optional[float]) -> None:
-    if value is not None and not value > 0:
-        errors.append(f"dram_bw must be > 0, got {value}")
-
-
-def _buffer_qos(
-    errors: List[str],
-    buffer_bytes: Optional[float],
-    qos: str,
-    dram_bw: Optional[float],
-) -> None:
-    if buffer_bytes is not None and not buffer_bytes > 0:
-        errors.append(f"buffer_bytes must be > 0, got {buffer_bytes}")
-    if buffer_bytes is not None and dram_bw is None:
-        errors.append(
-            "buffer_bytes requires dram_bw (spill traffic is priced on "
-            "the shared memory link)"
-        )
-    if qos not in QOS_MODES:
-        errors.append(f"unknown qos {qos!r}; have {QOS_MODES}")
-
-
-def _positive_axis(errors: List[str], name: str, values: Tuple) -> None:
-    if not values:
-        errors.append(f"{name} must name at least one value")
-    elif any(v is not None and v < 1 for v in values):
-        errors.append(f"{name} values must be >= 1, got {list(values)}")
-
-
-def _known_models(errors: List[str], names: Tuple[str, ...]) -> None:
-    for name in names:
-        if name not in MODELS_BY_NAME:
-            errors.append(f"unknown model {name!r}; have {sorted(MODELS_BY_NAME)}")
-
-
 @dataclass(frozen=True)
 class Request:
     """Base request: validation protocol + content signature."""
@@ -139,8 +113,15 @@ class Request:
     KIND = "request"
 
     def rule_violations(self) -> List[str]:
-        """Every rule this request breaks (empty when valid)."""
-        return []
+        """Every rule this request breaks (empty when valid): each
+        field's own knob rule, in field order.  Subclasses add their
+        cross-field rules around this walk."""
+        errors: List[str] = []
+        for field_ in fields(self):
+            declared = field_.metadata.get("knob")
+            if declared is not None:
+                errors.extend(declared.violations(field_.name, getattr(self, field_.name)))
+        return errors
 
     def validate(self) -> None:
         """Raise :class:`RequestValidationError` unless the spec is
@@ -148,6 +129,11 @@ class Request:
         errors = self.rule_violations()
         if errors:
             raise RequestValidationError(errors)
+
+    def resolved(self, name: str) -> Any:
+        """Field ``name``, or its knob's build default when it is None."""
+        value = getattr(self, name)
+        return knob_of(type(self), name).none_means if value is None else value
 
     def signature(self) -> str:
         """Stable content address over the request kind and every field.
@@ -175,36 +161,47 @@ class ExperimentRequest(Request):
 
     KIND = "experiment"
 
-    name: str = "report"
-    kind: Optional[str] = None
-    models: Optional[Tuple[str, ...]] = None
-    seq_lens: Optional[Tuple[int, ...]] = None
+    name: str = knob("report", rule=OneOf(EXPERIMENT_NAMES, "experiment"))
+    kind: Optional[str] = knob(
+        None,
+        "--kind",
+        rule=OneOf(GRID_KINDS, "sweep kind"),
+        none_means="attention",
+        help="evaluation grid to run",
+    )
+    models: Optional[Tuple[str, ...]] = knob(
+        None,
+        "--models",
+        "A,B",
+        _MODEL,
+        comma=Comma(blank=True),
+        none_means=tuple(model.name for model in MODELS),
+        help="model names (default: all four; --grid: BERT)",
+    )
+    seq_lens: Optional[Tuple[int, ...]] = knob(
+        None,
+        "--seq-lens",
+        "L1,L2",
+        AtLeast(1),
+        unit="value",
+        comma=Comma(int, blank=True, bounded=False),
+        none_means=SEQUENCE_LENGTHS,
+        help="sequence lengths (default: 1K..1M)",
+    )
 
     def rule_violations(self) -> List[str]:
-        errors: List[str] = []
-        if self.name not in EXPERIMENT_NAMES:
-            errors.append(f"unknown experiment {self.name!r}; have {EXPERIMENT_NAMES}")
-        if self.kind is not None and self.kind not in GRID_KINDS:
-            errors.append(f"unknown sweep kind {self.kind!r}; have {GRID_KINDS}")
+        errors = super().rule_violations()
         if self.name != "sweep":
             errors.extend(
-                f"{field_} applies to the 'sweep' experiment only"
-                for field_, given in (
-                    ("kind", self.kind is not None),
-                    ("models", self.models is not None),
-                    ("seq_lens", self.seq_lens is not None),
-                )
-                if given
+                f"{name} applies to the 'sweep' experiment only"
+                for name in ("kind", "models", "seq_lens")
+                if getattr(self, name) is not None
             )
-        if self.models is not None:
-            _known_models(errors, self.models)
-        if self.seq_lens is not None:
-            _positive_axis(errors, "seq_lens", self.seq_lens)
         return errors
 
     @property
     def resolved_kind(self) -> str:
-        return "attention" if self.kind is None else self.kind
+        return self.resolved("kind")
 
 
 @dataclass(frozen=True)
@@ -221,32 +218,173 @@ class BindingSweepRequest(Request):
 
     KIND = "binding"
 
-    chunks: Tuple[int, ...] = DEFAULT_SWEEP_CHUNKS
-    bindings: Tuple[str, ...] = BINDINGS
-    array_dims: Tuple[int, ...] = DEFAULT_SWEEP_ARRAY_DIMS
-    embeddings: Tuple[int, ...] = (64,)
-    pe_1d_dims: Tuple[Optional[int], ...] = (None,)
-    engine: Optional[str] = None
-
-    def rule_violations(self) -> List[str]:
-        errors: List[str] = []
-        _positive_axis(errors, "chunks", self.chunks)
-        _positive_axis(errors, "array_dims", self.array_dims)
-        _positive_axis(errors, "embeddings", self.embeddings)
-        _positive_axis(errors, "pe_1d_dims", self.pe_1d_dims)
-        if not self.bindings:
-            errors.append("bindings must name at least one binding")
-        errors.extend(
-            f"unknown binding {binding!r}; have {BINDINGS}"
-            for binding in self.bindings
-            if binding not in BINDINGS
-        )
-        _known_engine(errors, self.engine)
-        return errors
+    chunks: Tuple[int, ...] = knob(
+        DEFAULT_SWEEP_CHUNKS,
+        "--chunks-list",
+        "N1,N2",
+        AtLeast(1),
+        unit="value",
+        comma=Comma(int, blank=True),
+        help="sweep chunk counts (default: 16..8192, powers of two)",
+    )
+    bindings: Tuple[str, ...] = knob(BINDINGS, rule=OneOf(BINDINGS, "binding"), unit="binding")
+    array_dims: Tuple[int, ...] = knob(
+        DEFAULT_SWEEP_ARRAY_DIMS,
+        "--arrays",
+        "D1,D2",
+        AtLeast(1),
+        unit="value",
+        comma=Comma(int, blank=True),
+        help="sweep PE-array dims (default: 128,256)",
+    )
+    embeddings: Tuple[int, ...] = knob(
+        (64,),
+        "--embeddings",
+        "E1,E2",
+        AtLeast(1),
+        unit="value",
+        comma=Comma(int, blank=True),
+        help="sweep embedding depths E (default: 64)",
+    )
+    pe_1d_dims: Tuple[Optional[int], ...] = knob(
+        (None,),
+        "--pe1d-list",
+        "P1,P2",
+        AtLeast(1),
+        unit="value",
+        comma=Comma(int, blank=True),
+        help="sweep 1D-array lanes (default: matched to each array dim)",
+    )
+    engine: Optional[str] = knob(
+        None,
+        "--engine",
+        rule=_ENGINE,
+        none_means="vector",
+        cli_default="vector",
+        help="vector folds each graph along its chunks; cycle is the serial oracle",
+    )
 
 
 @dataclass(frozen=True)
-class ScenarioRequest(Request):
+class _ScenarioShape(Request):
+    """The workload shape :class:`ScenarioRequest` and
+    :class:`ClusterRequest` share: ``model`` (with ``batch``/``heads``)
+    or an explicit ``instances`` count, the array, and a decode mix.
+    Subclasses declare ``binding``."""
+
+    #: The fields besides ``instances`` that set the instance count.
+    _COUNT_SOURCES = ("model",)
+
+    model: Optional[str] = knob(
+        None,
+        "--model",
+        "NAME",
+        _MODEL,
+        help="derive instances = batch x heads from a model (BERT/TrXL/T5/XLM)",
+    )
+    batch: Optional[int] = knob(
+        None, "--batch", "B", AtLeast(1), none_means=BATCH_SIZE, help="batch size with --model"
+    )
+    heads: Optional[int] = knob(
+        None, "--heads", "H", AtLeast(1), help="override the model's head count with --model"
+    )
+    instances: Optional[int] = knob(
+        None,
+        "--instances",
+        "N",
+        AtLeast(1),
+        none_means=4,
+        help="explicit (batch, head) instance count",
+    )
+    chunks: Optional[int] = knob(
+        None, "--chunks", "N", AtLeast(1), none_means=32, help="M1 chunks per prefill instance"
+    )
+    array_dim: Optional[int] = knob(
+        None, "--array-dim", "D", AtLeast(1), none_means=256, help="PE-array dimension"
+    )
+    pe_1d: Optional[int] = knob(
+        None, "--pe1d", "P", AtLeast(1), help="1D-array lanes (default: matched to --array-dim)"
+    )
+    slots: Optional[int] = knob(
+        None, "--slots", "K", AtLeast(1), none_means=2, help="interleaved issue slots per resource"
+    )
+    decode_instances: int = knob(
+        0, "--decode-instances", "N", AtLeast(0), help="add N decode-step instances"
+    )
+    decode_chunks: Optional[int] = knob(
+        None,
+        "--decode-chunks",
+        "C",
+        AtLeast(1),
+        help="KV-cache chunks per decode instance (default: --chunks)",
+    )
+    dram_bw: Optional[float] = knob(
+        None,
+        "--dram-bw",
+        "B",
+        Above(0),
+        help="shared DRAM bandwidth in bytes/cycle (default: unmodeled)",
+    )
+
+    def rule_violations(self) -> List[str]:
+        errors: List[str] = []
+        if self.model is not None and self.instances is not None:
+            errors.append(
+                "instances and model are mutually exclusive (model "
+                "derives the instance count from batch/heads)"
+            )
+        if all(getattr(self, source) is None for source in self._COUNT_SOURCES):
+            sources = " or ".join(self._COUNT_SOURCES)
+            errors.extend(
+                f"{name} requires {sources} (use instances for an explicit count)"
+                for name in ("batch", "heads")
+                if getattr(self, name) is not None
+            )
+        if self.decode_chunks is not None and not self.decode_instances:
+            errors.append("decode_chunks requires decode_instances")
+        errors.extend(super().rule_violations())
+        if self.binding == "tile-serial" and self.slots is not None:
+            # The serial discipline issues one task per resource; slots
+            # only parameterize the interleaved round-robin.
+            errors.append(_SERIAL_SLOTS)
+        return errors
+
+    def _scenario(
+        self, binding: str, mixed_models: Optional[Tuple[str, ...]] = None, **memory: Any
+    ) -> Scenario:
+        """The one scenario this shape describes under ``binding``, with
+        ``None`` fields at their build defaults; ``mixed_models`` and the
+        buffer/QoS ``memory`` fields come from requests that have them."""
+        chunks, array_dim = self.resolved("chunks"), self.resolved("array_dim")
+        shape = dict(
+            binding=binding,
+            array_dim=array_dim,
+            pe_1d=self.pe_1d,
+            slots=self.resolved("slots"),
+            decode_instances=self.decode_instances,
+            decode_chunks=self.decode_chunks,
+            dram_bw=self.dram_bw,
+            **memory,
+        )
+        if mixed_models is not None:
+            # A mixed schedule runs one sequence per model by default.
+            batch = 1 if self.batch is None else self.batch
+            return mixed_model_scenario(
+                mixed_models, chunks, batch=batch, heads=self.heads, **shape
+            )
+        if self.model is not None:
+            return scenario_from_model(
+                MODELS_BY_NAME[self.model],
+                chunks * array_dim,
+                batch=self.resolved("batch"),
+                heads=self.heads,
+                **shape,
+            )
+        return attention_scenario(self.resolved("instances"), chunks, **shape)
+
+
+@dataclass(frozen=True)
+class ScenarioRequest(_ScenarioShape):
     """Merged multi-(batch, head) schedules, one per requested binding.
 
     Either ``scenarios`` lists explicit :class:`Scenario` specs, or the
@@ -258,175 +396,89 @@ class ScenarioRequest(Request):
     link every instance's transfers contend for; ``buffer_bytes``
     bounds the on-chip buffer (working-set overflow spills extra DRAM
     traffic) and ``qos`` picks the link's arbitration policy.  ``None``
-    fields take the CLI's historical defaults at build time, so the
+    fields take their knobs' build defaults at build time, so the
     request records what was *asked*, not what was defaulted.
     """
 
     KIND = "scenario"
+    _COUNT_SOURCES = ("model", "mixed_models")
 
-    model: Optional[str] = None
-    batch: Optional[int] = None
-    heads: Optional[int] = None
-    instances: Optional[int] = None
-    mixed_models: Optional[Tuple[str, ...]] = None
-    chunks: Optional[int] = None
-    array_dim: Optional[int] = None
-    pe_1d: Optional[int] = None
-    slots: Optional[int] = None
-    decode_instances: int = 0
-    decode_chunks: Optional[int] = None
-    dram_bw: Optional[float] = None
-    buffer_bytes: Optional[float] = None
-    qos: str = "uniform"
-    binding: str = "both"
-    engine: Optional[str] = None
-    profile: bool = False
+    mixed_models: Optional[Tuple[str, ...]] = knob(
+        None,
+        "--mixed-models",
+        "A,B",
+        _MODEL,
+        unit="model",
+        comma=Comma(),
+        help="one schedule over several models' widths, e.g. BERT,XLM",
+    )
+    buffer_bytes: Optional[float] = knob(
+        None,
+        "--buffer-bytes",
+        "BYTES",
+        Above(0),
+        help="on-chip buffer per instance; overflow spills (needs --dram-bw)",
+    )
+    qos: str = knob(
+        "uniform",
+        "--qos",
+        rule=OneOf(QOS_MODES, "qos"),
+        cli_default=None,
+        help="DRAM arbitration; decode-first prioritizes decode instances",
+    )
+    binding: str = knob(
+        "both",
+        "--binding",
+        rule=OneOf(("both",) + BINDINGS, "binding"),
+        help="binding(s) to schedule",
+    )
+    engine: Optional[str] = knob(
+        None,
+        "--engine",
+        rule=_ENGINE,
+        none_means="vector",
+        cli_default="vector",
+        help="vector folds each scenario; cycle is the serial, uncached oracle",
+    )
+    profile: bool = knob(
+        False,
+        "--profile",
+        help="with --scenario: print build/schedule times per scenario to stderr",
+    )
     scenarios: Optional[Tuple[Scenario, ...]] = None
 
     def rule_violations(self) -> List[str]:
         errors: List[str] = []
-        spec_fields = (
-            ("model", self.model is not None),
-            ("batch", self.batch is not None),
-            ("heads", self.heads is not None),
-            ("instances", self.instances is not None),
-            ("mixed_models", self.mixed_models is not None),
-            ("chunks", self.chunks is not None),
-            ("array_dim", self.array_dim is not None),
-            ("pe_1d", self.pe_1d is not None),
-            ("slots", self.slots is not None),
-            ("decode_instances", self.decode_instances != 0),
-            ("decode_chunks", self.decode_chunks is not None),
-            ("dram_bw", self.dram_bw is not None),
-            ("buffer_bytes", self.buffer_bytes is not None),
-            ("qos", self.qos != "uniform"),
-            ("binding", self.binding != "both"),
-        )
         if self.scenarios is not None:
             errors.extend(
-                f"scenarios is mutually exclusive with {field_}"
-                for field_, given in spec_fields
-                if given
+                f"scenarios is mutually exclusive with {field_.name}"
+                for field_ in fields(self)
+                if field_.name not in ("engine", "profile", "scenarios")
+                and getattr(self, field_.name) != field_.default
             )
             if not self.scenarios:
                 errors.append("scenarios must name at least one scenario")
-        if self.model is not None and self.instances is not None:
-            errors.append(
-                "instances and model are mutually exclusive (model "
-                "derives the instance count from batch/heads)"
-            )
         if self.mixed_models is not None:
             errors.extend(
-                f"mixed_models and {field_} are mutually exclusive"
-                for field_, given in (("model", self.model is not None),
-                                      ("instances", self.instances is not None))
-                if given
+                f"mixed_models and {name} are mutually exclusive"
+                for name in ("model", "instances")
+                if getattr(self, name) is not None
             )
-            if not self.mixed_models:
-                errors.append("mixed_models must name at least one model")
-            _known_models(errors, self.mixed_models)
-        if self.model is None and self.mixed_models is None:
-            errors.extend(
-                f"{field_} requires model or mixed_models "
-                "(use instances for an explicit count)"
-                for field_, given in (("batch", self.batch is not None),
-                                      ("heads", self.heads is not None))
-                if given
-            )
-        elif self.model is not None and self.model not in MODELS_BY_NAME:
-            errors.append(f"unknown model {self.model!r}; have {sorted(MODELS_BY_NAME)}")
-        if self.decode_chunks is not None and not self.decode_instances:
-            errors.append("decode_chunks requires decode_instances")
-        _positive_bandwidth(errors, self.dram_bw)
-        _buffer_qos(errors, self.buffer_bytes, self.qos, self.dram_bw)
-        if self.binding not in ("both",) + BINDINGS:
-            errors.append(f"unknown binding {self.binding!r}; have {('both',) + BINDINGS}")
-        if self.binding == "tile-serial" and self.slots is not None:
-            # The serial discipline issues one task per resource; slots
-            # only parameterize the interleaved round-robin.
-            errors.append("slots applies to the interleaved binding only")
-        _known_engine(errors, self.engine)
-        for name in (
-            "batch",
-            "heads",
-            "instances",
-            "chunks",
-            "array_dim",
-            "pe_1d",
-            "slots",
-            "decode_chunks",
-        ):
-            _positive(errors, name, getattr(self, name))
-        if self.decode_instances < 0:
-            errors.append(f"decode_instances must be >= 0, got {self.decode_instances}")
+        errors.extend(super().rule_violations())
+        if self.buffer_bytes is not None and self.dram_bw is None:
+            errors.append(_BUFFER_NEEDS_DRAM)
         return errors
 
     def build_scenarios(self) -> Tuple[Scenario, ...]:
         """The scenario list this request describes (one per binding),
-        with the CLI's historical defaults filled in."""
+        with the build defaults filled in."""
         if self.scenarios is not None:
             return self.scenarios
-        bindings = BINDINGS if self.binding == "both" else (self.binding,)
-        batch = BATCH_SIZE if self.batch is None else self.batch
-        slots = 2 if self.slots is None else self.slots
-        chunks = 32 if self.chunks is None else self.chunks
-        array_dim = 256 if self.array_dim is None else self.array_dim
-        built = []
-        for binding in bindings:
-            if self.mixed_models is not None:
-                built.append(
-                    mixed_model_scenario(
-                        self.mixed_models,
-                        chunks,
-                        batch=1 if self.batch is None else self.batch,
-                        heads=self.heads,
-                        binding=binding,
-                        array_dim=array_dim,
-                        pe_1d=self.pe_1d,
-                        slots=slots,
-                        decode_instances=self.decode_instances,
-                        decode_chunks=self.decode_chunks,
-                        dram_bw=self.dram_bw,
-                        buffer_bytes=self.buffer_bytes,
-                        qos=self.qos,
-                    )
-                )
-            elif self.model is not None:
-                built.append(
-                    scenario_from_model(
-                        MODELS_BY_NAME[self.model],
-                        chunks * array_dim,
-                        batch=batch,
-                        heads=self.heads,
-                        binding=binding,
-                        array_dim=array_dim,
-                        pe_1d=self.pe_1d,
-                        slots=slots,
-                        decode_instances=self.decode_instances,
-                        decode_chunks=self.decode_chunks,
-                        dram_bw=self.dram_bw,
-                        buffer_bytes=self.buffer_bytes,
-                        qos=self.qos,
-                    )
-                )
-            else:
-                instances = 4 if self.instances is None else self.instances
-                built.append(
-                    attention_scenario(
-                        instances,
-                        chunks,
-                        binding=binding,
-                        array_dim=array_dim,
-                        pe_1d=self.pe_1d,
-                        slots=slots,
-                        decode_instances=self.decode_instances,
-                        decode_chunks=self.decode_chunks,
-                        dram_bw=self.dram_bw,
-                        buffer_bytes=self.buffer_bytes,
-                        qos=self.qos,
-                    )
-                )
-        return tuple(built)
+        memory = dict(buffer_bytes=self.buffer_bytes, qos=self.qos)
+        return tuple(
+            self._scenario(binding, self.mixed_models, **memory)
+            for binding in binding_axis(self.binding)
+        )
 
 
 @dataclass(frozen=True)
@@ -445,57 +497,113 @@ class ScenarioGridRequest(Request):
 
     KIND = "scenario_grid"
 
-    models: Tuple[str, ...] = ("BERT",)
-    batches: Tuple[int, ...] = (1,)
-    heads: Tuple[Optional[int], ...] = (None,)
-    decode_instances: Tuple[int, ...] = (0,)
-    chunks: int = 32
-    decode_chunks: Optional[int] = None
-    bindings: Tuple[str, ...] = ("interleaved",)
-    array_dim: int = 256
-    pe_1d: Optional[int] = None
-    slots: Optional[int] = None
-    dram_bw: Optional[float] = None
-    buffer_bytes: Optional[float] = None
-    qos: str = "uniform"
+    models: Tuple[str, ...] = knob(
+        ("BERT",),
+        "--models",
+        "A,B",
+        _MODEL,
+        comma=Comma(blank=True),
+        help="grid model names (default: BERT)",
+    )
+    batches: Tuple[int, ...] = knob(
+        (1,),
+        "--batches",
+        "B1,B2",
+        AtLeast(1),
+        unit="value",
+        comma=Comma(int),
+        help="grid batch sizes (default: 1)",
+    )
+    heads: Tuple[Optional[int], ...] = knob(
+        (None,),
+        "--heads-list",
+        "H1,H2",
+        AtLeast(1),
+        unit="value",
+        comma=Comma(int),
+        help="grid head counts (default: each model's own)",
+    )
+    decode_instances: Tuple[int, ...] = knob(
+        (0,),
+        "--decode-list",
+        "D0,D1",
+        AtLeast(0),
+        unit="count",
+        comma=Comma(int),
+        help="grid decode-instance counts (default: 0)",
+    )
+    chunks: int = knob(
+        32, "--chunks", "N", AtLeast(1), cli_default=None, help="prefill chunks of every grid cell"
+    )
+    decode_chunks: Optional[int] = knob(
+        None,
+        "--decode-chunks",
+        "C",
+        AtLeast(1),
+        help="KV-cache chunks per decode instance (default: --chunks)",
+    )
+    bindings: Tuple[str, ...] = knob(
+        ("interleaved",),
+        "--binding",
+        rule=OneOf(BINDINGS, "binding"),
+        unit="binding",
+        cli_choices=("both",) + BINDINGS,
+        parse=binding_axis,
+        help="grid binding(s) to schedule (default: interleaved)",
+    )
+    array_dim: int = knob(
+        256, "--array-dim", "D", AtLeast(1), cli_default=None, help="grid PE-array dimension"
+    )
+    pe_1d: Optional[int] = knob(
+        None,
+        "--pe1d",
+        "P",
+        AtLeast(1),
+        help="grid 1D-array lanes (default: matched to --array-dim)",
+    )
+    slots: Optional[int] = knob(
+        None, "--slots", "K", AtLeast(1), none_means=2, help="interleaved issue slots per resource"
+    )
+    dram_bw: Optional[float] = knob(
+        None,
+        "--dram-bw",
+        "B",
+        Above(0),
+        help="grid shared DRAM bandwidth in bytes/cycle (default: unmodeled)",
+    )
+    buffer_bytes: Optional[float] = knob(
+        None,
+        "--buffer-bytes",
+        "BYTES",
+        Above(0),
+        help="grid on-chip buffer; overflow spills (needs --dram-bw)",
+    )
+    qos: str = knob(
+        "uniform",
+        "--qos",
+        rule=OneOf(QOS_MODES, "qos"),
+        cli_default=None,
+        help="grid DRAM arbitration policy",
+    )
     extra_scenarios: Tuple[Scenario, ...] = ()
 
     def rule_violations(self) -> List[str]:
         errors: List[str] = []
         if not self.models and not self.extra_scenarios:
             errors.append("grid needs at least one model or extra scenario")
-        if self.models:
-            _known_models(errors, self.models)
-            _positive_axis(errors, "batches", self.batches)
-            _positive_axis(errors, "heads", self.heads)
-            if not self.decode_instances:
-                errors.append("decode_instances must name at least one count")
-            elif any(d < 0 for d in self.decode_instances):
-                errors.append(
-                    "decode_instances values must be >= 0, got "
-                    f"{list(self.decode_instances)}"
-                )
-            if not self.bindings:
-                errors.append("bindings must name at least one binding")
-            errors.extend(
-                f"unknown binding {binding!r}; have {BINDINGS}"
-                for binding in self.bindings
-                if binding not in BINDINGS
-            )
+        errors.extend(super().rule_violations())
         if set(self.bindings) == {"tile-serial"} and self.slots is not None:
-            errors.append("slots applies to the interleaved binding only")
+            errors.append(_SERIAL_SLOTS)
         if self.decode_chunks is not None and not any(self.decode_instances):
             errors.append("decode_chunks requires a nonzero decode_instances")
-        for name in ("chunks", "array_dim", "pe_1d", "slots", "decode_chunks"):
-            _positive(errors, name, getattr(self, name))
-        _positive_bandwidth(errors, self.dram_bw)
-        _buffer_qos(errors, self.buffer_bytes, self.qos, self.dram_bw)
+        if self.buffer_bytes is not None and self.dram_bw is None:
+            errors.append(_BUFFER_NEEDS_DRAM)
         return errors
 
     def cells(self) -> Tuple[ScenarioGridCell, ...]:
         """Every cell of the grid, in axis order (models outermost,
         bindings innermost), then the heterogeneous extras."""
-        slots = 2 if self.slots is None else self.slots
+        slots = self.resolved("slots")
         built = []
         for name in self.models:
             model = MODELS_BY_NAME[name]
@@ -559,32 +667,129 @@ class ServeRequest(Request):
     link's arbitration policy (``"decode-first"`` protects in-flight
     token gaps under a prefill burst), exactly as
     :class:`~repro.serving.ServingSpec` documents.  ``None`` fields
-    take the CLI's historical defaults at build time, so the request
+    take their knobs' build defaults at build time, so the request
     records what was *asked*, not what was defaulted.
     """
 
     KIND = "serve"
 
-    rate: Optional[float] = None
-    duration: Optional[int] = None
-    seed: Optional[int] = None
+    rate: Optional[float] = knob(
+        None,
+        "--rate",
+        "R1,R2",
+        Above(0),
+        comma=Comma(float),
+        help="offered loads in requests per kilocycle, one row each",
+    )
+    duration: Optional[int] = knob(
+        None,
+        "--duration",
+        "C",
+        AtLeast(1),
+        none_means=32768,
+        help="arrival window in cycles with --rate",
+    )
+    seed: Optional[int] = knob(
+        None,
+        "--seed",
+        "S",
+        AtLeast(0),
+        none_means=0,
+        help="arrival seed with --rate; equal seeds replay",
+    )
     trace: Optional[Tuple[Arrival, ...]] = None
-    chunks: Optional[int] = None
-    decode_tokens: Optional[int] = None
-    max_inflight: Optional[int] = None
-    deadline: Optional[int] = None
-    binding: str = "interleaved"
-    embedding: Optional[int] = None
-    array_dim: Optional[int] = None
-    pe_1d: Optional[int] = None
-    slots: Optional[int] = None
-    dram_bw: Optional[float] = None
-    buffer_bytes: Optional[float] = None
-    qos: str = "uniform"
-    chips: Optional[int] = None
-    link_bw: Optional[float] = None
-    link_latency: Optional[int] = None
-    engine: Optional[str] = None
+    chunks: Optional[int] = knob(
+        None,
+        "--chunks",
+        "N",
+        AtLeast(1),
+        none_means=8,
+        help="prefill M1 chunks per generated request",
+    )
+    decode_tokens: Optional[int] = knob(
+        None,
+        "--decode-tokens",
+        "T",
+        AtLeast(0),
+        none_means=4,
+        help="decode steps per generated request",
+    )
+    max_inflight: Optional[int] = knob(
+        None,
+        "--max-inflight",
+        "K",
+        AtLeast(1),
+        none_means=8,
+        help="continuous-batching window: max requests in flight",
+    )
+    deadline: Optional[int] = knob(
+        None,
+        "--deadline",
+        "C",
+        AtLeast(1),
+        help="SLO in cycles from arrival to last token (fills goodput)",
+    )
+    binding: str = knob(
+        "interleaved",
+        "--binding",
+        rule=OneOf(BINDINGS, "binding"),
+        help="binding discipline to schedule",
+    )
+    embedding: Optional[int] = knob(None, rule=AtLeast(1), none_means=64)
+    array_dim: Optional[int] = knob(
+        None, "--array-dim", "D", AtLeast(1), none_means=256, help="PE-array dimension"
+    )
+    pe_1d: Optional[int] = knob(
+        None, "--pe1d", "P", AtLeast(1), help="1D-array lanes (default: matched to --array-dim)"
+    )
+    slots: Optional[int] = knob(
+        None, "--slots", "K", AtLeast(1), none_means=2, help="interleaved issue slots per resource"
+    )
+    dram_bw: Optional[float] = knob(
+        None,
+        "--dram-bw",
+        "B",
+        Above(0),
+        help="shared DRAM bandwidth in bytes/cycle (default: unmodeled)",
+    )
+    buffer_bytes: Optional[float] = knob(
+        None,
+        "--buffer-bytes",
+        "BYTES",
+        Above(0),
+        help="on-chip buffer per request; overflow spills (needs --dram-bw)",
+    )
+    qos: str = knob(
+        "uniform",
+        "--qos",
+        rule=OneOf(QOS_MODES, "qos"),
+        cli_default=None,
+        help="DRAM arbitration; decode-first protects token gaps",
+    )
+    chips: Optional[int] = knob(
+        None,
+        "--chips",
+        "N",
+        AtLeast(1),
+        none_means=1,
+        help="spread requests round-robin over N arrays",
+    )
+    link_bw: Optional[float] = knob(
+        None,
+        "--link-bw",
+        "B",
+        Above(0),
+        help="gather-link bandwidth in bytes/cycle (needs --chips >= 2)",
+    )
+    link_latency: Optional[int] = knob(
+        None,
+        "--link-latency",
+        "C",
+        AtLeast(0),
+        none_means=0,
+        help="per-gather hop latency in cycles (needs --link-bw)",
+    )
+    engine: Optional[str] = knob(None, rule=_ENGINE, none_means="vector")
 
     def rule_violations(self) -> List[str]:
         errors: List[str] = []
@@ -594,19 +799,11 @@ class ServeRequest(Request):
             # Serving batches re-simulate per admission window; the
             # serial oracle is a differential tool, not a serving core.
             errors.append("serve runs on the vector engine only")
-        _known_engine(errors, self.engine)
-        if self.rate is not None and not self.rate > 0:
-            errors.append(f"rate must be > 0, got {self.rate}")
         if self.trace is not None:
             errors.extend(
-                f"{field_} applies to rate-driven serving only"
-                for field_, given in (
-                    ("duration", self.duration is not None),
-                    ("seed", self.seed is not None),
-                    ("chunks", self.chunks is not None),
-                    ("decode_tokens", self.decode_tokens is not None),
-                )
-                if given
+                f"{name} applies to rate-driven serving only"
+                for name in ("duration", "seed", "chunks", "decode_tokens")
+                if getattr(self, name) is not None
             )
             if not self.trace:
                 errors.append("trace must name at least one arrival")
@@ -614,66 +811,49 @@ class ServeRequest(Request):
                 check_sorted(self.trace)
             except ValueError as exc:
                 errors.append(str(exc))
-        if self.binding not in BINDINGS:
-            errors.append(f"unknown binding {self.binding!r}; have {BINDINGS}")
+        errors.extend(super().rule_violations())
         if self.binding == "tile-serial" and self.slots is not None:
-            errors.append("slots applies to the interleaved binding only")
-        if self.seed is not None and self.seed < 0:
-            errors.append(f"seed must be >= 0, got {self.seed}")
-        if self.decode_tokens is not None and self.decode_tokens < 0:
-            errors.append(f"decode_tokens must be >= 0, got {self.decode_tokens}")
-        for name in (
-            "duration",
-            "chunks",
-            "max_inflight",
-            "deadline",
-            "embedding",
-            "array_dim",
-            "pe_1d",
-            "slots",
-            "chips",
-        ):
-            _positive(errors, name, getattr(self, name))
-        _positive_bandwidth(errors, self.dram_bw)
-        _buffer_qos(errors, self.buffer_bytes, self.qos, self.dram_bw)
-        if self.link_bw is not None and not self.link_bw > 0:
-            errors.append(f"link_bw must be > 0, got {self.link_bw}")
-        if self.link_latency is not None and self.link_latency < 0:
-            errors.append(f"link_latency must be >= 0, got {self.link_latency}")
+            errors.append(_SERIAL_SLOTS)
+        if self.buffer_bytes is not None and self.dram_bw is None:
+            errors.append(_BUFFER_NEEDS_DRAM)
         if self.link_bw is not None and (self.chips is None or self.chips < 2):
             errors.append("link_bw requires chips >= 2 (one chip has no interconnect)")
+        if self.link_latency is not None and self.link_bw is None:
+            # Without a link the gather is free, so a latency would be
+            # silently dropped.
+            errors.append("link_latency requires link_bw")
         return errors
 
     def build_spec(self) -> ServingSpec:
         """The :class:`~repro.serving.ServingSpec` this request
-        describes, with the CLI's historical defaults filled in."""
+        describes, with the build defaults filled in."""
         if self.trace is not None:
             arrivals = check_sorted(self.trace)
             name, rate = f"trace-{len(arrivals)}req", None
         else:
-            seed = 0 if self.seed is None else self.seed
+            seed = self.resolved("seed")
             arrivals = poisson_arrivals(
                 self.rate,
-                32768 if self.duration is None else self.duration,
+                self.resolved("duration"),
                 seed=seed,
-                chunks=8 if self.chunks is None else self.chunks,
-                decode_tokens=4 if self.decode_tokens is None else self.decode_tokens,
+                chunks=self.resolved("chunks"),
+                decode_tokens=self.resolved("decode_tokens"),
             )
             name, rate = f"poisson-r{self.rate:g}-s{seed}", self.rate
         return ServingSpec(
             name=name,
             arrivals=arrivals,
             binding=self.binding,
-            embedding=64 if self.embedding is None else self.embedding,
-            array_dim=256 if self.array_dim is None else self.array_dim,
+            embedding=self.resolved("embedding"),
+            array_dim=self.resolved("array_dim"),
             pe_1d=self.pe_1d,
-            slots=2 if self.slots is None else self.slots,
-            max_inflight=8 if self.max_inflight is None else self.max_inflight,
+            slots=self.resolved("slots"),
+            max_inflight=self.resolved("max_inflight"),
             deadline=self.deadline,
             dram_bw=self.dram_bw,
-            n_chips=1 if self.chips is None else self.chips,
+            n_chips=self.resolved("chips"),
             link_bw=self.link_bw,
-            link_latency=0 if self.link_latency is None else self.link_latency,
+            link_latency=self.resolved("link_latency"),
             rate=rate,
             buffer_bytes=self.buffer_bytes,
             qos=self.qos,
@@ -681,11 +861,11 @@ class ServeRequest(Request):
 
 
 @dataclass(frozen=True)
-class ClusterRequest(Request):
+class ClusterRequest(_ScenarioShape):
     """A multi-chip sweep: one scenario sharded over chips × shardings
     × link bandwidths.
 
-    The scenario shape fields mirror :class:`ScenarioRequest` (minus
+    The scenario shape fields are :class:`ScenarioRequest`'s (minus
     ``mixed_models``/``scenarios``: a cluster shards one homogeneous
     workload); the cluster axes then cross every requested chip count
     with every sharding policy and link bandwidth, one
@@ -697,81 +877,56 @@ class ClusterRequest(Request):
 
     KIND = "cluster"
 
-    model: Optional[str] = None
-    batch: Optional[int] = None
-    heads: Optional[int] = None
-    instances: Optional[int] = None
-    chunks: Optional[int] = None
-    array_dim: Optional[int] = None
-    pe_1d: Optional[int] = None
-    slots: Optional[int] = None
-    decode_instances: int = 0
-    decode_chunks: Optional[int] = None
-    dram_bw: Optional[float] = None
-    binding: str = "interleaved"
-    chips: Tuple[int, ...] = (1, 2, 4)
-    shardings: Tuple[str, ...] = ("head",)
-    link_bws: Tuple[Optional[float], ...] = (None,)
-    link_latency: int = 0
-    topology: str = "all-to-all"
-    engine: Optional[str] = None
+    binding: str = knob(
+        "interleaved",
+        "--binding",
+        rule=OneOf(BINDINGS, "binding"),
+        help="binding discipline to schedule",
+    )
+    chips: Tuple[int, ...] = knob(
+        (1, 2, 4),
+        "--chips",
+        "N1,N2",
+        AtLeast(1),
+        unit="value",
+        comma=Comma(int),
+        help="chip counts to sweep (default: 1,2,4)",
+    )
+    shardings: Tuple[str, ...] = knob(
+        ("head",),
+        "--shardings",
+        "S1,S2",
+        OneOf(SHARDINGS, "sharding"),
+        unit="policy",
+        comma=Comma(),
+        help="sharding policies to sweep (default: head)",
+    )
+    link_bws: Tuple[Optional[float], ...] = knob(
+        (None,),
+        "--link-bws",
+        "B1,B2",
+        Above(0),
+        unit="bandwidth",
+        comma=Comma(float, none=True),
+        help="link bandwidths in bytes/cycle; 'none' leaves it unmodeled",
+    )
+    link_latency: int = knob(
+        0, "--link-latency", "C", AtLeast(0), help="per-collective hop latency in cycles"
+    )
+    topology: str = knob(
+        "all-to-all", "--topology", rule=OneOf(TOPOLOGIES, "topology"), help="interconnect topology"
+    )
+    engine: Optional[str] = knob(
+        None,
+        "--engine",
+        rule=_ENGINE,
+        none_means="vector",
+        cli_default="vector",
+        help="vector folds each sharded scenario; cycle is the serial oracle",
+    )
 
     def rule_violations(self) -> List[str]:
-        errors: List[str] = []
-        if self.model is not None and self.instances is not None:
-            errors.append(
-                "instances and model are mutually exclusive (model "
-                "derives the instance count from batch/heads)"
-            )
-        if self.model is None:
-            errors.extend(
-                f"{field_} requires model (use instances for an explicit count)"
-                for field_, given in (("batch", self.batch is not None),
-                                      ("heads", self.heads is not None))
-                if given
-            )
-        elif self.model not in MODELS_BY_NAME:
-            errors.append(f"unknown model {self.model!r}; have {sorted(MODELS_BY_NAME)}")
-        if self.decode_chunks is not None and not self.decode_instances:
-            errors.append("decode_chunks requires decode_instances")
-        _positive_bandwidth(errors, self.dram_bw)
-        if self.binding not in BINDINGS:
-            errors.append(f"unknown binding {self.binding!r}; have {BINDINGS}")
-        if self.binding == "tile-serial" and self.slots is not None:
-            errors.append("slots applies to the interleaved binding only")
-        _known_engine(errors, self.engine)
-        _positive_axis(errors, "chips", self.chips)
-        if not self.shardings:
-            errors.append("shardings must name at least one policy")
-        errors.extend(
-            f"unknown sharding {sharding!r}; have {SHARDINGS}"
-            for sharding in self.shardings
-            if sharding not in SHARDINGS
-        )
-        if not self.link_bws:
-            errors.append("link_bws must name at least one bandwidth")
-        errors.extend(
-            f"link_bws values must be > 0, got {bw}"
-            for bw in self.link_bws
-            if bw is not None and not bw > 0
-        )
-        if self.link_latency < 0:
-            errors.append(f"link_latency must be >= 0, got {self.link_latency}")
-        if self.topology not in TOPOLOGIES:
-            errors.append(f"unknown topology {self.topology!r}; have {TOPOLOGIES}")
-        for name in (
-            "batch",
-            "heads",
-            "instances",
-            "chunks",
-            "array_dim",
-            "pe_1d",
-            "slots",
-            "decode_chunks",
-        ):
-            _positive(errors, name, getattr(self, name))
-        if self.decode_instances < 0:
-            errors.append(f"decode_instances must be >= 0, got {self.decode_instances}")
+        errors = super().rule_violations()
         if not errors and "tensor" in self.shardings:
             scenario = self.build_scenario()
             seen: List[str] = []
@@ -786,38 +941,9 @@ class ClusterRequest(Request):
         return errors
 
     def build_scenario(self) -> Scenario:
-        """The one scenario every cluster point shards, with the CLI's
-        historical defaults filled in (matching ``repro scenario``)."""
-        batch = BATCH_SIZE if self.batch is None else self.batch
-        slots = 2 if self.slots is None else self.slots
-        chunks = 32 if self.chunks is None else self.chunks
-        array_dim = 256 if self.array_dim is None else self.array_dim
-        if self.model is not None:
-            return scenario_from_model(
-                MODELS_BY_NAME[self.model],
-                chunks * array_dim,
-                batch=batch,
-                heads=self.heads,
-                binding=self.binding,
-                array_dim=array_dim,
-                pe_1d=self.pe_1d,
-                slots=slots,
-                decode_instances=self.decode_instances,
-                decode_chunks=self.decode_chunks,
-                dram_bw=self.dram_bw,
-            )
-        instances = 4 if self.instances is None else self.instances
-        return attention_scenario(
-            instances,
-            chunks,
-            binding=self.binding,
-            array_dim=array_dim,
-            pe_1d=self.pe_1d,
-            slots=slots,
-            decode_instances=self.decode_instances,
-            decode_chunks=self.decode_chunks,
-            dram_bw=self.dram_bw,
-        )
+        """The one scenario every cluster point shards, with the build
+        defaults filled in (matching ``repro simulate --scenario``)."""
+        return self._scenario(self.binding)
 
     def build_points(self) -> Tuple[ClusterPoint, ...]:
         """Every cluster point of the sweep, chips outermost, then
@@ -859,16 +985,26 @@ class CrosscheckRequest(Request):
 
     KIND = "crosscheck"
 
-    tolerance: float = 0.05
-    bandwidth: bool = False
-    capacity: bool = False
-    cluster: bool = False
+    tolerance: float = knob(
+        0.05,
+        "--tolerance",
+        "T",
+        AtLeast(0),
+        help="flag |simulated - analytical| utilization beyond T",
+    )
+    bandwidth: bool = knob(
+        False, "--bandwidth", help="also cross-check the bandwidth-limited grid (dram rows)"
+    )
+    capacity: bool = knob(
+        False, "--capacity", help="also cross-check the finite-buffer grid (capacity-bound)"
+    )
+    cluster: bool = knob(
+        False, "--cluster", help="also cross-check the sharded multi-chip grid (link rows)"
+    )
     scenarios: Optional[Tuple[Scenario, ...]] = None
 
     def rule_violations(self) -> List[str]:
-        errors: List[str] = []
-        if self.tolerance < 0:
-            errors.append(f"tolerance must be >= 0, got {self.tolerance}")
+        errors = super().rule_violations()
         if self.scenarios is not None and not self.scenarios:
             errors.append("scenarios must name at least one scenario")
         if self.scenarios is not None and self.bandwidth:

@@ -40,7 +40,7 @@ from ..simulator.sweep import (
     evaluate_scenario_point,
     profile_scenario_point,
 )
-from ..workloads.models import MODELS, MODELS_BY_NAME, SEQUENCE_LENGTHS
+from ..workloads.models import MODELS_BY_NAME
 from .requests import (
     BindingSweepRequest,
     ClusterRequest,
@@ -354,15 +354,9 @@ class Session:
                 "attention": _runtime.sweep_attention,
                 "inference": _runtime.sweep_inference,
             }[request.resolved_kind]
-            models = (
-                MODELS
-                if request.models is None
-                else tuple(MODELS_BY_NAME[name] for name in request.models)
-            )
-            seq_lens = SEQUENCE_LENGTHS if request.seq_lens is None else request.seq_lens
             return sweep(
-                models,
-                seq_lens,
+                tuple(MODELS_BY_NAME[name] for name in request.resolved("models")),
+                request.resolved("seq_lens"),
                 jobs=self.jobs,
                 cache=self._cache_arg(),
                 registry=self.registry,
@@ -401,9 +395,7 @@ class Session:
             payload: Dict = {}
             profiles = []
             for scenario in scenarios:
-                result, prof = profile_scenario_point(
-                    scenario, engine=request.engine or "vector"
-                )
+                result, prof = profile_scenario_point(scenario, engine=request.resolved("engine"))
                 payload[scenario] = result
                 profiles.append(prof)
             self._last_profiles = tuple(profiles)

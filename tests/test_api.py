@@ -14,6 +14,8 @@ Covers the three contracts of ``repro.api``:
 """
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 from conftest import event_scenario
@@ -31,6 +33,7 @@ from repro.api import (
     ServeRequest,
     Session,
 )
+from repro.api.knobs import Above, AtLeast, OneOf, knob_of
 from repro.runtime import ResultCache, RunRegistry
 from repro.runtime import executor as _runtime
 from repro.runtime.cache import code_version
@@ -335,6 +338,10 @@ class TestOtherRequestValidation:
         assert any("link_bw requires chips >= 2" in e for e in errors)
         errors = violations(ServeRequest(rate=1.0, chips=1, link_bw=64.0))
         assert any("link_bw requires chips >= 2" in e for e in errors)
+        # A latency with no link to delay would be silently dropped.
+        errors = violations(ServeRequest(rate=1.0, chips=2, link_latency=50))
+        assert errors == ["link_latency requires link_bw"]
+        ServeRequest(rate=1.0, chips=2, link_bw=64.0, link_latency=0).validate()
 
     def test_cluster_request_rules(self):
         ClusterRequest().validate()
@@ -537,6 +544,117 @@ class TestSignatureCompleteness:
         a = ScenarioRequest(model="BERT", batch=2)
         b = ScenarioRequest(model="BERT", batch=2)
         assert a.signature() == b.signature()
+
+
+#: Parent-commit digests of every ``SIGNATURE_MUTATIONS`` request (the
+#: base under ``""``, then one per mutated field).  Signatures use
+#: ``version="request"``, so no refactor of the request classes may
+#: move them.
+SIGNATURE_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "request-signatures.json").read_text()
+)
+
+
+class TestSignaturePins:
+    @pytest.mark.parametrize("cls", REQUEST_TYPES)
+    def test_signatures_match_pinned_digests(self, cls):
+        pinned = SIGNATURE_GOLDEN[cls.__name__]
+        base = cls()
+        assert base.signature() == pinned[""]
+        for field, value in SIGNATURE_MUTATIONS[cls].items():
+            mutated = dataclasses.replace(base, **{field: value})
+            assert mutated.signature() == pinned[field], field
+
+
+#: Request fields with no knob: API-only values no flag can spell.
+NON_CLI_FIELDS = {"scenarios", "extra_scenarios", "trace"}
+
+
+def _declared_fields():
+    return [
+        (cls, field)
+        for cls in REQUEST_TYPES
+        for field in dataclasses.fields(cls)
+        if field.name not in NON_CLI_FIELDS
+    ]
+
+
+def _out_of_range(cls, field):
+    """(bad value, exact message) for the knob rule of ``field``."""
+    rule = knob_of(cls, field.name).rule
+    axis = isinstance(field.default, tuple)
+    name = field.name
+    if isinstance(rule, AtLeast):
+        bad = rule.minimum - 1
+        if axis:
+            return (bad,), f"{name} values must be >= {rule.minimum}, got [{bad}]"
+        return bad, f"{name} must be >= {rule.minimum}, got {bad}"
+    if isinstance(rule, Above):
+        label = f"{name} values" if axis else name
+        return ((-1.0,) if axis else -1.0), f"{label} must be > 0, got -1.0"
+    assert isinstance(rule, OneOf), (cls, name)
+    return (("bogus",) if axis else "bogus"), (
+        f"unknown {rule.noun} 'bogus'; have {rule.choices}"
+    )
+
+
+class TestKnobDeclarations:
+    """Field walk over the knob declarations: every field is declared
+    once, and every declared rule rejects with its exact message."""
+
+    @pytest.mark.parametrize("cls", REQUEST_TYPES)
+    def test_every_field_is_declared_or_api_only(self, cls):
+        for field in dataclasses.fields(cls):
+            declared = "knob" in field.metadata
+            assert declared != (field.name in NON_CLI_FIELDS), (cls, field.name)
+
+    @pytest.mark.parametrize(
+        "cls,field",
+        [(cls, f) for cls, f in _declared_fields() if knob_of(cls, f.name).rule],
+        ids=lambda value: getattr(value, "__name__", getattr(value, "name", None)),
+    )
+    def test_every_rule_rejects_with_its_message(self, cls, field):
+        bad, message = _out_of_range(cls, field)
+        assert message in violations(cls(**{field.name: bad}))
+
+    @pytest.mark.parametrize(
+        "cls,field",
+        [(cls, f) for cls, f in _declared_fields() if knob_of(cls, f.name).unit],
+        ids=lambda value: getattr(value, "__name__", getattr(value, "name", None)),
+    )
+    def test_every_axis_rejects_empty(self, cls, field):
+        unit = knob_of(cls, field.name).unit
+        message = f"{field.name} must name at least one {unit}"
+        assert message in violations(cls(**{field.name: ()}))
+
+    def test_fields_without_a_range_test_before(self):
+        errors = violations(ServeRequest(rate=1.0, deadline=0, max_inflight=-1,
+                                         embedding=0, duration=0))
+        assert errors == [
+            "duration must be >= 1, got 0",
+            "max_inflight must be >= 1, got -1",
+            "deadline must be >= 1, got 0",
+            "embedding must be >= 1, got 0",
+        ]
+
+    def test_build_defaults_resolve_through_the_knob(self):
+        request = ServeRequest(rate=1.0)
+        assert [request.resolved(name) for name in (
+            "duration", "seed", "chunks", "decode_tokens", "max_inflight",
+            "embedding", "array_dim", "slots", "chips", "link_latency",
+            "engine",
+        )] == [32768, 0, 8, 4, 8, 64, 256, 2, 1, 0, "vector"]
+        assert ServeRequest(rate=1.0, chunks=3).resolved("chunks") == 3
+        assert ExperimentRequest(name="sweep").resolved_kind == "attention"
+
+    def test_one_builder_serves_scenario_and_cluster(self):
+        shape = dict(model="BERT", batch=2, heads=2, chunks=4, array_dim=64,
+                     slots=3, decode_instances=1, decode_chunks=8,
+                     dram_bw=32.0)
+        (scenario,) = ScenarioRequest(binding="interleaved", **shape).build_scenarios()
+        assert ClusterRequest(**shape).build_scenario() == scenario
+        (plain,) = ScenarioRequest(binding="tile-serial").build_scenarios()
+        assert ClusterRequest(binding="tile-serial").build_scenario() == plain
 
 
 class TestSession:

@@ -134,3 +134,43 @@ class TestSweepGrid:
     def test_grid_unknown_model(self, capsys):
         assert main(["sweep", "--grid", "--models", "GPT"]) == 2
         assert "unknown model" in capsys.readouterr().err
+
+
+class TestCycleOracleRefusesRuntimeFlags:
+    """The cycle oracle runs serial and uncached on every path, so each
+    one refuses the runtime flags with the same message instead of
+    silently ignoring them."""
+
+    REFUSAL = "applies to runtime-backed runs only; the cycle oracle path is serial and uncached"
+
+    def test_one_shot(self, capsys):
+        assert main(["simulate", "--chunks", "4", "--array-dim", "64",
+                     "--engine", "cycle", "--retries", "2",
+                     "--task-timeout", "5", "--on-error", "skip"]) == 2
+        assert capsys.readouterr().err == (
+            f"--retries, --task-timeout, --on-error {self.REFUSAL}\n"
+        )
+
+    def test_scenario(self, capsys):
+        assert main(["simulate", "--scenario", "--instances", "2", "--chunks",
+                     "4", "--array-dim", "64", "--engine", "cycle",
+                     "--jobs", "2"]) == 2
+        assert capsys.readouterr().err == f"--jobs {self.REFUSAL}\n"
+
+    def test_cluster(self, capsys, tmp_path):
+        registry = tmp_path / "runs"
+        assert main(["cluster", "--instances", "2", "--chunks", "4",
+                     "--array-dim", "64", "--chips", "1,2", "--engine",
+                     "cycle", "--jobs", "2", "--registry", str(registry),
+                     "--no-cache"]) == 2
+        assert capsys.readouterr().err == f"--registry, --jobs {self.REFUSAL}\n"
+        assert not registry.exists()
+
+    def test_cycle_without_runtime_flags_still_runs(self, capsys):
+        assert main(["cluster", "--instances", "2", "--chunks", "4",
+                     "--array-dim", "64", "--chips", "1,2", "--engine",
+                     "cycle", "--no-cache"]) == 0
+        cycle = capsys.readouterr().out
+        assert main(["cluster", "--instances", "2", "--chunks", "4",
+                     "--array-dim", "64", "--chips", "1,2", "--no-cache"]) == 0
+        assert capsys.readouterr().out == cycle

@@ -12,7 +12,11 @@ If an intentional output change lands, regenerate the goldens in the
 same commit and say why in its message.
 """
 
+import argparse
+import contextlib
 import hashlib
+import io
+import json
 from pathlib import Path
 
 import pytest
@@ -143,3 +147,158 @@ def test_report_hash_is_byte_identical():
     text = Session().run(ExperimentRequest(name="report")).payload
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == (GOLDEN / "report.sha256").read_text().strip()
+
+
+# --------------------------------------------------------------------------
+# The CLI contract beyond stdout: every option's shape, and how bad
+# invocations are refused.  Both goldens were captured before the parsers
+# were generated from the request field declarations; help text is left
+# out on purpose (it may be reworded), everything argparse exposes about
+# an option is in.
+# --------------------------------------------------------------------------
+
+
+def describe_parser(parser):
+    """Every option of the parser and of each subcommand, in order:
+    strings, dest, default, choices, action, metavar and type name."""
+    surface = {}
+
+    def walk(name, parser):
+        options = []
+        for action in parser._actions:
+            choices = action.choices
+            if isinstance(action, argparse._SubParsersAction):
+                for sub_name, sub in action.choices.items():
+                    walk(sub_name, sub)
+                choices = list(choices)
+            options.append({
+                "strings": list(action.option_strings),
+                "dest": action.dest,
+                "default": action.default,
+                "choices": None if choices is None else list(choices),
+                "action": type(action).__name__,
+                "metavar": action.metavar,
+                "type": getattr(action.type, "__name__", None),
+                "nargs": action.nargs,
+                "required": action.required,
+            })
+        surface[name] = {
+            "options": options,
+            "exclusive": [
+                [a.option_strings for a in group._group_actions]
+                for group in parser._mutually_exclusive_groups
+            ],
+        }
+
+    walk("repro", parser)
+    return json.loads(json.dumps(surface))
+
+
+#: Bad invocations, each locked to its exit status and full stderr
+#: (``{golden}`` names ``tests/golden``; cases run in an empty directory
+#: with ``COLUMNS=80`` so argparse's usage lines wrap the same way).
+REJECTIONS = [
+    # argparse-level range checks and the parser-wide cache rule.
+    ["sweep", "--jobs", "0"],
+    ["simulate", "--chunks", "0"],
+    ["simulate", "--scenario", "--decode-instances", "-1"],
+    ["serve", "--rate", "1", "--seed", "-1"],
+    ["simulate", "--scenario", "--cache-dir", "c", "--no-cache"],
+    # List parsing.
+    ["sweep", "--seq-lens", "1k"],
+    ["simulate", "--sweep", "--chunks-list", "16,x"],
+    ["simulate", "--sweep", "--arrays", "0"],
+    ["sweep", "--grid", "--decode-list", "-1"],
+    ["serve", "--rate", "0.5,x"],
+    ["cluster", "--link-bws", "x"],
+    ["cluster", "--chips", "0"],
+    # Mode routing.
+    ["simulate", "--sweep", "--scenario"],
+    ["simulate", "--model", "BERT", "--qos", "decode-first"],
+    ["simulate", "--sweep", "--chunks", "4", "--array-dim", "64"],
+    ["simulate", "--chunks-list", "16", "--jobs", "2", "--format", "csv"],
+    ["simulate", "--sweep", "--engine", "cycle"],
+    ["sweep", "--batches", "1,2", "--dram-bw", "8"],
+    ["sweep", "--grid", "--kind", "attention", "--seq-lens", "1024"],
+    ["serve"],
+    ["serve", "--rate", "1", "--trace", "{golden}/serve-trace.in"],
+    ["serve", "--trace", "no-such.trace"],
+    # Request rules: per field, then across fields.
+    ["sweep", "--models", "GPT"],
+    ["sweep", "--seq-lens", "0"],
+    ["sweep", "--seq-lens", "1000"],
+    ["simulate", "--scenario", "--model", "GPT", "--instances", "4"],
+    ["simulate", "--scenario", "--buffer-bytes", "-1"],
+    ["simulate", "--scenario", "--batch", "2", "--heads", "2"],
+    ["simulate", "--scenario", "--binding", "tile-serial", "--slots", "2"],
+    ["simulate", "--scenario", "--decode-chunks", "8", "--dram-bw", "0"],
+    ["simulate", "--scenario", "--mixed-models", "BERT,GPT", "--model", "T5"],
+    ["sweep", "--grid", "--models", "GPT", "--dram-bw", "0"],
+    ["sweep", "--grid", "--binding", "tile-serial", "--slots", "2",
+     "--decode-chunks", "4"],
+    ["serve", "--rate", "0", "--dram-bw", "0"],
+    ["serve", "--rate", "1", "--link-bw", "0"],
+    ["serve", "--trace", "{golden}/serve-trace.in", "--seed", "1",
+     "--chunks", "4"],
+    ["cluster", "--model", "GPT", "--instances", "4"],
+    ["cluster", "--shardings", "diagonal", "--link-bws", "-1"],
+    ["cluster", "--model", "BERT", "--batch", "1", "--heads", "2",
+     "--chunks", "4", "--array-dim", "64", "--chips", "3",
+     "--shardings", "tensor"],
+    ["crosscheck", "--tolerance", "-1"],
+    # The cycle oracle is serial and uncached: runtime flags are refused
+    # on every cycle path, never ignored.
+    ["simulate", "--scenario", "--instances", "2", "--chunks", "4",
+     "--array-dim", "64", "--engine", "cycle", "--jobs", "2",
+     "--retries", "1"],
+    ["simulate", "--chunks", "4", "--array-dim", "64", "--engine", "cycle",
+     "--retries", "2", "--task-timeout", "5", "--on-error", "skip"],
+    ["cluster", "--instances", "2", "--chunks", "4", "--array-dim", "64",
+     "--chips", "1,2", "--engine", "cycle", "--jobs", "2", "--registry",
+     "cycle-runs", "--no-cache"],
+    # A link latency needs a link to delay.
+    ["serve", "--rate", "0.5", "--duration", "4096", "--array-dim", "64",
+     "--decode-tokens", "1", "--chips", "2", "--link-latency", "50",
+     "--no-cache"],
+]
+
+
+def run_cli(argv):
+    """(exit status, stderr) of one in-process CLI run; an exception
+    that escapes ``main`` reads as ``raised <type>`` plus its message."""
+    err = io.StringIO()
+    argv = [arg.format(golden=GOLDEN) for arg in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        except Exception as error:  # recorded, then compared with the golden
+            code = f"raised {type(error).__name__}"
+            err.write(str(error))
+    return code, err.getvalue()
+
+
+def test_cli_surface_matches_golden():
+    from repro.cli import build_parser
+
+    golden = json.loads((GOLDEN / "cli-surface.json").read_text())
+    assert describe_parser(build_parser()) == golden
+
+
+REJECTION_GOLDEN = json.loads((GOLDEN / "cli-rejections.json").read_text())
+
+
+def test_rejection_golden_covers_every_case():
+    assert [row["argv"] for row in REJECTION_GOLDEN] == REJECTIONS
+
+
+@pytest.mark.parametrize(
+    "row", REJECTION_GOLDEN, ids=[" ".join(row["argv"]) for row in REJECTION_GOLDEN]
+)
+def test_rejection_is_byte_identical(row, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(row["argv"]) == (row["exit"], row["stderr"])
+    # A refused run leaves nothing behind (no registry directory).
+    assert list(tmp_path.iterdir()) == []
