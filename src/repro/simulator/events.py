@@ -78,8 +78,9 @@ def run_event_driven(tasks: Sequence[Task], slots: int, max_cycles: int) -> SimR
     """Schedule a named task list event by event; see the module docstring.
 
     ``slots`` is the effective issue width (1 for the serial discipline).
-    Raises :class:`ValueError` on a repeated task name or a dep naming no
-    task, and :class:`RuntimeError` exactly when the cycle engine would:
+    Raises :class:`ValueError` on a repeated task name, a dep naming no
+    task or ``slots < 1``, and :class:`RuntimeError` exactly when the
+    cycle engine would:
     on dependency deadlock, or when the makespan exceeds ``max_cycles``.
     """
     graph = FlatGraph.from_tasks(tasks)
@@ -88,7 +89,10 @@ def run_event_driven(tasks: Sequence[Task], slots: int, max_cycles: int) -> SimR
 
 def run_flat(graph: FlatGraph, slots: int, max_cycles: int) -> Tuple[int, List[int], List[int]]:
     """Schedule a compiled graph; returns ``(makespan, busy, finish)``
-    with busy cycles per resource id and finish times per task id."""
+    with busy cycles per resource id and finish times per task id.
+    Raises ``ValueError`` unless ``slots >= 1``."""
+    if slots < 1:
+        raise ValueError(f"slots must be >= 1, got {slots}")
     durations = graph.durations
     resource_of = graph.resource
     priority = graph.priority

@@ -5,8 +5,10 @@ binding amortizes fill/drain over an ever-longer stream of M1 chunks,
 while tile-serial pays it per tile.  Each point is scheduled by the
 vector engine's chunk fold (:func:`~repro.simulator.pipeline
 .schedule_binding`): chunk ``k`` is one instance of a two-chunk
-template chained to chunk ``k-1``, so only the template is built, and a
-tile-serial steady state is replayed instead of simulated.  That opens
+template chained to chunk ``k-1``, so only the template is built, and
+the steady state of either binding is replayed instead of simulated
+(interleaved through split windows, whose fronts drift apart; see
+:mod:`~repro.simulator.vector`).  That opens
 the chunk axis up to the hundreds of thousands of tokens the paper
 targets (chunks ∈ {16 … 8192} at M0 = 256 columns is M up to ~2M); the
 rows equal the event core's on the built graphs.  This module defines the sweep's

@@ -113,6 +113,63 @@ successors in range.  Chained classes skip the source-resource split:
 no binding graph has a source resource, and a source task could feed
 the next instance.
 
+Split windows
+-------------
+
+The fronts of an interleaved binding chain drift apart.  The ``RNV``
+chain (each chunk's waits on the previous chunk's) falls behind, and
+the rest runs ahead as far as the 2D array allows.  Between them the
+live window holds a growing run of *idle* instances: nothing of theirs
+is active or pending, and what is left waits on a lag edge from the
+predecessor.  The run grows by a few instances per period, so a window
+keyed relative to ``min(live)`` never recurs.
+
+At a snapshot, :func:`_fold_loop` therefore looks for a run of
+consecutive live instances of a lone chained class that are idle and
+share one ``(outstanding, unfinished)`` state, with live instances
+below and above it (the one it found last time while any of it is
+left, else the longest).  The instances below (the *tail*) are keyed
+relative to ``min(live)``, those above (the *head*) relative to the
+class cursor, and the run by its two bounds, each relative to its own
+side's anchor, and its shared state, but not its length.  Three facts
+make the replay exact:
+
+- *Idle run instances are read only through their predecessor's lag
+  edges.*  None of an idle instance's tasks is active or pending, so
+  each unfinished one waits on an unfinished task of the same instance
+  or on a lag dep.  Nothing inside it can complete, and only a
+  completion in its predecessor changes it.  A run instance whose
+  predecessor is idle too stays exactly as it entered the run, whatever
+  its index.
+- *Program-order comparisons between tail and head tasks cannot flip
+  while the run is non-empty.*  Every tail instance lies below the run
+  and every head instance above it, so a tail task precedes every head
+  task, and the head's virtual cursor task, in every heap pop and
+  refill: in the recorded window and in every repeat.
+- *Each region's state recurs relative to its own anchor.*  While the
+  run keeps an instance that completes nothing, the tail's lag edges
+  reach only run instances, which all hold the shared state, and the
+  head's lowest instance has a silent predecessor.  The two sides then
+  meet only in the shared resources, whose state the key holds in full.
+  So each side evolves as a function of its own relative state, and a
+  match means the tail advanced ``dA_tail`` instances and the head
+  ``dA_head`` in ``dt``.
+
+The jump checks that premise on the recorded window rather than trusting
+the two end snapshots.  Between consecutive split snapshots the run's top
+instance must complete nothing, so the tail never reaches a head
+instance, and consecutive runs must overlap, so no instance changes side.
+The window's *margin* is the fewest run instances any interval left above
+the tail's deepest completion.  A repeat ``k`` leaves ``margin + k *
+(dA_head - dA_tail)`` of them, so when the run shrinks ``m`` is clamped
+to keep that at least 1 (the run clamp), on top of the head cursor's
+clamp.  Each logged completion is tagged by side (at or below its
+interval's run top: tail), and expansion shifts it by ``k * dA_tail`` or
+``k * dA_head`` instances and ``k * dt`` cycles.  The jump moves the tail
+by ``m * dA_tail`` and the head by ``m * dA_head``, and fills the run
+between them with copies of the shared state.  Without an idle run the
+key, the clamps and the counters are the unsplit ones.
+
 Busy cycles need no simulation at all: every issued cycle serves
 exactly one task-cycle and every task completes, so a resource's busy
 count is the plain sum of its tasks' durations — which is also exactly
@@ -124,8 +181,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import lcm
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -135,11 +193,10 @@ from .engine import DEADLOCK, SimResult, Task, task_index
 #: for the run.  Detection failure costs speed, never correctness.
 _SNAP_CAP = 512
 
-#: Live-instance windows wider than this skip snapshotting.  A window
-#: grows when some resource's front runs ahead of the bottleneck and
-#: keeps admitting instances the bottleneck has not reached (the 2D
-#: array ahead of a 1D-bound front, say).  Such a window never recurs,
-#: and hashing its state would cost more than it could save.
+#: Snapshots keying more live instances than this are skipped: hashing
+#: such a window would cost more than a match could save.  A chain's
+#: idle run (see "Split windows") is keyed by its shared state alone, so
+#: it does not count; only the instances on either side of it do.
 _LIVE_CAP = 128
 
 
@@ -548,7 +605,9 @@ def run_folded(
     simulated), ``replayed`` (completions expanded arithmetically) and
     ``jumps`` counters, summed over the source sub-folds and the main
     fold — the fold's effectiveness, for tests and the ``--profile``
-    breakdown."""
+    breakdown.  Raises ``ValueError`` unless ``slots >= 1``."""
+    if slots < 1:
+        raise ValueError(f"slots must be >= 1, got {slots}")
     if max_cycles is None:
         max_cycles = folded.total_duration + 1
     n_res = len(folded.resources)
@@ -621,8 +680,9 @@ def _fold_loop(
     inst_log: List[int] = []
     tid_log: List[int] = []
     t_log: List[int] = []
-    #: (log start, log end, repeats, instance shift, time shift)
-    blocks: List[Tuple[int, int, int, int, int]] = []
+    #: (log start, log end, repeats, instance shift, time shift); a split
+    #: window's instance shift is an array, per completion (tail or head).
+    blocks: List[Tuple[int, int, int, Union[int, np.ndarray], int]] = []
     materialized = 0
     rr_mod = lcm(*range(1, slots + 1))
 
@@ -741,22 +801,125 @@ def _fold_loop(
                 best = when
         return best
 
-    def state_key(anchor: int, now: int):
+    #: A lone chained class can split its window around an idle run;
+    #: no other fold ever holds an idle instance.
+    splits = n_classes == 1 and classes[0].chained
+
+    #: The last idle run found: ``(first, last, outstanding, unfinished)``.
+    known_run: Optional[Tuple[int, int, List[int], int]] = None
+    #: A chain's lowest live instance, or below it: instances enter at
+    #: the cursor, so it only moves up (and with the tail at a jump).
+    floor = 0
+
+    def idle_run() -> Optional[Tuple[int, int]]:
+        """A run of consecutive live instances idle in one shared state,
+        with live instances below and above it, as ``(first, last)``, or
+        ``None``.  A state is idle when each unfinished task still has
+        deps outstanding: none of its tasks is active or pending.
+
+        Run instances change only from the bottom up, as the tail
+        reaches them (see "Split windows"), so the last run found is
+        followed while any of it is left, in time proportional to what
+        changed.  Otherwise the window is scanned for the longest run,
+        ties going to the lowest."""
+        nonlocal known_run, floor
+        while floor not in live:
+            floor += 1
+        lo = floor
+        hi = ginst_bases[0] + cursor[0] - 1
+        while hi not in live:
+            hi -= 1
+        found = None
+        if known_run is not None:
+            first, last, outstanding, left = known_run
+
+            def same(gi: int) -> bool:
+                st = live.get(gi)
+                return st is not None and st[2] == left and st[1] == outstanding
+
+            while first <= last and not same(first):
+                first += 1
+            if first <= last:
+                while first - 1 > lo and same(first - 1):
+                    first -= 1
+                while last + 1 < hi and same(last + 1):
+                    last += 1
+                if lo < first and last < hi:
+                    found = (first, last)
+        if found is None:
+            gi = lo + 1
+            while gi < hi:
+                st = live.get(gi)
+                if st is None or st[2] != sum(1 for n in st[1] if n):
+                    gi += 1
+                    continue
+                last = gi
+                while last + 1 < hi:
+                    other = live.get(last + 1)
+                    if other is None or other[2] != st[2] or other[1] != st[1]:
+                        break
+                    last += 1
+                if found is None or last - gi > found[1] - found[0]:
+                    found = (gi, last)
+                    outstanding, left = list(st[1]), st[2]
+                gi = last + 1
+        known_run = None if found is None else (*found, outstanding, left)
+        return found
+
+    #: Split snapshots since the last jump: (log position, run first,
+    #: run last).
+    split_log: List[Tuple[int, int, int]] = []
+
+    def split_window(p: int, c: int) -> Optional[Tuple[np.ndarray, int]]:
+        """The tail tags of the completions between split snapshots
+        ``p`` and ``c`` (true below each interval's run top, whose
+        instance shifts with the tail), and the window's margin: the
+        fewest run instances any interval left above the tail's deepest
+        completion.  ``None`` if tail and head met: the margin fell to
+        zero, or consecutive runs do not overlap, so some instance would
+        change sides."""
+        pos, firsts, lasts = zip(*split_log[p : c + 1])
+        for j in range(c - p):
+            if firsts[j + 1] > lasts[j] + 1 or lasts[j + 1] < lasts[j]:
+                return None
+        inst = np.asarray(inst_log[pos[0] : pos[-1]], dtype=np.int64)
+        top = np.repeat(np.asarray(lasts[:-1], dtype=np.int64), np.diff(pos))
+        tail = inst <= top
+        margin = int((top - inst)[tail].min()) if tail.any() else 0
+        return (tail, margin) if margin >= 1 else None
+
+    def state_key(anchor: int, now: int, run: Optional[Tuple[int, int]]):
         """Everything the transition function reads, instance-relative.
         An idle resource's ``sync`` is never read (the next advance just
-        resets it), so it is left out."""
+        resets it), so it is left out.  With an idle ``run``, instances
+        above it are relative to the class cursor instead, and the run
+        is keyed by its bounds and shared state, not its length."""
+        first = last = head = 0
+        if run is not None:
+            first, last = run
+            head = ginst_bases[0] + cursor[0]
+
+        def rel(gi: int) -> int:
+            return gi - anchor if run is None or gi < first else gi - head
+
         res_state = []
         for r in range(n_res):
-            acts = tuple((e[0] - anchor, live[e[0]][0], e[1], e[2]) for e in active[r])
-            heap = tuple(sorted((gi - anchor, live[gi][0], tid) for _, gi, tid in pending[r]))
+            acts = tuple((rel(e[0]), live[e[0]][0], e[1], e[2]) for e in active[r])
+            heap = tuple(sorted((rel(gi), live[gi][0], tid) for _, gi, tid in pending[r]))
             nd = next_done[r]
             res_state.append(
                 (acts, heap, rr[r] % rr_mod, sync[r] - now if acts else 0,
                  -1 if nd is None else nd - now)
             )
-        inst_state = tuple(
-            sorted((gi - anchor, st[0], tuple(st[1]), st[2]) for gi, st in live.items())
-        )
+        keyed = live.items()
+        if run is not None:
+            # Only the two sides: the run may be far wider than both.
+            sides = chain(range(anchor, first), range(last + 1, head))
+            keyed = ((gi, live[gi]) for gi in sides if gi in live)
+        inst_state = tuple(sorted((rel(gi), st[0], tuple(st[1]), st[2]) for gi, st in keyed))
+        if run is not None:
+            _, outstanding, left = live[first]
+            run = (first - anchor, last - head, tuple(outstanding), left)
         # A class that has not admitted any instance yet snapshots as a
         # plain sentinel, not a relative position: classes start strictly
         # in program order (an earlier unexhausted class's virtual head
@@ -767,7 +930,7 @@ def _fold_loop(
         cursors = tuple(
             "unstarted"
             if cursor[c] == 0
-            else (ginst_bases[c] + cursor[c] - anchor, timer[c] - now if timer[c] >= 0 else -1)
+            else (rel(ginst_bases[c] + cursor[c]), timer[c] - now if timer[c] >= 0 else -1)
             if cursor[c] < counts[c]
             else "done"
             for c in range(n_classes)
@@ -775,7 +938,7 @@ def _fold_loop(
         releases = tuple(
             sorted((gi - anchor, live[gi][0], tid, when - now) for when, _, gi, tid in waiting)
         )
-        return (tuple(res_state), inst_state, cursors, releases)
+        return (tuple(res_state), inst_state, cursors, releases, run)
 
     def release_fit(repeats: int, d_inst: int, d_time: int, log_pos: int, now: int) -> int:
         """Clamp a jump to the repeats over which every release the
@@ -906,59 +1069,94 @@ def _fold_loop(
                 raise RuntimeError(f"lost completion on {resources[resource]} at {now}")
             refill(resource)
             next_done[resource] = completion_time(resource)
-        if not folding or materialized == grew or not live or len(live) > _LIVE_CAP:
+        if not folding or materialized == grew or not live:
+            continue
+        run = idle_run() if splits else None
+        keyed = len(live) if run is None else len(live) - (run[1] - run[0] + 1)
+        if keyed > _LIVE_CAP:
             continue
         # A materialization event ended: snapshot the relative state and
         # jump if it recurs (see the module docstring for the argument).
-        anchor = min(live)
-        key = state_key(anchor, now)
+        anchor = floor if splits else min(live)
+        head = anchor
+        if run is not None:
+            head = ginst_bases[0] + cursor[0]
+            split_log.append((len(t_log), *run))
+        record = (
+            anchor, head, now, len(t_log), completed_count, len(rel_log), len(split_log) - 1
+        )
+        key = state_key(anchor, now, run)
         prev = snapshots.get(key)
         if prev is None:
             if len(snapshots) >= _SNAP_CAP:
                 folding = False
                 snapshots.clear()
             else:
-                snapshots[key] = (anchor, now, len(t_log), completed_count, len(rel_log))
+                snapshots[key] = record
             continue
-        prev_anchor, prev_now, prev_log, prev_completed, prev_rel = prev
+        prev_anchor, prev_head, prev_now, prev_log, prev_completed, prev_rel, prev_split = prev
         d_inst = anchor - prev_anchor
+        d_head = head - prev_head
         d_time = now - prev_now
-        if d_inst <= 0 or d_time <= 0:
+        if d_inst <= 0 or d_head <= 0 or d_time <= 0:
             continue
         # Matching snapshots mean every *started, unexhausted* class
-        # advanced exactly d_inst instances over the window (their cursor
-        # positions are anchor-relative in the key); only those consume
-        # instances per repeat, so only they bound the repeat count.
+        # advanced exactly d_head instances over the window (their cursor
+        # positions are anchor-relative in the key, or head-relative in
+        # a split one); only those consume instances per repeat, so only
+        # they bound the repeat count.
         repeats: Optional[int] = None
         for c in range(n_classes):
             if 0 < cursor[c] < counts[c]:
-                fit = (counts[c] - 1 - cursor[c]) // d_inst
+                fit = (counts[c] - 1 - cursor[c]) // d_head
                 if repeats is None or fit < repeats:
                     repeats = fit
+        if not repeats or repeats <= 0:
+            continue
+        step = d_inst
+        if run is not None:
+            window = split_window(prev_split, len(split_log) - 1)
+            if window is None:
+                # Tail and head met: measure the next window from here.
+                snapshots[key] = record
+                continue
+            tail, margin = window
+            step = np.where(tail, d_inst, d_head)
+            # The run clamp: every repeat keeps a run instance the tail
+            # never completes in (see "Split windows"); a shrinking run
+            # loses d_inst - d_head of its margin per repeat.
+            if d_inst > d_head:
+                repeats = min(repeats, (margin - 1) // (d_inst - d_head))
         if repeats and gated:
             repeats = release_fit(repeats, d_inst, d_time, prev_rel, now)
         if not repeats or repeats <= 0:
             continue
         # Apply the jump: record the window for arithmetic expansion,
         # then shift every absolute time and instance index in place.
-        blocks.append((prev_log, len(t_log), repeats, d_inst, d_time))
+        blocks.append((prev_log, len(t_log), repeats, step, d_time))
         window_completions = completed_count - prev_completed
         completed_count += repeats * window_completions
         replayed += repeats * window_completions
         jumps += 1
         shift_t = repeats * d_time
         shift_i = repeats * d_inst
+        shift_h = repeats * d_head
+        bound = 0 if run is None else run[0]
+
+        def moved(gi: int) -> int:
+            return gi + (shift_i if gi < bound else shift_h)
+
         for r in range(n_res):
             sync[r] += shift_t
             if next_done[r] is not None:
                 next_done[r] += shift_t
             for entry in active[r]:
-                entry[0] += shift_i
+                entry[0] = moved(entry[0])
             if pending[r]:
                 # Order keys shift by the *class's* stride, so re-heapify
                 # rather than assume the list shape survives.
                 pending[r] = [
-                    (order + shift_i * sizes[live[gi][0]], gi + shift_i, tid)
+                    (order + (moved(gi) - gi) * sizes[live[gi][0]], moved(gi), tid)
                     for order, gi, tid in pending[r]
                 ]
                 heapify(pending[r])
@@ -968,14 +1166,26 @@ def _fold_loop(
                 for when, order, gi, tid in waiting
             ]
             heapify(waiting)
-        live = {gi + shift_i: st for gi, st in live.items()}
+        if run is None:
+            live = {gi + shift_i: st for gi, st in live.items()}
+        else:
+            # The run moves its bottom with the tail and its top with
+            # the head; every instance in it holds the shared state.
+            first, last = run
+            c0, outstanding, left = live[first]
+            live = {moved(gi): st for gi, st in live.items() if not first <= gi <= last}
+            for gi in range(first + shift_i, last + shift_h + 1):
+                live[gi] = [c0, outstanding.copy(), left]
+            known_run = (first + shift_i, last + shift_h, outstanding.copy(), left)
+        floor += shift_i
         for c in range(n_classes):
             if 0 < cursor[c] < counts[c]:
-                cursor[c] += shift_i
+                cursor[c] += shift_h
                 if timer[c] >= 0:
                     timer[c] = suffix[c][cursor[c]]
         # Windows spanning a jump cannot be replayed from the log.
         snapshots.clear()
+        split_log.clear()
         rel_log.clear()
         ready_log.clear()
 
@@ -999,9 +1209,9 @@ def _fold_loop(
             + tid_a
         )
         ft[orders] = t_a
-        for log_start, log_end, repeats, d_inst, d_time in blocks:
+        for log_start, log_end, repeats, step, d_time in blocks:
             seg_orders = orders[log_start:log_end]
-            seg_shift = d_inst * sizes_a[cls_a[log_start:log_end]]
+            seg_shift = step * sizes_a[cls_a[log_start:log_end]]
             seg_t = t_a[log_start:log_end]
             for repeat in range(1, repeats + 1):
                 ft[seg_orders + repeat * seg_shift] = seg_t + repeat * d_time

@@ -20,6 +20,7 @@ FUZZ_SEED_RANGES = {
     "fold-sources": range(234, 265),
     "chain-fold": range(265, 295),
     "serving": range(295, 325),
+    "split-fold": range(325, 355),
 }
 
 

@@ -222,6 +222,22 @@ class TestDifferentialEdgeCases:
         with pytest.raises(ValueError, match="slots"):
             Simulator([Task("a", "r", 1)], slots=0)
 
+    def test_flat_core_rejects_invalid_slots(self):
+        """Zero slots is a bad argument, not a deadlock."""
+        from repro.simulator.engine import FlatGraph
+        from repro.simulator.events import run_flat
+
+        graph = FlatGraph.from_tasks([Task("a", "r", 1)])
+        with pytest.raises(ValueError, match=re.escape("slots must be >= 1, got 0")):
+            run_flat(graph, 0, 100)
+
+    def test_folded_core_rejects_invalid_slots(self):
+        from repro.simulator.vector import fold_chain, run_folded
+
+        folded = fold_chain(_chain(CHAIN, 2), 4)
+        with pytest.raises(ValueError, match=re.escape("slots must be >= 1, got 0")):
+            run_folded(folded, 0)
+
     def test_raw_core_rejects_names_that_do_not_resolve(self):
         from repro.simulator.events import run_event_driven
 
@@ -957,6 +973,33 @@ CHAIN = (
     ("c", "r", 1, ("b",), ("c", "b")),
 )
 
+
+def _split_chain(rng):
+    """A random chain whose fronts drift apart: head task ``a`` and the
+    lag chain ``b`` share resource ``s``, and one or two stages on ``r``
+    and ``t`` between them delay the tail's start.  The head fills ``s``
+    first and leaves a run of idle instances, which a slower ``b``
+    lets grow and a faster one eats into."""
+    a = rng.randint(4, 12)
+    stems = [("a", "s", a, (), ())]
+    last = "a"
+    for i, resource in enumerate(rng.sample("rt", rng.randint(1, 2))):
+        stem = f"m{i}"
+        lag = (stem,) if rng.random() < 0.3 else ()
+        stems.append((stem, resource, rng.randint(1, a), (last,), lag))
+        last = stem
+    stems.append(("b", "s", rng.randint(max(1, a - 3), a + 1), (last,), ("b",)))
+    if rng.random() < 0.3:
+        stems.append(("e", rng.choice("rt"), rng.randint(1, a), ("b",), ("e",)))
+    return tuple(stems)
+
+
+def _assert_same_schedule(folded, event):
+    assert dict(folded.finish_times) == dict(event.finish_times)
+    assert dict(folded.busy_cycles) == dict(event.busy_cycles)
+    assert folded.makespan == event.makespan
+
+
 #: Chunk counts the chain fold must reproduce: a lone chunk (no lag
 #: edge), the two-chunk template itself, one past it, and odd counts,
 #: which no whole number of replayed windows covers.
@@ -1017,16 +1060,64 @@ class TestChainFold:
         assert stats["replayed"] / folded.n_tasks >= 0.99
         assert result == event_binding(config, "tile-serial")[1]
 
-    def test_interleaved_long_chain_exact_without_replay(self):
-        """The 2D front runs ahead of the 1D-bound one, so the live
-        window never recurs: nothing is replayed, and it stays exact."""
+    def test_interleaved_long_chain_replays(self):
+        """The 2D front runs ahead of the ``RNV`` chain and leaves a
+        growing run of idle chunks between them; split windows key the
+        two fronts apart, so the steady state is replayed, exactly."""
         from repro.simulator import fold_binding, run_folded
 
         config = PipelineConfig(chunks=8192)
+        folded = fold_binding(config, "interleaved")
         stats = {}
-        result = run_folded(fold_binding(config, "interleaved"), slots=2, stats=stats)
-        assert stats["replayed"] == 0
+        result = run_folded(folded, slots=2, stats=stats)
+        assert stats["replayed"] / folded.n_tasks >= 0.9
+        assert stats["events"] <= 6000
         assert result == event_binding(config, "interleaved")[1]
+
+    def test_shrinking_split_run_stays_exact(self):
+        """The head fills ``s`` before the tail starts, leaving a short
+        idle run that the faster ``b`` chain then eats: split snapshots
+        match while the tail outpaces the head, and the run clamp must
+        stop the replay before tail and head meet."""
+        from repro.simulator.events import run_event_driven
+        from repro.simulator.vector import fold_chain, run_folded
+
+        stems = (
+            ("a", "s", 9, (), ()),
+            ("m", "r", 5, ("a",), ()),
+            ("b", "s", 8, ("m",), ("b",)),
+        )
+        merged = _chain(stems, 222)
+        event = run_event_driven(merged, 2, sum(t.duration for t in merged) + 1)
+        _assert_same_schedule(run_folded(fold_chain(_chain(stems, 2), 222), 2), event)
+
+    @pytest.mark.parametrize("seed", fuzz_seeds("split-fold"))
+    def test_split_fold_matches_event_engine(self, seed):
+        """Chains whose fronts drift apart fold through split windows:
+        a long interleaved binding chain (1D- or 2D-bound by its lanes)
+        and a synthetic chain (see :func:`_split_chain`).  Each must
+        equal the event core on the built graph."""
+        from repro.simulator import fold_binding, run_folded
+        from repro.simulator.events import run_event_driven
+        from repro.simulator.vector import fold_chain
+
+        rng = random.Random(seed)
+        array_dim = rng.choice((16, 64, 128, 256))
+        config = PipelineConfig(
+            chunks=rng.randint(150, 1200),
+            embedding=rng.choice((16, 32, 64, 128)),
+            array_dim=array_dim,
+            pe_1d=rng.choice((array_dim, array_dim, 8, 64, 512)),
+        )
+        _, event = event_binding(config, "interleaved")
+        _assert_same_schedule(run_folded(fold_binding(config, "interleaved"), 2), event)
+
+        stems = _split_chain(rng)
+        count = rng.randint(150, 1200)
+        slots = rng.choice((2, 2, 3))
+        merged = _chain(stems, count)
+        event = run_event_driven(merged, slots, sum(t.duration for t in merged) + 1)
+        _assert_same_schedule(run_folded(fold_chain(_chain(stems, 2), count), slots), event)
 
     def test_binding_point_builds_only_the_template(self, monkeypatch):
         from repro.simulator import pipeline
