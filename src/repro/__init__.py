@@ -41,7 +41,14 @@ def _package_version() -> str:
         return match.group(1) if match else "0+unknown"
 
 
-__version__ = _package_version()
+def __getattr__(name: str) -> str:
+    # ``__version__`` is read on first access: the distribution lookup
+    # costs more than most of what ``import repro.api`` needs to load.
+    if name != "__version__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    version = globals()["__version__"] = _package_version()
+    return version
+
 
 __all__ = [
     "analysis",

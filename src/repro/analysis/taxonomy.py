@@ -11,11 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
-from ..cascades import (
-    attention_1pass,
-    attention_2pass,
-    attention_3pass,
-)
+from ..cascades.attention import attention_1pass, attention_2pass, attention_3pass
 from ..einsum import Cascade
 from .passes import RankFamily, count_passes, family
 

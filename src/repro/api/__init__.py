@@ -28,7 +28,7 @@ records, with attempt/failure/recovery counts on every result's
 provenance.
 """
 
-from ..runtime import FaultPlan, RetryPolicy, TaskFailure
+from ..runtime.faults import FaultPlan, RetryPolicy, TaskFailure
 from .requests import (
     ENGINES,
     EXPERIMENT_NAMES,

@@ -17,7 +17,8 @@ Requests are:
 - **validated** — :meth:`Request.validate` collects every rule
   violation at once (each field's own rule from its knob, plus the
   cross-field rules a subclass adds) and raises
-  :class:`RequestValidationError`;
+  :class:`RequestValidationError`; a valid request then imports the
+  engine its evaluation runs on (:attr:`Request.ENGINE_MODULES`);
 - **content-addressed** — :meth:`Request.signature` digests every field
   through the runtime's canonical encoding, and a field-walk test
   asserts no field can silently escape it.
@@ -29,17 +30,15 @@ runtime directly.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, fields
 from typing import Any, List, Optional, Tuple
 
-from ..cluster import (
-    SHARDINGS,
-    TOPOLOGIES,
-    ClusterPoint,
-    ClusterSpec,
-    shard_config,
-)
-from ..serving import Arrival, ServingSpec, check_sorted, poisson_arrivals
+from ..cluster.build import shard_config
+from ..cluster.spec import SHARDINGS, TOPOLOGIES, ClusterSpec
+from ..cluster.sweep import ClusterPoint
+from ..serving.arrivals import Arrival, check_sorted, poisson_arrivals
+from ..serving.simulator import ServingSpec
 from ..simulator.engine import ENGINES
 from ..simulator.sweep import (
     DEFAULT_SWEEP_ARRAY_DIMS,
@@ -82,6 +81,17 @@ GRID_KINDS: Tuple[str, ...] = ("attention", "inference")
 #: unknown name lists the known ones.
 _MODEL = OneOf(sorted(MODELS_BY_NAME), "model", cli=False)
 _ENGINE = OneOf(ENGINES, "engine")
+#: The fold engine scenario, binding and cluster points run on: its
+#: simulator modules load with ``repro.api``, numpy at validation.
+_FOLD_ENGINE = ("numpy",)
+#: The analytical models the figure drivers evaluate.
+_MODEL_STACK = (
+    "repro.model.unfused",
+    "repro.model.flat",
+    "repro.model.fusemax",
+    "repro.model.inference",
+    "repro.model.pareto",
+)
 _SERIAL_SLOTS = "slots applies to the interleaved binding only"
 _BUFFER_NEEDS_DRAM = (
     "buffer_bytes requires dram_bw (spill traffic is priced on the shared memory link)"
@@ -112,6 +122,12 @@ class Request:
     #: Request kind tag (mirrors the runtime task-kind vocabulary).
     KIND = "request"
 
+    #: The heavy modules this request's evaluation needs that
+    #: ``import repro.api`` does not load.  :meth:`validate` imports
+    #: them, so they load before a session's pool forks and its workers
+    #: inherit them.
+    ENGINE_MODULES = ()
+
     def rule_violations(self) -> List[str]:
         """Every rule this request breaks (empty when valid): each
         field's own knob rule, in field order.  Subclasses add their
@@ -125,10 +141,13 @@ class Request:
 
     def validate(self) -> None:
         """Raise :class:`RequestValidationError` unless the spec is
-        coherent; collects *all* violations before raising."""
+        coherent; collects *all* violations before raising.  A valid
+        request then imports its :attr:`ENGINE_MODULES`."""
         errors = self.rule_violations()
         if errors:
             raise RequestValidationError(errors)
+        for module in self.ENGINE_MODULES:
+            importlib.import_module(module)
 
     def resolved(self, name: str) -> Any:
         """Field ``name``, or its knob's build default when it is None."""
@@ -160,6 +179,7 @@ class ExperimentRequest(Request):
     """
 
     KIND = "experiment"
+    ENGINE_MODULES = _MODEL_STACK
 
     name: str = knob("report", rule=OneOf(EXPERIMENT_NAMES, "experiment"))
     kind: Optional[str] = knob(
@@ -217,6 +237,7 @@ class BindingSweepRequest(Request):
     """
 
     KIND = "binding"
+    ENGINE_MODULES = _FOLD_ENGINE
 
     chunks: Tuple[int, ...] = knob(
         DEFAULT_SWEEP_CHUNKS,
@@ -272,6 +293,7 @@ class _ScenarioShape(Request):
     or an explicit ``instances`` count, the array, and a decode mix.
     Subclasses declare ``binding``."""
 
+    ENGINE_MODULES = _FOLD_ENGINE
     #: The fields besides ``instances`` that set the instance count.
     _COUNT_SOURCES = ("model",)
 
@@ -496,6 +518,7 @@ class ScenarioGridRequest(Request):
     """
 
     KIND = "scenario_grid"
+    ENGINE_MODULES = (*_FOLD_ENGINE, "repro.model.scenario")
 
     models: Tuple[str, ...] = knob(
         ("BERT",),
@@ -984,6 +1007,7 @@ class CrosscheckRequest(Request):
     """
 
     KIND = "crosscheck"
+    ENGINE_MODULES = (*_FOLD_ENGINE, "repro.model.scenario", "repro.model.cluster")
 
     tolerance: float = knob(
         0.05,

@@ -18,23 +18,18 @@ for grid points holds for whole requests.
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from .. import __version__
-from ..runtime import (
-    ON_ERROR_MODES,
-    ExecutionOutcome,
-    FaultPlan,
-    RetryPolicy,
-    RunRegistry,
-    execute_tasks,
-)
 from ..runtime import executor as _runtime
 from ..runtime.cache import ResultCache, code_version, resolve_cache
+from ..runtime.executor import ON_ERROR_MODES, ExecutionOutcome, execute_tasks
+from ..runtime.faults import FaultPlan, RetryPolicy
+from ..runtime.registry import RunRegistry
 from ..simulator.sweep import (
     evaluate_binding_point,
     evaluate_scenario_point,
@@ -113,36 +108,6 @@ def _point_key(point: Any) -> tuple:
     return (point.binding, point.chunks, point.array_dim, point.resolved_pe_1d, point.embedding)
 
 
-def _experiment_modules() -> Dict[str, Any]:
-    """Name → experiment driver module (imported lazily: the experiment
-    drivers themselves build requests through this package)."""
-    from ..experiments import (
-        ablations,
-        fig1b,
-        fig6,
-        fig7,
-        fig8,
-        fig9,
-        fig10,
-        fig11,
-        fig12,
-        table1,
-    )
-
-    return {
-        "ablations": ablations,
-        "fig1b": fig1b,
-        "fig6": fig6,
-        "fig7": fig7,
-        "fig8": fig8,
-        "fig9": fig9,
-        "fig10": fig10,
-        "fig11": fig11,
-        "fig12": fig12,
-        "table1": table1,
-    }
-
-
 class Session:
     """Evaluation façade owning the executor, cache, and registry.
 
@@ -196,6 +161,8 @@ class Session:
     def version(self) -> str:
         """The package version serving this session (from the installed
         distribution metadata; see ``repro --version``)."""
+        from .. import __version__
+
         return __version__
 
     @property
@@ -323,7 +290,7 @@ class Session:
         if isinstance(request, ClusterRequest):
             # engine="cycle": the differential oracle runs serial and
             # uncached, mirroring the binding/scenario cycle paths.
-            from ..cluster import evaluate_cluster_point
+            from ..cluster.sweep import evaluate_cluster_point
 
             return [
                 evaluate_cluster_point(point, engine="cycle")
@@ -367,7 +334,9 @@ class Session:
         # Figure/table drivers print their tables; the captured text is
         # the payload, so the CLI adapter stays byte-identical to the
         # drivers' historical stdout.
-        module = _experiment_modules()[request.name]
+        # Imported on dispatch: the drivers themselves build requests
+        # through this package, and a run loads only the one it runs.
+        module = importlib.import_module(f"repro.experiments.{request.name}")
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):
             if request.name in GRID_EXPERIMENTS:

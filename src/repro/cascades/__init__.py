@@ -6,45 +6,32 @@
   (Sec. IV-E), with and without the division-reduction optimization.
 - :mod:`repro.cascades.transformer` — the linear layers surrounding
   attention in a transformer encoder (Sec. IV-A).
+
+The names below load with their defining submodule on first use (see
+:mod:`repro._lazy`); code inside the package imports that submodule.
 """
 
-from .attention import (
-    attention_1pass,
-    attention_1pass_fa1,
-    attention_2pass,
-    attention_3pass,
-    attention_batched,
-    attention_naive,
-)
-from .extensions import (
-    causal_attention,
-    sigmoid_attention,
-    sliding_window_attention,
-)
-from .pedagogical import (
-    cascade1_two_pass,
-    cascade2_deferred,
-    cascade3_iterative,
-    iterative_prefix_sum,
-)
-from .softmax import naive_softmax, stable_softmax
-from .transformer import encoder_layer_einsums
+from .._lazy import lazy_exports
 
-__all__ = [
-    "attention_1pass",
-    "attention_1pass_fa1",
-    "attention_2pass",
-    "attention_3pass",
-    "attention_batched",
-    "attention_naive",
-    "cascade1_two_pass",
-    "cascade2_deferred",
-    "cascade3_iterative",
-    "causal_attention",
-    "encoder_layer_einsums",
-    "sigmoid_attention",
-    "sliding_window_attention",
-    "iterative_prefix_sum",
-    "naive_softmax",
-    "stable_softmax",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "attention": (
+            "attention_1pass",
+            "attention_1pass_fa1",
+            "attention_2pass",
+            "attention_3pass",
+            "attention_batched",
+            "attention_naive",
+        ),
+        "extensions": ("causal_attention", "sigmoid_attention", "sliding_window_attention"),
+        "pedagogical": (
+            "cascade1_two_pass",
+            "cascade2_deferred",
+            "cascade3_iterative",
+            "iterative_prefix_sum",
+        ),
+        "softmax": ("naive_softmax", "stable_softmax"),
+        "transformer": ("encoder_layer_einsums",),
+    },
+)

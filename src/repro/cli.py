@@ -74,9 +74,6 @@ import sys
 from dataclasses import fields
 from typing import Any, Callable, Dict, List, Sequence, Union, get_args, get_origin, get_type_hints
 
-from . import __version__
-from .analysis import count_passes, live_footprints
-from .analysis.taxonomy import attention_rank_family, build_taxonomy
 from .api import (
     EXPERIMENT_NAMES,
     GRID_EXPERIMENTS,
@@ -91,28 +88,16 @@ from .api import (
     Session,
 )
 from .api.knobs import FIELD_DEFAULT, OneOf, knob_of
-from .cascades import (
-    attention_1pass,
-    attention_2pass,
-    attention_3pass,
-    causal_attention,
-    sigmoid_attention,
-)
-from .experiments import crosscheck as _crosscheck
 from .experiments.common import format_table
 from .rows import FORMATS, emit_rows
-from .runtime import ResultCache, RetryPolicy, TaskError
-from .serving import parse_trace
+from .runtime.cache import ResultCache
+from .runtime.faults import RetryPolicy, TaskError
+from .serving.arrivals import parse_trace
 from .workloads.models import seq_label
 
-_CASCADES: Dict[str, Callable] = {
-    "3pass": attention_3pass,
-    "3pass-divopt": lambda: attention_3pass(div_opt=True),
-    "2pass": attention_2pass,
-    "1pass": attention_1pass,
-    "causal": causal_attention,
-    "sigmoid": sigmoid_attention,
-}
+#: ``passes``'s cascades (built by :func:`_cascade`, which imports the
+#: einsum stack only when the command runs).
+_CASCADES = ("3pass", "3pass-divopt", "2pass", "1pass", "causal", "sigmoid")
 
 #: Experiment subcommand names (one subparser each); the grid-backed
 #: subset accepting --jobs/--cache comes from ``repro.api`` so parser
@@ -423,18 +408,38 @@ def _cmd_sweep_grid(args) -> int:
 
 
 def _cmd_taxonomy(_args) -> int:
+    from .analysis.taxonomy import build_taxonomy
+
     for name, entry in build_taxonomy().items():
         exemplars = ", ".join(entry.exemplars)
         print(f"{name}: {entry.category} ({exemplars})")
     return 0
 
 
+def _cascade(name: str):
+    """The attention cascade ``passes`` names."""
+    from .cascades.attention import attention_1pass, attention_2pass, attention_3pass
+    from .cascades.extensions import causal_attention, sigmoid_attention
+
+    return {
+        "3pass": attention_3pass,
+        "3pass-divopt": lambda: attention_3pass(div_opt=True),
+        "2pass": attention_2pass,
+        "1pass": attention_1pass,
+        "causal": causal_attention,
+        "sigmoid": sigmoid_attention,
+    }[name]()
+
+
 def _cmd_passes(args) -> int:
-    try:
-        cascade = _CASCADES[args.cascade]()
-    except KeyError:
+    if args.cascade not in _CASCADES:
         print(f"unknown cascade {args.cascade!r}; have {sorted(_CASCADES)}", file=sys.stderr)
         return 2
+    from .analysis.footprint import live_footprints
+    from .analysis.passes import count_passes
+    from .analysis.taxonomy import attention_rank_family
+
+    cascade = _cascade(args.cascade)
     fam = attention_rank_family(cascade)
     analysis = count_passes(cascade, fam)
     print(f"{cascade.name}: {analysis.num_passes}-pass over {fam}")
@@ -608,23 +613,36 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_crosscheck(args) -> int:
     """Simulated vs analytical utilization over the seed scenarios."""
+    from .experiments.crosscheck import render
+
     fields_ = _request_fields(args, CrosscheckRequest, _flagged(CrosscheckRequest))
     report = _session(args).run(CrosscheckRequest(**fields_)).payload
     print("Scenario cross-check: simulated vs analytical utilization")
-    print(_crosscheck.render(report))
+    print(render(report))
     if args.strict and not report.ok:
         return 1
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``argparse`` parser whose ``--version`` action, given no
+    version string, prints :attr:`version`: the package version is
+    looked up only when ``--version`` is asked for."""
+
+    @property
+    def version(self) -> str:
+        from . import __version__
+
+        return f"%(prog)s {__version__}"
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` parser: hand-written mode and runtime flags around
     the request-field options generated from their knobs."""
-    parser = argparse.ArgumentParser(prog="repro", description="FuseMax reproduction toolkit")
+    parser = _Parser(prog="repro", description="FuseMax reproduction toolkit")
     parser.add_argument(
         "--version",
         action="version",
-        version=f"%(prog)s {__version__}",
         help="print the package version (from distribution metadata)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

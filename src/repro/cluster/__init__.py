@@ -8,41 +8,30 @@ one shared ``link`` resource — ordinary graph structure, so both
 scheduling engines run cluster graphs bit-identically with zero engine
 changes, and a 1-chip cluster degenerates byte-for-byte to the
 unsharded scenario.
+
+The names below load with their defining submodule on first use (see
+:mod:`repro._lazy`); code inside the package imports that submodule.
 """
 
-from .build import (
-    build_cluster_tasks,
-    chip_instance_counts,
-    cluster_link_cycles,
-    cluster_sim,
-    cluster_templates,
-    collective_bytes,
-    fold_cluster,
-    instance_out_bytes,
-    schedule_cluster_tasks,
-    shard_config,
-    template_dram_cycles,
-)
-from .spec import LINK_RESOURCE, SHARDINGS, TOPOLOGIES, ClusterSpec
-from .sweep import ClusterPoint, ClusterResult, evaluate_cluster_point
+from .._lazy import lazy_exports
 
-__all__ = [
-    "LINK_RESOURCE",
-    "SHARDINGS",
-    "TOPOLOGIES",
-    "ClusterPoint",
-    "ClusterResult",
-    "ClusterSpec",
-    "build_cluster_tasks",
-    "chip_instance_counts",
-    "cluster_link_cycles",
-    "cluster_sim",
-    "cluster_templates",
-    "collective_bytes",
-    "evaluate_cluster_point",
-    "fold_cluster",
-    "instance_out_bytes",
-    "schedule_cluster_tasks",
-    "shard_config",
-    "template_dram_cycles",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "build": (
+            "build_cluster_tasks",
+            "chip_instance_counts",
+            "cluster_link_cycles",
+            "cluster_sim",
+            "cluster_templates",
+            "collective_bytes",
+            "fold_cluster",
+            "instance_out_bytes",
+            "schedule_cluster_tasks",
+            "shard_config",
+            "template_dram_cycles",
+        ),
+        "spec": ("LINK_RESOURCE", "SHARDINGS", "TOPOLOGIES", "ClusterSpec"),
+        "sweep": ("ClusterPoint", "ClusterResult", "evaluate_cluster_point"),
+    },
+)

@@ -2,23 +2,11 @@
 
 Each module exposes ``run()`` (structured rows), ``render()`` (text table),
 and ``main()`` (print).  ``repro.experiments.report.full_report()`` runs
-everything.
+everything.  A driver loads when it is first imported or read as an
+attribute of this package.
 """
 
-from . import (
-    ablations,
-    crosscheck,
-    fig1b,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
-    fig10,
-    fig11,
-    fig12,
-    report,
-    table1,
-)
+import importlib
 
 __all__ = [
     "ablations",
@@ -34,3 +22,9 @@ __all__ = [
     "report",
     "table1",
 ]
+
+
+def __getattr__(name):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return importlib.import_module(f"{__name__}.{name}")

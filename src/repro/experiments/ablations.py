@@ -19,9 +19,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..analysis.opcount import total_ops
 from ..arch.spec import flat_arch
-from ..cascades import attention_1pass, attention_2pass, attention_3pass
+from ..cascades.attention import attention_1pass, attention_2pass, attention_3pass
 from ..model.flat import spill_decision
-from ..simulator import PipelineConfig, compare_bindings
+from ..simulator.pipeline import PipelineConfig, compare_bindings
 from ..workloads.models import SEQUENCE_LENGTHS, seq_label
 from .common import format_table
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Tuple
 
-from ..cluster import SHARDINGS, ClusterPoint, ClusterSpec
+from ..cluster.spec import SHARDINGS, ClusterSpec
+from ..cluster.sweep import ClusterPoint
 from ..model.cluster import analytical_cluster
 from ..model.scenario import analytical_scenario
 from ..runtime import executor as _runtime

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from ..model import FLATModel, fusemax, plus_architecture, plus_cascade
+from ..model.flat import FLATModel
+from ..model.fusemax import fusemax, plus_architecture, plus_cascade
 from ..runtime import executor as _runtime
 from ..workloads.models import BERT, ModelConfig, SEQUENCE_LENGTHS, seq_label
 from .common import format_table

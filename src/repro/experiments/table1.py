@@ -13,7 +13,7 @@ from typing import List
 
 from ..analysis.passes import count_passes
 from ..analysis.taxonomy import attention_rank_family, build_taxonomy
-from ..cascades import attention_2pass, attention_3pass
+from ..cascades.attention import attention_2pass, attention_3pass
 from .common import format_table
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Mapping, Tuple
 
 from ..arch.spec import Architecture
-from ..cascades import attention_1pass, attention_3pass
+from ..cascades.attention import attention_1pass, attention_3pass
 from ..einsum import Cascade
 
 

@@ -1,36 +1,50 @@
-"""Analytical performance/energy models of the evaluated accelerators."""
+"""Analytical performance/energy models of the evaluated accelerators.
 
-from .cluster import (
-    CLUSTER_ARRAYS,
-    ClusterEstimate,
-    analytical_cluster,
-    cluster_work,
+The names below load with their defining submodule on first use (see
+:mod:`repro._lazy`); code inside the package imports that submodule.
+"""
+
+import sys
+from types import ModuleType
+
+from .._lazy import lazy_exports
+
+__getattr__, _EXPORTS = lazy_exports(
+    __name__,
+    {
+        "cluster": ("CLUSTER_ARRAYS", "ClusterEstimate", "analytical_cluster", "cluster_work"),
+        "decode": ("DecodeStep", "decode_attention", "machine_balance"),
+        "flat": ("FLATModel", "SpillDecision", "spill_decision"),
+        "fusemax": (
+            "STAGE_FOR_BINDING",
+            "FuseMaxModel",
+            "fusemax",
+            "plus_architecture",
+            "plus_cascade",
+            "scenario_model_for",
+        ),
+        "generic": ("GenericEvaluation", "evaluate_cascade"),
+        "inference": ("LinearPhase", "evaluate_inference", "evaluate_linear"),
+        "metrics": ("AttentionResult", "InferenceResult"),
+        "pareto": ("ARRAY_DIMS", "DesignPoint", "PARETO_SEQ_LEN", "pareto_frontier", "sweep"),
+        "scenario": (
+            "ScenarioEstimate",
+            "analytical_scenario",
+            "evaluate_grid_cell",
+            "scenario_work",
+        ),
+        "unfused": ("UnfusedModel",),
+    },
 )
-from .decode import DecodeStep, decode_attention, machine_balance
-from .flat import FLATModel, SpillDecision, spill_decision
-from .fusemax import (
-    STAGE_FOR_BINDING,
-    FuseMaxModel,
-    fusemax,
-    plus_architecture,
-    plus_cascade,
-    scenario_model_for,
-)
-from .generic import GenericEvaluation, evaluate_cascade
-from .inference import LinearPhase, evaluate_inference, evaluate_linear
-from .metrics import AttentionResult, InferenceResult
-from .pareto import ARRAY_DIMS, DesignPoint, PARETO_SEQ_LEN, pareto_frontier, sweep
-from .scenario import (
-    ScenarioEstimate,
-    analytical_scenario,
-    evaluate_grid_cell,
-    scenario_work,
-)
-from .unfused import UnfusedModel
+__all__ = [*_EXPORTS, "all_attention_models"]
 
 
 def all_attention_models():
     """The five configurations of Figs. 6-11, in presentation order."""
+    from .flat import FLATModel
+    from .fusemax import fusemax, plus_architecture, plus_cascade
+    from .unfused import UnfusedModel
+
     return (
         UnfusedModel(),
         FLATModel(),
@@ -40,39 +54,16 @@ def all_attention_models():
     )
 
 
-__all__ = [
-    "ARRAY_DIMS",
-    "CLUSTER_ARRAYS",
-    "AttentionResult",
-    "ClusterEstimate",
-    "DecodeStep",
-    "DesignPoint",
-    "FLATModel",
-    "GenericEvaluation",
-    "FuseMaxModel",
-    "InferenceResult",
-    "LinearPhase",
-    "PARETO_SEQ_LEN",
-    "STAGE_FOR_BINDING",
-    "ScenarioEstimate",
-    "SpillDecision",
-    "UnfusedModel",
-    "all_attention_models",
-    "analytical_cluster",
-    "analytical_scenario",
-    "cluster_work",
-    "decode_attention",
-    "evaluate_cascade",
-    "evaluate_grid_cell",
-    "evaluate_inference",
-    "machine_balance",
-    "evaluate_linear",
-    "fusemax",
-    "pareto_frontier",
-    "plus_architecture",
-    "plus_cascade",
-    "scenario_model_for",
-    "scenario_work",
-    "spill_decision",
-    "sweep",
-]
+class _Package(ModuleType):
+    """``fusemax`` names both a submodule and the function re-exported
+    here.  The first import of a submodule binds it to its package's
+    attribute of the same name; this package keeps the function there,
+    as it did when it imported its names eagerly."""
+
+    def __setattr__(self, name, value):
+        if name == "fusemax" and isinstance(value, ModuleType):
+            value = value.fusemax
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from ..arch.energy import DEFAULT_ENERGY, EnergyTable
 from ..arch.spec import Architecture, flat_arch
-from ..cascades import attention_3pass
+from ..cascades.attention import attention_3pass
 from ..workloads.models import BATCH_SIZE, ModelConfig
 from .metrics import AttentionResult
 from .perf import (

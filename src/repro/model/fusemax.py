@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from ..arch.energy import DEFAULT_ENERGY, EnergyTable
 from ..arch.spec import EXP_AS_MACCS, Architecture, flat_arch, fusemax_arch
-from ..cascades import attention_1pass
+from ..cascades.attention import attention_1pass
 from ..workloads.models import BATCH_SIZE, MODELS_BY_NAME, ModelConfig
 from ..workloads.scenario import Scenario
 from .metrics import AttentionResult

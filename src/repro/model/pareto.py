@@ -9,18 +9,12 @@ reports the area/latency frontier of the FuseMax design at sequence length
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from ..arch.area import area_of
 from ..arch.spec import fusemax_arch
-from ..workloads.models import BATCH_SIZE, ModelConfig
+from ..workloads.models import ARRAY_DIMS, BATCH_SIZE, PARETO_SEQ_LEN, ModelConfig
 from .fusemax import fusemax
-
-#: The array dimensions swept by the paper.
-ARRAY_DIMS: Tuple[int, ...] = (16, 32, 64, 128, 256, 512)
-
-#: The sequence length of Fig. 12.
-PARETO_SEQ_LEN = 262144
 
 
 @dataclass(frozen=True)

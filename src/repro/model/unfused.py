@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from ..arch.energy import DEFAULT_ENERGY, EnergyTable
 from ..arch.spec import Architecture, unfused_arch
-from ..cascades import attention_3pass
+from ..cascades.attention import attention_3pass
 from ..workloads.models import BATCH_SIZE, ModelConfig
 from .metrics import AttentionResult
 from .perf import (

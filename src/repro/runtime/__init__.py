@@ -12,102 +12,65 @@ retries with deterministic backoff, per-task timeouts, broken-pool
 recovery, quarantine of corrupt cache entries, and a seeded
 fault-injection plan that makes every failure path testable
 byte-deterministically.
+
+The names below load with their defining submodule on first use (see
+:mod:`repro._lazy`), so reading one name never imports every result
+type the cache can decode.
 """
 
-from .cache import (
-    CACHE_DIR_ENV,
-    RESULT_TYPES,
-    CacheStats,
-    ResultCache,
-    cache_key,
-    canonical,
-    code_version,
-    decode_result,
-    default_cache,
-    encode_result,
-    resolve_cache,
-)
-from .executor import (
-    ON_ERROR_MODES,
-    EvalTask,
-    ExecutionOutcome,
-    attention_grid,
-    binding_grid,
-    cluster_grid,
-    evaluate_task,
-    execute_tasks,
-    pareto_grid,
-    run_tasks,
-    scenario_grid,
-    scenario_grid_tasks,
-    serving_grid,
-    sweep_attention,
-    sweep_bindings,
-    sweep_cluster,
-    sweep_inference,
-    sweep_pareto,
-    sweep_scenario_grid,
-    sweep_scenarios,
-    sweep_serving,
-)
-from .faults import (
-    FAULT_KINDS,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    RetryPolicy,
-    TaskError,
-    TaskFailure,
-    TaskTimeout,
-    WorkerCrash,
-    corrupt_disk_entry,
-)
-from .registry import RunRecord, RunRegistry, result_digest
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_DIR_ENV",
-    "RESULT_TYPES",
-    "FAULT_KINDS",
-    "ON_ERROR_MODES",
-    "CacheStats",
-    "EvalTask",
-    "ExecutionOutcome",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
-    "ResultCache",
-    "RetryPolicy",
-    "RunRecord",
-    "RunRegistry",
-    "TaskError",
-    "TaskFailure",
-    "TaskTimeout",
-    "WorkerCrash",
-    "attention_grid",
-    "binding_grid",
-    "cache_key",
-    "cluster_grid",
-    "canonical",
-    "code_version",
-    "corrupt_disk_entry",
-    "decode_result",
-    "default_cache",
-    "encode_result",
-    "evaluate_task",
-    "execute_tasks",
-    "pareto_grid",
-    "resolve_cache",
-    "result_digest",
-    "run_tasks",
-    "scenario_grid",
-    "scenario_grid_tasks",
-    "serving_grid",
-    "sweep_attention",
-    "sweep_bindings",
-    "sweep_cluster",
-    "sweep_inference",
-    "sweep_pareto",
-    "sweep_scenario_grid",
-    "sweep_scenarios",
-    "sweep_serving",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "cache": (
+            "CACHE_DIR_ENV",
+            "RESULT_TYPES",
+            "CacheStats",
+            "ResultCache",
+            "cache_key",
+            "canonical",
+            "code_version",
+            "decode_result",
+            "default_cache",
+            "encode_result",
+            "resolve_cache",
+        ),
+        "executor": (
+            "ON_ERROR_MODES",
+            "EvalTask",
+            "ExecutionOutcome",
+            "attention_grid",
+            "binding_grid",
+            "cluster_grid",
+            "evaluate_task",
+            "execute_tasks",
+            "pareto_grid",
+            "run_tasks",
+            "scenario_grid",
+            "scenario_grid_tasks",
+            "serving_grid",
+            "sweep_attention",
+            "sweep_bindings",
+            "sweep_cluster",
+            "sweep_inference",
+            "sweep_pareto",
+            "sweep_scenario_grid",
+            "sweep_scenarios",
+            "sweep_serving",
+        ),
+        "faults": (
+            "FAULT_KINDS",
+            "FaultPlan",
+            "FaultSpec",
+            "InjectedFault",
+            "RetryPolicy",
+            "TaskError",
+            "TaskFailure",
+            "TaskTimeout",
+            "WorkerCrash",
+            "corrupt_disk_entry",
+        ),
+        "registry": ("RunRecord", "RunRegistry", "result_digest"),
+    },
+)

@@ -19,6 +19,7 @@ cache key includes :func:`code_version`.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
 import tempfile
@@ -26,14 +27,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
-
-from ..arch.energy import EnergyBreakdown
-from ..cluster.sweep import ClusterResult
-from ..model.metrics import AttentionResult, InferenceResult
-from .faults import TaskFailure
-from ..model.pareto import DesignPoint
-from ..serving import RequestMetrics, ServingResult
-from ..simulator.sweep import BindingResult, ScenarioGridResult, ScenarioResult
 
 #: Environment variable that switches the default cache to a disk store.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -109,28 +102,47 @@ def cache_key(task_fields: Dict[str, Any], version: Optional[str] = None) -> str
 
 #: The codec's closed set, by tag: the nine grid-point result types
 #: (``TaskFailure`` fills a skipped slot) and the dataclasses nested in
-#: their fields.
-RESULT_TYPES: Dict[str, type] = {
-    cls.__qualname__: cls
-    for cls in (
-        AttentionResult,
-        InferenceResult,
-        DesignPoint,
-        BindingResult,
-        ScenarioResult,
-        ScenarioGridResult,
-        ServingResult,
-        ClusterResult,
-        TaskFailure,
-        EnergyBreakdown,
-        RequestMetrics,
-    )
+#: their fields, each with the module that defines it.  Encoding checks
+#: a value's class against this table and imports nothing; decoding
+#: imports only the tag's module, so a serving run never loads the
+#: analytical models behind ``DesignPoint``.
+_TAG_MODULES: Dict[str, str] = {
+    "AttentionResult": "repro.model.metrics",
+    "InferenceResult": "repro.model.metrics",
+    "DesignPoint": "repro.model.pareto",
+    "BindingResult": "repro.simulator.sweep",
+    "ScenarioResult": "repro.simulator.sweep",
+    "ScenarioGridResult": "repro.simulator.sweep",
+    "ServingResult": "repro.serving.metrics",
+    "ClusterResult": "repro.cluster.sweep",
+    "TaskFailure": "repro.runtime.faults",
+    "EnergyBreakdown": "repro.arch.energy",
+    "RequestMetrics": "repro.serving.metrics",
 }
+
+
+def _tagged(cls: type) -> bool:
+    """Whether ``cls`` is the codec type its qualname tags."""
+    return _TAG_MODULES.get(cls.__qualname__) == cls.__module__
+
+
+def _tag_type(tag: Any) -> Optional[type]:
+    """The codec type ``tag`` names, or None for an unknown tag."""
+    module = _TAG_MODULES.get(tag)
+    return None if module is None else getattr(importlib.import_module(module), tag)
+
+
+def __getattr__(name: str) -> Any:
+    # ``RESULT_TYPES`` imports every codec type's module, so it is built
+    # only when read (the codec itself never reads it).
+    if name == "RESULT_TYPES":
+        return {tag: _tag_type(tag) for tag in _TAG_MODULES}
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _encode(value: Any) -> Any:
     cls = type(value)
-    if RESULT_TYPES.get(cls.__qualname__) is cls:
+    if _tagged(cls):
         encoded = {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
         return {"__type__": cls.__qualname__, **encoded}
     if isinstance(value, (tuple, list)):
@@ -146,7 +158,7 @@ def encode_result(result: Any) -> Dict[str, Any]:
     """Encode a result of :data:`RESULT_TYPES` as a JSON-ready dict
     tagged ``__type__``: fields encode recursively in order, nested
     dataclasses are tagged too, tuples become arrays."""
-    if RESULT_TYPES.get(type(result).__qualname__) is not type(result):
+    if not _tagged(type(result)):
         raise TypeError(f"cannot encode result of type {type(result).__name__}")
     return _encode(result)
 
@@ -163,7 +175,7 @@ def decode_result(payload: Any) -> Any:
     """Inverse of :func:`encode_result` (arrays decode to tuples).  The
     payload must carry a known tag and exactly its type's fields."""
     tag = payload.get("__type__") if isinstance(payload, dict) else None
-    cls = RESULT_TYPES.get(tag)
+    cls = _tag_type(tag)
     names = [f.name for f in fields(cls)] if cls is not None else []
     if cls is None or len(payload) != len(names) + 1:
         raise ValueError(f"cannot decode result payload tagged {tag!r}")

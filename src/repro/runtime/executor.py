@@ -33,12 +33,8 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..cluster import ClusterPoint, evaluate_cluster_point
-from ..model import all_attention_models, evaluate_inference
-from ..model.pareto import ARRAY_DIMS, PARETO_SEQ_LEN, design_point
-from ..model.scenario import evaluate_grid_cell
 from ..simulator.pipeline import BINDINGS
 from ..simulator.sweep import (
     DEFAULT_SWEEP_ARRAY_DIMS,
@@ -48,8 +44,15 @@ from ..simulator.sweep import (
     evaluate_binding_point,
     evaluate_scenario_point,
 )
-from ..serving import ServingSpec, simulate_serving
-from ..workloads.models import BATCH_SIZE, MODELS, ModelConfig, SEQUENCE_LENGTHS
+from ..serving.simulator import ServingSpec, simulate_serving
+from ..workloads.models import (
+    ARRAY_DIMS,
+    BATCH_SIZE,
+    MODELS,
+    PARETO_SEQ_LEN,
+    SEQUENCE_LENGTHS,
+    ModelConfig,
+)
 from ..workloads.scenario import Scenario
 from .cache import cache_key, canonical, resolve_cache
 from .faults import (
@@ -63,6 +66,9 @@ from .faults import (
     corrupt_disk_entry,
 )
 from .registry import RunRegistry
+
+if TYPE_CHECKING:
+    from ..cluster.sweep import ClusterPoint
 
 #: Task kinds understood by :func:`evaluate_task`.
 KINDS = (
@@ -128,22 +134,33 @@ class EvalTask:
 
 
 def evaluate_task(task: EvalTask) -> Any:
-    """Evaluate one grid point (runs in pool workers and inline)."""
+    """Evaluate one grid point (runs in pool workers and inline).
+
+    Each analytical or cluster evaluator is imported in its own branch,
+    so a run loads only the models its tasks use."""
     if task.kind == "attention":
         return task.config.evaluate(task.model, task.seq_len, task.batch)
     if task.kind == "inference":
+        from ..model.inference import evaluate_inference
+
         return evaluate_inference(task.config, task.model, task.seq_len, task.batch)
     if task.kind == "pareto":
+        from ..model.pareto import design_point
+
         return design_point(task.model, task.config, task.seq_len, task.batch)
     if task.kind == "binding":
         return evaluate_binding_point(task.config)
     if task.kind == "scenario":
         return evaluate_scenario_point(task.config)
     if task.kind == "scenario_grid":
+        from ..model.scenario import evaluate_grid_cell
+
         return evaluate_grid_cell(task.config)
     if task.kind == "serve":
         return simulate_serving(task.config)
     if task.kind == "cluster":
+        from ..cluster.sweep import evaluate_cluster_point
+
         return evaluate_cluster_point(task.config)
     raise ValueError(f"unknown task kind {task.kind!r}; have {KINDS}")
 
@@ -535,6 +552,8 @@ def attention_grid(
 ) -> List[EvalTask]:
     """The (configuration, model, length) grid in presentation order."""
     if configs is None:
+        from ..model import all_attention_models
+
         configs = all_attention_models()
     return [
         EvalTask(kind, config, model, seq_len, batch)

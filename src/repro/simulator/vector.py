@@ -183,11 +183,14 @@ from dataclasses import dataclass, field, replace
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import lcm
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .engine import DEADLOCK, SimResult, Task, task_index
+
+# numpy is imported by the functions that run a fold, not here: the
+# serving path and ``import repro.api`` load this module without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Unmatched relative-state snapshots kept before giving up on folding
 #: for the run.  Detection failure costs speed, never correctness.
@@ -524,6 +527,8 @@ def _gated_classes(
     (their finish times already in ``ft``): source tasks drop out, and
     each source dep becomes a release time, the latest finish among a
     task's source deps in its own instance."""
+    import numpy as np
+
     is_source = [False] * n_res
     for r in sources:
         is_source[r] = True
@@ -577,6 +582,8 @@ def _shift_fit(holds, repeats: int) -> int:
     """The leading run of repeats ``k = 1..repeats`` for which
     ``holds(k)`` (a column of ks in, a bool matrix out) is all true,
     checked in doubling blocks so a mismatch found early costs little."""
+    import numpy as np
+
     done = 0
     block = 4
     while done < repeats:
@@ -606,6 +613,8 @@ def run_folded(
     ``jumps`` counters, summed over the source sub-folds and the main
     fold — the fold's effectiveness, for tests and the ``--profile``
     breakdown.  Raises ``ValueError`` unless ``slots >= 1``."""
+    import numpy as np
+
     if slots < 1:
         raise ValueError(f"slots must be >= 1, got {slots}")
     if max_cycles is None:
@@ -655,6 +664,8 @@ def _fold_loop(
     until then, and a class whose instances start with release-gated
     tasks materializes its next instance no later than the earliest
     release from that instance onward."""
+    import numpy as np
+
     n_classes = len(classes)
     n_res = len(resources)
     counts = [c.count for c in classes]

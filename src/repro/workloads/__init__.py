@@ -1,63 +1,44 @@
-"""Transformer workload definitions and compute inventories."""
+"""Transformer workload definitions and compute inventories.
 
-from .compute import (
-    ComputeBreakdown,
-    attention_crossover_length,
-    attention_ops,
-    compute_breakdown,
-    linear_ops,
-    other_ops,
-)
-from .scenario import (
-    BINDINGS,
-    PHASE_KINDS,
-    Phase,
-    Scenario,
-    attention_scenario,
-    heterogeneous_scenario,
-    mixed_model_scenario,
-    scenario_from_model,
-)
-from .sweep import WorkloadPoint, evaluation_grid, work_summary
-from .models import (
-    BATCH_SIZE,
-    BERT,
-    MODELS,
-    MODELS_BY_NAME,
-    ModelConfig,
-    SEQUENCE_LENGTHS,
-    T5,
-    TRXL,
-    XLM,
-    seq_label,
-)
+The names below load with their defining submodule on first use (see
+:mod:`repro._lazy`); code inside the package imports that submodule.
+"""
 
-__all__ = [
-    "BATCH_SIZE",
-    "BERT",
-    "BINDINGS",
-    "ComputeBreakdown",
-    "MODELS",
-    "MODELS_BY_NAME",
-    "ModelConfig",
-    "PHASE_KINDS",
-    "Phase",
-    "SEQUENCE_LENGTHS",
-    "Scenario",
-    "T5",
-    "TRXL",
-    "WorkloadPoint",
-    "XLM",
-    "attention_scenario",
-    "heterogeneous_scenario",
-    "mixed_model_scenario",
-    "scenario_from_model",
-    "attention_crossover_length",
-    "attention_ops",
-    "compute_breakdown",
-    "evaluation_grid",
-    "linear_ops",
-    "other_ops",
-    "seq_label",
-    "work_summary",
-]
+from .._lazy import lazy_exports
+
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "compute": (
+            "ComputeBreakdown",
+            "attention_crossover_length",
+            "attention_ops",
+            "compute_breakdown",
+            "linear_ops",
+            "other_ops",
+        ),
+        "scenario": (
+            "BINDINGS",
+            "PHASE_KINDS",
+            "Phase",
+            "Scenario",
+            "attention_scenario",
+            "heterogeneous_scenario",
+            "mixed_model_scenario",
+            "scenario_from_model",
+        ),
+        "sweep": ("WorkloadPoint", "evaluation_grid", "work_summary"),
+        "models": (
+            "BATCH_SIZE",
+            "BERT",
+            "MODELS",
+            "MODELS_BY_NAME",
+            "ModelConfig",
+            "SEQUENCE_LENGTHS",
+            "T5",
+            "TRXL",
+            "XLM",
+            "seq_label",
+        ),
+    },
+)

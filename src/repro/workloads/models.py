@@ -62,6 +62,12 @@ BATCH_SIZE = 64
 #: The sequence-length sweep of every figure (1K ... 1M).
 SEQUENCE_LENGTHS: Tuple[int, ...] = (1024, 4096, 16384, 65536, 262144, 1048576)
 
+#: The PE-array dimensions of the Fig. 12 design-space sweep.
+ARRAY_DIMS: Tuple[int, ...] = (16, 32, 64, 128, 256, 512)
+
+#: The sequence length of Fig. 12.
+PARETO_SEQ_LEN = 262144
+
 
 def seq_label(seq_len: int) -> str:
     """Human-readable sequence-length label (1K, 4K, ..., 1M)."""

@@ -1,0 +1,140 @@
+"""What importing the package, validating a request and decoding a
+result load.
+
+``import repro.api`` and a serving run need neither numpy nor the
+einsum/cascade/model stack; a fold request imports numpy when it is
+validated, so the engine is loaded before a session's pool forks.  Each
+case runs in a fresh interpreter with ``PYTHONDONTWRITEBYTECODE=1`` (as
+the benchmark does), so a module another test imported cannot hide an
+import, and the set cannot quietly regrow.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = Path(repro.__file__).resolve().parents[1]
+
+#: Modules a serving run and ``import repro.api`` must not load.
+HEAVY = (
+    "numpy",
+    "repro.einsum",
+    "repro.cascades",
+    "repro.functional",
+    "repro.model.fusemax",
+    "repro.experiments.fig",
+)
+
+
+def run_fresh(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter; returns ``{"modules": the
+    modules it holds afterwards, **whatever it put in OUT}``."""
+    script = (
+        "import json, sys\nOUT = {}\n"
+        + textwrap.dedent(code)
+        + "\nOUT['modules'] = sorted(sys.modules)\nprint(json.dumps(OUT))\n"
+    )
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def heavy(modules) -> list:
+    return [name for name in modules if name.startswith(HEAVY)]
+
+
+def test_api_import_loads_no_numpy_and_no_model_stack():
+    modules = run_fresh("import repro.api")["modules"]
+    assert heavy(modules) == []
+    # ``repro.__version__`` is looked up on first read, not on import.
+    assert "importlib.metadata" not in modules
+
+
+def test_serve_validation_and_session_load_no_numpy():
+    out = run_fresh(
+        """
+        from repro.api import ServeRequest, Session
+        from repro.runtime.cache import ResultCache
+
+        ServeRequest(rate=1.0, duration=4096).validate()
+        Session(cache=ResultCache())
+        """
+    )
+    assert heavy(out["modules"]) == []
+
+
+@pytest.mark.parametrize("request_type", ["ScenarioRequest", "BindingSweepRequest"])
+def test_fold_request_loads_numpy_when_validated(request_type):
+    out = run_fresh(
+        f"""
+        from repro.api import {request_type}
+
+        request = {request_type}()
+        OUT["before"] = "numpy" in sys.modules
+        request.validate()
+        """
+    )
+    assert out["before"] is False
+    assert "numpy" in out["modules"]
+
+
+def test_serving_round_trip_loads_no_model_and_no_numpy():
+    out = run_fresh(
+        """
+        from repro.api import ServeRequest, Session
+        from repro.runtime.cache import ResultCache, decode_result, encode_result
+
+        result = Session(cache=ResultCache()).run(
+            ServeRequest(rate=1.0, duration=4096, array_dim=64, decode_tokens=2)
+        ).payload
+        payload = json.loads(json.dumps(encode_result(result)))
+        OUT["requests"] = len(result.requests)
+        OUT["equal"] = decode_result(payload) == result
+        """
+    )
+    assert out["requests"] > 0
+    assert out["equal"] is True
+    assert "repro.model.pareto" not in out["modules"]
+    assert heavy(out["modules"]) == []
+
+
+def test_unknown_codec_tag_still_raises():
+    out = run_fresh(
+        """
+        from repro.runtime.cache import decode_result
+
+        try:
+            decode_result({"__type__": "NoSuchResult"})
+        except ValueError as error:
+            OUT["error"] = str(error)
+        """
+    )
+    assert out["error"] == "cannot decode result payload tagged 'NoSuchResult'"
+
+
+def test_model_fusemax_stays_the_function_after_its_submodule_loads():
+    """``repro.model.fusemax`` names a submodule and the function the
+    package re-exports; importing the submodule first must not rebind
+    the package attribute to the module."""
+    out = run_fresh(
+        """
+        import repro.model.fusemax
+        from repro.model import fusemax
+
+        OUT["callable"] = callable(fusemax)
+        OUT["config"] = type(fusemax()).__name__
+        """
+    )
+    assert out["callable"] is True
+    assert out["config"] == "FuseMaxModel"
