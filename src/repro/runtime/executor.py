@@ -4,16 +4,24 @@ The evaluation grid (Figs. 6-11: 5 configurations × 4 models × 6
 sequence lengths; Fig. 12: 4 models × 6 array dims) is embarrassingly
 parallel — every point is an independent, pure analytical-model
 evaluation.  :func:`run_tasks` fans the points out over a
-``ProcessPoolExecutor`` and merges results back in submission order, so
+``ProcessPoolExecutor`` and merges results back in request order, so
 the output is bit-identical to the serial path regardless of ``jobs``.
 
 Cache lookups happen before dispatch: only misses reach the pool, and
 every fresh result is written back, so a warm sweep never forks at all.
 
+Every pooled pass takes one path.  The misses are sorted by a cost
+proxy each task carries (``EvalTask.seq_len``, largest first) and dealt
+round-robin into about four batches per worker, one future per batch:
+the largest tasks start first and no batch holds several of them, while
+tiny analytical tasks still share a round trip.  There is no chunked
+``pool.map``.
+
 Fault tolerance (see :mod:`.faults`): :func:`execute_tasks` accepts a
 :class:`~repro.runtime.faults.RetryPolicy` (bounded attempts, capped
 seeded backoff, per-task timeout), recovers a broken process pool by
-respawning it and requeueing every in-flight task, and — under
+respawning it and charging every member of every in-flight batch one
+attempt, retries each failed task alone, and — under
 ``on_error="skip"`` — degrades exhausted tasks to per-task
 :class:`~repro.runtime.faults.TaskFailure` records instead of poisoning
 the sweep.  Because every task is pure, none of this can change a
@@ -339,17 +347,36 @@ def _run_inline(state: _ExecutionState, pending: List[int]) -> None:
             break
 
 
-def _run_pool_fast(state: _ExecutionState, pending: List[int], jobs: int) -> None:
-    """The zero-overhead pooled path for the default policy (single
-    attempt, no timeout, no faults): chunked ``pool.map``, exactly the
-    historical executor."""
-    todo = [state.tasks[i] for i in pending]
-    workers = min(jobs, len(todo))
-    chunksize = max(1, len(todo) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        computed = list(pool.map(evaluate_task, todo, chunksize=chunksize))
-    for i, value in zip(pending, computed):
-        state.finish(i, value)
+#: Pooled batches per worker: enough that the cost-sorted deal evens
+#: out, few enough that tiny analytical tasks share a round trip.
+_BATCHES_PER_WORKER = 4
+
+#: One pooled batch: ``(task index, attempt)`` per member.
+_Batch = List[Tuple[int, int]]
+
+
+def _run_batch(members: Sequence[Tuple[Any, ...]]) -> List[Tuple[bool, Any]]:
+    """One pooled batch (runs in pool workers): :func:`_attempt_task` on
+    each member's arguments in turn, returning ``(True, value)`` or
+    ``(False, error)`` per member.  A crash loses the whole batch."""
+    outcomes: List[Tuple[bool, Any]] = []
+    for args in members:
+        try:
+            outcomes.append((True, _attempt_task(*args)))
+        except Exception as error:
+            outcomes.append((False, error))
+    return outcomes
+
+
+def _deal(tasks: Sequence[EvalTask], pending: List[int], workers: int) -> List[_Batch]:
+    """Cost-balanced first attempts: pending tasks sorted by
+    ``seq_len``, largest first (ties in request order), then dealt
+    round-robin into ``_BATCHES_PER_WORKER * workers`` batches, so each
+    batch leads with one of the largest tasks and totals about the
+    same work."""
+    order = sorted(pending, key=lambda i: -tasks[i].seq_len)
+    n = min(len(order), _BATCHES_PER_WORKER * workers)
+    return [[(i, 1) for i in order[b::n]] for b in range(n)]
 
 
 def _requeue_failures(
@@ -357,27 +384,29 @@ def _requeue_failures(
     queue: deque,
     failed: List[Tuple[int, int, BaseException]],
 ) -> None:
-    """Charge each failed attempt and requeue the ones with budget left
-    (at their deterministic backoff deadline)."""
+    """Charge each failed attempt and requeue the ones with budget left,
+    each alone (at its deterministic backoff deadline)."""
     for i, attempt, error in failed:
         if state.fail(i, attempt, error):
             ready_at = time.monotonic() + state.policy.backoff_s(i, attempt)
-            queue.append((i, attempt + 1, ready_at))
+            queue.append(([(i, attempt + 1)], ready_at))
 
 
 def _replace_pool(
     state: _ExecutionState,
     pool: ProcessPoolExecutor,
     workers: int,
-    inflight: Dict[Any, Tuple[int, int]],
+    inflight: Dict[Any, _Batch],
     queue: deque,
 ) -> ProcessPoolExecutor:
-    """Broken-pool recovery: every in-flight task died with the pool
-    (the culprit is indistinguishable from its neighbours), so charge
-    them all a failed attempt, requeue the survivors, and respawn."""
+    """Broken-pool recovery: every member of every in-flight batch died
+    with the pool (the culprit is indistinguishable from its
+    neighbours), so charge them all a failed attempt, requeue the
+    survivors one per batch, and respawn."""
     failed = [
         (i, attempt, WorkerCrash("worker pool broke while task in flight"))
-        for i, attempt in inflight.values()
+        for members in inflight.values()
+        for i, attempt in members
     ]
     inflight.clear()
     pool.shutdown(wait=False, cancel_futures=True)
@@ -386,24 +415,23 @@ def _replace_pool(
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def _run_pool_supervised(
-    state: _ExecutionState, pending: List[int], jobs: int
-) -> None:
-    """The fault-tolerant pooled path: per-task futures, retry
-    requeueing with deterministic backoff, and broken-pool recovery
-    (respawn the pool, count the lost attempts, requeue the in-flight
-    tasks).  A break can surface at either end — a submit on a
-    just-broken pool or an in-flight future resolving to
-    ``BrokenProcessPool`` — and both recover the same way."""
+def _run_pool_supervised(state: _ExecutionState, pending: List[int], jobs: int) -> None:
+    """The pooled path: cost-balanced batches (see :func:`_deal`), one
+    future each, at most ``2 * workers`` in flight; retry requeueing
+    with deterministic backoff; and broken-pool recovery (respawn the
+    pool, count the lost attempts, requeue every in-flight member).  A
+    break can surface at either end — a submit on a just-broken pool or
+    an in-flight future resolving to ``BrokenProcessPool`` — and both
+    recover the same way.  On a clean return the workers are joined."""
     policy = state.policy
     workers = min(jobs, len(pending))
-    queue = deque((i, 1, 0.0) for i in pending)  # (index, attempt, ready_at)
-    inflight: Dict[Any, Tuple[int, int]] = {}
+    queue = deque((members, 0.0) for members in _deal(state.tasks, pending, workers))
+    inflight: Dict[Any, _Batch] = {}
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         while queue or inflight:
             while queue and len(inflight) < 2 * workers:
-                i, attempt, ready_at = queue[0]
+                members, ready_at = queue[0]
                 delay = ready_at - time.monotonic()
                 if delay > 0:
                     if inflight:
@@ -411,9 +439,8 @@ def _run_pool_supervised(
                     time.sleep(delay)
                     continue
                 queue.popleft()
-                try:
-                    future = pool.submit(
-                        _attempt_task,
+                args = [
+                    (
                         state.tasks[i],
                         i,
                         attempt,
@@ -421,35 +448,45 @@ def _run_pool_supervised(
                         state.directive(i, attempt),
                         state.hang_s,
                     )
+                    for i, attempt in members
+                ]
+                try:
+                    future = pool.submit(_run_batch, args)
                 except BrokenProcessPool:
-                    # Not an attempt — the task never reached a worker.
-                    queue.appendleft((i, attempt, ready_at))
+                    # Not an attempt — the batch never reached a worker.
+                    queue.appendleft((members, ready_at))
                     pool = _replace_pool(state, pool, workers, inflight, queue)
                     continue
-                inflight[future] = (i, attempt)
+                inflight[future] = members
             if not inflight:
                 continue
             done, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
             broken = False
             failed: List[Tuple[int, int, BaseException]] = []
             for future in done:
-                i, attempt = inflight.pop(future)
+                members = inflight.pop(future)
                 try:
-                    value = future.result()
+                    outcomes = future.result()
                 except BrokenProcessPool:
                     broken = True
-                    failed.append(
-                        (i, attempt, WorkerCrash("worker process died mid-task"))
-                    )
+                    crash = WorkerCrash("worker process died mid-task")
+                    failed.extend((i, attempt, crash) for i, attempt in members)
+                    continue
                 except Exception as error:
-                    failed.append((i, attempt, error))
-                else:
-                    state.finish(i, value)
+                    failed.extend((i, attempt, error) for i, attempt in members)
+                    continue
+                for (i, attempt), (ok, value) in zip(members, outcomes):
+                    if ok:
+                        state.finish(i, value)
+                    else:
+                        failed.append((i, attempt, value))
             _requeue_failures(state, queue, failed)
             if broken:
                 pool = _replace_pool(state, pool, workers, inflight, queue)
-    finally:
+    except BaseException:
         pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    pool.shutdown(wait=True)
 
 
 def execute_tasks(
@@ -495,20 +532,10 @@ def execute_tasks(
         pending.append(i)
 
     state = _ExecutionState(tasks, results, keys, store, policy, on_error, faults)
-    if pending:
-        trivial = (
-            policy.max_attempts == 1
-            and policy.task_timeout_s is None
-            and faults is None
-            and on_error == "raise"
-        )
-        if jobs > 1 and len(pending) > 1:
-            if trivial:
-                _run_pool_fast(state, pending, jobs)
-            else:
-                _run_pool_supervised(state, pending, jobs)
-        else:
-            _run_inline(state, pending)
+    if jobs > 1 and len(pending) > 1:
+        _run_pool_supervised(state, pending, jobs)
+    elif pending:
+        _run_inline(state, pending)
     return ExecutionOutcome(
         results=results,
         attempts=state.attempts,

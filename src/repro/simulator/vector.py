@@ -202,6 +202,11 @@ _SNAP_CAP = 512
 #: it does not count; only the instances on either side of it do.
 _LIVE_CAP = 128
 
+#: Finish times one expansion block writes at most: a replayed window's
+#: repeats are broadcast this many elements at a time, so the
+#: temporaries stay small however long the replay runs.
+_EXPAND_ELEMS = 4096
+
 
 @dataclass
 class FoldedClass:
@@ -1221,8 +1226,32 @@ def _fold_loop(
         )
         ft[orders] = t_a
         for log_start, log_end, repeats, step, d_time in blocks:
-            seg_orders = orders[log_start:log_end]
-            seg_shift = step * sizes_a[cls_a[log_start:log_end]]
-            seg_t = t_a[log_start:log_end]
-            for repeat in range(1, repeats + 1):
-                ft[seg_orders + repeat * seg_shift] = seg_t + repeat * d_time
+            _expand_window(
+                ft,
+                orders[log_start:log_end],
+                step * sizes_a[cls_a[log_start:log_end]],
+                t_a[log_start:log_end],
+                repeats,
+                d_time,
+            )
+
+
+def _expand_window(
+    ft: np.ndarray,
+    orders: np.ndarray,
+    shift: np.ndarray,
+    times: np.ndarray,
+    repeats: int,
+    d_time: int,
+) -> None:
+    """Write one replayed window's finish times into ``ft``: repeat
+    ``k`` (``1..repeats``) moves each completion's order by ``k *
+    shift`` and its time by ``k * d_time``.  Repeats are broadcast in
+    blocks of at most ``_EXPAND_ELEMS`` finish times (one repeat at
+    least), the last block holding what is left."""
+    import numpy as np
+
+    per_block = max(1, _EXPAND_ELEMS // max(1, len(orders)))
+    for first in range(1, repeats + 1, per_block):
+        ks = np.arange(first, min(first + per_block, repeats + 1), dtype=np.int64)[:, None]
+        ft[orders + ks * shift] = times + ks * d_time

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import multiprocessing
 import typing
 
 import pytest
@@ -34,6 +35,7 @@ from repro.runtime import (
     scenario_grid_tasks,
     serving_grid,
     sweep_attention,
+    sweep_bindings,
     sweep_inference,
     sweep_pareto,
     sweep_serving,
@@ -113,6 +115,37 @@ class TestParallelEqualsSerial:
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
             run_tasks(attention_grid((BERT,), SHORT), jobs=0)
+
+    def test_pooled_pass_joins_its_workers(self):
+        before = set(multiprocessing.active_children())
+        execute_tasks(attention_grid((BERT, T5), SHORT), jobs=2, cache=False)
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_pooled_binding_sweep_stores_what_inline_stores(self, tmp_path):
+        """Largest-first batches change the order results are put, never
+        what is stored: the same cache files with the same bytes, and
+        the same registry digest, as a serial run."""
+        stored = {}
+        digests = {}
+        for jobs in (1, 2):
+            cache_dir = tmp_path / f"cache-{jobs}"
+            registry = RunRegistry(tmp_path / f"runs-{jobs}")
+            sweep_bindings(
+                (16, 64, 1024),
+                array_dims=(64, 128),
+                jobs=jobs,
+                cache=ResultCache(directory=cache_dir),
+                registry=registry,
+            )
+            stored[jobs] = {
+                path.relative_to(cache_dir).as_posix(): path.read_bytes()
+                for path in cache_dir.rglob("*")
+                if path.is_file()
+            }
+            digests[jobs] = registry.latest().result_digest
+        assert len(stored[1]) == 12
+        assert stored[2] == stored[1]
+        assert digests[2] == digests[1]
 
 
 class TestGrids:
@@ -560,6 +593,31 @@ class TestFaultTolerance:
         assert outcome.respawns >= 1
         assert outcome.recovered >= 1
         assert outcome.attempts > len(tasks)
+
+    def test_pool_crash_charges_every_inflight_batch_member(self):
+        """A broken pool charges each member of every in-flight batch
+        one attempt and retries each alone.  Two workers take 8 batches
+        dealt from the cost-sorted tasks, 4 in flight.  Batch 0's second
+        member crashes its worker after its first member's delay, while
+        every member of batch 1 delays the other worker: batches 0-3
+        (12 members) are in flight at the break, none finished."""
+        tasks = attention_grid((BERT, T5), SHORT)
+        order = sorted(range(len(tasks)), key=lambda i: -tasks[i].seq_len)
+        assert len(tasks) == 20  # batches 0-3 hold 3 members, 4-7 hold 2
+        hang = (order[0], order[1], order[9], order[17])
+        plan = FaultPlan(
+            faults=(FaultSpec(index=order[8], attempt=1, kind="crash"),)
+            + tuple(FaultSpec(index=i, attempt=1, kind="hang") for i in hang),
+            hang_s=0.25,
+        )
+        clean = run_tasks(tasks, cache=False)
+        outcome = execute_tasks(
+            tasks, jobs=2, cache=False, retry=RetryPolicy(max_attempts=2), faults=plan
+        )
+        assert outcome.results == clean
+        assert outcome.respawns == 1
+        assert outcome.recovered == 12
+        assert outcome.attempts == len(tasks) + 12
 
     def test_crash_recovery_recorded_in_registry(self, tmp_path):
         registry = RunRegistry(tmp_path)

@@ -652,6 +652,34 @@ class TestScenarioGraphs:
             scenario_from_model(BERT, 1000)
 
 
+def _spy_expansion(monkeypatch):
+    """Record ``(window completions, repeats)`` for every replayed
+    window the fold expands, then expand it as usual."""
+    import repro.simulator.vector as vector
+
+    calls = []
+    real = vector._expand_window
+
+    def spy(ft, orders, shift, times, repeats, d_time):
+        calls.append((len(orders), repeats))
+        real(ft, orders, shift, times, repeats, d_time)
+
+    monkeypatch.setattr(vector, "_expand_window", spy)
+    return calls
+
+
+def _spans_blocks_ending_partial(calls):
+    """True when some replay takes several expansion blocks and its
+    last block is partial."""
+    from repro.simulator.vector import _EXPAND_ELEMS
+
+    for width, repeats in calls:
+        per_block = max(1, _EXPAND_ELEMS // width)
+        if repeats > per_block and repeats % per_block:
+            return True
+    return False
+
+
 class TestSymmetryFolding:
     """The folded path's own contract: recurrence replay fires on
     contended scenarios, expansion is exact where arbitration breaks
@@ -727,6 +755,18 @@ class TestSymmetryFolding:
         assert stats["jumps"] >= 2  # the DRAM sub-fold's and the main fold's
         assert stats["replayed"] > stats["events"]
         assert stats["replayed"] <= len(folded.finish_times)
+
+    def test_scenario_replay_expands_in_several_blocks(self, monkeypatch):
+        """The main fold of 128 DRAM-ahead tile-serial instances repeats
+        a 264-completion window 40 times: three expansion blocks, the
+        last partial.  Every block must land on the event core's
+        finish times."""
+        scenario = attention_scenario(
+            128, 8, array_dim=128, dram_bw=1024.0, binding="tile-serial"
+        )
+        calls = _spy_expansion(monkeypatch)
+        self._assert_folded_exact(scenario)
+        assert _spans_blocks_ending_partial(calls)
 
     def test_uncontended_scenario_still_exact_without_jumps(self):
         """No recurrence is a speed miss, never a correctness miss."""
@@ -1059,6 +1099,20 @@ class TestChainFold:
         assert stats["events"] <= 64
         assert stats["replayed"] / folded.n_tasks >= 0.99
         assert result == event_binding(config, "tile-serial")[1]
+
+    @pytest.mark.parametrize("chunks", (749, 1024))
+    def test_long_replay_expands_in_several_blocks(self, monkeypatch, chunks):
+        """Tile-serial chains repeat an 11-completion window ``chunks -
+        4`` times, 372 repeats to an expansion block: three blocks, the
+        last holding one repeat (749) or 276 (1024).  The expanded
+        schedule must equal the event core's on the built graph."""
+        from repro.simulator import fold_binding, run_folded
+
+        config = PipelineConfig(chunks=chunks)
+        calls = _spy_expansion(monkeypatch)
+        result = run_folded(fold_binding(config, "tile-serial"), slots=1)
+        assert _spans_blocks_ending_partial(calls)
+        _assert_same_schedule(result, event_binding(config, "tile-serial")[1])
 
     def test_interleaved_long_chain_replays(self):
         """The 2D front runs ahead of the ``RNV`` chain and leaves a
