@@ -10,18 +10,18 @@ the output is bit-identical to the serial path regardless of ``jobs``.
 Cache lookups happen before dispatch: only misses reach the pool, and
 every fresh result is written back, so a warm sweep never forks at all.
 
-Every pooled pass takes one path.  The misses are sorted by a cost
-proxy each task carries (``EvalTask.seq_len``, largest first) and dealt
-round-robin into about four batches per worker, one future per batch:
-the largest tasks start first and no batch holds several of them, while
-tiny analytical tasks still share a round trip.  There is no chunked
+Every pooled pass takes one path.  The misses are dealt round-robin,
+in request order, into about four batches per worker, one future per
+batch: neighbouring grid points land in different batches, and tiny
+analytical tasks still share a round trip.  There is no chunked
 ``pool.map``.
 
 Fault tolerance (see :mod:`.faults`): :func:`execute_tasks` accepts a
 :class:`~repro.runtime.faults.RetryPolicy` (bounded attempts, capped
 seeded backoff, per-task timeout), recovers a broken process pool by
-respawning it and charging every member of every in-flight batch one
-attempt, retries each failed task alone, and — under
+respawning it and requeueing what was in flight (a lone task is
+charged the attempt, the members of a larger batch rerun alone,
+uncharged), retries each failed task alone, and — under
 ``on_error="skip"`` — degrades exhausted tasks to per-task
 :class:`~repro.runtime.faults.TaskFailure` records instead of poisoning
 the sweep.  Because every task is pure, none of this can change a
@@ -33,9 +33,11 @@ digests identically to a clean one (gated by
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 import threading
 import time
+import traceback
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -347,7 +349,7 @@ def _run_inline(state: _ExecutionState, pending: List[int]) -> None:
             break
 
 
-#: Pooled batches per worker: enough that the cost-sorted deal evens
+#: Pooled batches per worker: enough that the round-robin deal evens
 #: out, few enough that tiny analytical tasks share a round trip.
 _BATCHES_PER_WORKER = 4
 
@@ -355,28 +357,67 @@ _BATCHES_PER_WORKER = 4
 _Batch = List[Tuple[int, int]]
 
 
+class _RemoteTraceback(Exception):
+    """Where a task failed inside a pool worker: the formatted
+    traceback, chained as the returned error's ``__cause__``."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _portable(error: Exception) -> Tuple[Exception, str]:
+    """A member's error as its batch returns it: the error itself, or a
+    ``RuntimeError`` naming it when it does not survive pickling (so one
+    member cannot lose its batch-mates' results), plus its traceback."""
+    text = '\n"""\n' + traceback.format_exc() + '"""'
+    try:
+        pickle.loads(pickle.dumps(error))
+    except Exception:
+        error = RuntimeError(repr(error))
+    return error, text
+
+
 def _run_batch(members: Sequence[Tuple[Any, ...]]) -> List[Tuple[bool, Any]]:
     """One pooled batch (runs in pool workers): :func:`_attempt_task` on
     each member's arguments in turn, returning ``(True, value)`` or
-    ``(False, error)`` per member.  A crash loses the whole batch."""
+    ``(False, (error, traceback))`` per member.  A crash loses the
+    whole batch."""
     outcomes: List[Tuple[bool, Any]] = []
     for args in members:
         try:
             outcomes.append((True, _attempt_task(*args)))
         except Exception as error:
-            outcomes.append((False, error))
+            outcomes.append((False, _portable(error)))
     return outcomes
 
 
-def _deal(tasks: Sequence[EvalTask], pending: List[int], workers: int) -> List[_Batch]:
-    """Cost-balanced first attempts: pending tasks sorted by
-    ``seq_len``, largest first (ties in request order), then dealt
-    round-robin into ``_BATCHES_PER_WORKER * workers`` batches, so each
-    batch leads with one of the largest tasks and totals about the
-    same work."""
-    order = sorted(pending, key=lambda i: -tasks[i].seq_len)
-    n = min(len(order), _BATCHES_PER_WORKER * workers)
-    return [[(i, 1) for i in order[b::n]] for b in range(n)]
+def _deal(pending: List[int], workers: int) -> List[_Batch]:
+    """First attempts: the pending tasks dealt round-robin, in request
+    order, into ``_BATCHES_PER_WORKER * workers`` batches, so the
+    neighbouring points of a grid land in different batches."""
+    n = min(len(pending), _BATCHES_PER_WORKER * workers)
+    return [[(i, 1) for i in pending[b::n]] for b in range(n)]
+
+
+def _lose(
+    queue: deque,
+    failed: List[Tuple[int, int, BaseException]],
+    lost: List[Tuple[_Batch, BaseException]],
+) -> None:
+    """Requeue batches whose results never came back (their worker
+    died, or a result did not pickle).  When every one was a lone task,
+    the culprit is among them, so each is charged the attempt, as one
+    future per task would be.  When any held several tasks, the culprit
+    may be any member: every member reruns alone, uncharged and first in
+    line, so whichever broke the batch is charged only when it fails
+    alone, and one crash charges no more attempts than in-flight
+    futures."""
+    if all(len(members) == 1 for members, _ in lost):
+        for members, error in lost:
+            failed.extend((i, attempt, error) for i, attempt in members)
+    else:
+        alone = sorted(member for members, _ in lost for member in members)
+        queue.extendleft(([member], 0.0) for member in reversed(alone))
 
 
 def _requeue_failures(
@@ -384,9 +425,10 @@ def _requeue_failures(
     queue: deque,
     failed: List[Tuple[int, int, BaseException]],
 ) -> None:
-    """Charge each failed attempt and requeue the ones with budget left,
-    each alone (at its deterministic backoff deadline)."""
-    for i, attempt, error in failed:
+    """Charge each failed attempt, lowest index first, and requeue the
+    ones with budget left, each alone (at its deterministic backoff
+    deadline)."""
+    for i, attempt, error in sorted(failed, key=lambda f: f[0]):
         if state.fail(i, attempt, error):
             ready_at = time.monotonic() + state.policy.backoff_s(i, attempt)
             queue.append(([(i, attempt + 1)], ready_at))
@@ -397,39 +439,42 @@ def _replace_pool(
     pool: ProcessPoolExecutor,
     workers: int,
     inflight: Dict[Any, _Batch],
-    queue: deque,
+    lost: List[Tuple[_Batch, BaseException]],
 ) -> ProcessPoolExecutor:
-    """Broken-pool recovery: every member of every in-flight batch died
-    with the pool (the culprit is indistinguishable from its
-    neighbours), so charge them all a failed attempt, requeue the
-    survivors one per batch, and respawn."""
-    failed = [
-        (i, attempt, WorkerCrash("worker pool broke while task in flight"))
-        for members in inflight.values()
-        for i, attempt in members
-    ]
+    """Broken-pool recovery: every in-flight batch died with the pool
+    (the culprit is indistinguishable from its neighbours), so add them
+    all to ``lost`` (see :func:`_lose`) and respawn."""
+    crash = WorkerCrash("worker pool broke while task in flight")
+    lost.extend((members, crash) for members in inflight.values())
     inflight.clear()
     pool.shutdown(wait=False, cancel_futures=True)
     state.respawns += 1
-    _requeue_failures(state, queue, failed)
     return ProcessPoolExecutor(max_workers=workers)
 
 
 def _run_pool_supervised(state: _ExecutionState, pending: List[int], jobs: int) -> None:
-    """The pooled path: cost-balanced batches (see :func:`_deal`), one
+    """The pooled path: round-robin batches (see :func:`_deal`), one
     future each, at most ``2 * workers`` in flight; retry requeueing
     with deterministic backoff; and broken-pool recovery (respawn the
-    pool, count the lost attempts, requeue every in-flight member).  A
-    break can surface at either end — a submit on a just-broken pool or
-    an in-flight future resolving to ``BrokenProcessPool`` — and both
-    recover the same way.  On a clean return the workers are joined."""
+    pool and requeue what was in flight, see :func:`_lose`).  A break
+    can surface at either end — a submit on a just-broken pool or an
+    in-flight future resolving to ``BrokenProcessPool`` — and both
+    recover the same way.
+
+    Under ``on_error="raise"`` the reported task is the lowest index
+    that exhausts its budget, as on the inline path: after the first
+    such failure only the tasks below it keep running.  On a clean
+    return the workers are joined."""
     policy = state.policy
     workers = min(jobs, len(pending))
-    queue = deque((members, 0.0) for members in _deal(state.tasks, pending, workers))
+    queue = deque((members, 0.0) for members in _deal(pending, workers))
     inflight: Dict[Any, _Batch] = {}
+    fatal: Optional[TaskError] = None
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         while queue or inflight:
+            failed: List[Tuple[int, int, BaseException]] = []
+            lost: List[Tuple[_Batch, BaseException]] = []
             while queue and len(inflight) < 2 * workers:
                 members, ready_at = queue[0]
                 delay = ready_at - time.monotonic()
@@ -455,34 +500,52 @@ def _run_pool_supervised(state: _ExecutionState, pending: List[int], jobs: int) 
                 except BrokenProcessPool:
                     # Not an attempt — the batch never reached a worker.
                     queue.appendleft((members, ready_at))
-                    pool = _replace_pool(state, pool, workers, inflight, queue)
+                    pool = _replace_pool(state, pool, workers, inflight, lost)
                     continue
                 inflight[future] = members
-            if not inflight:
-                continue
-            done, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
-            broken = False
-            failed: List[Tuple[int, int, BaseException]] = []
-            for future in done:
-                members = inflight.pop(future)
-                try:
-                    outcomes = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    crash = WorkerCrash("worker process died mid-task")
-                    failed.extend((i, attempt, crash) for i, attempt in members)
-                    continue
-                except Exception as error:
-                    failed.extend((i, attempt, error) for i, attempt in members)
-                    continue
-                for (i, attempt), (ok, value) in zip(members, outcomes):
-                    if ok:
-                        state.finish(i, value)
-                    else:
-                        failed.append((i, attempt, value))
-            _requeue_failures(state, queue, failed)
-            if broken:
-                pool = _replace_pool(state, pool, workers, inflight, queue)
+            if inflight:
+                done, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
+                broken = False
+                for future in done:
+                    members = inflight.pop(future)
+                    try:
+                        outcomes = future.result()
+                    except BrokenProcessPool:
+                        broken = True
+                        lost.append((members, WorkerCrash("worker process died mid-task")))
+                        continue
+                    except Exception as error:
+                        lost.append((members, error))
+                        continue
+                    for (i, attempt), (ok, value) in zip(members, outcomes):
+                        if ok:
+                            state.finish(i, value)
+                        else:
+                            error, text = value
+                            error.__cause__ = _RemoteTraceback(text)
+                            failed.append((i, attempt, error))
+                if broken:
+                    pool = _replace_pool(state, pool, workers, inflight, lost)
+            if lost:
+                _lose(queue, failed, lost)
+            if fatal is not None:
+                failed = [f for f in failed if f[0] < fatal.failure.index]
+            try:
+                _requeue_failures(state, queue, failed)
+            except TaskError as error:
+                fatal = error
+            if fatal is not None:
+                cut = fatal.failure.index
+                queue = deque(
+                    (kept, ready_at)
+                    for members, ready_at in queue
+                    if (kept := [m for m in members if m[0] < cut])
+                )
+                for future, members in list(inflight.items()):
+                    if min(i for i, _ in members) > cut:
+                        del inflight[future]
+        if fatal is not None:
+            raise fatal
     except BaseException:
         pool.shutdown(wait=False, cancel_futures=True)
         raise
@@ -506,8 +569,9 @@ def execute_tasks(
     attempts are retried up to ``retry.max_attempts`` with deterministic
     seeded backoff; a broken process pool is respawned and its in-flight
     tasks requeued; tasks that exhaust the budget either abort the sweep
-    (``on_error="raise"``) or degrade to :class:`TaskFailure` records in
-    their result slots (``on_error="skip"``).  ``faults`` injects
+    (``on_error="raise"``, naming the lowest such index) or degrade to
+    :class:`TaskFailure` records in their result slots
+    (``on_error="skip"``).  ``faults`` injects
     deterministic failures for testing (see :mod:`.faults`).
     """
     if jobs < 1:

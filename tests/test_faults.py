@@ -6,6 +6,7 @@ recoverable fault may cost attempts but can never change a payload.
 """
 
 import json
+import pickle
 import signal
 
 import pytest
@@ -29,6 +30,7 @@ from repro.runtime import (
     execute_tasks,
     run_tasks,
 )
+from repro.runtime.executor import _run_batch
 from repro.workloads import BERT
 
 SHORT = (1024, 65536)
@@ -144,6 +146,49 @@ class TestInlineRecovery:
         assert failure.index == 0
         assert failure.attempts == 2
         assert "InjectedFault" in failure.error
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_reports_the_lowest_failing_task(self, jobs):
+        """Every ``jobs`` names the lowest failing index, also when a
+        higher one fails first: pooled, task 9's batch [1, 9] returns
+        while task 0's delay still holds task 8's batch [0, 8]."""
+        tasks = attention_grid((BERT,), SHORT)
+        plan = FaultPlan(
+            faults=(FaultSpec(0, 1, "hang"), FaultSpec(8, 1), FaultSpec(9, 1)),
+            hang_s=0.3,
+        )
+        with pytest.raises(TaskError) as excinfo:
+            execute_tasks(tasks, jobs=jobs, cache=False, faults=plan)
+        assert excinfo.value.failure.index == 8
+
+    def test_pooled_task_error_chains_the_worker_traceback(self):
+        tasks = attention_grid((BERT,), SHORT)
+        with pytest.raises(TaskError) as excinfo:
+            execute_tasks(
+                tasks, jobs=2, cache=False, faults=FaultPlan(faults=(FaultSpec(3, 1),))
+            )
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, InjectedFault)
+        assert "in _attempt_task" in str(cause.__cause__)
+
+    def test_unpicklable_task_error_keeps_its_batch_mates(self):
+        class LocalError(Exception):
+            """Defined in a function, so it cannot be pickled."""
+
+        class Broken:
+            def evaluate(self, model, seq_len, batch):
+                raise LocalError("no way back from the worker")
+
+        good = attention_grid((BERT,), SHORT[:1])[0]
+        bad = EvalTask("attention", Broken(), BERT, SHORT[0])
+        outcomes = pickle.loads(pickle.dumps(_run_batch([(bad, 0, 1), (good, 1, 1)])))
+        (ok_bad, (error, text)), (ok_good, value) = outcomes
+        assert not ok_bad
+        assert isinstance(error, RuntimeError)
+        assert "LocalError" in str(error)
+        assert "in evaluate" in text
+        assert ok_good
+        assert value == run_tasks([good], cache=False)[0]
 
     def test_on_error_skip_degrades_to_failure_record(self):
         tasks = attention_grid((BERT,), SHORT)

@@ -122,7 +122,7 @@ class TestParallelEqualsSerial:
         assert set(multiprocessing.active_children()) <= before
 
     def test_pooled_binding_sweep_stores_what_inline_stores(self, tmp_path):
-        """Largest-first batches change the order results are put, never
+        """Pooled batches change the order results are put, never
         what is stored: the same cache files with the same bytes, and
         the same registry digest, as a serial run."""
         stored = {}
@@ -594,30 +594,67 @@ class TestFaultTolerance:
         assert outcome.recovered >= 1
         assert outcome.attempts > len(tasks)
 
-    def test_pool_crash_charges_every_inflight_batch_member(self):
-        """A broken pool charges each member of every in-flight batch
-        one attempt and retries each alone.  Two workers take 8 batches
-        dealt from the cost-sorted tasks, 4 in flight.  Batch 0's second
-        member crashes its worker after its first member's delay, while
-        every member of batch 1 delays the other worker: batches 0-3
-        (12 members) are in flight at the break, none finished."""
-        tasks = attention_grid((BERT, T5), SHORT)
-        order = sorted(range(len(tasks)), key=lambda i: -tasks[i].seq_len)
-        assert len(tasks) == 20  # batches 0-3 hold 3 members, 4-7 hold 2
-        hang = (order[0], order[1], order[9], order[17])
-        plan = FaultPlan(
-            faults=(FaultSpec(index=order[8], attempt=1, kind="crash"),)
-            + tuple(FaultSpec(index=i, attempt=1, kind="hang") for i in hang),
-            hang_s=0.25,
-        )
+    #: Nine tasks on two workers deal into batch [0, 8] and seven lone
+    #: tasks, four batches in flight.  Task 0's first attempt crashes
+    #: its worker and task 1's first attempt holds the other, so the
+    #: batches holding tasks 0-3 are unfinished at every break.
+    CRASH_PLAN = FaultPlan(
+        faults=(
+            FaultSpec(index=0, attempt=1, kind="crash"),
+            FaultSpec(index=1, attempt=1, kind="hang"),
+        ),
+        hang_s=0.25,
+    )
+
+    def test_pool_crash_reruns_lost_batch_members_alone(self):
+        """The first break loses batch [0, 8] with lone tasks 1-3: a
+        batch of several was in flight, so nothing is charged and all
+        five rerun alone, first in line.  Task 0 crashes again with only
+        lone tasks 0-3 in flight, which are charged one attempt each and
+        recover on their second."""
+        tasks = attention_grid((BERT, T5), SHORT)[:9]
         clean = run_tasks(tasks, cache=False)
         outcome = execute_tasks(
-            tasks, jobs=2, cache=False, retry=RetryPolicy(max_attempts=2), faults=plan
+            tasks,
+            jobs=2,
+            cache=False,
+            retry=RetryPolicy(max_attempts=2),
+            faults=self.CRASH_PLAN,
         )
         assert outcome.results == clean
-        assert outcome.respawns == 1
-        assert outcome.recovered == 12
-        assert outcome.attempts == len(tasks) + 12
+        assert outcome.respawns == 2
+        assert outcome.recovered == 4
+        assert outcome.attempts == len(tasks) + 4
+
+    def test_pool_crash_under_skip_fails_only_the_inflight_tasks(self):
+        """With one attempt each, the same crash fails tasks 0-3, the
+        four in flight when it recurs alone, as one future per task
+        would, and nothing else."""
+        tasks = attention_grid((BERT, T5), SHORT)[:9]
+        clean = run_tasks(tasks, cache=False)
+        outcome = execute_tasks(
+            tasks, jobs=2, cache=False, on_error="skip", faults=self.CRASH_PLAN
+        )
+        assert [failure.index for failure in outcome.failures] == [0, 1, 2, 3]
+        assert outcome.results[4:] == clean[4:]
+
+    def test_one_crash_fails_no_more_than_the_inflight_futures(self):
+        """A crash inside a batch of several costs its batch-mates
+        nothing: with one attempt each, at most ``2 * workers`` tasks
+        fail, the bound of one future per task."""
+        tasks = attention_grid((BERT, T5), SHORT)  # 8 batches of 2-3 tasks
+        clean = run_tasks(tasks, cache=False)
+        outcome = execute_tasks(
+            tasks,
+            jobs=2,
+            cache=False,
+            on_error="skip",
+            faults=FaultPlan(faults=(FaultSpec(index=8, attempt=1, kind="crash"),)),
+        )
+        failed = {failure.index for failure in outcome.failures}
+        assert 8 in failed
+        assert len(failed) <= 2 * 2
+        assert all(outcome.results[i] == clean[i] for i in range(len(tasks)) if i not in failed)
 
     def test_crash_recovery_recorded_in_registry(self, tmp_path):
         registry = RunRegistry(tmp_path)
