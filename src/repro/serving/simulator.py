@@ -25,9 +25,9 @@ structure:
   arrive-gated too (the lowering is per-task-local, so lowering per
   request equals lowering the merged graph).
 - **Decode-first QoS** is a priority key.  Each decode step's DRAM
-  transfers are gated on the step (just in time) and rank ahead of
-  every other task in the ready heaps; each group keeps merged order
-  (:func:`_priority`).
+  transfers are gated on the step (just in time) and are *urgent*:
+  they issue ahead of every other ready task, each group in merged
+  order (the :class:`~repro.simulator.engine.FlatGraph` heap key).
 
 Stamped templates
 -----------------
@@ -35,23 +35,23 @@ Stamped templates
 Requests of one shape — ``(chunks, decode_tokens, chip)`` — have the
 same graph up to their ``r{j}:`` name prefix.  So
 :func:`simulate_serving` builds :func:`_request_graph` once per shape,
-compiles it to a :class:`~repro.simulator.engine.FlatGraph`, and
-stamps each request at its offset in merged order: the clock chain
-first, then request 0, request 1, and so on.  A stamped request's
-dependency-free tasks wait on its :func:`_gate`.  The result runs on
-the integer event core (:func:`~repro.simulator.events.run_flat`); no
-merged ``Task`` list and no per-request name is ever made.
+compiles it to a :class:`~repro.simulator.engine.FlatGraph` (its
+readiness frontier), and stamps a copy per request at its offset in
+merged order: the clock chain first, then request 0, request 1, and so
+on.  A stamped request's dependency-free tasks wait on its
+:func:`_gate`.  The result runs on the integer event core
+(:func:`~repro.simulator.events.run_flat`); no merged ``Task`` list,
+no per-request name and no pass over the whole graph's deps is made.
 
-Why this is exact: stamping produces the merged graph of
-:func:`build_serving_tasks` with every task renamed to its position in
-merged order.  Both layouts come from the same per-request helper, the
-same :func:`_gate` and the same :func:`_priority` ranks.  The named
-list is laid out in rank order (the stable partition that floats
-decode transfers ahead), while the stamped graph keeps merged order and
-carries the ranks as its priority key.  The engines consult order only
-to rank ready tasks, so both schedule identically.  The ``serving``
-fuzz family in ``tests/test_serving.py`` checks the stamped path
-against the cycle oracle on the named graph.
+Why this is exact: stamping yields what
+:meth:`~repro.simulator.engine.FlatGraph.from_tasks` compiles from the
+merged task list of :func:`build_serving_tasks`, which comes from the
+same per-request helper and :func:`_gate`.  That list is laid out in
+key order (the stable partition that floats urgent tasks ahead), while
+the stamped graph keeps merged order and marks the urgent tasks; the
+engines consult order only to pick among ready tasks.  The ``serving``
+fuzz family in ``tests/test_serving.py`` checks both the frontier and
+the schedule (against the cycle oracle on the named graph).
 
 Everything else — array-slot contention, issue disciplines, DRAM
 bandwidth arbitration, the vector/cycle engine equivalence — applies to
@@ -60,8 +60,8 @@ graph once the clock chain encodes time.
 
 An all-zero arrival batch with a wide-open window degenerates to the
 closed :class:`~repro.workloads.scenario.Scenario` schedule exactly
-(the clock tasks are zero-duration, hence done at t=0 and stripped by
-the dependency frontier) — the equivalence ``tests/test_serving.py``
+(the clock tasks are zero-duration, hence done at t=0 and ignored by
+the readiness frontier) — the equivalence ``tests/test_serving.py``
 locks.
 """
 
@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from itertools import count
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..cluster.build import instance_out_bytes
@@ -307,7 +306,7 @@ def _clock_chain(arrivals: Sequence[Arrival]) -> Tuple[List[Task], Dict[int, int
 
     One clock task per *distinct* arrival time: a duration-0 segment in
     the middle of the chain would be treated as done at t=0 by the
-    dependency frontier, so requests sharing a timestamp share a gate.
+    readiness frontier, so requests sharing a timestamp share a gate.
     (The only zero-duration clock task is a first arrival at t=0, where
     done-at-0 is exactly right.)  The chain heads both graph layouts, so
     a position is also the clock task's id in the stamped graph.
@@ -332,33 +331,17 @@ def _gate(clock, finish_sinks: Sequence[tuple], window: int) -> tuple:
     return (clock,) + (finish_sinks[ahead] if ahead >= 0 else ())
 
 
-def _priority(urgent: Sequence[bool]) -> List[int]:
-    """Each task's issue rank: the ``urgent`` ones (decode-first's
-    decode-step DRAM transfers) ahead of all others, each group in
-    merged order — a stable partition.  All-False ranks in merged
-    order, which is every ``"uniform"`` graph.
-
-    The engines consult the rank only to pick among ready tasks, so
-    this *is* the priority scheme: whenever a decode refill and a
-    prefill bulk transfer are both ready, the link issues the decode
-    one first — across requests, so an in-flight request's tokens beat
-    a newly arriving request's prefill burst."""
-    front = count()
-    rest = count(sum(urgent))
-    return [next(front) if u else next(rest) for u in urgent]
-
-
 def _request_graph(
     spec: ServingSpec, index: int, arrival: Arrival
-) -> Tuple[List[Task], List[bool], RequestPlan]:
+) -> Tuple[List[Task], Tuple[int, ...], RequestPlan]:
     """Request ``index``'s graph, before its admission gate.
 
     Every per-request encoding rule lives here: prefill graph and
     buffer spills, the link gather, the decode-step chain, the
     per-request DRAM lowering, decode-first's just-in-time transfers
     and the chip prefix.  Returns the tasks (dependency-free ones still
-    ungated), which of them decode-first issues first, and the
-    request's plan with an empty ``gate``.
+    ungated), the ids of those decode-first issues first (ascending),
+    and the request's plan with an empty ``gate``.
     """
     prefix = f"r{index}:"
     chip = index % spec.n_chips
@@ -402,11 +385,11 @@ def _request_graph(
     # per-request lowering equals whole-graph lowering.  A finite
     # buffer_bytes bounds each request's prefetch window.
     graph = lower_dram(graph, spec.dram_bw, spec.buffer_bytes)
-    urgent = [False] * len(graph)
+    urgent: List[int] = []
     if spec.qos == "decode-first":
         # Decode streams issue just-in-time: each step's DRAM transfers
         # wait on the step's own gate instead of prefetching at
-        # admission, so prioritizing them (:func:`_priority`) means
+        # admission, so prioritizing them (ahead of all other ready tasks) means
         # "cut ahead of queued prefill bulk when a token needs data"
         # rather than "stream the whole decode working set before the
         # request's own prefill".
@@ -414,7 +397,7 @@ def _request_graph(
             match = _DECODE_STEP.search(task.name)
             if task.resource != DRAM_RESOURCE or match is None:
                 continue
-            urgent[i] = True
+            urgent.append(i)
             gate_deps = step_gates[int(match.group(1))]
             extra = tuple(d for d in gate_deps if d not in task.deps)
             graph[i] = replace(task, deps=task.deps + extra)
@@ -436,7 +419,26 @@ def _request_graph(
         chip=chip,
         gather=gather,
     )
-    return graph, urgent, plan
+    return graph, tuple(urgent), plan
+
+
+def _merged_tasks(spec: ServingSpec) -> Tuple[List[Task], List[int], List[RequestPlan]]:
+    """The serving graph in merged order — the clock chain, then each
+    request's gated graph — with its urgent task ids (ascending) and one
+    :class:`RequestPlan` per arrival."""
+    clock, position = _clock_chain(spec.arrivals)
+    tasks = list(clock)
+    urgent: List[int] = []
+    plans: List[RequestPlan] = []
+    finish_sinks: List[Tuple[str, ...]] = []
+    for index, arrival in enumerate(spec.arrivals):
+        graph, ids, plan = _request_graph(spec, index, arrival)
+        gate = _gate(clock[position[arrival.at]].name, finish_sinks, spec.max_inflight)
+        urgent.extend([len(tasks) + i for i in ids])
+        tasks.extend(_gated(graph, gate))
+        plans.append(replace(plan, gate=gate))
+        finish_sinks.append(plan.finish_sinks)
+    return tasks, urgent, plans
 
 
 def build_serving_tasks(spec: ServingSpec) -> Tuple[List[Task], List[RequestPlan]]:
@@ -447,83 +449,46 @@ def build_serving_tasks(spec: ServingSpec) -> Tuple[List[Task], List[RequestPlan
     ``spec.arrivals``.  :func:`simulate_serving` never builds this
     list; it is the cycle oracle's input and the graph tests inspect.
     """
-    clock, position = _clock_chain(spec.arrivals)
-    tasks = list(clock)
-    urgent = [False] * len(clock)
-    plans: List[RequestPlan] = []
-    finish_sinks: List[Tuple[str, ...]] = []
-    for index, arrival in enumerate(spec.arrivals):
-        graph, flags, plan = _request_graph(spec, index, arrival)
-        gate = _gate(clock[position[arrival.at]].name, finish_sinks, spec.max_inflight)
-        tasks.extend(_gated(graph, gate))
-        urgent.extend(flags)
-        plans.append(replace(plan, gate=gate))
-        finish_sinks.append(plan.finish_sinks)
-    # The engines issue ready tasks in program order, so the named list
-    # *is* laid out in priority order.
-    ordered: List[Task] = [None] * len(tasks)  # type: ignore[list-item]
-    for task, rank in zip(tasks, _priority(urgent)):
-        ordered[rank] = task
+    tasks, urgent, plans = _merged_tasks(spec)
+    # The engines issue ready tasks in program order, so the named list is
+    # laid out in key order: a stable partition floating urgent tasks ahead.
+    first = set(urgent)
+    ordered = [tasks[i] for i in urgent] + [t for i, t in enumerate(tasks) if i not in first]
     return ordered, plans
 
 
 def _stamped_graph(spec: ServingSpec) -> Tuple[FlatGraph, List[tuple]]:
     """``spec``'s serving graph as integer ids, one template per shape.
 
-    Builds :func:`_request_graph` once per distinct ``(chunks,
-    decode_tokens, chip)``, compiles it, and stamps every request of
-    that shape at its offset in merged order; dependency-free tasks get
-    the request's :func:`_gate`.  Returns the graph and, per request,
-    ``(gate, prefill_sinks, finish_sinks)`` as task ids.
+    Compiles the clock chain and one :func:`_request_graph` per
+    ``(chunks, decode_tokens, chip)``, then stamps a copy per request in
+    merged order, its dependency-free tasks gated on its :func:`_gate`.
+    Also returns each request's ``(gate, prefill_sinks, finish_sinks)``.
     """
     clock, position = _clock_chain(spec.arrivals)
-    keys = [(a.chunks, a.decode_tokens, i % spec.n_chips) for i, a in enumerate(spec.arrivals)]
-    templates: Dict[Tuple[int, int, int], tuple] = {}
-    for index, (arrival, key) in enumerate(zip(spec.arrivals, keys)):
-        if key not in templates:
-            graph, urgent, plan = _request_graph(spec, index, arrival)
-            local = task_index(graph)
-            templates[key] = (
-                FlatGraph.from_tasks(graph),
-                urgent,
-                tuple(local[name] for name in plan.prefill_sinks),
-                tuple(local[name] for name in plan.finish_sinks),
-            )
-    names = {CLOCK_RESOURCE}.union(*(t[0].resources for t in templates.values()))
-    resources = tuple(sorted(names))
-    resource_id = {name: i for i, name in enumerate(resources)}
-    # Each template's resource ids, in the stamped graph's numbering.
-    stamped_resource = {
-        key: [resource_id[graph.resources[r]] for r in graph.resource]
-        for key, (graph, *_) in templates.items()
-    }
-
-    clock_graph = FlatGraph.from_tasks(clock)
-    durations = list(clock_graph.durations)
-    resource = [resource_id[CLOCK_RESOURCE]] * len(clock)
-    deps = list(clock_graph.deps)
-    urgent = [False] * len(clock)
+    templates = [(FlatGraph.from_tasks(clock), ())]
+    placements: List[Tuple[int, tuple]] = [(0, ())]
+    shapes: Dict[Tuple[int, int, int], tuple] = {}
     finish_sinks: List[Tuple[int, ...]] = []
     milestones = []
-    for arrival, key in zip(spec.arrivals, keys):
-        graph, flags, prefill, sinks = templates[key]
-        offset = len(durations)
+    offset = len(clock)
+    for index, arrival in enumerate(spec.arrivals):
+        key = (arrival.chunks, arrival.decode_tokens, index % spec.n_chips)
+        if key not in shapes:
+            graph, urgent, plan = _request_graph(spec, index, arrival)
+            local = task_index(graph)
+            prefill = tuple(local[name] for name in plan.prefill_sinks)
+            shapes[key] = (len(templates), prefill, tuple(local[n] for n in plan.finish_sinks))
+            roots = tuple(i for i, task in enumerate(graph) if not task.deps)
+            templates.append((FlatGraph.from_tasks(graph, urgent), roots))
+        template, prefill, sinks = shapes[key]
         gate = _gate(position[arrival.at], finish_sinks, spec.max_inflight)
-        durations.extend(graph.durations)
-        resource.extend(stamped_resource[key])
-        deps.extend([tuple([d + offset for d in ds]) if ds else gate for ds in graph.deps])
-        urgent.extend(flags)
+        placements.append((template, gate))
         sinks = tuple(offset + i for i in sinks)
         finish_sinks.append(sinks)
         milestones.append((gate, tuple(offset + i for i in prefill), sinks))
-    flat = FlatGraph(
-        durations=tuple(durations),
-        resource=tuple(resource),
-        resources=resources,
-        deps=tuple(deps),
-        priority=tuple(_priority(urgent)),
-    )
-    return flat, milestones
+        offset += len(templates[template][0].durations)
+    return FlatGraph.stamp(templates, placements), milestones
 
 
 def serving_sim(

@@ -44,21 +44,19 @@ Two engines execute the schedule, and both produce bit-identical
 - ``engine="cycle"`` — the original cycle-by-cycle loop below, kept as
   the differential oracle.
 
-Both cores run on one compiled input, :class:`FlatGraph`: per-task
-durations, resource ids, dependency ids and a priority rank, all
-machine integers.  :meth:`FlatGraph.from_tasks` compiles a named task
-list and is where names are checked (duplicates, unknown deps); a
-caller that already holds integer ids (the serving simulator stamps
-one compiled template per request shape) builds the graph directly and
-still gets its ids validated.  :func:`_dependency_frontier` defines
-readiness on that graph, once, for both cores.
+Both cores start from one compiled input, :class:`FlatGraph`: the
+readiness frontier as machine integers (durations, resource ids,
+relative dependents, counts and ready tasks at t=0, urgent tasks).
+:meth:`FlatGraph.from_tasks` compiles a named task list: it checks
+names (duplicates, unknown deps) and is the one place readiness is
+defined.  :meth:`FlatGraph.stamp` lays out compiled templates by
+offset, so the serving simulator compiles once per request shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
-from itertools import chain
 from math import ceil
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -208,34 +206,39 @@ class SimResult:
 
 @dataclass(frozen=True)
 class FlatGraph:
-    """A task graph compiled to machine integers: what both cores run.
+    """A task graph compiled to its readiness frontier: what both cores run.
 
     Task ``i`` lasts ``durations[i]`` cycles on resource
-    ``resources[resource[i]]`` and waits on the tasks ``deps[i]``.
-    ``priority`` is a permutation of the task ids: ``priority[i]`` is
-    task ``i``'s rank in its resource's ready heap, so the ready task
-    of lowest rank is issued first.  :meth:`from_tasks` ranks tasks in
-    program order, the order both cores always used; a caller that
-    lays tasks out in another order passes the ranks of the order it
-    means.  ``resources`` lists the resource names sorted.
-
-    The constructor checks everything integer ids can get wrong: equal
-    lengths, non-negative durations, resource and dep ids in range, and
-    a priority that ranks every task exactly once.
+    ``resources[resource[i]]`` (names sorted).  Its completion counts
+    down task ``i + step`` for each ``step`` in ``dependents[i]``:
+    relative offsets, so stamped copies of a template share its tuples.
+    ``outstanding[i]`` is the count task ``i`` starts from and ``ready``
+    lists the tasks ready at t=0.  A zero-duration task is done at t=0:
+    never ready, counted or counted down.  Ready heaps issue the lowest
+    key first; a task's key is its id, less the task count if it is
+    ``urgent``, so urgent tasks go first and each group in id order.
+    The constructor rejects everything integer ids can get wrong.
     """
 
     durations: Tuple[int, ...]
     resource: Tuple[int, ...]
     resources: Tuple[str, ...]
-    deps: Tuple[Tuple[int, ...], ...]
-    priority: Tuple[int, ...]
-    #: The inverse ranking: ``by_priority[rank]`` is the task a popped
-    #: heap rank stands for.  Derived, so not part of equality.
-    by_priority: List[int] = field(init=False, repr=False, compare=False)
+    dependents: Tuple[Tuple[int, ...], ...]
+    outstanding: Tuple[int, ...]
+    ready: Tuple[int, ...]
+    urgent: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        self._check()
         n = len(self.durations)
-        if not len(self.resource) == len(self.deps) == len(self.priority) == n:
+        for task, steps in enumerate(self.dependents):
+            if steps and not 0 <= task + min(steps) <= task + max(steps) < n:
+                raise ValueError("flat graph: dependent out of range")
+
+    def _check(self) -> None:
+        """The checks that need no per-task loop."""
+        n = len(self.durations)
+        if not len(self.resource) == len(self.dependents) == len(self.outstanding) == n:
             raise ValueError("flat graph: per-task fields differ in length")
         if list(self.resources) != sorted(set(self.resources)):
             raise ValueError("flat graph: resource names must be sorted and unique")
@@ -243,41 +246,108 @@ class FlatGraph:
             raise ValueError("flat graph: negative duration")
         if not set(self.resource) <= set(range(len(self.resources))):
             raise ValueError("flat graph: resource id out of range")
-        ids = list(chain.from_iterable(self.deps))
-        if ids and (min(ids) < 0 or max(ids) >= n):
-            raise ValueError("flat graph: dep id out of range")
-        by_priority = [-1] * n
-        for task, rank in enumerate(self.priority):
-            if not 0 <= rank < n or by_priority[rank] >= 0:
-                raise ValueError("flat graph: priority must rank each task once")
-            by_priority[rank] = task
-        object.__setattr__(self, "by_priority", by_priority)
+        for what, ids in (("ready", self.ready), ("urgent", self.urgent)):
+            if ids and not 0 <= min(ids) <= max(ids) < n:
+                raise ValueError(f"flat graph: {what} id out of range")
+            if len(set(ids)) != len(ids):
+                raise ValueError(f"flat graph: {what} id repeated")
 
     @classmethod
-    def from_tasks(cls, tasks: Sequence[Task]) -> "FlatGraph":
-        """Compile a named task list, ranked in program order.
+    def from_tasks(cls, tasks: Sequence[Task], urgent: Sequence[int] = ()) -> "FlatGraph":
+        """Compile a named task list; ``urgent`` lists task ids.
 
-        Names are the only handle deps have on tasks, so this is where
-        they are checked: a repeated name or a dep naming no task raises
-        :class:`ValueError`.
+        The one definition of readiness: a zero-duration task is done
+        at t=0, any other waits for its *unique* positive-duration deps.
+        Names are the only handle deps have on tasks, so a repeated name
+        or a dep naming no task raises :class:`ValueError` here.
         """
         index = task_index(tasks)
         resources = tuple(sorted({t.resource for t in tasks}))
         resource_id = {name: i for i, name in enumerate(resources)}
-        deps = []
-        for task in tasks:
+        durations = tuple([t.duration for t in tasks])
+        dependents: List[List[int]] = [[] for _ in tasks]
+        outstanding = [0] * len(tasks)
+        for task, named in enumerate(tasks):
             try:
-                deps.append(tuple([index[dep] for dep in task.deps]))
+                deps = {index[dep] for dep in named.deps}
             except KeyError as missing:
-                dep = missing.args[0]
-                raise ValueError(f"task {task.name}: unknown dep {dep!r}") from None
+                raise ValueError(f"task {named.name}: unknown dep {missing.args[0]!r}") from None
+            waiting = [dep for dep in deps if durations[dep]] if durations[task] else []
+            for dep in waiting:
+                dependents[dep].append(task - dep)
+            outstanding[task] = len(waiting)
         return cls(
-            durations=tuple([t.duration for t in tasks]),
+            durations=durations,
             resource=tuple([resource_id[t.resource] for t in tasks]),
             resources=resources,
-            deps=tuple(deps),
-            priority=tuple(range(len(tasks))),
+            dependents=tuple(map(tuple, dependents)),
+            outstanding=tuple(outstanding),
+            ready=tuple(i for i, d in enumerate(durations) if d and not outstanding[i]),
+            urgent=tuple(urgent),
         )
+
+    @classmethod
+    def stamp(
+        cls,
+        templates: Sequence[Tuple["FlatGraph", Sequence[int]]],
+        placements: Sequence[Tuple[int, Sequence[int]]],
+    ) -> "FlatGraph":
+        """Lay out copies of compiled templates, one per placement.
+
+        ``templates`` lists ``(graph, roots)``: a template and the ids
+        of its tasks that wait on a gate.  Each ``(template, gate)``
+        placement appends a copy of ``templates[template]`` whose roots
+        also wait on ``gate``, ids of tasks placed before it.  The
+        result is what :meth:`from_tasks` compiles from the merged task
+        list with each root depending on its gate.
+        """
+        resources = tuple(sorted(set().union(*(graph.resources for graph, _ in templates))))
+        shapes = []  # per template: gated roots, the rest of ready, renumbered resources
+        for graph, roots in templates:
+            if len(set(roots) & set(range(len(graph.durations)))) < len(roots):
+                raise ValueError("stamped graph: gated root out of range or repeated")
+            gated = [r for r in roots if graph.durations[r]]
+            free = sorted(set(graph.ready) - set(gated))
+            renumbered = [resources.index(graph.resources[r]) for r in graph.resource]
+            shapes.append((graph, gated, free, renumbered))
+        durations, resource, dependents, outstanding, ready, urgent = ([] for _ in range(6))
+        for template, gate in placements:
+            graph, gated, free, renumbered = shapes[template]
+            offset = len(durations)
+            if gate and not 0 <= min(gate) <= max(gate) < offset:
+                raise ValueError("stamped graph: gate id at or beyond its placement")
+            members = [g for g in dict.fromkeys(gate) if durations[g]]
+            for member in members:
+                dependents[member] += tuple([offset + r - member for r in gated])
+            durations.extend(graph.durations)
+            resource.extend(renumbered)
+            dependents.extend(graph.dependents)
+            outstanding.extend(graph.outstanding)
+            for root in gated:
+                outstanding[offset + root] += len(members)
+            ready.extend([offset + t for t in (free if members else graph.ready)])
+            urgent.extend([offset + t for t in graph.urgent])
+        # Templates passed the per-task dependents check when built and the
+        # gates' dependents land in their placements: skip it on the copies.
+        stamped = cls.__new__(cls)
+        values = (durations, resource, resources, dependents, outstanding, ready, urgent)
+        stamped.__dict__.update(zip(cls.__dataclass_fields__, map(tuple, values)))
+        stamped._check()
+        return stamped
+
+    def start(self) -> Tuple[int, List[int], List[int], List[int], List[List[int]]]:
+        """A run's start, read off the frontier: ``(n_done, finish, key,
+        outstanding, ready)`` -- tasks done at t=0, finish times, heap
+        keys, counts to count down and a heap of ready keys per resource
+        id.  A popped key ``k`` stands for task ``k % n``."""
+        n = len(self.durations)
+        key = list(range(n))
+        for task in self.urgent:
+            key[task] -= n
+        ready: List[List[int]] = [[] for _ in self.resources]
+        for task in self.ready:
+            heappush(ready[self.resource[task]], key[task])
+        return self.durations.count(0), [0] * n, key, list(self.outstanding), ready
 
     def named(
         self,
@@ -294,42 +364,6 @@ class FlatGraph:
             busy_cycles={r: b for r, b in zip(self.resources, busy) if b},
             finish_times=dict(zip(names, finish)),
         )
-
-
-def _dependency_frontier(graph: FlatGraph):
-    """The readiness state both scheduling cores start from.
-
-    Both engines' bit-identical guarantee rests on these semantics, so
-    they are built in exactly one place: zero-duration tasks are done at
-    t=0 unconditionally (finish 0); every positive-duration task gets an
-    outstanding count of its *unique* not-yet-done deps plus a seat in
-    the dependents fan-out of each, and — when already ready — a seat in
-    its resource's ready heap, keyed by its priority rank.
-
-    Returns ``(n_done, finish, dependents, outstanding, ready)``, each
-    indexed by task id except ``ready`` (one heap of ranks per resource
-    id); ``finish`` holds 0 for every task not yet finished.
-    """
-    durations = graph.durations
-    resource = graph.resource
-    priority = graph.priority
-    n = len(durations)
-    finish = [0] * n
-    dependents: List[List[int]] = [[] for _ in range(n)]
-    outstanding = [0] * n
-    ready: List[List[int]] = [[] for _ in graph.resources]
-    n_done = 0
-    for task, deps in enumerate(graph.deps):
-        if durations[task] == 0:
-            n_done += 1
-            continue
-        waiting = {dep for dep in deps if durations[dep]}
-        outstanding[task] = len(waiting)
-        for dep in waiting:
-            dependents[dep].append(task)
-        if not waiting:
-            heappush(ready[resource[task]], priority[task])
-    return n_done, finish, dependents, outstanding, ready
 
 
 class Simulator:
@@ -377,36 +411,36 @@ def _run_cycles(graph: FlatGraph, slots: int, max_cycles: int):
     """The cycle-accurate oracle: one Python iteration per cycle.
 
     Slot refill is driven by a per-resource ready frontier (a heap of
-    tasks whose outstanding dependency count hit zero, keyed by
-    priority rank — the original full-list rescan's order), so one run
-    costs O(makespan + tasks·log tasks) rather than O(tasks·cycles).
-    Returns ``(makespan, busy, finish)`` by resource and task id, the
-    same outcome as :func:`~repro.simulator.events.run_flat`.
+    tasks whose outstanding dependency count hit zero, by heap key —
+    the original full-list rescan's order), so one run costs
+    O(makespan + tasks·log tasks) rather than O(tasks·cycles).  Returns
+    ``(makespan, busy, finish)`` by resource and task id, the same
+    outcome as :func:`~repro.simulator.events.run_flat`.
     """
     remaining = list(graph.durations)
     resource_of = graph.resource
-    priority = graph.priority
-    by_priority = graph.by_priority
+    dependents = graph.dependents
+    n = len(remaining)
     n_resources = len(graph.resources)
     busy = [0] * n_resources
     # Tasks enter their resource's ready heap exactly once, when their
     # last outstanding dep completes.
-    n_done, finish, dependents, outstanding, ready = _dependency_frontier(graph)
+    n_done, finish, key, outstanding, ready = graph.start()
 
     active: List[List[int]] = [[] for _ in range(n_resources)]
     rr_offset = [0] * n_resources
     cycle = 0
-    while n_done < len(remaining):
+    while n_done < n:
         if cycle >= max_cycles:
             raise RuntimeError(DEADLOCK)
         completed_this_cycle: List[int] = []
         progressed = False
         for resource in range(n_resources):
-            # Refill the active set with ready tasks, in priority order.
+            # Refill the active set with ready tasks, lowest key first.
             acts = active[resource]
             heap = ready[resource]
             while len(acts) < slots and heap:
-                acts.append(by_priority[heappop(heap)])
+                acts.append(heappop(heap) % n)
             if not acts:
                 continue
             progressed = True
@@ -428,9 +462,10 @@ def _run_cycles(graph: FlatGraph, slots: int, max_cycles: int):
         # no same-cycle forwarding across resources.
         n_done += len(completed_this_cycle)
         for task in completed_this_cycle:
-            for dependent in dependents[task]:
+            for step in dependents[task]:
+                dependent = task + step
                 outstanding[dependent] -= 1
                 if outstanding[dependent] == 0:
-                    heappush(ready[resource_of[dependent]], priority[dependent])
+                    heappush(ready[resource_of[dependent]], key[dependent])
         cycle += 1
     return cycle, busy, finish

@@ -37,7 +37,7 @@ the rotation counter exactly in step with the cycle engine.
 
 Completions at time ``T`` become visible to dependents at ``T`` (the
 engine's "next cycle after the finishing cycle"), so ready tasks join
-their resource's pending heap and are activated — in program order, the
+their resource's pending heap and are activated — in key order, the
 engine's refill scan order — before the next event is computed.
 
 The result is **bit-identical** to ``Simulator(..., engine="cycle")`` on
@@ -57,13 +57,13 @@ with the cycle engine's refill scan, so order stays in lockstep.
 Integer ids
 -----------
 
-The core, :func:`run_flat`, runs on a compiled
-:class:`~repro.simulator.engine.FlatGraph`: tasks and resources are
-list indices, the ready heaps hold priority ranks, and no name is
-looked up while scheduling.  :func:`run_event_driven` is the naming
-adapter for a plain task list: it compiles the list (which rejects a
-repeated name or a dep naming no task), runs the core, and names the
-busy cycles and finish times.
+The core, :func:`run_flat`, starts from the readiness frontier of a
+compiled :class:`~repro.simulator.engine.FlatGraph`: tasks are list
+indices counted down at relative offsets, ready heaps hold heap keys,
+and no name is looked up while scheduling.  :func:`run_event_driven`
+is the naming adapter for a plain task list: it compiles the list
+(which rejects a repeated name or a dep naming no task), runs the
+core, and names the busy cycles and finish times.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import List, Optional, Sequence, Tuple
 
-from .engine import DEADLOCK, FlatGraph, SimResult, Task, _dependency_frontier
+from .engine import DEADLOCK, FlatGraph, SimResult, Task
 
 
 def run_event_driven(tasks: Sequence[Task], slots: int, max_cycles: int) -> SimResult:
@@ -95,13 +95,13 @@ def run_flat(graph: FlatGraph, slots: int, max_cycles: int) -> Tuple[int, List[i
         raise ValueError(f"slots must be >= 1, got {slots}")
     durations = graph.durations
     resource_of = graph.resource
-    priority = graph.priority
-    by_priority = graph.by_priority
+    dependents = graph.dependents
+    total = len(durations)
     n_resources = len(graph.resources)
     resources = range(n_resources)
-    # Readiness semantics are shared with the cycle engine verbatim —
-    # the bit-identical guarantee starts here.
-    n_done, finish, dependents, outstanding, pending = _dependency_frontier(graph)
+    # The cycle engine starts from the same compiled frontier — the
+    # bit-identical guarantee starts here.
+    n_done, finish, key, outstanding, pending = graph.start()
 
     # Per-resource schedule state.  ``active`` holds [task, remaining]
     # pairs in the engine's list order; ``rr`` is the engine's rotation
@@ -144,11 +144,11 @@ def run_flat(graph: FlatGraph, slots: int, max_cycles: int) -> Tuple[int, List[i
         return acts.pop(completed)[0]
 
     def refill(resource: int) -> None:
-        """Engine's refill scan: ready tasks join in priority order."""
+        """Engine's refill scan: ready tasks join, lowest key first."""
         heap = pending[resource]
         acts = active[resource]
         while len(acts) < slots and heap:
-            task = by_priority[heappop(heap)]
+            task = heappop(heap) % total
             acts.append([task, durations[task]])
 
     def completion_time(resource: int):
@@ -172,7 +172,6 @@ def run_flat(graph: FlatGraph, slots: int, max_cycles: int) -> Tuple[int, List[i
         next_done[resource] = completion_time(resource)
 
     now = 0
-    total = len(durations)
     while n_done < total:
         # One scan finds the next event time; the handful of resources
         # makes a heap counterproductive.
@@ -192,11 +191,12 @@ def run_flat(graph: FlatGraph, slots: int, max_cycles: int) -> Tuple[int, List[i
         # ready tasks enter their resource's pending heap (engine: the
         # end-of-cycle done.update followed by next cycle's refill).
         for task in finished:
-            for dependent in dependents[task]:
+            for step in dependents[task]:
+                dependent = task + step
                 outstanding[dependent] -= 1
                 if outstanding[dependent] == 0:
                     resource = resource_of[dependent]
-                    heappush(pending[resource], priority[dependent])
+                    heappush(pending[resource], key[dependent])
                     touched.add(resource)
         for resource in touched:
             leak = advance(resource, now)  # arrival-only resources catch up

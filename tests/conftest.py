@@ -64,6 +64,21 @@ def event_binding(config, binding):
     return tasks, event_schedule(tasks, serial)
 
 
+def flat_graph_fields(graph):
+    """A compiled graph's frontier, comparable across layouts: each
+    task's dependents as a set of absolute ids, and the ready and
+    urgent ids as sets, since no core consults the order within them."""
+    return dict(
+        durations=graph.durations,
+        resource=graph.resource,
+        resources=graph.resources,
+        dependents=[{task + step for step in steps} for task, steps in enumerate(graph.dependents)],
+        outstanding=graph.outstanding,
+        ready=set(graph.ready),
+        urgent=set(graph.urgent),
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -16,9 +16,10 @@ Four contracts:
   up never decreases p50 latency and never increases goodput.
 
 The production path stamps one compiled template per request shape;
-``TestStampedTemplates`` checks it against the cycle oracle on the
-named graph over fuzzed heterogeneous traces, and that it builds only
-the templates.
+``TestStampedTemplates`` checks over fuzzed heterogeneous traces that
+the stamped readiness frontier equals compiling the merged task list
+and that its schedule equals the cycle oracle's on the named graph,
+and that it builds and compiles only the templates.
 """
 
 import random
@@ -43,7 +44,7 @@ from repro.serving import (
 from repro.simulator import scenario_sim
 from repro.workloads.scenario import BINDINGS, QOS_MODES, attention_scenario
 
-from conftest import fuzz_seeds
+from conftest import flat_graph_fields, fuzz_seeds
 
 
 def spec(arrivals, **overrides):
@@ -370,6 +371,27 @@ class TestStampedTemplates:
         s = random_serving_spec(random.Random(seed), qos)
         assert simulate_serving(s) == simulate_serving(s, engine="cycle")
 
+    @pytest.mark.parametrize("seed", fuzz_seeds("serving"))
+    @pytest.mark.parametrize("qos", QOS_MODES)
+    def test_stamped_graph_equals_compiling_the_merged_list(self, seed, qos):
+        """The stamped frontier is the one :meth:`FlatGraph.from_tasks`
+        compiles from the merged task list, urgent ids included."""
+        from repro.serving.simulator import _merged_tasks, _stamped_graph
+        from repro.simulator.engine import FlatGraph
+
+        s = random_serving_spec(random.Random(seed), qos)
+        tasks, urgent, plans = _merged_tasks(s)
+        stamped, milestones = _stamped_graph(s)
+        compiled = FlatGraph.from_tasks(tasks, urgent)
+        assert flat_graph_fields(stamped) == flat_graph_fields(compiled)
+        if qos == "uniform":
+            assert not urgent
+        index = {task.name: i for i, task in enumerate(tasks)}
+        named = [(p.gate, p.prefill_sinks, p.finish_sinks) for p in plans]
+        assert milestones == [
+            tuple(tuple(index[name] for name in names) for names in plan) for plan in named
+        ]
+
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             simulate_serving(spec([Arrival(0, 2)]), engine="event")
@@ -377,8 +399,10 @@ class TestStampedTemplates:
     @pytest.mark.parametrize("chips", (1, 2))
     def test_production_path_builds_only_templates(self, monkeypatch, chips):
         """64 requests of one shape build one template per chip, and the
-        merged ``Task`` list is never made."""
+        merged ``Task`` list is never made: readiness is compiled once
+        per template and once for the clock chain."""
         from repro.serving import simulator as serving
+        from repro.simulator.engine import FlatGraph
 
         s = spec(
             [Arrival(16 * j, 2, 2) for j in range(64)],
@@ -400,8 +424,18 @@ class TestStampedTemplates:
         def merged(*args, **kwargs):
             raise AssertionError("the production path built the merged graph")
 
+        compiled = []
+        real_from_tasks = FlatGraph.from_tasks.__func__
+
+        def from_tasks(cls, tasks, *args, **kwargs):
+            compiled.append(len(tasks))
+            return real_from_tasks(cls, tasks, *args, **kwargs)
+
+        monkeypatch.setattr(FlatGraph, "from_tasks", classmethod(from_tasks))
         monkeypatch.setattr(serving, "build_serving_tasks", merged)
         monkeypatch.setattr(serving, "serving_sim", merged)
         result = serving.simulate_serving(s)
         assert result.n_requests == 64 and result.n_tasks == n_tasks
         assert calls == {"build_tasks": chips, "build_decode_tasks": 2 * chips}
+        n_clock = 64  # one clock task per distinct arrival time
+        assert sorted(compiled) == sorted([n_clock] + [(n_tasks - n_clock) // 64] * chips)

@@ -13,7 +13,7 @@ import re
 from dataclasses import replace
 
 import pytest
-from conftest import event_binding, event_scenario, fuzz_seeds
+from conftest import event_binding, event_scenario, flat_graph_fields, fuzz_seeds
 
 from repro.cluster import (
     ClusterPoint,
@@ -247,34 +247,43 @@ class TestDifferentialEdgeCases:
             run_event_driven([Task("a", "r", 1), Task("a", "r", 2)], 1, 100)
 
     @pytest.mark.parametrize(
-        "field, value, match",
+        "aspect, value, match",
         (
-            ("deps", ((), (2,)), "dep id out of range"),
-            ("deps", ((), (-1,)), "dep id out of range"),
-            ("durations", (1, -1), "negative duration"),
-            ("durations", (1,), "differ in length"),
-            ("resource", (0, 1), "resource id out of range"),
-            ("resources", ("r", "r"), "sorted and unique"),
-            ("priority", (0, 0), "rank each task once"),
+            ("deps", {"dependents": ((2,), ())}, "dependent out of range"),
+            ("deps", {"dependents": ((-1,), ())}, "dependent out of range"),
+            ("durations", {"durations": (1, -1)}, "negative duration"),
+            ("durations", {"durations": (1,)}, "differ in length"),
+            ("resource", {"resource": (0, 1)}, "resource id out of range"),
+            ("resources", {"resources": ("r", "r")}, "sorted and unique"),
+            ("priority", {"urgent": (1, 1)}, "urgent id repeated"),
+            ("priority", {"urgent": (2,)}, "urgent id out of range"),
+            ("counts", {"outstanding": (0,)}, "differ in length"),
+            ("ready", {"ready": (2,)}, "ready id out of range"),
+            ("ready", {"ready": (0, 0)}, "ready id repeated"),
         ),
     )
-    def test_flat_graph_rejects_bad_ids(self, field, value, match):
+    def test_flat_graph_rejects_bad_ids(self, aspect, value, match):
+        """The compiled frontier of ``b`` waiting on ``a`` is accepted;
+        each bad field in ``value`` is rejected."""
         from repro.simulator.engine import FlatGraph
 
         fields = dict(
             durations=(1, 2),
             resource=(0, 0),
             resources=("r",),
-            deps=((), (0,)),
-            priority=(0, 1),
+            dependents=((1,), ()),
+            outstanding=(0, 1),
+            ready=(0,),
         )
-        FlatGraph(**fields)
+        assert FlatGraph(**fields) == FlatGraph.from_tasks(
+            [Task("a", "r", 1), Task("b", "r", 2, deps=("a",))]
+        )
         with pytest.raises(ValueError, match=match):
-            FlatGraph(**{**fields, field: value})
+            FlatGraph(**{**fields, **value})
 
     def test_flat_graph_priority_orders_the_ready_heap(self):
-        """Both cores issue the ready task of lowest rank first, whatever
-        its id."""
+        """Both cores issue a ready urgent task ahead of the others,
+        whatever its id: task 1 is urgent."""
         from repro.simulator.engine import FlatGraph, _run_cycles
         from repro.simulator.events import run_flat
 
@@ -282,11 +291,124 @@ class TestDifferentialEdgeCases:
             durations=(2, 1),
             resource=(0, 0),
             resources=("r",),
-            deps=((), ()),
-            priority=(1, 0),
+            dependents=((), ()),
+            outstanding=(0, 0),
+            ready=(0, 1),
+            urgent=(1,),
         )
+        assert graph == FlatGraph.from_tasks([Task("a", "r", 2), Task("b", "r", 1)], urgent=(1,))
         for core in (run_flat, _run_cycles):
             assert core(graph, 1, 10) == (3, [3], [3, 1])
+
+
+def _stamped(templates, placements):
+    """``FlatGraph.stamp`` of a two-task head (``h0`` lasts 0 cycles,
+    so it is done at t=0; ``h1`` lasts 3), then the placements of
+    ``templates``, numbered from 1."""
+    from repro.simulator.engine import FlatGraph
+
+    head = FlatGraph.from_tasks([Task("h0", "clock", 0), Task("h1", "clock", 3, ("h0",))])
+    placements = [(0, ())] + [(template + 1, gate) for template, gate in placements]
+    return FlatGraph.stamp([(head, ())] + templates, placements)
+
+
+class TestStampedFlatGraph:
+    """``FlatGraph.stamp`` equals compiling the merged task list, and
+    rejects ids that would leave a placement."""
+
+    TEMPLATE = [
+        Task("x", "a", 2),
+        Task("y", "b", 1),
+        Task("z", "a", 0),
+        Task("w", "b", 4, deps=("x", "y", "z")),
+    ]
+
+    def _merged(self, gates):
+        """The named graph the stamp stands for: head, then one copy of
+        ``TEMPLATE`` per gate, its dependency-free tasks waiting on the
+        gate (ids in merged order)."""
+        tasks = [Task("h0", "clock", 0), Task("h1", "clock", 3, ("h0",))]
+        urgent = []
+        for j, gate in enumerate(gates):
+            names = tuple(tasks[g].name for g in gate)
+            urgent.append(len(tasks) + 1)
+            for t in self.TEMPLATE:
+                deps = tuple(f"{d}{j}" for d in t.deps) or names
+                tasks.append(replace(t, name=f"{t.name}{j}", deps=deps))
+        return tasks, urgent
+
+    @pytest.mark.parametrize(
+        "gates",
+        (
+            [(), (1,)],
+            [(0,), (0,)],  # a gate of zero-duration members only holds nothing back
+            [(1,), (1, 5), (1, 1, 9)],  # shared and repeated members count once
+        ),
+    )
+    def test_stamp_equals_compiling_the_merged_list(self, gates):
+        from repro.simulator.engine import FlatGraph, _run_cycles
+        from repro.simulator.events import run_flat
+
+        template = FlatGraph.from_tasks(self.TEMPLATE, urgent=(1,))
+        stamped = _stamped([(template, (0, 1, 2))], [(0, gate) for gate in gates])
+        tasks, urgent = self._merged(gates)
+        compiled = FlatGraph.from_tasks(tasks, urgent=urgent)
+        assert flat_graph_fields(stamped) == flat_graph_fields(compiled)
+        for core in (run_flat, _run_cycles):
+            assert core(stamped, 2, 100) == core(compiled, 2, 100)
+
+    def test_template_tuples_are_shared_and_left_untouched(self):
+        from repro.simulator.engine import FlatGraph
+
+        template = FlatGraph.from_tasks(self.TEMPLATE)
+        stamped = _stamped([(template, (0, 1))], [(0, (1,)), (0, (1, 5))])
+        assert stamped.dependents[2] is template.dependents[0]
+        assert template == FlatGraph.from_tasks(self.TEMPLATE)
+
+    @pytest.mark.parametrize("gate", ((2,), (1, 2), (-1,)))
+    def test_rejects_a_gate_id_at_or_beyond_its_placement(self, gate):
+        from repro.simulator.engine import FlatGraph
+
+        template = FlatGraph.from_tasks(self.TEMPLATE)
+        with pytest.raises(ValueError, match="gate id at or beyond its placement"):
+            _stamped([(template, (0,))], [(0, gate)])
+
+    @pytest.mark.parametrize("roots", ((4,), (-1,), (0, 0)))
+    def test_rejects_a_gated_dependent_that_leaves_its_template(self, roots):
+        """A gate member's new dependents are the template's roots: a
+        root outside the template (or listed twice, counted twice)
+        would land in another placement."""
+        from repro.simulator.engine import FlatGraph
+
+        template = FlatGraph.from_tasks(self.TEMPLATE)
+        with pytest.raises(ValueError, match="gated root out of range or repeated"):
+            _stamped([(template, roots)], [(0, (1,))])
+
+    def test_template_dependents_stay_inside_the_template(self):
+        """A template's relative dependents are checked when it is built,
+        so none can reach into the next placement."""
+        from repro.simulator.engine import FlatGraph
+
+        with pytest.raises(ValueError, match="dependent out of range"):
+            FlatGraph(
+                durations=(1,),
+                resource=(0,),
+                resources=("a",),
+                dependents=((1,),),
+                outstanding=(0,),
+                ready=(0,),
+            )
+
+    @pytest.mark.parametrize(
+        "urgent, match", (((4,), "urgent id out of range"), ((1, 1), "urgent id repeated"))
+    )
+    def test_rejects_template_urgent_ids_out_of_range_or_repeated(self, urgent, match):
+        """Stamping carries each template's urgent ids over by offset;
+        they are checked where they enter, at compile time."""
+        from repro.simulator.engine import FlatGraph
+
+        with pytest.raises(ValueError, match=match):
+            FlatGraph.from_tasks(self.TEMPLATE, urgent=urgent)
 
 
 class TestDifferentialPipeline:
