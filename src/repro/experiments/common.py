@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Sequence, Tuple
 
-from ..model import all_attention_models
 from ..model.metrics import AttentionResult
 from ..runtime import executor as _runtime
 from ..workloads.models import (
@@ -13,18 +12,6 @@ from ..workloads.models import (
     ModelConfig,
     SEQUENCE_LENGTHS,
 )
-
-
-def default_grid(
-    models: Sequence[ModelConfig] = MODELS,
-    seq_lens: Sequence[int] = SEQUENCE_LENGTHS,
-):
-    """The (configuration, model, length) grid used by Figs. 6-11."""
-    configs = all_attention_models()
-    for config in configs:
-        for model in models:
-            for seq_len in seq_lens:
-                yield config, model, seq_len
 
 
 def sweep_attention(

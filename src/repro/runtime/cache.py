@@ -298,10 +298,6 @@ class ResultCache:
         while len(self._memory) > self.max_memory_entries:
             self._memory.popitem(last=False)
 
-    def clear_memory(self) -> None:
-        """Drop the LRU layer (disk entries, if any, survive)."""
-        self._memory.clear()
-
     def __len__(self) -> int:
         return len(self._memory)
 

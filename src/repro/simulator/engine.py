@@ -49,8 +49,11 @@ readiness frontier as machine integers (durations, resource ids,
 relative dependents, counts and ready tasks at t=0, urgent tasks).
 :meth:`FlatGraph.from_tasks` compiles a named task list: it checks
 names (duplicates, unknown deps) and is the one place readiness is
-defined.  :meth:`FlatGraph.stamp` lays out compiled templates by
-offset, so the serving simulator compiles once per request shape.
+defined, for folds too: each fold template, and a binding chain's
+two-instance list, is compiled by it.  :meth:`FlatGraph.stamp` lays
+out compiled templates by offset, so the serving simulator compiles
+once per request shape.  Every core but the oracle steps the one
+closed-form round-robin, :func:`~repro.simulator.events.round_robin`.
 """
 
 from __future__ import annotations

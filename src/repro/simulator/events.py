@@ -44,6 +44,15 @@ The result is **bit-identical** to ``Simulator(..., engine="cycle")`` on
 every task graph: same makespan, same per-resource busy cycles, same
 per-task finish times.
 
+:func:`round_robin` is that closed form, the step both cores share:
+:func:`run_flat` steps it over a flat graph and
+:func:`~repro.simulator.vector.run_folded` over folded instance
+classes.  It owns the per-resource state (active entries, rotation
+counters, sync times, busy cycles) and the two functions above:
+``advance`` integrates a gap and ``completion_time`` finds the next
+event.  An active entry may carry whatever its core needs, as long as
+its first element is its remaining cycles.
+
 The shared ``dram`` resource that bandwidth-lowered graphs carry
 (:func:`repro.simulator.engine.lower_dram`) needs no special handling
 here: transfer tasks are ordinary tasks on one more resource, so the
@@ -72,6 +81,10 @@ from heapq import heappop, heappush
 from typing import List, Optional, Sequence, Tuple
 
 from .engine import DEADLOCK, FlatGraph, SimResult, Task
+
+#: A resource's next completion while nothing is active on it: later
+#: than every budget, so the next event is ``min`` over resources.
+IDLE = float("inf")
 
 
 def run_event_driven(tasks: Sequence[Task], slots: int, max_cycles: int) -> SimResult:
@@ -103,45 +116,7 @@ def run_flat(graph: FlatGraph, slots: int, max_cycles: int) -> Tuple[int, List[i
     # bit-identical guarantee starts here.
     n_done, finish, key, outstanding, pending = graph.start()
 
-    # Per-resource schedule state.  ``active`` holds [task, remaining]
-    # pairs in the engine's list order; ``rr`` is the engine's rotation
-    # counter; ``sync`` the time up to which progress has been applied;
-    # ``next_done`` the next completion (``idle`` when nothing is active).
-    idle = float("inf")
-    active: List[List[List[int]]] = [[] for _ in resources]
-    rr = [0] * n_resources
-    sync = [0] * n_resources
-    next_done = [idle] * n_resources
-    busy = [0] * n_resources
-
-    def advance(resource: int, now: int) -> Optional[int]:
-        """Apply ``now - sync`` round-robin cycles; return any completion."""
-        acts = active[resource]
-        delta = now - sync[resource]
-        sync[resource] = now
-        if not acts or delta == 0:
-            return None
-        rr[resource] += delta
-        busy[resource] += delta
-        k = len(acts)
-        if k == 1:  # fast path: serial mode / lone active task
-            entry = acts[0]
-            entry[1] -= delta
-            if entry[1] == 0:
-                return acts.pop()[0]
-            return None
-        quotient, extra = divmod(delta, k)
-        base = rr[resource] - delta
-        completed: Optional[int] = None
-        for j, entry in enumerate(acts):
-            served = quotient + (1 if (j - base) % k < extra else 0)
-            if served:
-                entry[1] -= served
-                if entry[1] == 0:
-                    completed = j
-        if completed is None:
-            return None
-        return acts.pop(completed)[0]
+    active, _, _, busy, advance, completion_time = round_robin(n_resources)
 
     def refill(resource: int) -> None:
         """Engine's refill scan: ready tasks join, lowest key first."""
@@ -149,41 +124,26 @@ def run_flat(graph: FlatGraph, slots: int, max_cycles: int) -> Tuple[int, List[i
         acts = active[resource]
         while len(acts) < slots and heap:
             task = heappop(heap) % total
-            acts.append([task, durations[task]])
-
-    def completion_time(resource: int):
-        acts = active[resource]
-        if not acts:
-            return idle
-        k = len(acts)
-        start = sync[resource]
-        if k == 1:  # fast path: next completion is simply the remainder
-            return start + acts[0][1]
-        base = rr[resource]
-        best = idle
-        for j, (_, remaining) in enumerate(acts):
-            when = start + (j - base) % k + (remaining - 1) * k + 1
-            if when < best:
-                best = when
-        return best
+            acts.append([durations[task], task])
 
     for resource in resources:
         refill(resource)
-        next_done[resource] = completion_time(resource)
+    next_done = [completion_time(r) for r in resources]
 
     now = 0
     while n_done < total:
         # One scan finds the next event time; the handful of resources
         # makes a heap counterproductive.
         now = min(next_done)
-        if now > max_cycles:  # includes idle: nothing left can run
+        if now > max_cycles:  # includes IDLE: nothing left can run
             raise RuntimeError(DEADLOCK)
         touched = {r for r in resources if next_done[r] == now}
         finished: List[int] = []
         for resource in touched:
-            task = advance(resource, now)
-            if task is None:  # pragma: no cover - violated scheduling math
+            done = advance(resource, now)
+            if done is None:  # pragma: no cover - violated scheduling math
                 raise RuntimeError(f"lost completion on {resource} at {now}")
+            task = done[1]
             finish[task] = now
             finished.append(task)
         n_done += len(finished)
@@ -206,3 +166,73 @@ def run_flat(graph: FlatGraph, slots: int, max_cycles: int) -> Tuple[int, List[i
             next_done[resource] = completion_time(resource)
 
     return now, busy, finish
+
+
+def round_robin(n_resources: int):
+    """The closed-form round-robin both cores step: per-resource state
+    and the two functions that integrate it (see the module docstring).
+
+    Returns ``(active, rr, sync, busy, advance, completion_time)``.
+    ``active[r]`` lists resource ``r``'s entries in the engine's list
+    order; any entry layout works as long as its first element is the
+    cycles it has left (``[rem, task]`` here, ``[rem, instance, tid]``
+    in a fold).  ``rr`` holds the rotation counters, ``sync`` the time
+    up to which progress has been applied and ``busy`` the cycles each
+    resource issued.  ``advance(r, now)`` applies ``now - sync[r]``
+    cycles and returns the entry that completed, removed from
+    ``active[r]``, or ``None``.  ``completion_time(r)`` is resource
+    ``r``'s next completion, :data:`IDLE` when nothing is active."""
+    active: List[List[list]] = [[] for _ in range(n_resources)]
+    rr = [0] * n_resources
+    sync = [0] * n_resources
+    busy = [0] * n_resources
+
+    # Both functions run once per event per resource: keep their
+    # explicit loops, count busy cycles in ``advance`` rather than in a
+    # second pass over the entries, and keep the remaining cycles at
+    # index 0 (CPython specializes non-negative list indices only).
+    def advance(resource: int, now: int) -> Optional[list]:
+        acts = active[resource]
+        delta = now - sync[resource]
+        sync[resource] = now
+        if not acts or delta == 0:
+            return None
+        rr[resource] += delta
+        busy[resource] += delta
+        k = len(acts)
+        if k == 1:  # fast path: serial mode / lone active task
+            entry = acts[0]
+            entry[0] -= delta
+            if entry[0] == 0:
+                return acts.pop()
+            return None
+        quotient, extra = divmod(delta, k)
+        base = rr[resource] - delta
+        completed = -1
+        for j, entry in enumerate(acts):
+            served = quotient + (1 if (j - base) % k < extra else 0)
+            if served:
+                entry[0] -= served
+                if entry[0] == 0:
+                    completed = j
+        if completed < 0:
+            return None
+        return acts.pop(completed)
+
+    def completion_time(resource: int):
+        acts = active[resource]
+        if not acts:
+            return IDLE
+        k = len(acts)
+        start = sync[resource]
+        if k == 1:  # fast path: next completion is simply the remainder
+            return start + acts[0][0]
+        base = rr[resource]
+        best = IDLE
+        for j, entry in enumerate(acts):
+            when = start + (j - base) % k + (entry[0] - 1) * k + 1
+            if when < best:
+                best = when
+        return best
+
+    return active, rr, sync, busy, advance, completion_time

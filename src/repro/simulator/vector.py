@@ -1,10 +1,14 @@
 """Symmetry folding: the ``engine="vector"`` scheduler for scenario,
 cluster and binding points.
 
-It evaluates the closed-form round-robin of :mod:`.events` (one event
-per task completion, bit-identical to the cycle oracle) over counted
-instance classes instead of a flat task list, on machine integers:
-program order is the task id, and dependency fan-out walks CSR slices.
+It steps the closed-form round-robin of :mod:`.events`
+(:func:`~repro.simulator.events.round_robin`, one event per task
+completion, bit-identical to the cycle oracle) over counted instance
+classes instead of a flat task list, on machine integers.  Each class
+template is compiled by :meth:`FlatGraph.from_tasks
+<repro.simulator.engine.FlatGraph.from_tasks>`, the readiness every
+core shares: program order is the task id, and a completion counts
+down its template's dependents at relative steps.
 
 **Symmetry folding** (:func:`fold_templates` / :func:`run_folded`) —
 ``build_scenario_tasks`` emits N identical per-instance graphs whose
@@ -84,11 +88,12 @@ Chained instances
 A binding graph is one instance per M1 chunk, and chunk ``k`` waits on
 chunk ``k-1`` (the running max, denominator and output; under
 tile-serial also the next tile's fill).  :func:`fold_chain` lowers such
-a graph to one *chained* class: the template is instance 1 of a
-two-instance graph, its deps into instance 0 become a lag-dependents
-CSR (template task -> the next instance's template tasks that wait on
-it), and instance 0, the template minus those lag deps, keeps its own
-outstanding counts and ready list.
+a graph to one *chained* class by compiling the two-instance graph once.
+Instance 1 is the template.  Instance 0's dependents that land past it
+are the *lag* steps (template task -> the next instance's template tasks
+that wait on it), and instance 0, the template minus those lag deps,
+keeps its own outstanding counts and ready list: the compiled frontier
+splits at the template size into instance 0's and the template's.
 
 :func:`_fold_loop` materializes instance 0 of a chained class before
 the first refill.  Instance ``k+1`` enters when refill would pop one of
@@ -185,7 +190,8 @@ from itertools import chain
 from math import lcm
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .engine import DEADLOCK, SimResult, Task, task_index
+from . import events
+from .engine import DEADLOCK, FlatGraph, SimResult, Task, task_index
 
 # numpy is imported by the functions that run a fold, not here: the
 # serving path and ``import repro.api`` load this module without it.
@@ -210,33 +216,35 @@ _EXPAND_ELEMS = 4096
 
 @dataclass
 class FoldedClass:
-    """One equivalence class: ``count`` identical instance graphs."""
+    """One equivalence class: ``count`` identical instance graphs, each
+    the template :meth:`FlatGraph.from_tasks` compiled."""
 
     count: int
-    ginst_base: int  #: global instance index of the class's first instance
-    order_base: int  #: global program order of instance 0's first task
     size: int  #: template length (tasks per instance, post-lowering)
     #: template task names (unprefixed); a chained class's name stems
     names: Tuple[str, ...]
-    durations: List[int]
-    res: List[int]  #: template resource ids into FoldedScenario.resources
-    indptr: List[int]  #: template-local dependents CSR
-    indices: List[int]
-    outstanding0: List[int]  #: initial unique positive-duration dep counts
-    ready0: List[int]  #: ascending tids ready at t=0 (positive duration)
+    durations: Sequence[int]
+    res: Sequence[int]  #: template resource ids into FoldedScenario.resources
+    #: per tid: the template tasks its completion counts down, at
+    #: relative steps (``tid + step``)
+    dependents: Sequence[Tuple[int, ...]]
+    outstanding: Sequence[int]  #: unique positive-duration deps each tid waits on
+    ready: Sequence[int]  #: ascending tids ready at t=0
     nonzero: int  #: positive-duration templates per instance
-    min_ready: List[int] = field(default_factory=list)  #: per resource: min ready0 tid or -1
-    #: Chained classes only: dependents CSR into the *next* instance.
-    lag_indptr: List[int] = field(default_factory=list)
-    lag_indices: List[int] = field(default_factory=list)
+    #: Chained classes only: per tid, the steps to what its completion
+    #: counts down in the *next* instance (template task ``tid + step -
+    #: size``).
+    lag: Optional[Sequence[Tuple[int, ...]]] = None
     #: Chained classes only: instance 0's counts and ready tids (it has
     #: no predecessor to wait on).
-    outstanding_first: List[int] = field(default_factory=list)
-    ready_first: List[int] = field(default_factory=list)
+    outstanding_first: Sequence[int] = ()
+    ready_first: Sequence[int] = ()
+    ginst_base: int = 0  #: global instance index of the class's first instance
+    order_base: int = 0  #: global program order of instance 0's first task
 
     @property
     def chained(self) -> bool:
-        return bool(self.lag_indptr)
+        return self.lag is not None
 
     def instance_names(self, local: int) -> Iterator[str]:
         """Task names of instance ``local``, as the merged graph spells
@@ -249,14 +257,34 @@ class FoldedClass:
 
 @dataclass
 class FoldedScenario:
-    """A scenario lowered to counted instance classes."""
+    """A scenario lowered to counted instance classes.  The constructor
+    lays the classes out in program order (each class's ``order_base``
+    and ``ginst_base``) and totals their work."""
 
     classes: List[FoldedClass]
     resources: List[str]
-    n_tasks: int
-    n_instances: int
-    total_duration: int  #: Σ durations — the engines' makespan bound
-    busy_totals: List[int]  #: per resource id: Σ durations (exact busy)
+    n_tasks: int = field(init=False)
+    n_instances: int = field(init=False)
+    total_duration: int = field(init=False)  #: Σ durations — the engines' makespan bound
+    busy_totals: List[int] = field(init=False)  #: per resource id: Σ durations (exact busy)
+
+    def __post_init__(self) -> None:
+        if list(self.resources) != sorted(set(self.resources)):
+            raise ValueError("folded scenario: resource names must be sorted and unique")
+        self.n_tasks = self.n_instances = self.total_duration = 0
+        self.busy_totals = [0] * len(self.resources)
+        for cls in self.classes:
+            if not len(cls.durations) == len(cls.res) == len(cls.dependents) == cls.size:
+                raise ValueError("folded scenario: per-task fields differ in length")
+            if not set(cls.res) <= set(range(len(self.resources))):
+                raise ValueError("folded scenario: resource id out of range")
+            cls.order_base = self.n_tasks
+            cls.ginst_base = self.n_instances
+            for resource, duration in zip(cls.res, cls.durations):
+                self.busy_totals[resource] += duration * cls.count
+            self.total_duration += sum(cls.durations) * cls.count
+            self.n_tasks += cls.count * cls.size
+            self.n_instances += cls.count
 
 
 class FoldedFinishTimes(Mapping):
@@ -296,92 +324,6 @@ class FoldedFinishTimes(Mapping):
         return len(self._ft)
 
 
-def _min_ready(ready0: Sequence[int], res: Sequence[int], n_res: int) -> List[int]:
-    min_ready = [-1] * n_res
-    for tid in reversed(ready0):  # ascending scan reversed: min wins
-        min_ready[res[tid]] = tid
-    return min_ready
-
-
-def _dependents(
-    durations: Sequence[int], deps: Sequence[Sequence[int]]
-) -> Tuple[List[int], List[int], List[int]]:
-    """Each positive-duration task's count of unique positive-duration
-    deps (``deps[i]`` lists template ids), and the dependents CSR
-    ``(counts, indptr, indices)`` over those edges."""
-    size = len(durations)
-    counts = [0] * size
-    edges: List[List[int]] = [[] for _ in range(size)]
-    for i in range(size):
-        if durations[i] == 0:
-            continue
-        waiting = {j for j in deps[i] if durations[j] != 0}
-        counts[i] = len(waiting)
-        for j in waiting:
-            edges[j].append(i)
-    indptr = [0] * (size + 1)
-    indices: List[int] = []
-    for i, outs in enumerate(edges):
-        indices.extend(outs)
-        indptr[i + 1] = len(indices)
-    return counts, indptr, indices
-
-
-def _ready(durations: Sequence[int], counts: Sequence[int]) -> List[int]:
-    return [i for i, d in enumerate(durations) if d > 0 and counts[i] == 0]
-
-
-def _template_class(
-    count: int, names: Sequence[str], tasks: Sequence[Task],
-    deps: Sequence[Sequence[int]], res_index: Dict[str, int],
-) -> FoldedClass:
-    """One class of ``count`` instances of ``tasks`` (template-local
-    ``deps``), placed at program order 0 until :func:`_assemble`."""
-    durations = [t.duration for t in tasks]
-    res = [res_index[t.resource] for t in tasks]
-    outstanding0, indptr, indices = _dependents(durations, deps)
-    ready0 = _ready(durations, outstanding0)
-    return FoldedClass(
-        count=count,
-        ginst_base=0,
-        order_base=0,
-        size=len(tasks),
-        names=tuple(names),
-        durations=durations,
-        res=res,
-        indptr=indptr,
-        indices=indices,
-        outstanding0=outstanding0,
-        ready0=ready0,
-        nonzero=sum(1 for d in durations if d > 0),
-        min_ready=_min_ready(ready0, res, len(res_index)),
-    )
-
-
-def _assemble(classes: List[FoldedClass], resources: List[str]) -> FoldedScenario:
-    """Lay ``classes`` out in program order and total their work."""
-    order_base = 0
-    ginst_base = 0
-    total_duration = 0
-    busy_totals = [0] * len(resources)
-    for cls in classes:
-        cls.order_base = order_base
-        cls.ginst_base = ginst_base
-        for tid, duration in enumerate(cls.durations):
-            busy_totals[cls.res[tid]] += duration * cls.count
-        total_duration += sum(cls.durations) * cls.count
-        order_base += cls.count * cls.size
-        ginst_base += cls.count
-    return FoldedScenario(
-        classes=classes,
-        resources=resources,
-        n_tasks=order_base,
-        n_instances=ginst_base,
-        total_duration=total_duration,
-        busy_totals=busy_totals,
-    )
-
-
 def fold_templates(templates: Sequence[Tuple[Sequence[Task], int]]) -> FoldedScenario:
     """Lower ``(template_tasks, instance_count)`` pairs — one per
     scenario phase, in program order, already dram-lowered — into a
@@ -395,18 +337,26 @@ def fold_templates(templates: Sequence[Tuple[Sequence[Task], int]]) -> FoldedSce
     classes: List[FoldedClass] = []
     for tasks, count in templates:
         index = task_index(tasks, "a fold template")
-        deps: List[List[int]] = []
         for task in tasks:
-            outside = [dep for dep in task.deps if dep not in index]
-            if outside and task.duration:
-                raise ValueError(
-                    f"template task {task.name}: dep {outside[0]!r} leaves the instance"
-                )
-            deps.append([index[dep] for dep in task.deps if dep in index])
+            for dep in task.deps:
+                if dep not in index:
+                    raise ValueError(f"template task {task.name}: dep {dep!r} leaves the instance")
+        graph = FlatGraph.from_tasks(tasks)
+        renumbered = [res_index[name] for name in graph.resources]
         classes.append(
-            _template_class(count, [t.name for t in tasks], tasks, deps, res_index)
+            FoldedClass(
+                count=count,
+                size=len(tasks),
+                names=tuple(t.name for t in tasks),
+                durations=graph.durations,
+                res=[renumbered[r] for r in graph.resource],
+                dependents=graph.dependents,
+                outstanding=graph.outstanding,
+                ready=graph.ready,
+                nonzero=len(tasks) - graph.durations.count(0),
+            )
         )
-    return _assemble(classes, resources)
+    return FoldedScenario(classes, resources)
 
 
 def fold_chain(tasks: Sequence[Task], count: int) -> FoldedScenario:
@@ -435,35 +385,36 @@ def fold_chain(tasks: Sequence[Task], count: int) -> FoldedScenario:
         raise ValueError(mismatch)
     index0 = {t.name: i for i, t in enumerate(first)}
     index1 = {t.name: i for i, t in enumerate(second)}
-    own: List[List[int]] = []
-    lag: List[List[int]] = []
     for a, b in zip(first, second):
         for dep in b.deps:
             if dep not in index0 and dep not in index1:
                 raise ValueError(
                     f"chained task {b.name}: dep {dep!r} reaches back more than one instance"
                 )
-        own.append([index1[dep] for dep in b.deps if dep in index1])
-        lag.append([index0[dep] for dep in b.deps if dep in index0])
-        if [index0.get(dep, -1) for dep in a.deps] != own[-1]:
+        own = [index1[dep] for dep in b.deps if dep in index1]
+        if [index0.get(dep, -1) for dep in a.deps] != own:
             raise ValueError(mismatch)
-    resources = sorted({t.resource for t in second})
-    res_index = {r: i for i, r in enumerate(resources)}
-    first_only = _template_class(count, [t.name[:-3] for t in second], second, own, res_index)
-    lag_counts, lag_indptr, lag_indices = _dependents(first_only.durations, lag)
-    outstanding0 = [a + b for a, b in zip(first_only.outstanding0, lag_counts)]
-    ready0 = _ready(first_only.durations, outstanding0)
-    chained = replace(
-        first_only,
-        outstanding0=outstanding0,
-        ready0=ready0,
-        min_ready=_min_ready(ready0, first_only.res, len(resources)),
-        lag_indptr=lag_indptr,
-        lag_indices=lag_indices,
-        outstanding_first=first_only.outstanding0,
-        ready_first=first_only.ready0,
+    # Instance 0's dependents past the template are the lag edges; the
+    # frontier splits at ``size`` into instance 0's and the template's.
+    graph = FlatGraph.from_tasks(tasks)
+    chained = FoldedClass(
+        count=count,
+        size=size,
+        names=tuple(t.name[:-3] for t in second),
+        durations=graph.durations[size:],
+        res=graph.resource[size:],
+        dependents=graph.dependents[size:],
+        outstanding=graph.outstanding[size:],
+        ready=[tid - size for tid in graph.ready if tid >= size],
+        nonzero=size - graph.durations[size:].count(0),
+        lag=[
+            tuple(step for step in steps if tid + step >= size)
+            for tid, steps in enumerate(graph.dependents[:size])
+        ],
+        outstanding_first=graph.outstanding[:size],
+        ready_first=[tid for tid in graph.ready if tid < size],
     )
-    return _assemble([chained], resources)
+    return FoldedScenario([chained], list(graph.resources))
 
 
 #: "Ready time" logged for a task gated by releases alone: its push
@@ -499,29 +450,23 @@ def _source_resources(folded: FoldedScenario) -> List[int]:
         for tid, duration in enumerate(cls.durations):
             if duration > 0:
                 used[cls.res[tid]] = True
-                if cls.outstanding0[tid]:
+                if cls.outstanding[tid]:
                     source[cls.res[tid]] = False
     sources = [r for r in range(n_res) if used[r] and source[r]]
     return sources if len(sources) < sum(used) else []
 
 
-def _source_class(cls: FoldedClass, resource: int, n_res: int) -> FoldedClass:
+def _source_class(cls: FoldedClass, resource: int) -> FoldedClass:
     """``cls`` restricted to its tasks on one source resource: all of
     them ready at t=0, none with dependents.  Program order and task
     ids are the full template's, so arbitration is unchanged and finish
     times land at their global positions."""
-    ready0 = [
+    ready = [
         tid for tid in range(cls.size)
         if cls.res[tid] == resource and cls.durations[tid] > 0
     ]
     return replace(
-        cls,
-        indptr=[0] * (cls.size + 1),
-        indices=[],
-        outstanding0=[],
-        ready0=ready0,
-        nonzero=len(ready0),
-        min_ready=_min_ready(ready0, cls.res, n_res),
+        cls, dependents=((),) * cls.size, outstanding=(), ready=ready, nonzero=len(ready)
     )
 
 
@@ -551,24 +496,16 @@ def _gated_classes(
             if not is_source[cls.res[tid]]:
                 own.append(tid)
                 continue
-            for j in range(cls.indptr[tid], cls.indptr[tid + 1]):
-                src_deps[cls.indices[j]].append(tid)
+            for step in cls.dependents[tid]:
+                src_deps[tid + step].append(tid)
         gated = [tid for tid in range(size) if src_deps[tid]]
         slot = [-1] * size
         for column, tid in enumerate(gated):
             slot[tid] = column
-        outstanding0 = [cls.outstanding0[tid] - len(src_deps[tid]) for tid in range(size)]
-        ready0 = [tid for tid in own if outstanding0[tid] == 0 and not src_deps[tid]]
-        start = [(tid, slot[tid]) for tid in own if outstanding0[tid] == 0 and src_deps[tid]]
-        main.append(
-            replace(
-                cls,
-                outstanding0=outstanding0,
-                ready0=ready0,
-                nonzero=len(own),
-                min_ready=_min_ready(ready0, cls.res, n_res),
-            )
-        )
+        outstanding = [cls.outstanding[tid] - len(src_deps[tid]) for tid in range(size)]
+        ready = [tid for tid in own if outstanding[tid] == 0 and not src_deps[tid]]
+        start = [(tid, slot[tid]) for tid in own if outstanding[tid] == 0 and src_deps[tid]]
+        main.append(replace(cls, outstanding=outstanding, ready=ready, nonzero=len(own)))
         view = ft[cls.order_base : cls.order_base + cls.count * size].reshape(cls.count, size)
         release = np.empty((cls.count, len(gated)), dtype=np.int64)
         for column, tid in enumerate(gated):
@@ -632,7 +569,7 @@ def run_folded(
         _fold_loop(folded.classes, folded.resources, slots, max_cycles, ft, counters)
     else:
         for resource in sources:
-            restricted = [_source_class(cls, resource, n_res) for cls in folded.classes]
+            restricted = [_source_class(cls, resource) for cls in folded.classes]
             _fold_loop(restricted, folded.resources, slots, max_cycles, ft, counters)
         main, gates, release = _gated_classes(folded.classes, sources, n_res, ft)
         _fold_loop(main, folded.resources, slots, max_cycles, ft, counters, gates, release)
@@ -681,15 +618,16 @@ def _fold_loop(
     #: t=0-ready work there.
     classes_on: List[List[Tuple[int, int]]] = [[] for _ in range(n_res)]
     for c, cls in enumerate(classes):
-        for r in range(n_res):
-            if cls.min_ready[r] >= 0:
-                classes_on[r].append((c, cls.min_ready[r]))
+        heads: Dict[int, int] = {}
+        for tid in cls.ready:  # ascending: the first tid per resource wins
+            heads.setdefault(cls.res[tid], tid)
+        for r, tid in heads.items():
+            classes_on[r].append((c, tid))
 
-    active: List[List[List[int]]] = [[] for _ in range(n_res)]
+    #: Entries are ``[remaining, instance, tid]``; the busy count is
+    #: unused, since every task completes (see the module docstring).
+    active, rr, sync, _, advance, completion_time = events.round_robin(n_res)
     pending: List[List[Tuple[int, int, int]]] = [[] for _ in range(n_res)]
-    rr = [0] * n_res
-    sync = [0] * n_res
-    next_done: List[Optional[int]] = [None] * n_res
     cursor = [0] * n_classes
     #: live instance -> [class id, outstanding counts, unfinished count]
     live: Dict[int, List] = {}
@@ -733,9 +671,8 @@ def _fold_loop(
         gi = cls.ginst_base + local
         ob = cls.order_base + local * cls.size
         first = cls.chained and local == 0
-        live[gi] = [c, (cls.outstanding_first if first else cls.outstanding0).copy(),
-                    cls.nonzero]
-        for tid in cls.ready_first if first else cls.ready0:
+        live[gi] = [c, list(cls.outstanding_first if first else cls.outstanding), cls.nonzero]
+        for tid in cls.ready_first if first else cls.ready:
             heappush(pending[cls.res[tid]], (ob + tid, gi, tid))
         if gated and starts[c]:
             row = rel_base[c] + local * rel_width[c]
@@ -770,52 +707,7 @@ def _fold_loop(
             if not heap:
                 break
             _, gi, tid = heappop(heap)
-            acts.append([gi, tid, classes[live[gi][0]].durations[tid]])
-
-    def advance(resource: int, now: int) -> Optional[Tuple[int, int]]:
-        acts = active[resource]
-        delta = now - sync[resource]
-        sync[resource] = now
-        if not acts or delta == 0:
-            return None
-        rr[resource] += delta
-        k = len(acts)
-        if k == 1:
-            entry = acts[0]
-            entry[2] -= delta
-            if entry[2] == 0:
-                acts.pop()
-                return (entry[0], entry[1])
-            return None
-        quotient, extra = divmod(delta, k)
-        base = rr[resource] - delta
-        completed = -1
-        for j, entry in enumerate(acts):
-            served = quotient + (1 if (j - base) % k < extra else 0)
-            if served:
-                entry[2] -= served
-                if entry[2] == 0:
-                    completed = j
-        if completed < 0:
-            return None
-        entry = acts.pop(completed)
-        return (entry[0], entry[1])
-
-    def completion_time(resource: int) -> Optional[int]:
-        acts = active[resource]
-        if not acts:
-            return None
-        k = len(acts)
-        start = sync[resource]
-        if k == 1:
-            return start + acts[0][2]
-        base = rr[resource]
-        best: Optional[int] = None
-        for j, entry in enumerate(acts):
-            when = start + (j - base) % k + (entry[2] - 1) * k + 1
-            if best is None or when < best:
-                best = when
-        return best
+            acts.append([classes[live[gi][0]].durations[tid], gi, tid])
 
     #: A lone chained class can split its window around an idle run;
     #: no other fold ever holds an idle instance.
@@ -920,12 +812,10 @@ def _fold_loop(
 
         res_state = []
         for r in range(n_res):
-            acts = tuple((rel(e[0]), live[e[0]][0], e[1], e[2]) for e in active[r])
+            acts = tuple((rel(e[1]), live[e[1]][0], e[2], e[0]) for e in active[r])
             heap = tuple(sorted((rel(gi), live[gi][0], tid) for _, gi, tid in pending[r]))
-            nd = next_done[r]
             res_state.append(
-                (acts, heap, rr[r] % rr_mod, sync[r] - now if acts else 0,
-                 -1 if nd is None else nd - now)
+                (acts, heap, rr[r] % rr_mod, sync[r] - now if acts else 0, next_done[r] - now)
             )
         keyed = live.items()
         if run is not None:
@@ -991,51 +881,48 @@ def _fold_loop(
             materialize(c)
     for resource in range(n_res):
         refill(resource)
-        next_done[resource] = completion_time(resource)
+    next_done = [completion_time(r) for r in range(n_res)]
 
     now = 0
     completed_count = 0
-    events = 0
+    n_events = 0
     replayed = 0
     jumps = 0
     snapshots: Dict = {}
     folding = True
     while completed_count < total_nonzero:
-        now = -1
-        for when in next_done:
-            if when is not None and (now < 0 or when < now):
-                now = when
+        now = min(next_done)
         if gated:
-            if waiting and (now < 0 or waiting[0][0] < now):
+            if waiting and waiting[0][0] < now:
                 now = waiting[0][0]
             for when in timer:
-                if when >= 0 and (now < 0 or when < now):
+                if 0 <= when < now:
                     now = when
-        if now < 0 or now > max_cycles:
+        if now > max_cycles:  # includes idle: nothing left can run
             raise RuntimeError(DEADLOCK)
-        events += 1
+        n_events += 1
         touched = {r for r in range(n_res) if next_done[r] == now}
-        finished: List[Tuple[int, int]] = []
+        finished: List[List[int]] = []
         for resource in touched:
             done = advance(resource, now)
             if done is None:  # pragma: no cover - violated scheduling math
                 raise RuntimeError(f"lost completion on {resources[resource]} at {now}")
-            gi, tid = done
+            _, gi, tid = done
             inst_log.append(gi)
             tid_log.append(tid)
             t_log.append(now)
             finished.append(done)
         completed_count += len(finished)
         grew = materialized
-        for gi, tid in finished:
+        for _, gi, tid in finished:
             st = live[gi]
             c = st[0]
             cls = classes[c]
             outstanding = st[1]
             local = gi - cls.ginst_base
             ob = cls.order_base + local * cls.size
-            for j in range(cls.indptr[tid], cls.indptr[tid + 1]):
-                dependent = cls.indices[j]
+            for step in cls.dependents[tid]:
+                dependent = tid + step
                 outstanding[dependent] -= 1
                 if outstanding[dependent] == 0:
                     if gated:
@@ -1051,21 +938,18 @@ def _fold_loop(
                     heappush(pending[resource2], (ob + dependent, gi, dependent))
                     touched.add(resource2)
             if cls.chained and local + 1 < cls.count:
-                lo, hi = cls.lag_indptr[tid], cls.lag_indptr[tid + 1]
-                if lo < hi:
+                lag = cls.lag[tid]
+                if lag:
                     # Lag edges into the next instance: enter it first.
                     if cursor[c] == local + 1:
                         materialize(c)
                     successor = live[gi + 1][1]
-                    for j in range(lo, hi):
-                        dependent = cls.lag_indices[j]
+                    for step in lag:
+                        dependent = tid + step - cls.size
                         successor[dependent] -= 1
                         if successor[dependent] == 0:
                             resource2 = cls.res[dependent]
-                            heappush(
-                                pending[resource2],
-                                (ob + cls.size + dependent, gi + 1, dependent),
-                            )
+                            heappush(pending[resource2], (ob + tid + step, gi + 1, dependent))
                             touched.add(resource2)
             st[2] -= 1
             if st[2] == 0:
@@ -1164,10 +1048,9 @@ def _fold_loop(
 
         for r in range(n_res):
             sync[r] += shift_t
-            if next_done[r] is not None:
-                next_done[r] += shift_t
+            next_done[r] += shift_t
             for entry in active[r]:
-                entry[0] = moved(entry[0])
+                entry[1] = moved(entry[1])
             if pending[r]:
                 # Order keys shift by the *class's* stride, so re-heapify
                 # rather than assume the list shape survives.
@@ -1205,7 +1088,7 @@ def _fold_loop(
         rel_log.clear()
         ready_log.clear()
 
-    counters["events"] += events
+    counters["events"] += n_events
     counters["replayed"] += replayed
     counters["jumps"] += jumps
 

@@ -897,10 +897,11 @@ class TestSymmetryFolding:
         self._assert_folded_exact(scenario, stats)
         assert stats["jumps"] == 0
 
-    def test_fold_rejects_cross_template_deps(self):
+    @pytest.mark.parametrize("duration", (0, 1))
+    def test_fold_rejects_cross_template_deps(self, duration):
         from repro.simulator.vector import fold_templates
 
-        template = [Task("a", "r", 1, deps=("elsewhere",))]
+        template = [Task("a", "r", duration, deps=("elsewhere",))]
         with pytest.raises(ValueError, match="leaves the instance"):
             fold_templates([(template, 2)])
 
@@ -1026,6 +1027,97 @@ class TestFoldSources:
         assert stats["jumps"] >= 1
         assert 0 < stats["replayed"] <= folded.n_tasks
         assert result == event_scenario(scenario)[1]
+
+
+class TestOneReadinessCompile:
+    """Every fold compiles its templates through
+    :meth:`FlatGraph.from_tasks`, and both cores step the one
+    round-robin of :func:`repro.simulator.events.round_robin`."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """Records the task count of every compile and the resource count
+        of every round-robin built."""
+        from repro.simulator import events
+        from repro.simulator.engine import FlatGraph
+
+        calls = {"compiled": [], "round_robins": []}
+        compile_tasks = FlatGraph.from_tasks.__func__
+        make_round_robin = events.round_robin
+
+        def from_tasks(cls, tasks, urgent=()):
+            calls["compiled"].append(len(tasks))
+            return compile_tasks(cls, tasks, urgent)
+
+        def round_robin(n_resources):
+            calls["round_robins"].append(n_resources)
+            return make_round_robin(n_resources)
+
+        monkeypatch.setattr(FlatGraph, "from_tasks", classmethod(from_tasks))
+        monkeypatch.setattr(events, "round_robin", round_robin)
+        return calls
+
+    def test_scenario_fold_compiles_once_per_phase_template(self, spies):
+        from repro.simulator import fold_scenario
+
+        scenario = attention_scenario(3, 4, array_dim=32, decode_instances=2, decode_chunks=6)
+        folded = fold_scenario(scenario)
+        assert len(spies["compiled"]) == len(scenario.emission_phases) == 2
+        assert spies["compiled"] == [cls.size for cls in folded.classes]
+
+    def test_binding_fold_compiles_the_two_instance_list_once(self, spies):
+        from repro.simulator import fold_binding
+
+        folded = fold_binding(PipelineConfig(chunks=64), "interleaved")
+        assert spies["compiled"] == [2 * folded.classes[0].size]
+
+    def test_cluster_fold_compiles_once_per_chip_template(self, spies):
+        from repro.cluster import fold_cluster
+        from repro.cluster.build import cluster_templates
+
+        scenario = attention_scenario(4, 4, array_dim=32)
+        spec = ClusterSpec(n_chips=2, link_bw=64.0)
+        templates = cluster_templates(scenario, spec, "head")
+        spies["compiled"].clear()
+        fold_cluster(scenario, spec, "head")
+        assert spies["compiled"] == [len(tasks) for tasks, _ in templates]
+
+    def test_one_round_robin_per_sub_fold(self, spies):
+        """A DRAM-ahead tile-serial scenario schedules its source resource
+        as its own sub-fold, then the main fold: two round-robins."""
+        from repro.simulator import fold_scenario, run_folded
+        from repro.simulator.vector import _source_resources
+
+        scenario = attention_scenario(24, 4, array_dim=32, dram_bw=1e4, binding="tile-serial")
+        folded = fold_scenario(scenario)
+        sources = _source_resources(folded)
+        assert [folded.resources[r] for r in sources] == ["dram"]
+        result = run_folded(folded, slots=1)
+        assert spies["round_robins"] == [len(folded.resources)] * (len(sources) + 1)
+        assert result == event_scenario(scenario)[1]
+
+    def test_flat_core_steps_the_same_round_robin(self, spies):
+        from repro.simulator.events import run_event_driven
+
+        run_event_driven(_chain(CHAIN, 3), 2, 100)
+        assert spies["round_robins"] == [2]
+
+    def test_folded_scenario_derives_its_layout(self):
+        from repro.simulator.vector import FoldedScenario, fold_templates
+
+        first = [Task("a", "r", 3), Task("b", "s", 2, deps=("a",))]
+        second = [Task("c", "s", 0), Task("d", "r", 4, deps=("c",)), Task("e", "s", 1)]
+        folded = fold_templates([(first, 3), (second, 2)])
+        assert [(c.order_base, c.ginst_base) for c in folded.classes] == [(0, 0), (6, 3)]
+        assert (folded.n_tasks, folded.n_instances) == (12, 5)
+        assert folded.total_duration == 3 * 5 + 2 * 5
+        assert folded.busy_totals == [3 * 3 + 2 * 4, 3 * 2 + 2 * 1]
+        with pytest.raises(ValueError, match="sorted and unique"):
+            FoldedScenario(folded.classes, ["s", "r"])
+        with pytest.raises(ValueError, match="resource id out of range"):
+            FoldedScenario(folded.classes, ["r"])
+        with pytest.raises(ValueError, match="per-task fields differ in length"):
+            FoldedScenario([replace(folded.classes[0], res=[0])], folded.resources)
 
 
 #: Scenario shapes the fold-only evaluation must cover: decode phases,
