@@ -3,7 +3,7 @@
 Importing any submodule runs its package's ``__init__`` first, so a
 package that re-exported its submodules' names eagerly made every
 ``import repro.<package>.<module>`` load the whole package (and, through
-``einsum`` and the fold, numpy).  :func:`lazy_exports` keeps each
+``einsum``, numpy).  :func:`lazy_exports` keeps each
 package's public names and loads a name's defining submodule the first
 time the name is read.
 """

@@ -81,9 +81,6 @@ GRID_KINDS: Tuple[str, ...] = ("attention", "inference")
 #: unknown name lists the known ones.
 _MODEL = OneOf(sorted(MODELS_BY_NAME), "model", cli=False)
 _ENGINE = OneOf(ENGINES, "engine")
-#: The fold engine scenario, binding and cluster points run on: its
-#: simulator modules load with ``repro.api``, numpy at validation.
-_FOLD_ENGINE = ("numpy",)
 #: The analytical models the figure drivers evaluate.
 _MODEL_STACK = (
     "repro.model.unfused",
@@ -125,7 +122,9 @@ class Request:
     #: The heavy modules this request's evaluation needs that
     #: ``import repro.api`` does not load.  :meth:`validate` imports
     #: them, so they load before a session's pool forks and its workers
-    #: inherit them.
+    #: inherit them.  The fold engine that scenario, binding and cluster
+    #: points run on is pure Python and loads with ``repro.api``; only
+    #: the analytical models are declared.
     ENGINE_MODULES = ()
 
     def rule_violations(self) -> List[str]:
@@ -237,7 +236,6 @@ class BindingSweepRequest(Request):
     """
 
     KIND = "binding"
-    ENGINE_MODULES = _FOLD_ENGINE
 
     chunks: Tuple[int, ...] = knob(
         DEFAULT_SWEEP_CHUNKS,
@@ -293,7 +291,6 @@ class _ScenarioShape(Request):
     or an explicit ``instances`` count, the array, and a decode mix.
     Subclasses declare ``binding``."""
 
-    ENGINE_MODULES = _FOLD_ENGINE
     #: The fields besides ``instances`` that set the instance count.
     _COUNT_SOURCES = ("model",)
 
@@ -518,7 +515,7 @@ class ScenarioGridRequest(Request):
     """
 
     KIND = "scenario_grid"
-    ENGINE_MODULES = (*_FOLD_ENGINE, "repro.model.scenario")
+    ENGINE_MODULES = ("repro.model.scenario",)
 
     models: Tuple[str, ...] = knob(
         ("BERT",),
@@ -1007,7 +1004,7 @@ class CrosscheckRequest(Request):
     """
 
     KIND = "crosscheck"
-    ENGINE_MODULES = (*_FOLD_ENGINE, "repro.model.scenario", "repro.model.cluster")
+    ENGINE_MODULES = ("repro.model.scenario", "repro.model.cluster")
 
     tolerance: float = knob(
         0.05,

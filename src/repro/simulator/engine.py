@@ -256,15 +256,23 @@ class FlatGraph:
                 raise ValueError(f"flat graph: {what} id repeated")
 
     @classmethod
-    def from_tasks(cls, tasks: Sequence[Task], urgent: Sequence[int] = ()) -> "FlatGraph":
+    def from_tasks(
+        cls,
+        tasks: Sequence[Task],
+        urgent: Sequence[int] = (),
+        index: Optional[Dict[str, int]] = None,
+    ) -> "FlatGraph":
         """Compile a named task list; ``urgent`` lists task ids.
 
         The one definition of readiness: a zero-duration task is done
         at t=0, any other waits for its *unique* positive-duration deps.
         Names are the only handle deps have on tasks, so a repeated name
-        or a dep naming no task raises :class:`ValueError` here.
+        or a dep naming no task raises :class:`ValueError` here.  A
+        caller that already checked ``tasks`` with :func:`task_index`
+        passes that ``index`` instead of having it built again.
         """
-        index = task_index(tasks)
+        if index is None:
+            index = task_index(tasks)
         resources = tuple(sorted({t.resource for t in tasks}))
         resource_id = {name: i for i, name in enumerate(resources)}
         durations = tuple([t.duration for t in tasks])

@@ -78,9 +78,9 @@ whose ``max(release, ready + k·dt)`` equals the recorded
 ``max(release, ready) + k·dt``.  Every materialization timer the window
 visited must also shift by exactly ``k·dt``, and a not-yet-started
 class's timer must stay beyond the replayed span.  ``m`` is clamped to
-the leading repeats that pass, one numpy comparison per block of
-repeats.  With those inputs shifted, the induction above goes through
-unchanged.
+the leading repeats that pass, one strided slice of releases per
+logged read.  With those inputs shifted, the induction above goes
+through unchanged.
 
 Chained instances
 -----------------
@@ -175,28 +175,39 @@ by ``m * dA_tail`` and the head by ``m * dA_head``, and fills the run
 between them with copies of the shared state.  Without an idle run the
 key, the clamps and the counters are the unsplit ones.
 
+Results without expansion
+-------------------------
+
 Busy cycles need no simulation at all: every issued cycle serves
 exactly one task-cycle and every task completes, so a resource's busy
 count is the plain sum of its tasks' durations — which is also exactly
 what the cycle engine accumulates.
+
+A fold logs its concrete completions and, per jump, the replayed
+window's log span, repeat count and shifts.  The makespan is the last
+concrete completion: a snapshot needs a live instance, so every jump
+leaves unfinished tasks that complete concretely after it, and no
+replayed completion passes the shifted clock.  Per-task finish times
+are written out only when :class:`FoldedFinishTimes` is first read
+(``len()`` needs none): each concrete completion lands at its task's
+global program order, and each replayed one fills its repeats with one
+strided list-slice assignment.  The source sub-folds are written out at
+once, since their finish times are the main fold's releases.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import accumulate, chain
 from math import lcm
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from operator import sub
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import events
 from .engine import DEADLOCK, FlatGraph, SimResult, Task, task_index
-
-# numpy is imported by the functions that run a fold, not here: the
-# serving path and ``import repro.api`` load this module without it.
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Unmatched relative-state snapshots kept before giving up on folding
 #: for the run.  Detection failure costs speed, never correctness.
@@ -207,11 +218,6 @@ _SNAP_CAP = 512
 #: idle run (see "Split windows") is keyed by its shared state alone, so
 #: it does not count; only the instances on either side of it do.
 _LIVE_CAP = 128
-
-#: Finish times one expansion block writes at most: a replayed window's
-#: repeats are broadcast this many elements at a time, so the
-#: temporaries stay small however long the replay runs.
-_EXPAND_ELEMS = 4096
 
 
 @dataclass
@@ -287,31 +293,47 @@ class FoldedScenario:
             self.n_instances += cls.count
 
 
+class _FoldLog(NamedTuple):
+    """What one fold leaves for expansion: each concrete completion's
+    global instance, template task and time, in completion order, and
+    per jump the replayed window ``(log start, repeats, per-completion
+    instance shift, time shift)``."""
+
+    inst: List[int]
+    tid: List[int]
+    time: List[int]
+    windows: List[Tuple[int, int, List[int], int]]
+
+
 class FoldedFinishTimes(Mapping):
     """The finish times of a folded schedule, keyed ``i<k>:<task>`` (or
     ``<stem>[<k>]`` in a chain) in program order — the names the merged
     graph would carry.
 
-    Holds only the class templates and the flat per-task finish array;
-    the (hundreds of thousands of) instance-prefixed names are built on
-    the first lookup or iteration, so callers that read only the
-    makespan and busy cycles never pay for them.  Compares equal to the
-    plain ``finish_times`` dicts of a flat task list's schedule."""
+    Holds the class templates, the flat per-task finish list (the source
+    sub-folds' times already in it) and the main fold's log.  The main
+    fold's times are written out and the (hundreds of thousands of)
+    instance-prefixed names built on the first lookup or iteration, so
+    callers that read only the makespan and busy cycles never pay for
+    either.  Compares equal to the plain ``finish_times`` dicts of a
+    flat task list's schedule."""
 
-    def __init__(self, classes: Sequence[FoldedClass], ft: np.ndarray) -> None:
+    def __init__(self, classes: Sequence[FoldedClass], ft: List[int], log: _FoldLog) -> None:
         self._classes = classes
         self._ft = ft
+        self._log = log
         self._named: Optional[Dict[str, int]] = None
 
     def _table(self) -> Dict[str, int]:
         if self._named is None:
+            _expand(self._ft, self._classes, self._log)
             names = (
                 name
                 for cls in self._classes
                 for local in range(cls.count)
                 for name in cls.instance_names(local)
             )
-            self._named = dict(zip(names, self._ft.tolist()))
+            self._named = dict(zip(names, self._ft))
         return self._named
 
     def __getitem__(self, name: str) -> int:
@@ -341,7 +363,7 @@ def fold_templates(templates: Sequence[Tuple[Sequence[Task], int]]) -> FoldedSce
             for dep in task.deps:
                 if dep not in index:
                     raise ValueError(f"template task {task.name}: dep {dep!r} leaves the instance")
-        graph = FlatGraph.from_tasks(tasks)
+        graph = FlatGraph.from_tasks(tasks, index=index)
         renumbered = [res_index[name] for name in graph.resources]
         classes.append(
             FoldedClass(
@@ -372,7 +394,7 @@ def fold_chain(tasks: Sequence[Task], count: int) -> FoldedScenario:
     no dep reaches back further than one instance."""
     if count < 1:
         raise ValueError(f"a chain needs at least one instance, got {count}")
-    task_index(tasks, "a chain template")
+    index = task_index(tasks, "a chain template")
     size, odd = divmod(len(tasks), 2)
     first, second = tasks[:size], tasks[size:]
     mismatch = "chain instance 0 must equal instance 1 minus its lag deps"
@@ -383,20 +405,19 @@ def fold_chain(tasks: Sequence[Task], count: int) -> FoldedScenario:
         for a, b in zip(first, second)
     ):
         raise ValueError(mismatch)
-    index0 = {t.name: i for i, t in enumerate(first)}
-    index1 = {t.name: i for i, t in enumerate(second)}
     for a, b in zip(first, second):
         for dep in b.deps:
-            if dep not in index0 and dep not in index1:
+            if dep not in index:
                 raise ValueError(
                     f"chained task {b.name}: dep {dep!r} reaches back more than one instance"
                 )
-        own = [index1[dep] for dep in b.deps if dep in index1]
-        if [index0.get(dep, -1) for dep in a.deps] != own:
+        # Instance 1's own deps, as instance 0 must name them.
+        own = [index[dep] - size for dep in b.deps if index[dep] >= size]
+        if [index.get(dep, -1) for dep in a.deps] != own:
             raise ValueError(mismatch)
     # Instance 0's dependents past the template are the lag edges; the
     # frontier splits at ``size`` into instance 0's and the template's.
-    graph = FlatGraph.from_tasks(tasks)
+    graph = FlatGraph.from_tasks(tasks, index=index)
     chained = FoldedClass(
         count=count,
         size=size,
@@ -426,12 +447,11 @@ _NEVER = -(1 << 62)
 class _Gates:
     """Release gating of one class in the main fold: which template
     tasks wait on source-resource deps, and where their releases live
-    in the flat release array."""
+    in the flat release list (one column per gated tid, holding its
+    release in every instance, so instance ``k``'s is ``column + k``)."""
 
-    slot: List[int]  #: per tid: column of its release, or -1 (ungated)
+    slot: List[int]  #: per tid: flat offset of its release column, or -1
     start: List[Tuple[int, int]]  #: (tid, column) gated by releases alone
-    base: int  #: flat offset of instance 0's release row
-    width: int  #: release columns per instance
     suffix: List[int]  #: per instance: min start release from it onward
 
 
@@ -471,21 +491,18 @@ def _source_class(cls: FoldedClass, resource: int) -> FoldedClass:
 
 
 def _gated_classes(
-    classes: Sequence[FoldedClass], sources: Sequence[int], n_res: int, ft: np.ndarray
-) -> Tuple[List[FoldedClass], List[_Gates], np.ndarray]:
+    classes: Sequence[FoldedClass], sources: Sequence[int], n_res: int, ft: List[int]
+) -> Tuple[List[FoldedClass], List[_Gates], List[int]]:
     """The main fold's classes once the source resources are scheduled
     (their finish times already in ``ft``): source tasks drop out, and
     each source dep becomes a release time, the latest finish among a
     task's source deps in its own instance."""
-    import numpy as np
-
     is_source = [False] * n_res
     for r in sources:
         is_source[r] = True
     main: List[FoldedClass] = []
     gates: List[_Gates] = []
-    parts: List[np.ndarray] = []
-    base = 0
+    release: List[int] = []
     for cls in classes:
         size = cls.size
         src_deps: List[List[int]] = [[] for _ in range(size)]
@@ -498,44 +515,34 @@ def _gated_classes(
                 continue
             for step in cls.dependents[tid]:
                 src_deps[tid + step].append(tid)
-        gated = [tid for tid in range(size) if src_deps[tid]]
+        lo, hi = cls.order_base, cls.order_base + cls.count * size
         slot = [-1] * size
-        for column, tid in enumerate(gated):
-            slot[tid] = column
+        for tid in range(size):
+            if src_deps[tid]:
+                slot[tid] = len(release)
+                deps = [ft[lo + dep : hi : size] for dep in src_deps[tid]]
+                release.extend(deps[0] if len(deps) == 1 else map(max, *deps))
         outstanding = [cls.outstanding[tid] - len(src_deps[tid]) for tid in range(size)]
         ready = [tid for tid in own if outstanding[tid] == 0 and not src_deps[tid]]
         start = [(tid, slot[tid]) for tid in own if outstanding[tid] == 0 and src_deps[tid]]
         main.append(replace(cls, outstanding=outstanding, ready=ready, nonzero=len(own)))
-        view = ft[cls.order_base : cls.order_base + cls.count * size].reshape(cls.count, size)
-        release = np.empty((cls.count, len(gated)), dtype=np.int64)
-        for column, tid in enumerate(gated):
-            release[:, column] = view[:, src_deps[tid]].max(axis=1)
         suffix: List[int] = []
         if start:
-            first = release[:, [column for _, column in start]].min(axis=1)
-            suffix = np.minimum.accumulate(first[::-1])[::-1].tolist()
-        gates.append(_Gates(slot, start, base, len(gated), suffix))
-        parts.append(release.ravel())
-        base += release.size
-    return main, gates, np.concatenate(parts)
+            firsts = [release[column : column + cls.count] for _, column in start]
+            first = firsts[0] if len(firsts) == 1 else list(map(min, *firsts))
+            suffix = list(accumulate(reversed(first), min))[::-1]
+        gates.append(_Gates(slot, start, suffix))
+    return main, gates, release
 
 
-def _shift_fit(holds, repeats: int) -> int:
-    """The leading run of repeats ``k = 1..repeats`` for which
-    ``holds(k)`` (a column of ks in, a bool matrix out) is all true,
-    checked in doubling blocks so a mismatch found early costs little."""
-    import numpy as np
-
-    done = 0
-    block = 4
-    while done < repeats:
-        ks = np.arange(done + 1, min(repeats, done + block) + 1, dtype=np.int64)[:, None]
-        ok = holds(ks).all(axis=1)
-        if not ok.all():
-            return done + int(np.argmin(ok))
-        done += len(ks)
-        block *= 2
-    return done
+def _shift_fit(values: List[int], at: int, stride: int, d_time: int, repeats: int) -> int:
+    """The leading repeats ``k = 1..repeats`` for which ``values[at + k *
+    stride]`` is exactly ``values[at] + k * d_time``."""
+    got = values[at + stride : at + stride * repeats + 1 : stride]
+    want = range(values[at] + d_time, values[at] + d_time * repeats + 1, d_time)
+    if got == list(want):
+        return repeats
+    return next((k for k, (g, w) in enumerate(zip(got, want)) if g != w), len(got))
 
 
 def run_folded(
@@ -555,24 +562,28 @@ def run_folded(
     ``jumps`` counters, summed over the source sub-folds and the main
     fold — the fold's effectiveness, for tests and the ``--profile``
     breakdown.  Raises ``ValueError`` unless ``slots >= 1``."""
-    import numpy as np
-
     if slots < 1:
         raise ValueError(f"slots must be >= 1, got {slots}")
     if max_cycles is None:
         max_cycles = folded.total_duration + 1
     n_res = len(folded.resources)
     counters = {"events": 0, "replayed": 0, "jumps": 0}
-    ft = np.zeros(folded.n_tasks, dtype=np.int64)
+    ft = [0] * folded.n_tasks
+    #: Each fold's last concrete completion: its makespan (see "Results
+    #: without expansion").
+    ends: List[int] = []
     sources = _source_resources(folded)
     if not sources:
-        _fold_loop(folded.classes, folded.resources, slots, max_cycles, ft, counters)
+        log = _fold_loop(folded.classes, folded.resources, slots, max_cycles, counters)
     else:
         for resource in sources:
             restricted = [_source_class(cls, resource) for cls in folded.classes]
-            _fold_loop(restricted, folded.resources, slots, max_cycles, ft, counters)
+            log = _fold_loop(restricted, folded.resources, slots, max_cycles, counters)
+            _expand(ft, folded.classes, log)  # the main fold's releases read these
+            ends += log.time[-1:]
         main, gates, release = _gated_classes(folded.classes, sources, n_res, ft)
-        _fold_loop(main, folded.resources, slots, max_cycles, ft, counters, gates, release)
+        log = _fold_loop(main, folded.resources, slots, max_cycles, counters, gates, release)
+    ends += log.time[-1:]
     if stats is not None:
         stats.update(counters)
     busy_map = {
@@ -581,9 +592,9 @@ def run_folded(
         if folded.busy_totals[r] > 0
     }
     return SimResult(
-        makespan=int(ft.max()) if folded.n_tasks else 0,
+        makespan=max(ends, default=0),
         busy_cycles=busy_map,
-        finish_times=FoldedFinishTimes(folded.classes, ft),
+        finish_times=FoldedFinishTimes(folded.classes, ft, log),
     )
 
 
@@ -592,22 +603,19 @@ def _fold_loop(
     resources: Sequence[str],
     slots: int,
     max_cycles: int,
-    ft: np.ndarray,
     counters: Dict[str, int],
     gates: Optional[Sequence[_Gates]] = None,
-    release: Optional[np.ndarray] = None,
-) -> None:
+    release: Optional[List[int]] = None,
+) -> _FoldLog:
     """One fold: schedule ``classes`` with lazy materialization and
-    recurrence replay, write every finish time it produces into ``ft``
-    at the task's global program order, and add to ``counters``.
+    recurrence replay, add to ``counters``, and return the log
+    :func:`_expand` writes the finish times from.
 
     With ``gates``, tasks also wait for their release (see the module
     docstring): a task whose other deps are met sits in a timed queue
     until then, and a class whose instances start with release-gated
     tasks materializes its next instance no later than the earliest
     release from that instance onward."""
-    import numpy as np
-
     n_classes = len(classes)
     n_res = len(resources)
     counts = [c.count for c in classes]
@@ -634,9 +642,8 @@ def _fold_loop(
     inst_log: List[int] = []
     tid_log: List[int] = []
     t_log: List[int] = []
-    #: (log start, log end, repeats, instance shift, time shift); a split
-    #: window's instance shift is an array, per completion (tail or head).
-    blocks: List[Tuple[int, int, int, Union[int, np.ndarray], int]] = []
+    #: Replayed windows, as :class:`_FoldLog` lists them.
+    windows: List[Tuple[int, int, List[int], int]] = []
     materialized = 0
     rr_mod = lcm(*range(1, slots + 1))
 
@@ -650,15 +657,9 @@ def _fold_loop(
     rel_log: List[int] = []
     ready_log: List[int] = []
     if gated:
-        rel_l = release.tolist()
         slot_of = [g.slot for g in gates]
         starts = [g.start for g in gates]
-        rel_base = [g.base for g in gates]
-        rel_width = [g.width for g in gates]
         suffix = [g.suffix for g in gates]
-        suffix_a = [np.asarray(s, dtype=np.int64) for s in suffix]
-        bases_a = np.asarray(rel_base, dtype=np.int64)
-        widths_a = np.asarray(rel_width, dtype=np.int64)
         for c in range(n_classes):
             if starts[c] and counts[c]:
                 timer[c] = suffix[c][0]
@@ -675,11 +676,10 @@ def _fold_loop(
         for tid in cls.ready_first if first else cls.ready:
             heappush(pending[cls.res[tid]], (ob + tid, gi, tid))
         if gated and starts[c]:
-            row = rel_base[c] + local * rel_width[c]
             for tid, column in starts[c]:
-                rel_log.append(row + column)
+                rel_log.append(column + local)
                 ready_log.append(_NEVER)
-                heappush(waiting, (rel_l[row + column], ob + tid, gi, tid))
+                heappush(waiting, (release[column + local], ob + tid, gi, tid))
             timer[c] = suffix[c][local + 1] if local + 1 < counts[c] else -1
         materialized += 1
 
@@ -778,7 +778,7 @@ def _fold_loop(
     #: run last).
     split_log: List[Tuple[int, int, int]] = []
 
-    def split_window(p: int, c: int) -> Optional[Tuple[np.ndarray, int]]:
+    def split_window(p: int, c: int) -> Optional[Tuple[List[bool], int]]:
         """The tail tags of the completions between split snapshots
         ``p`` and ``c`` (true below each interval's run top, whose
         instance shifts with the tail), and the window's margin: the
@@ -790,10 +790,15 @@ def _fold_loop(
         for j in range(c - p):
             if firsts[j + 1] > lasts[j] + 1 or lasts[j + 1] < lasts[j]:
                 return None
-        inst = np.asarray(inst_log[pos[0] : pos[-1]], dtype=np.int64)
-        top = np.repeat(np.asarray(lasts[:-1], dtype=np.int64), np.diff(pos))
-        tail = inst <= top
-        margin = int((top - inst)[tail].min()) if tail.any() else 0
+        tail: List[bool] = []
+        gaps: List[int] = []
+        for j, top in enumerate(lasts[:-1]):
+            for gi in inst_log[pos[j] : pos[j + 1]]:
+                below = gi <= top
+                tail.append(below)
+                if below:
+                    gaps.append(top - gi)
+        margin = min(gaps, default=0)
         return (tail, margin) if margin >= 1 else None
 
     def state_key(anchor: int, now: int, run: Optional[Tuple[int, int]]):
@@ -858,21 +863,22 @@ def _fold_loop(
             if cursor[c] == 0:
                 repeats = min(repeats, (timer[c] - now - 1) // d_time)
                 continue
-            cur = np.arange(cursor[c] - d_inst, cursor[c] + 1)
-            sfx = suffix_a[c]
-            repeats = _shift_fit(
-                lambda k: sfx[cur + k * d_inst] == sfx[cur] + k * d_time, repeats
-            )
-        if repeats > 0 and log_pos < len(rel_log):
-            idx = np.asarray(rel_log[log_pos:], dtype=np.int64)
-            ready = np.asarray(ready_log[log_pos:], dtype=np.int64)
-            stride = widths_a[np.searchsorted(bases_a, idx, side="right") - 1] * d_inst
-            pushed = np.maximum(release[idx], ready)
-            repeats = _shift_fit(
-                lambda k: np.maximum(release[idx + k * stride], ready + k * d_time)
-                == pushed + k * d_time,
-                repeats,
-            )
+            for at in range(cursor[c] - d_inst, cursor[c] + 1):
+                repeats = _shift_fit(suffix[c], at, d_inst, d_time, repeats)
+        for at, ready in zip(rel_log[log_pos:], ready_log[log_pos:]):
+            if repeats <= 0:
+                break
+            if release[at] > ready:
+                # Release-bound: the release is the push time, so each
+                # repeat's must shift exactly.
+                repeats = _shift_fit(release, at, d_inst, d_time, repeats)
+                continue
+            # Ready-bound: each repeat's release may come no later than
+            # its shifted ready time.
+            got = release[at + d_inst : at + d_inst * repeats + 1 : d_inst]
+            late = list(map(sub, got, range(d_time, d_time * repeats + 1, d_time)))
+            if max(late, default=ready) > ready:
+                repeats = next(k for k, when in enumerate(late) if when > ready)
         return repeats
 
     total_nonzero = sum(counts[c] * classes[c].nonzero for c in range(n_classes))
@@ -928,11 +934,11 @@ def _fold_loop(
                     if gated:
                         column = slot_of[c][dependent]
                         if column >= 0:
-                            at = rel_base[c] + local * rel_width[c] + column
+                            at = column + local
                             rel_log.append(at)
                             ready_log.append(now)
-                            if rel_l[at] > now:
-                                heappush(waiting, (rel_l[at], ob + dependent, gi, dependent))
+                            if release[at] > now:
+                                heappush(waiting, (release[at], ob + dependent, gi, dependent))
                                 continue
                     resource2 = cls.res[dependent]
                     heappush(pending[resource2], (ob + dependent, gi, dependent))
@@ -1013,7 +1019,7 @@ def _fold_loop(
                     repeats = fit
         if not repeats or repeats <= 0:
             continue
-        step = d_inst
+        steps = [d_inst] * (len(t_log) - prev_log)
         if run is not None:
             window = split_window(prev_split, len(split_log) - 1)
             if window is None:
@@ -1021,7 +1027,7 @@ def _fold_loop(
                 snapshots[key] = record
                 continue
             tail, margin = window
-            step = np.where(tail, d_inst, d_head)
+            steps = [d_inst if below else d_head for below in tail]
             # The run clamp: every repeat keeps a run instance the tail
             # never completes in (see "Split windows"); a shrinking run
             # loses d_inst - d_head of its margin per repeat.
@@ -1033,7 +1039,7 @@ def _fold_loop(
             continue
         # Apply the jump: record the window for arithmetic expansion,
         # then shift every absolute time and instance index in place.
-        blocks.append((prev_log, len(t_log), repeats, step, d_time))
+        windows.append((prev_log, repeats, steps, d_time))
         window_completions = completed_count - prev_completed
         completed_count += repeats * window_completions
         replayed += repeats * window_completions
@@ -1092,49 +1098,26 @@ def _fold_loop(
     counters["replayed"] += replayed
     counters["jumps"] += jumps
 
-    # Expansion: global program order is a dense 0..n_tasks-1 index, so
-    # finish times land in one flat array — concrete completions first,
-    # then each recorded window shifted arithmetically per repeat.
-    if inst_log:
-        inst_a = np.asarray(inst_log, dtype=np.int64)
-        tid_a = np.asarray(tid_log, dtype=np.int64)
-        t_a = np.asarray(t_log, dtype=np.int64)
-        starts_a = np.asarray(ginst_bases, dtype=np.int64)
-        cls_a = np.searchsorted(starts_a, inst_a, side="right") - 1
-        sizes_a = np.asarray(sizes, dtype=np.int64)
-        orders = (
-            np.asarray(order_bases, dtype=np.int64)[cls_a]
-            + (inst_a - starts_a[cls_a]) * sizes_a[cls_a]
-            + tid_a
-        )
-        ft[orders] = t_a
-        for log_start, log_end, repeats, step, d_time in blocks:
-            _expand_window(
-                ft,
-                orders[log_start:log_end],
-                step * sizes_a[cls_a[log_start:log_end]],
-                t_a[log_start:log_end],
-                repeats,
-                d_time,
-            )
+    return _FoldLog(inst_log, tid_log, t_log, windows)
 
 
-def _expand_window(
-    ft: np.ndarray,
-    orders: np.ndarray,
-    shift: np.ndarray,
-    times: np.ndarray,
-    repeats: int,
-    d_time: int,
-) -> None:
-    """Write one replayed window's finish times into ``ft``: repeat
-    ``k`` (``1..repeats``) moves each completion's order by ``k *
-    shift`` and its time by ``k * d_time``.  Repeats are broadcast in
-    blocks of at most ``_EXPAND_ELEMS`` finish times (one repeat at
-    least), the last block holding what is left."""
-    import numpy as np
-
-    per_block = max(1, _EXPAND_ELEMS // max(1, len(orders)))
-    for first in range(1, repeats + 1, per_block):
-        ks = np.arange(first, min(first + per_block, repeats + 1), dtype=np.int64)[:, None]
-        ft[orders + ks * shift] = times + ks * d_time
+def _expand(ft: List[int], classes: Sequence[FoldedClass], log: _FoldLog) -> None:
+    """Write one fold's finish times into ``ft`` at each task's global
+    program order (a dense ``0..n_tasks-1`` index): the concrete
+    completions, then each replayed window, whose repeat ``k``
+    (``1..repeats``) moves a completion ``k`` instance shifts on and
+    ``k * d_time`` cycles later, one strided slice per completion."""
+    starts = [cls.ginst_base for cls in classes]
+    orders: List[int] = []
+    sizes: List[int] = []
+    for gi, tid, t in zip(log.inst, log.tid, log.time):
+        cls = classes[bisect_right(starts, gi) - 1]
+        order = cls.order_base + (gi - cls.ginst_base) * cls.size + tid
+        ft[order] = t
+        orders.append(order)
+        sizes.append(cls.size)
+    for start, repeats, steps, d_time in log.windows:
+        for j, step in enumerate(steps, start):
+            shift = step * sizes[j]
+            first, t = orders[j] + shift, log.time[j] + d_time
+            ft[first : first + shift * repeats : shift] = range(t, t + d_time * repeats, d_time)

@@ -2,8 +2,9 @@
 result load.
 
 ``import repro.api`` and a serving run need neither numpy nor the
-einsum/cascade/model stack; a fold request imports numpy when it is
-validated, so the engine is loaded before a session's pool forks.  Each
+einsum/cascade/model stack, and the fold engine that scenario, binding
+and cluster requests run on is pure Python: validating and running one
+loads no numpy either.  Each
 case runs in a fresh interpreter with ``PYTHONDONTWRITEBYTECODE=1`` (as
 the benchmark does), so a module another test imported cannot hide an
 import, and the set cannot quietly regrow.
@@ -74,19 +75,30 @@ def test_serve_validation_and_session_load_no_numpy():
     assert heavy(out["modules"]) == []
 
 
-@pytest.mark.parametrize("request_type", ["ScenarioRequest", "BindingSweepRequest"])
-def test_fold_request_loads_numpy_when_validated(request_type):
+#: Fold requests that exercise the whole fold: a ``dram`` source
+#: sub-fold, releases and their jump checks (``dram_bw``); an interleaved
+#: chain long enough to replay through split windows; a sharded cluster.
+FOLD_REQUESTS = {
+    "scenario": "ScenarioRequest(instances=16, chunks=4, dram_bw=4.0, array_dim=32)",
+    "binding": "BindingSweepRequest(chunks=(640,), bindings=('interleaved',), array_dims=(256,))",
+    "cluster": "ClusterRequest(instances=8, chunks=4, chips=(2,), link_bws=(64.0,))",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FOLD_REQUESTS))
+def test_fold_request_validates_and_runs_without_numpy(kind):
     out = run_fresh(
         f"""
-        from repro.api import {request_type}
+        from repro.api import BindingSweepRequest, ClusterRequest, ScenarioRequest, Session
+        from repro.runtime.cache import ResultCache
 
-        request = {request_type}()
-        OUT["before"] = "numpy" in sys.modules
+        request = {FOLD_REQUESTS[kind]}
         request.validate()
+        OUT["ran"] = Session(cache=ResultCache()).run(request).payload is not None
         """
     )
-    assert out["before"] is False
-    assert "numpy" in out["modules"]
+    assert out["ran"] is True
+    assert "numpy" not in out["modules"]
 
 
 def test_serving_round_trip_loads_no_model_and_no_numpy():

@@ -601,6 +601,7 @@ class TestScenarioGraphs:
         # place lazy materialization and replay face the oracle.
         _, folded = scenario_sim(scenario, engine="vector")
         assert folded == result
+        _assert_makespan_is_last_finish(folded)
 
     @pytest.mark.parametrize("seed", fuzz_seeds("scenario-bandwidth"))
     def test_bandwidth_graph_engines_identical(self, seed):
@@ -625,6 +626,7 @@ class TestScenarioGraphs:
             assert result.busy_cycles.get("dram", 0) > 0
         _, folded = scenario_sim(scenario, engine="vector")
         assert folded == result
+        _assert_makespan_is_last_finish(folded)
 
     @pytest.mark.parametrize("seed", fuzz_seeds("cluster"))
     def test_cluster_graph_engines_identical(self, seed):
@@ -660,6 +662,7 @@ class TestScenarioGraphs:
         # The folded path must replay the sharded classes exactly too.
         _, folded = cluster_sim(scenario, spec, sharding, engine="vector")
         assert folded == result
+        _assert_makespan_is_last_finish(folded)
 
     @pytest.mark.parametrize("seed", fuzz_seeds("buffer-qos"))
     def test_buffer_qos_graph_engines_identical(self, seed):
@@ -698,6 +701,7 @@ class TestScenarioGraphs:
         )
         _, folded = scenario_sim(scenario, engine="vector")
         assert folded == result
+        _assert_makespan_is_last_finish(folded)
 
     def test_scenario_sim_engine_parity(self):
         scenario = attention_scenario(3, 4, array_dim=32)
@@ -775,31 +779,30 @@ class TestScenarioGraphs:
 
 
 def _spy_expansion(monkeypatch):
-    """Record ``(window completions, repeats)`` for every replayed
-    window the fold expands, then expand it as usual."""
+    """Record the log of every fold whose finish times are written out,
+    then write them out as usual."""
     import repro.simulator.vector as vector
 
     calls = []
-    real = vector._expand_window
+    real = vector._expand
 
-    def spy(ft, orders, shift, times, repeats, d_time):
-        calls.append((len(orders), repeats))
-        real(ft, orders, shift, times, repeats, d_time)
+    def spy(ft, classes, log):
+        calls.append(log)
+        real(ft, classes, log)
 
-    monkeypatch.setattr(vector, "_expand_window", spy)
+    monkeypatch.setattr(vector, "_expand", spy)
     return calls
 
 
-def _spans_blocks_ending_partial(calls):
-    """True when some replay takes several expansion blocks and its
-    last block is partial."""
-    from repro.simulator.vector import _EXPAND_ELEMS
+def _replays(log):
+    """``(window completions, repeats)`` of each window a fold replayed."""
+    return [(len(steps), repeats) for _, repeats, steps, _ in log.windows]
 
-    for width, repeats in calls:
-        per_block = max(1, _EXPAND_ELEMS // width)
-        if repeats > per_block and repeats % per_block:
-            return True
-    return False
+
+def _assert_makespan_is_last_finish(result):
+    """A fold's makespan comes from its log, not from the expanded
+    finish times; it must still be the latest of them."""
+    assert result.makespan == max(result.finish_times.values(), default=0)
 
 
 class TestSymmetryFolding:
@@ -819,6 +822,7 @@ class TestSymmetryFolding:
         )
         assert folded == expected
         assert dict(folded.finish_times) == dict(expected.finish_times)
+        _assert_makespan_is_last_finish(folded)
         return folded
 
     def test_contended_scenario_replays(self):
@@ -878,17 +882,27 @@ class TestSymmetryFolding:
         assert stats["replayed"] > stats["events"]
         assert stats["replayed"] <= len(folded.finish_times)
 
-    def test_scenario_replay_expands_in_several_blocks(self, monkeypatch):
+    def test_scenario_replay_expands_on_first_read(self, monkeypatch):
         """The main fold of 128 DRAM-ahead tile-serial instances repeats
-        a 264-completion window 40 times: three expansion blocks, the
-        last partial.  Every block must land on the event core's
-        finish times."""
+        a 264-completion window 40 times.  ``run_folded`` writes out only
+        the ``dram`` sub-fold, whose times are the main fold's releases;
+        the main fold's are written on the first read, and must land on
+        the event core's finish times."""
+        from repro.simulator import fold_scenario, run_folded
+
         scenario = attention_scenario(
             128, 8, array_dim=128, dram_bw=1024.0, binding="tile-serial"
         )
+        tasks, expected = event_scenario(scenario)
         calls = _spy_expansion(monkeypatch)
-        self._assert_folded_exact(scenario)
-        assert _spans_blocks_ending_partial(calls)
+        folded = run_folded(fold_scenario(scenario), slots=1)
+        assert len(calls) == 1  # the dram sub-fold
+        assert len(folded.finish_times) == len(tasks)
+        assert len(calls) == 1  # len() writes nothing out
+        assert folded == expected
+        assert len(calls) == 2
+        assert (264, 40) in _replays(calls[1])
+        _assert_makespan_is_last_finish(folded)
 
     def test_uncontended_scenario_still_exact_without_jumps(self):
         """No recurrence is a speed miss, never a correctness miss."""
@@ -976,6 +990,7 @@ class TestFoldSources:
         folded = run_folded(fold_templates(templates), slots, max_cycles, stats=stats)
         assert folded == expected
         assert dict(folded.finish_times) == dict(expected.finish_times)
+        _assert_makespan_is_last_finish(folded)
         assert stats["replayed"] <= len(merged)
         return expected
 
@@ -1015,6 +1030,54 @@ class TestFoldSources:
         slots = 1 if scenario.binding == "tile-serial" else scenario.slots
         self._assert_matches_event(templates, slots)
 
+    @pytest.mark.parametrize("slots", (1, 2))
+    def test_source_task_nothing_waits_on_can_finish_last(self, slots):
+        """The ``dma`` stream outlasts the compute it feeds, so the
+        makespan is the source sub-fold's last completion."""
+        template = [Task("a", "dma", 5), Task("b", "c", 1, ("a",)), Task("x", "dma", 9)]
+        assert self._assert_matches_event([(template, 4)], slots).makespan == 56
+
+    def test_release_equal_to_ready_time_still_replays(self):
+        """``c1``'s release lands exactly when ``c0`` meets its other dep.
+        A ready-bound read accepts a repeat whose release is no later than
+        its shifted ready time, equal included, so the main fold
+        replays."""
+        from repro.simulator.vector import fold_templates, run_folded
+
+        template = [
+            Task("d", "dma", 4),
+            Task("p", "b", 3),
+            Task("c0", "a", 2, ("p",)),
+            Task("c1", "b", 1, ("c0", "d")),
+        ]
+        self._assert_matches_event([(template, 60)], 1)
+        stats = {}
+        run_folded(fold_templates([(template, 60)]), 1, stats=stats)
+        assert stats == {"events": 19, "replayed": 221, "jumps": 2}
+
+    def test_release_later_than_the_shift_blocks_the_jump(self):
+        """Four slots share ``dma`` between a first class's stream and a
+        second class's wide transfers, so the second class's releases do
+        not shift uniformly.  A window whose later repeats would read a
+        release later than the time shift must not be replayed (a
+        wide-duration draw of the fuzz generator, shrunk)."""
+        first = [Task("t0", "dma", 36), Task("head", "dma", 17), Task("tail", "a", 10, ("head",))]
+        second = [
+            Task("t0", "dma", 8),
+            Task("t1", "a", 4, ("t0",)),
+            Task("t2", "dma", 42),
+            Task("t3", "dma", 38),
+            Task("t4", "dma", 48),
+            Task("t6", "b", 26, ("t1", "t3")),
+            Task("t7", "dma", 48),
+            Task("t8", "dma", 5),
+            Task("t9", "dma", 20),
+            Task("t10", "dma", 9),
+            Task("head", "dma", 60),
+            Task("tail", "a", 42, ("head",)),
+        ]
+        self._assert_matches_event([(first, 1), (second, 23)], 4)
+
     def test_source_counters_fold_into_stats(self):
         """A scenario whose main fold never recurs still reports the
         DRAM sub-fold's replay, and the total stays within the tasks."""
@@ -1045,9 +1108,9 @@ class TestOneReadinessCompile:
         compile_tasks = FlatGraph.from_tasks.__func__
         make_round_robin = events.round_robin
 
-        def from_tasks(cls, tasks, urgent=()):
+        def from_tasks(cls, tasks, urgent=(), index=None):
             calls["compiled"].append(len(tasks))
-            return compile_tasks(cls, tasks, urgent)
+            return compile_tasks(cls, tasks, urgent, index)
 
         def round_robin(n_resources):
             calls["round_robins"].append(n_resources)
@@ -1095,6 +1158,24 @@ class TestOneReadinessCompile:
         result = run_folded(folded, slots=1)
         assert spies["round_robins"] == [len(folded.resources)] * (len(sources) + 1)
         assert result == event_scenario(scenario)[1]
+
+    def test_one_name_index_per_fold_compile(self, monkeypatch):
+        """The fold lowerings check names with one :func:`task_index`
+        and hand it to the compile instead of having it built again."""
+        from repro.simulator import engine, fold_binding, fold_scenario, vector
+
+        whats = []
+        real = engine.task_index
+
+        def task_index(tasks, what="the task graph"):
+            whats.append(what)
+            return real(tasks, what)
+
+        monkeypatch.setattr(engine, "task_index", task_index)
+        monkeypatch.setattr(vector, "task_index", task_index)
+        fold_scenario(attention_scenario(3, 4, array_dim=32, decode_instances=2, decode_chunks=6))
+        fold_binding(PipelineConfig(chunks=64), "interleaved")
+        assert whats == ["a fold template"] * 2 + ["a chain template"]
 
     def test_flat_core_steps_the_same_round_robin(self, spies):
         from repro.simulator.events import run_event_driven
@@ -1252,6 +1333,7 @@ def _assert_same_schedule(folded, event):
     assert dict(folded.finish_times) == dict(event.finish_times)
     assert dict(folded.busy_cycles) == dict(event.busy_cycles)
     assert folded.makespan == event.makespan
+    _assert_makespan_is_last_finish(folded)
 
 
 #: Chunk counts the chain fold must reproduce: a lone chunk (no lag
@@ -1285,6 +1367,7 @@ class TestChainFold:
         assert dict(vector.finish_times) == dict(event.finish_times)
         assert dict(vector.busy_cycles) == dict(event.busy_cycles)
         assert vector.makespan == event.makespan
+        _assert_makespan_is_last_finish(vector)
         if chunks <= 8:
             _, cycle = binding_sim(config, binding, engine="cycle")
             assert vector == cycle
@@ -1315,18 +1398,23 @@ class TestChainFold:
         assert result == event_binding(config, "tile-serial")[1]
 
     @pytest.mark.parametrize("chunks", (749, 1024))
-    def test_long_replay_expands_in_several_blocks(self, monkeypatch, chunks):
+    def test_long_replay_expands_on_first_read(self, monkeypatch, chunks):
         """Tile-serial chains repeat an 11-completion window ``chunks -
-        4`` times, 372 repeats to an expansion block: three blocks, the
-        last holding one repeat (749) or 276 (1024).  The expanded
-        schedule must equal the event core's on the built graph."""
+        4`` times.  ``run_folded`` writes out no finish time: the
+        makespan and ``len()`` come from the fold's log, and the first
+        read expands it once.  The expanded schedule must equal the
+        event core's on the built graph."""
         from repro.simulator import fold_binding, run_folded
 
         config = PipelineConfig(chunks=chunks)
         calls = _spy_expansion(monkeypatch)
-        result = run_folded(fold_binding(config, "tile-serial"), slots=1)
-        assert _spans_blocks_ending_partial(calls)
+        folded = fold_binding(config, "tile-serial")
+        result = run_folded(folded, slots=1)
+        assert len(result.finish_times) == folded.n_tasks
+        assert calls == []  # neither the run nor len() writes anything out
         _assert_same_schedule(result, event_binding(config, "tile-serial")[1])
+        assert len(calls) == 1
+        assert _replays(calls[0]) == [(11, chunks - 4)]
 
     def test_interleaved_long_chain_replays(self):
         """The 2D front runs ahead of the ``RNV`` chain and leaves a
