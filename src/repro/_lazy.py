@@ -2,8 +2,8 @@
 
 Importing any submodule runs its package's ``__init__`` first, so a
 package that re-exported its submodules' names eagerly made every
-``import repro.<package>.<module>`` load the whole package (and, through
-``einsum``, numpy).  :func:`lazy_exports` keeps each
+``import repro.<package>.<module>`` load the whole package.
+:func:`lazy_exports` keeps each
 package's public names and loads a name's defining submodule the first
 time the name is read.
 """

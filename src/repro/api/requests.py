@@ -32,13 +32,10 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, fields
-from typing import Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
-from ..cluster.build import shard_config
 from ..cluster.spec import SHARDINGS, TOPOLOGIES, ClusterSpec
-from ..cluster.sweep import ClusterPoint
 from ..serving.arrivals import Arrival, check_sorted, poisson_arrivals
-from ..serving.simulator import ServingSpec
 from ..simulator.engine import ENGINES
 from ..simulator.sweep import (
     DEFAULT_SWEEP_ARRAY_DIMS,
@@ -55,6 +52,10 @@ from ..workloads.scenario import (
     scenario_from_model,
 )
 from .knobs import Above, AtLeast, Comma, OneOf, knob, knob_of
+
+if TYPE_CHECKING:
+    from ..cluster.sweep import ClusterPoint
+    from ..serving.simulator import ServingSpec
 
 #: Figure/table experiments a :class:`ExperimentRequest` can name, plus
 #: the two composite names: ``report`` (everything) and ``sweep`` (one
@@ -122,9 +123,10 @@ class Request:
     #: The heavy modules this request's evaluation needs that
     #: ``import repro.api`` does not load.  :meth:`validate` imports
     #: them, so they load before a session's pool forks and its workers
-    #: inherit them.  The fold engine that scenario, binding and cluster
-    #: points run on is pure Python and loads with ``repro.api``; only
-    #: the analytical models are declared.
+    #: inherit them.  The fold engine that scenario and binding points
+    #: run on is pure Python and loads with ``repro.api``; the
+    #: analytical models, the serving simulator and the cluster sweep
+    #: are declared by the requests that run them.
     ENGINE_MODULES = ()
 
     def rule_violations(self) -> List[str]:
@@ -692,6 +694,7 @@ class ServeRequest(Request):
     """
 
     KIND = "serve"
+    ENGINE_MODULES = ("repro.serving.simulator",)
 
     rate: Optional[float] = knob(
         None,
@@ -847,6 +850,8 @@ class ServeRequest(Request):
     def build_spec(self) -> ServingSpec:
         """The :class:`~repro.serving.ServingSpec` this request
         describes, with the build defaults filled in."""
+        from ..serving.simulator import ServingSpec
+
         if self.trace is not None:
             arrivals = check_sorted(self.trace)
             name, rate = f"trace-{len(arrivals)}req", None
@@ -896,6 +901,7 @@ class ClusterRequest(_ScenarioShape):
     """
 
     KIND = "cluster"
+    ENGINE_MODULES = ("repro.cluster.sweep",)
 
     binding: str = knob(
         "interleaved",
@@ -948,6 +954,8 @@ class ClusterRequest(_ScenarioShape):
     def rule_violations(self) -> List[str]:
         errors = super().rule_violations()
         if not errors and "tensor" in self.shardings:
+            from ..cluster.build import shard_config
+
             scenario = self.build_scenario()
             seen: List[str] = []
             for phase in scenario.phases:
@@ -968,6 +976,8 @@ class ClusterRequest(_ScenarioShape):
     def build_points(self) -> Tuple[ClusterPoint, ...]:
         """Every cluster point of the sweep, chips outermost, then
         shardings, then link bandwidths."""
+        from ..cluster.sweep import ClusterPoint
+
         scenario = self.build_scenario()
         return tuple(
             ClusterPoint(
@@ -1004,7 +1014,11 @@ class CrosscheckRequest(Request):
     """
 
     KIND = "crosscheck"
-    ENGINE_MODULES = ("repro.model.scenario", "repro.model.cluster")
+    ENGINE_MODULES = (
+        "repro.model.scenario",
+        "repro.model.cluster",
+        "repro.cluster.sweep",
+    )
 
     tolerance: float = knob(
         0.05,

@@ -11,18 +11,19 @@ EDGE (Odemuyiwa et al.) separates an Einsum's computation into *actions*:
 
 This module defines the concrete operators the FuseMax cascades need:
 multiply, add, max, divide, and the fused ``sub-then-exp``, plus the
-``exp``/``sigmoid``/``reciprocal`` unary functions and the ``+``/``max``
-reductions.  Each operator carries a numpy implementation (used by the
-functional interpreter) and a *cost class* (used by the op-counting
-analysis to attribute hardware cost: a MACC, a divide, an exponentiation).
+``exp``/``sigmoid``/``neg`` unary functions and the ``+``/``max``
+reductions.  The IR is backend-free: an operator is its name, its merge
+operator, its reduction identity (a plain float) and its *cost class*
+(used by the op-counting analysis to attribute hardware cost: a MACC, a
+divide, an exponentiation).  That is all the analytical models read.
+The numpy kernels that execute an operator live in one table keyed by
+operator name, :mod:`repro.functional.kernels`, which only the
+functional interpreter loads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
 
 #: Cost classes recognised by :mod:`repro.analysis.opcount`.
 COST_CLASSES = ("macc", "add", "mul", "max", "divide", "exp", "other")
@@ -33,12 +34,8 @@ class MapOp:
     """A pair-wise map action: merge operator + compute operator."""
 
     name: str
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     merge: str  # "intersection", "union", "pass-through", "right-nonzero"
     cost_class: str = "other"
-
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.fn(a, b)
 
     def __str__(self) -> str:
         return self.name
@@ -46,15 +43,15 @@ class MapOp:
 
 @dataclass(frozen=True)
 class ReduceOp:
-    """A reduce action collapsing one rank of the iteration space."""
+    """A reduce action collapsing one rank of the iteration space.
+
+    ``identity`` is the value a reduction over an empty rank yields, and
+    the value filtered-out points contribute.
+    """
 
     name: str
-    fn: Callable[..., np.ndarray]  # numpy reduction taking (array, axis=...)
     identity: float
     cost_class: str = "other"
-
-    def reduce(self, array: np.ndarray, axis: int) -> np.ndarray:
-        return self.fn(array, axis=axis)
 
     def __str__(self) -> str:
         return self.name
@@ -65,77 +62,50 @@ class UnaryOp:
     """A user-defined unary operation applied point-wise to a tensor."""
 
     name: str
-    fn: Callable[[np.ndarray], np.ndarray]
     cost_class: str = "other"
-
-    def __call__(self, a: np.ndarray) -> np.ndarray:
-        return self.fn(a)
 
     def __str__(self) -> str:
         return self.name
 
 
-def _sub_then_exp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.exp(a - b)
-
-
-def _safe_divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """EDGE ``÷(←)``: only points with a non-zero divisor are touched.
-
-    Culled points (divisor exactly zero) keep the populate default of zero,
-    which is what makes iterative cascades like Cascade 3 well defined at
-    their zero-initialised first step.
-    """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b))
-    out = np.zeros(a.shape, dtype=float)
-    np.divide(a, b, out=out, where=(b != 0))
-    return out
-
-
-def _sigmoid(a: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-a))
-
-
 # --- map actions -----------------------------------------------------------
 
 #: ``x(∩)`` — multiply values surviving intersection.
-MUL = MapOp("mul", np.multiply, merge="intersection", cost_class="macc")
+MUL = MapOp("mul", merge="intersection", cost_class="macc")
 
 #: ``+(∪)`` — add values surviving union.
-ADD = MapOp("add", np.add, merge="union", cost_class="add")
+ADD = MapOp("add", merge="union", cost_class="add")
 
 #: ``-(∪)`` — subtract (used when building correction terms explicitly).
-SUB = MapOp("sub", np.subtract, merge="union", cost_class="add")
+SUB = MapOp("sub", merge="union", cost_class="add")
 
 #: ``max(∪)`` — the running/local maximum combine of the paper (Sec. II-C1).
-MAX = MapOp("max", np.maximum, merge="union", cost_class="max")
+MAX = MapOp("max", merge="union", cost_class="max")
 
 #: ``÷(←)`` — divide; the merge only touches points non-zero in the divisor.
-DIV = MapOp("div", _safe_divide, merge="right-nonzero", cost_class="divide")
+DIV = MapOp("div", merge="right-nonzero", cost_class="divide")
 
 #: ``sub-then-exp(1)`` — ``e^(A - B)`` with the pass-through merge.
-SUB_THEN_EXP = MapOp(
-    "sub-then-exp", _sub_then_exp, merge="pass-through", cost_class="exp"
-)
+SUB_THEN_EXP = MapOp("sub-then-exp", merge="pass-through", cost_class="exp")
 
 # --- reduce actions --------------------------------------------------------
 
 #: The default ``∨ +(∪)`` reduction (dropped in shorthand notation).
-SUM_REDUCE = ReduceOp("sum", np.sum, identity=0.0, cost_class="add")
+SUM_REDUCE = ReduceOp("sum", identity=0.0, cost_class="add")
 
 #: ``∨ max(∪)`` — reduction by maximum, e.g. Einsum 29 (``GM_p``).
-MAX_REDUCE = ReduceOp("max", np.max, identity=-np.inf, cost_class="max")
+MAX_REDUCE = ReduceOp("max", identity=float("-inf"), cost_class="max")
 
 # --- unary operations ------------------------------------------------------
 
 #: Point-wise exponential (naive softmax numerator, Einsum 26).
-EXP = UnaryOp("exp", np.exp, cost_class="exp")
+EXP = UnaryOp("exp", cost_class="exp")
 
 #: Point-wise sigmoid (EDGE's example of a user-defined unary op).
-SIGMOID = UnaryOp("sigmoid", _sigmoid, cost_class="exp")
+SIGMOID = UnaryOp("sigmoid", cost_class="exp")
 
 #: Point-wise negation.
-NEG = UnaryOp("neg", np.negative, cost_class="add")
+NEG = UnaryOp("neg", cost_class="add")
 
 _MAP_OPS = {op.name: op for op in (MUL, ADD, SUB, MAX, DIV, SUB_THEN_EXP)}
 _REDUCE_OPS = {op.name: op for op in (SUM_REDUCE, MAX_REDUCE)}

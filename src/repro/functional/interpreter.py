@@ -34,6 +34,7 @@ import numpy as np
 from ..einsum import Cascade, Einsum
 from ..einsum.index import Affine, Filter, Fixed, Shifted, Var
 from ..einsum.tensor import Expr, Leaf, Literal, Map, TensorRef, Unary
+from .kernels import MAP_KERNELS, REDUCE_KERNELS, UNARY_KERNELS
 
 Axes = Tuple[str, ...]
 Labeled = Tuple[np.ndarray, Axes]
@@ -175,7 +176,11 @@ class Interpreter:
         for var in [a for a in axes if a not in out_axes]:
             op = plan.reduce_op(var)
             axis = axes.index(var)
-            arr = op.reduce(np.asarray(arr), axis=axis)
+            # The declared identity is numpy's ``initial``: an empty rank
+            # reduces to it (``-inf`` for max) instead of raising.
+            arr = REDUCE_KERNELS[op.name](
+                np.asarray(arr), axis=axis, initial=op.identity
+            )
             axes = axes[:axis] + axes[axis + 1 :]
         if not set(axes) <= set(out_axes):
             raise InterpreterError(
@@ -243,14 +248,14 @@ class Interpreter:
             return np.float64(expr.value), ()
         if isinstance(expr, Unary):
             arr, axes = self._eval(expr.child, bound, identity_for)
-            return expr.op(np.asarray(arr)), axes
+            return UNARY_KERNELS[expr.op.name](np.asarray(arr)), axes
         if isinstance(expr, Map):
             a, aa = self._eval(expr.lhs, bound, identity_for)
             b, bb = self._eval(expr.rhs, bound, identity_for)
             union = tuple(aa) + tuple(x for x in bb if x not in aa)
             a_aligned = _to_axes(np.asarray(a), aa, union) if union else a
             b_aligned = _to_axes(np.asarray(b), bb, union) if union else b
-            return expr.op(a_aligned, b_aligned), union
+            return MAP_KERNELS[expr.op.name](a_aligned, b_aligned), union
         if isinstance(expr, Leaf):
             return self._eval_leaf(expr.ref, bound, identity_for)
         raise InterpreterError(f"unknown expression node {type(expr).__name__}")

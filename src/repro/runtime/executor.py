@@ -54,7 +54,6 @@ from ..simulator.sweep import (
     evaluate_binding_point,
     evaluate_scenario_point,
 )
-from ..serving.simulator import ServingSpec, simulate_serving
 from ..workloads.models import (
     ARRAY_DIMS,
     BATCH_SIZE,
@@ -79,6 +78,7 @@ from .registry import RunRegistry
 
 if TYPE_CHECKING:
     from ..cluster.sweep import ClusterPoint
+    from ..serving.simulator import ServingSpec
 
 #: Task kinds understood by :func:`evaluate_task`.
 KINDS = (
@@ -141,6 +141,15 @@ class EvalTask:
             "seq_len": self.seq_len,
             "batch": self.batch,
         }
+
+
+def simulate_serving(spec: ServingSpec) -> Any:
+    """:func:`repro.serving.simulator.simulate_serving`, imported on
+    first call: ``import repro.api`` loads this module, and only serving
+    requests need the serving simulator (they load it in ``validate()``)."""
+    from ..serving import simulator
+
+    return simulator.simulate_serving(spec)
 
 
 def evaluate_task(task: EvalTask) -> Any:

@@ -2,9 +2,13 @@
 result load.
 
 ``import repro.api`` and a serving run need neither numpy nor the
-einsum/cascade/model stack, and the fold engine that scenario, binding
-and cluster requests run on is pure Python: validating and running one
-loads no numpy either.  Each
+einsum/cascade/model stack, and ``import repro.api`` leaves the serving
+simulator and the cluster sweep to the ``validate()`` of the requests
+that run them.  The fold engine that scenario, binding
+and cluster requests run on is pure Python, and the Einsum IR is
+backend-free (its numpy kernels live in ``repro.functional``), so
+validating and running a fold request, a report or a crosscheck loads
+no numpy either.  Each
 case runs in a fresh interpreter with ``PYTHONDONTWRITEBYTECODE=1`` (as
 the benchmark does), so a module another test imported cannot hide an
 import, and the set cannot quietly regrow.
@@ -55,9 +59,15 @@ def heavy(modules) -> list:
     return [name for name in modules if name.startswith(HEAVY)]
 
 
+#: Engines ``import repro.api`` defers to the ``validate()`` of the
+#: requests that run them.
+DEFERRED = ("repro.serving.simulator", "repro.cluster.build", "repro.cluster.sweep")
+
+
 def test_api_import_loads_no_numpy_and_no_model_stack():
     modules = run_fresh("import repro.api")["modules"]
     assert heavy(modules) == []
+    assert [name for name in DEFERRED if name in modules] == []
     # ``repro.__version__`` is looked up on first read, not on import.
     assert "importlib.metadata" not in modules
 
@@ -73,6 +83,19 @@ def test_serve_validation_and_session_load_no_numpy():
         """
     )
     assert heavy(out["modules"]) == []
+    assert "repro.serving.simulator" in out["modules"]
+
+
+def test_cluster_validation_loads_the_cluster_sweep():
+    out = run_fresh(
+        """
+        from repro.api import ClusterRequest
+
+        ClusterRequest(instances=8, chunks=4, chips=(2,)).validate()
+        """
+    )
+    assert "repro.cluster.sweep" in out["modules"]
+    assert "repro.serving.simulator" not in out["modules"]
 
 
 #: Fold requests that exercise the whole fold: a ``dram`` source
@@ -98,6 +121,32 @@ def test_fold_request_validates_and_runs_without_numpy(kind):
         """
     )
     assert out["ran"] is True
+    assert "numpy" not in out["modules"]
+
+
+def test_einsum_ir_and_cascades_load_no_numpy():
+    modules = run_fresh("import repro.einsum, repro.cascades.attention")["modules"]
+    assert "numpy" not in modules
+    assert "repro.functional.kernels" not in modules
+
+
+def test_report_and_crosscheck_validate_and_run_without_numpy():
+    out = run_fresh(
+        """
+        from repro.api import CrosscheckRequest, ExperimentRequest, Session
+        from repro.runtime.cache import ResultCache
+
+        session = Session(cache=ResultCache())
+        report = ExperimentRequest(name="report")
+        crosscheck = CrosscheckRequest(bandwidth=True, capacity=True, cluster=True)
+        for request in (report, crosscheck):
+            request.validate()
+        OUT["report"] = bool(session.run(report).payload)
+        OUT["flagged"] = len(session.run(crosscheck).payload.flagged)
+        """
+    )
+    assert out["report"] is True
+    assert out["flagged"] == 0
     assert "numpy" not in out["modules"]
 
 

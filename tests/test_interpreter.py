@@ -68,6 +68,18 @@ class TestBasicEinsums:
         out = evaluate_output(cascade, {"M": 4, "N": 3}, {"A": a})
         assert np.allclose(out, a.max(axis=0))
 
+    @pytest.mark.parametrize("reduce, identity", [(None, 0.0), (MAX_REDUCE, -np.inf)])
+    def test_reduction_over_empty_rank_is_the_identity(self, reduce, identity):
+        e = Einsum(
+            output=TensorRef.of("Z", "m"),
+            expr=ref("A", "k", "m"),
+            reductions={"k": reduce} if reduce else {},
+            name="Z",
+        )
+        cascade = _single("empty", [e], ["A"], {"k": "K", "m": "M"})
+        out = evaluate_output(cascade, {"K": 0, "M": 3}, {"A": np.zeros((0, 3))})
+        assert out.tolist() == [identity] * 3
+
     def test_scalar_output(self, rng):
         e = Einsum(
             output=TensorRef.of("Z"),
