@@ -55,7 +55,6 @@ __getattr__, __all__ = lazy_exports(
             "sweep_cluster",
             "sweep_inference",
             "sweep_pareto",
-            "sweep_scenario_grid",
             "sweep_scenarios",
             "sweep_serving",
         ),

@@ -16,6 +16,21 @@ batch: neighbouring grid points land in different batches, and tiny
 analytical tasks still share a round trip.  There is no chunked
 ``pool.map``.
 
+Shared schedules: after the cache lookups, pending tasks with equal
+:meth:`EvalTask.schedule_key` form one group, and only its lowest
+index, the representative, is dealt into a batch or run inline.  A
+binding point's key digests its lowered two-chunk template (names,
+resources, durations, deps) with its chunk count and issue slots,
+everything the chunk fold reads, so equal keys are equal schedules.
+Under the matched floorplan an interleaved point hides fill and drain,
+and its template is the same at every array dim.  The pass then builds each
+other member's row in the parent from the representative's makespan
+and busy cycles and caches it under the member's own key, so cache
+files, payloads and digests are those of a pass that scheduled every
+point.  A shared row costs no attempt; if the representative exhausts
+its budget, each member records its own :class:`TaskFailure` under
+``on_error="skip"``.  Other task kinds have no key and never share.
+
 Fault tolerance (see :mod:`.faults`): :func:`execute_tasks` accepts a
 :class:`~repro.runtime.faults.RetryPolicy` (bounded attempts, capped
 seeded backoff, per-task timeout), recovers a broken process pool by
@@ -42,7 +57,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..simulator.pipeline import BINDINGS
@@ -51,6 +66,7 @@ from ..simulator.sweep import (
     DEFAULT_SWEEP_CHUNKS,
     BindingPoint,
     ScenarioGridCell,
+    binding_row,
     evaluate_binding_point,
     evaluate_scenario_point,
 )
@@ -142,6 +158,12 @@ class EvalTask:
             "batch": self.batch,
         }
 
+    def schedule_key(self) -> Optional[str]:
+        """Equal keys mean equal schedules (see :func:`execute_tasks`):
+        a binding point's :meth:`~repro.simulator.sweep.BindingPoint
+        .schedule_key`, None for every other kind."""
+        return self.config.schedule_key() if self.kind == "binding" else None
+
 
 def simulate_serving(spec: ServingSpec) -> Any:
     """:func:`repro.serving.simulator.simulate_serving`, imported on
@@ -188,12 +210,14 @@ def evaluate_task(task: EvalTask) -> Any:
 class ExecutionOutcome:
     """What one :func:`execute_tasks` pass did, beyond its results.
 
-    ``results`` is index-aligned with the task list (cache hits count as
-    zero attempts).  ``attempts`` totals every attempt made this pass,
+    ``results`` is index-aligned with the task list (cache hits and
+    rows shared from a representative's schedule count as zero
+    attempts).  ``attempts`` totals every attempt made this pass,
     ``recovered`` counts tasks that succeeded after at least one failed
     attempt, ``failures`` the tasks that exhausted their budget under
-    ``on_error="skip"``, and ``respawns`` how many times a broken
-    process pool was replaced.
+    ``on_error="skip"`` (in index order, a shared row's beside its
+    representative's), and ``respawns`` how many times a broken process
+    pool was replaced.
     """
 
     results: List[Any]
@@ -302,9 +326,11 @@ class _ExecutionState:
             return None
         return self.faults.directive(index, attempt)
 
-    def finish(self, index: int, value: Any) -> None:
-        """Record one successful attempt (and write the cache entry)."""
-        self.attempts += 1
+    def finish(self, index: int, value: Any, attempted: bool = True) -> None:
+        """Record one successful attempt, or a row shared from its
+        representative's (``attempted=False``), and write the cache
+        entry."""
+        self.attempts += attempted
         self.results[index] = value
         if index in self.flaky:
             self.recovered.add(index)
@@ -330,6 +356,23 @@ class _ExecutionState:
         self.failures.append(failure)
         self.results[index] = failure
         return False
+
+    def share(self, groups: List[List[int]]) -> None:
+        """Give each group's other members the row of its first member,
+        the representative that ran: a binding row rebuilt from its
+        makespan and busy cycles, or under ``on_error="skip"`` a copy of
+        its :class:`TaskFailure` carrying the member's own index."""
+        for rep, *members in groups:
+            row = self.results[rep]
+            for i in members:
+                if isinstance(row, TaskFailure):
+                    failure = replace(row, index=i)
+                    self.failures.append(failure)
+                    self.results[i] = failure
+                else:
+                    point = self.tasks[i].config
+                    shared = binding_row(point, row.makespan, row.busy_2d, row.busy_1d)
+                    self.finish(i, shared, attempted=False)
 
 
 def _run_inline(state: _ExecutionState, pending: List[int]) -> None:
@@ -593,8 +636,8 @@ def execute_tasks(
     store = resolve_cache(cache)
     results: List[Any] = [None] * len(tasks)
     keys: List[Optional[str]] = [None] * len(tasks)
-    pending: List[int] = []
     memo: Dict[int, Any] = {}
+    groups: Dict[Any, List[int]] = {}
     for i, task in enumerate(tasks):
         if store is not None:
             keys[i] = cache_key(task.fingerprint(memo))
@@ -602,17 +645,20 @@ def execute_tasks(
             if hit is not None:
                 results[i] = hit
                 continue
-        pending.append(i)
+        key = task.schedule_key()  # a task without one is a group of its own
+        groups.setdefault(i if key is None else key, []).append(i)
+    pending = [members[0] for members in groups.values()]
 
     state = _ExecutionState(tasks, results, keys, store, policy, on_error, faults)
     if jobs > 1 and len(pending) > 1:
         _run_pool_supervised(state, pending, jobs)
     elif pending:
         _run_inline(state, pending)
+    state.share([members for members in groups.values() if len(members) > 1])
     return ExecutionOutcome(
         results=results,
         attempts=state.attempts,
-        failures=tuple(state.failures),
+        failures=tuple(sorted(state.failures, key=lambda failure: failure.index)),
         recovered=len(state.recovered),
         respawns=state.respawns,
     )
@@ -829,7 +875,9 @@ def sweep_bindings(
     over processes and reuse the content-addressed cache exactly like
     the figure grids.  The
     ``array_dims``, ``pe_1d_dims``, and ``embeddings`` axes sweep
-    independently.
+    independently.  Points with equal binding graphs (matched-floorplan
+    interleaved points across array dims) are scheduled once per pass
+    (see :func:`execute_tasks`).
     """
     tasks = binding_grid(chunks, bindings, array_dims, embeddings, pe_1d_dims)
     results = _sweep(tasks, "binding", jobs, cache, registry, retry, on_error, faults)
@@ -878,29 +926,6 @@ def scenario_grid_tasks(cells: Sequence[ScenarioGridCell]) -> List[EvalTask]:
     that schedule the same scenario under different coordinates stay
     distinct cache entries, and a relabel can never shadow a row."""
     return [EvalTask("scenario_grid", cell, None, cell.scenario.seq_len) for cell in cells]
-
-
-def sweep_scenario_grid(
-    cells: Sequence[ScenarioGridCell],
-    *,
-    jobs: int = 1,
-    cache: Any = True,
-    registry: Optional[RunRegistry] = None,
-    retry: Optional[RetryPolicy] = None,
-    on_error: str = "raise",
-    faults: Optional[FaultPlan] = None,
-) -> List[Any]:
-    """Evaluate a scenario grid cell-by-cell through the runtime.
-
-    Returns :class:`~repro.simulator.sweep.ScenarioGridResult` rows
-    index-aligned with ``cells`` (the cell itself is the identity, so no
-    keyed merge can shadow a row).  Each cell schedules its
-    multi-instance scenario on the vector engine's fold and joins the
-    analytical estimate; cells fan out over processes and
-    content-address into the cache under the ``"scenario_grid"`` task
-    kind."""
-    tasks = scenario_grid_tasks(cells)
-    return _sweep(tasks, "scenario_grid", jobs, cache, registry, retry, on_error, faults)
 
 
 def serving_grid(specs: Sequence[ServingSpec]) -> List[EvalTask]:

@@ -56,6 +56,8 @@ __all__ = [
     "WORD_BYTES",
     "apply_buffer_spills",
     "binding_sim",
+    "binding_slots",
+    "binding_template",
     "build_decode_tasks",
     "build_scenario_tasks",
     "build_tasks",
@@ -646,14 +648,25 @@ def _binding_serial(binding: str) -> bool:
     return binding == "tile-serial"
 
 
+def binding_template(config: PipelineConfig, binding: str) -> List[Task]:
+    """The two-chunk graph :func:`fold_binding` folds: every task and
+    duration the chunk fold of ``config`` reads."""
+    return build_tasks(replace(config, chunks=2), serial=_binding_serial(binding))
+
+
+def binding_slots(binding: str) -> int:
+    """Issue slots the chunk fold schedules ``binding`` with: one under
+    tile-serial (the :class:`Simulator`'s serial mode), two otherwise."""
+    return 1 if _binding_serial(binding) else 2
+
+
 def fold_binding(config: PipelineConfig, binding: str) -> FoldedScenario:
     """Fold one binding's graph along its chunk axis: chunk ``k`` is an
     instance of one template whose only outside deps reach chunk
     ``k-1``, so :func:`~repro.simulator.vector.fold_chain` lowers the
     two-chunk graph to a chained class of ``config.chunks`` instances.
     The finish times it yields carry :func:`build_tasks`' names."""
-    serial = _binding_serial(binding)
-    return fold_chain(build_tasks(replace(config, chunks=2), serial=serial), config.chunks)
+    return fold_chain(binding_template(config, binding), config.chunks)
 
 
 def schedule_binding(
@@ -665,9 +678,9 @@ def schedule_binding(
     and never builds the ``config.chunks``-chunk task list.  The cycle
     oracle builds it and runs it under :func:`_run`'s cycle budget; the
     fold derives the same budget from its own duration total."""
-    serial = _binding_serial(binding)
     if engine == "vector":
-        return run_folded(fold_binding(config, binding), slots=1 if serial else 2)
+        return run_folded(fold_binding(config, binding), slots=binding_slots(binding))
+    serial = _binding_serial(binding)
     return _run(build_tasks(config, serial=serial), serial, slots=2, engine=engine)
 
 

@@ -32,6 +32,7 @@ through the same machinery under task kind ``"scenario"``.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, replace
 from typing import ClassVar, Dict, Mapping, Optional, Tuple
 
@@ -104,6 +105,20 @@ class BindingPoint:
             pe_1d=self.resolved_pe_1d,
         )
 
+    def schedule_key(self) -> str:
+        """A SHA-256 digest of every input the chunk fold reads: per
+        task of the two-chunk template its name, resource, duration and
+        deps, then the chunk count and the issue slots.  Points with
+        equal keys have equal schedules, so a sweep schedules one of
+        them (see :func:`binding_row`).  Under the matched floorplan an
+        interleaved point's template does not depend on the array dim;
+        a tile-serial point's fill and drain do.  The digest, not the
+        graph, is what a pass holds on to per point."""
+        template = pipeline.binding_template(self.config(), self.binding)
+        graph = [(t.name, t.resource, t.duration, t.deps) for t in template]
+        inputs = (graph, self.chunks, pipeline.binding_slots(self.binding))
+        return hashlib.sha256(repr(inputs).encode()).hexdigest()
+
 
 @dataclass(frozen=True)
 class BindingResult:
@@ -129,6 +144,27 @@ class BindingResult:
     util_1d: float
 
 
+def binding_row(
+    point: BindingPoint, makespan: int, busy_2d: int, busy_1d: int
+) -> BindingResult:
+    """``point``'s row from a schedule's makespan and busy cycles: its
+    own schedule's, or those of a point with the same
+    :meth:`~BindingPoint.schedule_key`."""
+    return BindingResult(
+        binding=point.binding,
+        chunks=point.chunks,
+        array_dim=point.array_dim,
+        pe_1d=point.resolved_pe_1d,
+        embedding=point.embedding,
+        seq_len=point.config().seq_len,
+        makespan=makespan,
+        busy_2d=busy_2d,
+        busy_1d=busy_1d,
+        util_2d=busy_2d / makespan if makespan else 0.0,
+        util_1d=busy_1d / makespan if makespan else 0.0,
+    )
+
+
 def evaluate_binding_point(
     point: BindingPoint, engine: str = "vector"
 ) -> BindingResult:
@@ -136,22 +172,9 @@ def evaluate_binding_point(
     differential run asks for the cycle oracle.  Only the fold's
     two-chunk template is built.  The schedule is looked up on the
     pipeline module at call time, like the scenario path's."""
-    config = point.config()
-    result = pipeline.schedule_binding(config, point.binding, engine=engine)
-    makespan = result.makespan
-    return BindingResult(
-        binding=point.binding,
-        chunks=point.chunks,
-        array_dim=point.array_dim,
-        pe_1d=point.resolved_pe_1d,
-        embedding=point.embedding,
-        seq_len=config.seq_len,
-        makespan=makespan,
-        busy_2d=result.busy_cycles.get("2d", 0),
-        busy_1d=result.busy_cycles.get("1d", 0),
-        util_2d=result.utilization("2d"),
-        util_1d=result.utilization("1d"),
-    )
+    result = pipeline.schedule_binding(point.config(), point.binding, engine=engine)
+    busy = result.busy_cycles
+    return binding_row(point, result.makespan, busy.get("2d", 0), busy.get("1d", 0))
 
 
 # --------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from repro.runtime import (
     ResultCache,
     RetryPolicy,
     RunRegistry,
+    TaskError,
     TaskFailure,
     attention_grid,
     binding_grid,
@@ -41,7 +42,13 @@ from repro.runtime import (
     sweep_serving,
 )
 from repro.serving import Arrival, ServingSpec, poisson_arrivals
-from repro.simulator import ScenarioGridCell
+from repro.simulator import (
+    PipelineConfig,
+    ScenarioGridCell,
+    build_tasks,
+    evaluate_binding_point,
+    pipeline,
+)
 from repro.workloads import BERT, MODELS, SEQUENCE_LENGTHS, T5
 from repro.workloads.scenario import Phase, Scenario, attention_scenario
 
@@ -146,6 +153,163 @@ class TestParallelEqualsSerial:
         assert len(stored[1]) == 12
         assert stored[2] == stored[1]
         assert digests[2] == digests[1]
+
+
+#: The grid of ``test_pooled_binding_sweep_stores_what_inline_stores``:
+#: tile-serial and interleaved at 3 chunk counts and array dims 64 and
+#: 128, matched lanes.
+SHARED_GRID = dict(chunks=(16, 64, 1024), array_dims=(64, 128))
+
+
+def schedule_groups(tasks):
+    """Indices of ``tasks`` grouped by an independently built key: the
+    two-chunk template from :func:`build_tasks`, chunks and slots."""
+    groups = {}
+    for i, task in enumerate(tasks):
+        point = task.config
+        serial = point.binding == "tile-serial"
+        config = PipelineConfig(
+            chunks=2,
+            embedding=point.embedding,
+            array_dim=point.array_dim,
+            pe_1d=point.resolved_pe_1d,
+        )
+        template = tuple(
+            (t.name, t.resource, t.duration, t.deps) for t in build_tasks(config, serial)
+        )
+        groups.setdefault((template, point.chunks, serial), []).append(i)
+    return list(groups.values())
+
+
+def spy_schedules(monkeypatch):
+    """Record every :func:`pipeline.schedule_binding` call in-process."""
+    calls = []
+    real = pipeline.schedule_binding
+
+    def spy(config, binding, engine="vector"):
+        calls.append((binding, config))
+        return real(config, binding, engine=engine)
+
+    monkeypatch.setattr(pipeline, "schedule_binding", spy)
+    return calls
+
+
+class TestSharedSchedules:
+    """Points with equal binding graphs are scheduled once per pass."""
+
+    def test_matched_interleaved_points_schedule_once(self, monkeypatch):
+        calls = spy_schedules(monkeypatch)
+        rows = sweep_bindings(**SHARED_GRID, cache=False)
+        assert len(rows) == 12
+        assert len(calls) == 9
+        # Only the interleaved points at dim 64 ran; dim 128's reused them.
+        assert {c.array_dim for b, c in calls if b == "interleaved"} == {64}
+        outcome = execute_tasks(binding_grid(**SHARED_GRID), cache=False)
+        assert outcome.attempts == 9
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_equal_per_point_evaluation(self, jobs):
+        tasks = binding_grid(**SHARED_GRID)
+        outcome = execute_tasks(tasks, jobs=jobs, cache=False)
+        assert outcome.results == [evaluate_binding_point(t.config) for t in tasks]
+        assert outcome.attempts == 9
+
+    @pytest.mark.parametrize("held", ["representative", "member"])
+    def test_cache_holding_one_row_of_a_group(self, held):
+        tasks = binding_grid(**SHARED_GRID)
+        clean = run_tasks(tasks, cache=False)
+        rep, member = next(group for group in schedule_groups(tasks) if len(group) > 1)
+        index = rep if held == "representative" else member
+        cache = ResultCache()
+        cache.put(cache_key(tasks[index].fingerprint()), clean[index])
+        outcome = execute_tasks(tasks, cache=cache)
+        assert outcome.results == clean
+        assert outcome.attempts == 9
+        assert cache.stats.hits == 1
+
+    @pytest.mark.parametrize(
+        "grid, schedules",
+        [
+            # Tile-serial fill and drain grow with the array dim.
+            (dict(chunks=(16, 64), bindings=("tile-serial",), array_dims=(64, 128)), 4),
+            # Unmatched lanes: 1D tasks at dim 128 take twice dim 64's cycles.
+            (dict(chunks=(16, 64), array_dims=(64, 128), pe_1d_dims=(64,)), 8),
+            (dict(chunks=(16,), array_dims=(64,), embeddings=(32, 64)), 4),
+            # Equal lane ratios (128/64, 256/128) give equal templates.
+            (dict(chunks=(16,), bindings=("interleaved",), array_dims=(128, 256),
+                  pe_1d_dims=(64, 128)), 3),
+        ],
+    )
+    def test_sharing_follows_the_graph(self, grid, schedules, monkeypatch):
+        """The executor shares exactly where templates built in this
+        test are equal."""
+        tasks = binding_grid(**grid)
+        groups = schedule_groups(tasks)
+        assert len(groups) == schedules
+        keyed = {}
+        for i, task in enumerate(tasks):
+            keyed.setdefault(task.schedule_key(), []).append(i)
+        assert sorted(keyed.values()) == sorted(groups)
+        calls = spy_schedules(monkeypatch)
+        rows = run_tasks(tasks, cache=False)
+        assert len(calls) == schedules
+        assert rows == [evaluate_binding_point(t.config) for t in tasks]
+
+    def test_other_kinds_have_no_key(self):
+        assert all(t.schedule_key() is None for t in attention_grid((BERT,), SHORT))
+
+
+class TestSharedScheduleFaults:
+    """A shared group's representative carries the group's faults."""
+
+    def group(self, tasks):
+        return next(group for group in schedule_groups(tasks) if len(group) > 1)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_recovered_representative_shares_its_row(self, jobs):
+        tasks = binding_grid(**SHARED_GRID)
+        clean = run_tasks(tasks, cache=False)
+        rep = self.group(tasks)[0]
+        outcome = execute_tasks(
+            tasks,
+            jobs=jobs,
+            cache=False,
+            retry=RetryPolicy(max_attempts=2),
+            faults=FaultPlan(faults=(FaultSpec(rep, 1, "raise"),)),
+        )
+        assert outcome.results == clean
+        assert outcome.recovered == 1
+        assert outcome.attempts == 9 + 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_exhausted_representative_fails_every_member(self, jobs):
+        tasks = binding_grid(**SHARED_GRID)
+        clean = run_tasks(tasks, cache=False)
+        group = self.group(tasks)
+        outcome = execute_tasks(
+            tasks,
+            jobs=jobs,
+            cache=False,
+            on_error="skip",
+            faults=FaultPlan(faults=(FaultSpec(group[0], 1, "raise"),)),
+        )
+        assert [failure.index for failure in outcome.failures] == group
+        for i in group:
+            assert isinstance(outcome.results[i], TaskFailure)
+            assert outcome.results[i].index == i
+            assert "InjectedFault" in outcome.results[i].error
+        kept = [i for i in range(len(tasks)) if i not in group]
+        assert [outcome.results[i] for i in kept] == [clean[i] for i in kept]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raise_names_the_representative(self, jobs):
+        tasks = binding_grid(**SHARED_GRID)
+        rep = self.group(tasks)[0]
+        with pytest.raises(TaskError) as excinfo:
+            execute_tasks(
+                tasks, jobs=jobs, cache=False, faults=FaultPlan(faults=(FaultSpec(rep, 1),))
+            )
+        assert excinfo.value.failure.index == rep
 
 
 class TestGrids:
