@@ -22,12 +22,17 @@ Counting conventions (documented because they define our cost model):
   later expands an exp into 6 sequential MACCs (Taylor series, per the
   paper's Sec. V).
 - Views and scalar initialisations are free.
+
+Each Einsum compiles once into its terms (:func:`einsum_terms`: cost
+class and rank variables, with the fusion rule applied); counting under
+concrete shapes multiplies the extents of each term's variables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple
+from math import prod
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from ..einsum import Cascade, Einsum
 from ..einsum.tensor import Expr, Leaf, Literal, Map, Unary
@@ -77,58 +82,95 @@ class OpCounts:
         return f"OpCounts({inner})"
 
 
-def _space(vars_: Tuple[str, ...], cascade: Cascade, shapes: Mapping[str, int]) -> int:
-    size = 1
-    for var in vars_:
-        size *= cascade.rank_extent(var, shapes)
-    return size
+#: One operation-count term: a cost class and the rank variables whose
+#: extents multiply to its count.
+Term = Tuple[str, Tuple[str, ...]]
 
 
-def _count_expr(
-    expr: Expr, cascade: Cascade, shapes: Mapping[str, int], counts: Dict[str, int]
-) -> None:
+def _expr_terms(expr: Expr, terms: List[Term]) -> None:
     if isinstance(expr, (Leaf, Literal)):
         return
     if isinstance(expr, Unary):
-        _count_expr(expr.child, cascade, shapes, counts)
-        space = _space(expr.vars(), cascade, shapes)
-        counts[expr.op.cost_class] = counts.get(expr.op.cost_class, 0) + space
-        return
-    if isinstance(expr, Map):
-        _count_expr(expr.lhs, cascade, shapes, counts)
-        _count_expr(expr.rhs, cascade, shapes, counts)
-        space = _space(expr.vars(), cascade, shapes)
-        counts[expr.op.cost_class] = counts.get(expr.op.cost_class, 0) + space
-        return
-    raise TypeError(f"unknown expression node {type(expr).__name__}")
+        _expr_terms(expr.child, terms)
+    elif isinstance(expr, Map):
+        _expr_terms(expr.lhs, terms)
+        _expr_terms(expr.rhs, terms)
+    else:
+        raise TypeError(f"unknown expression node {type(expr).__name__}")
+    terms.append((expr.op.cost_class, expr.vars()))
+
+
+def einsum_terms(einsum: Einsum) -> Tuple[Term, ...]:
+    """One Einsum's op-count terms in counting order: each map and unary
+    action of its expression over that node's rank variables, children
+    first, then each reduction over the iteration space.  A sum fused
+    under a root MACC is no term of its own; a view has no terms."""
+    if einsum.is_view:
+        return ()
+    terms: List[Term] = []
+    _expr_terms(einsum.expr, terms)
+    space = einsum.iteration_vars()
+    root_is_macc = isinstance(einsum.expr, Map) and einsum.expr.op.cost_class == "macc"
+    for var in einsum.reduced_vars():
+        op = einsum.reduce_action(var)
+        if op.cost_class == "add" and root_is_macc:
+            continue  # fused multiply-accumulate: already counted as macc
+        terms.append((op.cost_class, space))
+    return tuple(terms)
+
+
+def _evaluate(terms: Tuple[Term, ...], extents: Mapping[str, int]) -> OpCounts:
+    counts: Dict[str, int] = {}
+    for cls, vars_ in terms:
+        counts[cls] = counts.get(cls, 0) + prod(map(extents.__getitem__, vars_))
+    return OpCounts(counts)
+
+
+def _rank_vars(einsums: Iterable[Einsum]) -> Tuple[str, ...]:
+    """Every rank variable counting the Einsums resolves: the iteration
+    spaces of all but the views."""
+    return tuple(
+        dict.fromkeys(v for e in einsums if not e.is_view for v in e.iteration_vars())
+    )
 
 
 def count_einsum_ops(
     einsum: Einsum, cascade: Cascade, shapes: Mapping[str, int]
 ) -> OpCounts:
     """Count the operations one Einsum performs under concrete shapes."""
-    if einsum.is_view:
-        return OpCounts({})
-    counts: Dict[str, int] = {}
-    _count_expr(einsum.expr, cascade, shapes, counts)
-    space = _space(einsum.iteration_vars(), cascade, shapes)
-    root_is_macc = isinstance(einsum.expr, Map) and einsum.expr.op.cost_class == "macc"
-    for var in einsum.reduced_vars():
-        op = einsum.reduce_action(var)
-        if op.cost_class == "add" and root_is_macc:
-            continue  # fused multiply-accumulate: already counted as macc
-        counts[op.cost_class] = counts.get(op.cost_class, 0) + space
-    return OpCounts(counts)
+    extents = {v: cascade.rank_extent(v, shapes) for v in _rank_vars((einsum,))}
+    return _evaluate(einsum_terms(einsum), extents)
+
+
+@dataclass(frozen=True)
+class OpTable:
+    """A cascade's op-count terms per Einsum label, derived once.
+
+    Counting under concrete shapes is then integer products of rank
+    extents; :func:`repro.model.perf.shared_cascade` keeps one table per
+    cascade builder.
+    """
+
+    cascade: Cascade
+    terms: Mapping[str, Tuple[Term, ...]]
+    rank_vars: Tuple[str, ...]
+
+    @classmethod
+    def of(cls, cascade: Cascade) -> "OpTable":
+        terms = {einsum.label: einsum_terms(einsum) for einsum in cascade.einsums}
+        return cls(cascade, terms, _rank_vars(cascade.einsums))
+
+    def count(self, shapes: Mapping[str, int]) -> Dict[str, OpCounts]:
+        """Per-Einsum operation counts, keyed by Einsum label."""
+        extents = {v: self.cascade.rank_extent(v, shapes) for v in self.rank_vars}
+        return {label: _evaluate(terms, extents) for label, terms in self.terms.items()}
 
 
 def count_ops(
     cascade: Cascade, shapes: Mapping[str, int]
 ) -> Dict[str, OpCounts]:
     """Per-Einsum operation counts, keyed by Einsum label."""
-    return {
-        einsum.label: count_einsum_ops(einsum, cascade, shapes)
-        for einsum in cascade.einsums
-    }
+    return OpTable.of(cascade).count(shapes)
 
 
 def total_ops(cascade: Cascade, shapes: Mapping[str, int]) -> OpCounts:

@@ -19,9 +19,10 @@ how the paper drives Timeloop (Sec. VI-A):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping
+from functools import lru_cache
+from typing import Callable, Dict, Iterable, Mapping
 
-from ..analysis.opcount import OpCounts, count_ops
+from ..analysis.opcount import OpCounts, OpTable
 from ..arch.energy import EnergyBreakdown, EnergyTable
 from ..arch.spec import Architecture
 from ..einsum import Cascade
@@ -94,23 +95,32 @@ class AttentionWorkload:
         return e * p + e * m + f * m + f * p
 
 
+@lru_cache(maxsize=16)
+def shared_cascade(cascade_builder: Callable[[], Cascade]) -> OpTable:
+    """The op-count table of ``cascade_builder()``'s cascade (its
+    ``cascade``), built once per builder per process.  Every workload
+    shares it read-only; the memo is keyed by the module-level builder
+    function, so it holds one cascade per builder."""
+    return OpTable.of(cascade_builder())
+
+
 def make_workload(
     model: ModelConfig,
     seq_len: int,
-    cascade_builder,
+    cascade_builder: Callable[[], Cascade],
     block: int,
     batch: int = BATCH_SIZE,
 ) -> AttentionWorkload:
     """Build an :class:`AttentionWorkload` for one model / length / cascade."""
     shapes = model.attention_shapes(seq_len, block=block)
-    cascade = cascade_builder()
+    table = shared_cascade(cascade_builder)
     return AttentionWorkload(
         model=model,
         seq_len=seq_len,
         batch=batch,
-        cascade=cascade,
+        cascade=table.cascade,
         shapes=shapes,
-        per_einsum=count_ops(cascade, shapes),
+        per_einsum=table.count(shapes),
     )
 
 

@@ -25,6 +25,7 @@ import os
 import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass, fields, is_dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, Optional
 
@@ -81,14 +82,32 @@ def canonical(obj: Any) -> Any:
     return repr(obj)
 
 
+def canonical_json(obj: Any) -> str:
+    """:func:`canonical` ``obj`` as the compact, key-sorted JSON text
+    that cache keys hash."""
+    return json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
+
+
 def cache_key(task_fields: Dict[str, Any], version: Optional[str] = None) -> str:
     """Stable content address of one evaluation task."""
     payload = {
         "__version__": code_version() if version is None else version,
         **task_fields,
     }
-    blob = json.dumps(canonical(payload), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
+#: A string's JSON text; keys repeat the same few field names.
+_json_string = lru_cache(maxsize=256)(json.dumps)
+
+
+def cache_key_of_json(encoded: Dict[str, str]) -> str:
+    """:func:`cache_key` of fields already rendered by
+    :func:`canonical_json` (``encoded`` maps each field name to its
+    text): the same key, without walking the fields again."""
+    encoded = {"__version__": _json_string(code_version()), **encoded}
+    blob = ",".join(f"{_json_string(name)}:{encoded[name]}" for name in sorted(encoded))
+    return hashlib.sha256(f"{{{blob}}}".encode()).hexdigest()
 
 
 # --------------------------------------------------------------------------

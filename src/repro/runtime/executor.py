@@ -18,7 +18,9 @@ analytical tasks still share a round trip.  There is no chunked
 
 Shared schedules: after the cache lookups, pending tasks with equal
 :meth:`EvalTask.schedule_key` form one group, and only its lowest
-index, the representative, is dealt into a batch or run inline.  A
+index, the representative, is dealt into a batch or run inline.  When
+the cache holds the row of a task with the group's key, that row
+represents the group instead and nothing in it runs.  A
 binding point's key digests its lowered two-chunk template (names,
 resources, durations, deps) with its chunk count and issue slots,
 everything the chunk fold reads, so equal keys are equal schedules.
@@ -79,7 +81,7 @@ from ..workloads.models import (
     ModelConfig,
 )
 from ..workloads.scenario import Scenario
-from .cache import cache_key, canonical, resolve_cache
+from .cache import cache_key_of_json, canonical_json, resolve_cache
 from .faults import (
     FaultPlan,
     InjectedFault,
@@ -135,28 +137,31 @@ class EvalTask:
     seq_len: int
     batch: int = BATCH_SIZE
 
-    def fingerprint(self, memo: Optional[Dict[int, Any]] = None) -> Dict[str, Any]:
-        """The cache-key fields identifying this evaluation.
-
-        ``memo`` (keyed by object id) lets a sweep canonicalize each of
-        its shared config/model objects once instead of per grid point;
-        callers must keep the objects alive while using the memo.
-        """
-        if memo is None:
-            memo = {}
-        config = memo.get(id(self.config))
-        if config is None:
-            config = memo[id(self.config)] = canonical(self.config)
-        model = memo.get(id(self.model))
-        if model is None:
-            model = memo[id(self.model)] = canonical(self.model)
+    def fingerprint(self) -> Dict[str, Any]:
+        """The cache-key fields identifying this evaluation."""
         return {
             "kind": self.kind,
-            "config": config,
-            "model": model,
+            "config": self.config,
+            "model": self.model,
             "seq_len": self.seq_len,
             "batch": self.batch,
         }
+
+    def cache_key(self, memo: Dict[int, str]) -> str:
+        """``cache_key(self.fingerprint())`` in one canonical pass.
+
+        ``memo`` (keyed by object id) lets a pass render each field
+        object it shares, such as a config or model, to JSON once
+        instead of per grid point; callers must keep the tasks alive
+        while using it.
+        """
+        encoded = {}
+        for name, value in self.fingerprint().items():
+            text = memo.get(id(value))
+            if text is None:
+                text = memo[id(value)] = canonical_json(value)
+            encoded[name] = text
+        return cache_key_of_json(encoded)
 
     def schedule_key(self) -> Optional[str]:
         """Equal keys mean equal schedules (see :func:`execute_tasks`):
@@ -636,18 +641,25 @@ def execute_tasks(
     store = resolve_cache(cache)
     results: List[Any] = [None] * len(tasks)
     keys: List[Optional[str]] = [None] * len(tasks)
-    memo: Dict[int, Any] = {}
+    memo: Dict[int, str] = {}
+    hits: List[int] = []
     groups: Dict[Any, List[int]] = {}
     for i, task in enumerate(tasks):
         if store is not None:
-            keys[i] = cache_key(task.fingerprint(memo))
+            keys[i] = task.cache_key(memo)
             hit = store.get(keys[i])
             if hit is not None:
                 results[i] = hit
+                hits.append(i)
                 continue
         key = task.schedule_key()  # a task without one is a group of its own
         groups.setdefault(i if key is None else key, []).append(i)
-    pending = [members[0] for members in groups.values()]
+    keyed = {key: members for key, members in groups.items() if isinstance(key, str)}
+    for i in hits if keyed else ():
+        members = keyed.pop(tasks[i].schedule_key(), None)
+        if members is not None:
+            members.insert(0, i)  # a cached row leads: its group runs nothing
+    pending = [members[0] for members in groups.values() if results[members[0]] is None]
 
     state = _ExecutionState(tasks, results, keys, store, policy, on_error, faults)
     if jobs > 1 and len(pending) > 1:

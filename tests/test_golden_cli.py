@@ -67,6 +67,10 @@ CASES = [
     (["sweep", "--kind", "inference", "--models", "BERT",
       "--seq-lens", "1024"], "sweep-inference.txt"),
     (["crosscheck"], "crosscheck.txt"),
+    # The full crosscheck (bandwidth, capacity and cluster points), the
+    # text the report-crosscheck benchmark workload produces.
+    (["crosscheck", "--bandwidth", "--capacity", "--cluster"],
+     "crosscheck-full.txt"),
     (["fig6"], "fig6.txt"),
     # Open-loop serving (this PR): the seeded rate sweep, the default
     # table, and a trace-driven point are each locked byte-for-byte —

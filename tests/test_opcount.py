@@ -2,14 +2,40 @@
 of Section IV-D and the 1-pass compute overhead of Section IV-E3."""
 
 
-from repro.analysis.opcount import EXP_MACCS, OpCounts, count_ops, total_ops
+import pytest
+
+from repro.analysis.opcount import (
+    EXP_MACCS,
+    OpCounts,
+    OpTable,
+    count_einsum_ops,
+    count_ops,
+    total_ops,
+)
+from repro.arch import fusemax_arch
 from repro.cascades import (
     attention_1pass,
+    attention_1pass_fa1,
     attention_2pass,
     attention_3pass,
+    attention_batched,
+    attention_naive,
     cascade1_two_pass,
     cascade2_deferred,
+    cascade3_iterative,
+    causal_attention,
+    encoder_layer_einsums,
+    iterative_prefix_sum,
+    naive_softmax,
+    sigmoid_attention,
+    sliding_window_attention,
+    stable_softmax,
 )
+from repro.cascades.pedagogical import filtered_prefix_sum
+from repro.einsum import ADD, EXP, MAX_REDUCE, Cascade, Einsum, TensorRef, ref
+from repro.einsum.tensor import Map, Unary
+from repro.model.fusemax import FLAT_ARCH_BLOCK
+from repro.workloads import BERT, T5, XLM
 
 SHAPES = {"E": 64, "F": 64, "M": 1024, "P": 256, "M0": 16, "M1": 64, "K": 100}
 M, P, E, F = SHAPES["M"], SHAPES["P"], SHAPES["E"], SHAPES["F"]
@@ -115,3 +141,130 @@ class TestViewsAndInits:
         assert per1["Z"].get("macc") == 100  # K multiplications (Einsum 6)
         per2 = count_ops(cascade2_deferred(), {"K": 100})
         assert per2["Z"].get("macc") == 1  # a single multiplication (Einsum 9)
+
+
+# --------------------------------------------------------------------------
+# Compiled terms against the recursive expression walk they replace, for
+# every cascade builder, at the block sizes the accelerator models use.
+# --------------------------------------------------------------------------
+
+def mixed_classes() -> Cascade:
+    """A map under a reduction of another class (a max over a sum) and
+    an unfused sum over an exp: the order classes are counted in shows."""
+    return Cascade.build(
+        "mixed-classes",
+        [
+            Einsum(
+                TensorRef.of("Z", "p"),
+                Map(ADD, ref("A", "m", "p"), ref("B", "m", "p")),
+                reductions={"m": MAX_REDUCE},
+                name="Z",
+            ),
+            Einsum(TensorRef.of("Y", "p"), Unary(EXP, ref("A", "m", "p")), name="Y"),
+        ],
+        inputs=["A", "B"],
+        rank_shapes={"m": "M", "p": "P"},
+    )
+
+
+BUILDERS = {
+    "1pass": attention_1pass,
+    "1pass-fa1": attention_1pass_fa1,
+    "2pass": attention_2pass,
+    "2pass-div": lambda: attention_2pass(div_opt=True),
+    "3pass": attention_3pass,
+    "3pass-div": lambda: attention_3pass(div_opt=True),
+    "batched": attention_batched,
+    "naive": attention_naive,
+    "causal": causal_attention,
+    "causal-nodiv": lambda: causal_attention(div_opt=False),
+    "sliding-window": sliding_window_attention,
+    "sigmoid": sigmoid_attention,
+    "cascade1": cascade1_two_pass,
+    "cascade2": cascade2_deferred,
+    "cascade3": cascade3_iterative,
+    "filtered-prefix-sum": filtered_prefix_sum,
+    "iterative-prefix-sum": iterative_prefix_sum,
+    "naive-softmax": naive_softmax,
+    "stable-softmax": stable_softmax,
+    "encoder-layer": encoder_layer_einsums,
+    "mixed-classes": mixed_classes,
+}
+
+#: Symbols outside the attention shapes (pedagogical, batched, encoder).
+_OTHER_SYMBOLS = {"K": 100, "B": 4, "H": 12, "D": 768, "G": 3072, "N": 512}
+
+#: One shape set per block the models use: FLAT's tile (FuseMax at the
+#: ``cascade`` stage), FuseMax's array dim, and the 3-pass models' 256.
+SHAPE_SETS = {
+    f"{model.name}-{seq_len}-block{block}": dict(
+        model.attention_shapes(seq_len, block=block), **_OTHER_SYMBOLS
+    )
+    for model, seq_len, block in (
+        (BERT, 1024, FLAT_ARCH_BLOCK),
+        (XLM, 4096, fusemax_arch().array_dim),
+        (T5, 65536, 256),
+    )
+}
+
+
+def walk_counts(einsum, cascade, shapes):
+    """The recursive expression walk: each map and unary node over its
+    rank variables, children first, then the reductions unless fused
+    under a root MACC."""
+    counts = {}
+
+    def space(vars_):
+        size = 1
+        for var in vars_:
+            size *= cascade.rank_extent(var, shapes)
+        return size
+
+    def visit(expr):
+        if isinstance(expr, Unary):
+            visit(expr.child)
+        elif isinstance(expr, Map):
+            visit(expr.lhs)
+            visit(expr.rhs)
+        else:
+            return
+        cls = expr.op.cost_class
+        counts[cls] = counts.get(cls, 0) + space(expr.vars())
+
+    if einsum.is_view:
+        return counts
+    visit(einsum.expr)
+    fused = isinstance(einsum.expr, Map) and einsum.expr.op.cost_class == "macc"
+    for var in einsum.reduced_vars():
+        cls = einsum.reduce_action(var).cost_class
+        if not (cls == "add" and fused):
+            counts[cls] = counts.get(cls, 0) + space(einsum.iteration_vars())
+    return counts
+
+
+class TestCompiledCounts:
+    @pytest.mark.parametrize("shapes", SHAPE_SETS.values(), ids=SHAPE_SETS)
+    @pytest.mark.parametrize("builder", BUILDERS.values(), ids=BUILDERS)
+    def test_compiled_counts_equal_the_walk(self, builder, shapes):
+        """Same counts, and the classes in the same order (a model sums
+        them as floats in that order)."""
+        cascade = builder()
+        per = count_ops(cascade, shapes)
+        assert list(per) == list(dict.fromkeys(e.label for e in cascade.einsums))
+        for einsum in cascade.einsums:
+            expected = list(walk_counts(einsum, cascade, shapes).items())
+            assert list(count_einsum_ops(einsum, cascade, shapes).counts.items()) == expected
+        for label, counts in per.items():
+            einsum = [e for e in cascade.einsums if e.label == label][-1]
+            assert list(counts.counts.items()) == list(
+                walk_counts(einsum, cascade, shapes).items()
+            )
+
+    def test_one_table_counts_every_shape_set(self):
+        table = OpTable.of(attention_1pass())
+        for shapes in SHAPE_SETS.values():
+            assert table.count(shapes) == count_ops(attention_1pass(), shapes)
+
+    def test_unbound_symbol_is_reported(self):
+        with pytest.raises(KeyError, match="M1"):
+            count_ops(attention_1pass(), {"E": 64, "F": 64, "P": 256, "M0": 16})

@@ -1,16 +1,23 @@
 """Tests for the shared perf helpers, the roofline characterization, and
 the transformer linear-layer cascade."""
 
+import hashlib
+import importlib
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import count_passes, count_ops, family
+from repro.analysis.opcount import OpTable
 from repro.arch import fusemax_arch
-from repro.cascades import attention_3pass
+from repro.cascades import attention_1pass, attention_3pass
 from repro.cascades.transformer import encoder_layer_einsums, linear_layers
+from repro.experiments.report import full_report
 from repro.model import FLATModel, fusemax
-from repro.model.perf import array_cycles, make_workload
+from repro.model.perf import array_cycles, make_workload, shared_cascade
 from repro.model.roofline import machine_balance_point, roofline_point
-from repro.workloads import BERT
+from repro.workloads import BERT, T5
 
 
 class TestPerfHelpers:
@@ -41,6 +48,45 @@ class TestPerfHelpers:
     def test_array_cycles_op_totals(self, workload):
         work = array_cycles(workload.per_einsum, ("QK",), 65536, exp_cycles=6)
         assert work.op_counts["macc"] == 64 * 4096 * 4096
+
+
+class TestSharedCascades:
+    """Every workload of one builder shares one cascade and op table."""
+
+    def test_workloads_share_the_cascade(self):
+        a = make_workload(BERT, 4096, attention_3pass, block=256)
+        b = make_workload(T5, 1024, attention_3pass, block=256)
+        assert a.cascade is b.cascade is shared_cascade(attention_3pass).cascade
+        assert a.per_einsum == count_ops(attention_3pass(), a.shapes)
+
+    def test_full_report_builds_each_cascade_once(self, monkeypatch):
+        """A spy per builder: the whole report builds each cascade once,
+        prints the golden report, and leaves both cascades and their op
+        tables equal to fresh builds."""
+        calls = Counter()
+
+        def spy(builder):
+            def build():
+                calls[builder.__name__] += 1
+                return builder()
+
+            return build
+
+        one, three = spy(attention_1pass), spy(attention_3pass)
+        for module, name, builder in (
+            ("fusemax", "attention_1pass", one),
+            ("flat", "attention_3pass", three),
+            ("unfused", "attention_3pass", three),
+        ):
+            monkeypatch.setattr(importlib.import_module(f"repro.model.{module}"), name, builder)
+        report = full_report(cache=False)
+        golden = Path(__file__).parent / "golden" / "report.sha256"
+        assert hashlib.sha256(report.encode()).hexdigest() == golden.read_text().strip()
+        assert calls == {"attention_1pass": 1, "attention_3pass": 1}
+        for builder, spied in ((attention_1pass, one), (attention_3pass, three)):
+            shared = shared_cascade(spied)
+            assert shared.cascade == builder()
+            assert shared == OpTable.of(builder())
 
 
 class TestRoofline:

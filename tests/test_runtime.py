@@ -41,6 +41,8 @@ from repro.runtime import (
     sweep_pareto,
     sweep_serving,
 )
+from repro.runtime import cache as cache_module
+from repro.runtime.executor import KINDS
 from repro.serving import Arrival, ServingSpec, poisson_arrivals
 from repro.simulator import (
     PipelineConfig,
@@ -93,6 +95,27 @@ CODEC_SAMPLES = {
     "TaskFailure": lambda: TaskFailure(index=3, kind="binding", error="boom", attempts=2),
     "EnergyBreakdown": lambda: CODEC_SAMPLES["AttentionResult"]().energy,
     "RequestMetrics": lambda: CODEC_SAMPLES["ServingResult"]().requests[0],
+}
+
+
+#: A few tasks of every kind the executor keys.
+KEYED_TASKS = {
+    "attention": lambda: attention_grid([BERT, T5], SHORT),
+    "inference": lambda: attention_grid([BERT], SHORT, kind="inference"),
+    "pareto": lambda: pareto_grid([BERT, T5], dims=(64, 128)),
+    "binding": lambda: binding_grid(chunks=(16, 64), array_dims=(64, 128)),
+    "scenario": lambda: scenario_grid(
+        [attention_scenario(2, 4, array_dim=64), attention_scenario(2, 4, dram_bw=32.0)]
+    ),
+    "scenario_grid": lambda: scenario_grid_tasks(
+        [ScenarioGridCell(attention_scenario(2, 4, array_dim=64), model="BERT", batch=b)
+         for b in (1, 2)]
+    ),
+    "serve": lambda: serving_grid([serving_spec(), serving_spec(deadline=4000)]),
+    "cluster": lambda: cluster_grid(
+        [ClusterPoint(attention_scenario(4, 4, array_dim=64), ClusterSpec(n, link_bw=64.0))
+         for n in (1, 2)]
+    ),
 }
 
 
@@ -224,8 +247,9 @@ class TestSharedSchedules:
         cache.put(cache_key(tasks[index].fingerprint()), clean[index])
         outcome = execute_tasks(tasks, cache=cache)
         assert outcome.results == clean
-        assert outcome.attempts == 9
+        assert outcome.attempts == 8  # the cached row stands in for the group's schedule
         assert cache.stats.hits == 1
+        assert cache.stats.puts == len(tasks)  # rows built from the hit are cached too
 
     @pytest.mark.parametrize(
         "grid, schedules",
@@ -342,6 +366,24 @@ class TestCacheKey:
         ]
         keys = {cache_key(t.fingerprint()) for t in [base] + others}
         assert len(keys) == len(others) + 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_pass_key_equals_generic_key(self, kind):
+        """The executor's key is the generic key of the fingerprint, so
+        cache addresses do not depend on which path computed them."""
+        tasks = KEYED_TASKS[kind]()
+        assert {task.kind for task in tasks} == {kind}
+        memo = {}
+        keys = [task.cache_key(memo) for task in tasks]
+        assert keys == [cache_key(task.fingerprint()) for task in tasks]
+        assert len(set(keys)) == len(tasks)
+
+    def test_key_bytes_are_pinned(self, monkeypatch):
+        task = EvalTask("attention", UnfusedModel(), BERT, 1024)
+        pinned = "598b9b34d88316474fffcec9a6bf8f47fc229069a34d28137c7541994447be0b"
+        assert cache_key(task.fingerprint(), version="pinned") == pinned
+        monkeypatch.setattr(cache_module, "_CODE_VERSION", "pinned")
+        assert task.cache_key({}) == pinned
 
     def test_code_version_invalidates(self):
         task = EvalTask("attention", UnfusedModel(), BERT, 1024)
