@@ -31,7 +31,6 @@ from repro.runtime import (
     attention_grid,
     execute_tasks,
     result_digest,
-    run_tasks,
 )
 from repro.workloads import BERT, T5
 
@@ -86,7 +85,7 @@ def main(argv=None):
     )
     policy = RetryPolicy(max_attempts=5, task_timeout_s=2.0)
 
-    clean = result_digest(run_tasks(tasks, cache=False))
+    clean = result_digest(execute_tasks(tasks, cache=False).results)
 
     with tempfile.TemporaryDirectory() as tmp:
         store = ResultCache(directory=tmp)
@@ -106,7 +105,7 @@ def main(argv=None):
 
         # Leg 3: the corrupted disk entries quarantine and recompute.
         fresh = ResultCache(directory=tmp)
-        reread = result_digest(run_tasks(tasks, cache=fresh))
+        reread = result_digest(execute_tasks(tasks, cache=fresh).results)
         assert reread == clean, "post-corruption reread diverged"
         n_corrupt = len(set(plan.corrupt))
         assert fresh.stats.corrupt == n_corrupt, (

@@ -16,16 +16,18 @@ import argparse
 import tempfile
 import time
 
-from repro.runtime import ResultCache, sweep_attention, sweep_inference, sweep_pareto
+from repro.api import Session
+from repro.runtime import ResultCache, attention_grid, pareto_grid
 
 
 def full_grid(jobs=1, cache=False):
     """Every grid the figures draw from: Figs. 6-9 (attention),
-    Figs. 10-11 (inference), Fig. 12 (pareto)."""
+    Figs. 10-11 (inference), Fig. 12 (pareto), one session pass each."""
+    session = Session(jobs=jobs, cache=cache)
     return (
-        sweep_attention(jobs=jobs, cache=cache),
-        sweep_inference(jobs=jobs, cache=cache),
-        sweep_pareto(jobs=jobs, cache=cache),
+        session.evaluate("attention", attention_grid()).results,
+        session.evaluate("inference", attention_grid(kind="inference")).results,
+        session.evaluate("pareto", pareto_grid()).results,
     )
 
 

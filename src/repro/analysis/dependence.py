@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Set, Tuple
 
-from ..einsum import Cascade, Einsum
+from ..einsum.cascade import Cascade
+from ..einsum.einsum import Einsum
 
 
 @dataclass(frozen=True)

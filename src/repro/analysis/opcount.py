@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-from ..einsum import Cascade, Einsum
+from ..einsum.cascade import Cascade
+from ..einsum.einsum import Einsum
 from ..einsum.tensor import Expr, Leaf, Literal, Map, Unary
 
 #: Number of sequential MACC operations implementing one exponentiation

@@ -54,7 +54,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
-from ..einsum import Cascade, Einsum
+from ..einsum.cascade import Cascade
+from ..einsum.einsum import Einsum
 from ..einsum.index import Fixed, Shifted, Var
 from ..einsum.tensor import TensorRef
 from .dependence import DependenceGraph, build_dependence

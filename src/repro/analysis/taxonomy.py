@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
 from ..cascades.attention import attention_1pass, attention_2pass, attention_3pass
-from ..einsum import Cascade
+from ..einsum.cascade import Cascade
 from .passes import RankFamily, count_passes, family
 
 #: Prior work classified by Table I of the paper.

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Set
 
-from ..einsum import Cascade
+from ..einsum.cascade import Cascade
 from ..einsum.index import Affine, Fixed, Shifted, Var
 from ..einsum.tensor import TensorRef
 from .footprint import live_footprints

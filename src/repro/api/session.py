@@ -1,12 +1,17 @@
 """The Session façade: one executor/cache/registry behind every request.
 
 A :class:`Session` owns the execution policy — worker count, result
-cache, run registry — and exposes exactly two ways to evaluate:
+cache, run registry, retries and fault plan — and exposes two ways to
+evaluate requests:
 
 - :meth:`Session.run` — one request, one :class:`Result`;
 - :meth:`Session.submit` / :meth:`Session.gather` — batch heterogeneous
   requests, pool every lowerable grid point into a *single* pass through
   the parallel runtime, and hand back one ``Result`` per request.
+
+Both, and every experiment driver, run their grids through
+:meth:`Session.evaluate`, the one place a grid pass is executed and
+recorded.
 
 Every ``Result`` wraps its payload in a :class:`Provenance` envelope:
 cache hit/miss deltas, the code version that computed it, wall time, and
@@ -23,11 +28,11 @@ import io
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..runtime import executor as _runtime
 from ..runtime.cache import ResultCache, code_version, resolve_cache
-from ..runtime.executor import ON_ERROR_MODES, ExecutionOutcome, execute_tasks
+from ..runtime.executor import ON_ERROR_MODES, EvalTask, ExecutionOutcome, execute_tasks
 from ..runtime.faults import FaultPlan, RetryPolicy
 from ..runtime.registry import RunRegistry
 from ..simulator.sweep import (
@@ -47,8 +52,8 @@ from .requests import (
     ServeRequest,
 )
 
-#: Experiments whose drivers run a grid through the runtime (and so
-#: accept ``jobs``/``cache``); the rest are cheap and stay serial.
+#: Experiments whose drivers run a grid through the session (their
+#: ``main`` takes one); the rest are cheap and stay serial.
 GRID_EXPERIMENTS = ("fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12")
 
 
@@ -101,11 +106,6 @@ def _binding_tasks(request: BindingSweepRequest) -> List[Any]:
         request.embeddings,
         request.pe_1d_dims,
     )
-
-
-def _point_key(point: Any) -> tuple:
-    """The documented result key of :func:`sweep_bindings` rows."""
-    return (point.binding, point.chunks, point.array_dim, point.resolved_pe_1d, point.embedding)
 
 
 class Session:
@@ -170,10 +170,6 @@ class Session:
         """The session's result cache (None when caching is off)."""
         return self._store
 
-    def _cache_arg(self) -> Any:
-        """The session cache in the runtime's argument vocabulary."""
-        return self._store if self._store is not None else False
-
     # -- single-request execution ------------------------------------------
 
     def run(self, request: Request) -> Result:
@@ -233,15 +229,22 @@ class Session:
             profiles=self._last_profiles,
         )
 
-    def _execute_recorded(self, kind: str, tasks: List[Any]) -> ExecutionOutcome:
-        """One pooled pass under the session's fault policy, recorded to
-        the registry (with its health summary) when one is configured."""
+    def evaluate(self, kind: str, tasks: Sequence[EvalTask]) -> ExecutionOutcome:
+        """Evaluate one grid pass under the session's policy.
+
+        Every grid a request or an experiment driver runs comes through
+        here, so ``jobs``, the cache, retries, timeouts, ``on_error`` and
+        the fault plan all apply.  With a registry the pass leaves one
+        record of ``kind`` with its cache-stat delta and health summary.
+        A request's provenance reports the fault counts of its last pass.
+        """
+        tasks = list(tasks)
         start = time.perf_counter()
         before = self._store.stats.as_dict() if self._store is not None else None
         outcome = execute_tasks(
             tasks,
             jobs=self.jobs,
-            cache=self._cache_arg(),
+            cache=self._store,  # None: no cache
             retry=self.retry,
             on_error=self.on_error,
             faults=self.faults,
@@ -263,8 +266,8 @@ class Session:
         self._last_outcome = outcome
         return outcome
 
-    #: Registry record kind for each request type the pooled executor
-    #: serves directly (matching the historical sweep_* record kinds).
+    #: Registry record kind for each request type that lowers to one
+    #: grid pass.
     _REGISTRY_KINDS = {
         BindingSweepRequest: "binding",
         ScenarioRequest: "scenario",
@@ -277,9 +280,7 @@ class Session:
         lowered = self._lower(request)
         if lowered is not None:
             tasks, assemble = lowered
-            outcome = self._execute_recorded(
-                self._REGISTRY_KINDS[type(request)], tasks
-            )
+            outcome = self.evaluate(self._REGISTRY_KINDS[type(request)], tasks)
             return assemble(outcome.results)
         if isinstance(request, ExperimentRequest):
             return self._run_experiment(request)
@@ -305,9 +306,7 @@ class Session:
                 bandwidth=request.bandwidth,
                 capacity=request.capacity,
                 cluster=request.cluster,
-                jobs=self.jobs,
-                cache=self._cache_arg(),
-                registry=self.registry,
+                session=self,
             )
         raise TypeError(f"unknown request type {type(request).__name__}")
 
@@ -315,22 +314,13 @@ class Session:
         if request.name == "report":
             from ..experiments.report import full_report
 
-            return full_report(jobs=self.jobs, cache=self._cache_arg())
+            return full_report(self)
         if request.name == "sweep":
-            sweep = {
-                "attention": _runtime.sweep_attention,
-                "inference": _runtime.sweep_inference,
-            }[request.resolved_kind]
-            return sweep(
-                tuple(MODELS_BY_NAME[name] for name in request.resolved("models")),
-                request.resolved("seq_lens"),
-                jobs=self.jobs,
-                cache=self._cache_arg(),
-                registry=self.registry,
-                retry=self.retry,
-                on_error=self.on_error,
-                faults=self.faults,
-            )
+            from ..experiments.common import evaluate_grid
+
+            models = tuple(MODELS_BY_NAME[name] for name in request.resolved("models"))
+            seq_lens = request.resolved("seq_lens")
+            return evaluate_grid(self, models, seq_lens, kind=request.resolved_kind)
         # Figure/table drivers print their tables; the captured text is
         # the payload, so the CLI adapter stays byte-identical to the
         # drivers' historical stdout.
@@ -340,7 +330,7 @@ class Session:
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):
             if request.name in GRID_EXPERIMENTS:
-                module.main(jobs=self.jobs, cache=self._cache_arg())
+                module.main(self)
             else:
                 module.main()
         return buffer.getvalue()
@@ -350,7 +340,7 @@ class Session:
         # serial and uncached, so a cached result can never masquerade
         # as a cycle run.
         return {
-            _point_key(task.config): evaluate_binding_point(task.config, engine="cycle")
+            _runtime.binding_key(task.config): evaluate_binding_point(task.config, engine="cycle")
             for task in _binding_tasks(request)
         }
 
@@ -387,7 +377,7 @@ class Session:
             points = [task.config for task in tasks]
 
             def assemble_bindings(results: List[Any]) -> Dict:
-                return {_point_key(p): r for p, r in zip(points, results)}
+                return {_runtime.binding_key(p): r for p, r in zip(points, results)}
 
             return tasks, assemble_bindings
         if (
@@ -442,7 +432,7 @@ class Session:
             before = self._store.stats.as_dict() if self._store is not None else None
             record_before = self.registry.last_recorded if self.registry else None
             all_tasks = [task for _, tasks, _ in pooled for task in tasks]
-            outcome = self._execute_recorded("batch", all_tasks)
+            outcome = self.evaluate("batch", all_tasks)
             flat = outcome.results
             offset = 0
             for i, tasks, assemble in pooled:

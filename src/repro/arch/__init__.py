@@ -1,26 +1,23 @@
-"""Architecture specifications, energy, and area models."""
+"""Architecture specifications, energy, and area models.
 
-from .area import AreaBreakdown, area_of
-from .energy import DEFAULT_ENERGY, EnergyBreakdown, EnergyTable
-from .spec import (
-    Architecture,
-    EXP_AS_MACCS,
-    flat_arch,
-    fusemax_arch,
-    fusemax_edge_arch,
-    unfused_arch,
+The names below load with their defining submodule on first use (see
+:mod:`repro._lazy`); code inside the package imports that submodule.
+"""
+
+from .._lazy import lazy_exports
+
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "area": ("AreaBreakdown", "area_of"),
+        "energy": ("DEFAULT_ENERGY", "EnergyBreakdown", "EnergyTable"),
+        "spec": (
+            "Architecture",
+            "EXP_AS_MACCS",
+            "flat_arch",
+            "fusemax_arch",
+            "fusemax_edge_arch",
+            "unfused_arch",
+        ),
+    },
 )
-
-__all__ = [
-    "Architecture",
-    "AreaBreakdown",
-    "DEFAULT_ENERGY",
-    "EXP_AS_MACCS",
-    "EnergyBreakdown",
-    "EnergyTable",
-    "area_of",
-    "flat_arch",
-    "fusemax_arch",
-    "fusemax_edge_arch",
-    "unfused_arch",
-]

@@ -33,26 +33,11 @@ from __future__ import annotations
 import math
 from typing import List
 
-from ..einsum import (
-    ADD,
-    Affine,
-    Cascade,
-    DIV,
-    EXP,
-    Einsum,
-    Fixed,
-    IterativeRank,
-    Literal,
-    MAX,
-    MAX_REDUCE,
-    MUL,
-    Map,
-    SUB_THEN_EXP,
-    Shifted,
-    TensorRef,
-    Unary,
-    ref,
-)
+from ..einsum.cascade import Cascade, IterativeRank
+from ..einsum.einsum import Einsum
+from ..einsum.index import Affine, Fixed, Shifted
+from ..einsum.ops import ADD, DIV, EXP, MAX, MAX_REDUCE, MUL, SUB_THEN_EXP
+from ..einsum.tensor import Literal, Map, TensorRef, Unary, ref
 
 FLAT_RANKS = {"e": "E", "f": "F", "m": "M", "p": "P"}
 PARTITIONED_RANKS = {"e": "E", "f": "F", "m1": "M1", "m0": "M0", "p": "P"}

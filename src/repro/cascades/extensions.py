@@ -21,22 +21,11 @@ and the op-counting machinery unchanged.
 
 from __future__ import annotations
 
-from ..einsum import (
-    Affine,
-    Cascade,
-    DIV,
-    Einsum,
-    Filter,
-    MAX_REDUCE,
-    MUL,
-    Map,
-    SIGMOID,
-    SUB_THEN_EXP,
-    TensorRef,
-    Unary,
-    Var,
-    ref,
-)
+from ..einsum.cascade import Cascade
+from ..einsum.einsum import Einsum
+from ..einsum.index import Affine, Filter, Var
+from ..einsum.ops import DIV, MAX_REDUCE, MUL, SIGMOID, SUB_THEN_EXP
+from ..einsum.tensor import Map, TensorRef, Unary, ref
 from .attention import ATTENTION_INPUTS, FLAT_RANKS, _qk_einsum
 
 

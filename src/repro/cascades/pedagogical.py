@@ -13,22 +13,11 @@ pass reduction:
 
 from __future__ import annotations
 
-from ..einsum import (
-    ADD,
-    Cascade,
-    DIV,
-    Einsum,
-    Filter,
-    Fixed,
-    IterativeRank,
-    Literal,
-    MUL,
-    Map,
-    Shifted,
-    TensorRef,
-    Var,
-    ref,
-)
+from ..einsum.cascade import Cascade, IterativeRank
+from ..einsum.einsum import Einsum
+from ..einsum.index import Filter, Fixed, Shifted, Var
+from ..einsum.ops import ADD, DIV, MUL
+from ..einsum.tensor import Literal, Map, TensorRef, ref
 
 
 def cascade1_two_pass() -> Cascade:

@@ -10,18 +10,10 @@ Both forms operate on a pre-computed attention score tensor ``QK[m, p]``:
 
 from __future__ import annotations
 
-from ..einsum import (
-    Cascade,
-    DIV,
-    EXP,
-    Einsum,
-    MAX_REDUCE,
-    Map,
-    SUB_THEN_EXP,
-    TensorRef,
-    Unary,
-    ref,
-)
+from ..einsum.cascade import Cascade
+from ..einsum.einsum import Einsum
+from ..einsum.ops import DIV, EXP, MAX_REDUCE, SUB_THEN_EXP
+from ..einsum.tensor import Map, TensorRef, Unary, ref
 
 SOFTMAX_RANKS = {"m": "M", "p": "P"}
 

@@ -19,7 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from ..einsum import Cascade, Einsum, MUL, Map, TensorRef, ref
+from ..einsum.cascade import Cascade
+from ..einsum.einsum import Einsum
+from ..einsum.ops import MUL
+from ..einsum.tensor import Map, TensorRef, ref
 
 
 @dataclass(frozen=True)

@@ -8,69 +8,40 @@ The public authoring API:
 ...     expr=Map(MUL, ref("A", "k", "m"), ref("B", "k", "n")),
 ...     name="Z",
 ... )
+
+The names load with their defining submodule on first use (see
+:mod:`repro._lazy`), so building cascades never loads the parser; code
+inside the package imports the defining submodule.
 """
 
-from .cascade import Cascade, CascadeError, IterativeRank
-from .einsum import Einsum
-from .index import Affine, Filter, Fixed, IndexExpr, Shifted, Var, resolve_symint
-from .ops import (
-    ADD,
-    DIV,
-    EXP,
-    MAX,
-    MAX_REDUCE,
-    MUL,
-    MapOp,
-    NEG,
-    ReduceOp,
-    SIGMOID,
-    SUB,
-    SUB_THEN_EXP,
-    SUM_REDUCE,
-    UnaryOp,
-    map_op,
-    reduce_op,
-    unary_op,
-)
-from .parser import ParseError, parse_einsum
-from .tensor import Expr, Leaf, Literal, Map, TensorRef, Unary, ref
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Affine",
-    "ADD",
-    "Cascade",
-    "CascadeError",
-    "DIV",
-    "Einsum",
-    "EXP",
-    "Expr",
-    "Filter",
-    "Fixed",
-    "IndexExpr",
-    "IterativeRank",
-    "Leaf",
-    "Literal",
-    "Map",
-    "MapOp",
-    "MAX",
-    "MAX_REDUCE",
-    "MUL",
-    "NEG",
-    "ParseError",
-    "ReduceOp",
-    "SIGMOID",
-    "Shifted",
-    "SUB",
-    "SUB_THEN_EXP",
-    "SUM_REDUCE",
-    "TensorRef",
-    "Unary",
-    "UnaryOp",
-    "Var",
-    "map_op",
-    "parse_einsum",
-    "reduce_op",
-    "ref",
-    "resolve_symint",
-    "unary_op",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "cascade": ("Cascade", "CascadeError", "IterativeRank"),
+        "einsum": ("Einsum",),
+        "index": ("Affine", "Filter", "Fixed", "IndexExpr", "Shifted", "Var", "resolve_symint"),
+        "ops": (
+            "ADD",
+            "DIV",
+            "EXP",
+            "MAX",
+            "MAX_REDUCE",
+            "MUL",
+            "MapOp",
+            "NEG",
+            "ReduceOp",
+            "SIGMOID",
+            "SUB",
+            "SUB_THEN_EXP",
+            "SUM_REDUCE",
+            "UnaryOp",
+            "map_op",
+            "reduce_op",
+            "unary_op",
+        ),
+        "parser": ("ParseError", "parse_einsum"),
+        "tensor": ("Expr", "Leaf", "Literal", "Map", "TensorRef", "Unary", "ref"),
+    },
+)

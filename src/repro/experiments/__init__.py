@@ -1,7 +1,10 @@
 """Experiment drivers regenerating every table and figure of the paper.
 
 Each module exposes ``run()`` (structured rows), ``render()`` (text table),
-and ``main()`` (print).  ``repro.experiments.report.full_report()`` runs
+and ``main()`` (print).  The grid-backed drivers evaluate their grid
+through a :class:`~repro.api.Session` (``run(session=...)``,
+``main(session)``) and turn evaluated grids into rows with
+``from_results``.  ``repro.experiments.report.full_report()`` runs
 everything.  A driver loads when it is first imported or read as an
 attribute of this package.
 """

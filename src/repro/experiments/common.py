@@ -2,47 +2,31 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
-from ..model.metrics import AttentionResult
-from ..runtime import executor as _runtime
-from ..workloads.models import (
-    MODELS,
-    MODELS_BY_NAME,
-    ModelConfig,
-    SEQUENCE_LENGTHS,
-)
+from ..api.session import Session
+from ..runtime.executor import attention_grid
+from ..workloads.models import MODELS, SEQUENCE_LENGTHS, ModelConfig
 
 
-def sweep_attention(
+def evaluate_grid(
+    session: Optional[Session],
     models: Sequence[ModelConfig] = MODELS,
     seq_lens: Sequence[int] = SEQUENCE_LENGTHS,
-    *,
-    jobs: int = 1,
-    cache: object = True,
-) -> Dict[Tuple[str, str, int], AttentionResult]:
-    """Evaluate every configuration on the grid; keyed by
-    ``(config_name, model_name, seq_len)``.
-
-    Runs through the :mod:`repro.api` Session (a typed
-    ``ExperimentRequest``): ``jobs`` fans grid points out over
-    processes and ``cache`` reuses prior results; both preserve the
-    serial path's results and ordering exactly.  Unregistered
-    ``ModelConfig`` objects (nothing in-repo) fall back to the runtime
-    directly, since requests name models rather than carry them.
-    """
-    if all(MODELS_BY_NAME.get(m.name) is m for m in models):
-        # Imported lazily: the Session dispatches experiment requests
-        # back into this package.
-        from ..api import ExperimentRequest, Session
-
-        request = ExperimentRequest(
-            name="sweep", kind="attention",
-            models=tuple(m.name for m in models),
-            seq_lens=tuple(seq_lens),
-        )
-        return Session(jobs=jobs, cache=cache).run(request).payload
-    return _runtime.sweep_attention(models, seq_lens, jobs=jobs, cache=cache)
+    configs: Optional[Sequence[Any]] = None,
+    kind: str = "attention",
+) -> Dict[Tuple[str, str, int], Any]:
+    """Evaluate the ``attention`` or ``inference`` grid (see
+    :func:`~repro.runtime.executor.attention_grid`) in one pass of
+    ``session`` (a default :class:`Session` when None), recorded under
+    ``kind``.  The results are keyed by
+    ``(config_name, model_name, seq_len)``, in task order."""
+    tasks = attention_grid(models, seq_lens, configs, kind=kind)
+    results = (session or Session()).evaluate(kind, tasks).results
+    return {
+        (task.config.name, task.model.name, task.seq_len): result
+        for task, result in zip(tasks, results)
+    }
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:

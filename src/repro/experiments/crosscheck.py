@@ -19,13 +19,14 @@ the simulator can provide alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
+from ..api.session import Session
 from ..cluster.spec import SHARDINGS, ClusterSpec
 from ..cluster.sweep import ClusterPoint
 from ..model.cluster import analytical_cluster
 from ..model.scenario import analytical_scenario
-from ..runtime import executor as _runtime
+from ..runtime.executor import cluster_grid, scenario_grid
 from ..workloads.models import BERT
 from ..workloads.scenario import (
     BINDINGS,
@@ -202,11 +203,9 @@ def crosscheck(
     bandwidth: bool = False,
     capacity: bool = False,
     cluster: bool = False,
-    jobs: int = 1,
-    cache: Any = True,
-    registry: Any = None,
+    session: Optional[Session] = None,
 ) -> CrosscheckReport:
-    """Simulate each scenario through the runtime and diff its per-array
+    """Simulate each scenario in one session pass and diff its per-array
     utilization against the analytical estimate.
 
     ``bandwidth=True`` appends the bandwidth-limited grid
@@ -217,8 +216,10 @@ def crosscheck(
     -inflated schedule against the ``capacity-bound`` roofline term.
     ``cluster=True`` appends the sharded multi-chip grid
     (:func:`cluster_points`), whose rows compare the shared ``link``'s
-    utilization against the analytical cluster bound.
+    utilization against the analytical cluster bound, simulated in a
+    second pass.
     """
+    session = session or Session()
     points: Tuple[ClusterPoint, ...] = ()
     if scenarios is None:
         scenarios = seed_scenarios()
@@ -228,12 +229,9 @@ def crosscheck(
             scenarios = scenarios + capacity_scenarios()
         if cluster:
             points = cluster_points()
-    simulated = _runtime.sweep_scenarios(
-        scenarios, jobs=jobs, cache=cache, registry=registry
-    )
+    simulated = session.evaluate("scenario", scenario_grid(scenarios)).results
     rows = []
-    for scenario in scenarios:
-        sim = simulated[scenario]
+    for scenario, sim in zip(scenarios, simulated):
         model = analytical_scenario(scenario)
         arrays = CHECKED_ARRAYS
         if scenario.dram_bw is not None:
@@ -252,9 +250,7 @@ def crosscheck(
                 )
             )
     if points:
-        clustered = _runtime.sweep_cluster(
-            points, jobs=jobs, cache=cache, registry=registry
-        )
+        clustered = session.evaluate("cluster", cluster_grid(points)).results
         for point, sim in zip(points, clustered):
             estimate = analytical_cluster(point.scenario, point.spec, point.sharding)
             rows.append(
@@ -298,6 +294,6 @@ def run(**kwargs) -> CrosscheckReport:
     return crosscheck(**kwargs)
 
 
-def main(jobs: int = 1, cache: Any = True) -> None:
+def main(session: Optional[Session] = None) -> None:
     print("Scenario cross-check: simulated vs analytical utilization")
-    print(render(crosscheck(jobs=jobs, cache=cache)))
+    print(render(crosscheck(session=session)))

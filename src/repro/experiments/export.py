@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import csv
 import os
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence
 
+from ..api.session import Session
 from . import ablations, fig1b, fig6, fig7, fig8, fig9, fig10, fig11, fig12, table1
 
 
@@ -22,7 +23,7 @@ def _write_csv(path: str, headers: Sequence[str], rows: Iterable[Sequence]) -> N
         writer.writerows(rows)
 
 
-def export_all(outdir: str, jobs: int = 1, cache: object = True) -> List[str]:
+def export_all(outdir: str, session: Optional[Session] = None) -> List[str]:
     """Write every experiment's rows as CSV; returns the file paths."""
     os.makedirs(outdir, exist_ok=True)
     written: List[str] = []
@@ -47,7 +48,7 @@ def export_all(outdir: str, jobs: int = 1, cache: object = True) -> List[str]:
         ["config", "model", "seq_len", "util_1d", "util_2d"],
         [
             (r.config, r.model, r.seq_len, r.util_1d, r.util_2d)
-            for r in fig6.run(jobs=jobs, cache=cache)
+            for r in fig6.run(session=session)
         ],
     )
     emit(
@@ -55,37 +56,37 @@ def export_all(outdir: str, jobs: int = 1, cache: object = True) -> List[str]:
         ["config", "seq_len"] + list(fig7.GROUPS),
         [
             [r.config, r.seq_len] + [r.shares[g] for g in fig7.GROUPS]
-            for r in fig7.run(jobs=jobs, cache=cache)
+            for r in fig7.run(session=session)
         ],
     )
     emit(
         "fig8.csv",
         ["config", "model", "seq_len", "speedup"],
-        [(r.config, r.model, r.seq_len, r.speedup) for r in fig8.run(jobs=jobs, cache=cache)],
+        [(r.config, r.model, r.seq_len, r.speedup) for r in fig8.run(session=session)],
     )
     emit(
         "fig9.csv",
         ["config", "model", "seq_len", "normalized_energy"],
         [
             (r.config, r.model, r.seq_len, r.normalized_energy)
-            for r in fig9.run(jobs=jobs, cache=cache)
+            for r in fig9.run(session=session)
         ],
     )
     emit(
         "fig10.csv",
         ["config", "model", "seq_len", "speedup"],
-        [(r.config, r.model, r.seq_len, r.speedup) for r in fig10.run(jobs=jobs, cache=cache)],
+        [(r.config, r.model, r.seq_len, r.speedup) for r in fig10.run(session=session)],
     )
     emit(
         "fig11.csv",
         ["config", "model", "seq_len", "normalized_energy"],
         [
             (r.config, r.model, r.seq_len, r.normalized_energy)
-            for r in fig11.run(jobs=jobs, cache=cache)
+            for r in fig11.run(session=session)
         ],
     )
     fig12_rows = []
-    for result in fig12.run(jobs=jobs, cache=cache).values():
+    for result in fig12.run(session=session).values():
         for point in result.points:
             fig12_rows.append(
                 (point.model, point.array_dim, point.area_cm2,
@@ -109,7 +110,7 @@ def export_all(outdir: str, jobs: int = 1, cache: object = True) -> List[str]:
 
 def main(argv=None) -> int:
     # Imported here: the CLI module imports this package's siblings.
-    from ..cli import _add_runtime_args, _make_cache
+    from ..cli import _add_runtime_args, _session
 
     parser = argparse.ArgumentParser(
         prog="repro-export", description="export experiment results as CSV"
@@ -119,7 +120,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.cache_dir and not args.cache:
         parser.error("--cache-dir cannot be combined with --no-cache")
-    paths = export_all(args.outdir, jobs=args.jobs, cache=_make_cache(args))
+    paths = export_all(args.outdir, _session(args))
     for path in paths:
         print(path)
     return 0

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..model.metrics import InferenceResult
-from ..runtime import executor as _runtime
+from ..api.session import Session
 from ..workloads.models import MODELS, ModelConfig, SEQUENCE_LENGTHS, seq_label
-from .common import format_table
+from .common import evaluate_grid, format_table
 
 BASELINE = "Unfused"
 
@@ -27,24 +26,17 @@ class InferenceSpeedupRow:
     speedup: float
 
 
-def sweep_inference(
-    models: Sequence[ModelConfig] = MODELS,
-    seq_lens: Sequence[int] = SEQUENCE_LENGTHS,
-    *,
-    jobs: int = 1,
-    cache: object = True,
-) -> Dict[Tuple[str, str, int], InferenceResult]:
-    return _runtime.sweep_inference(models, seq_lens, jobs=jobs, cache=cache)
-
-
 def run(
     models: Sequence[ModelConfig] = MODELS,
     seq_lens: Sequence[int] = SEQUENCE_LENGTHS,
     *,
-    jobs: int = 1,
-    cache: object = True,
+    session: Optional[Session] = None,
 ) -> List[InferenceSpeedupRow]:
-    results = sweep_inference(models, seq_lens, jobs=jobs, cache=cache)
+    return from_results(evaluate_grid(session, models, seq_lens, kind="inference"))
+
+
+def from_results(results: Dict[Tuple[str, str, int], Any]) -> List[InferenceSpeedupRow]:
+    """The rows of keyed inference results (see :func:`.evaluate_grid`)."""
     rows = []
     for (config, model, seq_len), result in results.items():
         base = results[(BASELINE, model, seq_len)]
@@ -80,8 +72,8 @@ def render(rows: List[InferenceSpeedupRow]) -> str:
     )
 
 
-def main(jobs: int = 1, cache: object = True) -> None:
-    rows = run(jobs=jobs, cache=cache)
+def main(session: Optional[Session] = None) -> None:
+    rows = run(session=session)
     print("Figure 10 — end-to-end inference speedup over the unfused baseline")
     print(render(rows))
     print(f"FuseMax over FLAT: {fusemax_vs_flat(rows):.2f}x (paper: 5.3x)")

@@ -8,10 +8,11 @@ model, plus the Pareto frontier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
+from ..api.session import Session
 from ..model.pareto import ARRAY_DIMS, DesignPoint, PARETO_SEQ_LEN, pareto_frontier
-from ..runtime import executor as _runtime
+from ..runtime.executor import pareto_grid
 from ..workloads.models import MODELS, ModelConfig
 from .common import format_table
 
@@ -30,15 +31,13 @@ def run(
     seq_len: int = PARETO_SEQ_LEN,
     dims: Sequence[int] = ARRAY_DIMS,
     *,
-    jobs: int = 1,
-    cache: object = True,
+    session: Optional[Session] = None,
 ) -> Dict[str, Fig12Result]:
-    points_by_key = _runtime.sweep_pareto(
-        models, seq_len, dims, jobs=jobs, cache=cache
-    )
+    tasks = pareto_grid(models, seq_len, dims)
+    design_points = (session or Session()).evaluate("pareto", tasks).results
     results = {}
-    for model in models:
-        points = [points_by_key[(model.name, dim)] for dim in dims]
+    for i, model in enumerate(models):
+        points = design_points[i * len(dims) : (i + 1) * len(dims)]
         results[model.name] = Fig12Result(
             model=model.name,
             points=points,
@@ -66,9 +65,9 @@ def render(results: Dict[str, Fig12Result]) -> str:
     )
 
 
-def main(jobs: int = 1, cache: object = True) -> None:
+def main(session: Optional[Session] = None) -> None:
     print("Figure 12 — area vs attention latency at L = 256K")
-    print(render(run(jobs=jobs, cache=cache)))
+    print(render(run(session=session)))
 
 
 if __name__ == "__main__":

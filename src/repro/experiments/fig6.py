@@ -8,10 +8,11 @@ across the four models and six sequence lengths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..api.session import Session
 from ..workloads.models import MODELS, ModelConfig, SEQUENCE_LENGTHS, seq_label
-from .common import format_table, sweep_attention
+from .common import evaluate_grid, format_table
 
 
 @dataclass(frozen=True)
@@ -29,10 +30,13 @@ def run(
     models: Sequence[ModelConfig] = MODELS,
     seq_lens: Sequence[int] = SEQUENCE_LENGTHS,
     *,
-    jobs: int = 1,
-    cache: object = True,
+    session: Optional[Session] = None,
 ) -> List[UtilizationRow]:
-    results = sweep_attention(models, seq_lens, jobs=jobs, cache=cache)
+    return from_results(evaluate_grid(session, models, seq_lens))
+
+
+def from_results(results: Dict[Tuple[str, str, int], Any]) -> List[UtilizationRow]:
+    """The rows of keyed attention results (see :func:`.evaluate_grid`)."""
     return [
         UtilizationRow(
             config=r.config,
@@ -70,9 +74,9 @@ def render(rows: List[UtilizationRow]) -> str:
     )
 
 
-def main(jobs: int = 1, cache: object = True) -> None:
+def main(session: Optional[Session] = None) -> None:
     print("Figure 6 — PE array utilization")
-    print(render(run(jobs=jobs, cache=cache)))
+    print(render(run(session=session)))
 
 
 if __name__ == "__main__":

@@ -10,13 +10,15 @@ absorbed the softmax exponentials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..model.flat import FLATModel
-from ..model.fusemax import fusemax, plus_architecture, plus_cascade
-from ..runtime import executor as _runtime
+from ..api.session import Session
+from ..model import all_attention_models
 from ..workloads.models import BERT, ModelConfig, SEQUENCE_LENGTHS, seq_label
-from .common import format_table
+from .common import evaluate_grid, format_table
+
+#: The configurations compared, in presentation order.
+CONFIGS = ("FLAT", "+Cascade", "+Architecture", "+Binding")
 
 #: Display groups in the order of the paper's legend.
 GROUPS = ("QK", "LM", "SLN", "SLD", "SLNV/AV")
@@ -49,17 +51,25 @@ def run(
     model: ModelConfig = BERT,
     seq_lens: Sequence[int] = SEQUENCE_LENGTHS,
     *,
-    jobs: int = 1,
-    cache: object = True,
+    session: Optional[Session] = None,
 ) -> List[Fig7Row]:
-    configs = (FLATModel(), plus_cascade(), plus_architecture(), fusemax())
-    results = _runtime.sweep_attention(
-        (model,), seq_lens, configs, jobs=jobs, cache=cache
-    )
+    configs = [config for config in all_attention_models() if config.name in CONFIGS]
+    results = evaluate_grid(session, (model,), seq_lens, configs)
+    return from_results(results, model, seq_lens)
+
+
+def from_results(
+    results: Dict[Tuple[str, str, int], Any],
+    model: ModelConfig = BERT,
+    seq_lens: Sequence[int] = SEQUENCE_LENGTHS,
+) -> List[Fig7Row]:
+    """The rows of keyed attention results (see :func:`.evaluate_grid`)
+    covering ``model`` and ``seq_lens`` under every config of
+    :data:`CONFIGS`; the full Fig. 6 grid does."""
     rows = []
     for seq_len in seq_lens:
-        for config in configs:
-            result = results[(config.name, model.name, seq_len)]
+        for config in CONFIGS:
+            result = results[(config, model.name, seq_len)]
             shares = {group: 0.0 for group in GROUPS}
             for label, fraction in result.einsum_share_of_latency().items():
                 group = _GROUP_OF.get(label)
@@ -80,9 +90,9 @@ def render(rows: List[Fig7Row]) -> str:
     return format_table(("L", "config") + GROUPS + ("total",), table_rows)
 
 
-def main(jobs: int = 1, cache: object = True) -> None:
+def main(session: Optional[Session] = None) -> None:
     print("Figure 7 — 2D array utilization by Einsum (BERT)")
-    print(render(run(jobs=jobs, cache=cache)))
+    print(render(run(session=session)))
 
 
 if __name__ == "__main__":

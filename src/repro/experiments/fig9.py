@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..api.session import Session
 from ..workloads.models import MODELS, ModelConfig, SEQUENCE_LENGTHS, seq_label
-from .common import format_table, sweep_attention
+from .common import evaluate_grid, format_table
 
 BASELINE = "Unfused"
 
@@ -30,10 +31,13 @@ def run(
     models: Sequence[ModelConfig] = MODELS,
     seq_lens: Sequence[int] = SEQUENCE_LENGTHS,
     *,
-    jobs: int = 1,
-    cache: object = True,
+    session: Optional[Session] = None,
 ) -> List[EnergyRow]:
-    results = sweep_attention(models, seq_lens, jobs=jobs, cache=cache)
+    return from_results(evaluate_grid(session, models, seq_lens))
+
+
+def from_results(results: Dict[Tuple[str, str, int], Any]) -> List[EnergyRow]:
+    """The rows of keyed attention results (see :func:`.evaluate_grid`)."""
     rows = []
     for (config, model, seq_len), result in results.items():
         base = results[(BASELINE, model, seq_len)]
@@ -72,8 +76,8 @@ def render(rows: List[EnergyRow]) -> str:
     )
 
 
-def main(jobs: int = 1, cache: object = True) -> None:
-    rows = run(jobs=jobs, cache=cache)
+def main(session: Optional[Session] = None) -> None:
+    rows = run(session=session)
     print("Figure 9 — attention energy relative to the unfused baseline")
     print(render(rows))
     print(f"FuseMax energy vs FLAT: {fusemax_vs_flat(rows):.2f} (paper: 0.79)")

@@ -31,7 +31,8 @@ from typing import (
 
 import numpy as np
 
-from ..einsum import Cascade, Einsum
+from ..einsum.cascade import Cascade
+from ..einsum.einsum import Einsum
 from ..einsum.index import Affine, Filter, Fixed, Shifted, Var
 from ..einsum.tensor import Expr, Leaf, Literal, Map, TensorRef, Unary
 from .kernels import MAP_KERNELS, REDUCE_KERNELS, UNARY_KERNELS

@@ -15,7 +15,7 @@ from typing import FrozenSet, Mapping, Tuple
 
 from ..arch.spec import Architecture
 from ..cascades.attention import attention_1pass, attention_3pass
-from ..einsum import Cascade
+from ..einsum.cascade import Cascade
 
 
 class BindingError(ValueError):

@@ -26,7 +26,7 @@ from ..analysis.opcount import count_ops
 from ..analysis.passes import PassAnalysis, RankFamily, count_passes
 from ..analysis.traffic import traffic_lower_bound
 from ..arch.spec import Architecture
-from ..einsum import Cascade
+from ..einsum.cascade import Cascade
 from ..mapping.binding import Binding, validate_binding
 from .perf import array_cycles
 

@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterable, Mapping
 from ..analysis.opcount import OpCounts, OpTable
 from ..arch.energy import EnergyBreakdown, EnergyTable
 from ..arch.spec import Architecture
-from ..einsum import Cascade
+from ..einsum.cascade import Cascade
 from ..workloads.models import BATCH_SIZE, ModelConfig
 
 #: Cost classes whose operations a 2D PE executes in one cycle.

@@ -12,7 +12,6 @@ keeps the raw values.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from dataclasses import dataclass, field
@@ -73,6 +72,8 @@ def emit_rows(results: Iterable[Any], fmt: str) -> str:
     if fmt == "json":
         return json.dumps([dict(zip(names, row)) for row in cells], indent=2)
     if fmt == "csv":
+        import csv  # only CSV output needs it, so start-up skips it
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(names)

@@ -42,21 +42,16 @@ __getattr__, __all__ = lazy_exports(
             "ExecutionOutcome",
             "attention_grid",
             "binding_grid",
+            "binding_key",
             "cluster_grid",
             "evaluate_task",
             "execute_tasks",
             "pareto_grid",
-            "run_tasks",
             "scenario_grid",
             "scenario_grid_tasks",
             "serving_grid",
-            "sweep_attention",
-            "sweep_bindings",
             "sweep_cluster",
-            "sweep_inference",
-            "sweep_pareto",
             "sweep_scenarios",
-            "sweep_serving",
         ),
         "faults": (
             "FAULT_KINDS",

@@ -3,9 +3,11 @@
 The evaluation grid (Figs. 6-11: 5 configurations × 4 models × 6
 sequence lengths; Fig. 12: 4 models × 6 array dims) is embarrassingly
 parallel — every point is an independent, pure analytical-model
-evaluation.  :func:`run_tasks` fans the points out over a
+evaluation.  :func:`execute_tasks` fans the points out over a
 ``ProcessPoolExecutor`` and merges results back in request order, so
 the output is bit-identical to the serial path regardless of ``jobs``.
+A :class:`~repro.api.Session` runs and records every grid pass through
+it (``Session.evaluate``); the grid builders below make the task lists.
 
 Cache lookups happen before dispatch: only misses reach the pool, and
 every fresh result is written back, so a warm sweep never forks at all.
@@ -92,7 +94,6 @@ from .faults import (
     WorkerCrash,
     corrupt_disk_entry,
 )
-from .registry import RunRegistry
 
 if TYPE_CHECKING:
     from ..cluster.sweep import ClusterPoint
@@ -676,28 +677,8 @@ def execute_tasks(
     )
 
 
-def run_tasks(
-    tasks: Sequence[EvalTask],
-    jobs: int = 1,
-    cache: Any = True,
-    retry: Optional[RetryPolicy] = None,
-    on_error: str = "raise",
-    faults: Optional[FaultPlan] = None,
-) -> List[Any]:
-    """Evaluate ``tasks``, in order, optionally in parallel and cached.
-
-    The returned list is index-aligned with ``tasks`` and identical to
-    ``[evaluate_task(t) for t in tasks]`` for every value of ``jobs``.
-    :func:`execute_tasks` returns the same results plus the retry/fault
-    telemetry.
-    """
-    return execute_tasks(
-        tasks, jobs=jobs, cache=cache, retry=retry, on_error=on_error, faults=faults
-    ).results
-
-
 # --------------------------------------------------------------------------
-# Grid builders and the sweep entry points the experiment drivers use.
+# Grid builders: the task lists a Session evaluates.
 # --------------------------------------------------------------------------
 
 
@@ -735,94 +716,6 @@ def pareto_grid(
     ]
 
 
-def _keyed(tasks: Sequence[EvalTask], results: Sequence[Any]) -> Dict[Tuple, Any]:
-    """Results keyed by ``(config_name, model_name, seq_len)``, in task
-    order (matching the historical serial sweep exactly)."""
-    keyed: Dict[Tuple, Any] = {}
-    for task, result in zip(tasks, results):
-        keyed[(result.config, task.model.name, task.seq_len)] = result
-    return keyed
-
-
-def _sweep(
-    tasks: Sequence[EvalTask],
-    kind: str,
-    jobs: int,
-    cache: Any,
-    registry: Optional[RunRegistry],
-    retry: Optional[RetryPolicy] = None,
-    on_error: str = "raise",
-    faults: Optional[FaultPlan] = None,
-) -> List[Any]:
-    start = time.perf_counter()
-    store = resolve_cache(cache)
-    before = store.stats.as_dict() if store is not None else None
-    outcome = execute_tasks(
-        tasks,
-        jobs=jobs,
-        cache=store if store is not None else False,
-        retry=retry,
-        on_error=on_error,
-        faults=faults,
-    )
-    results = outcome.results
-    if registry is not None:
-        duration = time.perf_counter() - start
-        delta = None
-        if store is not None:
-            after = store.stats.as_dict()
-            delta = {name: after[name] - before[name] for name in after}
-        registry.record(
-            kind=kind,
-            tasks=tasks,
-            results=results,
-            duration_s=duration,
-            jobs=jobs,
-            cache_stats=delta,
-            health=outcome.health(),
-        )
-    return results
-
-
-def sweep_attention(
-    models: Sequence[ModelConfig] = MODELS,
-    seq_lens: Sequence[int] = SEQUENCE_LENGTHS,
-    configs: Optional[Sequence[Any]] = None,
-    *,
-    jobs: int = 1,
-    cache: Any = True,
-    batch: int = BATCH_SIZE,
-    registry: Optional[RunRegistry] = None,
-    retry: Optional[RetryPolicy] = None,
-    on_error: str = "raise",
-    faults: Optional[FaultPlan] = None,
-) -> Dict[Tuple[str, str, int], Any]:
-    """Attention-kernel results over the grid, keyed by
-    ``(config_name, model_name, seq_len)``."""
-    tasks = attention_grid(models, seq_lens, configs, batch)
-    results = _sweep(tasks, "attention", jobs, cache, registry, retry, on_error, faults)
-    return _keyed(tasks, results)
-
-
-def sweep_inference(
-    models: Sequence[ModelConfig] = MODELS,
-    seq_lens: Sequence[int] = SEQUENCE_LENGTHS,
-    configs: Optional[Sequence[Any]] = None,
-    *,
-    jobs: int = 1,
-    cache: Any = True,
-    batch: int = BATCH_SIZE,
-    registry: Optional[RunRegistry] = None,
-    retry: Optional[RetryPolicy] = None,
-    on_error: str = "raise",
-    faults: Optional[FaultPlan] = None,
-) -> Dict[Tuple[str, str, int], Any]:
-    """End-to-end inference results over the grid (Figs. 10-11)."""
-    tasks = attention_grid(models, seq_lens, configs, batch, kind="inference")
-    results = _sweep(tasks, "inference", jobs, cache, registry, retry, on_error, faults)
-    return _keyed(tasks, results)
-
-
 def binding_grid(
     chunks: Sequence[int] = DEFAULT_SWEEP_CHUNKS,
     bindings: Sequence[str] = BINDINGS,
@@ -839,7 +732,7 @@ def binding_grid(
     sweeps the per-tile reduction depth E.  Points that resolve to the
     same configuration (``None`` alongside an explicit matched lane
     count) are emitted once, so every computed row survives the keyed
-    merge in :func:`sweep_bindings`.
+    payload of a binding sweep request (see :func:`binding_key`).
     """
     tasks: List[EvalTask] = []
     seen = set()
@@ -851,7 +744,7 @@ def binding_grid(
                         point = BindingPoint(
                             binding, count, array_dim=dim, embedding=embedding, pe_1d=pe_1d
                         )
-                        key = _binding_key(point)
+                        key = binding_key(point)
                         if key in seen:
                             continue
                         seen.add(key)
@@ -859,41 +752,10 @@ def binding_grid(
     return tasks
 
 
-def _binding_key(point: BindingPoint) -> Tuple[str, int, int, int, int]:
-    """Key of one binding-sweep result row."""
+def binding_key(point: BindingPoint) -> Tuple[str, int, int, int, int]:
+    """Key of one binding-sweep result row:
+    ``(binding, chunks, array_dim, pe_1d, embedding)``."""
     return (point.binding, point.chunks, point.array_dim, point.resolved_pe_1d, point.embedding)
-
-
-def sweep_bindings(
-    chunks: Sequence[int] = DEFAULT_SWEEP_CHUNKS,
-    bindings: Sequence[str] = BINDINGS,
-    array_dims: Sequence[int] = DEFAULT_SWEEP_ARRAY_DIMS,
-    *,
-    embeddings: Sequence[int] = (64,),
-    pe_1d_dims: Sequence[Optional[int]] = (None,),
-    jobs: int = 1,
-    cache: Any = True,
-    registry: Optional[RunRegistry] = None,
-    retry: Optional[RetryPolicy] = None,
-    on_error: str = "raise",
-    faults: Optional[FaultPlan] = None,
-) -> Dict[Tuple[str, int, int, int, int], Any]:
-    """Binding-simulation results over the long-sequence grid, keyed by
-    ``(binding, chunks, array_dim, pe_1d, embedding)``.
-
-    Each point schedules the Fig. 4/5 task graph at its chunk count on
-    the vector engine's chunk fold
-    (:func:`~repro.simulator.pipeline.schedule_binding`); points fan out
-    over processes and reuse the content-addressed cache exactly like
-    the figure grids.  The
-    ``array_dims``, ``pe_1d_dims``, and ``embeddings`` axes sweep
-    independently.  Points with equal binding graphs (matched-floorplan
-    interleaved points across array dims) are scheduled once per pass
-    (see :func:`execute_tasks`).
-    """
-    tasks = binding_grid(chunks, bindings, array_dims, embeddings, pe_1d_dims)
-    results = _sweep(tasks, "binding", jobs, cache, registry, retry, on_error, faults)
-    return {_binding_key(task.config): result for task, result in zip(tasks, results)}
 
 
 def scenario_grid(scenarios: Sequence[Scenario]) -> List[EvalTask]:
@@ -905,28 +767,17 @@ def scenario_grid(scenarios: Sequence[Scenario]) -> List[EvalTask]:
 
 
 def sweep_scenarios(
-    scenarios: Sequence[Scenario],
-    *,
-    jobs: int = 1,
-    cache: Any = True,
-    registry: Optional[RunRegistry] = None,
-    retry: Optional[RetryPolicy] = None,
-    on_error: str = "raise",
-    faults: Optional[FaultPlan] = None,
+    scenarios: Sequence[Scenario], *, jobs: int = 1, cache: Any = True
 ) -> Dict[Scenario, Any]:
     """Merged-schedule simulation of each scenario, keyed by the
-    :class:`Scenario` itself.
+    :class:`Scenario` itself, with no registry record and no retries.
 
-    The full (frozen, hashable) spec is the key because nothing less
-    identifies a scenario: names are free-form, and two scenarios named
-    alike may still differ in array dims, slots, or phase mix — keying
-    on the object means no computed result can ever be silently
-    shadowed.  Each point schedules one scenario's full multi-(batch,
-    head) task graph on the vector engine's fold; points fan out over
-    processes and content-address into the cache like every other
-    grid."""
+    No code in the package calls this: the crosscheck evaluates
+    :func:`scenario_grid` through a :class:`~repro.api.Session`.  It is
+    kept for ``perfbench/workloads.py``, which reads the crosscheck's
+    simulated graphs back from the session cache through it."""
     tasks = scenario_grid(scenarios)
-    results = _sweep(tasks, "scenario", jobs, cache, registry, retry, on_error, faults)
+    results = execute_tasks(tasks, jobs=jobs, cache=cache).results
     return {task.config: result for task, result in zip(tasks, results)}
 
 
@@ -950,27 +801,6 @@ def serving_grid(specs: Sequence[ServingSpec]) -> List[EvalTask]:
     return [EvalTask("serve", spec, None, spec.seq_len) for spec in specs]
 
 
-def sweep_serving(
-    specs: Sequence[ServingSpec],
-    *,
-    jobs: int = 1,
-    cache: Any = True,
-    registry: Optional[RunRegistry] = None,
-    retry: Optional[RetryPolicy] = None,
-    on_error: str = "raise",
-    faults: Optional[FaultPlan] = None,
-) -> List[Any]:
-    """Open-loop serving simulation of each spec, index-aligned.
-
-    A rate sweep passes one spec per offered-load point and reads the
-    returned :class:`~repro.serving.ServingResult` rows back as a
-    latency-vs-load curve.  Points fan out over processes and
-    content-address into the cache under the ``"serve"`` task kind, so
-    rerunning a seeded sweep is a pure cache read."""
-    tasks = serving_grid(specs)
-    return _sweep(tasks, "serve", jobs, cache, registry, retry, on_error, faults)
-
-
 def cluster_grid(points: Sequence[ClusterPoint]) -> List[EvalTask]:
     """One runtime task per cluster point (kind ``"cluster"``).
 
@@ -983,44 +813,12 @@ def cluster_grid(points: Sequence[ClusterPoint]) -> List[EvalTask]:
 
 
 def sweep_cluster(
-    points: Sequence[ClusterPoint],
-    *,
-    jobs: int = 1,
-    cache: Any = True,
-    registry: Optional[RunRegistry] = None,
-    retry: Optional[RetryPolicy] = None,
-    on_error: str = "raise",
-    faults: Optional[FaultPlan] = None,
+    points: Sequence[ClusterPoint], *, jobs: int = 1, cache: Any = True
 ) -> List[Any]:
-    """Sharded cluster simulation of each point, index-aligned.
+    """Sharded cluster simulation of each point, index-aligned, with no
+    registry record and no retries.
 
-    A chip-count × sharding × link-bandwidth sweep passes one point per
-    grid cell and reads the returned
-    :class:`~repro.cluster.ClusterResult` rows back as strong-scaling
-    curves.  Points fan out over processes and content-address into the
-    cache under the ``"cluster"`` task kind, so rerunning a sweep is a
-    pure cache read."""
-    tasks = cluster_grid(points)
-    return _sweep(tasks, "cluster", jobs, cache, registry, retry, on_error, faults)
-
-
-def sweep_pareto(
-    models: Sequence[ModelConfig] = MODELS,
-    seq_len: int = PARETO_SEQ_LEN,
-    dims: Sequence[int] = ARRAY_DIMS,
-    *,
-    jobs: int = 1,
-    cache: Any = True,
-    batch: int = BATCH_SIZE,
-    registry: Optional[RunRegistry] = None,
-    retry: Optional[RetryPolicy] = None,
-    on_error: str = "raise",
-    faults: Optional[FaultPlan] = None,
-) -> Dict[Tuple[str, int], Any]:
-    """Fig. 12 design points keyed by ``(model_name, array_dim)``."""
-    tasks = pareto_grid(models, seq_len, dims, batch)
-    results = _sweep(tasks, "pareto", jobs, cache, registry, retry, on_error, faults)
-    return {
-        (task.model.name, task.config): result
-        for task, result in zip(tasks, results)
-    }
+    Like :func:`sweep_scenarios`, kept only for
+    ``perfbench/workloads.py``; the crosscheck evaluates
+    :func:`cluster_grid` through a session."""
+    return execute_tasks(cluster_grid(points), jobs=jobs, cache=cache).results

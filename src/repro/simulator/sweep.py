@@ -12,12 +12,13 @@ the steady state of either binding is replayed instead of simulated
 the chunk axis up to the hundreds of thousands of tokens the paper
 targets (chunks ∈ {16 … 8192} at M0 = 256 columns is M up to ~2M); the
 rows equal the event core's on the built graphs.  This module defines the sweep's
-grid points and result rows; the parallel/cached execution lives in
-:func:`repro.runtime.executor.sweep_bindings`, and
+grid points and result rows; :func:`repro.runtime.executor.binding_grid`
+builds the task list, a :class:`~repro.api.Session` evaluates it in one
+parallel/cached pass (a ``BindingSweepRequest``), and
 ``repro simulate --sweep`` drives it from the CLI.
 
 Each point is pure and cheap to describe — (binding, chunks, array dim,
-1D lanes, embedding) — so it flows through the PR-1 runtime unchanged:
+1D lanes, embedding) — so it flows through the runtime unchanged:
 points fan out over processes, results content-address into the cache,
 and a rerun of a grown grid only computes the new points.  The 2D array
 dimension, the 1D lane count, and the embedding depth sweep as

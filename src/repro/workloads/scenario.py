@@ -19,9 +19,11 @@ cycle).  Every layer consumes it:
 - the analytical models derive per-array utilization bounds from the
   same per-chunk work totals (:mod:`repro.model.scenario`), replacing
   the bare ``B × H`` latency scale with an explicit overlap bound;
-- the runtime caches scenario evaluations content-addressed on every
-  field (task kind ``"scenario"``), and ``repro simulate --scenario`` /
-  ``repro crosscheck`` drive both layers and diff them.
+- a :class:`~repro.api.Session` evaluates scenario grids
+  (:func:`repro.runtime.executor.scenario_grid`, task kind
+  ``"scenario"``) with results cached content-addressed on every field,
+  and ``repro simulate --scenario`` / ``repro crosscheck`` drive both
+  layers and diff them.
 
 This module is deliberately dependency-light (workloads only): the
 simulator and model layers import it, never the other way around.

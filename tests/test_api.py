@@ -674,10 +674,10 @@ class TestSession:
     def test_scenario_payload_matches_runtime(self):
         request = ScenarioRequest(instances=2, chunks=4, array_dim=64)
         payload = Session(cache=False).run(request).payload
-        expected = _runtime.sweep_scenarios(
-            request.build_scenarios(), cache=False
-        )
-        assert payload == expected
+        scenarios = request.build_scenarios()
+        tasks = _runtime.scenario_grid(scenarios)
+        results = _runtime.execute_tasks(tasks, cache=False).results
+        assert payload == dict(zip(scenarios, results))
 
     def test_cycle_engine_matches_event(self):
         event = Session(cache=False).run(

@@ -28,6 +28,7 @@ import math
 import pytest
 from conftest import event_scenario
 
+from repro.api import Session
 from repro.experiments.crosscheck import capacity_scenarios, crosscheck
 from repro.model.scenario import analytical_scenario
 from repro.serving import Arrival, ServingSpec, build_serving_tasks, simulate_serving
@@ -263,7 +264,7 @@ class TestAnalyticalCapacity:
     def test_crosscheck_gate_over_capacity_scenarios(self):
         """The CI gate: simulated vs analytical capacity-bound
         utilization within tolerance over the capacity seed grid."""
-        report = crosscheck(capacity_scenarios(), cache=False)
+        report = crosscheck(capacity_scenarios(), session=Session(cache=False))
         assert report.ok, [
             (r.scenario, r.array, r.delta) for r in report.flagged
         ]
@@ -271,8 +272,8 @@ class TestAnalyticalCapacity:
         assert any(row.model_kind == "bandwidth-bound" for row in report.rows)
 
     def test_crosscheck_capacity_flag_appends_grid(self):
-        base = crosscheck(cache=False)
-        extended = crosscheck(capacity=True, cache=False)
+        base = crosscheck(session=Session(cache=False))
+        extended = crosscheck(capacity=True, session=Session(cache=False))
         assert len(extended.rows) > len(base.rows)
         assert extended.rows[: len(base.rows)] == base.rows
         assert extended.ok

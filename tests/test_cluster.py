@@ -39,12 +39,13 @@ from repro.cluster import (
 )
 from repro.model.cluster import analytical_cluster, cluster_work
 from repro.rows import emit_rows
+from repro.api import Session
 from repro.runtime import (
     ResultCache,
     RunRegistry,
+    cluster_grid,
     decode_result,
     encode_result,
-    sweep_cluster,
 )
 from repro.serving import (
     Arrival,
@@ -54,7 +55,7 @@ from repro.serving import (
     simulate_serving,
 )
 from repro.simulator import build_scenario_tasks, scenario_sim
-from repro.workloads.scenario import Phase, Scenario, attention_scenario
+from repro.workloads.scenario import Phase, attention_scenario
 
 
 def small_scenario(**overrides):
@@ -372,6 +373,13 @@ class TestClusterResultAndEmitters:
             assert decode_result(payload) == result
 
 
+
+def cluster_sweep(points, jobs=1, cache=False, registry=None):
+    """Each point's simulated result, index-aligned, from one session
+    pass."""
+    session = Session(jobs=jobs, cache=cache, registry=registry)
+    return session.evaluate("cluster", cluster_grid(points)).results
+
 class TestClusterRuntime:
     POINTS = tuple(
         ClusterPoint(
@@ -382,32 +390,32 @@ class TestClusterRuntime:
     )
 
     def test_sweep_matches_direct_evaluation(self):
-        results = sweep_cluster(self.POINTS, cache=False)
+        results = cluster_sweep(self.POINTS, cache=False)
         assert len(results) == len(self.POINTS)
         for point, result in zip(self.POINTS, results):
             assert result == evaluate_cluster_point(point)
 
     def test_sweep_parallel_and_cached_identical(self, tmp_path):
-        baseline = sweep_cluster(self.POINTS, cache=False)
-        parallel = sweep_cluster(self.POINTS, jobs=2, cache=False)
+        baseline = cluster_sweep(self.POINTS, cache=False)
+        parallel = cluster_sweep(self.POINTS, jobs=2, cache=False)
         assert parallel == baseline
         disk = ResultCache(directory=tmp_path / "cache")
-        populated = sweep_cluster(self.POINTS, cache=disk)
+        populated = cluster_sweep(self.POINTS, cache=disk)
         fresh = ResultCache(directory=tmp_path / "cache")
-        warm = sweep_cluster(self.POINTS, cache=fresh)
+        warm = cluster_sweep(self.POINTS, cache=fresh)
         assert populated == baseline and warm == baseline
         assert fresh.stats.disk_hits == len(baseline)
 
     def test_sweep_records_run(self, tmp_path):
         registry = RunRegistry(tmp_path / "runs")
-        sweep_cluster(self.POINTS, cache=False, registry=registry)
+        cluster_sweep(self.POINTS, cache=False, registry=registry)
         record = registry.last_recorded
         assert record.kind == "cluster"
         assert record.n_results == len(self.POINTS)
         assert any("4 chips" in c for c in record.grid["configs"])
 
     def test_engine_parity_through_the_runtime(self):
-        vector = sweep_cluster(self.POINTS, cache=False)
+        vector = cluster_sweep(self.POINTS, cache=False)
         cycle = [evaluate_cluster_point(point, engine="cycle") for point in self.POINTS]
         assert vector == cycle
 

@@ -5,13 +5,21 @@ purpose, with seeded plans, and asserted byte-deterministic: a
 recoverable fault may cost attempts but can never change a payload.
 """
 
+import hashlib
 import json
 import pickle
 import signal
+from pathlib import Path
 
 import pytest
 
-from repro.api import Provenance, ScenarioGridRequest, Session
+from repro.api import (
+    CrosscheckRequest,
+    ExperimentRequest,
+    Provenance,
+    ScenarioGridRequest,
+    Session,
+)
 from repro.runtime import (
     EvalTask,
     FaultPlan,
@@ -19,7 +27,6 @@ from repro.runtime import (
     InjectedFault,
     ResultCache,
     RetryPolicy,
-    RunRegistry,
     TaskError,
     TaskFailure,
     attention_grid,
@@ -28,7 +35,6 @@ from repro.runtime import (
     decode_result,
     encode_result,
     execute_tasks,
-    run_tasks,
 )
 from repro.runtime.executor import _run_batch
 from repro.workloads import BERT
@@ -98,7 +104,7 @@ class TestInlineRecovery:
 
     def test_transient_raise_recovers(self):
         tasks = attention_grid((BERT,), SHORT)
-        clean = run_tasks(tasks, cache=False)
+        clean = execute_tasks(tasks, cache=False).results
         outcome = execute_tasks(
             tasks,
             cache=False,
@@ -112,7 +118,7 @@ class TestInlineRecovery:
 
     def test_inline_crash_recovers(self):
         tasks = attention_grid((BERT,), SHORT)
-        clean = run_tasks(tasks, cache=False)
+        clean = execute_tasks(tasks, cache=False).results
         outcome = execute_tasks(
             tasks,
             cache=False,
@@ -125,7 +131,7 @@ class TestInlineRecovery:
     @pytest.mark.skipif(not has_sigalrm, reason="needs SIGALRM")
     def test_hang_times_out_and_recovers(self):
         tasks = attention_grid((BERT,), SHORT[:1])
-        clean = run_tasks(tasks, cache=False)
+        clean = execute_tasks(tasks, cache=False).results
         outcome = execute_tasks(
             tasks,
             cache=False,
@@ -188,11 +194,11 @@ class TestInlineRecovery:
         assert "LocalError" in str(error)
         assert "in evaluate" in text
         assert ok_good
-        assert value == run_tasks([good], cache=False)[0]
+        assert value == execute_tasks([good], cache=False).results[0]
 
     def test_on_error_skip_degrades_to_failure_record(self):
         tasks = attention_grid((BERT,), SHORT)
-        clean = run_tasks(tasks, cache=False)
+        clean = execute_tasks(tasks, cache=False).results
         plan = FaultPlan(faults=(FaultSpec(0, 1, "raise"), FaultSpec(0, 2, "raise")))
         outcome = execute_tasks(
             tasks,
@@ -236,7 +242,7 @@ class TestCacheQuarantine:
     def test_truncated_entry_quarantined_and_recomputed(self, tmp_path):
         cache = ResultCache(directory=tmp_path)
         task = attention_grid((BERT,), SHORT[:1])[0]
-        clean = run_tasks([task], cache=cache)
+        clean = execute_tasks([task], cache=cache).results
         key, path = self._entry(cache, task)
         path.write_bytes(path.read_bytes()[:10])
         fresh = ResultCache(directory=tmp_path)
@@ -244,13 +250,13 @@ class TestCacheQuarantine:
         assert fresh.stats.corrupt == 1
         assert fresh.stats.misses == 1
         assert path.with_suffix(".corrupt").is_file()
-        assert run_tasks([task], cache=fresh) == clean
+        assert execute_tasks([task], cache=fresh).results == clean
         assert ResultCache(directory=tmp_path).get(key) is not None
 
     def test_invalid_json_and_wrong_schema_quarantined(self, tmp_path):
         cache = ResultCache(directory=tmp_path)
         task = attention_grid((BERT,), SHORT[:1])[0]
-        run_tasks([task], cache=cache)
+        execute_tasks([task], cache=cache).results
         key, path = self._entry(cache, task)
         for damage in ("not json at all", json.dumps({"no": "result"}),
                        json.dumps({"result": {"__type__": "Mystery"}})):
@@ -267,13 +273,13 @@ class TestCacheQuarantine:
     def test_fault_plan_corruption_flows_through_executor(self, tmp_path):
         cache = ResultCache(directory=tmp_path)
         tasks = attention_grid((BERT,), SHORT)
-        clean = run_tasks(tasks, cache=False)
+        clean = execute_tasks(tasks, cache=False).results
         outcome = execute_tasks(
             tasks, cache=cache, faults=FaultPlan(corrupt=(0, 3))
         )
         assert outcome.results == clean  # corruption is post-put only
         fresh = ResultCache(directory=tmp_path)
-        assert run_tasks(tasks, cache=fresh) == clean
+        assert execute_tasks(tasks, cache=fresh).results == clean
         assert fresh.stats.corrupt == 2
         assert fresh.stats.disk_hits == len(tasks) - 2
 
@@ -306,6 +312,40 @@ class TestSessionFaultPolicy:
         result = session.run(request)
         assert isinstance(result.payload[0], TaskFailure)
         assert result.provenance.failures == 1
+
+    #: The first attempt at task 0 of every pass raises.
+    FIRST_TASK_FAILS = FaultPlan(faults=(FaultSpec(0, 1, "raise"),))
+
+    @pytest.mark.parametrize(
+        "request_",
+        [ExperimentRequest(name="fig12"), CrosscheckRequest()],
+        ids=["fig12", "crosscheck"],
+    )
+    def test_driver_passes_follow_the_fault_plan(self, request_):
+        """Figure and crosscheck grids run under the session's policy:
+        with one attempt per task, the injected fault aborts the run."""
+        session = Session(cache=False, faults=self.FIRST_TASK_FAILS)
+        with pytest.raises(TaskError):
+            session.run(request_)
+
+    def test_sweep_payload_keeps_a_skipped_point(self):
+        """Payload keys come from the tasks, so a failed point keeps
+        its ``(config, model, seq_len)`` slot under ``on_error="skip"``."""
+        request = ExperimentRequest(name="sweep", models=("BERT",), seq_lens=(1024,))
+        session = Session(cache=False, on_error="skip", faults=self.FIRST_TASK_FAILS)
+        payload = session.run(request).payload
+        assert isinstance(payload[("Unfused", "BERT", 1024)], TaskFailure)
+        assert len(payload) == 5
+
+    def test_report_recovers_under_retries(self):
+        session = Session(
+            cache=False, retry=RetryPolicy(max_attempts=2), faults=self.FIRST_TASK_FAILS
+        )
+        result = session.run(ExperimentRequest(name="report"))
+        assert result.provenance.recovered == 1  # the report's last pass
+        golden = Path(__file__).parent / "golden" / "report.sha256"
+        digest = hashlib.sha256(result.payload.encode()).hexdigest()
+        assert digest == golden.read_text().strip()
 
     def test_session_validates_policy(self):
         with pytest.raises(ValueError):

@@ -8,10 +8,12 @@ that run them.  The fold engine that scenario, binding
 and cluster requests run on is pure Python, and the Einsum IR is
 backend-free (its numpy kernels live in ``repro.functional``), so
 validating and running a fold request, a report or a crosscheck loads
-no numpy either.  Each
-case runs in a fresh interpreter with ``PYTHONDONTWRITEBYTECODE=1`` (as
-the benchmark does), so a module another test imported cannot hide an
-import, and the set cannot quietly regrow.
+no numpy either.  The benchmark's workloads leave CSV output, the
+area and energy models and the Einsum parser unloaded where they do not
+use them.  Each case runs in a fresh interpreter with
+``PYTHONDONTWRITEBYTECODE=1`` (as the benchmark does), so a module
+another test imported cannot hide an import, and the set cannot quietly
+regrow.
 """
 
 import json
@@ -26,6 +28,7 @@ import pytest
 import repro
 
 SRC = Path(repro.__file__).resolve().parents[1]
+ROOT = SRC.parent
 
 #: Modules a serving run and ``import repro.api`` must not load.
 HEAVY = (
@@ -148,6 +151,38 @@ def test_report_and_crosscheck_validate_and_run_without_numpy():
     assert out["report"] is True
     assert out["flagged"] == 0
     assert "numpy" not in out["modules"]
+
+
+#: What each benchmark workload (``perfbench/workloads.py``) leaves
+#: unloaded after its requests validate and run: CSV output is only for
+#: the CLI's ``--format csv``, the area and energy models only for
+#: analytical requests, and the Einsum parser only for parsed cascades.
+WORKLOAD_SKIPS = {
+    "scenario-contended": ("csv", "repro.arch.area", "repro.arch.energy"),
+    "binding-sweep": ("csv", "repro.arch.area", "repro.arch.energy"),
+    "serve-sweep": ("csv", "repro.arch.area", "repro.arch.energy"),
+    "report-crosscheck": ("csv", "repro.einsum.parser"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_SKIPS))
+def test_benchmark_workloads_load_only_what_they_run(name, tmp_path):
+    out = run_fresh(
+        f"""
+        sys.path.insert(0, {str(ROOT)!r})
+        from pathlib import Path
+        from perfbench.workloads import WORKLOADS, make_session, run
+
+        workload = WORKLOADS[{name!r}]
+        requests = workload.requests(7)
+        for request in requests:
+            request.validate()
+        session = make_session(workload, Path({str(tmp_path)!r}) / "cache")
+        OUT["payloads"] = len(run(workload, session, requests))
+        """
+    )
+    assert out["payloads"] > 0
+    assert [m for m in WORKLOAD_SKIPS[name] if m in out["modules"]] == []
 
 
 def test_serving_round_trip_loads_no_model_and_no_numpy():

@@ -10,6 +10,7 @@ import pytest
 
 from repro.analysis import count_passes, count_ops, family
 from repro.analysis.opcount import OpTable
+from repro.api import Session
 from repro.arch import fusemax_arch
 from repro.cascades import attention_1pass, attention_3pass
 from repro.cascades.transformer import encoder_layer_einsums, linear_layers
@@ -79,7 +80,7 @@ class TestSharedCascades:
             ("unfused", "attention_3pass", three),
         ):
             monkeypatch.setattr(importlib.import_module(f"repro.model.{module}"), name, builder)
-        report = full_report(cache=False)
+        report = full_report(Session(cache=False))
         golden = Path(__file__).parent / "golden" / "report.sha256"
         assert hashlib.sha256(report.encode()).hexdigest() == golden.read_text().strip()
         assert calls == {"attention_1pass": 1, "attention_3pass": 1}

@@ -1,12 +1,16 @@
 """Tests for the runtime subsystem: executor, cache, and registry."""
 
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import typing
+from pathlib import Path
 
 import pytest
 
+from repro.api import CrosscheckRequest, ExperimentRequest, Session
+from repro.api import session as session_module
 from repro.experiments.report import full_report
 from repro.cluster import ClusterPoint, ClusterSpec
 from repro.model import UnfusedModel, fusemax
@@ -31,17 +35,12 @@ from repro.runtime import (
     pareto_grid,
     resolve_cache,
     result_digest,
-    run_tasks,
     scenario_grid,
     scenario_grid_tasks,
     serving_grid,
-    sweep_attention,
-    sweep_bindings,
-    sweep_inference,
-    sweep_pareto,
-    sweep_serving,
 )
 from repro.runtime import cache as cache_module
+from repro.runtime import executor
 from repro.runtime.executor import KINDS
 from repro.serving import Arrival, ServingSpec, poisson_arrivals
 from repro.simulator import (
@@ -121,30 +120,32 @@ KEYED_TASKS = {
 
 class TestParallelEqualsSerial:
     def test_attention_full_grid(self):
-        serial = sweep_attention(cache=False)
-        parallel = sweep_attention(cache=False, jobs=4)
-        assert list(serial) == list(parallel)  # same keys, same order
-        assert serial == parallel  # same values, bit-identical fields
+        serial = execute_tasks(attention_grid(), cache=False).results
+        parallel = execute_tasks(attention_grid(), cache=False, jobs=4).results
+        assert serial == parallel  # same order, bit-identical fields
 
     def test_inference_full_grid(self):
-        assert sweep_inference(cache=False) == sweep_inference(cache=False, jobs=4)
+        tasks = attention_grid(kind="inference")
+        serial = execute_tasks(tasks, cache=False).results
+        assert serial == execute_tasks(tasks, cache=False, jobs=4).results
 
     def test_pareto_full_grid(self):
-        assert sweep_pareto(cache=False) == sweep_pareto(cache=False, jobs=4)
+        serial = execute_tasks(pareto_grid(), cache=False).results
+        assert serial == execute_tasks(pareto_grid(), cache=False, jobs=4).results
 
     def test_full_report_byte_identical(self):
-        assert full_report(jobs=1) == full_report(jobs=4)
+        assert full_report(Session(jobs=1)) == full_report(Session(jobs=4))
 
-    def test_run_tasks_preserves_order(self):
+    def test_execute_tasks_preserves_order(self):
         tasks = attention_grid((BERT, T5), SHORT)
-        serial = run_tasks(tasks, cache=False)
-        parallel = run_tasks(tasks, jobs=3, cache=False)
+        serial = execute_tasks(tasks, cache=False).results
+        parallel = execute_tasks(tasks, jobs=3, cache=False).results
         assert serial == parallel
         assert [r.config for r in serial] == [t.config.name for t in tasks]
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
-            run_tasks(attention_grid((BERT,), SHORT), jobs=0)
+            execute_tasks(attention_grid((BERT,), SHORT), jobs=0)
 
     def test_pooled_pass_joins_its_workers(self):
         before = set(multiprocessing.active_children())
@@ -160,13 +161,8 @@ class TestParallelEqualsSerial:
         for jobs in (1, 2):
             cache_dir = tmp_path / f"cache-{jobs}"
             registry = RunRegistry(tmp_path / f"runs-{jobs}")
-            sweep_bindings(
-                (16, 64, 1024),
-                array_dims=(64, 128),
-                jobs=jobs,
-                cache=ResultCache(directory=cache_dir),
-                registry=registry,
-            )
+            session = Session(jobs=jobs, cache_dir=cache_dir, registry=registry)
+            session.evaluate("binding", binding_grid((16, 64, 1024), array_dims=(64, 128)))
             stored[jobs] = {
                 path.relative_to(cache_dir).as_posix(): path.read_bytes()
                 for path in cache_dir.rglob("*")
@@ -222,7 +218,7 @@ class TestSharedSchedules:
 
     def test_matched_interleaved_points_schedule_once(self, monkeypatch):
         calls = spy_schedules(monkeypatch)
-        rows = sweep_bindings(**SHARED_GRID, cache=False)
+        rows = execute_tasks(binding_grid(**SHARED_GRID), cache=False).results
         assert len(rows) == 12
         assert len(calls) == 9
         # Only the interleaved points at dim 64 ran; dim 128's reused them.
@@ -240,7 +236,7 @@ class TestSharedSchedules:
     @pytest.mark.parametrize("held", ["representative", "member"])
     def test_cache_holding_one_row_of_a_group(self, held):
         tasks = binding_grid(**SHARED_GRID)
-        clean = run_tasks(tasks, cache=False)
+        clean = execute_tasks(tasks, cache=False).results
         rep, member = next(group for group in schedule_groups(tasks) if len(group) > 1)
         index = rep if held == "representative" else member
         cache = ResultCache()
@@ -275,7 +271,7 @@ class TestSharedSchedules:
             keyed.setdefault(task.schedule_key(), []).append(i)
         assert sorted(keyed.values()) == sorted(groups)
         calls = spy_schedules(monkeypatch)
-        rows = run_tasks(tasks, cache=False)
+        rows = execute_tasks(tasks, cache=False).results
         assert len(calls) == schedules
         assert rows == [evaluate_binding_point(t.config) for t in tasks]
 
@@ -292,7 +288,7 @@ class TestSharedScheduleFaults:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_recovered_representative_shares_its_row(self, jobs):
         tasks = binding_grid(**SHARED_GRID)
-        clean = run_tasks(tasks, cache=False)
+        clean = execute_tasks(tasks, cache=False).results
         rep = self.group(tasks)[0]
         outcome = execute_tasks(
             tasks,
@@ -308,7 +304,7 @@ class TestSharedScheduleFaults:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_exhausted_representative_fails_every_member(self, jobs):
         tasks = binding_grid(**SHARED_GRID)
-        clean = run_tasks(tasks, cache=False)
+        clean = execute_tasks(tasks, cache=False).results
         group = self.group(tasks)
         outcome = execute_tasks(
             tasks,
@@ -528,13 +524,13 @@ class TestServingCacheKey:
     def test_serve_cache_hit_on_rerun(self, tmp_path):
         spec = serving_spec()
         cache = ResultCache(directory=tmp_path)
-        first = sweep_serving([spec], cache=cache)
+        first = execute_tasks(serving_grid([spec]), cache=cache).results
         assert cache.stats.misses == 1 and cache.stats.puts == 1
-        again = sweep_serving([spec], cache=cache)
+        again = execute_tasks(serving_grid([spec]), cache=cache).results
         assert cache.stats.memory_hits == 1
         assert again == first
         fresh = ResultCache(directory=tmp_path)  # cold memory, warm disk
-        from_disk = sweep_serving([spec], cache=fresh)
+        from_disk = execute_tasks(serving_grid([spec]), cache=fresh).results
         assert fresh.stats.disk_hits == 1 and fresh.stats.misses == 0
         assert from_disk == first
 
@@ -560,28 +556,28 @@ class TestEngineAgnosticIdentity:
 class TestResultCache:
     def test_memory_hit_after_miss(self, tmp_path):
         cache = ResultCache(directory=tmp_path)
-        sweep_attention((BERT,), SHORT, cache=cache)
+        execute_tasks(attention_grid((BERT,), SHORT), cache=cache)
         stats = cache.stats.as_dict()
         assert stats == {
             "memory_hits": 0, "disk_hits": 0, "misses": 10, "puts": 10,
             "corrupt": 0,
         }
-        again = sweep_attention((BERT,), SHORT, cache=cache)
+        again = execute_tasks(attention_grid((BERT,), SHORT), cache=cache).results
         assert cache.stats.memory_hits == 10
-        assert again == sweep_attention((BERT,), SHORT, cache=False)
+        assert again == execute_tasks(attention_grid((BERT,), SHORT), cache=False).results
 
     def test_disk_round_trip(self, tmp_path):
         cache = ResultCache(directory=tmp_path)
-        first = sweep_attention((BERT,), SHORT, cache=cache)
+        first = execute_tasks(attention_grid((BERT,), SHORT), cache=cache).results
         fresh = ResultCache(directory=tmp_path)  # cold memory, warm disk
-        second = sweep_attention((BERT,), SHORT, cache=fresh)
+        second = execute_tasks(attention_grid((BERT,), SHORT), cache=fresh).results
         assert fresh.stats.disk_hits == 10 and fresh.stats.misses == 0
         assert first == second
 
     def test_memory_only_when_no_directory(self):
         cache = ResultCache()
-        sweep_pareto((BERT,), dims=(16, 32), cache=cache)
-        sweep_pareto((BERT,), dims=(16, 32), cache=cache)
+        execute_tasks(pareto_grid((BERT,), dims=(16, 32)), cache=cache)
+        execute_tasks(pareto_grid((BERT,), dims=(16, 32)), cache=cache)
         assert cache.stats.memory_hits == 2
 
     def test_invalidation_on_different_key(self, tmp_path):
@@ -595,7 +591,7 @@ class TestResultCache:
 
     def test_lru_eviction(self):
         cache = ResultCache(max_memory_entries=4)
-        sweep_attention((BERT,), SHORT, cache=cache)  # 10 puts through a 4-slot LRU
+        execute_tasks(attention_grid((BERT,), SHORT), cache=cache)  # 10 puts, a 4-slot LRU
         assert len(cache) == 4
 
     def test_resolve_cache_contract(self):
@@ -728,7 +724,8 @@ class TestCodec:
 class TestRegistry:
     def test_round_trip(self, tmp_path):
         registry = RunRegistry(tmp_path)
-        results = sweep_attention((BERT,), SHORT, cache=False, registry=registry)
+        session = Session(cache=False, registry=registry)
+        results = session.evaluate("attention", attention_grid((BERT,), SHORT)).results
         record = registry.latest()
         assert record is not None
         loaded = registry.load(record.run_id)
@@ -737,23 +734,68 @@ class TestRegistry:
         assert loaded.n_results == len(results) == 10
         assert loaded.jobs == 1
         assert loaded.grid["models"] == ["BERT"]
-        assert loaded.result_digest == result_digest(list(results.values()))
+        assert loaded.result_digest == result_digest(results)
 
     def test_runs_accumulate_and_match(self, tmp_path):
         registry = RunRegistry(tmp_path)
-        sweep_attention((BERT,), SHORT, cache=False, registry=registry)
-        sweep_attention((BERT,), SHORT, cache=False, jobs=2, registry=registry)
+        for jobs in (1, 2):
+            session = Session(jobs=jobs, cache=False, registry=registry)
+            session.evaluate("attention", attention_grid((BERT,), SHORT))
         first, second = (registry.load(r) for r in registry.list_runs())
         assert first.matches(second)  # parallel run drifts nowhere
 
     def test_cache_stats_recorded(self, tmp_path):
         registry = RunRegistry(tmp_path)
-        cache = ResultCache()
-        sweep_attention((BERT,), SHORT, cache=cache, registry=registry)
-        sweep_attention((BERT,), SHORT, cache=cache, registry=registry)
+        session = Session(cache=ResultCache(), registry=registry)
+        session.evaluate("attention", attention_grid((BERT,), SHORT))
+        session.evaluate("attention", attention_grid((BERT,), SHORT))
         warm = registry.load(registry.list_runs()[-1])
         assert warm.cache_stats["memory_hits"] == 10
         assert warm.cache_stats["misses"] == 0
+
+
+class TestReportPasses:
+    """A report evaluates each distinct grid once, one session pass
+    each: attention (Figs. 6-9), inference (Figs. 10-11), pareto."""
+
+    GOLDEN = Path(__file__).parent / "golden" / "report.sha256"
+
+    def spy(self, monkeypatch):
+        """Count grid passes and in-process task evaluations."""
+        counts = {"passes": 0, "evaluations": 0}
+        run_pass, evaluate = executor.execute_tasks, executor.evaluate_task
+
+        def counted_pass(*args, **kwargs):
+            counts["passes"] += 1
+            return run_pass(*args, **kwargs)
+
+        def counted_evaluation(task):
+            counts["evaluations"] += 1
+            return evaluate(task)
+
+        monkeypatch.setattr(executor, "execute_tasks", counted_pass)
+        monkeypatch.setattr(session_module, "execute_tasks", counted_pass)
+        monkeypatch.setattr(executor, "evaluate_task", counted_evaluation)
+        return counts
+
+    def test_uncached_report_evaluates_each_task_once(self, monkeypatch):
+        counts = self.spy(monkeypatch)
+        full_report(Session(cache=False))
+        assert counts == {"passes": 3, "evaluations": 120 + 120 + 24}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_uncached_report_matches_golden(self, jobs):
+        report = full_report(Session(jobs=jobs, cache=False))
+        assert hashlib.sha256(report.encode()).hexdigest() == self.GOLDEN.read_text().strip()
+
+    def test_registry_records_one_kind_per_grid(self, tmp_path):
+        registry = RunRegistry(tmp_path)
+        session = Session(cache=ResultCache(), registry=registry)
+        session.run(ExperimentRequest(name="report"))
+        session.run(ExperimentRequest(name="sweep", kind="inference", models=("BERT",)))
+        session.run(CrosscheckRequest(cluster=True))
+        kinds = sorted(registry.load(run).kind for run in registry.list_runs())
+        assert kinds == ["attention", "cluster", "inference", "inference", "pareto", "scenario"]
 
 
 class TestCLI:
@@ -787,7 +829,7 @@ class TestFaultTolerance:
 
     def test_pool_worker_crash_recovers(self):
         tasks = attention_grid((BERT,), SHORT)
-        clean = run_tasks(tasks, cache=False)
+        clean = execute_tasks(tasks, cache=False).results
         outcome = execute_tasks(
             tasks,
             jobs=2,
@@ -819,7 +861,7 @@ class TestFaultTolerance:
         lone tasks 0-3 in flight, which are charged one attempt each and
         recover on their second."""
         tasks = attention_grid((BERT, T5), SHORT)[:9]
-        clean = run_tasks(tasks, cache=False)
+        clean = execute_tasks(tasks, cache=False).results
         outcome = execute_tasks(
             tasks,
             jobs=2,
@@ -837,7 +879,7 @@ class TestFaultTolerance:
         four in flight when it recurs alone, as one future per task
         would, and nothing else."""
         tasks = attention_grid((BERT, T5), SHORT)[:9]
-        clean = run_tasks(tasks, cache=False)
+        clean = execute_tasks(tasks, cache=False).results
         outcome = execute_tasks(
             tasks, jobs=2, cache=False, on_error="skip", faults=self.CRASH_PLAN
         )
@@ -849,7 +891,7 @@ class TestFaultTolerance:
         nothing: with one attempt each, at most ``2 * workers`` tasks
         fail, the bound of one future per task."""
         tasks = attention_grid((BERT, T5), SHORT)  # 8 batches of 2-3 tasks
-        clean = run_tasks(tasks, cache=False)
+        clean = execute_tasks(tasks, cache=False).results
         outcome = execute_tasks(
             tasks,
             jobs=2,
@@ -865,16 +907,15 @@ class TestFaultTolerance:
     def test_crash_recovery_recorded_in_registry(self, tmp_path):
         registry = RunRegistry(tmp_path)
         tasks = attention_grid((BERT,), SHORT)
-        clean = sweep_attention((BERT,), SHORT, cache=False)
-        crashed = sweep_attention(
-            (BERT,),
-            SHORT,
-            cache=False,
+        clean = execute_tasks(tasks, cache=False).results
+        session = Session(
             jobs=2,
+            cache=False,
             registry=registry,
             retry=RetryPolicy(max_attempts=3),
             faults=FaultPlan(faults=(FaultSpec(index=1, attempt=1, kind="crash"),)),
         )
+        crashed = session.evaluate("attention", tasks).results
         assert crashed == clean
         record = registry.latest()
         assert record.health is not None
@@ -884,11 +925,11 @@ class TestFaultTolerance:
 
     def test_truncated_disk_entry_recomputed(self, tmp_path):
         cache = ResultCache(directory=tmp_path)
-        clean = sweep_attention((BERT,), SHORT, cache=cache)
+        clean = execute_tasks(attention_grid((BERT,), SHORT), cache=cache).results
         entry = sorted(tmp_path.glob("*/*.json"))[0]
         entry.write_bytes(entry.read_bytes()[:20])
         fresh = ResultCache(directory=tmp_path)
-        again = sweep_attention((BERT,), SHORT, cache=fresh)
+        again = execute_tasks(attention_grid((BERT,), SHORT), cache=fresh).results
         assert again == clean
         assert fresh.stats.corrupt == 1
         assert fresh.stats.disk_hits == len(clean) - 1
@@ -899,7 +940,8 @@ class TestFaultTolerance:
 
     def test_registry_skips_malformed_records(self, tmp_path):
         registry = RunRegistry(tmp_path)
-        sweep_attention((BERT,), SHORT, cache=False, registry=registry)
+        session = Session(cache=False, registry=registry)
+        session.evaluate("attention", attention_grid((BERT,), SHORT))
         (tmp_path / "run-zzz.json").write_text("{ torn write")
         (run_id,) = registry.list_runs()
         assert registry.load(run_id).kind == "attention"

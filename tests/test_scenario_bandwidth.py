@@ -24,6 +24,7 @@ import math
 import pytest
 from conftest import event_scenario
 
+from repro.api import Session
 from repro.experiments.crosscheck import bandwidth_scenarios, crosscheck
 from repro.model.scenario import analytical_scenario, scenario_work
 from repro.rows import emit_rows
@@ -242,7 +243,7 @@ class TestAnalyticalBandwidth:
     def test_crosscheck_gate_over_bandwidth_scenarios(self):
         """The CI gate: simulated vs analytical bandwidth-bound
         utilization within tolerance over the bandwidth seed grid."""
-        report = crosscheck(bandwidth_scenarios(), cache=False)
+        report = crosscheck(bandwidth_scenarios(), session=Session(cache=False))
         assert report.ok, [
             (r.scenario, r.array, r.delta) for r in report.flagged
         ]
@@ -250,8 +251,8 @@ class TestAnalyticalBandwidth:
         assert any(row.model_kind == "bandwidth-bound" for row in report.rows)
 
     def test_crosscheck_bandwidth_flag_appends_grid(self):
-        base = crosscheck(cache=False)
-        extended = crosscheck(bandwidth=True, cache=False)
+        base = crosscheck(session=Session(cache=False))
+        extended = crosscheck(bandwidth=True, session=Session(cache=False))
         assert len(extended.rows) > len(base.rows)
         assert extended.rows[: len(base.rows)] == base.rows
         assert extended.ok
@@ -276,7 +277,7 @@ class TestMixedModelScenarios:
         _, event = event_scenario(scenario)
         _, cycle = scenario_sim(scenario, engine="cycle")
         assert event == cycle
-        report = crosscheck([scenario], cache=False)
+        report = crosscheck([scenario], session=Session(cache=False))
         assert report.ok, [(r.array, r.delta) for r in report.rows]
 
     def test_heterogeneous_mixed_models_group_by_count_and_model(self):

@@ -23,6 +23,7 @@ from repro.cluster import (
     cluster_sim,
     evaluate_cluster_point,
 )
+from repro.api import BindingSweepRequest, Session
 from repro.model.scenario import analytical_scenario
 from repro.rows import emit_rows
 from repro.runtime import (
@@ -30,8 +31,7 @@ from repro.runtime import (
     RunRegistry,
     decode_result,
     encode_result,
-    sweep_bindings,
-    sweep_scenarios,
+    scenario_grid,
 )
 from repro.simulator import (
     BindingPoint,
@@ -61,6 +61,20 @@ from repro.workloads.scenario import (
     mixed_model_scenario,
     scenario_from_model,
 )
+
+
+def binding_sweep(jobs=1, cache=False, registry=None, **grid):
+    """A binding sweep's keyed payload, run as a request."""
+    session = Session(jobs=jobs, cache=cache, registry=registry)
+    return session.run(BindingSweepRequest(**grid)).payload
+
+
+def scenario_sweep(scenarios, jobs=1, cache=False, registry=None):
+    """Each scenario's simulated result, keyed by the scenario, from one
+    session pass."""
+    session = Session(jobs=jobs, cache=cache, registry=registry)
+    results = session.evaluate("scenario", scenario_grid(scenarios)).results
+    return dict(zip(scenarios, results))
 
 
 def random_scenario(rng, dram_bw="maybe") -> Scenario:
@@ -465,7 +479,7 @@ class TestBindingSweep:
             BindingPoint("interleaved", 4, **{axis: value})
 
     def test_sweep_keys_and_monotone_utilization(self):
-        results = sweep_bindings(**self.GRID, cache=False)
+        results = binding_sweep(**self.GRID, cache=False)
         assert set(results) == {
             (binding, chunks, 128, 128, 64)
             for binding in ("tile-serial", "interleaved")
@@ -481,7 +495,7 @@ class TestBindingSweep:
         assert abs(serial[1] - serial[0]) < 0.01
 
     def test_embedding_and_pe1d_sweep_independently(self):
-        results = sweep_bindings(
+        results = binding_sweep(
             chunks=(16,), array_dims=(128,),
             embeddings=(32, 64), pe_1d_dims=(64, None), cache=False,
         )
@@ -512,26 +526,26 @@ class TestBindingSweep:
             chunks=(16,), array_dims=(128,), pe_1d_dims=(None, 128)
         )
         assert len(tasks) == 2  # one per binding, not four
-        results = sweep_bindings(
+        results = binding_sweep(
             chunks=(16,), array_dims=(128,), pe_1d_dims=(None, 128),
             cache=False,
         )
         assert len(results) == 2
 
     def test_sweep_parallel_and_cached_identical(self, tmp_path):
-        baseline = sweep_bindings(**self.GRID, cache=False)
-        parallel = sweep_bindings(**self.GRID, jobs=2, cache=False)
+        baseline = binding_sweep(**self.GRID, cache=False)
+        parallel = binding_sweep(**self.GRID, jobs=2, cache=False)
         assert parallel == baseline
         disk = ResultCache(directory=tmp_path / "cache")
-        populated = sweep_bindings(**self.GRID, cache=disk)
+        populated = binding_sweep(**self.GRID, cache=disk)
         fresh = ResultCache(directory=tmp_path / "cache")
-        warm = sweep_bindings(**self.GRID, cache=fresh)
+        warm = binding_sweep(**self.GRID, cache=fresh)
         assert populated == baseline and warm == baseline
         assert fresh.stats.disk_hits == len(baseline)
 
     def test_sweep_records_run(self, tmp_path):
         registry = RunRegistry(tmp_path / "runs")
-        sweep_bindings(**self.GRID, cache=False, registry=registry)
+        binding_sweep(**self.GRID, cache=False, registry=registry)
         record = registry.last_recorded
         assert record.kind == "binding"
         assert record.n_results == 4
@@ -539,7 +553,7 @@ class TestBindingSweep:
 
     def test_run_record_distinguishes_lane_and_embedding_axes(self, tmp_path):
         registry = RunRegistry(tmp_path / "runs")
-        sweep_bindings(
+        binding_sweep(
             chunks=(16,), array_dims=(128,), bindings=("interleaved",),
             pe_1d_dims=(64, 128), embeddings=(32,),
             cache=False, registry=registry,
@@ -555,7 +569,7 @@ class TestBindingSweep:
         assert decode_result(payload) == result
 
     def test_emitters(self):
-        results = sweep_bindings(**self.GRID, cache=False)
+        results = binding_sweep(**self.GRID, cache=False)
         csv_text = sweep_csv(results)
         lines = csv_text.strip().splitlines()
         assert lines[0].startswith(
@@ -1585,7 +1599,7 @@ class TestScenarioCrossValidation:
     def test_crosscheck_report_all_seed_configs(self):
         from repro.experiments.crosscheck import crosscheck, render
 
-        report = crosscheck(cache=False)
+        report = crosscheck(session=Session(cache=False))
         assert report.ok, render(report)
         bindings = {row.binding for row in report.rows}
         assert bindings == {"tile-serial", "interleaved"}
@@ -1595,7 +1609,7 @@ class TestScenarioCrossValidation:
         from repro.experiments.crosscheck import crosscheck, render
 
         report = crosscheck(
-            [attention_scenario(4, 16)], tolerance=1e-6, cache=False
+            [attention_scenario(4, 16)], tolerance=1e-6, session=Session(cache=False)
         )
         assert not report.ok
         assert "DIVERGED" in render(report)
@@ -1610,7 +1624,7 @@ class TestScenarioSweep:
     )
 
     def test_sweep_matches_direct_evaluation(self):
-        results = sweep_scenarios(self.SCENARIOS, cache=False)
+        results = scenario_sweep(self.SCENARIOS, cache=False)
         assert set(results) == set(self.SCENARIOS)
         for scenario in self.SCENARIOS:
             direct = evaluate_scenario_point(scenario)
@@ -1624,10 +1638,10 @@ class TestScenarioSweep:
         small = attention_scenario(4, 16, array_dim=64, binding="tile-serial")
         large = attention_scenario(4, 16, array_dim=128, binding="tile-serial")
         assert small.name == large.name  # the collision under test
-        results = sweep_scenarios([small, large], cache=False)
+        results = scenario_sweep([small, large], cache=False)
         assert len(results) == 2
         assert results[small].makespan != results[large].makespan
-        report = crosscheck([small, large], cache=False)
+        report = crosscheck([small, large], session=Session(cache=False))
         assert len(report.rows) == 4
         # Each simulation diffs its own estimate: the two scenarios'
         # rows carry distinct measured and modeled utilizations.
@@ -1638,19 +1652,19 @@ class TestScenarioSweep:
         assert small_2d.model_util != large_2d.model_util
 
     def test_sweep_parallel_and_cached_identical(self, tmp_path):
-        baseline = sweep_scenarios(self.SCENARIOS, cache=False)
-        parallel = sweep_scenarios(self.SCENARIOS, jobs=2, cache=False)
+        baseline = scenario_sweep(self.SCENARIOS, cache=False)
+        parallel = scenario_sweep(self.SCENARIOS, jobs=2, cache=False)
         assert parallel == baseline
         disk = ResultCache(directory=tmp_path / "cache")
-        populated = sweep_scenarios(self.SCENARIOS, cache=disk)
+        populated = scenario_sweep(self.SCENARIOS, cache=disk)
         fresh = ResultCache(directory=tmp_path / "cache")
-        warm = sweep_scenarios(self.SCENARIOS, cache=fresh)
+        warm = scenario_sweep(self.SCENARIOS, cache=fresh)
         assert populated == baseline and warm == baseline
         assert fresh.stats.disk_hits == len(baseline)
 
     def test_sweep_records_run(self, tmp_path):
         registry = RunRegistry(tmp_path / "runs")
-        sweep_scenarios(self.SCENARIOS, cache=False, registry=registry)
+        scenario_sweep(self.SCENARIOS, cache=False, registry=registry)
         record = registry.last_recorded
         assert record.kind == "scenario"
         assert record.n_results == 2
@@ -1665,7 +1679,7 @@ class TestScenarioSweep:
             attention_scenario(2, 8, array_dim=64),
             attention_scenario(2, 8, array_dim=128),
         ]
-        sweep_scenarios(pair, cache=False, registry=registry)
+        scenario_sweep(pair, cache=False, registry=registry)
         configs = registry.last_recorded.grid["configs"]
         assert len(configs) == 2
         assert any("64x64" in c for c in configs)
@@ -1678,7 +1692,7 @@ class TestScenarioSweep:
         assert decode_result(payload) == result
 
     def test_scenario_emitters(self):
-        results = sweep_scenarios(self.SCENARIOS, cache=False)
+        results = scenario_sweep(self.SCENARIOS, cache=False)
         csv_text = scenario_csv(results)
         lines = csv_text.strip().splitlines()
         assert lines[0].startswith("scenario,binding,instances")
