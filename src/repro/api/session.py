@@ -320,7 +320,9 @@ class Session:
 
             models = tuple(MODELS_BY_NAME[name] for name in request.resolved("models"))
             seq_lens = request.resolved("seq_lens")
-            return evaluate_grid(self, models, seq_lens, kind=request.resolved_kind)
+            return evaluate_grid(
+                self, models, seq_lens, kind=request.resolved_kind, keep_failures=True
+            )
         # Figure/table drivers print their tables; the captured text is
         # the payload, so the CLI adapter stays byte-identical to the
         # drivers' historical stdout.

@@ -91,7 +91,7 @@ from .api.knobs import FIELD_DEFAULT, OneOf, knob_of
 from .experiments.common import format_table
 from .rows import FORMATS, emit_rows
 from .runtime.cache import ResultCache
-from .runtime.faults import RetryPolicy, TaskError
+from .runtime.faults import RetryPolicy, TaskError, TaskFailure
 from .serving.arrivals import parse_trace
 from .workloads.models import seq_label
 
@@ -380,12 +380,18 @@ def _cmd_sweep(args) -> int:
         result = _session(args).run(request)
     except (ValueError, TaskError) as error:
         raise _Refused([f"sweep failed: {error}"]) from None
-    rows = [
-        (config, model, seq_label(seq_len), f"{r.latency_cycles:.3e}", f"{r.energy_pj:.3e}")
-        for (config, model, seq_len), r in result.payload.items()
-    ]
+    rows = []
+    failed = 0
+    for (config, model, seq_len), r in result.payload.items():
+        if isinstance(r, TaskFailure):  # skipped under --on-error skip
+            cells = ("FAILED", "-")
+            failed += 1
+        else:
+            cells = (f"{r.latency_cycles:.3e}", f"{r.energy_pj:.3e}")
+        rows.append((config, model, seq_label(seq_len), *cells))
     print(format_table(["config", "model", "L", "latency (cycles)", "energy (pJ)"], rows))
-    print(f"{len(rows)} grid points ({request.resolved_kind}), jobs={args.jobs}")
+    summary = f"{len(rows)} grid points ({request.resolved_kind}), jobs={args.jobs}"
+    print(summary + (f", {failed} failed" if failed else ""))
     _report_recorded(result.provenance)
     return 0
 

@@ -15,14 +15,19 @@ def evaluate_grid(
     seq_lens: Sequence[int] = SEQUENCE_LENGTHS,
     configs: Optional[Sequence[Any]] = None,
     kind: str = "attention",
+    keep_failures: bool = False,
 ) -> Dict[Tuple[str, str, int], Any]:
     """Evaluate the ``attention`` or ``inference`` grid (see
     :func:`~repro.runtime.executor.attention_grid`) in one pass of
     ``session`` (a default :class:`Session` when None), recorded under
     ``kind``.  The results are keyed by
-    ``(config_name, model_name, seq_len)``, in task order."""
+    ``(config_name, model_name, seq_len)``, in task order.  A point that
+    failed under ``on_error="skip"`` raises its ``TaskError``, since the
+    figure drivers need every point, unless ``keep_failures`` leaves its
+    ``TaskFailure`` in its slot (the sweep's payload)."""
     tasks = attention_grid(models, seq_lens, configs, kind=kind)
-    results = (session or Session()).evaluate(kind, tasks).results
+    outcome = (session or Session()).evaluate(kind, tasks)
+    results = outcome.results if keep_failures else outcome.complete()
     return {
         (task.config.name, task.model.name, task.seq_len): result
         for task, result in zip(tasks, results)

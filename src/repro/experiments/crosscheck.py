@@ -229,7 +229,7 @@ def crosscheck(
             scenarios = scenarios + capacity_scenarios()
         if cluster:
             points = cluster_points()
-    simulated = session.evaluate("scenario", scenario_grid(scenarios)).results
+    simulated = session.evaluate("scenario", scenario_grid(scenarios)).complete()
     rows = []
     for scenario, sim in zip(scenarios, simulated):
         model = analytical_scenario(scenario)
@@ -250,7 +250,7 @@ def crosscheck(
                 )
             )
     if points:
-        clustered = session.evaluate("cluster", cluster_grid(points)).results
+        clustered = session.evaluate("cluster", cluster_grid(points)).complete()
         for point, sim in zip(points, clustered):
             estimate = analytical_cluster(point.scenario, point.spec, point.sharding)
             rows.append(

@@ -34,7 +34,7 @@ def run(
     session: Optional[Session] = None,
 ) -> Dict[str, Fig12Result]:
     tasks = pareto_grid(models, seq_len, dims)
-    design_points = (session or Session()).evaluate("pareto", tasks).results
+    design_points = (session or Session()).evaluate("pareto", tasks).complete()
     results = {}
     for i, model in enumerate(models):
         points = design_points[i * len(dims) : (i + 1) * len(dims)]

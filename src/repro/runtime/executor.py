@@ -34,6 +34,9 @@ files, payloads and digests are those of a pass that scheduled every
 point.  A shared row costs no attempt; if the representative exhausts
 its budget, each member records its own :class:`TaskFailure` under
 ``on_error="skip"``.  Other task kinds have no key and never share.
+Equal graphs skip scheduling entirely; below that, equal templates at
+different chunk counts share their fold's prefix in each process
+(:mod:`repro.simulator.prefixes`).
 
 Fault tolerance (see :mod:`.faults`): :func:`execute_tasks` accepts a
 :class:`~repro.runtime.faults.RetryPolicy` (bounded attempts, capped
@@ -240,6 +243,15 @@ class ExecutionOutcome:
             "recovered": self.recovered,
             "respawns": self.respawns,
         }
+
+    def complete(self) -> List[Any]:
+        """``results``, for a caller that needs every point (a report,
+        figure or crosscheck driver): raises :class:`~repro.runtime
+        .faults.TaskError` for the lowest-index task that failed under
+        ``on_error="skip"``."""
+        if self.failures:
+            raise TaskError(min(self.failures, key=lambda failure: failure.index))
+        return self.results
 
 
 @contextmanager

@@ -43,6 +43,7 @@ from typing import Dict, List, Optional, Tuple
 from ..arch.spec import EXP_AS_MACCS
 from ..workloads.scenario import BINDINGS, Phase, Scenario
 from .engine import SimResult, Simulator, Task, lower_dram, transfer_cycles
+from .prefixes import chain_prefix
 from .systolic import bqk_tile_timing
 from .vector import FoldedScenario, fold_chain, fold_templates, run_folded
 
@@ -675,11 +676,18 @@ def schedule_binding(
     """Schedule one binding's graph on ``engine``.
 
     ``engine="vector"`` schedules the chunk fold (:func:`fold_binding`)
-    and never builds the ``config.chunks``-chunk task list.  The cycle
-    oracle builds it and runs it under :func:`_run`'s cycle budget; the
-    fold derives the same budget from its own duration total."""
+    and never builds the ``config.chunks``-chunk task list.  It resumes
+    from the template's shared prefix (:func:`~repro.simulator.prefixes
+    .chain_prefix`), which folds of the template at every chunk count
+    share.  The cycle oracle builds the list and runs it under
+    :func:`_run`'s cycle budget; the fold derives the same budget from
+    its own duration total."""
     if engine == "vector":
-        return run_folded(fold_binding(config, binding), slots=binding_slots(binding))
+        template = binding_template(config, binding)
+        slots = binding_slots(binding)
+        return run_folded(
+            fold_chain(template, config.chunks), slots, prefix=chain_prefix(template, slots)
+        )
     serial = _binding_serial(binding)
     return _run(build_tasks(config, serial=serial), serial, slots=2, engine=engine)
 

@@ -175,6 +175,49 @@ by ``m * dA_tail`` and the head by ``m * dA_head``, and fills the run
 between them with copies of the shared state.  Without an idle run the
 key, the clamps and the counters are the unsplit ones.
 
+Shared chain prefixes
+---------------------
+
+A binding sweep folds one chain template at many chunk counts, and each
+fold repeats the same transient: the interleaved chain's period is
+about 128 instances, so its first snapshot match lies some 1,800 events
+in.  A fold given a :class:`~repro.simulator.prefixes.ChainPrefix` (one
+per template and issue width, from
+:func:`~repro.simulator.prefixes.chain_prefix`) shares that transient
+across counts.  Until its first jump it takes a *checkpoint* of its
+loop state at the top of the loop after each materialization event
+(keeping one per few instances): active entries, pending heaps,
+rotation counters, sync and next-completion times, the class cursor,
+the live instances, ``floor`` and the last idle run, the snapshot and
+split logs, the event and completion counters, and the completion
+log's length.  A fold of the
+same template at any count ``N`` resumes from the deepest checkpoint it
+may use, one whose cursor is below ``N``, and runs on with its own
+count, budget and repeat clamp.
+
+Resuming is exact because, before its first jump, a chain fold reads
+its count in only two places:
+
+- the ``cursor < count`` (refill, key), ``local + 1 < count`` (lag)
+  and ``"done"`` comparisons.  Every cursor they read is at most the
+  checkpoint's, so they agree for every count above it;
+- the repeat clamp of a snapshot match.  A match at cursor ``c`` with
+  head shift ``dA`` passes it exactly when ``count >= c + 1 + dA``.
+  The checkpoints after a match the clamp turned away serve counts
+  below that threshold only, and those after a match whose window the
+  jump then refused (a snapshot overwrite) serve counts at or above it.
+  A resumed fold computes its own clamp at every match still ahead.
+
+The budget is read at every event, but times only grow, so a fresh fold
+of ``N`` instances raises the deadlock error before the checkpoint
+exactly when the checkpoint's time exceeds ``N``'s budget, and the
+resumed fold raises it then too.  The counters a resumed fold reports
+include the prefix, so its ``stats`` equal a fresh fold's.
+
+Checkpoints form one line: only a fold that resumes from the last one
+(or starts on an empty prefix) takes more.  :mod:`.prefixes` holds
+them and bounds the memo.
+
 Results without expansion
 -------------------------
 
@@ -204,10 +247,13 @@ from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain
 from math import lcm
 from operator import sub
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import events
 from .engine import DEADLOCK, FlatGraph, SimResult, Task, task_index
+
+if TYPE_CHECKING:
+    from .prefixes import ChainPrefix
 
 #: Unmatched relative-state snapshots kept before giving up on folding
 #: for the run.  Detection failure costs speed, never correctness.
@@ -311,21 +357,26 @@ class FoldedFinishTimes(Mapping):
     graph would carry.
 
     Holds the class templates, the flat per-task finish list (the source
-    sub-folds' times already in it) and the main fold's log.  The main
-    fold's times are written out and the (hundreds of thousands of)
-    instance-prefixed names built on the first lookup or iteration, so
-    callers that read only the makespan and busy cycles never pay for
-    either.  Compares equal to the plain ``finish_times`` dicts of a
-    flat task list's schedule."""
+    sub-folds' times already in it, or ``None`` without source
+    sub-folds) and the main fold's log.  The list, the main fold's times
+    and the (hundreds of thousands of) instance-prefixed names are made
+    on the first lookup or iteration, so callers that read only the
+    makespan and busy cycles never pay for any of them.  Compares equal
+    to the plain ``finish_times`` dicts of a flat task list's schedule."""
 
-    def __init__(self, classes: Sequence[FoldedClass], ft: List[int], log: _FoldLog) -> None:
+    def __init__(
+        self, classes: Sequence[FoldedClass], ft: Optional[List[int]], log: _FoldLog, size: int
+    ) -> None:
         self._classes = classes
         self._ft = ft
         self._log = log
+        self._size = size
         self._named: Optional[Dict[str, int]] = None
 
     def _table(self) -> Dict[str, int]:
         if self._named is None:
+            if self._ft is None:
+                self._ft = [0] * self._size
             _expand(self._ft, self._classes, self._log)
             names = (
                 name
@@ -343,7 +394,7 @@ class FoldedFinishTimes(Mapping):
         return iter(self._table())
 
     def __len__(self) -> int:
-        return len(self._ft)
+        return self._size
 
 
 def fold_templates(templates: Sequence[Tuple[Sequence[Task], int]]) -> FoldedScenario:
@@ -550,6 +601,7 @@ def run_folded(
     slots: int,
     max_cycles: Optional[int] = None,
     stats: Optional[Dict[str, int]] = None,
+    prefix: Optional[ChainPrefix] = None,
 ) -> SimResult:
     """Schedule a folded scenario; bit-identical to running the fully
     materialized graph through any engine.  ``max_cycles`` defaults to
@@ -561,21 +613,33 @@ def run_folded(
     simulated), ``replayed`` (completions expanded arithmetically) and
     ``jumps`` counters, summed over the source sub-folds and the main
     fold — the fold's effectiveness, for tests and the ``--profile``
-    breakdown.  Raises ``ValueError`` unless ``slots >= 1``."""
+    breakdown.  ``prefix``, for a :func:`fold_chain` fold, is its
+    template's :func:`~repro.simulator.prefixes.chain_prefix` at
+    ``slots``: the fold resumes from it and extends it (see "Shared
+    chain prefixes"), and its result and ``stats`` are a fresh fold's.
+    Raises ``ValueError`` unless ``slots >= 1``, or for a prefix of
+    another width or a fold that is not one chained class."""
     if slots < 1:
         raise ValueError(f"slots must be >= 1, got {slots}")
+    if prefix is not None and (
+        prefix.slots != slots or len(folded.classes) != 1 or not folded.classes[0].chained
+    ):
+        raise ValueError("a chain prefix serves one chained class at its own issue width")
     if max_cycles is None:
         max_cycles = folded.total_duration + 1
     n_res = len(folded.resources)
     counters = {"events": 0, "replayed": 0, "jumps": 0}
-    ft = [0] * folded.n_tasks
+    ft: Optional[List[int]] = None  # written out when read, but for source sub-folds
     #: Each fold's last concrete completion: its makespan (see "Results
     #: without expansion").
     ends: List[int] = []
     sources = _source_resources(folded)
     if not sources:
-        log = _fold_loop(folded.classes, folded.resources, slots, max_cycles, counters)
+        log = _fold_loop(
+            folded.classes, folded.resources, slots, max_cycles, counters, prefix=prefix
+        )
     else:
+        ft = [0] * folded.n_tasks
         for resource in sources:
             restricted = [_source_class(cls, resource) for cls in folded.classes]
             log = _fold_loop(restricted, folded.resources, slots, max_cycles, counters)
@@ -594,7 +658,7 @@ def run_folded(
     return SimResult(
         makespan=max(ends, default=0),
         busy_cycles=busy_map,
-        finish_times=FoldedFinishTimes(folded.classes, ft, log),
+        finish_times=FoldedFinishTimes(folded.classes, ft, log, folded.n_tasks),
     )
 
 
@@ -606,6 +670,7 @@ def _fold_loop(
     counters: Dict[str, int],
     gates: Optional[Sequence[_Gates]] = None,
     release: Optional[List[int]] = None,
+    prefix: Optional[ChainPrefix] = None,
 ) -> _FoldLog:
     """One fold: schedule ``classes`` with lazy materialization and
     recurrence replay, add to ``counters``, and return the log
@@ -615,7 +680,10 @@ def _fold_loop(
     docstring): a task whose other deps are met sits in a timed queue
     until then, and a class whose instances start with release-gated
     tasks materializes its next instance no later than the earliest
-    release from that instance onward."""
+    release from that instance onward.  With ``prefix`` (one chained
+    class), the fold resumes from its deepest usable checkpoint and,
+    resuming from the last one or none, takes more (see "Shared chain
+    prefixes")."""
     n_classes = len(classes)
     n_res = len(resources)
     counts = [c.count for c in classes]
@@ -882,13 +950,6 @@ def _fold_loop(
         return repeats
 
     total_nonzero = sum(counts[c] * classes[c].nonzero for c in range(n_classes))
-    for c, cls in enumerate(classes):
-        if cls.chained and counts[c]:
-            materialize(c)
-    for resource in range(n_res):
-        refill(resource)
-    next_done = [completion_time(r) for r in range(n_res)]
-
     now = 0
     completed_count = 0
     n_events = 0
@@ -896,7 +957,33 @@ def _fold_loop(
     jumps = 0
     snapshots: Dict = {}
     folding = True
+    point = None if prefix is None else prefix.resume_point(counts[0])
+    if point is None:
+        for c, cls in enumerate(classes):
+            if cls.chained and counts[c]:
+                materialize(c)
+        for resource in range(n_res):
+            refill(resource)
+        next_done = [completion_time(r) for r in range(n_res)]
+    else:
+        # Resume a shared chain prefix (see "Shared chain prefixes").
+        if point.now > max_cycles:
+            raise RuntimeError(DEADLOCK)
+        cursor[0] = point.cursor
+        (
+            materialized, live, pending, next_done, now, completed_count, n_events, floor,
+            known_run, snapshots, inst_log, tid_log, t_log, split_log,
+        ) = prefix.resume(point, active, rr, sync)
+    recording = prefix is not None and prefix.extend(point, (inst_log, tid_log, t_log), split_log)
+    checkpoint_due = False
     while completed_count < total_nonzero:
+        if checkpoint_due:
+            checkpoint_due = False
+            if folding and cursor[0] < counts[0]:
+                prefix.take(
+                    cursor[0], now, completed_count, n_events, materialized, floor, known_run,
+                    live, active, pending, rr, sync, next_done,
+                )
         now = min(next_done)
         if gated:
             if waiting and waiting[0][0] < now:
@@ -977,6 +1064,7 @@ def _fold_loop(
             next_done[resource] = completion_time(resource)
         if not folding or materialized == grew or not live:
             continue
+        checkpoint_due = recording
         run = idle_run() if splits else None
         keyed = len(live) if run is None else len(live) - (run[1] - run[0] + 1)
         if keyed > _LIVE_CAP:
@@ -999,6 +1087,8 @@ def _fold_loop(
                 snapshots.clear()
             else:
                 snapshots[key] = record
+                if recording:
+                    prefix.note(key, record)
             continue
         prev_anchor, prev_head, prev_now, prev_log, prev_completed, prev_rel, prev_split = prev
         d_inst = anchor - prev_anchor
@@ -1018,6 +1108,8 @@ def _fold_loop(
                 if repeats is None or fit < repeats:
                     repeats = fit
         if not repeats or repeats <= 0:
+            if recording:
+                prefix.decided(cursor[0] + 1 + d_head, passed=False)
             continue
         steps = [d_inst] * (len(t_log) - prev_log)
         if run is not None:
@@ -1025,6 +1117,9 @@ def _fold_loop(
             if window is None:
                 # Tail and head met: measure the next window from here.
                 snapshots[key] = record
+                if recording:
+                    prefix.note(key, record)
+                    prefix.decided(cursor[0] + 1 + d_head, passed=True)
                 continue
             tail, margin = window
             steps = [d_inst if below else d_head for below in tail]
@@ -1044,6 +1139,7 @@ def _fold_loop(
         completed_count += repeats * window_completions
         replayed += repeats * window_completions
         jumps += 1
+        recording = checkpoint_due = False
         shift_t = repeats * d_time
         shift_i = repeats * d_inst
         shift_h = repeats * d_head
@@ -1090,7 +1186,7 @@ def _fold_loop(
                     timer[c] = suffix[c][cursor[c]]
         # Windows spanning a jump cannot be replayed from the log.
         snapshots.clear()
-        split_log.clear()
+        split_log = []  # a new list: a chain prefix may hold the old one
         rel_log.clear()
         ready_log.clear()
 

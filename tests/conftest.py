@@ -21,6 +21,7 @@ FUZZ_SEED_RANGES = {
     "chain-fold": range(265, 295),
     "serving": range(295, 325),
     "split-fold": range(325, 355),
+    "chain-prefix": range(355, 367),
 }
 
 

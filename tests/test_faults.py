@@ -328,6 +328,32 @@ class TestSessionFaultPolicy:
         with pytest.raises(TaskError):
             session.run(request_)
 
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            ExperimentRequest(name="fig12"),
+            ExperimentRequest(name="fig6"),
+            ExperimentRequest(name="report"),
+            CrosscheckRequest(),
+        ],
+        ids=["fig12", "fig6", "report", "crosscheck"],
+    )
+    def test_drivers_raise_for_a_skipped_point(self, request_):
+        """Report, figure and crosscheck drivers need every grid point:
+        under ``on_error="skip"`` a failed one raises its ``TaskError``
+        instead of reaching row building as a ``TaskFailure``."""
+        session = Session(cache=False, on_error="skip", faults=self.FIRST_TASK_FAILS)
+        with pytest.raises(TaskError) as caught:
+            session.run(request_)
+        assert caught.value.failure.index == 0
+
+    def test_driver_raises_for_the_lowest_failed_index(self):
+        plan = FaultPlan(faults=(FaultSpec(5, 1, "raise"), FaultSpec(2, 1, "raise")))
+        session = Session(cache=False, on_error="skip", faults=plan)
+        with pytest.raises(TaskError) as caught:
+            session.run(ExperimentRequest(name="fig12"))
+        assert caught.value.failure.index == 2
+
     def test_sweep_payload_keeps_a_skipped_point(self):
         """Payload keys come from the tasks, so a failed point keeps
         its ``(config, model, seq_len)`` slot under ``on_error="skip"``."""
@@ -385,6 +411,29 @@ class TestCLIFaultFlags:
             == 0
         )
         assert "grid points" in capsys.readouterr().out
+
+    def test_sweep_marks_a_skipped_point(self, capsys, monkeypatch):
+        """A point that failed under ``--on-error skip`` prints as a
+        marked row, and the count line says how many failed."""
+        from repro import cli
+
+        def failing_session(args):
+            return Session(
+                cache=False,
+                on_error="skip",
+                faults=FaultPlan(faults=(FaultSpec(0, 1, "raise"), FaultSpec(3, 1, "raise"))),
+            )
+
+        monkeypatch.setattr(cli, "_session", failing_session)
+        argv = ["sweep", "--models", "BERT", "--seq-lens", "1024", "--on-error", "skip"]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line.split() for line in lines if "FAILED" in line]
+        assert [row[:3] for row in failed] == [
+            ["Unfused", "BERT", "1K"], ["+Architecture", "BERT", "1K"]
+        ]
+        assert all(row[3:] == ["FAILED", "-"] for row in failed)
+        assert lines[-1].startswith("5 grid points (attention), jobs=1, 2 failed")
 
     def test_cycle_path_refuses_fault_flags(self, capsys):
         from repro.cli import main

@@ -1545,6 +1545,178 @@ class TestChainFold:
             fold_chain(tasks, count)
 
 
+def _fold_with_stats(template, count, slots, prefix=None):
+    from repro.simulator.vector import fold_chain, run_folded
+
+    stats = {}
+    result = run_folded(fold_chain(template, count), slots, stats=stats, prefix=prefix)
+    return result, stats
+
+
+def _random_chain(rng, seed):
+    """A chain template, its issue slots and its cycle oracle (chunk
+    count -> schedule), drawn as the chain-fold and split-fold fuzzers
+    draw them: a binding template of a random configuration, or a
+    synthetic chain whose fronts drift apart."""
+    if seed % 2:
+        stems = _split_chain(rng)
+        slots = rng.choice((2, 2, 3))
+
+        def chain_oracle(count):
+            merged = _chain(stems, count)
+            cycle = Simulator(merged, slots=slots, engine="cycle")
+            return cycle.run(max_cycles=sum(t.duration for t in merged) + 1)
+
+        return _chain(stems, 2), slots, chain_oracle
+    from repro.simulator.pipeline import binding_slots, binding_template
+
+    binding = rng.choice(("tile-serial", "interleaved"))
+    array_dim = rng.choice((16, 64, 128, 256))
+    config = PipelineConfig(
+        embedding=rng.choice((16, 32, 64, 128)),
+        array_dim=array_dim,
+        pe_1d=rng.choice((array_dim, array_dim, 8, 64, 512)),
+    )
+
+    def binding_oracle(count):
+        return binding_sim(replace(config, chunks=count), binding, engine="cycle")[1]
+
+    return binding_template(config, binding), binding_slots(binding), binding_oracle
+
+
+#: Orders a prefix's folds arrive in; no result may depend on it.
+PREFIX_ORDERS = ("ascending", "descending", "shuffled")
+
+
+class TestSharedChainPrefix:
+    """Folds of one chain template at many counts resume from a shared
+    prefix (see "Shared chain prefixes" in ``simulator/vector.py``).
+    Each must equal a fresh fold at its count, ``stats`` included, in
+    whatever order the counts arrive."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        from repro.simulator.prefixes import chain_memo
+
+        chain_memo.cache_clear()
+        yield
+        chain_memo.cache_clear()
+
+    @staticmethod
+    def _assert_resumes_exactly(template, slots, counts, oracle=None):
+        from repro.simulator.prefixes import chain_prefix
+
+        for count in counts:
+            prefix = chain_prefix(template, slots)
+            resumed, resumed_stats = _fold_with_stats(template, count, slots, prefix)
+            fresh, fresh_stats = _fold_with_stats(template, count, slots)
+            _assert_same_schedule(resumed, fresh)
+            assert resumed_stats == fresh_stats, count
+            if oracle is not None and count <= 64:
+                assert resumed == oracle(count)
+
+    @pytest.mark.parametrize("order", PREFIX_ORDERS)
+    @pytest.mark.parametrize("seed", fuzz_seeds("chain-prefix"))
+    def test_resumed_folds_equal_fresh_folds(self, seed, order):
+        rng = random.Random(seed)
+        template, slots, oracle = _random_chain(rng, seed)
+        counts = rng.sample(range(1, 65), 3) + rng.sample(range(65, 900), 3)
+        if order == "ascending":
+            counts.sort()
+        elif order == "descending":
+            counts.sort(reverse=True)
+        else:
+            rng.shuffle(counts)
+        self._assert_resumes_exactly(template, slots, counts, oracle)
+
+    @pytest.mark.parametrize("order", PREFIX_ORDERS)
+    def test_interleaved_sweep_counts_share_the_transient(self, order):
+        """The default sweep's interleaved chain: counts below its first
+        snapshot match resume just short of their end, and every larger
+        count resumes before that match, which 256 chunks turn away (the
+        repeat clamp) and 512 take."""
+        from repro.simulator.pipeline import binding_template
+        from repro.simulator.prefixes import chain_prefix
+
+        counts = [16, 64, 256, 300, 512, 4096]
+        if order == "descending":
+            counts.reverse()
+        elif order == "shuffled":
+            random.Random(7).shuffle(counts)
+        template = binding_template(PipelineConfig(array_dim=128, pe_1d=128), "interleaved")
+        self._assert_resumes_exactly(template, 2, counts)
+        prefix = chain_prefix(template, 2)
+        assert prefix.resume_point(16).cursor >= 12
+        assert prefix.resume_point(512).cursor >= 150
+
+    @pytest.mark.parametrize("order", PREFIX_ORDERS)
+    def test_refused_windows_bound_later_checkpoints(self, order):
+        """Matches come before the first jump here, and small counts'
+        repeat clamps turn them away while large counts' pass and then
+        refuse the window (tail and head met); checkpoints past such a
+        match serve only the counts that decide it the same way."""
+        from repro.simulator.prefixes import chain_prefix
+
+        stems = (
+            ("a", "s", 11, (), ()),
+            ("m0", "r", 8, ("a",), ()),
+            ("m1", "t", 11, ("m0",), ()),
+            ("b", "s", 8, ("m1",), ("b",)),
+        )
+        counts = [900, 30, 45, 600, 37]
+        if order == "ascending":
+            counts.sort()
+        elif order == "descending":
+            counts.sort(reverse=True)
+        template = _chain(stems, 2)
+        self._assert_resumes_exactly(template, 2, counts)
+        line = chain_prefix(template, 2).checkpoints
+        assert any(point.lo > 1 or point.hi < float("inf") for point in line)
+
+    def test_slots_key_their_own_prefix(self):
+        template = _chain(CHAIN, 2)
+        self._assert_resumes_exactly(template, 2, [40, 9])
+        self._assert_resumes_exactly(template, 3, [40, 9])
+        self._assert_resumes_exactly(template, 1, [9, 40])
+
+    def test_prefix_rejects_another_width_or_fold(self):
+        from repro.simulator.prefixes import chain_prefix
+        from repro.simulator.vector import fold_chain, fold_templates, run_folded
+
+        prefix = chain_prefix(_chain(CHAIN, 2), 2)
+        with pytest.raises(ValueError, match="own issue width"):
+            run_folded(fold_chain(_chain(CHAIN, 2), 5), 3, prefix=prefix)
+        with pytest.raises(ValueError, match="one chained class"):
+            run_folded(fold_templates([(_chain(CHAIN, 1)[:1], 3)]), 2, prefix=prefix)
+
+    def test_resumed_fold_keeps_its_own_budget(self):
+        """A checkpoint past a fold's cycle budget raises the deadlock
+        error a fresh fold raises."""
+        from repro.simulator.prefixes import chain_prefix
+        from repro.simulator.vector import fold_chain, run_folded
+
+        stems = (("a", "s", 9, (), ()), ("m", "r", 5, ("a",), ()), ("b", "s", 8, ("m",), ("b",)))
+        template = _chain(stems, 2)
+        prefix = chain_prefix(template, 2)
+        self._assert_resumes_exactly(template, 2, [222])
+        budget = prefix.resume_point(100).now - 1
+        for use in (prefix, None):
+            with pytest.raises(RuntimeError, match="deadlock"):
+                run_folded(fold_chain(template, 100), 2, max_cycles=budget, prefix=use)
+
+    def test_default_sweep_misses_once_per_template(self):
+        """The default sweep at ``--jobs 1`` schedules 30 distinct
+        binding graphs of three chain templates (tile-serial at each
+        array dim, and the interleaved one both dims share): one memo
+        miss per template, a hit on every other fold."""
+        from repro.simulator.prefixes import CHAIN_MEMO_SIZE, chain_memo
+
+        binding_sweep(jobs=1)
+        info = chain_memo.cache_info()
+        assert (info.misses, info.hits) == (3, 27)
+        assert (info.currsize, info.maxsize) == (3, CHAIN_MEMO_SIZE)
+
+
 class TestScenarioCrossValidation:
     """Simulated schedules vs the analytical utilization estimates."""
 
