@@ -162,7 +162,7 @@ def _scenario_graph(dram_bw=None):
 
     Returns (scenario, tasks, mode, budget) with the issue mode derived
     from the scenario's binding, exactly as
-    :func:`repro.simulator.pipeline.scenario_sim` maps it — the graph is
+    :func:`repro.simulator.pipeline.schedule_scenario_tasks` maps it — the graph is
     prebuilt here so the timed region is scheduling only.  With
     ``dram_bw`` set, the graph additionally carries the lowered DRAM
     transfers every instance contends for.

@@ -10,8 +10,9 @@ Run:  python examples/binding_pipeline_demo.py
 
 from repro.simulator import (
     PipelineConfig,
-    binding_sim,
+    build_tasks,
     compare_bindings,
+    schedule_binding,
 )
 from repro.simulator.systolic import bqk_tile_timing
 from repro.simulator.waterfall import waterfall_text
@@ -20,7 +21,8 @@ from repro.simulator.waterfall import waterfall_text
 def waterfall(chunks: int = 5) -> None:
     """Print per-chunk finish times for the interleaved binding."""
     config = PipelineConfig(chunks=chunks)
-    tasks, result = binding_sim(config, "interleaved")
+    tasks = build_tasks(config, serial=False)
+    result = schedule_binding(config, "interleaved")
     names = ("BQK", "LM", "RM", "SLN", "SLNV", "PRM", "RD", "RNV")
     print(f"{'chunk':>5} " + " ".join(f"{n:>6}" for n in names))
     for i in range(chunks):

@@ -13,10 +13,16 @@ attention accelerators.  This package provides:
 - :mod:`repro.arch`, :mod:`repro.mapping`, :mod:`repro.model` — the
   Timeloop/Accelergy-style models of the unfused baseline, FLAT, and the
   FuseMax configurations;
-- :mod:`repro.simulator` — a cycle-granular simulator of the FuseMax
-  binding (Fig. 4/5);
+- :mod:`repro.simulator` — an event-driven simulator of the FuseMax
+  binding (Fig. 4/5) that folds repeated instances, checked against a
+  cycle-accurate oracle;
+- :mod:`repro.serving`, :mod:`repro.cluster` — open-loop serving and
+  multi-chip sharding built on the simulator;
 - :mod:`repro.workloads`, :mod:`repro.experiments` — the BERT/TrXL/T5/XLM
-  workloads and the drivers regenerating every evaluation figure.
+  workloads and the drivers regenerating every evaluation figure;
+- :mod:`repro.api`, :mod:`repro.runtime` — typed requests and the
+  ``Session`` that runs them through the parallel executor, result cache
+  and run registry behind the ``repro`` CLI.
 """
 
 def _package_version() -> str:
@@ -52,12 +58,17 @@ def __getattr__(name: str) -> str:
 
 __all__ = [
     "analysis",
+    "api",
     "arch",
     "cascades",
+    "cluster",
     "einsum",
     "experiments",
     "functional",
+    "mapping",
     "model",
+    "runtime",
+    "serving",
     "simulator",
     "workloads",
 ]

@@ -16,7 +16,6 @@ __getattr__, __all__ = lazy_exports(
             "EXP_AS_MACCS",
             "flat_arch",
             "fusemax_arch",
-            "fusemax_edge_arch",
             "unfused_arch",
         ),
     },

@@ -117,24 +117,3 @@ def unfused_arch(**overrides) -> Architecture:
         name="unfused-cloud", exp_unit_1d=True, fused_2d_softmax=False, **overrides
     )
 
-
-def fusemax_edge_arch(**overrides) -> Architecture:
-    """An edge-scale FuseMax configuration (extension, not in the paper).
-
-    FLAT also evaluates an edge accelerator; the paper scopes to the
-    cloud configuration.  This preset scales the FuseMax design to an
-    edge budget — 128×128 PEs, 2 MB buffer, 64 GB/s LPDDR-class
-    bandwidth — so users can study the same trade-offs at the small end.
-    """
-    defaults = dict(
-        name="fusemax-edge",
-        array_dim=128,
-        global_buffer_bytes=2 * 2**20,
-        dram_gbps=64.0,
-        frequency_ghz=0.7,
-        exp_unit_1d=False,
-        fused_2d_softmax=True,
-        rf_entries_2d=10,
-    )
-    defaults.update(overrides)
-    return Architecture(**defaults)

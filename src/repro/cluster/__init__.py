@@ -22,7 +22,6 @@ __getattr__, __all__ = lazy_exports(
             "build_cluster_tasks",
             "chip_instance_counts",
             "cluster_link_cycles",
-            "cluster_sim",
             "cluster_templates",
             "collective_bytes",
             "fold_cluster",

@@ -70,7 +70,6 @@ __all__ = [
     "build_cluster_tasks",
     "chip_instance_counts",
     "cluster_link_cycles",
-    "cluster_sim",
     "cluster_templates",
     "collective_bytes",
     "fold_cluster",
@@ -327,17 +326,3 @@ def schedule_cluster_tasks(
     budget = sum(task.duration for task in tasks) + 1
     return sim.run(max_cycles=budget)
 
-
-def cluster_sim(
-    scenario: Scenario,
-    spec: ClusterSpec,
-    sharding: str = "head",
-    engine: str = "vector",
-) -> Tuple[List[Task], SimResult]:
-    """Build and schedule ``scenario`` sharded over ``spec``; returns
-    (tasks, result).  The vector engine schedules the fold, not the
-    returned list."""
-    tasks = build_cluster_tasks(scenario, spec, sharding)
-    return tasks, schedule_cluster_tasks(
-        scenario, spec, sharding, None if engine == "vector" else tasks, engine=engine
-    )

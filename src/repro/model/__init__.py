@@ -13,16 +13,9 @@ __getattr__, _EXPORTS = lazy_exports(
     __name__,
     {
         "cluster": ("CLUSTER_ARRAYS", "ClusterEstimate", "analytical_cluster", "cluster_work"),
-        "decode": ("DecodeStep", "decode_attention", "machine_balance"),
+        "decode": ("DecodeStep", "decode_attention"),
         "flat": ("FLATModel", "SpillDecision", "spill_decision"),
-        "fusemax": (
-            "STAGE_FOR_BINDING",
-            "FuseMaxModel",
-            "fusemax",
-            "plus_architecture",
-            "plus_cascade",
-            "scenario_model_for",
-        ),
+        "fusemax": ("FuseMaxModel", "fusemax", "plus_architecture", "plus_cascade"),
         "generic": ("GenericEvaluation", "evaluate_cascade"),
         "inference": ("LinearPhase", "evaluate_inference", "evaluate_linear"),
         "metrics": ("AttentionResult", "InferenceResult"),

@@ -7,8 +7,9 @@ accelerator design has less impact on performance."
 This module quantifies that claim on the modeled architecture: decode
 attends one query (P = 1) against an M-long KV cache, so the kernel's
 arithmetic intensity is a couple of MACCs per cache byte — orders of
-magnitude below the machine's compute/bandwidth balance point — and every
-design is equally DRAM-bound.
+magnitude below the machine's compute/bandwidth balance point
+(:func:`repro.model.roofline.machine_balance_point`) — and every design is
+equally DRAM-bound.
 """
 
 from __future__ import annotations
@@ -72,9 +73,3 @@ def decode_attention(
         traffic_cycles=traffic,
     )
 
-
-def machine_balance(arch: Architecture = None) -> float:
-    """MACs per DRAM byte at which the machine is balanced."""
-    if arch is None:
-        arch = fusemax_arch()
-    return arch.pe_2d / arch.dram_bytes_per_cycle

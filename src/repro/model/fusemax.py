@@ -25,8 +25,7 @@ from __future__ import annotations
 from ..arch.energy import DEFAULT_ENERGY, EnergyTable
 from ..arch.spec import EXP_AS_MACCS, Architecture, flat_arch, fusemax_arch
 from ..cascades.attention import attention_1pass
-from ..workloads.models import BATCH_SIZE, MODELS_BY_NAME, ModelConfig
-from ..workloads.scenario import Scenario
+from ..workloads.models import BATCH_SIZE, ModelConfig
 from .metrics import AttentionResult
 from .perf import (
     array_cycles,
@@ -79,25 +78,17 @@ class FuseMaxModel:
             "binding": "+Binding",
         }[self.stage]
 
-    def _block(self, arch: Architecture = None) -> int:
+    def _block(self) -> int:
         if self.stage == "cascade":
             return FLAT_ARCH_BLOCK
-        return (arch or self.arch).array_dim
+        return self.arch.array_dim
 
-    def _instance_parts(
-        self,
-        model: ModelConfig,
-        seq_len: int,
-        batch: int,
-        arch: Architecture = None,
-        pe_1d: int = None,
-    ):
-        """Per-(batch, head)-instance work: (workload, 2D, 1D, DRAM words,
-        traffic cycles).  Shared by the ``B × H``-scaled :meth:`evaluate`
-        path and the scenario overlap-bound path."""
-        arch = arch or self.arch
+    def evaluate(
+        self, model: ModelConfig, seq_len: int, batch: int = BATCH_SIZE
+    ) -> AttentionResult:
+        arch = self.arch
         workload = make_workload(
-            model, seq_len, attention_1pass, block=self._block(arch), batch=batch
+            model, seq_len, attention_1pass, block=self._block(), batch=batch
         )
         if self.stage == "cascade":
             labels_2d, labels_1d = _FLATARCH_2D, _FLATARCH_1D
@@ -106,24 +97,12 @@ class FuseMaxModel:
         # The 2D array never has a dedicated exp unit: 6 sequential MACCs.
         work_2d = array_cycles(workload.per_einsum, labels_2d, arch.pe_2d,
                                exp_cycles=EXP_AS_MACCS)
-        work_1d = array_cycles(
-            workload.per_einsum, labels_1d,
-            arch.pe_1d if pe_1d is None else pe_1d,
-            exp_cycles=arch.exp_cycles_1d(),
-        )
+        work_1d = array_cycles(workload.per_einsum, labels_1d, arch.pe_1d,
+                               exp_cycles=arch.exp_cycles_1d())
         # The 1-pass cascade streams K/V once: DRAM traffic is inputs +
         # output only, independent of sequence length (no spills, ever).
         dram_words = workload.io_words()
         traffic_cycles = dram_words * arch.word_bytes / arch.dram_bytes_per_cycle
-        return workload, work_2d, work_1d, dram_words, traffic_cycles
-
-    def evaluate(
-        self, model: ModelConfig, seq_len: int, batch: int = BATCH_SIZE
-    ) -> AttentionResult:
-        arch = self.arch
-        workload, work_2d, work_1d, dram_words, traffic_cycles = (
-            self._instance_parts(model, seq_len, batch)
-        )
         shapes = workload.shapes
         m, p = shapes["M"], shapes["P"]
 
@@ -170,129 +149,6 @@ class FuseMaxModel:
             energy=energy,
             per_einsum_2d_cycles=scaled_per_einsum(work_2d, scale),
         )
-
-    def evaluate_scenario(self, scenario: Scenario) -> AttentionResult:
-        """Evaluate a multi-instance :class:`Scenario` on this stage.
-
-        Unlike :meth:`evaluate` — which prices one ``(batch, head)``
-        instance and multiplies the latency by ``B × H`` — the scenario
-        path reasons about the shared arrays explicitly: N instances'
-        busy cycles accumulate per array and the latency is the
-        perfect-overlap bound ``max`` over the arrays' totals (plus one
-        amortized pipeline warm-up), or the per-tile serialization chain
-        when a lone tile-serial instance leaves nothing to overlap.
-        The reported per-array utilizations are what ``repro
-        crosscheck`` compares against the simulated merged schedule.
-        """
-        stage = STAGE_FOR_BINDING[scenario.binding]
-        if self.stage != stage:
-            raise ValueError(
-                f"scenario binding {scenario.binding!r} maps to the "
-                f"{stage!r} stage, not {self.stage!r}"
-            )
-        if any(phase.kind != "prefill" for phase in scenario.phases):
-            raise ValueError(
-                "Einsum-level scenario evaluation covers prefill phases "
-                "only; use repro.model.scenario.analytical_scenario for "
-                "mixed prefill/decode scenarios"
-            )
-        if len({phase.chunks for phase in scenario.phases}) > 1:
-            raise ValueError(
-                "Einsum-level scenario evaluation needs one prefill "
-                "length; use repro.model.scenario.analytical_scenario "
-                "for heterogeneous chunk mixes"
-            )
-        if scenario.mixed_embedding:
-            raise ValueError(
-                "Einsum-level scenario evaluation needs one embedding "
-                "width; use repro.model.scenario.analytical_scenario "
-                "for mixed-model scenarios"
-            )
-        seq_len = scenario.seq_len
-        model = _scenario_model(scenario)
-        arch = self.arch
-        if arch.array_dim != scenario.array_dim:
-            arch = arch.with_array_dim(scenario.array_dim)
-        workload, work_2d, work_1d, dram_words, traffic_cycles = (
-            self._instance_parts(
-                model, seq_len, batch=1, arch=arch,
-                pe_1d=scenario.resolved_pe_1d,
-            )
-        )
-        n = scenario.instances
-        total_2d = work_2d.busy_cycles * n
-        total_1d = work_1d.busy_cycles * n
-        total_traffic = traffic_cycles * n
-        if self.stage == "architecture":
-            m, p = workload.shapes["M"], workload.shapes["P"]
-            n_tiles = (m // self._block(arch)) * max(1, p // arch.array_dim)
-            overhead = _SERIAL_OVERHEAD_DIMS * arch.array_dim
-            if n == 1:
-                # Nothing shares the arrays: every tile serializes.
-                latency = max(
-                    n_tiles * (work_2d.busy_cycles / n_tiles
-                               + work_1d.busy_cycles / n_tiles + overhead),
-                    traffic_cycles,
-                )
-            else:
-                # Other instances' tiles hide the stalls until the
-                # serialized array edge (fills/drains) saturates.
-                latency = max(
-                    total_2d, total_1d, n * n_tiles * overhead, total_traffic
-                )
-        else:  # binding (interleaved): perfect overlap + one warm-up
-            latency = max(total_2d, total_1d, total_traffic)
-            latency += 4 * arch.array_dim  # pipeline warm-up, paid once
-        glb_words = 2 * workload.io_words()
-        energy = assemble_energy(
-            arch, self.energy_table, dram_words, glb_words, work_2d, work_1d,
-            n,
-        )
-        return AttentionResult(
-            config=self.name,
-            model=scenario.name,
-            seq_len=seq_len,
-            latency_cycles=latency,
-            busy_2d_cycles=total_2d,
-            busy_1d_cycles=total_1d,
-            dram_bytes=dram_words * arch.word_bytes * n,
-            glb_words=glb_words * n,
-            energy=energy,
-            per_einsum_2d_cycles=scaled_per_einsum(work_2d, n),
-        )
-
-
-#: Scenario binding → the FuseMax stage whose analytical model it matches.
-STAGE_FOR_BINDING = {"interleaved": "binding", "tile-serial": "architecture"}
-
-
-def _scenario_model(scenario: Scenario) -> ModelConfig:
-    """The workload model a scenario was derived from, or a synthetic
-    single-head stand-in with the scenario's embedding depth."""
-    if scenario.model is not None:
-        try:
-            model = MODELS_BY_NAME[scenario.model]
-        except KeyError:
-            raise ValueError(
-                f"scenario names unknown model {scenario.model!r}; "
-                f"have {sorted(MODELS_BY_NAME)}"
-            ) from None
-        if model.d_head != scenario.embedding:
-            raise ValueError(
-                f"scenario embedding {scenario.embedding} != "
-                f"{model.name}'s d_head {model.d_head}"
-            )
-        return model
-    e = scenario.embedding
-    return ModelConfig(
-        name=f"scenario-E{e}", d_model=e, n_heads=1, d_head=e,
-        d_ff=4 * e, n_layers=1,
-    )
-
-
-def scenario_model_for(binding: str, **kwargs) -> FuseMaxModel:
-    """The analytical model matching one scenario binding."""
-    return FuseMaxModel(STAGE_FOR_BINDING[binding], **kwargs)
 
 
 def plus_cascade(**kwargs) -> FuseMaxModel:

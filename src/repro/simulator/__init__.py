@@ -36,7 +36,6 @@ __getattr__, __all__ = lazy_exports(
             "PipelineReport",
             "WORD_BYTES",
             "apply_buffer_spills",
-            "binding_sim",
             "build_decode_tasks",
             "build_scenario_tasks",
             "build_tasks",
@@ -44,12 +43,10 @@ __getattr__, __all__ = lazy_exports(
             "chunk_traffic",
             "chunk_work",
             "compare_bindings",
-            "fold_binding",
             "fold_scenario",
             "folded_slots",
             "instance_spill_bytes",
             "scenario_dram_cycles",
-            "scenario_sim",
             "scenario_spill_bytes",
             "schedule_binding",
             "schedule_scenario_tasks",
@@ -73,6 +70,6 @@ __getattr__, __all__ = lazy_exports(
             "sweep_csv",
         ),
         "systolic": ("TileTiming", "bqk_tile_timing", "exp_tile_timing"),
-        "waterfall": ("binding_waterfall", "waterfall_text"),
+        "waterfall": ("waterfall_text",),
     },
 )

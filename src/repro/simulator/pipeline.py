@@ -56,7 +56,6 @@ __all__ = [
     "PipelineReport",
     "WORD_BYTES",
     "apply_buffer_spills",
-    "binding_sim",
     "binding_slots",
     "binding_template",
     "build_decode_tasks",
@@ -66,12 +65,10 @@ __all__ = [
     "chunk_traffic",
     "chunk_work",
     "compare_bindings",
-    "fold_binding",
     "fold_scenario",
     "folded_slots",
     "instance_spill_bytes",
     "scenario_dram_cycles",
-    "scenario_sim",
     "scenario_spill_bytes",
     "schedule_binding",
     "schedule_scenario_tasks",
@@ -650,7 +647,7 @@ def _binding_serial(binding: str) -> bool:
 
 
 def binding_template(config: PipelineConfig, binding: str) -> List[Task]:
-    """The two-chunk graph :func:`fold_binding` folds: every task and
+    """The two-chunk graph :func:`schedule_binding` folds: every task and
     duration the chunk fold of ``config`` reads."""
     return build_tasks(replace(config, chunks=2), serial=_binding_serial(binding))
 
@@ -661,22 +658,17 @@ def binding_slots(binding: str) -> int:
     return 1 if _binding_serial(binding) else 2
 
 
-def fold_binding(config: PipelineConfig, binding: str) -> FoldedScenario:
-    """Fold one binding's graph along its chunk axis: chunk ``k`` is an
-    instance of one template whose only outside deps reach chunk
-    ``k-1``, so :func:`~repro.simulator.vector.fold_chain` lowers the
-    two-chunk graph to a chained class of ``config.chunks`` instances.
-    The finish times it yields carry :func:`build_tasks`' names."""
-    return fold_chain(binding_template(config, binding), config.chunks)
-
-
 def schedule_binding(
     config: PipelineConfig, binding: str, engine: str = "vector"
 ) -> SimResult:
     """Schedule one binding's graph on ``engine``.
 
-    ``engine="vector"`` schedules the chunk fold (:func:`fold_binding`)
-    and never builds the ``config.chunks``-chunk task list.  It resumes
+    ``engine="vector"`` folds the graph along its chunk axis: chunk ``k``
+    is an instance of one template whose only outside deps reach chunk
+    ``k-1``, so :func:`~repro.simulator.vector.fold_chain` lowers the
+    two-chunk graph to a chained class of ``config.chunks`` instances
+    and the ``config.chunks``-chunk task list is never built.  The finish
+    times it yields carry :func:`build_tasks`' names.  It resumes
     from the template's shared prefix (:func:`~repro.simulator.prefixes
     .chain_prefix`), which folds of the template at every chunk count
     share.  The cycle oracle builds the list and runs it under
@@ -690,20 +682,6 @@ def schedule_binding(
         )
     serial = _binding_serial(binding)
     return _run(build_tasks(config, serial=serial), serial, slots=2, engine=engine)
-
-
-def binding_sim(
-    config: PipelineConfig, binding: str, engine: str = "vector"
-) -> Tuple[List[Task], SimResult]:
-    """Build and run one binding's task graph; returns (tasks, result).
-    The vector engine schedules the chunk fold, not the returned list
-    (which the waterfall renders); callers that need only the result use
-    :func:`schedule_binding`."""
-    serial = _binding_serial(binding)
-    tasks = build_tasks(config, serial=serial)
-    if engine == "vector":
-        return tasks, schedule_binding(config, binding, engine="vector")
-    return tasks, _run(tasks, serial, slots=2, engine=engine)
 
 
 def folded_slots(scenario: Scenario) -> int:
@@ -737,19 +715,6 @@ def schedule_scenario_tasks(
         return run_folded(fold_scenario(scenario), slots=folded_slots(scenario))
     serial = scenario.binding == "tile-serial"
     return _run(tasks, serial, slots=scenario.slots, engine=engine)
-
-
-def scenario_sim(
-    scenario: Scenario, engine: str = "vector"
-) -> Tuple[List[Task], SimResult]:
-    """Build ``scenario``'s merged graph and schedule it; returns
-    (tasks, result).  The vector engine schedules the fold, not the
-    returned list — callers that need only the result use
-    :func:`schedule_scenario_tasks`, which then builds nothing."""
-    tasks = build_scenario_tasks(scenario)
-    return tasks, schedule_scenario_tasks(
-        scenario, None if engine == "vector" else tasks, engine=engine
-    )
 
 
 def simulate_binding(

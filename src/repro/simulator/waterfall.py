@@ -74,11 +74,3 @@ def waterfall_text(
                  f"makespan {result.makespan})")
     return "\n".join(lines)
 
-
-def binding_waterfall(config, binding: str, width: int = 72,
-                      engine: str = "vector") -> str:
-    """Simulate one binding and render its waterfall in one call."""
-    from .pipeline import binding_sim
-
-    tasks, result = binding_sim(config, binding, engine=engine)
-    return waterfall_text(tasks, result, width)

@@ -27,7 +27,6 @@ __getattr__, __all__ = lazy_exports(
             "mixed_model_scenario",
             "scenario_from_model",
         ),
-        "sweep": ("WorkloadPoint", "evaluation_grid", "work_summary"),
         "models": (
             "BATCH_SIZE",
             "BERT",

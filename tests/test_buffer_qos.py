@@ -35,6 +35,7 @@ from repro.serving import Arrival, ServingSpec, build_serving_tasks, simulate_se
 from repro.simulator import (
     PipelineConfig,
     apply_buffer_spills,
+    build_scenario_tasks,
     build_tasks,
     chunk_residency,
     chunk_traffic,
@@ -42,8 +43,8 @@ from repro.simulator import (
     instance_spill_bytes,
     scenario_csv,
     scenario_dram_cycles,
-    scenario_sim,
     scenario_spill_bytes,
+    schedule_scenario_tasks,
     spill_bytes_per_chunk,
 )
 from repro.workloads.scenario import attention_scenario
@@ -70,10 +71,10 @@ def capacitated(buffer_bytes, qos="uniform", binding="interleaved",
 
 class TestCapacityIdentity:
     def test_infinite_buffer_equals_none_exactly(self):
-        tasks_none, result_none = scenario_sim(capacitated(None))
-        tasks_inf, result_inf = scenario_sim(capacitated(math.inf))
+        none, inf = capacitated(None), capacitated(math.inf)
+        result_none, result_inf = schedule_scenario_tasks(none), schedule_scenario_tasks(inf)
         assert result_inf == result_none
-        assert list(tasks_inf) == list(tasks_none)
+        assert build_scenario_tasks(inf) == build_scenario_tasks(none)
         assert scenario_spill_bytes(capacitated(math.inf)) == 0
 
     def test_decode_first_without_decode_is_uniform_exactly(self):
@@ -86,10 +87,8 @@ class TestCapacityIdentity:
             3, 8, dram_bw=TIGHT_BW, buffer_bytes=PARTIAL_BUF,
             qos="decode-first",
         )
-        tasks_u, result_u = scenario_sim(uniform)
-        tasks_b, result_b = scenario_sim(boosted)
-        assert list(tasks_b) == list(tasks_u)
-        assert result_b == result_u
+        assert build_scenario_tasks(boosted) == build_scenario_tasks(uniform)
+        assert schedule_scenario_tasks(boosted) == schedule_scenario_tasks(uniform)
 
     def test_uniform_qos_keeps_declaration_order(self):
         scenario = capacitated(TIGHT_BUF)
@@ -105,8 +104,8 @@ class TestCapacityIdentity:
                 TIGHT_BUF, qos="decode-first", binding=binding,
             )
             _, event = event_scenario(scenario)
-            _, cycle = scenario_sim(scenario, engine="cycle")
-            _, vector = scenario_sim(scenario, engine="vector")
+            cycle = schedule_scenario_tasks(scenario, build_scenario_tasks(scenario), engine="cycle")
+            vector = schedule_scenario_tasks(scenario)
             assert event == cycle
             assert vector == cycle
 
@@ -159,10 +158,10 @@ class TestSpillConservation:
         annotated graph and through the dram lowering alike."""
         base = capacitated(None, dram_bw=None)
         tight = capacitated(TIGHT_BUF, dram_bw=None)
-        base_bytes = sum(t.bytes_moved for t in scenario_sim(base)[0])
-        tight_bytes = sum(t.bytes_moved for t in scenario_sim(tight)[0])
+        base_bytes = sum(t.bytes_moved for t in build_scenario_tasks(base))
+        tight_bytes = sum(t.bytes_moved for t in build_scenario_tasks(tight))
         assert tight_bytes - base_bytes == scenario_spill_bytes(tight)
-        lowered = scenario_sim(capacitated(TIGHT_BUF))[0]
+        lowered = build_scenario_tasks(capacitated(TIGHT_BUF))
         carried = sum(
             t.bytes_moved for t in lowered if t.resource != "dram"
         )
@@ -198,8 +197,8 @@ def dram_inversions(scenario):
     DRAM transfer dispatched while a decode transfer sat ready (deps
     all finished) but unstarted.  Start times are reconstructed as
     ``finish - duration``; readiness as the latest dep finish."""
-    tasks, result = scenario_sim(scenario)
-    finish = result.finish_times
+    tasks = build_scenario_tasks(scenario)
+    finish = schedule_scenario_tasks(scenario).finish_times
     transfers = [t for t in tasks if t.resource == "dram"]
     start = {t.name: finish[t.name] - t.duration for t in transfers}
     ready = {

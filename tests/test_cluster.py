@@ -32,9 +32,9 @@ from repro.cluster import (
     build_cluster_tasks,
     chip_instance_counts,
     cluster_link_cycles,
-    cluster_sim,
     collective_bytes,
     evaluate_cluster_point,
+    schedule_cluster_tasks,
     shard_config,
 )
 from repro.model.cluster import analytical_cluster, cluster_work
@@ -54,7 +54,7 @@ from repro.serving import (
     serving_sim,
     simulate_serving,
 )
-from repro.simulator import build_scenario_tasks, scenario_sim
+from repro.simulator import build_scenario_tasks, schedule_scenario_tasks
 from repro.workloads.scenario import Phase, attention_scenario
 
 
@@ -142,7 +142,7 @@ class TestDegenerateIdentity:
     def test_one_chip_result_matches_scenario_schedule(self):
         scenario = small_scenario(dram_bw=32.0)
         result = evaluate_cluster_point(ClusterPoint(scenario=scenario))
-        _, sim = scenario_sim(scenario)
+        sim = schedule_scenario_tasks(scenario)
         assert result.makespan == sim.makespan
         assert result.busy_2d == sim.busy_cycles.get("2d", 0)
         assert result.busy_dram == sim.busy_cycles.get("dram", 0)
@@ -207,7 +207,7 @@ class TestLinkAccounting:
             decode_instances=2, decode_chunks=4, dram_bw=64.0
         )
         spec = ClusterSpec(n_chips=2, link_bw=link_bw, link_latency=5)
-        _, sim = cluster_sim(scenario, spec, sharding)
+        sim = schedule_cluster_tasks(scenario, spec, sharding)
         expected = cluster_link_cycles(scenario, spec, sharding)
         assert expected > 0
         assert sim.busy_cycles["link"] == expected

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.model.decode import decode_attention, machine_balance
+from repro.arch import fusemax_arch
+from repro.model.decode import decode_attention
+from repro.model.roofline import machine_balance_point
 from repro.simulator import PipelineConfig, Simulator, build_tasks
 from repro.simulator.waterfall import render_waterfall, waterfall_text
 from repro.workloads import BERT, MODELS
@@ -18,7 +20,7 @@ class TestDecodePhase:
 
     def test_intensity_far_below_balance(self):
         step = decode_attention(BERT, 65536, batch=64)
-        assert step.arithmetic_intensity < machine_balance() / 50
+        assert step.arithmetic_intensity < machine_balance_point(fusemax_arch()) / 50
 
     def test_latency_tracks_kv_cache_size(self):
         short = decode_attention(BERT, 4096).latency_cycles

@@ -234,3 +234,28 @@ def test_model_fusemax_stays_the_function_after_its_submodule_loads():
     )
     assert out["callable"] is True
     assert out["config"] == "FuseMaxModel"
+
+
+def test_every_barrel_name_resolves():
+    """Each package's ``__all__`` resolves in a fresh interpreter, so a
+    lazy export left behind by a deletion fails here, not on first read."""
+    out = run_fresh(
+        """
+        import importlib, pkgutil, repro
+
+        packages = ["repro"] + [
+            f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__) if info.ispkg
+        ]
+        OUT["missing"] = {}
+        for package in packages:
+            missing = []
+            for name in importlib.import_module(package).__all__:
+                try:
+                    exec(f"from {package} import {name}", {})
+                except ImportError:
+                    missing.append(name)
+            OUT["missing"][package] = missing
+        """
+    )
+    assert len(out["missing"]) == 15
+    assert {package: names for package, names in out["missing"].items() if names} == {}

@@ -1,24 +1,16 @@
-"""Scenario IR + analytical model layer: the multi-instance refactor.
+"""Scenario IR and its per-resource work totals.
 
 The simulator-facing merged-graph behaviour lives in
-``test_simulator_events.py``; this module covers the IR itself and the
-Einsum-level analytical path (``FuseMaxModel.evaluate_scenario``) that
-replaces the bare ``B × H`` latency scale factor with an explicit
-perfect-overlap bound.
+``test_simulator_events.py``; the analytical account of a scenario
+(``repro.model.scenario.analytical_scenario``) is checked against the
+simulator in ``test_scenario_bandwidth.py`` and ``test_buffer_qos.py``.
 """
 
 import pytest
 
-from repro.model import (
-    STAGE_FOR_BINDING,
-    analytical_scenario,
-    fusemax,
-    plus_architecture,
-    scenario_model_for,
-    scenario_work,
-)
+from repro.model import scenario_work
 from repro.simulator import build_scenario_tasks
-from repro.workloads import BATCH_SIZE, BERT, XLM
+from repro.workloads import BERT, XLM
 from repro.workloads.scenario import (
     BINDINGS,
     Phase,
@@ -91,6 +83,15 @@ class TestScenarioIR:
         with pytest.raises(ValueError, match="batch and heads"):
             scenario_from_model(BERT, 1024, batch=0)
 
+    def test_model_embedding_mismatch_rejected(self):
+        # Rejected at construction, before any graph build.
+        assert XLM.d_head == 128
+        with pytest.raises(ValueError, match="d_head"):
+            Scenario(
+                name="bad", phases=(Phase("prefill", 2, 8),),
+                embedding=64, model="XLM",  # XLM heads are 128-wide
+            )
+
 
 class TestScenarioWork:
     def test_work_equals_merged_graph_durations(self):
@@ -112,105 +113,3 @@ class TestScenarioWork:
         assert serial["io"] > 0
         assert inter["io"] == 0
 
-
-class TestEinsumScenarioModel:
-    def test_overlap_bound_replaces_instance_scaling(self):
-        """N instances sharing the arrays beat N serially-scaled
-        instances: the old ``× B·H`` path pays the pipeline warm-up per
-        instance, the scenario path pays it once."""
-        model = fusemax()
-        scenario = scenario_from_model(BERT, 4096, batch=BATCH_SIZE)
-        scaled = model.evaluate(BERT, 4096, batch=BATCH_SIZE)
-        bound = model.evaluate_scenario(scenario)
-        n = scenario.instances
-        assert scaled.latency_cycles > bound.latency_cycles
-        warmup_per_instance = 4 * model.arch.array_dim
-        assert scaled.latency_cycles - bound.latency_cycles == (
-            pytest.approx((n - 1) * warmup_per_instance)
-        )
-        # Busy cycles are the same work, so utilization can only rise.
-        assert bound.busy_2d_cycles == pytest.approx(scaled.busy_2d_cycles)
-        assert bound.util_2d >= scaled.util_2d
-
-    def test_architecture_stage_serializes_lone_instance(self):
-        model = plus_architecture()
-        lone = Scenario(
-            name="lone", phases=(Phase("prefill", 1, 16),),
-            binding="tile-serial", model="BERT",
-        )
-        packed = Scenario(
-            name="packed", phases=(Phase("prefill", 16, 16),),
-            binding="tile-serial", model="BERT",
-        )
-        lone_result = model.evaluate_scenario(lone)
-        packed_result = model.evaluate_scenario(packed)
-        # Per-instance latency shrinks when instances hide the stalls.
-        assert packed_result.latency_cycles < 16 * lone_result.latency_cycles
-        assert packed_result.util_2d > lone_result.util_2d
-
-    def test_binding_stage_mapping_enforced(self):
-        assert STAGE_FOR_BINDING == {
-            "interleaved": "binding", "tile-serial": "architecture"
-        }
-        with pytest.raises(ValueError, match="stage"):
-            fusemax().evaluate_scenario(
-                attention_scenario(2, 8, binding="tile-serial")
-            )
-        for binding in BINDINGS:
-            model = scenario_model_for(binding)
-            assert model.stage == STAGE_FOR_BINDING[binding]
-            result = model.evaluate_scenario(
-                attention_scenario(2, 8, binding=binding)
-            )
-            assert 0 < result.util_2d <= 1
-
-    def test_decode_phases_rejected_at_einsum_level(self):
-        with pytest.raises(ValueError, match="prefill"):
-            fusemax().evaluate_scenario(
-                attention_scenario(2, 8, decode_instances=1)
-            )
-
-    def test_heterogeneous_prefill_mix_rejected_at_einsum_level(self):
-        mixed = Scenario(
-            name="mixed",
-            phases=(Phase("prefill", 2, 16), Phase("prefill", 2, 64)),
-        )
-        with pytest.raises(ValueError, match="one prefill length"):
-            fusemax().evaluate_scenario(mixed)
-        # The graph-level model handles the same mix fine.
-        estimate = analytical_scenario(mixed)
-        assert estimate.latency_cycles > 0
-
-    def test_model_embedding_mismatch_rejected(self):
-        # Rejected at construction, before any graph build — the
-        # mismatch used to surface only deep in the model layer.
-        assert XLM.d_head == 128
-        with pytest.raises(ValueError, match="d_head"):
-            Scenario(
-                name="bad", phases=(Phase("prefill", 2, 8),),
-                embedding=64, model="XLM",  # XLM heads are 128-wide
-            )
-        with pytest.raises(ValueError, match="unknown model"):
-            fusemax().evaluate_scenario(
-                Scenario(name="x", phases=(Phase("prefill", 1, 8),),
-                         model="GPT")
-            )
-
-    def test_scenario_array_dim_respected(self):
-        small = attention_scenario(2, 8, array_dim=128)
-        result = fusemax().evaluate_scenario(small)
-        assert result.seq_len == 8 * 128
-
-    def test_synthetic_model_from_embedding(self):
-        s = attention_scenario(2, 8, array_dim=128)
-        result = scenario_model_for("interleaved").evaluate_scenario(s)
-        assert result.model == s.name
-
-    def test_graph_level_and_einsum_level_agree_on_utilization(self):
-        """The two analytical accounts (task-graph work integration and
-        Einsum op counting) describe the same machine: under the
-        interleaved binding their 2D utilizations agree closely."""
-        scenario = scenario_from_model(BERT, 4096, batch=8)
-        graph = analytical_scenario(scenario)
-        einsum = fusemax().evaluate_scenario(scenario)
-        assert einsum.util_2d == pytest.approx(graph.util_2d, abs=0.05)

@@ -42,7 +42,7 @@ from repro.simulator import (
     lower_dram,
     scenario_csv,
     scenario_dram_cycles,
-    scenario_sim,
+    schedule_scenario_tasks,
     transfer_cycles,
 )
 from repro.workloads.scenario import (
@@ -67,8 +67,9 @@ def contended(dram_bw, decode=4, binding="interleaved"):
 
 class TestBandwidthIdentity:
     def test_infinite_bandwidth_equals_none_exactly(self):
-        tasks_none, result_none = scenario_sim(contended(None))
-        tasks_inf, result_inf = scenario_sim(contended(math.inf))
+        none, inf = contended(None), contended(math.inf)
+        result_none, result_inf = schedule_scenario_tasks(none), schedule_scenario_tasks(inf)
+        tasks_none, tasks_inf = build_scenario_tasks(none), build_scenario_tasks(inf)
         assert result_inf == result_none
         assert [t.name for t in tasks_inf] == [t.name for t in tasks_none]
         assert "dram" not in result_inf.busy_cycles
@@ -121,7 +122,7 @@ class TestBandwidthIdentity:
     def test_engines_bit_identical_under_contention(self):
         for scenario in (contended(TIGHT), contended(TIGHT, binding="tile-serial")):
             _, event = event_scenario(scenario)
-            _, cycle = scenario_sim(scenario, engine="cycle")
+            cycle = schedule_scenario_tasks(scenario, build_scenario_tasks(scenario), engine="cycle")
             assert event == cycle
 
 
@@ -275,7 +276,7 @@ class TestMixedModelScenarios:
             decode_instances=2, decode_chunks=8,
         )
         _, event = event_scenario(scenario)
-        _, cycle = scenario_sim(scenario, engine="cycle")
+        cycle = schedule_scenario_tasks(scenario, build_scenario_tasks(scenario), engine="cycle")
         assert event == cycle
         report = crosscheck([scenario], session=Session(cache=False))
         assert report.ok, [(r.array, r.delta) for r in report.rows]
@@ -288,13 +289,6 @@ class TestMixedModelScenarios:
             (2, 4, "BERT"), (1, 8, "XLM"),
         ]
         assert scenario.name.startswith("het-2xBERT:4+1xXLM:8")
-
-    def test_einsum_model_rejects_mixed_embedding(self):
-        from repro.model.fusemax import fusemax
-
-        scenario = mixed_model_scenario(("BERT", "XLM"), 4)
-        with pytest.raises(ValueError, match="one embedding width"):
-            fusemax().evaluate_scenario(scenario)
 
     def test_describe_names_models_and_bandwidth(self):
         scenario = mixed_model_scenario(

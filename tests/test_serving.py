@@ -41,7 +41,7 @@ from repro.serving import (
     serving_sim,
     simulate_serving,
 )
-from repro.simulator import scenario_sim
+from repro.simulator import schedule_scenario_tasks
 from repro.workloads.scenario import BINDINGS, QOS_MODES, attention_scenario
 
 from conftest import flat_graph_fields, fuzz_seeds
@@ -291,7 +291,7 @@ class TestClosedScenarioEquivalence:
             instances, chunks, binding=binding, array_dim=64, slots=2,
             dram_bw=dram_bw,
         )
-        _, closed_result = scenario_sim(closed)
+        closed_result = schedule_scenario_tasks(closed)
         open_spec = spec(
             [Arrival(0, chunks, 0)] * instances,
             binding=binding,
@@ -307,7 +307,7 @@ class TestClosedScenarioEquivalence:
 
     def test_single_request_latency_is_scenario_makespan(self):
         closed = attention_scenario(1, 4, binding="interleaved", array_dim=64)
-        _, closed_result = scenario_sim(closed)
+        closed_result = schedule_scenario_tasks(closed)
         result = simulate_serving(spec([Arrival(0, 4, 0)]))
         (request,) = result.requests
         assert request.latency == closed_result.makespan

@@ -20,8 +20,8 @@ from repro.cluster import (
     ClusterSpec,
     build_cluster_tasks,
     cluster_link_cycles,
-    cluster_sim,
     evaluate_cluster_point,
+    schedule_cluster_tasks,
 )
 from repro.api import BindingSweepRequest, Session
 from repro.model.scenario import analytical_scenario
@@ -40,7 +40,6 @@ from repro.simulator import (
     ScenarioResult,
     Simulator,
     Task,
-    binding_sim,
     build_decode_tasks,
     build_scenario_tasks,
     build_tasks,
@@ -49,7 +48,8 @@ from repro.simulator import (
     evaluate_binding_point,
     evaluate_scenario_point,
     scenario_csv,
-    scenario_sim,
+    schedule_binding,
+    schedule_scenario_tasks,
     simulate_binding,
     sweep_csv,
 )
@@ -437,9 +437,10 @@ class TestDifferentialPipeline:
     def test_small_array_identical(self):
         config = PipelineConfig(chunks=5, array_dim=32, pe_1d=32)
         for binding in ("tile-serial", "interleaved"):
-            tasks, vector = binding_sim(config, binding)
-            _, cycle = binding_sim(config, binding, engine="cycle")
+            vector = schedule_binding(config, binding)
+            cycle = schedule_binding(config, binding, engine="cycle")
             assert vector == cycle
+            tasks = build_tasks(config, serial=binding == "tile-serial")
             assert len(vector.finish_times) == len(tasks)
 
     def test_compare_bindings_engine_parity(self):
@@ -610,10 +611,10 @@ class TestScenarioGraphs:
             slots=scenario.slots,
             max_cycles=sum(t.duration for t in tasks) + 1,
         )
-        # The folded path (scenario_sim engine="vector") must agree too:
+        # The folded path (schedule_scenario_tasks) must agree too:
         # it never materializes the merged task list, so this is the one
         # place lazy materialization and replay face the oracle.
-        _, folded = scenario_sim(scenario, engine="vector")
+        folded = schedule_scenario_tasks(scenario)
         assert folded == result
         _assert_makespan_is_last_finish(folded)
 
@@ -638,7 +639,7 @@ class TestScenarioGraphs:
             assert "dram" not in result.busy_cycles
         else:
             assert result.busy_cycles.get("dram", 0) > 0
-        _, folded = scenario_sim(scenario, engine="vector")
+        folded = schedule_scenario_tasks(scenario)
         assert folded == result
         _assert_makespan_is_last_finish(folded)
 
@@ -674,7 +675,7 @@ class TestScenarioGraphs:
         if link_bw is None:
             assert "link" not in result.busy_cycles
         # The folded path must replay the sharded classes exactly too.
-        _, folded = cluster_sim(scenario, spec, sharding, engine="vector")
+        folded = schedule_cluster_tasks(scenario, spec, sharding)
         assert folded == result
         _assert_makespan_is_last_finish(folded)
 
@@ -713,15 +714,15 @@ class TestScenarioGraphs:
             slots=scenario.slots,
             max_cycles=sum(t.duration for t in tasks) + 1,
         )
-        _, folded = scenario_sim(scenario, engine="vector")
+        folded = schedule_scenario_tasks(scenario)
         assert folded == result
         _assert_makespan_is_last_finish(folded)
 
-    def test_scenario_sim_engine_parity(self):
+    def test_scenario_engine_parity(self):
         scenario = attention_scenario(3, 4, array_dim=32)
         _, event = event_scenario(scenario)
-        _, cycle = scenario_sim(scenario, engine="cycle")
-        _, vector = scenario_sim(scenario, engine="vector")
+        cycle = schedule_scenario_tasks(scenario, build_scenario_tasks(scenario), engine="cycle")
+        vector = schedule_scenario_tasks(scenario)
         assert event == cycle
         assert vector == cycle
 
@@ -735,8 +736,8 @@ class TestScenarioGraphs:
         assert [(t.resource, t.duration) for t in merged] == [
             (t.resource, t.duration) for t in single
         ]
-        _, sim = scenario_sim(scenario)
-        _, ref = binding_sim(config, "tile-serial")
+        sim = schedule_scenario_tasks(scenario)
+        ref = schedule_binding(config, "tile-serial")
         assert sim.makespan == ref.makespan
         assert dict(sim.busy_cycles) == dict(ref.busy_cycles)
 
@@ -1143,9 +1144,10 @@ class TestOneReadinessCompile:
         assert spies["compiled"] == [cls.size for cls in folded.classes]
 
     def test_binding_fold_compiles_the_two_instance_list_once(self, spies):
-        from repro.simulator import fold_binding
+        from repro.simulator.pipeline import binding_template
+        from repro.simulator.vector import fold_chain
 
-        folded = fold_binding(PipelineConfig(chunks=64), "interleaved")
+        folded = fold_chain(binding_template(PipelineConfig(), "interleaved"), 64)
         assert spies["compiled"] == [2 * folded.classes[0].size]
 
     def test_cluster_fold_compiles_once_per_chip_template(self, spies):
@@ -1176,7 +1178,8 @@ class TestOneReadinessCompile:
     def test_one_name_index_per_fold_compile(self, monkeypatch):
         """The fold lowerings check names with one :func:`task_index`
         and hand it to the compile instead of having it built again."""
-        from repro.simulator import engine, fold_binding, fold_scenario, vector
+        from repro.simulator import engine, fold_scenario, vector
+        from repro.simulator.pipeline import binding_template
 
         whats = []
         real = engine.task_index
@@ -1188,7 +1191,7 @@ class TestOneReadinessCompile:
         monkeypatch.setattr(engine, "task_index", task_index)
         monkeypatch.setattr(vector, "task_index", task_index)
         fold_scenario(attention_scenario(3, 4, array_dim=32, decode_instances=2, decode_chunks=6))
-        fold_binding(PipelineConfig(chunks=64), "interleaved")
+        vector.fold_chain(binding_template(PipelineConfig(), "interleaved"), 64)
         assert whats == ["a fold template"] * 2 + ["a chain template"]
 
     def test_flat_core_steps_the_same_round_robin(self, spies):
@@ -1374,17 +1377,15 @@ class TestChainFold:
             array_dim=array_dim,
             pe_1d=rng.choice((array_dim, 8, 64, 512)),
         )
-        tasks, event = event_binding(config, binding)
-        built, vector = binding_sim(config, binding, engine="vector")
-        assert built == tasks
+        _, event = event_binding(config, binding)
+        vector = schedule_binding(config, binding)
         assert vector == event
         assert dict(vector.finish_times) == dict(event.finish_times)
         assert dict(vector.busy_cycles) == dict(event.busy_cycles)
         assert vector.makespan == event.makespan
         _assert_makespan_is_last_finish(vector)
         if chunks <= 8:
-            _, cycle = binding_sim(config, binding, engine="cycle")
-            assert vector == cycle
+            assert vector == schedule_binding(config, binding, engine="cycle")
 
     @pytest.mark.parametrize("chunks", (1, 2, 5, 64))
     @pytest.mark.parametrize("slots", (1, 2, 3))
@@ -1401,10 +1402,11 @@ class TestChainFold:
     def test_tile_serial_long_chain_replays(self):
         """Tile-serial chunks run one after another, so the two-chunk
         live window recurs almost at once and the rest is replayed."""
-        from repro.simulator import fold_binding, run_folded
+        from repro.simulator.pipeline import binding_template
+        from repro.simulator.vector import fold_chain, run_folded
 
         config = PipelineConfig(chunks=8192)
-        folded = fold_binding(config, "tile-serial")
+        folded = fold_chain(binding_template(config, "tile-serial"), config.chunks)
         stats = {}
         result = run_folded(folded, slots=1, stats=stats)
         assert stats["events"] <= 64
@@ -1418,11 +1420,12 @@ class TestChainFold:
         makespan and ``len()`` come from the fold's log, and the first
         read expands it once.  The expanded schedule must equal the
         event core's on the built graph."""
-        from repro.simulator import fold_binding, run_folded
+        from repro.simulator.pipeline import binding_template
+        from repro.simulator.vector import fold_chain, run_folded
 
         config = PipelineConfig(chunks=chunks)
         calls = _spy_expansion(monkeypatch)
-        folded = fold_binding(config, "tile-serial")
+        folded = fold_chain(binding_template(config, "tile-serial"), chunks)
         result = run_folded(folded, slots=1)
         assert len(result.finish_times) == folded.n_tasks
         assert calls == []  # neither the run nor len() writes anything out
@@ -1434,10 +1437,11 @@ class TestChainFold:
         """The 2D front runs ahead of the ``RNV`` chain and leaves a
         growing run of idle chunks between them; split windows key the
         two fronts apart, so the steady state is replayed, exactly."""
-        from repro.simulator import fold_binding, run_folded
+        from repro.simulator.pipeline import binding_template
+        from repro.simulator.vector import fold_chain, run_folded
 
         config = PipelineConfig(chunks=8192)
-        folded = fold_binding(config, "interleaved")
+        folded = fold_chain(binding_template(config, "interleaved"), config.chunks)
         stats = {}
         result = run_folded(folded, slots=2, stats=stats)
         assert stats["replayed"] / folded.n_tasks >= 0.9
@@ -1467,9 +1471,9 @@ class TestChainFold:
         a long interleaved binding chain (1D- or 2D-bound by its lanes)
         and a synthetic chain (see :func:`_split_chain`).  Each must
         equal the event core on the built graph."""
-        from repro.simulator import fold_binding, run_folded
         from repro.simulator.events import run_event_driven
-        from repro.simulator.vector import fold_chain
+        from repro.simulator.pipeline import binding_template
+        from repro.simulator.vector import fold_chain, run_folded
 
         rng = random.Random(seed)
         array_dim = rng.choice((16, 64, 128, 256))
@@ -1480,7 +1484,8 @@ class TestChainFold:
             pe_1d=rng.choice((array_dim, array_dim, 8, 64, 512)),
         )
         _, event = event_binding(config, "interleaved")
-        _assert_same_schedule(run_folded(fold_binding(config, "interleaved"), 2), event)
+        template = binding_template(config, "interleaved")
+        _assert_same_schedule(run_folded(fold_chain(template, config.chunks), 2), event)
 
         stems = _split_chain(rng)
         count = rng.randint(150, 1200)
@@ -1579,7 +1584,7 @@ def _random_chain(rng, seed):
     )
 
     def binding_oracle(count):
-        return binding_sim(replace(config, chunks=count), binding, engine="cycle")[1]
+        return schedule_binding(replace(config, chunks=count), binding, engine="cycle")
 
     return binding_template(config, binding), binding_slots(binding), binding_oracle
 
