@@ -1,16 +1,17 @@
-"""Scenario IR and its per-resource work totals.
+"""Scenario IR, its per-resource work totals and its analytical account.
 
 The simulator-facing merged-graph behaviour lives in
 ``test_simulator_events.py``; the analytical account of a scenario
 (``repro.model.scenario.analytical_scenario``) is checked against the
-simulator in ``test_scenario_bandwidth.py`` and ``test_buffer_qos.py``.
+simulator in ``test_scenario_bandwidth.py`` and ``test_buffer_qos.py``,
+and on its own terms here.
 """
 
 import pytest
 
-from repro.model import scenario_work
+from repro.model import analytical_scenario, fusemax, scenario_work
 from repro.simulator import build_scenario_tasks
-from repro.workloads import BERT, XLM
+from repro.workloads import BATCH_SIZE, BERT, XLM
 from repro.workloads.scenario import (
     BINDINGS,
     Phase,
@@ -113,3 +114,83 @@ class TestScenarioWork:
         assert serial["io"] > 0
         assert inter["io"] == 0
 
+
+class TestAnalyticalScenarioModel:
+    def test_overlap_bound_replaces_instance_scaling(self):
+        """N instances sharing the arrays are bounded by the busiest
+        resource, not by N serially-scaled instances that each pay the
+        pipeline warm-up: utilization can only rise."""
+        scenario = scenario_from_model(BERT, 4096, batch=BATCH_SIZE)
+        scaled = fusemax().evaluate(BERT, 4096, batch=BATCH_SIZE)
+        bound = analytical_scenario(scenario)
+        assert bound.kind == "overlap-bound"
+        assert bound.latency_cycles == max(bound.busy.values())
+        assert bound.util_2d >= scaled.util_2d
+
+    def test_architecture_stage_serializes_lone_instance(self):
+        lone = Scenario(
+            name="lone", phases=(Phase("prefill", 1, 16),),
+            binding="tile-serial", model="BERT",
+        )
+        packed = Scenario(
+            name="packed", phases=(Phase("prefill", 16, 16),),
+            binding="tile-serial", model="BERT",
+        )
+        lone_result = analytical_scenario(lone)
+        packed_result = analytical_scenario(packed)
+        assert lone_result.kind == "serial-chain"
+        assert packed_result.kind == "overlap-bound"
+        # Per-instance latency shrinks when instances hide the stalls.
+        assert packed_result.latency_cycles < 16 * lone_result.latency_cycles
+        assert packed_result.util_2d > lone_result.util_2d
+
+    def test_every_binding_estimated(self):
+        for binding in BINDINGS:
+            result = analytical_scenario(
+                attention_scenario(2, 8, binding=binding)
+            )
+            assert result.binding == binding
+            assert 0 < result.util_2d <= 1
+
+    def test_decode_phases_estimated_at_graph_level(self):
+        scenario = attention_scenario(2, 8, decode_instances=1)
+        result = analytical_scenario(scenario)
+        assert result.busy == scenario_work(scenario)
+        assert result.latency_cycles == max(result.busy.values()) > 0
+
+    def test_heterogeneous_prefill_mix_estimated_at_graph_level(self):
+        mixed = Scenario(
+            name="mixed",
+            phases=(Phase("prefill", 2, 16), Phase("prefill", 2, 64)),
+        )
+        estimate = analytical_scenario(mixed)
+        assert estimate.instances == 4
+        assert estimate.latency_cycles == max(estimate.busy.values()) > 0
+
+    def test_scenario_array_dim_respected(self):
+        """A lone tile-serial instance fills and drains the array once
+        per chunk, so its edge traffic and chain grow with the array."""
+        results = [
+            analytical_scenario(
+                attention_scenario(1, 8, binding="tile-serial", array_dim=dim)
+            )
+            for dim in (64, 128, 256)
+        ]
+        for dim, result in zip((64, 128, 256), results):
+            assert result.busy["io"] == 8 * 2 * dim
+        latencies = [r.latency_cycles for r in results]
+        assert latencies == sorted(latencies) and len(set(latencies)) == 3
+
+    def test_synthetic_model_from_embedding(self):
+        s = attention_scenario(2, 8, array_dim=128)
+        result = analytical_scenario(s)
+        assert result.scenario == s.name
+
+    def test_graph_level_and_einsum_level_agree_on_utilization(self):
+        """The two analytical accounts (task-graph work integration and
+        Einsum op counting) describe the same machine: under the
+        interleaved binding their 2D utilizations agree closely."""
+        scenario = scenario_from_model(BERT, 4096, batch=8)
+        graph = analytical_scenario(scenario)
+        einsum = fusemax().evaluate(BERT, 4096, batch=8)
+        assert einsum.util_2d == pytest.approx(graph.util_2d, abs=0.05)

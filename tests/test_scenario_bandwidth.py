@@ -290,6 +290,12 @@ class TestMixedModelScenarios:
         ]
         assert scenario.name.startswith("het-2xBERT:4+1xXLM:8")
 
+    def test_graph_model_accepts_mixed_embedding(self):
+        scenario = mixed_model_scenario(("BERT", "XLM"), 4)
+        estimate = analytical_scenario(scenario)
+        assert estimate.busy == scenario_work(scenario)
+        assert estimate.instances == scenario.instances
+
     def test_describe_names_models_and_bandwidth(self):
         scenario = mixed_model_scenario(
             ("BERT", "XLM"), 4, dram_bw=32.0,
