@@ -30,9 +30,10 @@ Collective traffic is computed from the cascade's tensor shapes
 (:func:`instance_out_bytes`): a prefill instance's output is its
 ``seq_len × E`` tile stream, a decode step's output is one ``E``-wide
 row.  Duration is the link's ceiling-arithmetic transfer time plus the
-fixed per-collective ``link_latency``.  A collective that would cost
-zero cycles (``link_bw=None``/``inf``, or a single chip) is simply not
-emitted — so a 1-chip cluster's merged graph is *byte-identical* to
+fixed per-collective ``link_latency``.  The lowering reads the spec's
+:func:`~repro.workloads.scenario.schedule_form`, which has no link at
+one chip or at ``link_bw=None``/``inf``; without a link no collective
+is emitted — so a 1-chip cluster's merged graph is *byte-identical* to
 the unsharded scenario's, the degenerate invariant the tests lock.
 
 Every template keeps its dependencies inside the instance (collectives
@@ -61,9 +62,10 @@ from ..simulator.pipeline import (
     build_tasks,
     folded_slots,
     instance_config,
+    replicate_templates,
 )
 from ..simulator.vector import FoldedScenario, fold_templates, run_folded
-from ..workloads.scenario import Phase, Scenario
+from ..workloads.scenario import Phase, Scenario, schedule_form
 from .spec import LINK_RESOURCE, SHARDINGS, ClusterSpec
 
 __all__ = [
@@ -178,7 +180,10 @@ def _chip_template(
     sharding: str,
 ) -> List[Task]:
     """One chip's template graph for one phase: the shard's instance
-    graph, dram-lowered, chip-renamed, plus its output collective."""
+    graph, dram-lowered, chip-renamed, plus its output collective.
+    ``scenario`` and ``spec`` are schedule forms, so a spec with a link
+    has more than one chip and a finite bandwidth, and every collective
+    moves bytes."""
     config = shard_config(scenario, phase, sharding, spec.n_chips)
     chip_prefix = "" if spec.n_chips == 1 else f"c{chip}:"
     serial = scenario.binding == "tile-serial"
@@ -198,15 +203,14 @@ def _chip_template(
         cycles = transfer_cycles(
             collective_bytes(config, phase.kind, spec.n_chips), spec.link_bw
         )
-        if cycles:
-            tasks.append(
-                Task(
-                    f"{chip_prefix}AG",
-                    LINK_RESOURCE,
-                    cycles + spec.link_latency,
-                    _sink_names(tasks),
-                )
+        tasks.append(
+            Task(
+                f"{chip_prefix}AG",
+                LINK_RESOURCE,
+                cycles + spec.link_latency,
+                _sink_names(tasks),
             )
+        )
     return tasks
 
 
@@ -216,8 +220,11 @@ def cluster_templates(
     """The counted template classes of a sharded scenario, in phase-
     major then chip-ascending order — the cluster counterpart of the
     per-phase classes :func:`~repro.simulator.pipeline.fold_scenario`
-    folds.  Chips whose block is empty contribute no class."""
+    folds.  Chips whose block is empty contribute no class.  Built from
+    the :func:`~repro.workloads.scenario.schedule_form` of ``scenario``
+    and ``spec``."""
     _check_sharding(sharding)
+    scenario, spec = schedule_form(scenario), schedule_form(spec)
     classes: List[Tuple[List[Task], int]] = []
     for phase in scenario.phases:
         counts = chip_instance_counts(phase, sharding, spec.n_chips)
@@ -234,29 +241,13 @@ def build_cluster_tasks(
 ) -> List[Task]:
     """The merged task graph of ``scenario`` sharded over ``spec``.
 
-    Same replication idiom as :func:`~repro.simulator.pipeline
-    .build_scenario_tasks` — each class's template is built once and
-    stamped out per instance under an ``i<n>:`` namespace, with ``n``
-    counting globally in class order (the numbering the folded engine
-    reconstructs).  A 1-chip cluster, or any spec whose collectives
-    cost zero cycles, reproduces the unsharded merged graph byte for
-    byte."""
-    tasks: List[Task] = []
-    index = 0
-    for template_tasks, count in cluster_templates(scenario, spec, sharding):
-        template = [
-            (t.name, t.resource, t.duration, t.deps, t.bytes_moved)
-            for t in template_tasks
-        ]
-        for _ in range(count):
-            prefix = f"i{index}:"
-            tasks.extend(
-                Task(prefix + name, resource, duration,
-                     tuple(prefix + dep for dep in deps), bytes_moved)
-                for name, resource, duration, deps, bytes_moved in template
-            )
-            index += 1
-    return tasks
+    Same replication as :func:`~repro.simulator.pipeline
+    .build_scenario_tasks` (:func:`~repro.simulator.pipeline
+    .replicate_templates`): each class's template is built once and
+    stamped out per instance under an ``i<n>:`` namespace.  A 1-chip
+    cluster, or any spec without a link, reproduces the unsharded
+    merged graph byte for byte."""
+    return replicate_templates(cluster_templates(scenario, spec, sharding))
 
 
 def fold_cluster(
@@ -273,12 +264,14 @@ def cluster_link_cycles(
     scenario: Scenario, spec: ClusterSpec, sharding: str = "head"
 ) -> int:
     """Total ``link`` busy cycles of the sharded merged graph: the
-    exact sum of the emitted collective durations, 0 when the
-    interconnect is unmodeled.  Walks one shard per (phase, chip) class
-    through the same byte and ceiling arithmetic the builder lowers
-    with, so the analytical cluster model (:mod:`repro.model.cluster`)
-    can never disagree with the schedule about link occupancy."""
-    if spec.link_bw is None or spec.n_chips == 1:
+    exact sum of the emitted collective durations, 0 when the spec's
+    :func:`~repro.workloads.scenario.schedule_form` has no link.  Walks
+    one shard per (phase, chip) class through the same byte and ceiling
+    arithmetic the builder lowers with, so the analytical cluster model
+    (:mod:`repro.model.cluster`) can never disagree with the schedule
+    about link occupancy."""
+    spec = schedule_form(spec)
+    if spec.link_bw is None:
         return 0
     total = 0
     for phase in scenario.phases:
@@ -286,8 +279,6 @@ def cluster_link_cycles(
         cycles = transfer_cycles(
             collective_bytes(config, phase.kind, spec.n_chips), spec.link_bw
         )
-        if not cycles:
-            continue
         count = sum(chip_instance_counts(phase, sharding, spec.n_chips))
         total += count * (cycles + spec.link_latency)
     return total

@@ -7,14 +7,16 @@ connects them — exactly the way :class:`~repro.workloads.scenario
 equal specs describe the same cluster, and every field participates in
 the runtime cache identity (task kind ``"cluster"``).
 
-``link_bw`` follows the ``dram_bw`` convention from PR 5: ``None``
-means the interconnect is not modeled at all (a 1-chip cluster, or a
-deliberate "infinite fabric" baseline) and the lowered graphs are
-bit-identical to unsharded scenarios; ``math.inf`` models the link but
-prices every collective at zero cycles, which degenerates to the same
-graphs.  ``link_latency`` is a fixed per-collective cost (cycles) added
-on top of the bandwidth term — the fabric's software + serialization
-overhead, paid once per collective, not per byte.
+``link_bw`` follows the ``dram_bw`` convention: ``None`` means the
+interconnect is not modeled at all (a deliberate "infinite fabric"
+baseline) and the lowered graphs carry no collectives.  The lowering
+reads the spec's :func:`~repro.workloads.scenario.schedule_form`,
+which also has no link at ``math.inf`` (every collective would cost
+zero cycles) or on one chip (there are no peers to gather from), so
+those specs lower to the same graphs.  ``link_latency`` is a fixed
+per-collective cost (cycles) added on top of the bandwidth term — the
+fabric's software + serialization overhead, paid once per collective,
+not per byte.
 
 ``topology`` is ``"all-to-all"`` first: every chip reaches every other
 chip through one shared full-duplex fabric, so all collectives arbitrate
@@ -84,17 +86,6 @@ class ClusterSpec:
             raise ValueError(
                 f"unknown topology {self.topology!r}; have {TOPOLOGIES}"
             )
-
-    @property
-    def models_link(self) -> bool:
-        """Whether collectives can occupy the ``link`` resource at all:
-        more than one chip and a finite bandwidth.  (``math.inf`` prices
-        every collective at zero cycles, so nothing is emitted.)"""
-        return (
-            self.n_chips > 1
-            and self.link_bw is not None
-            and self.link_bw != float("inf")
-        )
 
     def describe(self) -> str:
         """One-line summary for CLI output and run-registry records."""

@@ -26,11 +26,12 @@ makespan alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Optional, Tuple
+import hashlib
+from dataclasses import dataclass, replace
+from typing import Any, ClassVar, Dict, Optional, Tuple
 
 from ..rows import Group
-from ..workloads.scenario import Scenario
+from ..workloads.scenario import Scenario, schedule_form
 from . import build
 from .spec import LINK_RESOURCE, SHARDINGS, ClusterSpec
 
@@ -59,6 +60,28 @@ class ClusterPoint:
     def describe(self) -> str:
         """Full point label for run-registry grid summaries."""
         return f"{self.scenario.describe()} | {self.sharding} on {self.spec.describe()}"
+
+    def schedule_key(self) -> str:
+        """A SHA-256 digest of the point with its scenario and spec in
+        :func:`~repro.workloads.scenario.schedule_form`, which is what
+        the sharded lowering reads.  Points with equal keys have equal
+        schedules (a 1-chip point at any link setting, say), so a pass
+        schedules one of them (see :meth:`ClusterResult.for_point`)."""
+        form = replace(
+            self, scenario=schedule_form(self.scenario), spec=schedule_form(self.spec)
+        )
+        return hashlib.sha256(repr(form).encode()).hexdigest()
+
+
+def _link_columns(spec: ClusterSpec) -> Dict[str, Any]:
+    """The link columns of ``spec``'s rows, as the caller gave them: a
+    spec on one chip or without a bandwidth reports the link as
+    unmodeled, so mixed batches gate the link columns per row exactly
+    like the DRAM columns.  An infinite bandwidth on many chips prints
+    as given."""
+    if spec.n_chips > 1 and spec.link_bw is not None:
+        return {"link_bw": spec.link_bw, "link_latency": spec.link_latency}
+    return {"link_bw": None, "link_latency": 0}
 
 
 @dataclass(frozen=True)
@@ -128,6 +151,17 @@ class ClusterResult:
         """Shared-link occupancy: one resource, so no per-chip factor."""
         return self.busy_link / self.makespan if self.makespan else 0.0
 
+    def for_point(self, point: ClusterPoint) -> "ClusterResult":
+        """This schedule's row as ``point`` reports it, for a point with
+        the same :meth:`ClusterPoint.schedule_key`: its own scenario
+        name, ``dram_bw`` and link columns."""
+        return replace(
+            self,
+            scenario=point.scenario.name,
+            dram_bw=point.scenario.dram_bw,
+            **_link_columns(point.spec),
+        )
+
     def utilization(self, resource: str) -> float:
         if resource == "link":
             return self.util_link
@@ -167,10 +201,6 @@ def evaluate_cluster_point(
     denom = makespan * spec.n_chips
     busy_2d = total("2d")
     busy_1d = total("1d")
-    # A spec whose link can never be occupied (single chip, or no
-    # bandwidth at all) reports the link as unmodeled, so mixed batches
-    # gate the link columns per row exactly like the DRAM columns.
-    linked = spec.n_chips > 1 and spec.link_bw is not None
     return ClusterResult(
         scenario=scenario.name,
         binding=scenario.binding,
@@ -192,7 +222,6 @@ def evaluate_cluster_point(
         util_1d=busy_1d / denom if denom else 0.0,
         dram_bw=scenario.dram_bw,
         busy_dram=total("dram"),
-        link_bw=spec.link_bw if linked else None,
-        link_latency=spec.link_latency if linked else 0,
         busy_link=busy.get(LINK_RESOURCE, 0),
+        **_link_columns(spec),
     )

@@ -22,21 +22,27 @@ Shared schedules: after the cache lookups, pending tasks with equal
 :meth:`EvalTask.schedule_key` form one group, and only its lowest
 index, the representative, is dealt into a batch or run inline.  When
 the cache holds the row of a task with the group's key, that row
-represents the group instead and nothing in it runs.  A
-binding point's key digests its lowered two-chunk template (names,
-resources, durations, deps) with its chunk count and issue slots,
-everything the chunk fold reads, so equal keys are equal schedules.
-Under the matched floorplan an interleaved point hides fill and drain,
-and its template is the same at every array dim.  The pass then builds each
-other member's row in the parent from the representative's makespan
-and busy cycles and caches it under the member's own key, so cache
-files, payloads and digests are those of a pass that scheduled every
-point.  A shared row costs no attempt; if the representative exhausts
-its budget, each member records its own :class:`TaskFailure` under
-``on_error="skip"``.  Other task kinds have no key and never share.
-Equal graphs skip scheduling entirely; below that, equal templates at
-different chunk counts share their fold's prefix in each process
-(:mod:`repro.simulator.prefixes`).
+represents the group instead and nothing in it runs.  Binding,
+scenario and cluster points have keys, and equal keys are equal
+schedules.  A binding point's key digests its lowered two-chunk
+template (names, resources, durations, deps) with its chunk count and
+issue slots, everything the chunk fold reads; under the matched
+floorplan an interleaved point hides fill and drain, and its template
+is the same at every array dim.  A scenario or cluster point's key
+digests the point in :func:`~repro.workloads.scenario.schedule_form`,
+the form its lowering reads: no name, ``inf`` bandwidth or buffer as
+None, and no link on one chip or at an infinite bandwidth.  The pass
+then builds each other member's row in the parent with the
+representative's row's ``for_point`` (the schedule's measurements
+under the member's own name and as-given fields) and caches it under
+the member's own key, so cache files, payloads and digests are those
+of a pass that scheduled every point.  A shared row costs no attempt;
+if the representative exhausts its budget, each member records its own
+:class:`TaskFailure` under ``on_error="skip"``.  Tasks of the other
+kinds (analytical points, grid cells, serving specs) have no key and
+never share.  Equal graphs skip scheduling entirely; below that, equal
+templates at different chunk counts share their fold's prefix in each
+process (:mod:`repro.simulator.prefixes`).
 
 Fault tolerance (see :mod:`.faults`): :func:`execute_tasks` accepts a
 :class:`~repro.runtime.faults.RetryPolicy` (bounded attempts, capped
@@ -73,7 +79,6 @@ from ..simulator.sweep import (
     DEFAULT_SWEEP_CHUNKS,
     BindingPoint,
     ScenarioGridCell,
-    binding_row,
     evaluate_binding_point,
     evaluate_scenario_point,
 )
@@ -169,9 +174,10 @@ class EvalTask:
 
     def schedule_key(self) -> Optional[str]:
         """Equal keys mean equal schedules (see :func:`execute_tasks`):
-        a binding point's :meth:`~repro.simulator.sweep.BindingPoint
-        .schedule_key`, None for every other kind."""
-        return self.config.schedule_key() if self.kind == "binding" else None
+        the ``schedule_key()`` of a config that has one (a binding,
+        scenario or cluster point), None for every other config."""
+        key = getattr(self.config, "schedule_key", None)
+        return None if key is None else key()
 
 
 def simulate_serving(spec: ServingSpec) -> Any:
@@ -377,9 +383,9 @@ class _ExecutionState:
 
     def share(self, groups: List[List[int]]) -> None:
         """Give each group's other members the row of its first member,
-        the representative that ran: a binding row rebuilt from its
-        makespan and busy cycles, or under ``on_error="skip"`` a copy of
-        its :class:`TaskFailure` carrying the member's own index."""
+        the representative that ran: its row's ``for_point`` of the
+        member's config, or under ``on_error="skip"`` a copy of its
+        :class:`TaskFailure` carrying the member's own index."""
         for rep, *members in groups:
             row = self.results[rep]
             for i in members:
@@ -388,9 +394,7 @@ class _ExecutionState:
                     self.failures.append(failure)
                     self.results[i] = failure
                 else:
-                    point = self.tasks[i].config
-                    shared = binding_row(point, row.makespan, row.busy_2d, row.busy_1d)
-                    self.finish(i, shared, attempted=False)
+                    self.finish(i, row.for_point(self.tasks[i].config), attempted=False)
 
 
 def _run_inline(state: _ExecutionState, pending: List[int]) -> None:

@@ -92,7 +92,7 @@ from ..simulator.pipeline import (
     build_tasks,
     instance_spill_bytes,
 )
-from ..workloads.scenario import BINDINGS, QOS_MODES
+from ..workloads.scenario import BINDINGS, QOS_MODES, schedule_form
 from .arrivals import Arrival, check_sorted
 from .metrics import RequestMetrics, ServingResult
 
@@ -132,9 +132,12 @@ class ServingSpec:
     sharded scenario lowering).  ``link_bw``/``link_latency`` price each
     request's prefill-output gather (KV publication to the other chips)
     on the shared ``link`` resource before its decode steps run, so
-    concurrent requests contend for the interconnect under load.  One
-    chip, or an unmodeled link at one chip, builds a byte-identical
-    graph to the unclustered spec.
+    concurrent requests contend for the interconnect under load.  The
+    graph is built from the spec's
+    :func:`~repro.workloads.scenario.schedule_form`, which has no link
+    at one chip or at ``link_bw=None``/``inf``: one chip builds a
+    byte-identical graph to the unclustered spec, and an infinite link
+    the same graph as an unmodeled one, as in the cluster lowering.
 
     ``buffer_bytes`` models the per-request on-chip buffer exactly as
     ``Scenario.buffer_bytes`` does: working-set overflow spills and
@@ -202,12 +205,6 @@ class ServingSpec:
             raise ValueError(f"unknown qos {self.qos!r}; have {QOS_MODES}")
         if self.binding == "tile-serial":
             object.__setattr__(self, "slots", 1)
-
-    @property
-    def models_link(self) -> bool:
-        """Whether the shared interconnect carries modeled traffic (one
-        chip needs no collectives, mirroring ``ClusterSpec``)."""
-        return self.n_chips > 1 and self.link_bw is not None
 
     @property
     def resolved_pe_1d(self) -> int:
@@ -341,7 +338,9 @@ def _request_graph(
     per-request DRAM lowering, decode-first's just-in-time transfers
     and the chip prefix.  Returns the tasks (dependency-free ones still
     ungated), the ids of those decode-first issues first (ascending),
-    and the request's plan with an empty ``gate``.
+    and the request's plan with an empty ``gate``.  ``spec`` is a
+    :func:`~repro.workloads.scenario.schedule_form`, so a spec with a
+    link has more than one chip and a finite bandwidth.
     """
     prefix = f"r{index}:"
     chip = index % spec.n_chips
@@ -351,7 +350,7 @@ def _request_graph(
     prefill_sinks = _sinks(graph)
     prev_sinks = prefill_sinks
     gather: Tuple[str, ...] = ()
-    if spec.models_link:
+    if spec.link_bw is not None:
         # Publish the prefill output (the request's KV shard) to the
         # other chips before decode proceeds — the cross-chip
         # dependency that makes the link a contended shared
@@ -360,10 +359,9 @@ def _request_graph(
         # output, priced by transfer_cycles plus the hop latency.
         moved = instance_out_bytes(config, "prefill") * (spec.n_chips - 1)
         cycles = transfer_cycles(moved, spec.link_bw) + spec.link_latency
-        if cycles > 0:
-            graph.append(Task(f"{prefix}AG", LINK_RESOURCE, cycles, prefill_sinks))
-            gather = (f"{prefix}AG",)
-            prev_sinks = gather
+        graph.append(Task(f"{prefix}AG", LINK_RESOURCE, cycles, prefill_sinks))
+        gather = (f"{prefix}AG",)
+        prev_sinks = gather
     token_sinks: List[str] = []
     step_gates: List[Tuple[str, ...]] = []
     for step in range(arrival.decode_tokens):
@@ -426,6 +424,7 @@ def _merged_tasks(spec: ServingSpec) -> Tuple[List[Task], List[int], List[Reques
     """The serving graph in merged order — the clock chain, then each
     request's gated graph — with its urgent task ids (ascending) and one
     :class:`RequestPlan` per arrival."""
+    spec = schedule_form(spec)
     clock, position = _clock_chain(spec.arrivals)
     tasks = list(clock)
     urgent: List[int] = []
@@ -465,6 +464,7 @@ def _stamped_graph(spec: ServingSpec) -> Tuple[FlatGraph, List[tuple]]:
     merged order, its dependency-free tasks gated on its :func:`_gate`.
     Also returns each request's ``(gate, prefill_sinks, finish_sinks)``.
     """
+    spec = schedule_form(spec)
     clock, position = _clock_chain(spec.arrivals)
     templates = [(FlatGraph.from_tasks(clock), ())]
     placements: List[Tuple[int, tuple]] = [(0, ())]

@@ -25,8 +25,11 @@ resource that gates the compute task; both scheduling cores then
 arbitrate memory bandwidth with exactly the same issue discipline as the
 PE arrays, so concurrent instances slow each other down once their
 aggregate traffic exceeds the link.  ``dram_bw=None`` leaves the graph
-untouched (bit-identical to pre-bandwidth schedules), and ``math.inf``
-lowers every transfer to zero cycles — also the untouched graph.
+untouched (bit-identical to pre-bandwidth schedules).  The scenario,
+cluster and serving lowerings read their specs through
+:func:`~repro.workloads.scenario.schedule_form`, which maps
+``math.inf`` to None; a direct ``math.inf`` call lowers every transfer
+to ``ceil(bytes / inf) == 0`` cycles, also the untouched graph.
 
 Two engines execute the schedule, and both produce bit-identical
 :class:`SimResult` values on every task graph:
@@ -106,11 +109,12 @@ def transfer_cycles(bytes_moved: int, dram_bw: float) -> int:
     """Cycles ``bytes_moved`` occupies a ``dram_bw`` bytes/cycle link.
 
     The ceiling of the exact quotient: a transfer holds the link for
-    whole cycles, so any positive traffic costs at least one cycle —
-    except at ``dram_bw=math.inf``, where every transfer is free and the
-    lowered graph degenerates to the unlowered one.
+    whole cycles, so any positive traffic costs at least one finite
+    cycle.  At ``dram_bw=math.inf`` the quotient is 0, so every transfer
+    is free (:func:`~repro.workloads.scenario.schedule_form` maps that
+    bandwidth to None before a lowering reads it).
     """
-    if bytes_moved <= 0 or dram_bw == float("inf"):
+    if bytes_moved <= 0:
         return 0
     return ceil(bytes_moved / dram_bw)
 
@@ -140,8 +144,8 @@ def lower_dram(
     the window.  The bound is thus ordinary graph structure: every dep
     points backward in program order (acyclic, deadlock-free) and both
     engines schedule it with zero changes.  ``buffer_bytes=None``
-    and ``math.inf`` leave every transfer dependency-free, reproducing
-    the unbounded lowering exactly.
+    leaves every transfer dependency-free, the unbounded lowering; so
+    does ``math.inf``, since ``held + bytes > inf`` never holds.
 
     ``dram_bw=None`` returns the tasks unchanged; so does any bandwidth
     at which no task's transfer costs a cycle (``math.inf``).  Any other
@@ -156,7 +160,6 @@ def lower_dram(
         raise ValueError("task graph is already dram-lowered")
     if buffer_bytes is not None and not buffer_bytes > 0:
         raise ValueError(f"buffer_bytes must be > 0, got {buffer_bytes}")
-    bounded = buffer_bytes is not None and buffer_bytes != float("inf")
     window: List[Tuple[str, int]] = []  # FIFO of (consumer, bytes) residents
     held = 0
     lowered: List[Task] = []
@@ -167,7 +170,7 @@ def lower_dram(
             continue
         transfer = f"{task.name}{_DRAM_SUFFIX}"
         evicted: Tuple[str, ...] = ()
-        if bounded:
+        if buffer_bytes is not None:
             while window and held + task.bytes_moved > buffer_bytes:
                 consumer, freed = window.pop(0)
                 held -= freed

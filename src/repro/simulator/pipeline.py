@@ -41,7 +41,7 @@ from math import ceil
 from typing import Dict, List, Optional, Tuple
 
 from ..arch.spec import EXP_AS_MACCS
-from ..workloads.scenario import BINDINGS, Phase, Scenario
+from ..workloads.scenario import BINDINGS, Phase, Scenario, schedule_form
 from .engine import SimResult, Simulator, Task, lower_dram, transfer_cycles
 from .prefixes import chain_prefix
 from .systolic import bqk_tile_timing
@@ -68,8 +68,10 @@ __all__ = [
     "fold_scenario",
     "folded_slots",
     "instance_spill_bytes",
+    "replicate_templates",
     "scenario_dram_cycles",
     "scenario_spill_bytes",
+    "scenario_templates",
     "schedule_binding",
     "schedule_scenario_tasks",
     "simulate_binding",
@@ -405,11 +407,11 @@ def spill_bytes_per_chunk(
     buffer: the overflow, clamped to the resident stream (only resident
     tiles *can* spill — the transient stream passes through regardless).
 
-    0 when the buffer is unmodeled (None), infinite, or large enough —
-    so spill volume is monotonically non-increasing in ``buffer_bytes``
-    and the None/inf degeneracies are exact.
+    0 when the buffer is unmodeled (None) or large enough, so spill
+    volume is monotonically non-increasing in ``buffer_bytes``.  An
+    infinite buffer is large enough: its overflow is ``-inf``.
     """
-    if buffer_bytes is None or buffer_bytes == float("inf"):
+    if buffer_bytes is None:
         return 0
     residency = chunk_residency(config, kind)
     overflow = residency.demand_bytes - buffer_bytes
@@ -513,6 +515,48 @@ def _instance_tasks(
     )
 
 
+def scenario_templates(scenario: Scenario) -> List[Tuple[List[Task], int]]:
+    """The counted template classes of ``scenario``: one per phase, in
+    ``scenario.emission_phases`` order, each one instance's graph
+    (:func:`_instance_tasks`) dram-lowered and paired with the phase's
+    instance count.  Built from the scenario's
+    :func:`~repro.workloads.scenario.schedule_form`, so ``math.inf``
+    bandwidth or buffer lowers exactly as None does."""
+    form = schedule_form(scenario)
+    return [
+        (
+            lower_dram(
+                _instance_tasks(form, phase), form.dram_bw, form.buffer_bytes
+            ),
+            phase.instances,
+        )
+        for phase in form.emission_phases
+    ]
+
+
+def replicate_templates(classes: List[Tuple[List[Task], int]]) -> List[Task]:
+    """Stamp out each counted template per instance under an ``i<n>:``
+    namespace, ``n`` counting globally in class order (the numbering the
+    folded engine reconstructs).  Each template is flattened once, so
+    the inner loop is a plain prefix concat."""
+    tasks: List[Task] = []
+    index = 0
+    for template_tasks, count in classes:
+        template = [
+            (t.name, t.resource, t.duration, t.deps, t.bytes_moved)
+            for t in template_tasks
+        ]
+        for _ in range(count):
+            prefix = f"i{index}:"
+            tasks.extend(
+                Task(prefix + name, resource, duration,
+                     tuple(prefix + dep for dep in deps), bytes_moved)
+                for name, resource, duration, deps, bytes_moved in template
+            )
+            index += 1
+    return tasks
+
+
 def build_scenario_tasks(scenario: Scenario) -> List[Task]:
     """The merged task graph of every instance of ``scenario``.
 
@@ -531,11 +575,10 @@ def build_scenario_tasks(scenario: Scenario) -> List[Task]:
 
     A phase's instances are identical up to the ``i<n>:`` namespace, so
     each phase's template graph is built (and dram-lowered) exactly once
-    and replicated per instance with a plain prefix concat — the per-task
-    builder arithmetic, f-string assembly and lowering stay out of the
-    inner loop.  Lowering commutes with prefixing: a transfer's name is
-    ``<task>@dram`` either way, and both orders emit it immediately
-    before its compute task.
+    (:func:`scenario_templates`) and replicated per instance
+    (:func:`replicate_templates`).  Lowering commutes with prefixing: a
+    transfer's name is ``<task>@dram`` either way, and both orders emit
+    it immediately before its compute task.
 
     Phases are emitted in ``scenario.emission_phases`` order —
     descending effective DRAM priority, stably — so a prioritized phase
@@ -546,26 +589,7 @@ def build_scenario_tasks(scenario: Scenario) -> List[Task]:
     finite ``scenario.buffer_bytes`` additionally bounds each
     instance's dependency-free prefetch depth in the lowering.
     """
-    tasks: List[Task] = []
-    index = 0
-    for phase in scenario.emission_phases:
-        template = [
-            (t.name, t.resource, t.duration, t.deps, t.bytes_moved)
-            for t in lower_dram(
-                _instance_tasks(scenario, phase),
-                scenario.dram_bw,
-                scenario.buffer_bytes,
-            )
-        ]
-        for _ in range(phase.instances):
-            prefix = f"i{index}:"
-            tasks.extend(
-                Task(prefix + name, resource, duration,
-                     tuple(prefix + dep for dep in deps), bytes_moved)
-                for name, resource, duration, deps, bytes_moved in template
-            )
-            index += 1
-    return tasks
+    return replicate_templates(scenario_templates(scenario))
 
 
 def fold_scenario(scenario: Scenario) -> FoldedScenario:
@@ -577,19 +601,7 @@ def fold_scenario(scenario: Scenario) -> FoldedScenario:
     :func:`~repro.simulator.vector.run_folded`; expanding it
     reproduces the merged graph's schedule bit for bit.
     """
-    return fold_templates(
-        [
-            (
-                lower_dram(
-                    _instance_tasks(scenario, phase),
-                    scenario.dram_bw,
-                    scenario.buffer_bytes,
-                ),
-                phase.instances,
-            )
-            for phase in scenario.emission_phases
-        ]
-    )
+    return fold_templates(scenario_templates(scenario))
 
 
 def scenario_dram_cycles(scenario: Scenario) -> int:

@@ -144,6 +144,11 @@ class BindingResult:
     util_2d: float
     util_1d: float
 
+    def for_point(self, point: BindingPoint) -> "BindingResult":
+        """This schedule's row as ``point`` reports it, for a point with
+        the same :meth:`BindingPoint.schedule_key`."""
+        return binding_row(point, self.makespan, self.busy_2d, self.busy_1d)
+
 
 def binding_row(
     point: BindingPoint, makespan: int, busy_2d: int, busy_1d: int
@@ -248,6 +253,18 @@ class ScenarioResult:
         busy = {"2d": self.busy_2d, "1d": self.busy_1d, "io": self.busy_io,
                 "dram": self.busy_dram}
         return busy[resource] / self.makespan if self.makespan else 0.0
+
+    def for_point(self, scenario: Scenario) -> "ScenarioResult":
+        """This schedule's row as ``scenario`` reports it, for a
+        scenario with the same :meth:`~repro.workloads.scenario.Scenario
+        .schedule_key`: its own name, ``dram_bw`` and ``buffer_bytes``,
+        as given."""
+        return replace(
+            self,
+            scenario=scenario.name,
+            dram_bw=scenario.dram_bw,
+            buffer_bytes=scenario.buffer_bytes,
+        )
 
 
 def _scenario_row(scenario: Scenario, result) -> ScenarioResult:

@@ -31,8 +31,10 @@ simulator and model layers import it, never the other way around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple
+import hashlib
+import math
+from dataclasses import dataclass, field, fields, replace
+from typing import Optional, Sequence, Tuple, TypeVar
 
 from .models import BATCH_SIZE, MODELS_BY_NAME, ModelConfig
 
@@ -50,6 +52,37 @@ PHASE_KINDS: Tuple[str, ...] = ("prefill", "decode")
 #: level, so latency-critical decode streams win ties at the shared
 #: resources over bulk prefill traffic.
 QOS_MODES: Tuple[str, ...] = ("uniform", "decode-first")
+
+Spec = TypeVar("Spec")
+
+
+def schedule_form(spec: Spec) -> Spec:
+    """``spec`` as a schedule reads it: the one place the degenerate
+    identities are decided.
+
+    A schedule never reads a name, so the name is blanked.  An infinite
+    ``dram_bw`` prices every transfer at zero cycles and an infinite
+    ``buffer_bytes`` spills nothing, so both become None, the unmodeled
+    memory.  A link no collective can occupy (one chip, or no or an
+    infinite bandwidth) becomes no link: ``link_bw=None`` and
+    ``link_latency=0``.  Every other field is kept.
+
+    Takes any frozen spec with some of these fields: a
+    :class:`Scenario`, a :class:`~repro.cluster.spec.ClusterSpec` or a
+    :class:`~repro.serving.simulator.ServingSpec`.  The lowerings build
+    their graphs from this form, and the schedule keys digest it, so
+    specs with equal forms are one schedule.
+    """
+    present = {f.name for f in fields(spec)}
+    changes: dict = {"name": ""} if "name" in present else {}
+    for axis in ("dram_bw", "buffer_bytes"):
+        if axis in present and getattr(spec, axis) == math.inf:
+            changes[axis] = None
+    if "link_bw" in present and (
+        spec.n_chips == 1 or spec.link_bw in (None, math.inf)
+    ):
+        changes.update(link_bw=None, link_latency=0)
+    return replace(spec, **changes)
 
 
 @dataclass(frozen=True)
@@ -120,6 +153,9 @@ class Scenario:
     The spec is declarative and complete: two scenarios with equal
     fields describe the same schedule, and any field difference must
     change the runtime cache key (tested in ``tests/test_runtime.py``).
+    Two scenarios with equal :func:`schedule_form` (equal up to the
+    name and the ``inf`` ≡ None identities) describe the same schedule
+    too, and share a :meth:`schedule_key`.
 
     Attributes:
         name: Identifier used in reports and run-registry summaries.
@@ -142,9 +178,9 @@ class Scenario:
             ``None`` schedules are byte-identical to pre-bandwidth
             results).  When set, every instance's DRAM transfers occupy
             a shared ``dram`` resource that all instances contend for
-            (:func:`repro.simulator.pipeline.build_scenario_tasks`);
-            ``math.inf`` models infinite bandwidth and reproduces the
-            ``None`` schedule exactly.
+            (:func:`repro.simulator.pipeline.build_scenario_tasks`).
+            ``math.inf`` models infinite bandwidth: :func:`schedule_form`
+            maps it to ``None``, so it is the ``None`` schedule.
         buffer_bytes: per-instance on-chip buffer capacity in bytes, or
             None to leave the buffer unmodeled (the historical
             behaviour).  When finite, each instance's working set is
@@ -153,9 +189,8 @@ class Scenario:
             traffic, and the dram lowering bounds dependency-free
             prefetch depth to the capacity
             (:func:`repro.simulator.engine.lower_dram`).
-            ``math.inf`` models an infinite buffer and reproduces the
-            ``None`` schedule exactly, mirroring the ``dram_bw``
-            contract.
+            ``math.inf`` models an infinite buffer and, as for
+            ``dram_bw``, :func:`schedule_form` maps it to ``None``.
         qos: DRAM arbitration discipline, one of :data:`QOS_MODES`.
             ``"uniform"`` (default) keeps program-order arbitration;
             ``"decode-first"`` raises every decode phase one priority
@@ -196,7 +231,12 @@ class Scenario:
             )
         if self.qos not in QOS_MODES:
             raise ValueError(f"unknown qos {self.qos!r}; have {QOS_MODES}")
-        if self.model is not None and self.model in MODELS_BY_NAME:
+        if self.model is not None:
+            if self.model not in MODELS_BY_NAME:
+                raise ValueError(
+                    f"unknown scenario model {self.model!r}; "
+                    f"have {sorted(MODELS_BY_NAME)}"
+                )
             d_head = MODELS_BY_NAME[self.model].d_head
             if d_head != self.embedding:
                 raise ValueError(
@@ -208,6 +248,14 @@ class Scenario:
             # One task issues per resource under the serial discipline;
             # normalizing keeps equality and cache keys truthful.
             object.__setattr__(self, "slots", 1)
+
+    def schedule_key(self) -> str:
+        """A SHA-256 digest of the scenario's :func:`schedule_form`:
+        every field its merged schedule reads, with the degenerate
+        identities resolved.  Scenarios with equal keys have equal
+        schedules, so a pass schedules one of them (see
+        :meth:`~repro.simulator.sweep.ScenarioResult.for_point`)."""
+        return hashlib.sha256(repr(schedule_form(self)).encode()).hexdigest()
 
     @property
     def instances(self) -> int:

@@ -22,6 +22,7 @@ Five contracts:
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -55,7 +56,7 @@ from repro.serving import (
     simulate_serving,
 )
 from repro.simulator import build_scenario_tasks, schedule_scenario_tasks
-from repro.workloads.scenario import Phase, attention_scenario
+from repro.workloads.scenario import Phase, attention_scenario, schedule_form
 
 
 def small_scenario(**overrides):
@@ -71,7 +72,7 @@ class TestClusterSpec:
         spec = ClusterSpec()
         assert spec.n_chips == 1
         assert spec.link_bw is None
-        assert not spec.models_link
+        assert schedule_form(spec) == spec
         assert spec.describe() == "1 chip"
 
     def test_validation(self):
@@ -84,12 +85,14 @@ class TestClusterSpec:
         with pytest.raises(ValueError, match="topology"):
             ClusterSpec(n_chips=2, topology="torus")
 
-    def test_models_link_semantics(self):
-        assert ClusterSpec(n_chips=4, link_bw=64.0).models_link
+    def test_schedule_form_keeps_only_occupiable_links(self):
+        linked = ClusterSpec(n_chips=4, link_bw=64.0, link_latency=8)
+        assert schedule_form(linked) == linked
         # One chip has no peers; None and inf price nothing.
-        assert not ClusterSpec(n_chips=1, link_bw=64.0).models_link
-        assert not ClusterSpec(n_chips=4).models_link
-        assert not ClusterSpec(n_chips=4, link_bw=math.inf).models_link
+        unlinked = ClusterSpec(n_chips=4)
+        assert schedule_form(replace(linked, n_chips=1)) == ClusterSpec()
+        assert schedule_form(replace(linked, link_bw=None)) == unlinked
+        assert schedule_form(replace(linked, link_bw=math.inf)) == unlinked
 
     def test_describe_names_the_link(self):
         spec = ClusterSpec(n_chips=4, link_bw=64.0, link_latency=8)

@@ -11,8 +11,10 @@ import pytest
 
 from repro.api import CrosscheckRequest, ExperimentRequest, Session
 from repro.api import session as session_module
+from repro.experiments import crosscheck
 from repro.experiments.report import full_report
-from repro.cluster import ClusterPoint, ClusterSpec
+from repro.cluster import ClusterPoint, ClusterSpec, build_cluster_tasks
+from repro.cluster import build as cluster_build
 from repro.model import UnfusedModel, fusemax
 from repro.runtime import (
     RESULT_TYPES,
@@ -46,12 +48,13 @@ from repro.serving import Arrival, ServingSpec, poisson_arrivals
 from repro.simulator import (
     PipelineConfig,
     ScenarioGridCell,
+    build_scenario_tasks,
     build_tasks,
     evaluate_binding_point,
     pipeline,
 )
 from repro.workloads import BERT, MODELS, SEQUENCE_LENGTHS, T5
-from repro.workloads.scenario import Phase, Scenario, attention_scenario
+from repro.workloads.scenario import Phase, Scenario, attention_scenario, schedule_form
 
 
 def serving_spec(**overrides):
@@ -180,12 +183,13 @@ class TestParallelEqualsSerial:
 SHARED_GRID = dict(chunks=(16, 64, 1024), array_dims=(64, 128))
 
 
-def schedule_groups(tasks):
-    """Indices of ``tasks`` grouped by an independently built key: the
-    two-chunk template from :func:`build_tasks`, chunks and slots."""
-    groups = {}
-    for i, task in enumerate(tasks):
-        point = task.config
+def scheduled_graph(task):
+    """What ``task``'s scheduler reads, built without its schedule key:
+    a binding point's two-chunk template from :func:`build_tasks` with
+    its chunks and binding, a scenario or cluster point's merged graph
+    with its binding and slots."""
+    point = task.config
+    if task.kind == "binding":
         serial = point.binding == "tile-serial"
         config = PipelineConfig(
             chunks=2,
@@ -196,21 +200,69 @@ def schedule_groups(tasks):
         template = tuple(
             (t.name, t.resource, t.duration, t.deps) for t in build_tasks(config, serial)
         )
-        groups.setdefault((template, point.chunks, serial), []).append(i)
+        return template, point.chunks, serial
+    if task.kind == "scenario":
+        scenario, graph = point, build_scenario_tasks(point)
+    else:
+        scenario = point.scenario
+        graph = build_cluster_tasks(scenario, point.spec, point.sharding)
+    return tuple(map(dataclasses.astuple, graph)), scenario.binding, scenario.slots
+
+
+def schedule_groups(tasks):
+    """Indices of ``tasks`` grouped by an independently built key,
+    :func:`scheduled_graph`."""
+    groups = {}
+    for i, task in enumerate(tasks):
+        groups.setdefault(scheduled_graph(task), []).append(i)
     return list(groups.values())
 
 
-def spy_schedules(monkeypatch):
-    """Record every :func:`pipeline.schedule_binding` call in-process."""
+#: The function each keyed kind's evaluation schedules through, as
+#: ``(module, name)``.
+SCHEDULERS = {
+    "binding": (pipeline, "schedule_binding"),
+    "scenario": (pipeline, "schedule_scenario_tasks"),
+    "cluster": (cluster_build, "schedule_cluster_tasks"),
+}
+
+
+def spy_schedules(monkeypatch, kind="binding"):
+    """Record the arguments of every schedule of a ``kind`` point made
+    in-process."""
     calls = []
-    real = pipeline.schedule_binding
+    module, name = SCHEDULERS[kind]
+    real = getattr(module, name)
 
-    def spy(config, binding, engine="vector"):
-        calls.append((binding, config))
-        return real(config, binding, engine=engine)
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "schedule_binding", spy)
+    monkeypatch.setattr(module, name, spy)
     return calls
+
+
+#: The crosscheck's ``attn-8x64@bw32`` points: the bandwidth point, the
+#: capacity points at two finite buffers, and the ``@bufinf`` control,
+#: which is the bandwidth point's schedule.
+CROSSCHECK_BUFFERS = [
+    scenario
+    for scenario in crosscheck.bandwidth_scenarios() + crosscheck.capacity_scenarios()
+    if scenario.name.startswith("attn-8x64@bw32")
+]
+
+#: One chip is one schedule at any link setting, and an infinite link
+#: on two chips is no link.
+LINK_POINTS = [
+    ClusterPoint(attention_scenario(4, 8, array_dim=64), ClusterSpec(**spec))
+    for spec in (
+        dict(n_chips=1),
+        dict(n_chips=1, link_bw=64.0, link_latency=4),
+        dict(n_chips=2),
+        dict(n_chips=2, link_bw=float("inf"), link_latency=4),
+        dict(n_chips=2, link_bw=64.0),
+    )
+]
 
 
 class TestSharedSchedules:
@@ -222,7 +274,7 @@ class TestSharedSchedules:
         assert len(rows) == 12
         assert len(calls) == 9
         # Only the interleaved points at dim 64 ran; dim 128's reused them.
-        assert {c.array_dim for b, c in calls if b == "interleaved"} == {64}
+        assert {c.array_dim for c, b in calls if b == "interleaved"} == {64}
         outcome = execute_tasks(binding_grid(**SHARED_GRID), cache=False)
         assert outcome.attempts == 9
 
@@ -251,32 +303,98 @@ class TestSharedSchedules:
         "grid, schedules",
         [
             # Tile-serial fill and drain grow with the array dim.
-            (dict(chunks=(16, 64), bindings=("tile-serial",), array_dims=(64, 128)), 4),
+            (binding_grid(chunks=(16, 64), bindings=("tile-serial",), array_dims=(64, 128)), 4),
             # Unmatched lanes: 1D tasks at dim 128 take twice dim 64's cycles.
-            (dict(chunks=(16, 64), array_dims=(64, 128), pe_1d_dims=(64,)), 8),
-            (dict(chunks=(16,), array_dims=(64,), embeddings=(32, 64)), 4),
+            (binding_grid(chunks=(16, 64), array_dims=(64, 128), pe_1d_dims=(64,)), 8),
+            (binding_grid(chunks=(16,), array_dims=(64,), embeddings=(32, 64)), 4),
             # Equal lane ratios (128/64, 256/128) give equal templates.
-            (dict(chunks=(16,), bindings=("interleaved",), array_dims=(128, 256),
-                  pe_1d_dims=(64, 128)), 3),
+            (
+                binding_grid(
+                    chunks=(16,),
+                    bindings=("interleaved",),
+                    array_dims=(128, 256),
+                    pe_1d_dims=(64, 128),
+                ),
+                3,
+            ),
+            (scenario_grid(CROSSCHECK_BUFFERS), 3),
+            (cluster_grid(LINK_POINTS), 3),
         ],
     )
     def test_sharing_follows_the_graph(self, grid, schedules, monkeypatch):
-        """The executor shares exactly where templates built in this
-        test are equal."""
-        tasks = binding_grid(**grid)
-        groups = schedule_groups(tasks)
+        """The executor shares exactly where graphs built in this test
+        are equal, and a shared row equals the member's own."""
+        groups = schedule_groups(grid)
         assert len(groups) == schedules
         keyed = {}
-        for i, task in enumerate(tasks):
+        for i, task in enumerate(grid):
             keyed.setdefault(task.schedule_key(), []).append(i)
         assert sorted(keyed.values()) == sorted(groups)
-        calls = spy_schedules(monkeypatch)
-        rows = execute_tasks(tasks, cache=False).results
+        calls = spy_schedules(monkeypatch, grid[0].kind)
+        rows = execute_tasks(grid, cache=False).results
         assert len(calls) == schedules
-        assert rows == [evaluate_binding_point(t.config) for t in tasks]
+        assert rows == [evaluate_task(t) for t in grid]
+
+    def test_identities_map_to_one_key(self):
+        """Each degenerate identity maps a pair of points to one key,
+        and inputs that change the schedule keep their keys apart."""
+        inf = float("inf")
+        base = attention_scenario(2, 4, array_dim=64, dram_bw=32.0)
+        linked = ClusterSpec(n_chips=2, link_bw=64.0, link_latency=4)
+
+        def scen(**changes):
+            return dataclasses.replace(base, **changes)
+
+        def chip(spec=linked, scenario=base, sharding="head", **changes):
+            return ClusterPoint(scenario, dataclasses.replace(spec, **changes), sharding)
+
+        unlinked = ClusterSpec(n_chips=2)
+        one_key = [
+            (scen(), scen(name="renamed")),
+            (scen(dram_bw=None), scen(dram_bw=inf)),
+            (scen(), scen(buffer_bytes=inf)),
+            (chip(ClusterSpec()), chip(n_chips=1)),
+            (chip(unlinked), chip(link_bw=inf)),
+            (chip(unlinked), chip(link_bw=None)),
+            (chip(), chip(scenario=scen(name="renamed", buffer_bytes=inf))),
+        ]
+        for a, b in one_key:
+            assert a.schedule_key() == b.schedule_key(), (a, b)
+        apart = [
+            scen(),
+            scen(dram_bw=None),
+            scen(dram_bw=64.0),
+            scen(buffer_bytes=49152.0),
+            scen(binding="tile-serial"),
+            chip(ClusterSpec()),
+            chip(unlinked),
+            chip(),
+            chip(link_latency=0),
+            chip(link_bw=32.0),
+            chip(sharding="tensor"),
+            chip(ClusterSpec(), scenario=scen(dram_bw=None)),
+        ]
+        assert len({point.schedule_key() for point in apart}) == len(apart)
+        # Serving has no key, but builds its graph from the same form.
+        serving = serving_spec(n_chips=2, link_bw=64.0, link_latency=4)
+
+        def serve(**changes):
+            return dataclasses.replace(serving, **changes)
+
+        alone = serve(n_chips=1, link_bw=None, link_latency=0)
+        for a, b in [
+            (serve(), serve(name="renamed")),
+            (serve(link_bw=None), serve(link_bw=inf)),
+            (alone, serve(n_chips=1)),
+            (serve(dram_bw=None), serve(dram_bw=inf)),
+            (serve(), serve(buffer_bytes=inf)),
+        ]:
+            assert schedule_form(a) == schedule_form(b), (a, b)
+        assert schedule_form(serving) != schedule_form(serve(link_bw=None))
 
     def test_other_kinds_have_no_key(self):
         assert all(t.schedule_key() is None for t in attention_grid((BERT,), SHORT))
+        assert serving_grid([serving_spec()])[0].schedule_key() is None
 
 
 class TestSharedScheduleFaults:

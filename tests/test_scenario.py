@@ -93,6 +93,14 @@ class TestScenarioIR:
                 embedding=64, model="XLM",  # XLM heads are 128-wide
             )
 
+    def test_unknown_model_rejected(self):
+        # As for a phase: an unknown name must not fall back silently
+        # to the scenario's embedding.
+        with pytest.raises(ValueError, match="unknown scenario model 'GPT'"):
+            Scenario(name="bad", phases=(Phase("prefill", 1, 8),), model="GPT")
+        with pytest.raises(ValueError, match="unknown phase model 'GPT'"):
+            Phase("prefill", 1, 8, model="GPT")
+
 
 class TestScenarioWork:
     def test_work_equals_merged_graph_durations(self):

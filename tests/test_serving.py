@@ -22,7 +22,9 @@ and that its schedule equals the cycle oracle's on the named graph,
 and that it builds and compiles only the templates.
 """
 
+import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -211,6 +213,19 @@ class TestServingSpec:
     def test_tile_serial_normalizes_slots(self):
         s = spec([Arrival(0, 2)], binding="tile-serial", slots=4)
         assert s.slots == 1
+
+    def test_infinite_link_builds_the_unlinked_graph(self):
+        """An infinite link moves a gather's bytes in zero cycles, so,
+        as in the cluster lowering, it is no link at all: no
+        latency-only gather is emitted."""
+        arrivals = [Arrival(100 * i, 4, 2) for i in range(4)]
+        unlinked = spec(arrivals, n_chips=2, link_latency=40)
+        infinite = replace(unlinked, link_bw=math.inf)
+        tasks, plans = build_serving_tasks(infinite)
+        assert (tasks, plans) == build_serving_tasks(unlinked)
+        assert len(tasks) == 276
+        assert all(task.resource != "link" for task in tasks)
+        assert simulate_serving(infinite).requests == simulate_serving(unlinked).requests
 
     def test_seq_len_and_describe(self):
         s = spec([Arrival(0, 2), Arrival(5, 8)], rate=0.5, deadline=900)
