@@ -6,8 +6,10 @@ frozen :class:`ClusterSpec` plus a sharding policy lower a
 whose cross-chip output exchanges become collective tasks arbitrating
 one shared ``link`` resource — ordinary graph structure, so both
 scheduling engines run cluster graphs bit-identically with zero engine
-changes, and a 1-chip cluster degenerates byte-for-byte to the
-unsharded scenario.
+changes.  Each shard is lowered by the scenario path's own
+per-instance lowering, so a 1-chip cluster degenerates byte-for-byte
+to the unsharded scenario, its buffer spills, bounded prefetch and QoS
+emission order included.
 
 The names below load with their defining submodule on first use (see
 :mod:`repro._lazy`); code inside the package imports that submodule.
@@ -28,7 +30,6 @@ __getattr__, __all__ = lazy_exports(
             "instance_out_bytes",
             "schedule_cluster_tasks",
             "shard_config",
-            "template_dram_cycles",
         ),
         "spec": ("LINK_RESOURCE", "SHARDINGS", "TOPOLOGIES", "ClusterSpec"),
         "sweep": ("ClusterPoint", "ClusterResult", "evaluate_cluster_point"),

@@ -2,14 +2,16 @@
 
 The lowering generalizes :func:`~repro.simulator.pipeline
 .build_scenario_tasks` from one accelerator to ``spec.n_chips``
-identical ones.  Each phase of the scenario becomes one template class
-per chip — the phase's instance graph built at the chip's shard of the
-work, its resources renamed ``c<k>:2d`` / ``c<k>:1d`` / ``c<k>:io`` /
-``c<k>:dram`` so chips never contend for each other's arrays or memory
-— and the cross-chip output exchange becomes an explicit *collective*
-task (``AG``, an all-gather) on the one shared ``link`` resource,
-emitted exactly the way :func:`~repro.simulator.engine.lower_dram`
-emits transfers: as ordinary graph structure, so both engines run
+identical ones, and adds only what a cluster has.  Each phase's shard
+is lowered once by the scenario path's own per-instance lowering
+(:func:`~repro.simulator.pipeline.instance_template`: capacity spills,
+the buffer's bounded prefetch depth, the DRAM transfers), in the
+scenario's QoS ``emission_phases`` order.  The cluster then stamps it
+per chip, renaming names, deps and resources ``c<k>:2d`` / ``c<k>:1d``
+/ ``c<k>:io`` / ``c<k>:dram`` so chips never contend for each other's
+arrays or memory, and turns the cross-chip output exchange into an
+explicit *collective* task (``AG``, an all-gather) on the one shared
+``link`` resource: ordinary graph structure, so both engines run
 cluster graphs bit-identically with zero engine changes.
 
 Sharding (:data:`~repro.cluster.spec.SHARDINGS`) decides how a phase's
@@ -33,8 +35,10 @@ row.  Duration is the link's ceiling-arithmetic transfer time plus the
 fixed per-collective ``link_latency``.  The lowering reads the spec's
 :func:`~repro.workloads.scenario.schedule_form`, which has no link at
 one chip or at ``link_bw=None``/``inf``; without a link no collective
-is emitted — so a 1-chip cluster's merged graph is *byte-identical* to
-the unsharded scenario's, the degenerate invariant the tests lock.
+is emitted.  One chip is neither renamed nor linked, so a 1-chip
+cluster's templates *are* the scenario's, buffer and QoS included, and
+its merged graph is byte-identical to the unsharded scenario's: the
+degenerate invariant the tests lock.
 
 Every template keeps its dependencies inside the instance (collectives
 hang off their own instance's sinks), so the folded vector engine
@@ -48,20 +52,15 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
-from ..simulator.engine import (
-    SimResult,
-    Simulator,
-    Task,
-    lower_dram,
-    transfer_cycles,
-)
+from ..simulator.engine import SimResult, Task, transfer_cycles
 from ..simulator.pipeline import (
     WORD_BYTES,
     PipelineConfig,
-    build_decode_tasks,
-    build_tasks,
+    _check_engine_tasks,
+    _run,
     folded_slots,
     instance_config,
+    instance_template,
     replicate_templates,
 )
 from ..simulator.vector import FoldedScenario, fold_templates, run_folded
@@ -78,7 +77,6 @@ __all__ = [
     "instance_out_bytes",
     "schedule_cluster_tasks",
     "shard_config",
-    "template_dram_cycles",
 ]
 
 
@@ -146,24 +144,16 @@ def collective_bytes(
     return instance_out_bytes(config, kind) * (n_chips - 1)
 
 
-def template_dram_cycles(
-    config: PipelineConfig,
-    kind: str,
-    serial: bool,
-    dram_bw: Optional[float],
+def _collective_cycles(
+    config: PipelineConfig, kind: str, spec: ClusterSpec
 ) -> int:
-    """DRAM busy cycles of one instance at ``config``'s shard — the
-    sharded counterpart of :func:`~repro.simulator.pipeline
-    .scenario_dram_cycles`, walking the same builders and ceiling
-    arithmetic so the analytical cluster model can never disagree with
-    the lowered schedule."""
-    if dram_bw is None:
-        return 0
-    if kind == "decode":
-        tasks = build_decode_tasks(config)
-    else:
-        tasks = build_tasks(config, serial=serial)
-    return sum(transfer_cycles(t.bytes_moved, dram_bw) for t in tasks)
+    """Link cycles of one instance's all-gather on ``spec``'s link, a
+    :func:`~repro.workloads.scenario.schedule_form` with a link: the
+    ceiling-priced :func:`collective_bytes` plus the fixed latency."""
+    cycles = transfer_cycles(
+        collective_bytes(config, kind, spec.n_chips), spec.link_bw
+    )
+    return cycles + spec.link_latency
 
 
 def _sink_names(tasks: Sequence[Task]) -> Tuple[str, ...]:
@@ -172,67 +162,59 @@ def _sink_names(tasks: Sequence[Task]) -> Tuple[str, ...]:
     return tuple(task.name for task in tasks if task.name not in depended)
 
 
-def _chip_template(
-    scenario: Scenario,
-    phase: Phase,
-    chip: int,
-    spec: ClusterSpec,
-    sharding: str,
-) -> List[Task]:
-    """One chip's template graph for one phase: the shard's instance
-    graph, dram-lowered, chip-renamed, plus its output collective.
-    ``scenario`` and ``spec`` are schedule forms, so a spec with a link
-    has more than one chip and a finite bandwidth, and every collective
-    moves bytes."""
-    config = shard_config(scenario, phase, sharding, spec.n_chips)
-    chip_prefix = "" if spec.n_chips == 1 else f"c{chip}:"
-    serial = scenario.binding == "tile-serial"
-    if phase.kind == "decode":
-        tasks = build_decode_tasks(config, prefix=chip_prefix)
-    else:
-        tasks = build_tasks(config, serial=serial, prefix=chip_prefix)
-    tasks = lower_dram(tasks, scenario.dram_bw)
-    if spec.n_chips > 1:
-        # Each chip owns private arrays and a private DRAM stack; only
-        # the interconnect below is shared.
-        tasks = [
-            replace(task, resource=f"c{chip}:{task.resource}")
-            for task in tasks
-        ]
-    if spec.link_bw is not None:
-        cycles = transfer_cycles(
-            collective_bytes(config, phase.kind, spec.n_chips), spec.link_bw
+def _chip_template(template: Sequence[Task], chip: int) -> List[Task]:
+    """Chip ``chip``'s copy of a phase template: names, deps and
+    resources under ``c<chip>:``, so chips never contend for each
+    other's arrays or DRAM; only the shared ``link`` keeps its name."""
+    prefix = f"c{chip}:"
+    return [
+        Task(
+            prefix + task.name,
+            task.resource if task.resource == LINK_RESOURCE
+            else prefix + task.resource,
+            task.duration,
+            tuple(prefix + dep for dep in task.deps),
+            task.bytes_moved,
         )
-        tasks.append(
-            Task(
-                f"{chip_prefix}AG",
-                LINK_RESOURCE,
-                cycles + spec.link_latency,
-                _sink_names(tasks),
-            )
-        )
-    return tasks
+        for task in template
+    ]
 
 
 def cluster_templates(
     scenario: Scenario, spec: ClusterSpec, sharding: str = "head"
 ) -> List[Tuple[List[Task], int]]:
-    """The counted template classes of a sharded scenario, in phase-
-    major then chip-ascending order — the cluster counterpart of the
-    per-phase classes :func:`~repro.simulator.pipeline.fold_scenario`
-    folds.  Chips whose block is empty contribute no class.  Built from
-    the :func:`~repro.workloads.scenario.schedule_form` of ``scenario``
-    and ``spec``."""
+    """The counted template classes of a sharded scenario, in
+    ``emission_phases`` order, then chip-ascending: the cluster
+    counterpart of :func:`~repro.simulator.pipeline.scenario_templates`.
+
+    Built from the :func:`~repro.workloads.scenario.schedule_form` of
+    ``scenario`` and ``spec``.  Each phase's shard is lowered once by
+    the scenario path's own :func:`~repro.simulator.pipeline
+    .instance_template` (spills, bounded prefetch and all), gains its
+    output collective when the spec has a link, and is stamped per chip
+    (:func:`_chip_template`).  Chips whose block is empty contribute no
+    class.  One chip has no link and no stamping, so the classes are
+    exactly ``scenario_templates(scenario)``."""
     _check_sharding(sharding)
-    scenario, spec = schedule_form(scenario), schedule_form(spec)
+    form, spec = schedule_form(scenario), schedule_form(spec)
     classes: List[Tuple[List[Task], int]] = []
-    for phase in scenario.phases:
+    for phase in form.emission_phases:
+        config = shard_config(form, phase, sharding, spec.n_chips)
+        template = instance_template(form, phase, config)
         counts = chip_instance_counts(phase, sharding, spec.n_chips)
-        for chip, count in enumerate(counts):
-            if count:
-                classes.append(
-                    (_chip_template(scenario, phase, chip, spec, sharding), count)
-                )
+        if spec.n_chips == 1:
+            classes.append((template, counts[0]))
+            continue
+        if spec.link_bw is not None:
+            collective = _collective_cycles(config, phase.kind, spec)
+            template = template + [
+                Task("AG", LINK_RESOURCE, collective, _sink_names(template))
+            ]
+        classes.extend(
+            (_chip_template(template, chip), count)
+            for chip, count in enumerate(counts)
+            if count
+        )
     return classes
 
 
@@ -245,8 +227,7 @@ def build_cluster_tasks(
     .build_scenario_tasks` (:func:`~repro.simulator.pipeline
     .replicate_templates`): each class's template is built once and
     stamped out per instance under an ``i<n>:`` namespace.  A 1-chip
-    cluster, or any spec without a link, reproduces the unsharded
-    merged graph byte for byte."""
+    cluster reproduces the unsharded merged graph byte for byte."""
     return replicate_templates(cluster_templates(scenario, spec, sharding))
 
 
@@ -265,9 +246,9 @@ def cluster_link_cycles(
 ) -> int:
     """Total ``link`` busy cycles of the sharded merged graph: the
     exact sum of the emitted collective durations, 0 when the spec's
-    :func:`~repro.workloads.scenario.schedule_form` has no link.  Walks
-    one shard per (phase, chip) class through the same byte and ceiling
-    arithmetic the builder lowers with, so the analytical cluster model
+    :func:`~repro.workloads.scenario.schedule_form` has no link.  Prices
+    one collective per phase with the builder's own helper, so the
+    analytical cluster model
     (:mod:`repro.model.cluster`) can never disagree with the schedule
     about link occupancy."""
     spec = schedule_form(spec)
@@ -276,11 +257,8 @@ def cluster_link_cycles(
     total = 0
     for phase in scenario.phases:
         config = shard_config(scenario, phase, sharding, spec.n_chips)
-        cycles = transfer_cycles(
-            collective_bytes(config, phase.kind, spec.n_chips), spec.link_bw
-        )
         count = sum(chip_instance_counts(phase, sharding, spec.n_chips))
-        total += count * (cycles + spec.link_latency)
+        total += count * _collective_cycles(config, phase.kind, spec)
     return total
 
 
@@ -299,21 +277,10 @@ def schedule_cluster_tasks(
     cycle oracle schedules ``tasks``, the graph
     :func:`build_cluster_tasks` returns, under the scenario's binding
     discipline with the same total-duration cycle budget."""
-    if (engine == "vector") != (tasks is None):
-        raise ValueError(
-            "engine='vector' schedules the folded cluster and takes no task "
-            "list; the cycle oracle schedules a built one"
-        )
+    _check_engine_tasks(engine, tasks, "cluster")
     if engine == "vector":
         return run_folded(
             fold_cluster(scenario, spec, sharding), slots=folded_slots(scenario)
         )
-    sim = Simulator(
-        tasks,
-        mode="serial" if scenario.binding == "tile-serial" else "interleaved",
-        slots=scenario.slots,
-        engine=engine,
-    )
-    budget = sum(task.duration for task in tasks) + 1
-    return sim.run(max_cycles=budget)
-
+    serial = scenario.binding == "tile-serial"
+    return _run(tasks, serial, slots=scenario.slots, engine=engine)

@@ -2,14 +2,16 @@
 
 The cluster counterpart of :mod:`repro.model.scenario`: predicts the
 shape of a sharded schedule without simulating it, by integrating the
-same per-chunk work function the graphs are built from
-(:func:`repro.simulator.pipeline.chunk_work`) over each chip's shard,
-and pricing the collectives with the same byte and ceiling arithmetic
-the builder lowers with (:func:`repro.cluster.cluster_link_cycles`).
-Because every term reads the builder's own helpers, a divergence
-between a simulated and an analytical link utilization is a modeling
-statement about *overlap*, not an accounting bug — exactly what
-``repro crosscheck --cluster`` gates.
+scenario model's per-instance work (:func:`repro.model.scenario
+.instance_work`, spills included) over each chip's shard, and pricing
+the collectives with the same byte and ceiling arithmetic the builder
+lowers with (:func:`repro.cluster.cluster_link_cycles`).  Because every
+term reads the builder's own helpers, a divergence between a simulated
+and an analytical link utilization is a modeling statement about
+*overlap*, not an accounting bug — exactly what ``repro crosscheck
+--cluster`` gates.  At one chip the busy terms and the latency bound
+are :func:`~repro.model.scenario.analytical_scenario`'s, buffer and
+QoS included (bar a lone tile-serial instance's serial-chain bound).
 
 The bound: any valid schedule is at least as long as the busiest
 resource's total work, where the candidate resources are now each
@@ -33,11 +35,10 @@ from ..cluster.build import (
     chip_instance_counts,
     cluster_link_cycles,
     shard_config,
-    template_dram_cycles,
 )
 from ..cluster.spec import ClusterSpec
-from ..simulator.pipeline import chunk_work
 from ..workloads.scenario import Scenario
+from .scenario import instance_work
 
 #: Resources of a cluster schedule, in reporting order (``dram`` and
 #: ``link`` only accrue work when their bandwidths are modeled).
@@ -98,29 +99,22 @@ def cluster_work(
     """Busy cycles per chip per resource, plus the shared link total —
     the exact sums the sharded merged graph's durations add up to.
 
-    Walks each (phase, chip) shard through the same
-    :func:`~repro.simulator.pipeline.chunk_work` integration the
-    scenario model uses, at the shard's own config (tensor-sharded
-    prefill integrates at the sliced embedding), weighted by the chip's
-    instance count."""
-    serial = scenario.binding == "tile-serial"
+    Integrates each phase's shard once with
+    :func:`~repro.model.scenario.instance_work` at the shard's own
+    config (tensor-sharded prefill integrates at the sliced embedding),
+    weighted by each chip's instance count.  At one chip this is
+    :func:`~repro.model.scenario.scenario_work`."""
     chips: List[Mapping[str, int]] = [
         {resource: 0 for resource in _CHIP_ARRAYS}
         for _ in range(spec.n_chips)
     ]
     for phase in scenario.phases:
         config = shard_config(scenario, phase, sharding, spec.n_chips)
-        work = chunk_work(config, serial=serial, kind=phase.kind)
-        dram = template_dram_cycles(
-            config, phase.kind, serial, scenario.dram_bw
-        )
+        work = instance_work(scenario, phase, config)
         counts = chip_instance_counts(phase, sharding, spec.n_chips)
         for chip, count in enumerate(counts):
-            cycles = count * phase.chunks
-            chips[chip]["2d"] += cycles * work.cycles_2d
-            chips[chip]["1d"] += cycles * work.cycles_1d
-            chips[chip]["io"] += cycles * work.cycles_io
-            chips[chip]["dram"] += count * dram
+            for resource in _CHIP_ARRAYS:
+                chips[chip][resource] += count * work[resource]
     return chips, cluster_link_cycles(scenario, spec, sharding)
 
 

@@ -42,16 +42,17 @@ Three estimate kinds cover the binding/bandwidth space:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from ..arch.spec import EXP_AS_MACCS
 from ..simulator.pipeline import (
+    PipelineConfig,
     chunk_work,
     instance_config,
-    scenario_dram_cycles,
+    instance_dram_cycles,
     scenario_spill_bytes,
 )
-from ..workloads.scenario import Scenario
+from ..workloads.scenario import Phase, Scenario
 
 #: Resources of a scenario schedule, in reporting order (``dram`` only
 #: accrues work when the scenario sets a finite ``dram_bw``).
@@ -87,20 +88,33 @@ class ScenarioEstimate:
         return self.utilization("dram")
 
 
+def instance_work(
+    scenario: Scenario, phase: Phase, config: PipelineConfig
+) -> Dict[str, int]:
+    """Busy cycles per resource of one of ``phase``'s instances at
+    ``config`` (its own, or its chip's shard): the
+    :func:`~repro.simulator.pipeline.chunk_work` totals over its chunks
+    plus its ``dram`` transfers, spills included."""
+    work = chunk_work(
+        config, serial=scenario.binding == "tile-serial", kind=phase.kind
+    )
+    return {
+        "2d": phase.chunks * work.cycles_2d,
+        "1d": phase.chunks * work.cycles_1d,
+        "io": phase.chunks * work.cycles_io,
+        "dram": instance_dram_cycles(scenario, phase, config),
+    }
+
+
 def scenario_work(scenario: Scenario) -> Mapping[str, int]:
     """Total busy cycles per resource across every instance — the exact
     sums the merged task graph's durations add up to (including the
     lowered ``dram`` transfers when the scenario sets ``dram_bw``)."""
-    serial = scenario.binding == "tile-serial"
     busy = {resource: 0 for resource in ARRAYS}
     for phase in scenario.phases:
-        config = instance_config(scenario, phase)
-        work = chunk_work(config, serial=serial, kind=phase.kind)
-        cycles = phase.instances * phase.chunks
-        busy["2d"] += cycles * work.cycles_2d
-        busy["1d"] += cycles * work.cycles_1d
-        busy["io"] += cycles * work.cycles_io
-    busy["dram"] = scenario_dram_cycles(scenario)
+        work = instance_work(scenario, phase, instance_config(scenario, phase))
+        for resource in ARRAYS:
+            busy[resource] += phase.instances * work[resource]
     return busy
 
 

@@ -88,8 +88,8 @@ class Task:
     """One tile-granular unit of work bound to a resource.
 
     ``bytes_moved`` is the DRAM traffic the task's tile streams; it is
-    inert until :func:`lower_dram` (or ``Simulator(dram_bw=...)``) turns
-    it into occupancy on the shared ``dram`` resource.
+    inert until :func:`lower_dram` turns it into occupancy on the
+    shared ``dram`` resource.
     """
 
     name: str
@@ -389,8 +389,6 @@ class Simulator:
         mode: str = "interleaved",
         slots: int = 2,
         engine: str = "vector",
-        dram_bw: Optional[float] = None,
-        buffer_bytes: Optional[float] = None,
     ) -> None:
         if mode not in ("serial", "interleaved"):
             raise ValueError(f"unknown issue mode {mode!r}")
@@ -398,18 +396,11 @@ class Simulator:
             raise ValueError(f"unknown engine {engine!r}; have {ENGINES}")
         if slots < 1:
             raise ValueError(f"slots must be >= 1, got {slots}")
-        # A finite dram_bw makes each task's bytes_moved occupy the
-        # shared "dram" resource; both cores then arbitrate it exactly
-        # like the PE arrays (the lowering happens before either runs).
-        # A finite buffer_bytes additionally bounds prefetch depth.
-        tasks = lower_dram(tasks, dram_bw, buffer_bytes)
         self.graph = FlatGraph.from_tasks(tasks)
         self.tasks = list(tasks)
         self.mode = mode
         self.slots = slots if mode == "interleaved" else 1
         self.engine = engine
-        self.dram_bw = dram_bw
-        self.buffer_bytes = buffer_bytes
 
     def run(self, max_cycles: int = 10_000_000) -> SimResult:
         """Simulate to completion; returns makespan and busy counts."""

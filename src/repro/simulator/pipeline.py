@@ -67,7 +67,9 @@ __all__ = [
     "compare_bindings",
     "fold_scenario",
     "folded_slots",
+    "instance_dram_cycles",
     "instance_spill_bytes",
+    "instance_template",
     "replicate_templates",
     "scenario_dram_cycles",
     "scenario_spill_bytes",
@@ -491,43 +493,63 @@ def instance_config(scenario: Scenario, phase: Phase) -> PipelineConfig:
 
 
 def _instance_tasks(
-    scenario: Scenario, phase: Phase, prefix: str = ""
+    form: Scenario, phase: Phase, config: PipelineConfig
 ) -> List[Task]:
-    """One instance's task graph within ``scenario`` (phase-resolved
-    config, binding-resolved structure, capacity-resolved traffic).
+    """One of ``phase``'s instance graphs at ``config``: binding-resolved
+    structure, capacity-resolved traffic.  ``config`` is the instance's
+    own (:func:`instance_config`) or, on a cluster, its chip's shard
+    (:func:`~repro.cluster.build.shard_config`).
 
-    With a finite ``scenario.buffer_bytes``, each chunk past the first
-    re-fetches the spilled slice of the resident stream: the spill
-    bytes ride on the chunk's leading 2D task (``BQK``/``DQK`` — the
-    tile that consumes the refetched operands), so the inflated traffic
-    flows through :func:`lower_dram`, :func:`scenario_dram_cycles`, and
-    both engines identically, and total ``bytes_moved`` is exactly
-    baseline + :func:`instance_spill_bytes` by construction.
+    With a finite ``form.buffer_bytes``, each chunk past the first
+    re-fetches the spilled slice of the resident stream
+    (:func:`apply_buffer_spills`), so the inflated traffic flows through
+    :func:`lower_dram`, :func:`instance_dram_cycles` and both engines
+    identically.
     """
-    config = instance_config(scenario, phase)
     if phase.kind == "decode":
-        tasks = build_decode_tasks(config, prefix)
+        tasks = build_decode_tasks(config)
     else:
-        serial = scenario.binding == "tile-serial"
-        tasks = build_tasks(config, serial=serial, prefix=prefix)
-    return apply_buffer_spills(
-        tasks, config, phase.kind, scenario.buffer_bytes, prefix
+        tasks = build_tasks(config, serial=form.binding == "tile-serial")
+    return apply_buffer_spills(tasks, config, phase.kind, form.buffer_bytes)
+
+
+def instance_template(
+    form: Scenario, phase: Phase, config: PipelineConfig
+) -> List[Task]:
+    """One instance's dram-lowered template graph: the one per-instance
+    lowering the scenario and the cluster paths share.  ``form`` is a
+    :func:`~repro.workloads.scenario.schedule_form`, whose bandwidth
+    prices the transfers and whose buffer bounds their prefetch depth."""
+    return lower_dram(
+        _instance_tasks(form, phase, config), form.dram_bw, form.buffer_bytes
+    )
+
+
+def instance_dram_cycles(
+    scenario: Scenario, phase: Phase, config: PipelineConfig
+) -> int:
+    """``dram`` busy cycles of one instance at ``config``: the exact sum
+    of the transfer durations :func:`instance_template` lowers, spills
+    included, 0 when ``dram_bw`` is None."""
+    if scenario.dram_bw is None:
+        return 0
+    return sum(
+        transfer_cycles(task.bytes_moved, scenario.dram_bw)
+        for task in _instance_tasks(scenario, phase, config)
     )
 
 
 def scenario_templates(scenario: Scenario) -> List[Tuple[List[Task], int]]:
     """The counted template classes of ``scenario``: one per phase, in
-    ``scenario.emission_phases`` order, each one instance's graph
-    (:func:`_instance_tasks`) dram-lowered and paired with the phase's
-    instance count.  Built from the scenario's
-    :func:`~repro.workloads.scenario.schedule_form`, so ``math.inf``
-    bandwidth or buffer lowers exactly as None does."""
+    ``scenario.emission_phases`` order, each one instance's
+    :func:`instance_template` paired with the phase's instance count.
+    Built from the scenario's :func:`~repro.workloads.scenario
+    .schedule_form`, so ``math.inf`` bandwidth or buffer lowers exactly
+    as None does."""
     form = schedule_form(scenario)
     return [
         (
-            lower_dram(
-                _instance_tasks(form, phase), form.dram_bw, form.buffer_bytes
-            ),
+            instance_template(form, phase, instance_config(form, phase)),
             phase.instances,
         )
         for phase in form.emission_phases
@@ -606,24 +628,15 @@ def fold_scenario(scenario: Scenario) -> FoldedScenario:
 
 def scenario_dram_cycles(scenario: Scenario) -> int:
     """Total ``dram``-resource busy cycles of ``scenario``'s merged
-    graph: the exact sum of the lowered transfer durations, 0 when
-    ``dram_bw`` is None.
-
-    Walks one instance per phase through the same builders and ceiling
-    arithmetic :func:`build_scenario_tasks` lowers with, so the
-    analytical models (:mod:`repro.model.scenario`) can never disagree
-    with the schedule about how long the memory link is held.
+    graph: :func:`instance_dram_cycles` summed over every instance, so
+    the analytical models (:mod:`repro.model.scenario`) can never
+    disagree with the schedule about how long the memory link is held.
     """
-    if scenario.dram_bw is None:
-        return 0
-    total = 0
-    for phase in scenario.phases:
-        per_instance = sum(
-            transfer_cycles(task.bytes_moved, scenario.dram_bw)
-            for task in _instance_tasks(scenario, phase)
-        )
-        total += phase.instances * per_instance
-    return total
+    return sum(
+        phase.instances
+        * instance_dram_cycles(scenario, phase, instance_config(scenario, phase))
+        for phase in scenario.phases
+    )
 
 
 @dataclass(frozen=True)
@@ -703,6 +716,18 @@ def folded_slots(scenario: Scenario) -> int:
     return 1 if scenario.binding == "tile-serial" else scenario.slots
 
 
+def _check_engine_tasks(
+    engine: str, tasks: Optional[List[Task]], what: str
+) -> None:
+    """Reject a task list the engine does not schedule: the vector
+    engine folds ``what`` and takes none, the cycle oracle needs one."""
+    if (engine == "vector") != (tasks is None):
+        raise ValueError(
+            f"engine='vector' schedules the folded {what} and takes no task "
+            "list; the cycle oracle schedules a built one"
+        )
+
+
 def schedule_scenario_tasks(
     scenario: Scenario,
     tasks: Optional[List[Task]] = None,
@@ -718,11 +743,7 @@ def schedule_scenario_tasks(
     The cycle oracle schedules ``tasks``, the merged graph
     :func:`build_scenario_tasks` returns.
     """
-    if (engine == "vector") != (tasks is None):
-        raise ValueError(
-            "engine='vector' schedules the folded scenario and takes no task "
-            "list; the cycle oracle schedules a built one"
-        )
+    _check_engine_tasks(engine, tasks, "scenario")
     if engine == "vector":
         return run_folded(fold_scenario(scenario), slots=folded_slots(scenario))
     serial = scenario.binding == "tile-serial"

@@ -33,12 +33,14 @@ from repro.cluster import (
     build_cluster_tasks,
     chip_instance_counts,
     cluster_link_cycles,
+    cluster_templates,
     collective_bytes,
     evaluate_cluster_point,
     schedule_cluster_tasks,
     shard_config,
 )
 from repro.model.cluster import analytical_cluster, cluster_work
+from repro.model.scenario import analytical_scenario
 from repro.rows import emit_rows
 from repro.api import Session
 from repro.runtime import (
@@ -56,6 +58,7 @@ from repro.serving import (
     simulate_serving,
 )
 from repro.simulator import build_scenario_tasks, schedule_scenario_tasks
+from repro.simulator.pipeline import scenario_templates
 from repro.workloads.scenario import Phase, attention_scenario, schedule_form
 
 
@@ -115,14 +118,35 @@ class TestClusterSpec:
         assert "tensor on 4 chips" in point.describe()
 
 
+#: Scenarios whose 1-chip cluster must be the scenario itself: DRAM
+#: only, a spilling buffer, decode-first QoS, and both together (the
+#: point of ``tests/golden/simulate-scenario-capacity.csv``).
+IDENTITY_CASES = {
+    "dram": small_scenario(decode_instances=2, decode_chunks=4, dram_bw=32.0),
+    "buffer": small_scenario(
+        decode_instances=2, decode_chunks=4, dram_bw=32.0, buffer_bytes=24576
+    ),
+    "qos": small_scenario(
+        decode_instances=2, decode_chunks=4, dram_bw=32.0, qos="decode-first"
+    ),
+    "buffer-qos": small_scenario(
+        instances=2, chunks=4, decode_instances=2, decode_chunks=16,
+        dram_bw=32.0, buffer_bytes=24576, qos="decode-first",
+    ),
+}
+
+
 class TestDegenerateIdentity:
     """The invariant the whole lowering hangs off: one chip (or a free
-    link) reproduces the unsharded scenario byte for byte."""
+    link) reproduces the unsharded scenario byte for byte, buffer and
+    QoS included."""
 
+    @pytest.mark.parametrize("case", sorted(IDENTITY_CASES))
     @pytest.mark.parametrize("sharding", ("head", "tensor"))
-    def test_one_chip_graph_byte_identical(self, sharding):
-        scenario = small_scenario(
-            decode_instances=2, decode_chunks=4, dram_bw=32.0
+    def test_one_chip_graph_byte_identical(self, sharding, case):
+        scenario = IDENTITY_CASES[case]
+        assert cluster_templates(scenario, ClusterSpec(), sharding) == (
+            scenario_templates(scenario)
         )
         for spec in (
             ClusterSpec(),
@@ -142,14 +166,28 @@ class TestDegenerateIdentity:
             assert all(task.resource != "link" for task in tasks)
             assert cluster_link_cycles(scenario, spec) == 0
 
-    def test_one_chip_result_matches_scenario_schedule(self):
-        scenario = small_scenario(dram_bw=32.0)
+    @pytest.mark.parametrize("case", sorted(IDENTITY_CASES))
+    def test_one_chip_result_matches_scenario_schedule(self, case):
+        scenario = IDENTITY_CASES[case]
         result = evaluate_cluster_point(ClusterPoint(scenario=scenario))
         sim = schedule_scenario_tasks(scenario)
         assert result.makespan == sim.makespan
-        assert result.busy_2d == sim.busy_cycles.get("2d", 0)
-        assert result.busy_dram == sim.busy_cycles.get("dram", 0)
+        busy = (result.busy_2d, result.busy_1d, result.busy_io, result.busy_dram)
+        assert busy == tuple(
+            sim.busy_cycles.get(resource, 0)
+            for resource in ("2d", "1d", "io", "dram")
+        )
+        assert result.n_tasks == len(sim.finish_times)
         assert result.link_bw is None and result.busy_link == 0
+
+    @pytest.mark.parametrize("case", sorted(IDENTITY_CASES))
+    def test_one_chip_analytical_matches_scenario_model(self, case):
+        scenario = IDENTITY_CASES[case]
+        cluster = analytical_cluster(scenario, ClusterSpec())
+        single = analytical_scenario(scenario)
+        assert cluster.latency_cycles == single.latency_cycles
+        for resource in ("2d", "1d", "io", "dram"):
+            assert cluster.busy[resource] == single.busy[resource]
 
 
 class TestShardingMath:
@@ -225,9 +263,11 @@ class TestLinkAccounting:
             base + 7 * n_collectives
         )
 
-    def test_cluster_work_sums_match_graph_durations(self):
-        scenario = small_scenario(dram_bw=32.0)
-        spec = ClusterSpec(n_chips=4, link_bw=64.0)
+    @pytest.mark.parametrize("scenario,spec", (
+        (small_scenario(dram_bw=32.0), ClusterSpec(n_chips=4, link_bw=64.0)),
+        (IDENTITY_CASES["buffer"], ClusterSpec(n_chips=2, link_bw=64.0)),
+    ), ids=("dram", "buffer"))
+    def test_cluster_work_sums_match_graph_durations(self, scenario, spec):
         chips, link = cluster_work(scenario, spec, "head")
         tasks = build_cluster_tasks(scenario, spec, "head")
         for k, chip in enumerate(chips):

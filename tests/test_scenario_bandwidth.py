@@ -32,7 +32,6 @@ from repro.runtime import decode_result, encode_result
 from repro.simulator import (
     PipelineConfig,
     ScenarioGridCell,
-    Simulator,
     Task,
     build_decode_tasks,
     build_scenario_tasks,
@@ -99,8 +98,6 @@ class TestBandwidthIdentity:
 
     def test_double_lowering_rejected(self):
         lowered = build_scenario_tasks(contended(TIGHT))
-        with pytest.raises(ValueError, match="already dram-lowered"):
-            Simulator(lowered, dram_bw=TIGHT)
         with pytest.raises(ValueError, match="already dram-lowered"):
             lower_dram(lowered, math.inf)
         assert lower_dram(lowered, None) == lowered  # None never lowers

@@ -1011,8 +1011,7 @@ class TestFoldSources:
 
     @pytest.mark.parametrize("seed", fuzz_seeds("fold-sources"))
     def test_fold_sources_match_event_engine(self, seed):
-        from repro.simulator.engine import lower_dram
-        from repro.simulator.pipeline import _instance_tasks
+        from repro.simulator.pipeline import scenario_templates
 
         rng = random.Random(seed)
         if seed % 3 == 2:
@@ -1037,11 +1036,7 @@ class TestFoldSources:
             slots=1 + seed % 3,
             buffer_bytes=(None, None, 600.0, 1e12)[seed % 4],
         )
-        templates = [
-            (lower_dram(_instance_tasks(scenario, phase), scenario.dram_bw,
-                        scenario.buffer_bytes), phase.instances)
-            for phase in scenario.emission_phases
-        ]
+        templates = scenario_templates(scenario)
         slots = 1 if scenario.binding == "tile-serial" else scenario.slots
         self._assert_matches_event(templates, slots)
 
