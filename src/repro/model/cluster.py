@@ -20,7 +20,10 @@ shared link (everyone's collectives).  The estimate kind names which
 term binds:
 
 - ``overlap-bound`` — the busiest chip's busiest array.
-- ``bandwidth-bound`` — the busiest chip's DRAM stack.
+- ``bandwidth-bound`` — the busiest chip's DRAM stack, or
+  ``capacity-bound`` when that chip's shards spill, so the buffer model
+  inflated its traffic (the rule of :func:`~repro.model.scenario
+  .bound_kind`, shared with the scenario model).
 - ``link-bound`` — the shared interconnect: aggregate collective
   traffic exceeds every per-chip term, the regime where adding chips
   stops helping (the strong-scaling knee).
@@ -37,8 +40,9 @@ from ..cluster.build import (
     shard_config,
 )
 from ..cluster.spec import ClusterSpec
+from ..simulator.pipeline import instance_spill_bytes
 from ..workloads.scenario import Scenario
-from .scenario import instance_work
+from .scenario import bound_kind, instance_work
 
 #: Resources of a cluster schedule, in reporting order (``dram`` and
 #: ``link`` only accrue work when their bandwidths are modeled).
@@ -64,7 +68,7 @@ class ClusterEstimate:
     binding: str
     sharding: str
     n_chips: int
-    kind: str  # "overlap-bound" | "bandwidth-bound" | "link-bound"
+    kind: str  # "link-bound", or see :func:`~repro.model.scenario.bound_kind`
     latency_cycles: int
     busy: Mapping[str, int]
     chip_busy: Mapping[str, int]
@@ -140,10 +144,19 @@ def analytical_cluster(
     latency = max(max(chip_busy.values()), link)
     if link and link == latency:
         kind = "link-bound"
-    elif scenario.dram_bw is not None and chip_busy["dram"] == latency:
-        kind = "bandwidth-bound"
     else:
-        kind = "overlap-bound"
+        # The spills riding on the (first) busiest DRAM stack.
+        chip = max(range(spec.n_chips), key=lambda k: chips[k]["dram"])
+        spills = sum(
+            chip_instance_counts(phase, sharding, spec.n_chips)[chip]
+            * instance_spill_bytes(
+                shard_config(scenario, phase, sharding, spec.n_chips),
+                phase.kind,
+                scenario.buffer_bytes,
+            )
+            for phase in scenario.phases
+        )
+        kind = bound_kind(scenario, chip_busy["dram"], latency, spills)
     return ClusterEstimate(
         scenario=scenario.name,
         binding=scenario.binding,

@@ -66,7 +66,7 @@ class ScenarioEstimate:
     scenario: str
     binding: str
     instances: int
-    kind: str  # "overlap-bound" | "serial-chain"
+    kind: str  # see :func:`bound_kind`, or "serial-chain"
     latency_cycles: int
     busy: Mapping[str, int]
 
@@ -150,6 +150,19 @@ def serial_chunk_interval(scenario: Scenario) -> int:
     )
 
 
+def bound_kind(scenario: Scenario, dram_cycles: int, latency: int, spill_bytes: int) -> str:
+    """Which term of a busiest-resource bound binds; the scenario model
+    and each chip of the cluster model decide it here.
+
+    ``overlap-bound`` unless a modeled DRAM link's ``dram_cycles`` set
+    ``latency``.  Then ``capacity-bound`` if that link also carries
+    ``spill_bytes`` of capacity spills, since the buffer model inflated
+    its traffic, else ``bandwidth-bound``."""
+    if scenario.dram_bw is None or dram_cycles != latency:
+        return "overlap-bound"
+    return "capacity-bound" if spill_bytes > 0 else "bandwidth-bound"
+
+
 def analytical_scenario(scenario: Scenario) -> ScenarioEstimate:
     """The analytical counterpart of one simulated scenario.
 
@@ -176,16 +189,7 @@ def analytical_scenario(scenario: Scenario) -> ScenarioEstimate:
         kind = "serial-chain"
     else:
         latency = max(busy.values())
-        if scenario.dram_bw is not None and busy["dram"] == latency:
-            # The link binds; attribute it to capacity spills when the
-            # buffer model is what inflated the traffic past the arrays.
-            kind = (
-                "capacity-bound"
-                if scenario_spill_bytes(scenario) > 0
-                else "bandwidth-bound"
-            )
-        else:
-            kind = "overlap-bound"
+        kind = bound_kind(scenario, busy["dram"], latency, scenario_spill_bytes(scenario))
     return ScenarioEstimate(
         scenario=scenario.name,
         binding=scenario.binding,

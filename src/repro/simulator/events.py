@@ -48,10 +48,14 @@ per-task finish times.
 :func:`run_flat` steps it over a flat graph and
 :func:`~repro.simulator.vector.run_folded` over folded instance
 classes.  It owns the per-resource state (active entries, rotation
-counters, sync times, busy cycles) and the two functions above:
-``advance`` integrates a gap and ``completion_time`` finds the next
-event.  An active entry may carry whatever its core needs, as long as
-its first element is its remaining cycles.
+counters, sync times, busy cycles, next completions) and two fused
+steps over the formulas above: ``complete`` serves a resource up to its
+next completion and hands back the entry that finished; ``settle``
+catches a resource up to the event, refills it through the core's own
+refill and stores its next completion.  A core calls ``complete`` once
+per completion, then ``settle`` once per resource the event touched.
+An active entry may carry whatever its core needs, as long as its first
+element is its remaining cycles.
 
 The shared ``dram`` resource that bandwidth-lowered graphs carry
 (:func:`repro.simulator.engine.lower_dram`) needs no special handling
@@ -78,7 +82,7 @@ core, and names the busy cycles and finish times.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .engine import DEADLOCK, FlatGraph, SimResult, Task
 
@@ -116,19 +120,16 @@ def run_flat(graph: FlatGraph, slots: int, max_cycles: int) -> Tuple[int, List[i
     # bit-identical guarantee starts here.
     n_done, finish, key, outstanding, pending = graph.start()
 
-    active, _, _, busy, advance, completion_time = round_robin(n_resources)
-
-    def refill(resource: int) -> None:
+    def refill(resource: int, acts: List[list]) -> None:
         """Engine's refill scan: ready tasks join, lowest key first."""
         heap = pending[resource]
-        acts = active[resource]
         while len(acts) < slots and heap:
             task = heappop(heap) % total
             acts.append([durations[task], task])
 
+    active, _, _, busy, next_done, complete, settle = round_robin(n_resources, refill)
     for resource in resources:
-        refill(resource)
-    next_done = [completion_time(r) for r in resources]
+        settle(resource, 0)
 
     now = 0
     while n_done < total:
@@ -137,75 +138,81 @@ def run_flat(graph: FlatGraph, slots: int, max_cycles: int) -> Tuple[int, List[i
         now = min(next_done)
         if now > max_cycles:  # includes IDLE: nothing left can run
             raise RuntimeError(DEADLOCK)
-        touched = {r for r in resources if next_done[r] == now}
-        finished: List[int] = []
-        for resource in touched:
-            done = advance(resource, now)
-            if done is None:  # pragma: no cover - violated scheduling math
-                raise RuntimeError(f"lost completion on {resource} at {now}")
-            task = done[1]
-            finish[task] = now
-            finished.append(task)
-        n_done += len(finished)
+        # Same-time completions are rare: two C scans find the usual
+        # lone one, where a comprehension would cost a call.
+        if next_done.count(now) == 1:
+            touched = [next_done.index(now)]
+        else:
+            touched = [r for r in resources if next_done[r] == now]
+        n_done += len(touched)
         # All same-time completions become visible together, then newly
         # ready tasks enter their resource's pending heap (engine: the
         # end-of-cycle done.update followed by next cycle's refill).
-        for task in finished:
+        # Completing a resource reads no heap, so each completion's
+        # dependents are counted down as it is found.  A full resource
+        # admits nothing and its next completion stands, so it is not
+        # settled: its next step integrates the longer gap.  (The fold
+        # settles it anyway, since its recurrence keys read ``sync``.)
+        for resource in touched[:]:
+            task = complete(resource, now)[1]
+            finish[task] = now
             for step in dependents[task]:
                 dependent = task + step
                 outstanding[dependent] -= 1
                 if outstanding[dependent] == 0:
-                    resource = resource_of[dependent]
-                    heappush(pending[resource], key[dependent])
-                    touched.add(resource)
+                    target = resource_of[dependent]
+                    heappush(pending[target], key[dependent])
+                    if target not in touched and len(active[target]) < slots:
+                        touched.append(target)
         for resource in touched:
-            leak = advance(resource, now)  # arrival-only resources catch up
-            if leak is not None:  # pragma: no cover - violated math
-                raise RuntimeError(f"lost completion on {resource} at {now}")
-            refill(resource)
-            next_done[resource] = completion_time(resource)
+            settle(resource, now)
 
     return now, busy, finish
 
 
-def round_robin(n_resources: int):
+def round_robin(n_resources: int, refill: Callable[[int, List[list]], None]):
     """The closed-form round-robin both cores step: per-resource state
-    and the two functions that integrate it (see the module docstring).
+    and the two steps that integrate it (see the module docstring).
 
-    Returns ``(active, rr, sync, busy, advance, completion_time)``.
+    Returns ``(active, rr, sync, busy, next_done, complete, settle)``.
     ``active[r]`` lists resource ``r``'s entries in the engine's list
     order; any entry layout works as long as its first element is the
     cycles it has left (``[rem, task]`` here, ``[rem, instance, tid]``
     in a fold).  ``rr`` holds the rotation counters, ``sync`` the time
-    up to which progress has been applied and ``busy`` the cycles each
-    resource issued.  ``advance(r, now)`` applies ``now - sync[r]``
-    cycles and returns the entry that completed, removed from
-    ``active[r]``, or ``None``.  ``completion_time(r)`` is resource
-    ``r``'s next completion, :data:`IDLE` when nothing is active."""
+    up to which progress has been applied, ``busy`` the cycles each
+    resource issued and ``next_done`` each resource's next completion,
+    :data:`IDLE` when nothing is active.
+
+    ``complete(r, now)`` serves resource ``r`` up to ``now``, its next
+    completion, and returns the entry that finished, removed from
+    ``active[r]``.  ``settle(r, now)`` catches ``r`` up to ``now`` (a
+    resource that just completed is caught up already), lets the core's
+    ``refill(r, active[r])`` admit ready entries, and stores ``r``'s
+    next completion.  Either step raises :class:`RuntimeError` if the
+    integration disagrees with ``next_done``: a completion lost."""
     active: List[List[list]] = [[] for _ in range(n_resources)]
     rr = [0] * n_resources
     sync = [0] * n_resources
     busy = [0] * n_resources
+    next_done: List[float] = [IDLE] * n_resources
 
-    # Both functions run once per event per resource: keep their
-    # explicit loops, count busy cycles in ``advance`` rather than in a
+    # Both steps run once per event per touched resource: keep their
+    # explicit loops, count busy cycles while serving rather than in a
     # second pass over the entries, and keep the remaining cycles at
     # index 0 (CPython specializes non-negative list indices only).
-    def advance(resource: int, now: int) -> Optional[list]:
+    def serve(resource: int, now: int) -> int:
+        """Apply ``now - sync[r]`` cycles to a resource with entries;
+        returns the list position of the entry that completed, or -1."""
         acts = active[resource]
         delta = now - sync[resource]
         sync[resource] = now
-        if not acts or delta == 0:
-            return None
         rr[resource] += delta
         busy[resource] += delta
         k = len(acts)
         if k == 1:  # fast path: serial mode / lone active task
             entry = acts[0]
             entry[0] -= delta
-            if entry[0] == 0:
-                return acts.pop()
-            return None
+            return 0 if entry[0] == 0 else -1
         quotient, extra = divmod(delta, k)
         base = rr[resource] - delta
         completed = -1
@@ -215,24 +222,31 @@ def round_robin(n_resources: int):
                 entry[0] -= served
                 if entry[0] == 0:
                     completed = j
-        if completed < 0:
-            return None
-        return acts.pop(completed)
+        return completed
 
-    def completion_time(resource: int):
+    def complete(resource: int, now: int) -> list:
+        at = serve(resource, now)
+        if at < 0:  # pragma: no cover - violated scheduling math
+            raise RuntimeError(f"lost completion on resource {resource} at {now}")
+        return active[resource].pop(at)
+
+    def settle(resource: int, now: int) -> None:
         acts = active[resource]
-        if not acts:
-            return IDLE
+        if sync[resource] != now:
+            if acts and serve(resource, now) >= 0:  # pragma: no cover - violated math
+                raise RuntimeError(f"lost completion on resource {resource} at {now}")
+            sync[resource] = now
+        refill(resource, acts)
         k = len(acts)
-        start = sync[resource]
         if k == 1:  # fast path: next completion is simply the remainder
-            return start + acts[0][0]
-        base = rr[resource]
+            next_done[resource] = now + acts[0][0]
+            return
         best = IDLE
+        base = rr[resource]
         for j, entry in enumerate(acts):
-            when = start + (j - base) % k + (entry[0] - 1) * k + 1
+            when = now + (j - base) % k + (entry[0] - 1) * k + 1
             if when < best:
                 best = when
-        return best
+        next_done[resource] = best
 
-    return active, rr, sync, busy, advance, completion_time
+    return active, rr, sync, busy, next_done, complete, settle

@@ -97,7 +97,10 @@ class ChainPrefix:
                 return point
         return None
 
-    def resume(self, point: Checkpoint, active: List[list], rr: List[int], sync: List[int]):
+    def resume(
+        self, point: Checkpoint, active: List[list], rr: List[int], sync: List[int],
+        next_done: List[float],
+    ):
         """Restore ``point`` into a fresh fold: fill its round-robin
         state in place and return the rest as fresh copies, in the
         order the fold loop unpacks them."""
@@ -105,6 +108,7 @@ class ChainPrefix:
             acts.extend(map(list, saved))
         rr[:] = point.rr
         sync[:] = point.sync
+        next_done[:] = point.next_done
         known_run = point.known_run
         if known_run is not None:
             known_run = (known_run[0], known_run[1], list(known_run[2]), known_run[3])
@@ -112,7 +116,6 @@ class ChainPrefix:
             point.materialized,
             {gi: [0, list(waits), left] for gi, (waits, left) in zip(point.live, point.states)},
             [list(heap) for heap in point.pending],
-            list(point.next_done),
             point.now,
             point.completed,
             point.events,

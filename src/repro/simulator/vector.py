@@ -700,9 +700,6 @@ def _fold_loop(
         for r, tid in heads.items():
             classes_on[r].append((c, tid))
 
-    #: Entries are ``[remaining, instance, tid]``; the busy count is
-    #: unused, since every task completes (see the module docstring).
-    active, rr, sync, _, advance, completion_time = events.round_robin(n_res)
     pending: List[List[Tuple[int, int, int]]] = [[] for _ in range(n_res)]
     cursor = [0] * n_classes
     #: live instance -> [class id, outstanding counts, unfinished count]
@@ -751,13 +748,12 @@ def _fold_loop(
             timer[c] = suffix[c][local + 1] if local + 1 < counts[c] else -1
         materialized += 1
 
-    def refill(resource: int) -> None:
+    def refill(resource: int, acts: List[list]) -> None:
         """Engine refill, plus lazy materialization: an unmaterialized
         instance's earliest ready task on this resource competes with
         the heap top by program order, exactly as if it had been pending
         since t=0 (pending membership has no side effects; only pops
         matter, and instance order keys ascend within a class)."""
-        acts = active[resource]
         heap = pending[resource]
         while len(acts) < slots:
             vmin = -1
@@ -776,6 +772,10 @@ def _fold_loop(
                 break
             _, gi, tid = heappop(heap)
             acts.append([classes[live[gi][0]].durations[tid], gi, tid])
+
+    #: Entries are ``[remaining, instance, tid]``; the busy count is
+    #: unused, since every task completes (see the module docstring).
+    active, rr, sync, _, next_done, complete, settle = events.round_robin(n_res, refill)
 
     #: A lone chained class can split its window around an idle run;
     #: no other fold ever holds an idle instance.
@@ -871,7 +871,7 @@ def _fold_loop(
 
     def state_key(anchor: int, now: int, run: Optional[Tuple[int, int]]):
         """Everything the transition function reads, instance-relative.
-        An idle resource's ``sync`` is never read (the next advance just
+        An idle resource's ``sync`` is never read (the next settle just
         resets it), so it is left out.  With an idle ``run``, instances
         above it are relative to the class cursor instead, and the run
         is keyed by its bounds and shared state, not its length."""
@@ -963,17 +963,16 @@ def _fold_loop(
             if cls.chained and counts[c]:
                 materialize(c)
         for resource in range(n_res):
-            refill(resource)
-        next_done = [completion_time(r) for r in range(n_res)]
+            settle(resource, 0)
     else:
         # Resume a shared chain prefix (see "Shared chain prefixes").
         if point.now > max_cycles:
             raise RuntimeError(DEADLOCK)
         cursor[0] = point.cursor
         (
-            materialized, live, pending, next_done, now, completed_count, n_events, floor,
+            materialized, live, pending, now, completed_count, n_events, floor,
             known_run, snapshots, inst_log, tid_log, t_log, split_log,
-        ) = prefix.resume(point, active, rr, sync)
+        ) = prefix.resume(point, active, rr, sync, next_done)
     recording = prefix is not None and prefix.extend(point, (inst_log, tid_log, t_log), split_log)
     checkpoint_due = False
     while completed_count < total_nonzero:
@@ -997,9 +996,7 @@ def _fold_loop(
         touched = {r for r in range(n_res) if next_done[r] == now}
         finished: List[List[int]] = []
         for resource in touched:
-            done = advance(resource, now)
-            if done is None:  # pragma: no cover - violated scheduling math
-                raise RuntimeError(f"lost completion on {resources[resource]} at {now}")
+            done = complete(resource, now)
             _, gi, tid = done
             inst_log.append(gi)
             tid_log.append(tid)
@@ -1057,11 +1054,7 @@ def _fold_loop(
                 heappush(pending[resource2], (order, gi, tid))
                 touched.add(resource2)
         for resource in touched:
-            leak = advance(resource, now)
-            if leak is not None:  # pragma: no cover - violated math
-                raise RuntimeError(f"lost completion on {resources[resource]} at {now}")
-            refill(resource)
-            next_done[resource] = completion_time(resource)
+            settle(resource, now)
         if not folding or materialized == grew or not live:
             continue
         checkpoint_due = recording

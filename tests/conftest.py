@@ -22,6 +22,7 @@ FUZZ_SEED_RANGES = {
     "serving": range(295, 325),
     "split-fold": range(325, 355),
     "chain-prefix": range(355, 367),
+    "graph-urgent": range(367, 397),
 }
 
 

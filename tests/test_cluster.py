@@ -186,6 +186,7 @@ class TestDegenerateIdentity:
         cluster = analytical_cluster(scenario, ClusterSpec())
         single = analytical_scenario(scenario)
         assert cluster.latency_cycles == single.latency_cycles
+        assert cluster.kind == single.kind
         for resource in ("2d", "1d", "io", "dram"):
             assert cluster.busy[resource] == single.busy[resource]
 

@@ -160,6 +160,21 @@ class TestDifferentialRandom:
         ]
         both(tasks, slots=rng.randint(2, 5))
 
+    @pytest.mark.parametrize("seed", fuzz_seeds("graph-urgent"))
+    def test_random_priority_graphs(self, seed):
+        """A random urgent subset reorders the ready heaps; the two
+        integer cores agree on every one."""
+        from repro.simulator.engine import FlatGraph, _run_cycles
+        from repro.simulator.events import run_flat
+
+        rng = random.Random(seed)
+        tasks = random_graph(rng, allow_zero=seed % 2 == 0)
+        urgent = rng.sample(range(len(tasks)), rng.randint(0, len(tasks)))
+        graph = FlatGraph.from_tasks(tasks, urgent=urgent)
+        slots = rng.randint(1, 4)
+        budget = sum(t.duration for t in tasks) + 1
+        assert run_flat(graph, slots, budget) == _run_cycles(graph, slots, budget)
+
 
 class TestDifferentialEdgeCases:
     def test_empty_graph(self):
@@ -1122,9 +1137,9 @@ class TestOneReadinessCompile:
             calls["compiled"].append(len(tasks))
             return compile_tasks(cls, tasks, urgent, index)
 
-        def round_robin(n_resources):
+        def round_robin(n_resources, *args):
             calls["round_robins"].append(n_resources)
-            return make_round_robin(n_resources)
+            return make_round_robin(n_resources, *args)
 
         monkeypatch.setattr(FlatGraph, "from_tasks", classmethod(from_tasks))
         monkeypatch.setattr(events, "round_robin", round_robin)
