@@ -26,6 +26,16 @@ so the engine replays the window arithmetically ``m`` times instead of
 simulating it, then resumes concretely for the drain — exactly where
 arbitration order makes classes diverge.
 
+A refill materializes an instance when the resource's *virtual head*,
+the earliest t=0-ready task there of the next unmaterialized instance of
+any class, precedes its heap top in program order.  The head depends on
+the class cursors alone, so each resource caches it (a program order and
+a class) and recomputes it only when a cursor moves: for the resources a
+class heads when it materializes an instance, and for every resource
+when a fold resumes a chain prefix or jumps.  A refill reads one cached
+order instead of scanning the classes; nearly every refill materializes
+nothing.
+
 Why the replay is exact
 -----------------------
 
@@ -250,6 +260,7 @@ from operator import sub
 from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import events
+from .events import IDLE
 from .engine import DEADLOCK, FlatGraph, SimResult, Task, task_index
 
 if TYPE_CHECKING:
@@ -686,19 +697,27 @@ def _fold_loop(
     prefixes")."""
     n_classes = len(classes)
     n_res = len(resources)
+    resource_ids = range(n_res)
+    # Per-class fields, read once per completion or pop.
     counts = [c.count for c in classes]
     sizes = [c.size for c in classes]
     order_bases = [c.order_base for c in classes]
     ginst_bases = [c.ginst_base for c in classes]
+    res_of = [c.res for c in classes]
+    durs_of = [c.durations for c in classes]
+    deps_of = [c.dependents for c in classes]
+    lag_of = [c.lag for c in classes]
     #: per resource: (class id, min ready tid) for classes with any
-    #: t=0-ready work there.
-    classes_on: List[List[Tuple[int, int]]] = [[] for _ in range(n_res)]
+    #: t=0-ready work there, and per class the resources it heads.
+    classes_on: List[List[Tuple[int, int]]] = [[] for _ in resource_ids]
+    heads_of: List[List[int]] = []
     for c, cls in enumerate(classes):
         heads: Dict[int, int] = {}
         for tid in cls.ready:  # ascending: the first tid per resource wins
             heads.setdefault(cls.res[tid], tid)
         for r, tid in heads.items():
             classes_on[r].append((c, tid))
+        heads_of.append(list(heads))
 
     pending: List[List[Tuple[int, int, int]]] = [[] for _ in range(n_res)]
     cursor = [0] * n_classes
@@ -729,11 +748,39 @@ def _fold_loop(
             if starts[c] and counts[c]:
                 timer[c] = suffix[c][0]
 
+    #: per resource: the program order and class of its virtual head,
+    #: the next unmaterialized instance's earliest t=0-ready task there
+    #: (:data:`IDLE` and -1 when no class has one left).
+    head_order: List[float] = [IDLE] * n_res
+    head_class = [-1] * n_res
+
+    def refresh_heads(ids: Sequence[int]) -> None:
+        """Recompute the virtual head of each resource in ``ids`` from
+        the class cursors: a cursor move must refresh every resource
+        whose head may read it."""
+        for r in ids:
+            best: float = IDLE
+            best_class = -1
+            for c, head_tid in classes_on[r]:
+                cur = cursor[c]
+                if cur < counts[c]:
+                    order = order_bases[c] + cur * sizes[c] + head_tid
+                    if order < best:
+                        best = order
+                        best_class = c
+            head_order[r] = best
+            head_class[r] = best_class
+
+    refresh_heads(resource_ids)
+
     def materialize(c: int) -> None:
         nonlocal materialized
         cls = classes[c]
         local = cursor[c]
+        if local >= counts[c]:  # pragma: no cover - a stale virtual head
+            raise RuntimeError(f"class {c} has no instance {local} to materialize")
         cursor[c] = local + 1
+        refresh_heads(heads_of[c])
         gi = cls.ginst_base + local
         ob = cls.order_base + local * cls.size
         first = cls.chained and local == 0
@@ -749,29 +796,23 @@ def _fold_loop(
         materialized += 1
 
     def refill(resource: int, acts: List[list]) -> None:
-        """Engine refill, plus lazy materialization: an unmaterialized
-        instance's earliest ready task on this resource competes with
-        the heap top by program order, exactly as if it had been pending
-        since t=0 (pending membership has no side effects; only pops
-        matter, and instance order keys ascend within a class)."""
+        """Engine refill, plus lazy materialization: the resource's
+        virtual head competes with the heap top by program order,
+        exactly as if its instance had been pending since t=0 (pending
+        membership has no side effects; only pops matter, and instance
+        order keys ascend within a class).  The head is read from the
+        per-resource cache, which :func:`materialize`, a prefix resume
+        and a jump refresh whenever they move a cursor."""
         heap = pending[resource]
         while len(acts) < slots:
-            vmin = -1
-            vcls = -1
-            for c, head_tid in classes_on[resource]:
-                cur = cursor[c]
-                if cur < counts[c]:
-                    order = order_bases[c] + cur * sizes[c] + head_tid
-                    if vmin < 0 or order < vmin:
-                        vmin = order
-                        vcls = c
-            if vmin >= 0 and (not heap or vmin < heap[0][0]):
-                materialize(vcls)
-                continue
-            if not heap:
+            order = head_order[resource]
+            if heap and heap[0][0] < order:
+                _, gi, tid = heappop(heap)
+                acts.append([durs_of[live[gi][0]][tid], gi, tid])
+            elif order < IDLE:
+                materialize(head_class[resource])
+            else:
                 break
-            _, gi, tid = heappop(heap)
-            acts.append([classes[live[gi][0]].durations[tid], gi, tid])
 
     #: Entries are ``[remaining, instance, tid]``; the busy count is
     #: unused, since every task completes (see the module docstring).
@@ -973,6 +1014,7 @@ def _fold_loop(
             materialized, live, pending, now, completed_count, n_events, floor,
             known_run, snapshots, inst_log, tid_log, t_log, split_log,
         ) = prefix.resume(point, active, rr, sync, next_done)
+        refresh_heads(resource_ids)
     recording = prefix is not None and prefix.extend(point, (inst_log, tid_log, t_log), split_log)
     checkpoint_due = False
     while completed_count < total_nonzero:
@@ -993,25 +1035,30 @@ def _fold_loop(
         if now > max_cycles:  # includes idle: nothing left can run
             raise RuntimeError(DEADLOCK)
         n_events += 1
-        touched = {r for r in range(n_res) if next_done[r] == now}
-        finished: List[List[int]] = []
-        for resource in touched:
-            done = complete(resource, now)
-            _, gi, tid = done
+        # The lone completion is found by two C scans, as in
+        # :func:`~repro.simulator.events.run_flat`; a release or timer
+        # event may complete nothing.
+        if next_done.count(now) == 1:
+            touched = [next_done.index(now)]
+        else:
+            touched = [r for r in resource_ids if next_done[r] == now]
+        grew = materialized
+        # Completing a resource reads no heap, so each completion's
+        # dependents are counted down as it is found.  Every touched
+        # resource is settled, full or not: the keys read ``sync``.
+        for resource in touched[:]:
+            _, gi, tid = complete(resource, now)
             inst_log.append(gi)
             tid_log.append(tid)
             t_log.append(now)
-            finished.append(done)
-        completed_count += len(finished)
-        grew = materialized
-        for _, gi, tid in finished:
+            completed_count += 1
             st = live[gi]
             c = st[0]
-            cls = classes[c]
+            res = res_of[c]
             outstanding = st[1]
-            local = gi - cls.ginst_base
-            ob = cls.order_base + local * cls.size
-            for step in cls.dependents[tid]:
+            local = gi - ginst_bases[c]
+            ob = order_bases[c] + local * sizes[c]
+            for step in deps_of[c][tid]:
                 dependent = tid + step
                 outstanding[dependent] -= 1
                 if outstanding[dependent] == 0:
@@ -1024,23 +1071,25 @@ def _fold_loop(
                             if release[at] > now:
                                 heappush(waiting, (release[at], ob + dependent, gi, dependent))
                                 continue
-                    resource2 = cls.res[dependent]
-                    heappush(pending[resource2], (ob + dependent, gi, dependent))
-                    touched.add(resource2)
-            if cls.chained and local + 1 < cls.count:
-                lag = cls.lag[tid]
-                if lag:
-                    # Lag edges into the next instance: enter it first.
-                    if cursor[c] == local + 1:
-                        materialize(c)
-                    successor = live[gi + 1][1]
-                    for step in lag:
-                        dependent = tid + step - cls.size
-                        successor[dependent] -= 1
-                        if successor[dependent] == 0:
-                            resource2 = cls.res[dependent]
-                            heappush(pending[resource2], (ob + tid + step, gi + 1, dependent))
-                            touched.add(resource2)
+                    target = res[dependent]
+                    heappush(pending[target], (ob + dependent, gi, dependent))
+                    if target not in touched:
+                        touched.append(target)
+            lag = lag_of[c]
+            if lag is not None and local + 1 < counts[c] and lag[tid]:
+                # Lag edges into the next instance: enter it first.
+                if cursor[c] == local + 1:
+                    materialize(c)
+                successor = live[gi + 1][1]
+                size = sizes[c]
+                for step in lag[tid]:
+                    dependent = tid + step - size
+                    successor[dependent] -= 1
+                    if successor[dependent] == 0:
+                        target = res[dependent]
+                        heappush(pending[target], (ob + tid + step, gi + 1, dependent))
+                        if target not in touched:
+                            touched.append(target)
             st[2] -= 1
             if st[2] == 0:
                 del live[gi]
@@ -1050,9 +1099,10 @@ def _fold_loop(
                     materialize(c)
             while waiting and waiting[0][0] <= now:
                 _, order, gi, tid = heappop(waiting)
-                resource2 = classes[live[gi][0]].res[tid]
-                heappush(pending[resource2], (order, gi, tid))
-                touched.add(resource2)
+                target = res_of[live[gi][0]][tid]
+                heappush(pending[target], (order, gi, tid))
+                if target not in touched:
+                    touched.append(target)
         for resource in touched:
             settle(resource, now)
         if not folding or materialized == grew or not live:
@@ -1177,6 +1227,7 @@ def _fold_loop(
                 cursor[c] += shift_h
                 if timer[c] >= 0:
                     timer[c] = suffix[c][cursor[c]]
+        refresh_heads(resource_ids)
         # Windows spanning a jump cannot be replayed from the log.
         snapshots.clear()
         split_log = []  # a new list: a chain prefix may hold the old one

@@ -23,6 +23,7 @@ FUZZ_SEED_RANGES = {
     "split-fold": range(325, 355),
     "chain-prefix": range(355, 367),
     "graph-urgent": range(367, 397),
+    "fold-multiclass": range(397, 427),
 }
 
 

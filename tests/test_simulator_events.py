@@ -835,6 +835,54 @@ def _assert_makespan_is_last_finish(result):
     assert result.makespan == max(result.finish_times.values(), default=0)
 
 
+@pytest.fixture
+def heads_checked(monkeypatch):
+    """Checks, before every refill of every fold, that each resource's
+    cached virtual head (see ``_fold_loop`` in ``simulator/vector.py``)
+    equals a fresh scan of the class cursors: the lowest program order
+    of a class cursor's earliest t=0-ready task there.  Returns the list
+    of resources whose refill it checked; the flat core's refills pass
+    unchecked."""
+    from repro.simulator import events
+
+    make_round_robin = events.round_robin
+    checked = []
+
+    def closed_over(function, name):
+        names = function.__code__.co_freevars
+        return function.__closure__[names.index(name)].cell_contents if name in names else None
+
+    def round_robin(n_resources, refill):
+        materialize = closed_over(refill, "materialize")
+        if materialize is None:
+            return make_round_robin(n_resources, refill)
+        refresh = closed_over(materialize, "refresh_heads")
+        classes_on, cursor, counts, order_bases, sizes, head_order, head_class = (
+            closed_over(refresh, name)
+            for name in (
+                "classes_on", "cursor", "counts", "order_bases", "sizes", "head_order",
+                "head_class",
+            )
+        )
+
+        def checked_refill(resource, acts):
+            heads = [
+                (order_bases[c] + cursor[c] * sizes[c] + tid, c)
+                for c, tid in classes_on[resource]
+                if cursor[c] < counts[c]
+            ]
+            assert (head_order[resource], head_class[resource]) == min(
+                heads, default=(float("inf"), -1)
+            )
+            checked.append(resource)
+            refill(resource, acts)
+
+        return make_round_robin(n_resources, checked_refill)
+
+    monkeypatch.setattr(events, "round_robin", round_robin)
+    return checked
+
+
 class TestSymmetryFolding:
     """The folded path's own contract: recurrence replay fires on
     contended scenarios, expansion is exact where arbitration breaks
@@ -933,6 +981,34 @@ class TestSymmetryFolding:
         assert len(calls) == 2
         assert (264, 40) in _replays(calls[1])
         _assert_makespan_is_last_finish(folded)
+
+    @pytest.mark.parametrize("seed", fuzz_seeds("fold-multiclass"))
+    def test_multiclass_fold_matches_event_engine(self, seed, heads_checked):
+        """Two to four phase classes share the arrays and ``dram``, so
+        each resource's virtual head moves between classes as their
+        cursors advance: at every materialization, and at every jump
+        the tight bandwidths let the classes make.  The cached heads
+        must equal a fresh scan at every refill."""
+        rng = random.Random(seed)
+        phases = tuple(
+            Phase(
+                rng.choice(("prefill", "decode")), rng.randint(2, 12), rng.randint(1, 6),
+                embedding=rng.choice((None, 8, 16, 32)),
+            )
+            for _ in range(rng.randint(2, 4))
+        )
+        scenario = Scenario(
+            name=f"multiclass-{seed}",
+            phases=phases,
+            binding=rng.choice(("tile-serial", "interleaved")),
+            embedding=rng.choice((8, 16)),
+            array_dim=rng.choice((16, 32)),
+            slots=rng.randint(1, 3),
+            dram_bw=rng.choice((2.0, 4.0, 8.0, 32.0)),
+            buffer_bytes=rng.choice((None, None, 600.0)),
+        )
+        self._assert_folded_exact(scenario)
+        assert heads_checked
 
     def test_uncontended_scenario_still_exact_without_jumps(self):
         """No recurrence is a speed miss, never a correctness miss."""
@@ -1688,6 +1764,17 @@ class TestSharedChainPrefix:
         line = chain_prefix(template, 2).checkpoints
         assert any(point.lo > 1 or point.hi < float("inf") for point in line)
 
+    def test_resumed_folds_refresh_their_heads(self, heads_checked):
+        """A resumed fold's virtual heads are those of its checkpoint's
+        cursor, not of a fresh fold's."""
+        from repro.simulator.pipeline import binding_template
+        from repro.simulator.prefixes import chain_prefix
+
+        template = binding_template(PipelineConfig(), "interleaved")
+        self._assert_resumes_exactly(template, 2, [600, 300, 1000])
+        assert chain_prefix(template, 2).resume_point(1000).cursor > 0
+        assert heads_checked
+
     def test_slots_key_their_own_prefix(self):
         template = _chain(CHAIN, 2)
         self._assert_resumes_exactly(template, 2, [40, 9])
@@ -1730,6 +1817,119 @@ class TestSharedChainPrefix:
         info = chain_memo.cache_info()
         assert (info.misses, info.hits) == (3, 27)
         assert (info.currsize, info.maxsize) == (3, CHAIN_MEMO_SIZE)
+
+
+#: ``(events, replayed, jumps)`` of the folds the crosscheck, the
+#: contended 64x16 BERT point and the long binding chains run.  The
+#: schedule is exact whatever the fold decides, so only these counters
+#: show a change to when it snapshots, checkpoints or jumps.
+CROSSCHECK_FOLD_WORK = {
+    "tile-serial/attn-1x64": (640, 0, 0),
+    "tile-serial/attn-4x64": (2560, 0, 0),
+    "tile-serial/attn-16x64": (3840, 7040, 1),
+    "tile-serial/attn-4x64+dec4": (4549, 0, 0),
+    "tile-serial/BERT-B4xH12-L4096": (960, 7392, 1),
+    "interleaved/attn-1x64": (568, 0, 0),
+    "interleaved/attn-4x64": (2287, 0, 0),
+    "interleaved/attn-16x64": (9110, 0, 0),
+    "interleaved/attn-4x64+dec4": (4333, 0, 0),
+    "interleaved/BERT-B4xH12-L4096": (6854, 0, 0),
+    "interleaved/attn-4x32+dec8@bw32": (4072, 3876, 3),
+    "interleaved/attn-4x32+dec8@bw65536": (8099, 514, 1),
+    "interleaved/attn-8x64@bw32": (2244, 3396, 2),
+    "tile-serial/attn-4x32+dec4@bw32": (4875, 769, 2),
+    "interleaved/mix-BERT+XLM-B1xH4-L4096+dec4@bw32": (2604, 544, 3),
+    "interleaved/attn-8x64@bw32@buf98304": (3851, 1410, 1),
+    "interleaved/attn-8x64@bw32@buf49152": (5640, 0, 0),
+    "interleaved/attn-4x32+dec8@bw32@buf49152": (7564, 0, 0),
+    "interleaved/attn-8x64@bw32@bufinf": (2244, 3396, 2),
+}
+CONTENDED_FOLD_WORK = {
+    "tile-serial": (2059, 211772, 2),
+    "interleaved": (5042, 176592, 3),
+}
+CLUSTER_FOLD_WORK = {
+    "attn-8x8@x2-head@link8": (289, 0, 0),
+    "attn-8x8@x2-head@link65536": (284, 0, 0),
+    "attn-8x8@x2-tensor@link8": (582, 0, 0),
+    "attn-8x8@x2-tensor@link65536": (573, 0, 0),
+    "attn-8x8@x4-head@link8": (148, 0, 0),
+    "attn-8x8@x4-head@link65536": (147, 0, 0),
+    "attn-8x8@x4-tensor@link8": (561, 0, 0),
+    "attn-8x8@x4-tensor@link65536": (545, 0, 0),
+}
+CHAIN_FOLD_WORK = {
+    "interleaved": (2466, 71114, 1),
+    "tile-serial": (40, 90068, 1),
+}
+
+
+def _fold_work(folded, slots, prefix=None):
+    from repro.simulator.vector import run_folded
+
+    stats = {}
+    run_folded(folded, slots, stats=stats, prefix=prefix)
+    return stats["events"], stats["replayed"], stats["jumps"]
+
+
+class TestFoldWork:
+    """The fold's work on the points the benchmark and the crosscheck
+    run, counter for counter: a faster step must make the same
+    decisions, not only the same schedule."""
+
+    def test_crosscheck_scenario_folds(self):
+        from repro.experiments.crosscheck import (
+            bandwidth_scenarios,
+            capacity_scenarios,
+            seed_scenarios,
+        )
+        from repro.simulator.pipeline import fold_scenario, folded_slots
+
+        scenarios = seed_scenarios() + bandwidth_scenarios() + capacity_scenarios()
+        work = {
+            f"{s.binding}/{s.name}": _fold_work(fold_scenario(s), folded_slots(s))
+            for s in scenarios
+        }
+        assert work == CROSSCHECK_FOLD_WORK
+
+    def test_contended_bert_folds(self):
+        from repro.api import ScenarioRequest
+        from repro.simulator.pipeline import fold_scenario, folded_slots
+
+        request = ScenarioRequest(model="BERT", batch=64, heads=16, chunks=16, dram_bw=425.0)
+        work = {
+            s.binding: _fold_work(fold_scenario(s), folded_slots(s))
+            for s in request.build_scenarios()
+        }
+        assert work == CONTENDED_FOLD_WORK
+
+    def test_crosscheck_cluster_folds(self):
+        from repro.cluster.build import fold_cluster
+        from repro.experiments.crosscheck import cluster_points
+        from repro.simulator.pipeline import folded_slots
+
+        work = {
+            f"{p.name}@link{p.spec.link_bw:g}": _fold_work(
+                fold_cluster(p.scenario, p.spec, p.sharding), folded_slots(p.scenario)
+            )
+            for p in cluster_points()
+        }
+        assert work == CLUSTER_FOLD_WORK
+
+    @pytest.mark.parametrize("binding", sorted(CHAIN_FOLD_WORK))
+    def test_long_chain_folds(self, binding):
+        """8192 chunks, fresh and resumed from a prefix a shorter fold
+        of the same template left."""
+        from repro.simulator.pipeline import binding_slots, binding_template
+        from repro.simulator.prefixes import ChainPrefix
+        from repro.simulator.vector import fold_chain
+
+        template = binding_template(PipelineConfig(), binding)
+        slots = binding_slots(binding)
+        prefix = ChainPrefix(slots)
+        _fold_work(fold_chain(template, 512), slots, prefix)
+        for use in (None, prefix):
+            assert _fold_work(fold_chain(template, 8192), slots, use) == CHAIN_FOLD_WORK[binding]
 
 
 class TestScenarioCrossValidation:
