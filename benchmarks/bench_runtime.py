@@ -20,15 +20,24 @@ from repro.api import Session
 from repro.runtime import ResultCache, attention_grid, pareto_grid
 
 
-def full_grid(jobs=1, cache=False):
+#: The figures' grids, one session pass each: Figs. 6-9, 10-11 and 12.
+GRIDS = (
+    ("attention", lambda: attention_grid()),
+    ("inference", lambda: attention_grid(kind="inference")),
+    ("pareto", lambda: pareto_grid()),
+)
+
+
+def full_grid(jobs=1, cache=False, pooled=None):
     """Every grid the figures draw from: Figs. 6-9 (attention),
-    Figs. 10-11 (inference), Fig. 12 (pareto), one session pass each."""
+    Figs. 10-11 (inference), Fig. 12 (pareto), one session pass each.
+    ``pooled``, a dict when given, maps each kind to whether its pass
+    ran on the process pool (``ExecutionOutcome.pooled``)."""
     session = Session(jobs=jobs, cache=cache)
-    return (
-        session.evaluate("attention", attention_grid()).results,
-        session.evaluate("inference", attention_grid(kind="inference")).results,
-        session.evaluate("pareto", pareto_grid()).results,
-    )
+    outcomes = {kind: session.evaluate(kind, grid()) for kind, grid in GRIDS}
+    if pooled is not None:
+        pooled.update((kind, outcome.pooled) for kind, outcome in outcomes.items())
+    return tuple(outcome.results for outcome in outcomes.values())
 
 
 def _best_of(fn, reps=3):
@@ -51,7 +60,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     cold, baseline = _best_of(lambda: full_grid(cache=False))
-    parallel, fanout = _best_of(lambda: full_grid(jobs=8, cache=False))
+    paths = {}
+    parallel, fanout = _best_of(lambda: full_grid(jobs=8, cache=False, pooled=paths))
     assert fanout == baseline, "parallel sweep diverged from serial"
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -68,9 +78,8 @@ def main(argv=None):
     print(f"full evaluation grid: {points} points "
           "(attention 120, inference 120, pareto 24)")
     print(f"cold, serial           {cold * 1e3:8.1f} ms")
-    print(f"cold, 8 jobs           {parallel * 1e3:8.1f} ms   "
-          "(pool overhead dominates at this model cost; "
-          "wins appear as per-point cost grows)")
+    ran = ", ".join(f"{kind} {'pooled' if p else 'inline'}" for kind, p in paths.items())
+    print(f"cold, 8 jobs           {parallel * 1e3:8.1f} ms   ({ran})")
     print(f"cold, populating disk  {populate * 1e3:8.1f} ms")
     print(f"warm, from disk        {disk_warm * 1e3:8.1f} ms   "
           f"({cold / disk_warm:4.1f}x vs cold)")

@@ -2,21 +2,39 @@
 
 The evaluation grid (Figs. 6-11: 5 configurations × 4 models × 6
 sequence lengths; Fig. 12: 4 models × 6 array dims) is embarrassingly
-parallel — every point is an independent, pure analytical-model
-evaluation.  :func:`execute_tasks` fans the points out over a
-``ProcessPoolExecutor`` and merges results back in request order, so
-the output is bit-identical to the serial path regardless of ``jobs``.
+parallel — every point is an independent, pure evaluation.
+:func:`execute_tasks` runs a pass inline or, where that pays (below),
+fans its points out over a ``ProcessPoolExecutor``, and merges results
+back in request order, so the output is bit-identical to the serial
+path regardless of ``jobs``.
 A :class:`~repro.api.Session` runs and records every grid pass through
 it (``Session.evaluate``); the grid builders below make the task lists.
 
 Cache lookups happen before dispatch: only misses reach the pool, and
 every fresh result is written back, so a warm sweep never forks at all.
 
+Only passes the pool can pay back fork it.  A pool costs 17-35 ms per
+pass on a 2-core host (the measured table is at ``_POOLED_KINDS``).  A
+pass pools when ``jobs > 1``, at least two representatives are pending
+(see below), and one of them is of a kind in ``_POOLED_KINDS`` (whole
+simulated graphs: scenario points, scenario-grid cells, cluster
+points, serving specs), or the pass has a fault plan or a task
+timeout.  Every other pass runs inline at any ``jobs``: analytical
+points are closed forms that finish in microseconds, and binding
+points are folds that share their chain prefix within one process,
+which each worker of a pool would fold again.  A pass keeps the pool
+under a fault plan or a timeout so that worker crashes, hangs and
+respawns behave as they always have; inline, a timeout is only
+advisory off the main thread.  The rule changes no output: inline and
+pooled results are byte-identical.
+
 Every pooled pass takes one path.  The misses are dealt round-robin,
 in request order, into about four batches per worker, one future per
 batch: neighbouring grid points land in different batches, and tiny
 analytical tasks still share a round trip.  There is no chunked
-``pool.map``.
+``pool.map``.  A new pool's workers take no batch until the pass has
+submitted its first window, so the batches a crash breaks are the
+whole window however late or early each worker starts.
 
 Shared schedules: after the cache lookups, pending tasks with equal
 :meth:`EvalTask.schedule_key` form one group, and only its lowest
@@ -60,6 +78,7 @@ digests identically to a clean one (gated by
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import signal
@@ -128,6 +147,32 @@ ON_ERROR_MODES = ("raise", "skip")
 
 #: Exit code an injected ``"crash"`` fault kills its worker with.
 _CRASH_EXIT_CODE = 70
+
+#: The task kinds whose passes fork the pool (see :func:`execute_tasks`).
+#: Measured on a 2-core host, warm process, no cache, the chain-prefix
+#: memo cleared before each pass, median of 3, inline against a pool of
+#: two workers:
+#:
+#: ====================================  ======  ======  ======
+#: pass                                  points  inline  jobs=2
+#: ====================================  ======  ======  ======
+#: attention grid                        120     3.8 ms  18.5 ms
+#: pareto grid                           24      1.3 ms  13.2 ms
+#: default binding sweep (30 schedules)  40      42 ms   74 ms
+#: binding, 6 dims                       120     57 ms   92 ms
+#: binding, 6 dims x 3 embeddings        360     210 ms  470 ms
+#: crosscheck scenario points            19      301 ms  192 ms
+#: crosscheck cluster points             8       36 ms   29 ms
+#: ``serve-sweep`` serving specs         4       237 ms  192 ms
+#: ====================================  ======  ======  ======
+#:
+#: A pool costs 17-35 ms to fork, feed and join.  Analytical passes
+#: never earn that back.  Binding passes at best break even (the
+#: 120-point pass is the closest, and timings there vary run to run):
+#: the chain-prefix memo is per process, so each worker folds every
+#: template's transient again.  Only kinds that schedule whole graphs
+#: gain.
+_POOLED_KINDS = frozenset({"scenario", "scenario_grid", "cluster", "serve"})
 
 
 @dataclass(frozen=True)
@@ -231,8 +276,9 @@ class ExecutionOutcome:
     ``recovered`` counts tasks that succeeded after at least one failed
     attempt, ``failures`` the tasks that exhausted their budget under
     ``on_error="skip"`` (in index order, a shared row's beside its
-    representative's), and ``respawns`` how many times a broken process
-    pool was replaced.
+    representative's), ``respawns`` how many times a broken process
+    pool was replaced, and ``pooled`` whether the pass ran on a process
+    pool rather than inline.
     """
 
     results: List[Any]
@@ -240,6 +286,7 @@ class ExecutionOutcome:
     failures: Tuple[TaskFailure, ...] = ()
     recovered: int = 0
     respawns: int = 0
+    pooled: bool = False
 
     def health(self) -> Dict[str, int]:
         """The run-record summary of this pass's fault handling."""
@@ -508,22 +555,32 @@ def _requeue_failures(
             queue.append(([(i, attempt + 1)], ready_at))
 
 
+def _new_pool(workers: int) -> Tuple[ProcessPoolExecutor, Any]:
+    """A process pool and its start gate: each worker waits for the gate
+    before it takes a batch, so that what is in flight when a worker
+    crashes does not depend on when the workers start."""
+    gate = multiprocessing.Event()
+    return ProcessPoolExecutor(max_workers=workers, initializer=gate.wait), gate
+
+
 def _replace_pool(
     state: _ExecutionState,
     pool: ProcessPoolExecutor,
+    gate: Any,
     workers: int,
     inflight: Dict[Any, _Batch],
     lost: List[Tuple[_Batch, BaseException]],
-) -> ProcessPoolExecutor:
+) -> Tuple[ProcessPoolExecutor, Any]:
     """Broken-pool recovery: every in-flight batch died with the pool
     (the culprit is indistinguishable from its neighbours), so add them
     all to ``lost`` (see :func:`_lose`) and respawn."""
     crash = WorkerCrash("worker pool broke while task in flight")
     lost.extend((members, crash) for members in inflight.values())
     inflight.clear()
+    gate.set()
     pool.shutdown(wait=False, cancel_futures=True)
     state.respawns += 1
-    return ProcessPoolExecutor(max_workers=workers)
+    return _new_pool(workers)
 
 
 def _run_pool_supervised(state: _ExecutionState, pending: List[int], jobs: int) -> None:
@@ -538,13 +595,18 @@ def _run_pool_supervised(state: _ExecutionState, pending: List[int], jobs: int) 
     Under ``on_error="raise"`` the reported task is the lowest index
     that exhausts its budget, as on the inline path: after the first
     such failure only the tasks below it keep running.  On a clean
-    return the workers are joined."""
+    return the workers are joined.
+
+    A pool's workers start on its gate (see :func:`_new_pool`), which
+    opens once the pool's first window is submitted: a crash there
+    breaks the whole window, never a prefix of it cut short by a worker
+    that started before the parent finished submitting."""
     policy = state.policy
     workers = min(jobs, len(pending))
     queue = deque((members, 0.0) for members in _deal(pending, workers))
     inflight: Dict[Any, _Batch] = {}
     fatal: Optional[TaskError] = None
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool, gate = _new_pool(workers)
     try:
         while queue or inflight:
             failed: List[Tuple[int, int, BaseException]] = []
@@ -574,9 +636,10 @@ def _run_pool_supervised(state: _ExecutionState, pending: List[int], jobs: int) 
                 except BrokenProcessPool:
                     # Not an attempt — the batch never reached a worker.
                     queue.appendleft((members, ready_at))
-                    pool = _replace_pool(state, pool, workers, inflight, lost)
+                    pool, gate = _replace_pool(state, pool, gate, workers, inflight, lost)
                     continue
                 inflight[future] = members
+            gate.set()
             if inflight:
                 done, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
                 broken = False
@@ -599,7 +662,7 @@ def _run_pool_supervised(state: _ExecutionState, pending: List[int], jobs: int) 
                             error.__cause__ = _RemoteTraceback(text)
                             failed.append((i, attempt, error))
                 if broken:
-                    pool = _replace_pool(state, pool, workers, inflight, lost)
+                    pool, gate = _replace_pool(state, pool, gate, workers, inflight, lost)
             if lost:
                 _lose(queue, failed, lost)
             if fatal is not None:
@@ -621,6 +684,7 @@ def _run_pool_supervised(state: _ExecutionState, pending: List[int], jobs: int) 
         if fatal is not None:
             raise fatal
     except BaseException:
+        gate.set()
         pool.shutdown(wait=False, cancel_futures=True)
         raise
     pool.shutdown(wait=True)
@@ -647,6 +711,14 @@ def execute_tasks(
     :class:`TaskFailure` records in their result slots
     (``on_error="skip"``).  ``faults`` injects
     deterministic failures for testing (see :mod:`.faults`).
+
+    ``jobs`` bounds the pool a pass may fork, and only a pass the pool
+    pays back forks one (see the table at ``_POOLED_KINDS``): at least
+    two representatives pending and, among them, a scenario,
+    scenario-grid, cluster or serving task, or a fault plan, or a task
+    timeout.  Analytical and binding passes run inline at any ``jobs``,
+    and so does a pass with a single pending task.  The outcome's
+    ``pooled`` says which path the pass took.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -679,7 +751,16 @@ def execute_tasks(
     pending = [members[0] for members in groups.values() if results[members[0]] is None]
 
     state = _ExecutionState(tasks, results, keys, store, policy, on_error, faults)
-    if jobs > 1 and len(pending) > 1:
+    pooled = (
+        jobs > 1
+        and len(pending) > 1
+        and (
+            faults is not None
+            or policy.task_timeout_s is not None
+            or any(tasks[i].kind in _POOLED_KINDS for i in pending)
+        )
+    )
+    if pooled:
         _run_pool_supervised(state, pending, jobs)
     elif pending:
         _run_inline(state, pending)
@@ -690,6 +771,7 @@ def execute_tasks(
         failures=tuple(sorted(state.failures, key=lambda failure: failure.index)),
         recovered=len(state.recovered),
         respawns=state.respawns,
+        pooled=pooled,
     )
 
 

@@ -101,3 +101,13 @@ def attention_inputs(rng):
 @pytest.fixture
 def attention_shapes():
     return {"E": 4, "F": 5, "M": 16, "P": 3, "M0": 4, "M1": 4}
+
+
+@pytest.fixture
+def force_pool(monkeypatch):
+    """Pool every pass that has ``jobs > 1`` and two pending tasks,
+    whatever its kind: lets a parity test compare the pooled path with
+    the inline one for kinds the executor would run inline."""
+    from repro.runtime import executor
+
+    monkeypatch.setattr(executor, "_POOLED_KINDS", frozenset(executor.KINDS))

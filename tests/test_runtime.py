@@ -121,28 +121,79 @@ KEYED_TASKS = {
 }
 
 
+def pooled_passes(monkeypatch):
+    """Whether each pass a session runs from here on pooled, in order."""
+    pooled = []
+    run_pass = session_module.execute_tasks
+
+    def recorded(*args, **kwargs):
+        outcome = run_pass(*args, **kwargs)
+        pooled.append(outcome.pooled)
+        return outcome
+
+    monkeypatch.setattr(session_module, "execute_tasks", recorded)
+    return pooled
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    """Fail any pass that builds a process pool."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pass forked a process pool")
+
+    monkeypatch.setattr(executor, "ProcessPoolExecutor", refuse)
+
+
+def stored_files(cache_dir):
+    """Every file a disk cache holds, by relative path, with its bytes."""
+    return {
+        path.relative_to(cache_dir).as_posix(): path.read_bytes()
+        for path in cache_dir.rglob("*")
+        if path.is_file()
+    }
+
+
+@pytest.mark.usefixtures("force_pool")
 class TestParallelEqualsSerial:
+    """The pooled path returns what the inline path does.  Analytical
+    and binding passes run inline at any ``jobs``, so these force the
+    pool (``force_pool``) and check that the pass took it."""
+
     def test_attention_full_grid(self):
         serial = execute_tasks(attention_grid(), cache=False).results
-        parallel = execute_tasks(attention_grid(), cache=False, jobs=4).results
+        outcome = execute_tasks(attention_grid(), cache=False, jobs=4)
+        parallel = outcome.results
+        assert outcome.pooled is True
         assert serial == parallel  # same order, bit-identical fields
 
     def test_inference_full_grid(self):
         tasks = attention_grid(kind="inference")
         serial = execute_tasks(tasks, cache=False).results
-        assert serial == execute_tasks(tasks, cache=False, jobs=4).results
+        outcome = execute_tasks(tasks, cache=False, jobs=4)
+        assert outcome.pooled is True
+        assert serial == outcome.results
 
     def test_pareto_full_grid(self):
         serial = execute_tasks(pareto_grid(), cache=False).results
-        assert serial == execute_tasks(pareto_grid(), cache=False, jobs=4).results
+        outcome = execute_tasks(pareto_grid(), cache=False, jobs=4)
+        assert outcome.pooled is True
+        assert serial == outcome.results
 
-    def test_full_report_byte_identical(self):
-        assert full_report(Session(jobs=1)) == full_report(Session(jobs=4))
+    def test_full_report_byte_identical(self, monkeypatch):
+        """Uncached, so the jobs=4 report runs its passes rather than
+        reading the shared default cache the serial one filled."""
+        serial = full_report(Session(jobs=1, cache=False))
+        pooled = pooled_passes(monkeypatch)
+        assert serial == full_report(Session(jobs=4, cache=False))
+        assert pooled == [True, True, True]
 
     def test_execute_tasks_preserves_order(self):
         tasks = attention_grid((BERT, T5), SHORT)
         serial = execute_tasks(tasks, cache=False).results
-        parallel = execute_tasks(tasks, jobs=3, cache=False).results
+        outcome = execute_tasks(tasks, jobs=3, cache=False)
+        parallel = outcome.results
+        assert outcome.pooled is True
         assert serial == parallel
         assert [r.config for r in serial] == [t.config.name for t in tasks]
 
@@ -152,7 +203,8 @@ class TestParallelEqualsSerial:
 
     def test_pooled_pass_joins_its_workers(self):
         before = set(multiprocessing.active_children())
-        execute_tasks(attention_grid((BERT, T5), SHORT), jobs=2, cache=False)
+        outcome = execute_tasks(attention_grid((BERT, T5), SHORT), jobs=2, cache=False)
+        assert outcome.pooled is True
         assert set(multiprocessing.active_children()) <= before
 
     def test_pooled_binding_sweep_stores_what_inline_stores(self, tmp_path):
@@ -165,16 +217,125 @@ class TestParallelEqualsSerial:
             cache_dir = tmp_path / f"cache-{jobs}"
             registry = RunRegistry(tmp_path / f"runs-{jobs}")
             session = Session(jobs=jobs, cache_dir=cache_dir, registry=registry)
-            session.evaluate("binding", binding_grid((16, 64, 1024), array_dims=(64, 128)))
-            stored[jobs] = {
-                path.relative_to(cache_dir).as_posix(): path.read_bytes()
-                for path in cache_dir.rglob("*")
-                if path.is_file()
-            }
+            outcome = session.evaluate(
+                "binding", binding_grid((16, 64, 1024), array_dims=(64, 128))
+            )
+            assert outcome.pooled is (jobs > 1)
+            stored[jobs] = stored_files(cache_dir)
             digests[jobs] = registry.latest().result_digest
         assert len(stored[1]) == 12
         assert stored[2] == stored[1]
         assert digests[2] == digests[1]
+
+    @pytest.mark.parametrize(
+        "chunks, arrays",
+        [("16,64,1024", "128"), ("16,64,1024", "128,256"), ("1024,64,16,512", "128")],
+    )
+    def test_pooled_cli_sweep_prints_the_serial_rows(self, chunks, arrays, capsys, monkeypatch):
+        """The grids of CI's binding-sweep smoke step, pooled: the rows
+        equal the serial sweep's, and the unordered counts give the
+        ascending run's rows."""
+        from repro.cli import main
+
+        def sweep(counts, jobs):
+            argv = ["simulate", "--sweep", "--chunks-list", counts, "--arrays", arrays,
+                    "--jobs", str(jobs), "--format", "csv", "--no-cache"]
+            assert main(argv) == 0
+            return capsys.readouterr().out
+
+        ascending = ",".join(map(str, sorted(int(c) for c in chunks.split(","))))
+        serial = sweep(ascending, 1)
+        pooled = pooled_passes(monkeypatch)
+        rows = sweep(chunks, 2)
+        assert pooled == [True]
+        if chunks == ascending:
+            assert rows == serial
+        else:
+            assert sorted(rows.splitlines()) == sorted(serial.splitlines())
+
+
+class TestPoolRule:
+    """Only passes the pool pays back fork it (``executor._POOLED_KINDS``):
+    analytical and binding passes run inline at any ``jobs``, simulated
+    scenario, cluster and serving passes pool, and a fault plan or a
+    task timeout keeps any pass of two pending tasks pooled."""
+
+    def test_default_binding_sweep_runs_inline(self, tmp_path, monkeypatch, no_fork):
+        from repro.api import BindingSweepRequest
+
+        pooled = pooled_passes(monkeypatch)
+        runs = {}
+        for jobs in (1, 2):
+            cache_dir = tmp_path / f"cache-{jobs}"
+            registry = RunRegistry(tmp_path / f"runs-{jobs}")
+            session = Session(jobs=jobs, cache_dir=cache_dir, registry=registry)
+            payload = session.run(BindingSweepRequest()).payload
+            runs[jobs] = payload, stored_files(cache_dir), registry.latest().result_digest
+        assert pooled == [False, False]
+        assert runs[2] == runs[1]
+        assert len(runs[1][1]) == 40
+        assert runs[1][2] == "bede694f4cab4b45"
+
+    @pytest.mark.parametrize("kind", ["attention", "pareto"])
+    def test_analytical_grid_runs_inline(self, kind, tmp_path, no_fork):
+        grid = attention_grid() if kind == "attention" else pareto_grid()
+        runs = {}
+        for jobs in (1, 4):
+            cache_dir = tmp_path / f"cache-{jobs}"
+            registry = RunRegistry(tmp_path / f"runs-{jobs}")
+            session = Session(jobs=jobs, cache_dir=cache_dir, registry=registry)
+            outcome = session.evaluate(kind, grid)
+            assert outcome.pooled is False
+            runs[jobs] = outcome.results, stored_files(cache_dir), registry.latest().result_digest
+        assert runs[4] == runs[1]
+        assert len(runs[1][1]) == len(grid)
+
+    @pytest.mark.parametrize("kind", ["scenario", "scenario_grid", "cluster", "serve"])
+    def test_simulated_passes_pool(self, kind):
+        tasks = KEYED_TASKS[kind]()
+        serial = execute_tasks(tasks, cache=False)
+        outcome = execute_tasks(tasks, jobs=2, cache=False)
+        assert (serial.pooled, outcome.pooled) == (False, True)
+        assert outcome.results == serial.results
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            dict(retry=RetryPolicy(max_attempts=2), faults=FaultPlan(faults=(FaultSpec(1, 1),))),
+            dict(retry=RetryPolicy(task_timeout_s=60.0)),
+        ],
+        ids=["fault-plan", "task-timeout"],
+    )
+    def test_fault_policy_keeps_the_pool(self, policy):
+        tasks = attention_grid((BERT,), SHORT)
+        clean = execute_tasks(tasks, cache=False).results
+        outcome = execute_tasks(tasks, jobs=2, cache=False, **policy)
+        assert outcome.pooled is True
+        assert outcome.results == clean
+
+    @pytest.mark.parametrize("case", ["one task", "one schedule", "one miss"])
+    def test_single_pending_task_never_forks(self, case, no_fork):
+        """One pending representative runs inline even where two would
+        pool: a lone serving spec, points that share one schedule, or a
+        pass whose other point the cache holds."""
+        cache = False
+        if case == "one task":
+            tasks = serving_grid([serving_spec()])
+        elif case == "one schedule":
+            tasks = binding_grid(chunks=(16,), bindings=("interleaved",), array_dims=(128, 256))
+        else:
+            tasks = KEYED_TASKS["scenario"]()
+            cache = ResultCache()
+            cache.put(tasks[0].cache_key({}), evaluate_task(tasks[0]))
+        outcome = execute_tasks(
+            tasks,
+            jobs=4,
+            cache=cache,
+            retry=RetryPolicy(max_attempts=2, task_timeout_s=60.0),
+            faults=FaultPlan(faults=()),
+        )
+        assert outcome.pooled is False
+        assert outcome.results == [evaluate_task(t) for t in tasks]
 
 
 #: The grid of ``test_pooled_binding_sweep_stores_what_inline_stores``:
@@ -279,9 +440,10 @@ class TestSharedSchedules:
         assert outcome.attempts == 9
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_rows_equal_per_point_evaluation(self, jobs):
+    def test_rows_equal_per_point_evaluation(self, jobs, force_pool):
         tasks = binding_grid(**SHARED_GRID)
         outcome = execute_tasks(tasks, jobs=jobs, cache=False)
+        assert outcome.pooled is (jobs > 1)
         assert outcome.results == [evaluate_binding_point(t.config) for t in tasks]
         assert outcome.attempts == 9
 
@@ -398,7 +560,8 @@ class TestSharedSchedules:
 
 
 class TestSharedScheduleFaults:
-    """A shared group's representative carries the group's faults."""
+    """A shared group's representative carries the group's faults.  A
+    fault plan keeps a pass pooled, so the jobs=2 cases run pooled."""
 
     def group(self, tasks):
         return next(group for group in schedule_groups(tasks) if len(group) > 1)
@@ -415,6 +578,7 @@ class TestSharedScheduleFaults:
             retry=RetryPolicy(max_attempts=2),
             faults=FaultPlan(faults=(FaultSpec(rep, 1, "raise"),)),
         )
+        assert outcome.pooled is (jobs > 1)
         assert outcome.results == clean
         assert outcome.recovered == 1
         assert outcome.attempts == 9 + 1
@@ -431,6 +595,7 @@ class TestSharedScheduleFaults:
             on_error="skip",
             faults=FaultPlan(faults=(FaultSpec(group[0], 1, "raise"),)),
         )
+        assert outcome.pooled is (jobs > 1)
         assert [failure.index for failure in outcome.failures] == group
         for i in group:
             assert isinstance(outcome.results[i], TaskFailure)

@@ -548,7 +548,7 @@ class TestBindingSweep:
         )
         assert len(results) == 2
 
-    def test_sweep_parallel_and_cached_identical(self, tmp_path):
+    def test_sweep_parallel_and_cached_identical(self, tmp_path, force_pool):
         baseline = binding_sweep(**self.GRID, cache=False)
         parallel = binding_sweep(**self.GRID, jobs=2, cache=False)
         assert parallel == baseline
@@ -2038,7 +2038,7 @@ class TestScenarioSweep:
         assert small_2d.sim_util != large_2d.sim_util
         assert small_2d.model_util != large_2d.model_util
 
-    def test_sweep_parallel_and_cached_identical(self, tmp_path):
+    def test_sweep_parallel_and_cached_identical(self, tmp_path, force_pool):
         baseline = scenario_sweep(self.SCENARIOS, cache=False)
         parallel = scenario_sweep(self.SCENARIOS, jobs=2, cache=False)
         assert parallel == baseline
