@@ -2,15 +2,43 @@
 
 A binding sweep folds one chain template at many chunk counts, and each
 fold of :func:`~repro.simulator.vector.run_folded` repeats the same
-transient before its first jump.  A :class:`ChainPrefix` keeps that
-transient once per template and issue width, as a line of checkpoints;
-a fold at any count resumes from the deepest one it may use.  Why that
-is exact is the "Shared chain prefixes" section of
-:mod:`repro.simulator.vector`.
+transient: the interleaved chain's period is about 128 instances, so
+its first snapshot match lies some 1,800 events in.  A fold given a
+:class:`ChainPrefix` (one per template and issue width, from
+:func:`chain_prefix`) shares that transient across counts.  Until its
+first jump it takes a *checkpoint* after each materialization event
+(keeping one per few instances): a copy of its whole
+:class:`~repro.simulator.foldstate.FoldState` but the logs, whose
+lengths it notes instead, since the prefix keeps the logs of the fold
+that took the last checkpoint.  A fold of the same template at any
+count ``N`` restores the deepest checkpoint it may use, one whose
+cursor is below ``N``, and runs on with its own count, budget and
+repeat clamp.
 
-:func:`chain_prefix` looks a template's prefix up in a per-process
-memo, :func:`chain_memo`, which keeps :data:`CHAIN_MEMO_SIZE` prefixes
-of at most :data:`MAX_CHECKPOINTS` checkpoints each.
+Resuming is exact because, before its first jump, a chain fold reads
+its count in only two places:
+
+- the ``cursor < count`` (refill, key), ``local + 1 < count`` (lag)
+  and ``"done"`` comparisons.  Every cursor they read is at most the
+  checkpoint's, so they agree for every count above it;
+- the repeat clamp of a snapshot match.  A match at cursor ``c`` with
+  head shift ``dA`` passes it exactly when ``count >= c + 1 + dA``.
+  The checkpoints after a match the clamp turned away serve counts
+  below that threshold only, and those after a match whose window the
+  jump then refused (a snapshot overwrite) serve counts at or above it.
+  A resumed fold computes its own clamp at every match still ahead.
+
+The budget is read at every event, but times only grow, so a fresh fold
+of ``N`` instances raises the deadlock error before the checkpoint
+exactly when the checkpoint's time exceeds ``N``'s budget, and the
+resumed fold raises it then too.  The counters a resumed fold reports
+include the prefix, so its ``stats`` equal a fresh fold's.
+
+Checkpoints form one line: only a fold that resumes from the last one
+(or starts on an empty prefix) takes more.  :func:`chain_prefix` looks
+a template's prefix up in a per-process memo, :func:`chain_memo`, which
+keeps :data:`CHAIN_MEMO_SIZE` prefixes of at most
+:data:`MAX_CHECKPOINTS` checkpoints each.
 """
 
 from __future__ import annotations
@@ -19,6 +47,7 @@ from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .engine import Task
+from .foldstate import SNAP_CAP, FoldState
 
 #: Chain templates (at one issue width each) whose prefix a process
 #: keeps, least recently used first out.
@@ -26,7 +55,7 @@ CHAIN_MEMO_SIZE = 8
 
 #: Checkpoints one prefix keeps: as many as the snapshots a fold keeps
 #: before it gives up on folding.
-MAX_CHECKPOINTS = 512
+MAX_CHECKPOINTS = SNAP_CAP
 
 #: Instances between kept checkpoints.  A fold resumes at most this many
 #: materializations short of its deepest possible start (some 30 events
@@ -35,28 +64,14 @@ CHECKPOINT_STRIDE = 4
 
 
 class Checkpoint(NamedTuple):
-    """A chain fold's loop state at the top of the loop after a
-    materialization event, before its first jump: copies, so folds
-    resuming from it cannot change it."""
+    """A chain fold's state before its first jump, and its place in the prefix's logs."""
 
     cursor: int
     #: the counts it serves, as the repeat clamps so far decided them
     lo: int
     hi: float
     now: int
-    completed: int
-    events: int
-    materialized: int
-    floor: int
-    known_run: Optional[Tuple[int, int, Tuple[int, ...], int]]
-    live: Tuple[int, ...]  #: live instances, in the fold's order
-    #: per live instance: (outstanding, unfinished), shared
-    states: Tuple[Tuple[Tuple[int, ...], int], ...]
-    active: Tuple[Tuple[Tuple[int, int, int], ...], ...]
-    pending: Tuple[Tuple[Tuple[int, int, int], ...], ...]
-    rr: Tuple[int, ...]
-    sync: Tuple[int, ...]
-    next_done: Tuple[float, ...]
+    state: FoldState  #: a :meth:`~repro.simulator.foldstate.FoldState.copy`
     logged: int  #: completion-log length
     snapped: int  #: snapshot-journal length
     split: int  #: split-log length
@@ -68,12 +83,11 @@ class ChainPrefix:
     logs of the fold that took the last one (completions, snapshots in
     insertion order, split snapshots), which each checkpoint reads up
     to its own lengths.  Instance states and snapshot-key entries recur
-    across checkpoints and snapshots, so each is stored once.
-
-    The fold loop drives it: :meth:`resume_point` and :meth:`resume`
-    restore a fold, :meth:`extend` lets the fold take checkpoints
-    (:meth:`take`), and while it does it reports its snapshots
-    (:meth:`note`) and repeat clamps (:meth:`decided`)."""
+    across checkpoints and snapshots, so each is stored once.  A fold
+    finds a checkpoint (:meth:`resume_point`) and restores it
+    (:meth:`resume`); one that extends the line takes checkpoints
+    (:meth:`take`) and reports snapshots (:meth:`note`) and repeat
+    clamps (:meth:`decided`)."""
 
     def __init__(self, slots: int) -> None:
         self.slots = slots
@@ -97,72 +111,39 @@ class ChainPrefix:
                 return point
         return None
 
-    def resume(
-        self, point: Checkpoint, active: List[list], rr: List[int], sync: List[int],
-        next_done: List[float],
-    ):
-        """Restore ``point`` into a fresh fold: fill its round-robin
-        state in place and return the rest as fresh copies, in the
-        order the fold loop unpacks them."""
-        for acts, saved in zip(active, point.active):
-            acts.extend(map(list, saved))
-        rr[:] = point.rr
-        sync[:] = point.sync
-        next_done[:] = point.next_done
-        known_run = point.known_run
-        if known_run is not None:
-            known_run = (known_run[0], known_run[1], list(known_run[2]), known_run[3])
-        return (
-            point.materialized,
-            {gi: [0, list(waits), left] for gi, (waits, left) in zip(point.live, point.states)},
-            [list(heap) for heap in point.pending],
-            point.now,
-            point.completed,
-            point.events,
-            point.floor,
-            known_run,
-            dict(self.journal[: point.snapped]),
-            *(log[: point.logged] for log in self.log),
-            self.split_log[: point.split],
-        )
-
-    def extend(self, point: Optional[Checkpoint], log: tuple, split_log: list) -> bool:
-        """Whether a fold restored from ``point`` (``None``: started
-        afresh) takes checkpoints: only from the last one, or on an
-        empty prefix.  If it does, its logs become the prefix's."""
+    def resume(self, point: Optional[Checkpoint], state: FoldState) -> None:
+        """Restore ``point`` (``None``: none) into a fresh fold's ``state``,
+        logs up to the checkpoint's lengths.  A fold restored from the
+        last checkpoint, or started on an empty prefix, extends the line:
+        its logs become the prefix's, and it checkpoints until it jumps."""
+        if point is not None:
+            state.restore(point.state)
+            for log, kept in zip((state.inst_log, state.tid_log, state.t_log), self.log):
+                log[:] = kept[: point.logged]
+            state.snapshots.update(self.journal[: point.snapped])
+            state.split_log[:] = self.split_log[: point.split]
         if point is not (self.checkpoints[-1] if self.checkpoints else None):
-            return False
-        self.log, self.split_log = log, split_log
+            return
+        state.prefix = self
+        self.log = (state.inst_log, state.tid_log, state.t_log)
+        self.split_log = state.split_log
         if point is None:
             self.journal, self.lo, self.hi = [], 1, float("inf")
         else:
             self.journal, self.lo, self.hi = self.journal[: point.snapped], point.lo, point.hi
-        return True
 
-    def take(
-        self, cursor, now, completed, events, materialized, floor, known_run,
-        live, active, pending, rr, sync, next_done,
-    ) -> None:
-        """Checkpoint the fold's loop state, unless the line is full or
-        its last checkpoint lies fewer than :data:`CHECKPOINT_STRIDE`
+    def take(self, state: FoldState) -> None:
+        """Checkpoint the fold's state, unless the line is full or its
+        last checkpoint lies fewer than :data:`CHECKPOINT_STRIDE`
         instances back."""
         line = self.checkpoints
+        cursor = state.cursor[0]
         if len(line) >= MAX_CHECKPOINTS or line and cursor < line[-1].cursor + CHECKPOINT_STRIDE:
             return
-        if known_run is not None:
-            known_run = (known_run[0], known_run[1], self._share(tuple(known_run[2])), known_run[3])
-        self.checkpoints.append(
-            Checkpoint(
-                cursor, self.lo, self.hi, now, completed, events, materialized, floor,
-                known_run,
-                tuple(live),
-                tuple(self._share((tuple(st[1]), st[2])) for st in live.values()),
-                tuple(tuple(map(tuple, acts)) for acts in active),
-                tuple(map(tuple, pending)),
-                tuple(rr), tuple(sync), tuple(next_done),
-                len(self.log[2]), len(self.journal), len(self.split_log),
-            )
-        )
+        line.append(Checkpoint(
+            cursor, self.lo, self.hi, state.now, state.copy(self._share),
+            len(self.log[2]), len(self.journal), len(self.split_log),
+        ))
 
     def note(self, key: tuple, record: tuple) -> None:
         """Journal a snapshot the fold stored, each keyed instance's

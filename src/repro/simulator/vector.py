@@ -24,7 +24,9 @@ recurs, every future window is an exact shift of the recorded one
 (uniform per-class instance shift ``dA``, uniform time shift ``dt``),
 so the engine replays the window arithmetically ``m`` times instead of
 simulating it, then resumes concretely for the drain — exactly where
-arbitration order makes classes diverge.
+arbitration order makes classes diverge.  The key and the jump are
+:mod:`.foldstate`'s, the checkpoints of a shared chain prefix
+:mod:`.prefixes`'.
 
 A refill materializes an instance when the resource's *virtual head*,
 the earliest t=0-ready task there of the next unmaterialized instance of
@@ -35,24 +37,6 @@ class heads when it materializes an instance, and for every resource
 when a fold resumes a chain prefix or jumps.  A refill reads one cached
 order instead of scanning the classes; nearly every refill materializes
 nothing.
-
-Why the replay is exact
------------------------
-
-The closed-form core is deterministic, and every scheduling decision it
-makes reduces to comparisons of ``(class, instance, template-task)``
-triples: classes occupy disjoint program-order ranges (so cross-class
-comparisons never flip), and within a class, order shifts uniformly
-with the instance index.  The snapshot captures everything the
-transition function reads — active sets, pending-heap contents,
-outstanding dependency counts, per-class materialization cursors (all
-instance-relative), rotation counters mod ``lcm(1..slots)``, and
-completion/sync times relative to *now*.  Two equal snapshots therefore
-evolve identically up to the (``dA``, ``dt``) shift, for as many
-repeats as keep every advancing class's cursor in range; ``m`` is
-clamped to that, and the drain tail is simulated concretely.  Exhausted
-classes cannot carry stragglers through a match: a draining live set
-that is also a shift of itself must be empty.
 
 Source resources and release times
 ----------------------------------
@@ -77,20 +61,6 @@ over instances, so out-of-order releases are safe).
 This matters when the source front runs ahead of the bottleneck.
 Scheduled inside the main fold, it would materialize every instance it
 streams, and a live window that wide never recurs.
-
-Releases are inputs to the main fold, not state, so a snapshot match
-alone no longer proves a window repeats.  The key adds what the state
-holds of them: the timed queue and each started class's next
-materialization timer, both relative to *now*.  The jump then checks
-the inputs the window read.  For every release consumed in the window,
-repeat ``k`` must consume, in the instance ``k·dA`` later, a release
-whose ``max(release, ready + k·dt)`` equals the recorded
-``max(release, ready) + k·dt``.  Every materialization timer the window
-visited must also shift by exactly ``k·dt``, and a not-yet-started
-class's timer must stay beyond the replayed span.  ``m`` is clamped to
-the leading repeats that pass, one strided slice of releases per
-logged read.  With those inputs shifted, the induction above goes
-through unchanged.
 
 Chained instances
 -----------------
@@ -128,106 +98,6 @@ successors in range.  Chained classes skip the source-resource split:
 no binding graph has a source resource, and a source task could feed
 the next instance.
 
-Split windows
--------------
-
-The fronts of an interleaved binding chain drift apart.  The ``RNV``
-chain (each chunk's waits on the previous chunk's) falls behind, and
-the rest runs ahead as far as the 2D array allows.  Between them the
-live window holds a growing run of *idle* instances: nothing of theirs
-is active or pending, and what is left waits on a lag edge from the
-predecessor.  The run grows by a few instances per period, so a window
-keyed relative to ``min(live)`` never recurs.
-
-At a snapshot, :func:`_fold_loop` therefore looks for a run of
-consecutive live instances of a lone chained class that are idle and
-share one ``(outstanding, unfinished)`` state, with live instances
-below and above it (the one it found last time while any of it is
-left, else the longest).  The instances below (the *tail*) are keyed
-relative to ``min(live)``, those above (the *head*) relative to the
-class cursor, and the run by its two bounds, each relative to its own
-side's anchor, and its shared state, but not its length.  Three facts
-make the replay exact:
-
-- *Idle run instances are read only through their predecessor's lag
-  edges.*  None of an idle instance's tasks is active or pending, so
-  each unfinished one waits on an unfinished task of the same instance
-  or on a lag dep.  Nothing inside it can complete, and only a
-  completion in its predecessor changes it.  A run instance whose
-  predecessor is idle too stays exactly as it entered the run, whatever
-  its index.
-- *Program-order comparisons between tail and head tasks cannot flip
-  while the run is non-empty.*  Every tail instance lies below the run
-  and every head instance above it, so a tail task precedes every head
-  task, and the head's virtual cursor task, in every heap pop and
-  refill: in the recorded window and in every repeat.
-- *Each region's state recurs relative to its own anchor.*  While the
-  run keeps an instance that completes nothing, the tail's lag edges
-  reach only run instances, which all hold the shared state, and the
-  head's lowest instance has a silent predecessor.  The two sides then
-  meet only in the shared resources, whose state the key holds in full.
-  So each side evolves as a function of its own relative state, and a
-  match means the tail advanced ``dA_tail`` instances and the head
-  ``dA_head`` in ``dt``.
-
-The jump checks that premise on the recorded window rather than trusting
-the two end snapshots.  Between consecutive split snapshots the run's top
-instance must complete nothing, so the tail never reaches a head
-instance, and consecutive runs must overlap, so no instance changes side.
-The window's *margin* is the fewest run instances any interval left above
-the tail's deepest completion.  A repeat ``k`` leaves ``margin + k *
-(dA_head - dA_tail)`` of them, so when the run shrinks ``m`` is clamped
-to keep that at least 1 (the run clamp), on top of the head cursor's
-clamp.  Each logged completion is tagged by side (at or below its
-interval's run top: tail), and expansion shifts it by ``k * dA_tail`` or
-``k * dA_head`` instances and ``k * dt`` cycles.  The jump moves the tail
-by ``m * dA_tail`` and the head by ``m * dA_head``, and fills the run
-between them with copies of the shared state.  Without an idle run the
-key, the clamps and the counters are the unsplit ones.
-
-Shared chain prefixes
----------------------
-
-A binding sweep folds one chain template at many chunk counts, and each
-fold repeats the same transient: the interleaved chain's period is
-about 128 instances, so its first snapshot match lies some 1,800 events
-in.  A fold given a :class:`~repro.simulator.prefixes.ChainPrefix` (one
-per template and issue width, from
-:func:`~repro.simulator.prefixes.chain_prefix`) shares that transient
-across counts.  Until its first jump it takes a *checkpoint* of its
-loop state at the top of the loop after each materialization event
-(keeping one per few instances): active entries, pending heaps,
-rotation counters, sync and next-completion times, the class cursor,
-the live instances, ``floor`` and the last idle run, the snapshot and
-split logs, the event and completion counters, and the completion
-log's length.  A fold of the
-same template at any count ``N`` resumes from the deepest checkpoint it
-may use, one whose cursor is below ``N``, and runs on with its own
-count, budget and repeat clamp.
-
-Resuming is exact because, before its first jump, a chain fold reads
-its count in only two places:
-
-- the ``cursor < count`` (refill, key), ``local + 1 < count`` (lag)
-  and ``"done"`` comparisons.  Every cursor they read is at most the
-  checkpoint's, so they agree for every count above it;
-- the repeat clamp of a snapshot match.  A match at cursor ``c`` with
-  head shift ``dA`` passes it exactly when ``count >= c + 1 + dA``.
-  The checkpoints after a match the clamp turned away serve counts
-  below that threshold only, and those after a match whose window the
-  jump then refused (a snapshot overwrite) serve counts at or above it.
-  A resumed fold computes its own clamp at every match still ahead.
-
-The budget is read at every event, but times only grow, so a fresh fold
-of ``N`` instances raises the deadlock error before the checkpoint
-exactly when the checkpoint's time exceeds ``N``'s budget, and the
-resumed fold raises it then too.  The counters a resumed fold reports
-include the prefix, so its ``stats`` equal a fresh fold's.
-
-Checkpoints form one line: only a fold that resumes from the last one
-(or starts on an empty prefix) takes more.  :mod:`.prefixes` holds
-them and bounds the memo.
-
 Results without expansion
 -------------------------
 
@@ -253,28 +123,16 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from heapq import heapify, heappop, heappush
-from itertools import accumulate, chain
-from math import lcm
-from operator import sub
+from heapq import heappop, heappush
+from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import events
 from .events import IDLE
 from .engine import DEADLOCK, FlatGraph, SimResult, Task, task_index
+from .foldstate import FoldState
 
 if TYPE_CHECKING:
     from .prefixes import ChainPrefix
-
-#: Unmatched relative-state snapshots kept before giving up on folding
-#: for the run.  Detection failure costs speed, never correctness.
-_SNAP_CAP = 512
-
-#: Snapshots keying more live instances than this are skipped: hashing
-#: such a window would cost more than a match could save.  A chain's
-#: idle run (see "Split windows") is keyed by its shared state alone, so
-#: it does not count; only the instances on either side of it do.
-_LIVE_CAP = 128
 
 
 @dataclass
@@ -597,16 +455,6 @@ def _gated_classes(
     return main, gates, release
 
 
-def _shift_fit(values: List[int], at: int, stride: int, d_time: int, repeats: int) -> int:
-    """The leading repeats ``k = 1..repeats`` for which ``values[at + k *
-    stride]`` is exactly ``values[at] + k * d_time``."""
-    got = values[at + stride : at + stride * repeats + 1 : stride]
-    want = range(values[at] + d_time, values[at] + d_time * repeats + 1, d_time)
-    if got == list(want):
-        return repeats
-    return next((k for k, (g, w) in enumerate(zip(got, want)) if g != w), len(got))
-
-
 def run_folded(
     folded: FoldedScenario,
     slots: int,
@@ -626,8 +474,8 @@ def run_folded(
     fold — the fold's effectiveness, for tests and the ``--profile``
     breakdown.  ``prefix``, for a :func:`fold_chain` fold, is its
     template's :func:`~repro.simulator.prefixes.chain_prefix` at
-    ``slots``: the fold resumes from it and extends it (see "Shared
-    chain prefixes"), and its result and ``stats`` are a fresh fold's.
+    ``slots``: the fold resumes from it and extends it (see
+    :mod:`.prefixes`), and its result and ``stats`` are a fresh fold's.
     Raises ``ValueError`` unless ``slots >= 1``, or for a prefix of
     another width or a fold that is not one chained class."""
     if slots < 1:
@@ -685,93 +533,53 @@ def _fold_loop(
 ) -> _FoldLog:
     """One fold: schedule ``classes`` with lazy materialization and
     recurrence replay, add to ``counters``, and return the log
-    :func:`_expand` writes the finish times from.
-
-    With ``gates``, tasks also wait for their release (see the module
-    docstring): a task whose other deps are met sits in a timed queue
-    until then, and a class whose instances start with release-gated
-    tasks materializes its next instance no later than the earliest
-    release from that instance onward.  With ``prefix`` (one chained
-    class), the fold resumes from its deepest usable checkpoint and,
-    resuming from the last one or none, takes more (see "Shared chain
-    prefixes")."""
-    n_classes = len(classes)
+    :func:`_expand` writes the finish times from.  This is the
+    per-event step; the state it carries between events and its
+    detector are a :class:`FoldState`'s.  With ``gates``, tasks also
+    wait for their release (see "Source resources and release times").
+    With ``prefix`` (one chained class), the fold resumes from its
+    deepest usable checkpoint and, resuming from the last one or none,
+    takes more (see :mod:`.prefixes`)."""
     n_res = len(resources)
     resource_ids = range(n_res)
     # Per-class fields, read once per completion or pop.
-    counts = [c.count for c in classes]
-    sizes = [c.size for c in classes]
-    order_bases = [c.order_base for c in classes]
-    ginst_bases = [c.ginst_base for c in classes]
     res_of = [c.res for c in classes]
     durs_of = [c.durations for c in classes]
     deps_of = [c.dependents for c in classes]
     lag_of = [c.lag for c in classes]
-    #: per resource: (class id, min ready tid) for classes with any
-    #: t=0-ready work there, and per class the resources it heads.
-    classes_on: List[List[Tuple[int, int]]] = [[] for _ in resource_ids]
-    heads_of: List[List[int]] = []
-    for c, cls in enumerate(classes):
-        heads: Dict[int, int] = {}
-        for tid in cls.ready:  # ascending: the first tid per resource wins
-            heads.setdefault(cls.res[tid], tid)
-        for r, tid in heads.items():
-            classes_on[r].append((c, tid))
-        heads_of.append(list(heads))
-
-    pending: List[List[Tuple[int, int, int]]] = [[] for _ in range(n_res)]
-    cursor = [0] * n_classes
-    #: live instance -> [class id, outstanding counts, unfinished count]
-    live: Dict[int, List] = {}
-    inst_log: List[int] = []
-    tid_log: List[int] = []
-    t_log: List[int] = []
-    #: Replayed windows, as :class:`_FoldLog` lists them.
-    windows: List[Tuple[int, int, List[int], int]] = []
-    materialized = 0
-    rr_mod = lcm(*range(1, slots + 1))
-
     gated = gates is not None
-    #: per class: next start-release materialization time, or -1.
-    timer = [-1] * n_classes
-    #: timed queue of released-later tasks: (release, order, instance, tid).
-    waiting: List[Tuple[int, int, int, int]] = []
-    #: every release read since the last snapshot reset: flat index into
-    #: ``release`` and the time the task's other deps were met.
-    rel_log: List[int] = []
-    ready_log: List[int] = []
-    if gated:
-        slot_of = [g.slot for g in gates]
-        starts = [g.start for g in gates]
-        suffix = [g.suffix for g in gates]
-        for c in range(n_classes):
-            if starts[c] and counts[c]:
-                timer[c] = suffix[c][0]
 
-    #: per resource: the program order and class of its virtual head,
-    #: the next unmaterialized instance's earliest t=0-ready task there
-    #: (:data:`IDLE` and -1 when no class has one left).
-    head_order: List[float] = [IDLE] * n_res
-    head_class = [-1] * n_res
+    def refill(resource: int, acts: List[list]) -> None:
+        """Engine refill, plus lazy materialization: the resource's
+        cached virtual head competes with the heap top by program order,
+        exactly as if its instance had been pending since t=0."""
+        heap = pending[resource]
+        while len(acts) < slots:
+            order = head_order[resource]
+            if heap and heap[0][0] < order:
+                _, gi, tid = heappop(heap)
+                acts.append([durs_of[live[gi][0]][tid], gi, tid])
+            elif order < IDLE:
+                materialize(head_class[resource])
+            else:
+                break
 
-    def refresh_heads(ids: Sequence[int]) -> None:
-        """Recompute the virtual head of each resource in ``ids`` from
-        the class cursors: a cursor move must refresh every resource
-        whose head may read it."""
-        for r in ids:
-            best: float = IDLE
-            best_class = -1
-            for c, head_tid in classes_on[r]:
-                cur = cursor[c]
-                if cur < counts[c]:
-                    order = order_bases[c] + cur * sizes[c] + head_tid
-                    if order < best:
-                        best = order
-                        best_class = c
-            head_order[r] = best
-            head_class[r] = best_class
-
-    refresh_heads(resource_ids)
+    # ``refill`` first runs at the first settle, once the names it reads
+    # are bound to the state's containers below.
+    state = FoldState(classes, n_res, slots, refill, gates, release)
+    counts, sizes, order_bases, ginst_bases = (
+        state.counts, state.sizes, state.order_bases, state.ginst_bases
+    )
+    pending, live, cursor, timer, waiting = (
+        state.pending, state.live, state.cursor, state.timer, state.waiting
+    )
+    inst_log, tid_log, t_log, rel_log, ready_log = (
+        state.inst_log, state.tid_log, state.t_log, state.rel_log, state.ready_log
+    )
+    head_order, head_class, heads_of = state.head_order, state.head_class, state.heads_of
+    next_done, complete, settle = state.next_done, state.complete, state.settle
+    refresh_heads, detect = state.refresh_heads, state.detect
+    materialized = 0
 
     def materialize(c: int) -> None:
         nonlocal materialized
@@ -787,244 +595,28 @@ def _fold_loop(
         live[gi] = [c, list(cls.outstanding_first if first else cls.outstanding), cls.nonzero]
         for tid in cls.ready_first if first else cls.ready:
             heappush(pending[cls.res[tid]], (ob + tid, gi, tid))
-        if gated and starts[c]:
-            for tid, column in starts[c]:
+        if gated and gates[c].start:
+            for tid, column in gates[c].start:
                 rel_log.append(column + local)
                 ready_log.append(_NEVER)
                 heappush(waiting, (release[column + local], ob + tid, gi, tid))
-            timer[c] = suffix[c][local + 1] if local + 1 < counts[c] else -1
+            timer[c] = gates[c].suffix[local + 1] if local + 1 < counts[c] else -1
         materialized += 1
 
-    def refill(resource: int, acts: List[list]) -> None:
-        """Engine refill, plus lazy materialization: the resource's
-        virtual head competes with the heap top by program order,
-        exactly as if its instance had been pending since t=0 (pending
-        membership has no side effects; only pops matter, and instance
-        order keys ascend within a class).  The head is read from the
-        per-resource cache, which :func:`materialize`, a prefix resume
-        and a jump refresh whenever they move a cursor."""
-        heap = pending[resource]
-        while len(acts) < slots:
-            order = head_order[resource]
-            if heap and heap[0][0] < order:
-                _, gi, tid = heappop(heap)
-                acts.append([durs_of[live[gi][0]][tid], gi, tid])
-            elif order < IDLE:
-                materialize(head_class[resource])
-            else:
-                break
-
-    #: Entries are ``[remaining, instance, tid]``; the busy count is
-    #: unused, since every task completes (see the module docstring).
-    active, rr, sync, _, next_done, complete, settle = events.round_robin(n_res, refill)
-
-    #: A lone chained class can split its window around an idle run;
-    #: no other fold ever holds an idle instance.
-    splits = n_classes == 1 and classes[0].chained
-
-    #: The last idle run found: ``(first, last, outstanding, unfinished)``.
-    known_run: Optional[Tuple[int, int, List[int], int]] = None
-    #: A chain's lowest live instance, or below it: instances enter at
-    #: the cursor, so it only moves up (and with the tail at a jump).
-    floor = 0
-
-    def idle_run() -> Optional[Tuple[int, int]]:
-        """A run of consecutive live instances idle in one shared state,
-        with live instances below and above it, as ``(first, last)``, or
-        ``None``.  A state is idle when each unfinished task still has
-        deps outstanding: none of its tasks is active or pending.
-
-        Run instances change only from the bottom up, as the tail
-        reaches them (see "Split windows"), so the last run found is
-        followed while any of it is left, in time proportional to what
-        changed.  Otherwise the window is scanned for the longest run,
-        ties going to the lowest."""
-        nonlocal known_run, floor
-        while floor not in live:
-            floor += 1
-        lo = floor
-        hi = ginst_bases[0] + cursor[0] - 1
-        while hi not in live:
-            hi -= 1
-        found = None
-        if known_run is not None:
-            first, last, outstanding, left = known_run
-
-            def same(gi: int) -> bool:
-                st = live.get(gi)
-                return st is not None and st[2] == left and st[1] == outstanding
-
-            while first <= last and not same(first):
-                first += 1
-            if first <= last:
-                while first - 1 > lo and same(first - 1):
-                    first -= 1
-                while last + 1 < hi and same(last + 1):
-                    last += 1
-                if lo < first and last < hi:
-                    found = (first, last)
-        if found is None:
-            gi = lo + 1
-            while gi < hi:
-                st = live.get(gi)
-                if st is None or st[2] != sum(1 for n in st[1] if n):
-                    gi += 1
-                    continue
-                last = gi
-                while last + 1 < hi:
-                    other = live.get(last + 1)
-                    if other is None or other[2] != st[2] or other[1] != st[1]:
-                        break
-                    last += 1
-                if found is None or last - gi > found[1] - found[0]:
-                    found = (gi, last)
-                    outstanding, left = list(st[1]), st[2]
-                gi = last + 1
-        known_run = None if found is None else (*found, outstanding, left)
-        return found
-
-    #: Split snapshots since the last jump: (log position, run first,
-    #: run last).
-    split_log: List[Tuple[int, int, int]] = []
-
-    def split_window(p: int, c: int) -> Optional[Tuple[List[bool], int]]:
-        """The tail tags of the completions between split snapshots
-        ``p`` and ``c`` (true below each interval's run top, whose
-        instance shifts with the tail), and the window's margin: the
-        fewest run instances any interval left above the tail's deepest
-        completion.  ``None`` if tail and head met: the margin fell to
-        zero, or consecutive runs do not overlap, so some instance would
-        change sides."""
-        pos, firsts, lasts = zip(*split_log[p : c + 1])
-        for j in range(c - p):
-            if firsts[j + 1] > lasts[j] + 1 or lasts[j + 1] < lasts[j]:
-                return None
-        tail: List[bool] = []
-        gaps: List[int] = []
-        for j, top in enumerate(lasts[:-1]):
-            for gi in inst_log[pos[j] : pos[j + 1]]:
-                below = gi <= top
-                tail.append(below)
-                if below:
-                    gaps.append(top - gi)
-        margin = min(gaps, default=0)
-        return (tail, margin) if margin >= 1 else None
-
-    def state_key(anchor: int, now: int, run: Optional[Tuple[int, int]]):
-        """Everything the transition function reads, instance-relative.
-        An idle resource's ``sync`` is never read (the next settle just
-        resets it), so it is left out.  With an idle ``run``, instances
-        above it are relative to the class cursor instead, and the run
-        is keyed by its bounds and shared state, not its length."""
-        first = last = head = 0
-        if run is not None:
-            first, last = run
-            head = ginst_bases[0] + cursor[0]
-
-        def rel(gi: int) -> int:
-            return gi - anchor if run is None or gi < first else gi - head
-
-        res_state = []
-        for r in range(n_res):
-            acts = tuple((rel(e[1]), live[e[1]][0], e[2], e[0]) for e in active[r])
-            heap = tuple(sorted((rel(gi), live[gi][0], tid) for _, gi, tid in pending[r]))
-            res_state.append(
-                (acts, heap, rr[r] % rr_mod, sync[r] - now if acts else 0, next_done[r] - now)
-            )
-        keyed = live.items()
-        if run is not None:
-            # Only the two sides: the run may be far wider than both.
-            sides = chain(range(anchor, first), range(last + 1, head))
-            keyed = ((gi, live[gi]) for gi in sides if gi in live)
-        inst_state = tuple(sorted((rel(gi), st[0], tuple(st[1]), st[2]) for gi, st in keyed))
-        if run is not None:
-            _, outstanding, left = live[first]
-            run = (first - anchor, last - head, tuple(outstanding), left)
-        # A class that has not admitted any instance yet snapshots as a
-        # plain sentinel, not a relative position: classes start strictly
-        # in program order (an earlier unexhausted class's virtual head
-        # order is always below a later class's order base), so an
-        # unstarted class can never win refill arbitration during a
-        # replayed window and its distance from the anchor is inert.
-        # (Its start-release timer is not inert: the jump clamps it.)
-        cursors = tuple(
-            "unstarted"
-            if cursor[c] == 0
-            else (rel(ginst_bases[c] + cursor[c]), timer[c] - now if timer[c] >= 0 else -1)
-            if cursor[c] < counts[c]
-            else "done"
-            for c in range(n_classes)
-        )
-        releases = tuple(
-            sorted((gi - anchor, live[gi][0], tid, when - now) for when, _, gi, tid in waiting)
-        )
-        return (tuple(res_state), inst_state, cursors, releases, run)
-
-    def release_fit(repeats: int, d_inst: int, d_time: int, log_pos: int, now: int) -> int:
-        """Clamp a jump to the repeats over which every release the
-        window read moves by exactly the repeat's time shift: each
-        consumed ``max(release, ready)`` and each materialization timer
-        visited.  An unstarted class's timer must stay beyond the
-        replayed span instead."""
-        for c in range(n_classes):
-            if not starts[c] or cursor[c] >= counts[c] or repeats <= 0:
-                continue
-            if cursor[c] == 0:
-                repeats = min(repeats, (timer[c] - now - 1) // d_time)
-                continue
-            for at in range(cursor[c] - d_inst, cursor[c] + 1):
-                repeats = _shift_fit(suffix[c], at, d_inst, d_time, repeats)
-        for at, ready in zip(rel_log[log_pos:], ready_log[log_pos:]):
-            if repeats <= 0:
-                break
-            if release[at] > ready:
-                # Release-bound: the release is the push time, so each
-                # repeat's must shift exactly.
-                repeats = _shift_fit(release, at, d_inst, d_time, repeats)
-                continue
-            # Ready-bound: each repeat's release may come no later than
-            # its shifted ready time.
-            got = release[at + d_inst : at + d_inst * repeats + 1 : d_inst]
-            late = list(map(sub, got, range(d_time, d_time * repeats + 1, d_time)))
-            if max(late, default=ready) > ready:
-                repeats = next(k for k, when in enumerate(late) if when > ready)
-        return repeats
-
-    total_nonzero = sum(counts[c] * classes[c].nonzero for c in range(n_classes))
-    now = 0
-    completed_count = 0
-    n_events = 0
-    replayed = 0
-    jumps = 0
-    snapshots: Dict = {}
-    folding = True
+    total_nonzero = sum(counts[c] * cls.nonzero for c, cls in enumerate(classes))
     point = None if prefix is None else prefix.resume_point(counts[0])
     if point is None:
         for c, cls in enumerate(classes):
             if cls.chained and counts[c]:
                 materialize(c)
-        for resource in range(n_res):
+        for resource in resource_ids:
             settle(resource, 0)
-    else:
-        # Resume a shared chain prefix (see "Shared chain prefixes").
-        if point.now > max_cycles:
-            raise RuntimeError(DEADLOCK)
-        cursor[0] = point.cursor
-        (
-            materialized, live, pending, now, completed_count, n_events, floor,
-            known_run, snapshots, inst_log, tid_log, t_log, split_log,
-        ) = prefix.resume(point, active, rr, sync, next_done)
-        refresh_heads(resource_ids)
-    recording = prefix is not None and prefix.extend(point, (inst_log, tid_log, t_log), split_log)
-    checkpoint_due = False
+    elif point.now > max_cycles:
+        raise RuntimeError(DEADLOCK)
+    if prefix is not None:
+        prefix.resume(point, state)
+    completed_count = len(t_log)
     while completed_count < total_nonzero:
-        if checkpoint_due:
-            checkpoint_due = False
-            if folding and cursor[0] < counts[0]:
-                prefix.take(
-                    cursor[0], now, completed_count, n_events, materialized, floor, known_run,
-                    live, active, pending, rr, sync, next_done,
-                )
         now = min(next_done)
         if gated:
             if waiting and waiting[0][0] < now:
@@ -1034,7 +626,7 @@ def _fold_loop(
                     now = when
         if now > max_cycles:  # includes idle: nothing left can run
             raise RuntimeError(DEADLOCK)
-        n_events += 1
+        state.events += 1
         # The lone completion is found by two C scans, as in
         # :func:`~repro.simulator.events.run_flat`; a release or timer
         # event may complete nothing.
@@ -1063,7 +655,7 @@ def _fold_loop(
                 outstanding[dependent] -= 1
                 if outstanding[dependent] == 0:
                     if gated:
-                        column = slot_of[c][dependent]
+                        column = gates[c].slot[dependent]
                         if column >= 0:
                             at = column + local
                             rel_log.append(at)
@@ -1094,7 +686,7 @@ def _fold_loop(
             if st[2] == 0:
                 del live[gi]
         if gated:
-            for c in range(n_classes):
+            for c in range(len(classes)):
                 while timer[c] == now:
                     materialize(c)
             while waiting and waiting[0][0] <= now:
@@ -1105,140 +697,12 @@ def _fold_loop(
                     touched.append(target)
         for resource in touched:
             settle(resource, now)
-        if not folding or materialized == grew or not live:
-            continue
-        checkpoint_due = recording
-        run = idle_run() if splits else None
-        keyed = len(live) if run is None else len(live) - (run[1] - run[0] + 1)
-        if keyed > _LIVE_CAP:
-            continue
-        # A materialization event ended: snapshot the relative state and
-        # jump if it recurs (see the module docstring for the argument).
-        anchor = floor if splits else min(live)
-        head = anchor
-        if run is not None:
-            head = ginst_bases[0] + cursor[0]
-            split_log.append((len(t_log), *run))
-        record = (
-            anchor, head, now, len(t_log), completed_count, len(rel_log), len(split_log) - 1
-        )
-        key = state_key(anchor, now, run)
-        prev = snapshots.get(key)
-        if prev is None:
-            if len(snapshots) >= _SNAP_CAP:
-                folding = False
-                snapshots.clear()
-            else:
-                snapshots[key] = record
-                if recording:
-                    prefix.note(key, record)
-            continue
-        prev_anchor, prev_head, prev_now, prev_log, prev_completed, prev_rel, prev_split = prev
-        d_inst = anchor - prev_anchor
-        d_head = head - prev_head
-        d_time = now - prev_now
-        if d_inst <= 0 or d_head <= 0 or d_time <= 0:
-            continue
-        # Matching snapshots mean every *started, unexhausted* class
-        # advanced exactly d_head instances over the window (their cursor
-        # positions are anchor-relative in the key, or head-relative in
-        # a split one); only those consume instances per repeat, so only
-        # they bound the repeat count.
-        repeats: Optional[int] = None
-        for c in range(n_classes):
-            if 0 < cursor[c] < counts[c]:
-                fit = (counts[c] - 1 - cursor[c]) // d_head
-                if repeats is None or fit < repeats:
-                    repeats = fit
-        if not repeats or repeats <= 0:
-            if recording:
-                prefix.decided(cursor[0] + 1 + d_head, passed=False)
-            continue
-        steps = [d_inst] * (len(t_log) - prev_log)
-        if run is not None:
-            window = split_window(prev_split, len(split_log) - 1)
-            if window is None:
-                # Tail and head met: measure the next window from here.
-                snapshots[key] = record
-                if recording:
-                    prefix.note(key, record)
-                    prefix.decided(cursor[0] + 1 + d_head, passed=True)
-                continue
-            tail, margin = window
-            steps = [d_inst if below else d_head for below in tail]
-            # The run clamp: every repeat keeps a run instance the tail
-            # never completes in (see "Split windows"); a shrinking run
-            # loses d_inst - d_head of its margin per repeat.
-            if d_inst > d_head:
-                repeats = min(repeats, (margin - 1) // (d_inst - d_head))
-        if repeats and gated:
-            repeats = release_fit(repeats, d_inst, d_time, prev_rel, now)
-        if not repeats or repeats <= 0:
-            continue
-        # Apply the jump: record the window for arithmetic expansion,
-        # then shift every absolute time and instance index in place.
-        windows.append((prev_log, repeats, steps, d_time))
-        window_completions = completed_count - prev_completed
-        completed_count += repeats * window_completions
-        replayed += repeats * window_completions
-        jumps += 1
-        recording = checkpoint_due = False
-        shift_t = repeats * d_time
-        shift_i = repeats * d_inst
-        shift_h = repeats * d_head
-        bound = 0 if run is None else run[0]
+        if materialized != grew and live and state.folding:
+            completed_count += detect(now)
 
-        def moved(gi: int) -> int:
-            return gi + (shift_i if gi < bound else shift_h)
-
-        for r in range(n_res):
-            sync[r] += shift_t
-            next_done[r] += shift_t
-            for entry in active[r]:
-                entry[1] = moved(entry[1])
-            if pending[r]:
-                # Order keys shift by the *class's* stride, so re-heapify
-                # rather than assume the list shape survives.
-                pending[r] = [
-                    (order + (moved(gi) - gi) * sizes[live[gi][0]], moved(gi), tid)
-                    for order, gi, tid in pending[r]
-                ]
-                heapify(pending[r])
-        if waiting:
-            waiting = [
-                (when + shift_t, order + shift_i * sizes[live[gi][0]], gi + shift_i, tid)
-                for when, order, gi, tid in waiting
-            ]
-            heapify(waiting)
-        if run is None:
-            live = {gi + shift_i: st for gi, st in live.items()}
-        else:
-            # The run moves its bottom with the tail and its top with
-            # the head; every instance in it holds the shared state.
-            first, last = run
-            c0, outstanding, left = live[first]
-            live = {moved(gi): st for gi, st in live.items() if not first <= gi <= last}
-            for gi in range(first + shift_i, last + shift_h + 1):
-                live[gi] = [c0, outstanding.copy(), left]
-            known_run = (first + shift_i, last + shift_h, outstanding.copy(), left)
-        floor += shift_i
-        for c in range(n_classes):
-            if 0 < cursor[c] < counts[c]:
-                cursor[c] += shift_h
-                if timer[c] >= 0:
-                    timer[c] = suffix[c][cursor[c]]
-        refresh_heads(resource_ids)
-        # Windows spanning a jump cannot be replayed from the log.
-        snapshots.clear()
-        split_log = []  # a new list: a chain prefix may hold the old one
-        rel_log.clear()
-        ready_log.clear()
-
-    counters["events"] += n_events
-    counters["replayed"] += replayed
-    counters["jumps"] += jumps
-
-    return _FoldLog(inst_log, tid_log, t_log, windows)
+    for name in counters:  # events, replayed, jumps
+        counters[name] += getattr(state, name)
+    return _FoldLog(inst_log, tid_log, t_log, state.windows)
 
 
 def _expand(ft: List[int], classes: Sequence[FoldedClass], log: _FoldLog) -> None:

@@ -838,49 +838,106 @@ def _assert_makespan_is_last_finish(result):
 @pytest.fixture
 def heads_checked(monkeypatch):
     """Checks, before every refill of every fold, that each resource's
-    cached virtual head (see ``_fold_loop`` in ``simulator/vector.py``)
-    equals a fresh scan of the class cursors: the lowest program order
-    of a class cursor's earliest t=0-ready task there.  Returns the list
-    of resources whose refill it checked; the flat core's refills pass
-    unchecked."""
-    from repro.simulator import events
+    cached virtual head (``FoldState.head_order``/``head_class`` in
+    ``simulator/foldstate.py``) equals a fresh scan of the class
+    cursors: the lowest program order of a class cursor's earliest
+    t=0-ready task there.  Returns the list of resources whose refill it
+    checked; the flat core's refills pass unchecked."""
+    from repro.simulator.foldstate import FoldState
 
-    make_round_robin = events.round_robin
+    make_state = FoldState.__init__
     checked = []
 
-    def closed_over(function, name):
-        names = function.__code__.co_freevars
-        return function.__closure__[names.index(name)].cell_contents if name in names else None
-
-    def round_robin(n_resources, refill):
-        materialize = closed_over(refill, "materialize")
-        if materialize is None:
-            return make_round_robin(n_resources, refill)
-        refresh = closed_over(materialize, "refresh_heads")
-        classes_on, cursor, counts, order_bases, sizes, head_order, head_class = (
-            closed_over(refresh, name)
-            for name in (
-                "classes_on", "cursor", "counts", "order_bases", "sizes", "head_order",
-                "head_class",
-            )
-        )
-
+    def init(state, classes, n_res, slots, refill, *gating):
         def checked_refill(resource, acts):
             heads = [
-                (order_bases[c] + cursor[c] * sizes[c] + tid, c)
-                for c, tid in classes_on[resource]
-                if cursor[c] < counts[c]
+                (state.order_bases[c] + state.cursor[c] * state.sizes[c] + tid, c)
+                for c, tid in state.classes_on[resource]
+                if state.cursor[c] < state.counts[c]
             ]
-            assert (head_order[resource], head_class[resource]) == min(
+            assert (state.head_order[resource], state.head_class[resource]) == min(
                 heads, default=(float("inf"), -1)
             )
             checked.append(resource)
             refill(resource, acts)
 
-        return make_round_robin(n_resources, checked_refill)
+        make_state(state, classes, n_res, slots, checked_refill, *gating)
 
-    monkeypatch.setattr(events, "round_robin", round_robin)
+    monkeypatch.setattr(FoldState, "__init__", init)
     return checked
+
+
+def _state_key(state):
+    """``state``'s relative key, anchored and split as its detector
+    would key it now, with the idle-run cache left as it was."""
+    floor, known_run = state.floor, state.known_run
+    run = state.idle_run() if state.splits else None
+    anchor = state.floor if state.splits else min(state.live)
+    key = state.key(anchor, state.now, run)
+    state.floor, state.known_run = floor, known_run
+    return key
+
+
+@pytest.fixture
+def state_ops_checked(monkeypatch):
+    """Checks the fold state's own operations wherever a fold uses them:
+    at every jump, the shifted state keys equal to the snapshot it
+    matched; at every checkpoint a chain prefix keeps, a fresh state
+    restored from it keys equal to the state it was taken from.  Returns
+    the counts of jumps and checkpoints checked."""
+    from repro.simulator.foldstate import FoldState
+    from repro.simulator.prefixes import ChainPrefix
+
+    make_state, shift, take = FoldState.__init__, FoldState.shift, ChainPrefix.take
+    layouts = {}
+    checked = {"jumps": 0, "checkpoints": 0}
+
+    def init(state, classes, n_res, slots, refill, *gating):
+        make_state(state, classes, n_res, slots, refill, *gating)
+        layouts[id(state)] = (state, (classes, n_res, slots, lambda r, acts: None, *gating))
+
+    def checked_shift(state, *args):
+        matched = _state_key(state)
+        assert matched in state.snapshots
+        shift(state, *args)
+        assert _state_key(state) == matched
+        checked["jumps"] += 1
+
+    def checked_take(prefix, state):
+        line = len(prefix.checkpoints)
+        take(prefix, state)
+        if len(prefix.checkpoints) > line:
+            restored = FoldState(*layouts[id(state)][1])
+            restored.restore(prefix.checkpoints[-1].state)
+            assert _state_key(restored) == _state_key(state)
+            checked["checkpoints"] += 1
+
+    monkeypatch.setattr(FoldState, "__init__", init)
+    monkeypatch.setattr(FoldState, "shift", checked_shift)
+    monkeypatch.setattr(ChainPrefix, "take", checked_take)
+    return checked
+
+
+class TestFoldStateOps:
+    """The fold state's key, shift and checkpoint copy agree with each
+    other (``state_ops_checked``; the fold-multiclass, fold-sources,
+    split-fold and chain-prefix fuzz families run the same checks)."""
+
+    def test_jumps_shift_to_the_matched_key(self, state_ops_checked):
+        from repro.simulator import fold_scenario, run_folded
+
+        run_folded(fold_scenario(attention_scenario(16, 4, dram_bw=4.0, array_dim=32)), 2)
+        assert state_ops_checked == {"jumps": 2, "checkpoints": 0}
+
+    def test_checkpoints_restore_to_their_key(self, state_ops_checked):
+        from repro.simulator.pipeline import binding_template
+        from repro.simulator.prefixes import ChainPrefix
+        from repro.simulator.vector import fold_chain, run_folded
+
+        template = binding_template(PipelineConfig(), "interleaved")
+        run_folded(fold_chain(template, 2048), 2, prefix=ChainPrefix(2))
+        assert state_ops_checked["jumps"] == 1
+        assert state_ops_checked["checkpoints"] >= 30
 
 
 class TestSymmetryFolding:
@@ -983,7 +1040,7 @@ class TestSymmetryFolding:
         _assert_makespan_is_last_finish(folded)
 
     @pytest.mark.parametrize("seed", fuzz_seeds("fold-multiclass"))
-    def test_multiclass_fold_matches_event_engine(self, seed, heads_checked):
+    def test_multiclass_fold_matches_event_engine(self, seed, heads_checked, state_ops_checked):
         """Two to four phase classes share the arrays and ``dram``, so
         each resource's virtual head moves between classes as their
         cursors advance: at every materialization, and at every jump
@@ -1101,7 +1158,7 @@ class TestFoldSources:
         return expected
 
     @pytest.mark.parametrize("seed", fuzz_seeds("fold-sources"))
-    def test_fold_sources_match_event_engine(self, seed):
+    def test_fold_sources_match_event_engine(self, seed, state_ops_checked):
         from repro.simulator.pipeline import scenario_templates
 
         rng = random.Random(seed)
@@ -1552,7 +1609,7 @@ class TestChainFold:
         _assert_same_schedule(run_folded(fold_chain(_chain(stems, 2), 222), 2), event)
 
     @pytest.mark.parametrize("seed", fuzz_seeds("split-fold"))
-    def test_split_fold_matches_event_engine(self, seed):
+    def test_split_fold_matches_event_engine(self, seed, state_ops_checked):
         """Chains whose fronts drift apart fold through split windows:
         a long interleaved binding chain (1D- or 2D-bound by its lanes)
         and a synthetic chain (see :func:`_split_chain`).  Each must
@@ -1708,7 +1765,7 @@ class TestSharedChainPrefix:
 
     @pytest.mark.parametrize("order", PREFIX_ORDERS)
     @pytest.mark.parametrize("seed", fuzz_seeds("chain-prefix"))
-    def test_resumed_folds_equal_fresh_folds(self, seed, order):
+    def test_resumed_folds_equal_fresh_folds(self, seed, order, state_ops_checked):
         rng = random.Random(seed)
         template, slots, oracle = _random_chain(rng, seed)
         counts = rng.sample(range(1, 65), 3) + rng.sample(range(65, 900), 3)
