@@ -53,9 +53,9 @@ steps over the formulas above: ``complete`` serves a resource up to its
 next completion and hands back the entry that finished; ``settle``
 catches a resource up to the event, refills it through the core's own
 refill and stores its next completion.  A core calls ``complete`` once
-per completion, then ``settle`` once per resource the event touched.
-An active entry may carry whatever its core needs, as long as its first
-element is its remaining cycles.
+per completion, then ``settle`` once per touched resource with a free
+slot.  An active entry may carry whatever its core needs, as long as
+its first element is its remaining cycles.
 
 The shared ``dram`` resource that bandwidth-lowered graphs carry
 (:func:`repro.simulator.engine.lower_dram`) needs no special handling
@@ -152,7 +152,7 @@ def run_flat(graph: FlatGraph, slots: int, max_cycles: int) -> Tuple[int, List[i
         # dependents are counted down as it is found.  A full resource
         # admits nothing and its next completion stands, so it is not
         # settled: its next step integrates the longer gap.  (The fold
-        # settles it anyway, since its recurrence keys read ``sync``.)
+        # too; its detector catches a full resource up before a key.)
         for resource in touched[:]:
             task = complete(resource, now)[1]
             finish[task] = now

@@ -33,6 +33,13 @@ the leading repeats that pass, one strided slice of releases per logged
 read.  With those inputs shifted, the induction above goes through
 unchanged.
 
+The fold settles a touched resource only if it has a free slot, as
+:func:`~repro.simulator.events.run_flat` does, so a full one's ``sync``,
+``rr`` and remaining cycles may lag behind *now*.  Service adds up over
+consecutive gaps, and a full resource admits nothing, so catching every
+busy resource up before a snapshot (:meth:`FoldState.detect`) gives the
+state that settling it on every event would: equal states key equal.
+
 Split windows
 -------------
 
@@ -223,11 +230,11 @@ class FoldState:
             )
 
     def key(self, anchor: int, now: int, run: Optional[Tuple[int, int]]) -> tuple:
-        """Everything the transition function reads, instance-relative.
-        An idle resource's ``sync`` is never read (the next settle just
-        resets it), so it is left out.  With an idle ``run``, instances
-        above it are relative to the class cursor instead, and the run
-        is keyed by its bounds and shared state, not its length."""
+        """Everything the transition function reads, instance-relative, of a
+        caught-up state.  An idle resource's ``sync`` is never read (the next
+        settle just resets it), so it is left out.  With an idle ``run``,
+        instances above it are relative to the class cursor instead, and the
+        run is keyed by its bounds and shared state, not its length."""
         live, cursor, counts, timer = self.live, self.cursor, self.counts, self.timer
         first, last = (0, 0) if run is None else run
         head = self.ginst_bases[0] + cursor[0]
@@ -470,10 +477,13 @@ class FoldState:
         return repeats
 
     def detect(self, now: int) -> int:
-        """After a materialization event at ``now``: snapshot the state,
-        jump if it recurs, and checkpoint it for a chain prefix this
-        fold extends.  Returns the completions the jump replayed."""
+        """After a materialization event at ``now``: catch the state up,
+        snapshot it, jump if it recurs, and checkpoint it for a chain
+        prefix this fold extends.  Returns the completions the jump replayed."""
         self.now = now
+        for r, acts in enumerate(self.active):
+            if acts and self.sync[r] != now:
+                self.settle(r, now)
         replayed = self._recur(now)
         if self.prefix is not None and self.folding and self.cursor[0] < self.counts[0]:
             self.prefix.take(self)

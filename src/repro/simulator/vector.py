@@ -570,8 +570,8 @@ def _fold_loop(
     counts, sizes, order_bases, ginst_bases = (
         state.counts, state.sizes, state.order_bases, state.ginst_bases
     )
-    pending, live, cursor, timer, waiting = (
-        state.pending, state.live, state.cursor, state.timer, state.waiting
+    active, pending, live, cursor, timer, waiting = (
+        state.active, state.pending, state.live, state.cursor, state.timer, state.waiting
     )
     inst_log, tid_log, t_log, rel_log, ready_log = (
         state.inst_log, state.tid_log, state.t_log, state.rel_log, state.ready_log
@@ -636,8 +636,8 @@ def _fold_loop(
             touched = [r for r in resource_ids if next_done[r] == now]
         grew = materialized
         # Completing a resource reads no heap, so each completion's
-        # dependents are counted down as it is found.  Every touched
-        # resource is settled, full or not: the keys read ``sync``.
+        # dependents are counted down as it is found.  A full resource
+        # is not settled, as in ``run_flat``: ``detect`` catches it up.
         for resource in touched[:]:
             _, gi, tid = complete(resource, now)
             inst_log.append(gi)
@@ -665,7 +665,7 @@ def _fold_loop(
                                 continue
                     target = res[dependent]
                     heappush(pending[target], (ob + dependent, gi, dependent))
-                    if target not in touched:
+                    if target not in touched and len(active[target]) < slots:
                         touched.append(target)
             lag = lag_of[c]
             if lag is not None and local + 1 < counts[c] and lag[tid]:
@@ -680,7 +680,7 @@ def _fold_loop(
                     if successor[dependent] == 0:
                         target = res[dependent]
                         heappush(pending[target], (ob + tid + step, gi + 1, dependent))
-                        if target not in touched:
+                        if target not in touched and len(active[target]) < slots:
                             touched.append(target)
             st[2] -= 1
             if st[2] == 0:
@@ -693,7 +693,7 @@ def _fold_loop(
                 _, order, gi, tid = heappop(waiting)
                 target = res_of[live[gi][0]][tid]
                 heappush(pending[target], (order, gi, tid))
-                if target not in touched:
+                if target not in touched and len(active[target]) < slots:
                     touched.append(target)
         for resource in touched:
             settle(resource, now)

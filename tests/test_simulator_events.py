@@ -7,6 +7,8 @@ per-task finish times.  These tests check it on randomized task graphs
 graphs, and through the binding-sweep runtime path.
 """
 
+import functools
+import inspect
 import json
 import random
 import re
@@ -835,6 +837,44 @@ def _assert_makespan_is_last_finish(result):
     assert result.makespan == max(result.finish_times.values(), default=0)
 
 
+def _patch_fold_state_init(monkeypatch, wrap):
+    """Patch ``FoldState.__init__`` so that ``wrap(state, bound)`` sees
+    each new state's constructor arguments bound by name (edit ``bound``
+    to change what the constructor gets).  The patch keeps the
+    constructor's signature, so patches stack in any order."""
+    from repro.simulator.foldstate import FoldState
+
+    make_state = FoldState.__init__
+    signature = inspect.signature(FoldState)
+
+    @functools.wraps(make_state)
+    def init(state, *args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        wrap(state, bound)
+        make_state(state, *bound.args, **bound.kwargs)
+
+    monkeypatch.setattr(FoldState, "__init__", init)
+
+
+def _layout_recorder(monkeypatch):
+    """Record each new fold state's constructor arguments; returns a
+    function that makes a fresh state of a recorded state's layout,
+    whose refill admits nothing."""
+    from repro.simulator.foldstate import FoldState
+
+    layouts = {}
+
+    def record(state, bound):
+        fresh = dict(bound.arguments, refill=lambda resource, acts: None)
+        layouts[id(state)] = (state, fresh)  # the state too, so its id stays unique
+
+    def fresh_state(state):
+        return FoldState(**layouts[id(state)][1])
+
+    _patch_fold_state_init(monkeypatch, record)
+    return fresh_state
+
+
 @pytest.fixture
 def heads_checked(monkeypatch):
     """Checks, before every refill of every fold, that each resource's
@@ -843,12 +883,11 @@ def heads_checked(monkeypatch):
     cursors: the lowest program order of a class cursor's earliest
     t=0-ready task there.  Returns the list of resources whose refill it
     checked; the flat core's refills pass unchecked."""
-    from repro.simulator.foldstate import FoldState
-
-    make_state = FoldState.__init__
     checked = []
 
-    def init(state, classes, n_res, slots, refill, *gating):
+    def check_refills(state, bound):
+        refill = bound.arguments["refill"]
+
         def checked_refill(resource, acts):
             heads = [
                 (state.order_bases[c] + state.cursor[c] * state.sizes[c] + tid, c)
@@ -861,9 +900,9 @@ def heads_checked(monkeypatch):
             checked.append(resource)
             refill(resource, acts)
 
-        make_state(state, classes, n_res, slots, checked_refill, *gating)
+        bound.arguments["refill"] = checked_refill
 
-    monkeypatch.setattr(FoldState, "__init__", init)
+    _patch_fold_state_init(monkeypatch, check_refills)
     return checked
 
 
@@ -888,13 +927,9 @@ def state_ops_checked(monkeypatch):
     from repro.simulator.foldstate import FoldState
     from repro.simulator.prefixes import ChainPrefix
 
-    make_state, shift, take = FoldState.__init__, FoldState.shift, ChainPrefix.take
-    layouts = {}
+    shift, take = FoldState.shift, ChainPrefix.take
+    fresh_state = _layout_recorder(monkeypatch)
     checked = {"jumps": 0, "checkpoints": 0}
-
-    def init(state, classes, n_res, slots, refill, *gating):
-        make_state(state, classes, n_res, slots, refill, *gating)
-        layouts[id(state)] = (state, (classes, n_res, slots, lambda r, acts: None, *gating))
 
     def checked_shift(state, *args):
         matched = _state_key(state)
@@ -907,12 +942,11 @@ def state_ops_checked(monkeypatch):
         line = len(prefix.checkpoints)
         take(prefix, state)
         if len(prefix.checkpoints) > line:
-            restored = FoldState(*layouts[id(state)][1])
+            restored = fresh_state(state)
             restored.restore(prefix.checkpoints[-1].state)
             assert _state_key(restored) == _state_key(state)
             checked["checkpoints"] += 1
 
-    monkeypatch.setattr(FoldState, "__init__", init)
     monkeypatch.setattr(FoldState, "shift", checked_shift)
     monkeypatch.setattr(ChainPrefix, "take", checked_take)
     return checked
@@ -938,6 +972,51 @@ class TestFoldStateOps:
         run_folded(fold_chain(template, 2048), 2, prefix=ChainPrefix(2))
         assert state_ops_checked["jumps"] == 1
         assert state_ops_checked["checkpoints"] >= 30
+
+
+class TestCanonicalKey:
+    """The fold settles a full resource lazily, so the detector must
+    catch every busy resource up before it keys the state (see "Why the
+    replay is exact" in ``simulator/foldstate.py``).  A stale key is
+    sound but can miss a match, so only comparing keys shows it."""
+
+    def test_stale_full_resources_key_as_caught_up(self, monkeypatch):
+        """At every snapshot of an interleaved chain fold, the detector's
+        key equals the key of a copy whose busy resources ``settle``
+        caught up; some of those snapshots find a full resource stale."""
+        from repro.simulator.foldstate import FoldState
+        from repro.simulator.pipeline import binding_template
+        from repro.simulator.vector import fold_chain, run_folded
+
+        slots = 2
+        detect, key = FoldState.detect, FoldState.key
+        fresh_state = _layout_recorder(monkeypatch)
+        seen = {"keys": 0, "stale_full": 0}
+
+        def checked_detect(state, now):
+            seen["stale_full"] += any(
+                len(acts) == slots and state.sync[r] != now
+                for r, acts in enumerate(state.active)
+            )
+            return detect(state, now)
+
+        def checked_key(state, anchor, now, run):
+            caught_up = fresh_state(state)
+            caught_up.restore(state.copy(lambda st: st))
+            for r, acts in enumerate(caught_up.active):
+                if acts and caught_up.sync[r] != now:
+                    caught_up.settle(r, now)
+            got = key(state, anchor, now, run)
+            assert got == key(caught_up, anchor, now, run)
+            seen["keys"] += 1
+            return got
+
+        monkeypatch.setattr(FoldState, "detect", checked_detect)
+        monkeypatch.setattr(FoldState, "key", checked_key)
+        template = binding_template(PipelineConfig(), "interleaved")
+        run_folded(fold_chain(template, 512), slots)
+        assert seen["keys"] >= 200
+        assert seen["stale_full"] >= 50
 
 
 class TestSymmetryFolding:
